@@ -21,8 +21,7 @@ from .algebra import (
     substitute_rational,
 )
 from .curves import CenteredParametrization, ParametricCurve
-from .elimination import eliminate_two, resultant
-from .errors import DegenerateEliminantError
+from .elimination import resultant
 from .parsing import parse_polynomial, render_polynomial
 from .quadrature import (
     chord_area_function,
@@ -140,29 +139,35 @@ def vertical_certificate(
 ) -> Certificate:
     """Certificate Q(S, c) for segments cut by vertical lines x = c.
 
-    The segment area S(t1, t2) and the two abscissa equations c = g(t1),
-    c = g(t2) are eliminated pairwise; an identically zero eliminant is
-    retried once after common-factor removal, then reported.
+    A segment is cut between parameters t1 < t2 with g(t1) = g(t2) = c and
+    has area S = P(t1) + R(t2). Pairing c = g(t1) with c = g(t2) would
+    keep the diagonal t1 = t2 (the whole oval), a spurious factor of Q,
+    and larger Sylvester matrices. So t1 is eliminated against the exact
+    divided difference D = (g(t1) - g(t2)) / (t1 - t2), which vanishes at
+    every off-diagonal pair, and then t2 against c = g(t2).
+
+    An x-component of degree at most 1 has no off-diagonal pairs (D is a
+    constant), so S can only be P(t) + R(t), the signed total area, and
+    Q = S - (P + R) needs no elimination.
     """
     t = cp.curve.var
     t1, t2 = t + "1", t + "2"
-    P, R = vertical_area_parts(cp)
-    e1 = (
-        Polynomial.variable(area_var)
-        - P.rename(t1).to_polynomial()
-        - R.rename(t2).to_polynomial()
-    )
-    g = cp.curve.g
-    e2 = Polynomial.variable(abscissa_var) * g.den.rename(t1).to_polynomial() - g.num.rename(
-        t1
-    ).to_polynomial()
-    e3 = Polynomial.variable(abscissa_var) * g.den.rename(t2).to_polynomial() - g.num.rename(
-        t2
-    ).to_polynomial()
-    raw = eliminate_two(e1, e2, e3, t1, t2)
-    if raw.is_zero:
-        raise DegenerateEliminantError("vertical elimination degenerated to zero")
-    q, prov = _cleanup(raw, (t1, t2), (e1, e2, e3))
+    P, R = vertical_area_parts(cp)  # ExactIntegrationError unless g, f are polynomials
+    g = cp.curve.g.as_univariate()
+    S = Polynomial.variable(area_var)
+    if g.degree() <= 1:
+        raw = (S - (P + R).to_polynomial()).with_vars((area_var, abscissa_var))
+        eliminated, inputs = (), (raw,)
+    else:
+        e1 = S - P.rename(t1).to_polynomial() - R.rename(t2).to_polynomial()
+        g2 = g.rename(t2).to_polynomial()
+        D = (g.rename(t1).to_polynomial() - g2).exact_div(
+            Polynomial.variable(t1) - Polynomial.variable(t2)
+        )
+        e_c = Polynomial.variable(abscissa_var) - g2
+        raw = resultant(resultant(e1, D, t1), e_c, t2)
+        eliminated, inputs = (t1, t2), (e1, D, e_c)
+    q, prov = _cleanup(raw, eliminated, inputs)
     return Certificate(q, {area_var: "area", abscissa_var: "abscissa"}, prov)
 
 

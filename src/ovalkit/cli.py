@@ -90,13 +90,17 @@ def damper_rows(cp, t_range: Interval, steps: int) -> list[TableRow]:
     return rows
 
 
-def emit_damper_table(cp, t_range: Interval, steps: int) -> str:
+def _damper_csv(rows: list[TableRow]) -> str:
     lines = ["t_P,alpha_deg,S2,S2_exact"]
-    for row in damper_rows(cp, t_range, steps):
+    for row in rows:
         lines.append(
             f"{_fmt(float(row.t_P))},{_fmt(row.alpha_deg)},{_fmt(row.S2)},{row.S2_exact}"
         )
     return "\n".join(lines) + "\n"
+
+
+def emit_damper_table(cp, t_range: Interval, steps: int) -> str:
+    return _damper_csv(damper_rows(cp, t_range, steps))
 
 
 def _svg_plot(xs: list[float], ys: list[float], xlabel: str, ylabel: str) -> str:
@@ -236,7 +240,7 @@ def _cmd_damper_table(args) -> int:
     lo_s, hi_s = args.range.split(",")
     t_range = Interval(as_fraction(lo_s), as_fraction(hi_s))
     rows = damper_rows(cp, t_range, args.steps)
-    _write_out(args, emit_damper_table(cp, t_range, args.steps))
+    _write_out(args, _damper_csv(rows))
     if args.svg:
         svg = _svg_plot(
             [float(r.t_P) for r in rows], [r.S2 for r in rows], "t_P", "S2"

@@ -18,10 +18,14 @@ import re
 from fractions import Fraction
 
 from .algebra import Polynomial, RationalFunction, UnivariatePolynomial
-from .errors import ParseError
+from .errors import DeskScopeError, ParseError
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^()]))")
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+
+# Parentheses and unary minus signs each recurse; this keeps the deepest
+# expression well inside Python's recursion limit.
+MAX_NESTING_DEPTH = 100
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -53,6 +57,7 @@ class _Parser:
         self.i = 0
         self.vars = variables
         self.rational_var = rational_var
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, len(self.text))
@@ -135,6 +140,16 @@ class _Parser:
             value = value**int(val)
         return value
 
+    def nested(self, parse, pos: int):
+        self.depth += 1
+        if self.depth > MAX_NESTING_DEPTH:
+            raise DeskScopeError(
+                f"expression nests deeper than {MAX_NESTING_DEPTH} levels (at position {pos})"
+            )
+        value = parse()
+        self.depth -= 1
+        return value
+
     def base(self):
         kind, val, pos = self.take()
         if kind == "num":
@@ -155,11 +170,11 @@ class _Parser:
         if kind == "name":
             return self._var_value(val, pos)
         if kind == "op" and val == "(":
-            inner = self.expr()
+            inner = self.nested(self.expr, pos)
             self.expect_op(")")
             return inner
         if kind == "op" and val == "-":
-            return -self.base()
+            return -self.nested(self.base, pos)
         raise ParseError("expected a number, variable or parenthesized expression", pos)
 
 

@@ -96,8 +96,27 @@ def test_provenance_records_removed_content(cubic_centered):
 
 @pytest.fixture(scope="module")
 def quartic_vertical_cert(quartic_centered):
-    # The second elimination runs a 32x32 determinant; build it once.
+    # The second elimination runs a 25x25 determinant; build it once.
     return vertical_certificate(quartic_centered)
+
+
+@pytest.fixture(scope="module")
+def cubic_vertical_build(cubic_centered):
+    """The cubic vertical certificate and the Sylvester sizes it needed."""
+    import ovalkit.elimination as elimination
+
+    sizes = []
+    build = elimination.sylvester_matrix
+
+    def recording(f, g, var):
+        matrix = build(f, g, var)
+        sizes.append(matrix.size)
+        return matrix
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(elimination, "sylvester_matrix", recording)
+        cert = vertical_certificate(cubic_centered)
+    return cert, sizes
 
 
 def test_vertical_certificate_cubic(cubic_centered, cubic_curve):
@@ -122,6 +141,36 @@ def test_vertical_certificate_consistency_with_exact_areas(quartic_vertical_cert
         c = quartic_centered.curve.g.evaluate(t2)
         value = cert.q.evaluate({"S": S, "c": c})
         assert value == 0
+
+
+def test_vertical_certificate_cubic_shape(cubic_vertical_build):
+    # Eliminating against the divided difference (g(t1) - g(t2))/(t1 - t2)
+    # drops the whole-oval diagonal t1 = t2 and its spurious factor 20*S - 3.
+    cert, sizes = cubic_vertical_build
+    assert sizes == [8, 13]
+    q = cert.q
+    assert len(q.terms) == 27
+    assert (q.degree_in("S"), q.degree_in("c")) == (6, 10)
+    assert not q.subs("S", Fraction(3, 20)).is_zero  # total area 3/20
+
+
+def test_vertical_certificate_cubic_is_irreducible(cubic_vertical_build):
+    sympy = pytest.importorskip("sympy")
+    q = cubic_vertical_build[0].q
+    symbols = sympy.symbols(q.vars)
+    expr = sympy.Add(
+        *(
+            sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(s**e for s, e in zip(symbols, exps)))
+            for exps, c in q.terms.items()
+        )
+    )
+    _, factors = sympy.factor_list(expr, *symbols)
+    assert [m for _, m in factors] == [1]
+
+
+def test_vertical_certificate_quartic_drops_whole_oval(quartic_vertical_cert):
+    # 64/105 is the quartic's total area, the diagonal's spurious root.
+    assert not quartic_vertical_cert.q.subs("S", Fraction(64, 105)).is_zero
 
 
 def test_vertical_certificate_graph_like_collapse():

@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import ovalkit.cli as cli
 from ovalkit.algebra import Interval
 from ovalkit.cli import emit_damper_table, main, parse_curve_text
 
@@ -68,6 +73,23 @@ def test_domain_error_exit_code(capsys):
     assert "error:" in err
 
 
+def test_deep_nesting_is_a_one_line_domain_error():
+    # Run as its own process so an uncaught RecursionError would show as a traceback.
+    expr = "(" * 3000 + "x" + ")" * 3000
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ovalkit.cli", "parse", "--expr", expr],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+
+
 def test_damper_table_golden(capsys, cubic_centered):
     csv_text = emit_damper_table(cubic_centered, Interval(Fraction(1, 2), Fraction(1)), 6)
     lines = csv_text.strip().splitlines()
@@ -120,6 +142,22 @@ def test_damper_table_cli_with_svg(tmp_path, capsys):
     assert out_csv.read_text().startswith("t_P,alpha_deg,S2,S2_exact")
     svg = out_svg.read_text()
     assert svg.startswith("<svg") and "polyline" in svg
+
+
+def test_damper_table_cli_computes_rows_once(capsys, monkeypatch, cubic_centered):
+    expected = emit_damper_table(cubic_centered, Interval(Fraction(1, 2), Fraction(1)), 6)
+    build = cli.damper_rows
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(cli, "damper_rows", counting)
+    code, out, _ = run(capsys, ["damper-table", "--param", CUBIC_PARAM, "--range", "1/2,1", "--steps", "6"])
+    assert code == 0
+    assert out == expected
+    assert len(calls) == 1
 
 
 def test_damper_table_invalid_range(capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ovalkit import Polynomial, parse_polynomial, render_polynomial
-from ovalkit.errors import ParseError
+from ovalkit.errors import DeskScopeError, ParseError
 from ovalkit.parsing import parse_rational_function, render_rational_function
 
 
@@ -87,6 +87,24 @@ def test_syntax_error_position():
     with pytest.raises(ParseError) as err:
         parse_polynomial("x + * 2", ["x"])
     assert err.value.position == 4
+
+
+def test_nesting_depth_limit():
+    from ovalkit.parsing import MAX_NESTING_DEPTH as n
+
+    x = parse_polynomial("x", ["x"])
+    assert parse_polynomial("(" * n + "x" + ")" * n, ["x"]) == x
+    assert parse_polynomial("x*" + "-" * n + "x", ["x"]) == x * x * (-1) ** n
+    for text in (
+        "(" * (n + 1) + "x" + ")" * (n + 1),
+        "x*" + "-" * (n + 1) + "x",
+        "(" * 3000 + "x" + ")" * 3000,
+        "1 - " + "-" * 3000 + "x",
+    ):
+        with pytest.raises(DeskScopeError):
+            parse_polynomial(text, ["x"])
+    with pytest.raises(DeskScopeError):
+        parse_rational_function("1/" + "(" * 3000 + "t" + ")" * 3000, "t")
 
 
 def test_division_rejected_in_polynomial_mode():
