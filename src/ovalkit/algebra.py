@@ -231,8 +231,9 @@ class Polynomial:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     # -- calculus and evaluation ----------------------------------------
@@ -477,8 +478,9 @@ class UnivariatePolynomial:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def __divmod__(self, other):

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .algebra import (
     Polynomial,
@@ -32,6 +30,9 @@ from .quadrature import (
     slope_function,
     vertical_area_parts,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ROLES = ("area", "slope", "intercept", "abscissa")
 
@@ -223,6 +224,8 @@ def verify_certificate(
     Residuals are |Q| divided by the largest evaluated monomial magnitude
     (at least 1), so the verdict is invariant under scaling Q.
     """
+    import numpy as np
+
     if n_samples < 10:
         raise ValueError("use at least 10 sample lines")
     rng = random.Random(seed)

@@ -1,9 +1,21 @@
 """Sylvester resultants and iterated elimination.
 
-Determinants of polynomial matrices are computed fraction-free (Bareiss).
-Larger matrices with several remaining variables go through an exact
-evaluation/interpolation path that agrees with Bareiss and is much faster;
-both paths are cross-checked in the test suite.
+Every determinant of a polynomial matrix, at every size, goes through one
+exact engine, `det_interpolated`:
+
+1. compile each entry once into (exponent tuple, int) pairs over the
+   matrix's variables, clearing each row's denominators and keeping the
+   product of the row multipliers;
+2. at every point of an integer grid with (degree bound + 1) values per
+   variable, evaluate the entries on ints;
+3. take each grid determinant with integer Bareiss (`_bareiss`);
+4. interpolate the integer values by tensor Newton divided differences,
+   one variable at a time, and divide by the row multipliers once.
+
+`resultant` tightens the grid with the Bezout bound on the resultant's
+total degree. `det_bareiss` and `det_cofactor` work on polynomial entries
+directly; no caller in the package uses them, and the tests compare the
+engine against them.
 """
 
 from __future__ import annotations
@@ -21,8 +33,6 @@ from .algebra import (
 from .errors import DegenerateEliminantError, SylvesterSizeError
 
 MAX_SYLVESTER_SIZE = 64
-
-_DIRECT_BAREISS_LIMIT = 6
 
 
 @dataclass(frozen=True)
@@ -76,7 +86,7 @@ def sylvester_matrix(f: Polynomial, g: Polynomial, var: str) -> SylvesterMatrix:
 
 
 def det_cofactor(rows) -> Polynomial:
-    """Naive cofactor expansion; the small-matrix oracle."""
+    """Naive cofactor expansion; the small-matrix test oracle."""
     n = len(rows)
     if n == 1:
         return rows[0][0]
@@ -97,7 +107,8 @@ def det_cofactor(rows) -> Polynomial:
 
 
 def det_bareiss(rows) -> Polynomial:
-    """Fraction-free Bareiss determinant over the polynomial ring.
+    """Fraction-free Bareiss determinant over the polynomial ring; the
+    test oracle for det_interpolated.
 
     Every division performed is exact; row swaps flip the sign.
     """
@@ -122,111 +133,170 @@ def det_bareiss(rows) -> Polynomial:
     return result if sign > 0 else -result
 
 
-def _det_scalar(rows: list[list[Fraction]]) -> Fraction:
-    """Exact determinant of a rational matrix via integer Bareiss."""
-    n = len(rows)
-    scale = Fraction(1)
-    m: list[list[int]] = []
-    for row in rows:
-        lcm = 1
-        for c in row:
-            lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-        scale *= lcm
-        m.append([int(c * lcm) for c in row])
+def _bareiss(m: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free Bareiss
+    elimination. m is overwritten; every division is exact.
+
+    A row whose entry in the pivot column is zero is only multiplied by
+    pivot/prev at that step. Those factors telescope, so such a row is
+    left as it is and brought up to date the next time it is used:
+    row i holds its values before step done[i], and pivots[k] is the
+    divisor of step k (pivots[0] = 1).
+    """
+    n = len(m)
     sign = 1
-    prev = 1
+    pivots = [1]
+    done = [0] * n
     for k in range(n - 1):
         if m[k][k] == 0:
             pivot_row = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
             if pivot_row is None:
-                return Fraction(0)
+                return 0
             m[k], m[pivot_row] = m[pivot_row], m[k]
+            done[k], done[pivot_row] = done[pivot_row], done[k]
             sign = -sign
+        prev = pivots[k]
+        tail = m[k][k:]
+        if done[k] < k:
+            tail = [x * prev // pivots[done[k]] for x in tail]
+        pivot = tail[0]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return Fraction(sign * m[n - 1][n - 1]) / scale
+            row = m[i]
+            if row[k]:
+                rest = row[k:]
+                if done[i] < k:
+                    rest = [x * prev // pivots[done[i]] for x in rest]
+                a = rest[0]
+                row[k + 1 :] = [(pivot * x - a * y) // prev for x, y in zip(rest[1:], tail[1:])]
+                done[i] = k + 1
+        pivots.append(pivot)
+    return sign * m[n - 1][n - 1] * pivots[n - 1] // pivots[done[n - 1]]
 
 
-def _degree_bounds(rows, variables: tuple[str, ...]) -> dict[str, int]:
-    bounds = {}
-    for v in variables:
-        total = 0
-        for row in rows:
-            row_max = 0
-            for entry in row:
-                d = entry.degree_in(v)
-                if d > row_max:
-                    row_max = d
-            total += row_max
-        bounds[v] = total
-    return bounds
+def _compile(rows, variables: tuple[str, ...]):
+    """Integer form of a polynomial matrix.
+
+    Returns (entries, cells, scale, bounds): the distinct entries as tuples
+    of (exponent tuple over variables, int) pairs, cells[r][c] indexing
+    them, the product of the row multipliers that clear each row's
+    denominators (so det(rows) = det(integer matrix) / scale), and the
+    row-sum degree bound of the determinant in each variable.
+    """
+    index = {v: i for i, v in enumerate(variables)}
+    distinct: dict[tuple, int] = {}
+    cells = []
+    scale = 1
+    bounds = [0] * len(variables)
+    for row in rows:
+        lcm = 1
+        for entry in row:
+            for c in entry.terms.values():
+                lcm = math.lcm(lcm, c.denominator)
+        scale *= lcm
+        row_max = [0] * len(variables)
+        row_cells = []
+        for entry in row:
+            pos = [index.get(v) for v in entry.vars]
+            terms = []
+            for exps, c in entry.terms.items():
+                aligned = [0] * len(variables)
+                for p, e in zip(pos, exps):
+                    if e:
+                        aligned[p] = e
+                        row_max[p] = max(row_max[p], e)
+                terms.append((tuple(aligned), int(c * lcm)))
+            row_cells.append(distinct.setdefault(tuple(sorted(terms)), len(distinct)))
+        bounds = [b + r for b, r in zip(bounds, row_max)]
+        cells.append(row_cells)
+    return list(distinct), cells, scale, bounds
 
 
-def _sample_values(count: int) -> list[Fraction]:
+def _sample_values(count: int) -> list[int]:
     # Small centered integers keep the scalar determinants compact.
-    values = [Fraction(0)]
+    values = [0]
     k = 1
     while len(values) < count:
-        values.append(Fraction(k))
+        values.append(k)
         if len(values) < count:
-            values.append(Fraction(-k))
+            values.append(-k)
         k += 1
     return values[:count]
 
 
-def _specialize(rows, var: str, value: Fraction):
-    return [[entry.subs(var, value) for entry in row] for row in rows]
+def _at_first(entry: tuple, s: int) -> tuple:
+    """Evaluate the first variable of a compiled entry at s."""
+    out: dict[tuple[int, ...], int] = {}
+    for exps, c in entry:
+        rest = exps[1:]
+        out[rest] = out.get(rest, 0) + c * s ** exps[0]
+    return tuple(out.items())
 
 
-def det_interpolated(rows, variables: tuple[str, ...] | None = None) -> Polynomial:
-    """Exact determinant by grid evaluation and Newton interpolation.
+def _newton(xs: list[int], ys: list[int]) -> list[int]:
+    """Ascending coefficients of the polynomial through (xs[i], ys[i]).
 
-    Specializing entries commutes with taking determinants, so sampling the
-    remaining variables on an integer grid of size (degree bound + 1) per
-    variable determines the determinant uniquely.
+    The values come from a polynomial with integer coefficients, whose
+    divided differences at integer nodes are integers (those of t^k are
+    complete symmetric polynomials in the nodes), so every division is
+    exact.
     """
-    if variables is None:
-        seen: dict[str, None] = {}
-        for row in rows:
-            for entry in row:
-                for v in entry.used_vars():
-                    seen[v] = None
-        variables = tuple(seen)
-    if not variables:
-        scalar = _det_scalar([[e.constant_term() for e in row] for row in rows])
-        return Polynomial.constant(scalar)
-    var = variables[0]
-    rest = variables[1:]
-    bound = _degree_bounds(rows, (var,))[var]
-    samples = _sample_values(bound + 1)
-    values = [det_interpolated(_specialize(rows, var, s), rest) for s in samples]
-    # Newton divided differences with polynomial-valued nodes.
-    dd = list(values)
-    for j in range(1, len(samples)):
-        for i in range(len(samples) - 1, j - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) * (1 / (samples[i] - samples[i - j]))
-    result = dd[-1]
-    vpoly = Polynomial.variable(var)
-    for i in range(len(samples) - 2, -1, -1):
-        result = result * (vpoly - samples[i]) + dd[i]
-    return result
+    dd = list(ys)
+    n = len(xs)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) // (xs[i] - xs[i - j])
+    coeffs = [dd[-1]]
+    for i in range(n - 2, -1, -1):
+        # coeffs * (t - xs[i]) + dd[i]
+        coeffs = [dd[i] - xs[i] * coeffs[0]] + [
+            a - xs[i] * b for a, b in zip(coeffs, coeffs[1:] + [0])
+        ]
+    return coeffs
 
 
-def _det_auto(matrix: SylvesterMatrix) -> Polynomial:
-    rows = matrix.entries
-    remaining = set()
+def det_interpolated(rows, degree_cap: int | None = None) -> Polynomial:
+    """Exact determinant of a polynomial matrix by grid evaluation and
+    tensor Newton interpolation.
+
+    Specializing entries commutes with taking determinants, so sampling
+    every variable on (degree bound + 1) integers determines the
+    determinant uniquely. The bound per variable is the sum over rows of
+    the largest entry degree, lowered to degree_cap when given (a bound on
+    the determinant's total degree known to the caller).
+    """
+    seen: dict[str, None] = {}
     for row in rows:
         for entry in row:
-            remaining |= entry.used_vars()
-    if not remaining:
-        value = _det_scalar([[e.constant_term() for e in row] for row in rows])
-        return Polynomial.constant(value)
-    if matrix.size <= _DIRECT_BAREISS_LIMIT:
-        return det_bareiss(rows)
-    return det_interpolated(rows)
+            used = entry.used_vars()
+            seen.update((v, None) for v in entry.vars if v in used)
+    variables = tuple(seen)
+    entries, cells, scale, bounds = _compile(rows, variables)
+    if degree_cap is not None:
+        bounds = [min(b, degree_cap) for b in bounds]
+    nodes = [_sample_values(b + 1) for b in bounds]
+    values: dict[tuple[int, ...], int] = {}
+
+    def walk(entries: list[tuple], point: tuple[int, ...]) -> None:
+        if len(point) == len(nodes):
+            scalars = [sum(c for _, c in e) for e in entries]
+            values[point] = _bareiss([[scalars[j] for j in row] for row in cells])
+            return
+        for i, s in enumerate(nodes[len(point)]):
+            walk([_at_first(e, s) for e in entries], point + (i,))
+
+    walk(entries, ())
+    # Interpolate one axis at a time: afterwards key[axis] is an exponent.
+    coeffs = values
+    for axis, xs in enumerate(nodes):
+        fibers: dict[tuple[int, ...], list] = {}
+        for key, v in coeffs.items():
+            fibers.setdefault(key[:axis] + key[axis + 1 :], [0] * len(xs))[key[axis]] = v
+        coeffs = {}
+        for rest, ys in fibers.items():
+            for e, c in enumerate(_newton(xs, ys)):
+                if c:
+                    coeffs[rest[:axis] + (e,) + rest[axis:]] = c
+    return Polynomial(variables, {e: Fraction(c, scale) for e, c in coeffs.items()})
 
 
 def resultant(f: Polynomial, g: Polynomial, var: str, strict: bool = True) -> Polynomial:
@@ -237,7 +307,12 @@ def resultant(f: Polynomial, g: Polynomial, var: str, strict: bool = True) -> Po
     strict=False the zero polynomial is returned.
     """
     matrix = sylvester_matrix(f, g, var)
-    det = _det_auto(matrix)
+    # Bezout: with m, n the degrees in var and d, e the total degrees,
+    # every term of the Sylvester determinant has total degree at most
+    # n*d + m*e - m*n <= d*e, which bounds each remaining variable too.
+    m, n = matrix.deg_f, matrix.deg_g
+    cap = n * f.total_degree() + m * g.total_degree() - m * n
+    det = det_interpolated(matrix.entries, cap)
     if det.is_zero and strict:
         raise DegenerateEliminantError(
             f"resultant in {var!r} vanished identically: the inputs share a factor"

@@ -14,6 +14,7 @@ polynomials always render to the same string and render/parse round-trips.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -26,6 +27,41 @@ _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 # Parentheses and unary minus signs each recurse; this keeps the deepest
 # expression well inside Python's recursion limit.
 MAX_NESTING_DEPTH = 100
+
+# Expansion budget of "base ^ n", checked before expanding: total degree,
+# an upper bound on the number of terms and on the coefficient size in
+# bits. The largest powers inside it, such as (x+1)^500 or (x+y+1)^43,
+# expand in under a second on a 2-core x86 machine; without it,
+# (x+y+1)^400 or 7^30000000 runs for longer than 10 s.
+MAX_POWER_DEGREE = 500
+MAX_POWER_TERMS = 1000
+MAX_POWER_BITS = 10_000
+
+
+def _check_power(value, n: int, pos: int) -> None:
+    """Raise DeskScopeError if value**n would pass the expansion budget."""
+    if isinstance(value, RationalFunction):
+        degree = n * max(value.num.degree(), value.den.degree(), 0)
+        terms = degree + 1
+        coeffs = list(value.num.coeffs) + list(value.den.coeffs)
+    else:
+        k = len(value.used_vars())
+        degree = n * max(value.total_degree(), 0)
+        t = len(value.terms)
+        # At most the monomials of that degree, and at most the multisets
+        # of n of the t terms.
+        terms = min(math.comb(degree + k, k), math.comb(t + n - 1, n)) if t else 0
+        coeffs = list(value.terms.values())
+    # Every numerator of value**n, over the common denominator lcm^n, is
+    # at most (sum |c| * lcm)^n, where lcm is that of the denominators.
+    height = int(sum(abs(c) for c in coeffs) * math.lcm(*(c.denominator for c in coeffs)))
+    # n is clipped so that a huge exponent cannot overflow the float.
+    bits = math.ceil(min(n, MAX_POWER_BITS + 1) * math.log2(height)) if height > 1 else 0
+    if degree > MAX_POWER_DEGREE or terms > MAX_POWER_TERMS or bits > MAX_POWER_BITS:
+        raise DeskScopeError(
+            f"power at position {pos} would expand to degree {degree}, up to {terms} terms and "
+            f"{bits}-bit coefficients (limits {MAX_POWER_DEGREE}, {MAX_POWER_TERMS}, {MAX_POWER_BITS})"
+        )
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -137,7 +173,9 @@ class _Parser:
             kind, val, pos = self.take()
             if kind != "num":
                 raise ParseError("exponent must be a non-negative integer", pos)
-            value = value**int(val)
+            n = int(val)
+            _check_power(value, n, pos)
+            value = value**n
         return value
 
     def nested(self, parse, pos: int):

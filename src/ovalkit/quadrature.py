@@ -12,9 +12,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Literal, Sequence, Union
 
 from .algebra import (
     Interval,
@@ -29,6 +27,9 @@ from .errors import (
     ExactIntegrationError,
     NonMonotoneSlopeError,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Orientation = Literal["clockwise", "counterclockwise"]
 
@@ -92,6 +93,8 @@ def _orient_sign(curve: ParametricCurve) -> int:
 
 
 def _signed_shoelace(points: np.ndarray) -> float:
+    import numpy as np
+
     x, y = points[:, 0], points[:, 1]
     return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
 
@@ -275,11 +278,15 @@ def angle_to_parameter(
 
 # -- numeric oracle ----------------------------------------------------
 
-Boundary = Union[ParametricCurve, Sequence[tuple[float, float]], np.ndarray]
+# numpy is imported inside the oracle functions only, so the exact verbs
+# never load it.
+Boundary = Union[ParametricCurve, Sequence[tuple[float, float]], "np.ndarray"]
 
 
 def sample_boundary(curve: ParametricCurve, samples: int) -> np.ndarray:
     """Dense float sampling of the curve boundary, shape (samples, 2)."""
+    import numpy as np
+
     t = np.linspace(float(curve.interval.lo), float(curve.interval.hi), samples)
 
     def eval_rf(rf: RationalFunction) -> np.ndarray:
@@ -293,6 +300,8 @@ def sample_boundary(curve: ParametricCurve, samples: int) -> np.ndarray:
 
 
 def _as_polygon(boundary: Boundary, samples: int) -> np.ndarray:
+    import numpy as np
+
     if isinstance(boundary, ParametricCurve):
         return sample_boundary(boundary, samples)
     return np.asarray(boundary, dtype=float)
@@ -300,6 +309,8 @@ def _as_polygon(boundary: Boundary, samples: int) -> np.ndarray:
 
 def clip_polygon_halfplane(points: np.ndarray, a: float, b: float, c: float) -> np.ndarray:
     """Clip a closed polygon against the half-plane a*x + b*y + c <= 0."""
+    import numpy as np
+
     x, y = points[:, 0], points[:, 1]
     d = a * x + b * y + c
     inside = d <= 0.0
@@ -318,6 +329,8 @@ def clip_polygon_halfplane(points: np.ndarray, a: float, b: float, c: float) -> 
 
 
 def shoelace_area(points: np.ndarray) -> float:
+    import numpy as np
+
     if len(points) < 3:
         return 0.0
     x, y = points[:, 0], points[:, 1]

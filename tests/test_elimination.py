@@ -101,19 +101,26 @@ def test_specialization_soundness():
             assert r.evaluate({"x": xv}) == 0
 
 
-def _random_matrix(rng, n, nvars=1):
-    variables = ("x", "y")[:nvars]
+def _random_matrix(rng, n, nvars=1, fractions=False):
+    variables = ("x", "y", "z")[:nvars]
     rows = []
     for _ in range(n):
+        den = rng.randint(1, 6) if fractions else None
         row = []
         for _ in range(n):
             terms = {}
             for _ in range(rng.randint(1, 2)):
                 exps = tuple(rng.randint(0, 1) for _ in variables)
                 terms[exps] = rng.randint(-3, 3)
+                if den:
+                    terms[exps] = Fraction(terms[exps], den * rng.randint(1, 2))
             row.append(Polynomial(variables, terms))
         rows.append(row)
     return rows
+
+
+def _constant_matrix(values):
+    return [[Polynomial.constant(v) for v in row] for row in values]
 
 
 def test_bareiss_matches_cofactor_oracle():
@@ -125,10 +132,119 @@ def test_bareiss_matches_cofactor_oracle():
 
 def test_interpolated_matches_bareiss():
     rng = random.Random(43)
+    inputs = []
     for n in (2, 3, 4, 5):
         for nvars in (1, 2):
-            rows = _random_matrix(rng, n, nvars)
-            assert det_interpolated(rows) == det_bareiss(rows)
+            inputs.append(_random_matrix(rng, n, nvars))
+    # Row denominators differ, so each row gets its own scale.
+    for n in (2, 3, 4):
+        inputs.append(_random_matrix(rng, n, 2, fractions=True))
+    for n in (2, 3, 4):
+        inputs.append(_random_matrix(rng, n, 3, fractions=n == 3))
+    x, y = Polynomial.variable("x"), Polynomial.variable("y")
+    zero = Polynomial.zero(("x", "y"))
+    inputs += [
+        _constant_matrix([[Fraction(1, 2), 3, 0], [Fraction(-2, 3), 1, 5], [4, Fraction(7, 5), -1]]),
+        _constant_matrix([[7]]),
+        [[x + 1, y, x * y], [zero, zero, zero], [y, x - y, 2 * x]],
+        # No pivot exists in the first column, nor in the second one once
+        # the first step has cleared the rows below the first.
+        [[zero, x, y + 1], [zero, y, x], [zero, x * y, 1 + 0 * x]],
+        [[x, y, 1 + 0 * x], [2 * x, 2 * y, x], [3 * x, 3 * y, y]],
+        [[x, y], [zero, x * y]],
+    ]
+    for rows in inputs:
+        assert det_interpolated(rows) == det_bareiss(rows)
+
+
+def test_interpolated_matches_cofactor_on_sparse_integer_matrices():
+    # Mostly-zero rows skip pivot steps, which Bareiss defers and replays.
+    rng = random.Random(47)
+    for n in range(1, 8):
+        for _ in range(6):
+            values = [[rng.choice([0, 0, 0, rng.randint(-9, 9)]) for _ in range(n)] for _ in range(n)]
+            rows = _constant_matrix(values)
+            assert det_interpolated(rows) == det_cofactor(rows)
+
+
+def _random_poly(rng, variables, degree):
+    terms = {}
+    for _ in range(rng.randint(2, 5)):
+        exps = [0] * len(variables)
+        for _ in range(rng.randint(0, degree)):
+            exps[rng.randrange(len(variables))] += 1
+        terms[tuple(exps)] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    lead = [0] * len(variables)
+    lead[0] = rng.randint(1, degree)
+    terms[tuple(lead)] = Fraction(rng.randint(1, 5))
+    return Polynomial(variables, terms)
+
+
+def test_resultant_total_degree_within_bezout_bound():
+    # Res_x(f, g) has total degree at most n*d + m*e - m*n <= d*e, where
+    # m, n are the degrees in x and d, e the total degrees; the result
+    # equals the one interpolated under the row-sum bounds alone.
+    rng = random.Random(53)
+    for variables in (("x", "y"), ("x", "y", "z")):
+        for _ in range(12):
+            f = _random_poly(rng, variables, 4)
+            g = _random_poly(rng, variables, 3)
+            r = resultant(f, g, "x", strict=False)
+            m, n = f.degree_in("x"), g.degree_in("x")
+            d, e = f.total_degree(), g.total_degree()
+            assert r.total_degree() <= n * d + m * e - m * n <= d * e
+            assert r == det_interpolated(sylvester_matrix(f, g, "x").entries)
+
+
+def test_resultant_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def to_sympy(p, symbols):
+        return sympy.Add(
+            *(
+                sympy.Rational(c.numerator, c.denominator)
+                * sympy.Mul(*(symbols[v] ** e for v, e in zip(p.vars, exps)))
+                for exps, c in p.terms.items()
+            )
+        )
+
+    coeff = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+
+    @st.composite
+    def polys(draw, variables):
+        exps = st.tuples(*(st.integers(0, 2) for _ in variables))
+        terms = draw(st.dictionaries(exps, coeff, min_size=1, max_size=4))
+        terms[(draw(st.integers(1, 3)),) + (0,) * (len(variables) - 1)] = draw(coeff.filter(bool))
+        return Polynomial(variables, terms)
+
+    @hypothesis.settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.sampled_from([("x", "y"), ("x", "y", "z")]).flatmap(lambda vs: st.tuples(polys(vs), polys(vs))))
+    def check(pair):
+        f, g = pair
+        symbols = {v: sympy.Symbol(v) for v in ("x", "y", "z")}
+        expected = sympy.expand(sympy.resultant(to_sympy(f, symbols), to_sympy(g, symbols), symbols["x"]))
+        ours = resultant(f, g, "x", strict=False)
+        assert sympy.expand(to_sympy(ours, symbols) - expected) == 0
+
+    check()
+
+
+def test_resultant_makes_no_subs_calls(cubic_centered, monkeypatch):
+    import ovalkit.certify as certify
+
+    calls = []
+    monkeypatch.setattr(certify, "resultant", lambda f, g, var: calls.append((f, g, var)) or resultant(f, g, var))
+    certify.vertical_certificate(cubic_centered)
+    f, g, var = calls[-1]
+    assert sylvester_matrix(f, g, var).size == 13
+    subs = []
+    original = Polynomial.subs
+    monkeypatch.setattr(Polynomial, "subs", lambda self, *a: subs.append(a) or original(self, *a))
+    r = resultant(f, g, var)
+    assert subs == []
+    assert (r.degree_in("S"), r.degree_in("c")) == (6, 10)
 
 
 def test_eliminate_two_toy():

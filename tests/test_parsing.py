@@ -89,6 +89,19 @@ def test_syntax_error_position():
     assert err.value.position == 4
 
 
+def test_power_expansion_budget():
+    # Each limit is reached exactly, then passed by one more factor.
+    assert parse_polynomial("x^500", ["x"]).total_degree() == 500
+    assert len(parse_polynomial("(x+y+1)^43", ["x", "y"]).terms) == 990
+    assert parse_polynomial("2^10000", ["x"]) == 2**10000
+    assert parse_rational_function("(t+1)^40/(t-1)", "t").num.degree() == 40
+    for text in ("x^501", "(x+1)^501", "(x+y+1)^44", "2^10001", "(x+y+1)^400", "7^30000000", "x^" + "9" * 400):
+        with pytest.raises(DeskScopeError):
+            parse_polynomial(text, ["x", "y"])
+    with pytest.raises(DeskScopeError):
+        parse_rational_function("(t+1)^501", "t")
+
+
 def test_nesting_depth_limit():
     from ovalkit.parsing import MAX_NESTING_DEPTH as n
 
