@@ -11,8 +11,6 @@ from .algebra import (
     rational_roots,
     squarefree_part,
     sturm_count_roots,
-    substitute,
-    substitute_fraction,
     substitute_rational,
     univariate_from_polynomial,
 )
@@ -42,7 +40,6 @@ from .curves import (
 )
 from .elimination import (
     SylvesterMatrix,
-    eliminate_two,
     primitive_squarefree,
     resultant,
     sylvester_matrix,

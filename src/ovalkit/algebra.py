@@ -312,15 +312,6 @@ class Polynomial:
             buckets[exps[i]][key] = c
         return [Polynomial(rest, b) for b in buckets]
 
-    @staticmethod
-    def from_coeffs_in(var: str, coeffs: Sequence["Polynomial"]) -> "Polynomial":
-        out = Polynomial.zero((var,))
-        v = Polynomial.variable(var)
-        for k, c in enumerate(coeffs):
-            if not c.is_zero:
-                out = out + c * v**k
-        return out
-
     # -- normalization --------------------------------------------------
 
     def content(self) -> Fraction:
@@ -836,65 +827,6 @@ class RationalFunction:
             return f"RationalFunction({n!r})"
         d = render_polynomial(self.den.to_polynomial())
         return f"RationalFunction({n!r} / {d!r})"
-
-
-def substitute(p: Polynomial, var: str, replacement) -> Polynomial:
-    """Polynomial substitution of one variable; exact expansion."""
-    return p.subs(var, replacement)
-
-
-def pure_variable_content(p: Polynomial, var: str) -> UnivariatePolynomial:
-    """Monic gcd of the coefficients of p grouped by the monomials in the
-    other variables, as a univariate polynomial in var. Divides p exactly."""
-    if var not in p.vars or p.is_zero:
-        return UnivariatePolynomial.constant(var, 1)
-    i = p.vars.index(var)
-    groups: dict[tuple[int, ...], dict[int, Fraction]] = {}
-    for exps, c in p.terms.items():
-        key = exps[:i] + exps[i + 1 :]
-        groups.setdefault(key, {})[exps[i]] = c
-    content = UnivariatePolynomial.zero(var)
-    for coeffs in groups.values():
-        u = UnivariatePolynomial(var, [coeffs.get(k, 0) for k in range(max(coeffs) + 1)])
-        content = gcd_univariate(content, u) if not content.is_zero else u.monic()
-        if content.degree() == 0:
-            break
-    return content
-
-
-def substitute_fraction(
-    p: Polynomial, var: str, rf: RationalFunction
-) -> tuple[Polynomial, UnivariatePolynomial]:
-    """Substitute a univariate rational function for one variable.
-
-    Returns (numerator, denominator) with denominator = den(t)^deg cleared
-    exactly and the pair reduced coprime; other variables of p pass through
-    into the numerator.
-    """
-    if rf.var in p.vars and rf.var != var:
-        raise ValueError(f"replacement variable {rf.var!r} collides with {p.vars}")
-    deg = p.degree_in(var)
-    if var not in p.vars or deg < 1:
-        return p, UnivariatePolynomial.constant(rf.var, 1)
-    coeffs = p.coeffs_in(var)
-    num_poly = rf.num.to_polynomial()
-    den_poly = rf.den.to_polynomial()
-    numerator = Polynomial.zero((rf.var,))
-    for k, c in enumerate(coeffs):
-        if c.is_zero:
-            continue
-        numerator = numerator + c * num_poly**k * den_poly ** (deg - k)
-    denominator = rf.den**deg
-    if denominator.degree() >= 1:
-        common = gcd_univariate(pure_variable_content(numerator, rf.var), denominator)
-        if common.degree() >= 1:
-            numerator = numerator.exact_div(common.to_polynomial().with_vars(numerator.vars))
-            denominator = denominator // common
-    lc = denominator.leading_coefficient()
-    if lc not in (0, 1):
-        numerator = numerator * (1 / lc)
-        denominator = denominator * (1 / lc)
-    return numerator, denominator
 
 
 def substitute_rational(

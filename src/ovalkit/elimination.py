@@ -26,7 +26,6 @@ from fractions import Fraction
 
 from .algebra import (
     Polynomial,
-    pure_variable_content,
     squarefree_part,
     univariate_from_polynomial,
 )
@@ -318,55 +317,6 @@ def resultant(f: Polynomial, g: Polynomial, var: str, strict: bool = True) -> Po
             f"resultant in {var!r} vanished identically: the inputs share a factor"
         )
     return det
-
-
-def _strip_pure_factor(p: Polynomial, var: str) -> Polynomial:
-    content = pure_variable_content(p, var)
-    if content.degree() < 1:
-        return p
-    return p.exact_div(content.to_polynomial().with_vars(p.vars))
-
-
-def eliminate_two(
-    e1: Polynomial,
-    e2: Polynomial,
-    e3: Polynomial,
-    v1: str,
-    v2: str,
-) -> Polynomial:
-    """Eliminate v1 and then v2 from three polynomials by iterated resultants.
-
-    The pairing adapts to which inputs actually contain v1; an identically
-    zero intermediate is retried once after removing the pure-v factor of
-    the inputs, then reported as degenerate.
-    """
-
-    def res(a: Polynomial, b: Polynomial, v: str) -> Polynomial:
-        try:
-            return resultant(a, b, v)
-        except DegenerateEliminantError:
-            a2, b2 = _strip_pure_factor(a, v), _strip_pure_factor(b, v)
-            return resultant(a2, b2, v)
-
-    inputs = [e1, e2, e3]
-    with_v1 = [p for p in inputs if p.degree_in(v1) > 0]
-    without_v1 = [p for p in inputs if p.degree_in(v1) <= 0]
-    if len(with_v1) < 2:
-        raise DegenerateEliminantError(
-            f"elimination requires {v1!r} to appear in at least two inputs"
-        )
-    if len(with_v1) == 2:
-        first = res(with_v1[0], with_v1[1], v1)
-        second = without_v1[0]
-    else:
-        first = res(e1, e2, v1)
-        second = res(e1, e3, v1)
-    for p in (first, second):
-        if p.degree_in(v2) <= 0:
-            raise DegenerateEliminantError(
-                f"variable {v2!r} was lost before the second elimination"
-            )
-    return res(first, second, v2)
 
 
 def primitive_squarefree(p: Polynomial, var: str) -> Polynomial:

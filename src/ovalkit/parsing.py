@@ -28,40 +28,78 @@ _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 # expression well inside Python's recursion limit.
 MAX_NESTING_DEPTH = 100
 
-# Expansion budget of "base ^ n", checked before expanding: total degree,
-# an upper bound on the number of terms and on the coefficient size in
-# bits. The largest powers inside it, such as (x+1)^500 or (x+y+1)^43,
-# expand in under a second on a 2-core x86 machine; without it,
-# (x+y+1)^400 or 7^30000000 runs for longer than 10 s.
+# Expansion budget of "base ^ n" and of each product "lhs * rhs" (and
+# "lhs / rhs" in rational mode), checked before expanding: total degree, an
+# upper bound on the number of terms and on the coefficient size in bits.
+# The largest powers inside it, such as (x+1)^500 or (x+y+1)^43, expand in
+# under a second on a 2-core x86 machine; without it, (x+y+1)^400 or
+# 7^30000000 runs for longer than 10 s, and a product of 120 factors
+# (x+y+1) for about 6 s.
 MAX_POWER_DEGREE = 500
 MAX_POWER_TERMS = 1000
 MAX_POWER_BITS = 10_000
 
 
-def _check_power(value, n: int, pos: int) -> None:
-    """Raise DeskScopeError if value**n would pass the expansion budget."""
+def _size(value) -> tuple[int, int, set[str], int]:
+    """Total degree, term count, used variables and height of a parsed value.
+
+    The height, sum |c| times the lcm of the denominators, bounds every
+    numerator over the common denominator. A rational function counts the
+    larger of its numerator and denominator degrees and all their
+    coefficients.
+    """
     if isinstance(value, RationalFunction):
-        degree = n * max(value.num.degree(), value.den.degree(), 0)
-        terms = degree + 1
+        degree = max(value.num.degree(), value.den.degree(), 0)
         coeffs = list(value.num.coeffs) + list(value.den.coeffs)
+        variables = {value.var}
     else:
-        k = len(value.used_vars())
-        degree = n * max(value.total_degree(), 0)
-        t = len(value.terms)
-        # At most the monomials of that degree, and at most the multisets
-        # of n of the t terms.
-        terms = min(math.comb(degree + k, k), math.comb(t + n - 1, n)) if t else 0
+        degree = max(value.total_degree(), 0)
         coeffs = list(value.terms.values())
-    # Every numerator of value**n, over the common denominator lcm^n, is
-    # at most (sum |c| * lcm)^n, where lcm is that of the denominators.
-    height = int(sum(abs(c) for c in coeffs) * math.lcm(*(c.denominator for c in coeffs)))
-    # n is clipped so that a huge exponent cannot overflow the float.
-    bits = math.ceil(min(n, MAX_POWER_BITS + 1) * math.log2(height)) if height > 1 else 0
+        variables = value.used_vars()
+    lcm = math.lcm(*(c.denominator for c in coeffs))
+    height = sum(abs(c.numerator) * (lcm // c.denominator) for c in coeffs)
+    return degree, len(coeffs), variables, height
+
+
+def _check_budget(what: str, pos: int, degree: int, variables: set[str], terms: int, bits: int) -> None:
+    """Raise DeskScopeError if an expansion would pass the budget.
+
+    terms is the caller's own bound; it is capped by the number of
+    monomials of that degree in the variables.
+    """
+    k = len(variables)
+    terms = min(terms, math.comb(degree + k, k))
     if degree > MAX_POWER_DEGREE or terms > MAX_POWER_TERMS or bits > MAX_POWER_BITS:
         raise DeskScopeError(
-            f"power at position {pos} would expand to degree {degree}, up to {terms} terms and "
+            f"{what} at position {pos} would expand to degree {degree}, up to {terms} terms and "
             f"{bits}-bit coefficients (limits {MAX_POWER_DEGREE}, {MAX_POWER_TERMS}, {MAX_POWER_BITS})"
         )
+
+
+def _check_power(value, n: int, pos: int) -> None:
+    """Raise DeskScopeError if value**n would pass the expansion budget."""
+    degree, t, variables, height = _size(value)
+    # At most the multisets of n of the t terms; every numerator of
+    # value**n is at most height^n over lcm^n. n is clipped so that a huge
+    # exponent cannot overflow the float.
+    terms = math.comb(t + n - 1, n) if t else 0
+    bits = math.ceil(min(n, MAX_POWER_BITS + 1) * math.log2(height)) if height > 1 else 0
+    _check_budget("power", pos, n * degree, variables, terms, bits)
+
+
+def _check_product(lhs, rhs, pos: int) -> None:
+    """Raise DeskScopeError if lhs * rhs (or lhs / rhs) would pass the
+    expansion budget.
+
+    The sum of the two degrees bounds both a product and a quotient of
+    rational functions, as each degree is the larger of numerator and
+    denominator.
+    """
+    d1, t1, v1, h1 = _size(lhs)
+    d2, t2, v2, h2 = _size(rhs)
+    height = h1 * h2
+    bits = math.ceil(math.log2(height)) if height > 1 else 0
+    _check_budget("product", pos, d1 + d2, v1 | v2, t1 * t2, bits)
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -153,7 +191,9 @@ class _Parser:
             kind, val, pos = self.peek()
             if kind == "op" and val == "*":
                 self.take()
-                value = value * self.factor()
+                rhs = self.factor()
+                _check_product(value, rhs, pos)
+                value = value * rhs
             elif kind == "op" and val == "/":
                 if self.rational_var is None:
                     raise ParseError("division is only allowed between integer literals", pos)
@@ -161,6 +201,7 @@ class _Parser:
                 rhs = self.factor()
                 if rhs.num.is_zero:
                     raise ParseError("division by zero", pos)
+                _check_product(value, rhs, pos)
                 value = value / rhs
             else:
                 return value

@@ -308,33 +308,43 @@ def _as_polygon(boundary: Boundary, samples: int) -> np.ndarray:
 
 
 def clip_polygon_halfplane(points: np.ndarray, a: float, b: float, c: float) -> np.ndarray:
-    """Clip a closed polygon against the half-plane a*x + b*y + c <= 0."""
+    """Clip a closed polygon against the half-plane a*x + b*y + c <= 0.
+
+    The result lists, in the polygon's order, every vertex inside the
+    half-plane and, right after the start vertex of each edge that crosses
+    the line, the crossing point. Only the few crossing edges are
+    interpolated; the kept vertices are gathered with one take.
+    """
     import numpy as np
 
     x, y = points[:, 0], points[:, 1]
     d = a * x + b * y + c
     inside = d <= 0.0
-    nxt = np.roll(np.arange(len(points)), -1)
-    cross = inside != inside[nxt]
-    denom = d - d[nxt]
+    cross = np.flatnonzero(inside != np.roll(inside, -1))
+    nxt = (cross + 1) % len(points)
+    d_cross = d.take(cross)
+    denom = d_cross - d.take(nxt)
     with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.where(denom != 0.0, d / denom, 0.0)
-    inter = points + s[:, None] * (points[nxt] - points)
-    counts = inside.astype(np.int64) + cross.astype(np.int64)
-    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    out = np.empty((int(counts.sum()), 2), dtype=float)
-    out[offsets[inside]] = points[inside]
-    out[offsets[cross] + inside[cross]] = inter[cross]
+        s = np.where(denom != 0.0, d_cross / denom, 0.0)
+    start = points.take(cross, axis=0)
+    inter = start + s[:, None] * (points.take(nxt, axis=0) - start)
+    kept = np.flatnonzero(inside)
+    # Crossing j follows the kept vertices up to its edge's start and the
+    # j crossings before it; its slot takes vertex 0 until overwritten.
+    slots = np.searchsorted(kept, cross, side="right") + np.arange(len(cross))
+    is_slot = np.zeros(len(kept) + len(cross), dtype=bool)
+    is_slot[slots] = True
+    order = np.zeros(len(is_slot), dtype=np.intp)
+    order[~is_slot] = kept
+    out = points.take(order, axis=0).astype(float, copy=False)  # float for integer input too
+    out[slots] = inter
     return out
 
 
 def shoelace_area(points: np.ndarray) -> float:
-    import numpy as np
-
     if len(points) < 3:
         return 0.0
-    x, y = points[:, 0], points[:, 1]
-    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y)))
+    return abs(_signed_shoelace(points))
 
 
 def numeric_segment_area(

@@ -267,41 +267,3 @@ def test_rational_function_arithmetic():
     assert (a + b).num == UnivariatePolynomial("t", [-1, -1]) or (a + b) == parse_rational_function("(t+1)/(1-t)", "t")
     assert a / b == RationalFunction(UnivariatePolynomial("t", [0, 1]))
     assert (a * b).evaluate(Fraction(1, 2)) == 2
-
-
-def test_substitute_fraction_single_variable():
-    from ovalkit import substitute_fraction
-
-    p = parse_polynomial("x^2*y + x - y", ["x", "y"])
-    rf = parse_rational_function("t/(1-t)", "t")
-    num, den = substitute_fraction(p, "x", rf)
-    # x^2*y + x - y with x = t/(1-t): numerator and cleared denominator
-    assert den.degree() == 2
-    t = Fraction(1, 3)
-    xval = rf.evaluate(t)
-    for yval in (Fraction(2), Fraction(-1, 2)):
-        direct = p.evaluate({"x": xval, "y": yval})
-        cleared = num.evaluate({"t": t, "y": yval}) / den.evaluate(t)
-        assert direct == cleared
-
-
-def test_substitute_fraction_cancels_common_factor():
-    from ovalkit import substitute_fraction
-
-    p = parse_polynomial("x^2 - x", ["x"])
-    rf = parse_rational_function("(t+1)/t", "t")
-    num, den = substitute_fraction(p, "x", rf)
-    # (t+1)^2/t^2 - (t+1)/t = (t+1)/t^2, so one factor of t must cancel
-    assert den.degree() == 2
-    from ovalkit.algebra import gcd_univariate, pure_variable_content
-
-    assert gcd_univariate(pure_variable_content(num, "t"), den).degree() == 0
-
-
-def test_substitute_fraction_unused_variable():
-    from ovalkit import substitute_fraction
-
-    p = parse_polynomial("y^2", ["x", "y"])
-    rf = parse_rational_function("t/(1-t)", "t")
-    num, den = substitute_fraction(p, "x", rf)
-    assert num == p and den.degree() == 0

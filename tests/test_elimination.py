@@ -5,7 +5,6 @@ import pytest
 
 from ovalkit import (
     Polynomial,
-    eliminate_two,
     parse_polynomial,
     primitive_squarefree,
     resultant,
@@ -245,25 +244,6 @@ def test_resultant_makes_no_subs_calls(cubic_centered, monkeypatch):
     r = resultant(f, g, var)
     assert subs == []
     assert (r.degree_in("S"), r.degree_in("c")) == (6, 10)
-
-
-def test_eliminate_two_toy():
-    e1 = _poly("S - t1 - t2", ["S", "t1", "t2"])
-    e2 = _poly("c - t1", ["c", "t1"])
-    e3 = _poly("c - t2", ["c", "t2"])
-    result = eliminate_two(e1, e2, e3, "t1", "t2")
-    target = _poly("S - 2*c", ["S", "c"])
-    # result must be divisible by S - 2c; here it is proportional
-    normalized = primitive_squarefree(result, "S")
-    assert normalized == target or normalized == -target
-
-
-def test_eliminate_two_requires_variable():
-    e1 = _poly("S - c", ["S", "c"])
-    e2 = _poly("c - 1", ["c"])
-    e3 = _poly("c - 2", ["c"])
-    with pytest.raises(DegenerateEliminantError):
-        eliminate_two(e1, e2, e3, "t1", "t2")
 
 
 def test_primitive_squarefree_univariate():

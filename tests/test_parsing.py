@@ -102,6 +102,24 @@ def test_power_expansion_budget():
         parse_rational_function("(t+1)^501", "t")
 
 
+def test_product_expansion_budget():
+    # The power limits hold for products too: each is reached exactly, then
+    # passed by one more factor.
+    def product(base, n):
+        return "*".join([base] * n)
+
+    assert len(parse_polynomial(product("(x+y+1)", 43), ["x", "y"]).terms) == 990
+    assert parse_polynomial(product("x", 500), ["x"]).total_degree() == 500
+    assert parse_polynomial("2^5000*2^5000", ["x"]) == 2**10000
+    assert parse_rational_function("t^250*t^250", "t").num.degree() == 500
+    for text in (product("(x+y+1)", 44), product("x", 501), "2^5000*2^5000*2"):
+        with pytest.raises(DeskScopeError):
+            parse_polynomial(text, ["x", "y"])
+    for text in ("t^250*t^251", "t^250/t^251"):
+        with pytest.raises(DeskScopeError):
+            parse_rational_function(text, "t")
+
+
 def test_nesting_depth_limit():
     from ovalkit.parsing import MAX_NESTING_DEPTH as n
 

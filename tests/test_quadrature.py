@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ovalkit import (
@@ -23,7 +24,14 @@ from ovalkit.algebra import univariate_from_polynomial
 from ovalkit.cli import parse_curve_text
 from ovalkit.curves import Point
 from ovalkit.errors import ExactIntegrationError, NonMonotoneSlopeError
-from ovalkit.quadrature import SegmentSpec, chord_area_function, slope_function
+from ovalkit.quadrature import (
+    SegmentSpec,
+    chord_area_function,
+    clip_polygon_halfplane,
+    sample_boundary,
+    shoelace_area,
+    slope_function,
+)
 
 from conftest import square_boundary
 
@@ -261,3 +269,106 @@ def test_total_area_degenerate_point_curve():
     point = parse_curve_text("x=1; y=2; t in [0,1]")
     result = total_area(point)
     assert result.value == 0 and result.exact
+
+
+def _reference_clip(points, a, b, c):
+    """Edge-by-edge clip kept as the reference: it interpolates every edge
+    and scatters the kept vertices and crossing points by offsets."""
+    x, y = points[:, 0], points[:, 1]
+    d = a * x + b * y + c
+    inside = d <= 0.0
+    nxt = np.roll(np.arange(len(points)), -1)
+    cross = inside != inside[nxt]
+    denom = d - d[nxt]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.where(denom != 0.0, d / denom, 0.0)
+    inter = points + s[:, None] * (points[nxt] - points)
+    counts = inside.astype(np.int64) + cross.astype(np.int64)
+    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    out = np.empty((int(counts.sum()), 2), dtype=float)
+    out[offsets[inside]] = points[inside]
+    out[offsets[cross] + inside[cross]] = inter[cross]
+    return out
+
+
+def _assert_same_clip(polygon, line):
+    got = clip_polygon_halfplane(polygon, *line)
+    want = _reference_clip(polygon, *line)
+    assert got.shape == want.shape and got.dtype == want.dtype, line
+    assert np.array_equal(got, want), line
+
+
+def _oracle_lines(polygon, seed, count):
+    """Random lines through the bounding box, axis-parallel lines through
+    sampled vertices (d == 0 there exactly), and lines missing the polygon
+    on either side."""
+    rng = np.random.default_rng(seed)
+    lo, hi = polygon.min(axis=0), polygon.max(axis=0)
+    lines = []
+    for theta, (px, py) in zip(rng.uniform(0.0, 2 * np.pi, count), rng.uniform(lo, hi, (count, 2))):
+        a, b = float(np.cos(theta)), float(np.sin(theta))
+        lines.append((a, b, -(a * px + b * py)))
+    for i in rng.integers(0, len(polygon), 8):
+        x, y = (float(v) for v in polygon[i])
+        lines += [(1.0, 0.0, -x), (-1.0, 0.0, x), (0.0, 1.0, -y), (0.0, -1.0, y)]
+    lines += [(1.0, 0.0, -hi[0] - 1.0), (1.0, 0.0, -lo[0] + 1.0)]
+    lines += [(0.0, 1.0, -hi[1] - 1.0), (0.0, 1.0, -lo[1] + 1.0)]
+    return lines
+
+
+@pytest.mark.parametrize("samples", [1_000, 100_000])
+def test_clip_matches_reference_bitwise(samples, cubic_curve, quartic_curve, apple_curve):
+    for seed, curve in enumerate((cubic_curve, quartic_curve, apple_curve)):
+        polygon = sample_boundary(curve, samples)
+        for line in _oracle_lines(polygon, seed, 100):
+            _assert_same_clip(polygon, line)
+
+
+def test_clip_unit_square_exact():
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    cases = [
+        # y <= x, through the corners (0, 0) and (1, 1)
+        ((-1.0, 1.0, 0.0), [[0, 0], [1, 0], [1, 1], [1, 1], [0, 0]]),
+        # x + y <= 1, through the corners (1, 0) and (0, 1)
+        ((1.0, 1.0, -1.0), [[0, 0], [1, 0], [1, 0], [0, 1], [0, 1]]),
+        # x <= 1/2
+        ((1.0, 0.0, -0.5), [[0, 0], [0.5, 0], [0.5, 1], [0, 1]]),
+    ]
+    for line, expected in cases:
+        clipped = clip_polygon_halfplane(square, *line)
+        assert np.array_equal(clipped, np.array(expected, dtype=float)), line
+        _assert_same_clip(square, line)
+    assert shoelace_area(clip_polygon_halfplane(square, -1.0, 1.0, 0.0)) == 0.5
+    inside = clip_polygon_halfplane(square, 0.0, 0.0, -1.0)
+    assert np.array_equal(inside, square)
+    outside = clip_polygon_halfplane(square, 0.0, 0.0, 1.0)
+    assert outside.shape == (0, 2)
+    from_ints = clip_polygon_halfplane(square.astype(np.int64), 1.0, 0.0, -0.5)
+    assert from_ints.dtype == np.float64 and np.array_equal(from_ints, [[0, 0], [0.5, 0], [0.5, 1], [0, 1]])
+
+
+def test_clip_comb_crossed_eight_times():
+    # Four teeth of width 1 from y = 1 (y = 0 at the outer edges) up to
+    # y = 3; the line y = 3/2 crosses every tooth twice.
+    comb = np.array(
+        [[0, 0], [7, 0], [7, 3], [6, 3], [6, 1], [5, 1], [5, 3], [4, 3],
+         [4, 1], [3, 1], [3, 3], [2, 3], [2, 1], [1, 1], [1, 3], [0, 3]],
+        dtype=float,
+    )
+    clipped = clip_polygon_halfplane(comb, 0.0, -1.0, 1.5)  # y >= 3/2
+    expected = [
+        [7, 1.5], [7, 3], [6, 3], [6, 1.5], [5, 1.5], [5, 3], [4, 3], [4, 1.5],
+        [3, 1.5], [3, 3], [2, 3], [2, 1.5], [1, 1.5], [1, 3], [0, 3], [0, 1.5],
+    ]
+    assert np.array_equal(clipped, np.array(expected, dtype=float))
+    assert shoelace_area(clipped) == 6.0
+    for shift in range(len(comb)):
+        _assert_same_clip(np.roll(comb, shift, axis=0), (0.0, -1.0, 1.5))
+        _assert_same_clip(np.roll(comb, shift, axis=0), (0.0, 1.0, -1.5))
+
+
+def test_shoelace_small_and_signed():
+    assert shoelace_area(np.zeros((0, 2))) == 0.0
+    assert shoelace_area(np.array([[0.0, 0.0], [1.0, 1.0]])) == 0.0
+    triangle = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
+    assert shoelace_area(triangle) == shoelace_area(triangle[::-1]) == 1.0
