@@ -31,6 +31,12 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
+# Every exponent tuple a Polynomial stores, shared between polynomials: a
+# held certificate then keeps one tuple per distinct monomial, not one per
+# polynomial that uses it.
+_EXPONENTS: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+
 def _monomial_key(exponents: tuple[int, ...]) -> tuple:
     # Graded order; ties broken on the exponents of later variables first,
     # which reproduces the conventional textbook printing y^4 - 2*x*y^2 - ...
@@ -63,6 +69,7 @@ class Polynomial:
                 raise ValueError("negative exponent")
             c = as_fraction(coeff)
             if c:
+                exps = _EXPONENTS.setdefault(exps, exps)
                 cleaned[exps] = cleaned.get(exps, Fraction(0)) + c
                 if not cleaned[exps]:
                     del cleaned[exps]
@@ -677,7 +684,9 @@ def _divisors(n: int) -> list[int]:
 def rational_roots(p: UnivariatePolynomial) -> list[Fraction]:
     """All rational roots of p, repeated per multiplicity, ascending.
 
-    Uses the rational-root theorem on the primitive integer form.
+    A linear remainder, once the zero roots are stripped, gives its root
+    directly; otherwise the rational-root theorem is applied to the
+    primitive integer form.
     """
     if p.is_zero:
         raise ValueError("rational roots of the zero polynomial")
@@ -688,6 +697,8 @@ def rational_roots(p: UnivariatePolynomial) -> list[Fraction]:
         work = UnivariatePolynomial(p.var, work.coeffs[1:])
     if work.degree() < 1:
         return sorted(roots)
+    if work.degree() == 1:
+        return sorted(roots + [-work.coeffs[0] / work.coeffs[1]])
     prim, _ = work.primitive_integer()
     a0 = abs(prim.coeffs[0].numerator)
     an = abs(prim.coeffs[-1].numerator)

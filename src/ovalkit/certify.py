@@ -9,6 +9,7 @@ numeric clipping oracle and reports scaled residuals.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
@@ -19,7 +20,7 @@ from .algebra import (
     substitute_rational,
 )
 from .curves import CenteredParametrization, ParametricCurve
-from .elimination import resultant
+from .elimination import resultant, vertical_eliminant
 from .parsing import parse_polynomial, render_polynomial
 from .quadrature import (
     chord_area_function,
@@ -47,7 +48,7 @@ class Provenance:
     removed_factors: tuple[str, ...] = field(default=())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Certificate:
     q: Polynomial
     roles: Mapping[str, str]
@@ -96,12 +97,12 @@ def _linear_in(var: str, rf: RationalFunction) -> Polynomial:
 def _cleanup(raw: Polynomial, eliminated: Sequence[str], inputs: Sequence[Polynomial]) -> tuple[Polynomial, Provenance]:
     normalized, factor = raw.primitive_normalized()
     removed = () if factor == 1 else (str(factor),)
-    prov = Provenance(
-        inputs=tuple(render_polynomial(p) for p in inputs),
-        eliminated=tuple(eliminated),
-        removed_factors=removed,
-    )
+    prov = _shared_provenance(tuple(render_polynomial(p) for p in inputs), tuple(eliminated), removed)
     return normalized, prov
+
+
+# A Provenance is immutable, so certificates of the same inputs share one.
+_shared_provenance = functools.lru_cache(maxsize=256)(Provenance)
 
 
 def pencil_certificate(
@@ -142,10 +143,14 @@ def vertical_certificate(
 
     A segment is cut between parameters t1 < t2 with g(t1) = g(t2) = c and
     has area S = P(t1) + R(t2). Pairing c = g(t1) with c = g(t2) would
-    keep the diagonal t1 = t2 (the whole oval), a spurious factor of Q,
-    and larger Sylvester matrices. So t1 is eliminated against the exact
-    divided difference D = (g(t1) - g(t2)) / (t1 - t2), which vanishes at
-    every off-diagonal pair, and then t2 against c = g(t2).
+    keep the diagonal t1 = t2 (the whole oval), a spurious factor of Q. So
+    t1 is paired with t2 through the exact divided difference
+    D = (g(t1) - g(t2)) / (t1 - t2), which vanishes at every off-diagonal
+    pair, and Q is the characteristic polynomial in S of multiplication by
+    P(t1) + R(t2) on Q(c)[t1, t2]/(D, g(t2) - c), built on integers by
+    `vertical_eliminant`. It equals Res_t2(Res_t1(S - P(t1) - R(t2), D),
+    c - g(t2)) after normalization; the recorded removed factor is the
+    content of the characteristic polynomial.
 
     An x-component of degree at most 1 has no off-diagonal pairs (D is a
     constant), so S can only be P(t) + R(t), the signed total area, and
@@ -162,11 +167,12 @@ def vertical_certificate(
     else:
         e1 = S - P.rename(t1).to_polynomial() - R.rename(t2).to_polynomial()
         g2 = g.rename(t2).to_polynomial()
-        D = (g.rename(t1).to_polynomial() - g2).exact_div(
-            Polynomial.variable(t1) - Polynomial.variable(t2)
+        # D = sum_j g_j (t1^j - t2^j)/(t1 - t2) = sum_j g_j sum_(i<j) t1^i t2^(j-1-i)
+        D = Polynomial(
+            (t1, t2), {(i, j - 1 - i): c for j, c in enumerate(g.coeffs) for i in range(j)}
         )
         e_c = Polynomial.variable(abscissa_var) - g2
-        raw = resultant(resultant(e1, D, t1), e_c, t2)
+        raw = vertical_eliminant(g, P, R, area_var, abscissa_var)
         eliminated, inputs = (t1, t2), (e1, D, e_c)
     q, prov = _cleanup(raw, eliminated, inputs)
     return Certificate(q, {area_var: "area", abscissa_var: "abscissa"}, prov)

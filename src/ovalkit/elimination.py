@@ -1,4 +1,4 @@
-"""Sylvester resultants and iterated elimination.
+"""Sylvester resultants, iterated elimination and the vertical eliminant.
 
 Every determinant of a polynomial matrix, at every size, goes through one
 exact engine, `det_interpolated`:
@@ -13,9 +13,10 @@ exact engine, `det_interpolated`:
    one variable at a time, and divide by the row multipliers once.
 
 `resultant` tightens the grid with the Bezout bound on the resultant's
-total degree. `det_bareiss` and `det_cofactor` work on polynomial entries
-directly; no caller in the package uses them, and the tests compare the
-engine against them.
+total degree. `vertical_eliminant` needs no Sylvester matrix: it takes the
+characteristic polynomial of an integer multiplication matrix with
+`_berkowitz` at integer nodes of one variable and interpolates with the
+same `_newton`.
 """
 
 from __future__ import annotations
@@ -23,9 +24,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .algebra import (
     Polynomial,
+    UnivariatePolynomial,
     squarefree_part,
     univariate_from_polynomial,
 )
@@ -84,54 +87,6 @@ def sylvester_matrix(f: Polynomial, g: Polynomial, var: str) -> SylvesterMatrix:
 # -- determinants ------------------------------------------------------
 
 
-def det_cofactor(rows) -> Polynomial:
-    """Naive cofactor expansion; the small-matrix test oracle."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = None
-    for j in range(n):
-        a = rows[0][j]
-        if a.is_zero if isinstance(a, Polynomial) else not a:
-            continue
-        minor = [[row[k] for k in range(n) if k != j] for row in rows[1:]]
-        piece = a * det_cofactor(minor)
-        if j % 2:
-            piece = -piece
-        total = piece if total is None else total + piece
-    if total is None:
-        zero_like = rows[0][0]
-        return zero_like * 0
-    return total
-
-
-def det_bareiss(rows) -> Polynomial:
-    """Fraction-free Bareiss determinant over the polynomial ring; the
-    test oracle for det_interpolated.
-
-    Every division performed is exact; row swaps flip the sign.
-    """
-    m = [list(row) for row in rows]
-    n = len(m)
-    sign = 1
-    prev = None
-    for k in range(n - 1):
-        if m[k][k].is_zero:
-            pivot_row = next((r for r in range(k + 1, n) if not m[r][k].is_zero), None)
-            if pivot_row is None:
-                return m[0][0] * 0  # zero column below the diagonal
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = num if prev is None else num.exact_div(prev)
-            m[i][k] = m[i][k] * 0
-        prev = m[k][k]
-    result = m[n - 1][n - 1]
-    return result if sign > 0 else -result
-
-
 def _bareiss(m: list[list[int]]) -> int:
     """Determinant of a square integer matrix by fraction-free Bareiss
     elimination. m is overwritten; every division is exact.
@@ -170,6 +125,29 @@ def _bareiss(m: list[list[int]]) -> int:
                 done[i] = k + 1
         pivots.append(pivot)
     return sign * m[n - 1][n - 1] * pivots[n - 1] // pivots[done[n - 1]]
+
+
+def _berkowitz(m: list[list[int]]) -> list[int]:
+    """Coefficients of det(x*I - m), highest degree first, for a square
+    integer matrix m, by Berkowitz's division-free algorithm.
+
+    Bordering the leading k x k block A with column C, row R and corner a
+    multiplies its characteristic polynomial by the lower-triangular
+    Toeplitz matrix whose first column is 1, -a, -R*C, -R*A*C, ...,
+    -R*A^(k-1)*C (Berkowitz, Inform. Process. Lett. 18, 1984).
+    """
+    poly = [1]
+    for k in range(len(m)):
+        block = [row[:k] for row in m[:k]]
+        row = m[k][:k]
+        v = [r[k] for r in m[:k]]
+        toeplitz = [1, -m[k][k]]
+        for j in range(k):
+            toeplitz.append(-sum(map(mul, row, v)))
+            if j < k - 1:
+                v = [sum(map(mul, r, v)) for r in block]
+        poly = [sum(map(mul, toeplitz[i::-1], poly)) for i in range(k + 2)]
+    return poly
 
 
 def _compile(rows, variables: tuple[str, ...]):
@@ -317,6 +295,116 @@ def resultant(f: Polynomial, g: Polynomial, var: str, strict: bool = True) -> Po
             f"resultant in {var!r} vanished identically: the inputs share a factor"
         )
     return det
+
+
+def vertical_eliminant(
+    g: UnivariatePolynomial,
+    P: UnivariatePolynomial,
+    R: UnivariatePolynomial,
+    area_var: str,
+    abscissa_var: str,
+) -> Polynomial:
+    """Q(S, c) whose roots in S, at each c, are the values P(t1) + R(t2)
+    at the common zeros of D(t1, t2) = (g(t1) - g(t2)) / (t1 - t2) and
+    g(t2) - c, with multiplicity (raw, unnormalized).
+
+    For deg g = d >= 2, {D, g(t2) - c} is a lex Groebner basis: the
+    leading terms t1^(d-1) and t2^d are coprime. So Q(c)[t1, t2]/(D, g - c)
+    has the basis t1^i t2^j, i < d - 1, j < d, and by Stickelberger's
+    theorem Q = det(S*I - M(c)), with M(c) the d(d-1)-square matrix of
+    multiplication by P(t1) + R(t2). This equals
+    Res_t2(Res_t1(S - P(t1) - R(t2), D), c - g(t2)) up to a constant.
+
+    Everything runs on ints:
+
+    1. with g = k*gi for an integer primitive gi of leading coefficient a,
+       t = tau/a makes D and g(tau2) - c_hat monic integer polynomials,
+       c_hat = lam*c with lam = a^(d-1)/k, and h = K*(P + R) has integer
+       coefficients in tau;
+    2. at each integer node c_hat, M is built from the multiplications by
+       tau1 and tau2 on the basis;
+    3. its characteristic polynomial is taken by `_berkowitz`;
+    4. each coefficient is interpolated in c_hat by `_newton` on
+       (d-1)*max(deg P, deg R) + 1 nodes. Each eigenvalue grows like
+       |c|^(deg h/d), so the product of all d(d-1) of them bounds every
+       coefficient's degree in c by (d-1)*deg h.
+
+    Then S_hat = K*S and c_hat = lam*c map the result back.
+    """
+    d = g.degree()
+    if d < 2:
+        raise ValueError("the vertical eliminant needs deg g >= 2")
+    gi, k = g.primitive_integer()
+    a = gi.coeffs[-1].numerator
+    # Monic g_hat(tau) = a^(d-1) * gi(tau/a).
+    gh = [c.numerator * a ** (d - 1 - i) for i, c in enumerate(gi.coeffs[:-1])]
+    m = max(P.degree(), R.degree(), 0)
+    lcm = math.lcm(*(c.denominator for c in P.coeffs + R.coeffs))
+    ph = [c.numerator * (lcm // c.denominator) * a ** (m - i) for i, c in enumerate(P.coeffs)]
+    rh = [c.numerator * (lcm // c.denominator) * a ** (m - i) for i, c in enumerate(R.coeffs)]
+    content = math.gcd(*ph, *rh) or 1
+    ph = [c // content for c in ph]
+    rh = [c // content for c in rh]
+    K = Fraction(lcm * a**m, content)
+    lam = Fraction(a ** (d - 1)) / k
+    # D_hat = sum_i tau1^i * w_i(tau2) with w_i = sum_{j > i} g_hat_j tau2^(j-1-i)
+    # and w_(d-1) = 1, so tau1^(d-1) = -sum_(i < d-1) tau1^i w_i(tau2).
+    n = d * (d - 1)
+    full = gh + [1]
+    reduce_t1 = [0] * n
+    for i in range(d - 1):
+        for j in range(i + 1, d + 1):
+            reduce_t1[i * d + j - 1 - i] -= full[j]
+    nodes = _sample_values((d - 1) * m + 1)
+    values = []
+    for c_hat in nodes:
+
+        def times_t2(v: list[int]) -> list[int]:
+            # tau2^d = c_hat - sum_(j < d) g_hat_j tau2^j
+            out = [0] * n
+            for base in range(0, n, d):
+                top = v[base + d - 1]
+                out[base + 1 : base + d] = v[base : base + d - 1]
+                if top:
+                    out[base] = top * c_hat
+                    for j, c in enumerate(gh):
+                        out[base + j] -= top * c
+            return out
+
+        wrap = [reduce_t1]
+        for _ in range(d - 1):
+            wrap.append(times_t2(wrap[-1]))
+
+        def times_t1(v: list[int]) -> list[int]:
+            out = [0] * d + v[: n - d]
+            for top, w in zip(v[n - d :], wrap):
+                if top:
+                    out = [x + top * y for x, y in zip(out, w)]
+            return out
+
+        h = [0] * n
+        for c in reversed(ph):
+            h = times_t1(h)
+            h[0] += c
+        r = [0] * n
+        for c in reversed(rh):
+            r = times_t2(r)
+            r[0] += c
+        # Column i*d + j of M is h * tau1^i tau2^j; the characteristic
+        # polynomial of M's transpose is the same.
+        cols = [[x + y for x, y in zip(h, r)]]
+        for j in range(1, d):
+            cols.append(times_t2(cols[-1]))
+        for i in range(1, d - 1):
+            cols += [times_t1(col) for col in cols[-d:]]
+        values.append(_berkowitz(cols))
+    terms: dict[tuple[int, int], Fraction] = {}
+    for i in range(n + 1):
+        scale = K ** (n - i)
+        for e, c in enumerate(_newton(nodes, [v[i] for v in values])):
+            if c:
+                terms[(n - i, e)] = c * scale * lam**e
+    return Polynomial((area_var, abscissa_var), terms)
 
 
 def primitive_squarefree(p: Polynomial, var: str) -> Polynomial:

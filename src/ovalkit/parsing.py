@@ -40,25 +40,26 @@ MAX_POWER_TERMS = 1000
 MAX_POWER_BITS = 10_000
 
 
-def _size(value) -> tuple[int, int, set[str], int]:
-    """Total degree, term count, used variables and height of a parsed value.
+def _size(value) -> tuple[int, int, int, set[str], int]:
+    """Numerator and denominator degrees, term count, used variables and
+    height of a parsed value.
 
+    A polynomial's degree is its total degree and its denominator degree 0.
     The height, sum |c| times the lcm of the denominators, bounds every
-    numerator over the common denominator. A rational function counts the
-    larger of its numerator and denominator degrees and all their
-    coefficients.
+    numerator over the common denominator; a rational function counts the
+    coefficients of its numerator and denominator together.
     """
     if isinstance(value, RationalFunction):
-        degree = max(value.num.degree(), value.den.degree(), 0)
+        num, den = max(value.num.degree(), 0), value.den.degree()
         coeffs = list(value.num.coeffs) + list(value.den.coeffs)
         variables = {value.var}
     else:
-        degree = max(value.total_degree(), 0)
+        num, den = max(value.total_degree(), 0), 0
         coeffs = list(value.terms.values())
         variables = value.used_vars()
     lcm = math.lcm(*(c.denominator for c in coeffs))
     height = sum(abs(c.numerator) * (lcm // c.denominator) for c in coeffs)
-    return degree, len(coeffs), variables, height
+    return num, den, len(coeffs), variables, height
 
 
 def _check_budget(what: str, pos: int, degree: int, variables: set[str], terms: int, bits: int) -> None:
@@ -78,28 +79,30 @@ def _check_budget(what: str, pos: int, degree: int, variables: set[str], terms: 
 
 def _check_power(value, n: int, pos: int) -> None:
     """Raise DeskScopeError if value**n would pass the expansion budget."""
-    degree, t, variables, height = _size(value)
+    num, den, t, variables, height = _size(value)
     # At most the multisets of n of the t terms; every numerator of
     # value**n is at most height^n over lcm^n. n is clipped so that a huge
     # exponent cannot overflow the float.
     terms = math.comb(t + n - 1, n) if t else 0
     bits = math.ceil(min(n, MAX_POWER_BITS + 1) * math.log2(height)) if height > 1 else 0
-    _check_budget("power", pos, n * degree, variables, terms, bits)
+    _check_budget("power", pos, n * max(num, den), variables, terms, bits)
 
 
-def _check_product(lhs, rhs, pos: int) -> None:
-    """Raise DeskScopeError if lhs * rhs (or lhs / rhs) would pass the
-    expansion budget.
+def _check_product(lhs, rhs, pos: int, quotient: bool = False) -> None:
+    """Raise DeskScopeError if lhs * rhs (or lhs / rhs with quotient=True)
+    would pass the expansion budget.
 
-    The sum of the two degrees bounds both a product and a quotient of
-    rational functions, as each degree is the larger of numerator and
-    denominator.
+    The result's numerator and denominator degrees are at most
+    (n1 + n2, d1 + d2) for a product and (n1 + d2, d1 + n2) for a
+    quotient; the budget takes the larger.
     """
-    d1, t1, v1, h1 = _size(lhs)
-    d2, t2, v2, h2 = _size(rhs)
+    n1, d1, t1, v1, h1 = _size(lhs)
+    n2, d2, t2, v2, h2 = _size(rhs)
+    if quotient:
+        n2, d2 = d2, n2
     height = h1 * h2
     bits = math.ceil(math.log2(height)) if height > 1 else 0
-    _check_budget("product", pos, d1 + d2, v1 | v2, t1 * t2, bits)
+    _check_budget("product", pos, max(n1 + n2, d1 + d2), v1 | v2, t1 * t2, bits)
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -201,7 +204,7 @@ class _Parser:
                 rhs = self.factor()
                 if rhs.num.is_zero:
                     raise ParseError("division by zero", pos)
-                _check_product(value, rhs, pos)
+                _check_product(value, rhs, pos, quotient=True)
                 value = value / rhs
             else:
                 return value

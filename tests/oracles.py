@@ -1,0 +1,95 @@
+"""Slow, independent reference routines the tests compare ovalkit against.
+
+None of them is used by the package itself.
+"""
+
+from __future__ import annotations
+
+import random
+
+from ovalkit import Polynomial, resultant, validate_centered
+from ovalkit.cli import parse_curve_text
+from ovalkit.curves import Point
+from ovalkit.quadrature import vertical_area_parts
+
+
+def det_cofactor(rows):
+    """Naive cofactor expansion of a matrix of Polynomials or ints."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    total = None
+    for j in range(n):
+        a = rows[0][j]
+        if a.is_zero if isinstance(a, Polynomial) else not a:
+            continue
+        minor = [[row[k] for k in range(n) if k != j] for row in rows[1:]]
+        piece = a * det_cofactor(minor)
+        if j % 2:
+            piece = -piece
+        total = piece if total is None else total + piece
+    if total is None:
+        zero_like = rows[0][0]
+        return zero_like * 0
+    return total
+
+
+def det_bareiss(rows) -> Polynomial:
+    """Fraction-free Bareiss determinant over the polynomial ring.
+
+    Every division performed is exact; row swaps flip the sign.
+    """
+    m = [list(row) for row in rows]
+    n = len(m)
+    sign = 1
+    prev = None
+    for k in range(n - 1):
+        if m[k][k].is_zero:
+            pivot_row = next((r for r in range(k + 1, n) if not m[r][k].is_zero), None)
+            if pivot_row is None:
+                return m[0][0] * 0  # zero column below the diagonal
+            m[k], m[pivot_row] = m[pivot_row], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
+                m[i][j] = num if prev is None else num.exact_div(prev)
+            m[i][k] = m[i][k] * 0
+        prev = m[k][k]
+    result = m[n - 1][n - 1]
+    return result if sign > 0 else -result
+
+
+def sylvester_vertical_inputs(cp, area_var: str = "S", abscissa_var: str = "c"):
+    """(e1, D, e_c, t1, t2) of the vertical system: e1 = S - P(t1) - R(t2),
+    D = (g(t1) - g(t2)) / (t1 - t2) by exact division, e_c = c - g(t2)."""
+    t = cp.curve.var
+    t1, t2 = t + "1", t + "2"
+    P, R = vertical_area_parts(cp)
+    g = cp.curve.g.as_univariate()
+    e1 = Polynomial.variable(area_var) - P.rename(t1).to_polynomial() - R.rename(t2).to_polynomial()
+    g2 = g.rename(t2).to_polynomial()
+    D = (g.rename(t1).to_polynomial() - g2).exact_div(Polynomial.variable(t1) - Polynomial.variable(t2))
+    e_c = Polynomial.variable(abscissa_var) - g2
+    return e1, D, e_c, t1, t2
+
+
+def sylvester_vertical(cp) -> Polynomial:
+    """The vertical certificate by two Sylvester resultants,
+    Res_t2(Res_t1(e1, D), e_c), normalized."""
+    e1, D, e_c, t1, t2 = sylvester_vertical_inputs(cp)
+    return resultant(resultant(e1, D, t1), e_c, t2).primitive_normalized()[0]
+
+
+def seeded_loops(seed: int, degree: int, count: int) -> list:
+    """Centered Bezier loops (0,0) P1 ... (0,0) of the given degree with
+    small integer control points, P1.x >= 1 and every x >= 0, so that
+    x > 0 inside the parameter interval."""
+    rng = random.Random(seed)
+    loops = []
+    for _ in range(count):
+        inner = [(rng.randint(1, 3), rng.randint(-3, 3))]
+        inner += [(rng.randint(0, 3), rng.randint(-3, 3)) for _ in range(degree - 2)]
+        text = "bezier (0,0) " + " ".join(f"({x},{y})" for x, y in inner) + " (0,0)"
+        loops.append(validate_centered(parse_curve_text(text), Point(0, 0)))
+    return loops

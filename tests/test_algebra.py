@@ -218,6 +218,24 @@ def test_rational_roots_examples():
     assert rational_roots((t - 1) ** 2) == [Fraction(1), Fraction(1)]
 
 
+def test_rational_roots_linear_remainder():
+    t = UnivariatePolynomial.identity("t")
+    assert rational_roots(t**3 * (3 * t - 7)) == [Fraction(0)] * 3 + [Fraction(7, 3)]
+    assert rational_roots(UnivariatePolynomial("t", [Fraction(1, 2), Fraction(-3, 4)])) == [Fraction(2, 3)]
+    # Coefficients whose divisors are out of reach of trial division: the
+    # root of a linear polynomial needs none.
+    p, q = 2**61 - 1, 2**89 - 1
+    assert rational_roots(p * t + q) == [Fraction(-q, p)]
+
+
+def test_equal_polynomials_share_exponent_tuples():
+    a = parse_polynomial("3*x^2*y - y^3 + 7", ["x", "y"])
+    b = Polynomial(("x", "y"), {(2, 1): 1, (0, 3): 5, (0, 0): 2}) * Fraction(1, 2)
+    assert set(a.terms) == set(b.terms)
+    shared = {id(e) for e in a.terms}
+    assert all(id(e) in shared for e in b.terms)
+
+
 def test_squarefree_part():
     t = UnivariatePolynomial.identity("t")
     p = (t - 1) ** 2 * (t + 2)

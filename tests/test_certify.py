@@ -16,6 +16,7 @@ from ovalkit import (
 from ovalkit.quadrature import chord_area_function, free_inlet_function, slope_function
 
 from conftest import square_boundary
+from oracles import seeded_loops, sylvester_vertical
 
 
 def test_pencil_certificate_cubic(cubic_centered, cubic_curve):
@@ -96,25 +97,24 @@ def test_provenance_records_removed_content(cubic_centered):
 
 @pytest.fixture(scope="module")
 def quartic_vertical_cert(quartic_centered):
-    # The second elimination runs a 25x25 determinant; build it once.
     return vertical_certificate(quartic_centered)
 
 
 @pytest.fixture(scope="module")
 def cubic_vertical_build(cubic_centered):
-    """The cubic vertical certificate and the Sylvester sizes it needed."""
+    """The cubic vertical certificate and the sizes of the multiplication
+    matrices whose characteristic polynomials it took."""
     import ovalkit.elimination as elimination
 
     sizes = []
-    build = elimination.sylvester_matrix
+    charpoly = elimination._berkowitz
 
-    def recording(f, g, var):
-        matrix = build(f, g, var)
-        sizes.append(matrix.size)
-        return matrix
+    def recording(m):
+        sizes.append((len(m), len(m[0])))
+        return charpoly(m)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(elimination, "sylvester_matrix", recording)
+        mp.setattr(elimination, "_berkowitz", recording)
         cert = vertical_certificate(cubic_centered)
     return cert, sizes
 
@@ -146,8 +146,11 @@ def test_vertical_certificate_consistency_with_exact_areas(quartic_vertical_cert
 def test_vertical_certificate_cubic_shape(cubic_vertical_build):
     # Eliminating against the divided difference (g(t1) - g(t2))/(t1 - t2)
     # drops the whole-oval diagonal t1 = t2 and its spurious factor 20*S - 3.
+    # The quotient Q(c)[t1, t2]/(D, g(t2) - c) of the cubic has dimension
+    # 3 * 2, so each multiplication matrix is 6x6.
+    # (d - 1) * max(deg P, deg R) = 2 * 6 bounds Q's degree in c: 13 nodes.
     cert, sizes = cubic_vertical_build
-    assert sizes == [8, 13]
+    assert sizes == [(6, 6)] * 13
     q = cert.q
     assert len(q.terms) == 27
     assert (q.degree_in("S"), q.degree_in("c")) == (6, 10)
@@ -171,6 +174,75 @@ def test_vertical_certificate_cubic_is_irreducible(cubic_vertical_build):
 def test_vertical_certificate_quartic_drops_whole_oval(quartic_vertical_cert):
     # 64/105 is the quartic's total area, the diagonal's spurious root.
     assert not quartic_vertical_cert.q.subs("S", Fraction(64, 105)).is_zero
+
+
+def test_vertical_certificate_matches_sylvester_on_fixtures(
+    cubic_vertical_build, cubic_centered, quartic_vertical_cert, quartic_centered
+):
+    cubic = cubic_vertical_build[0].q
+    assert cubic == sylvester_vertical(cubic_centered)
+    quartic = quartic_vertical_cert.q
+    assert quartic == sylvester_vertical(quartic_centered)
+    assert len(quartic.terms) == 112
+    assert (quartic.degree_in("S"), quartic.degree_in("c")) == (12, 21)
+
+
+def test_vertical_certificate_matches_sylvester_on_seeded_loops():
+    for cp in seeded_loops(61, 3, 12) + seeded_loops(67, 4, 2):
+        assert vertical_certificate(cp).q == sylvester_vertical(cp)
+
+
+def test_vertical_certificate_matches_sylvester_on_random_parametrizations():
+    # The identity needs no closed loop: any polynomial g of degree >= 2
+    # and f, here with small rational coefficients, give P, R and the same
+    # eliminant by both routes.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    from ovalkit import Interval, UnivariatePolynomial
+    from ovalkit.curves import CenteredParametrization, ParametricCurve, Point
+
+    @st.composite
+    def polys(draw, low, high):
+        degree = draw(st.integers(low, high))
+        coeffs = draw(st.lists(st.integers(-4, 4), min_size=degree, max_size=degree))
+        coeffs.append(draw(st.integers(-4, 4).filter(bool)))
+        den = draw(st.integers(1, 3))
+        return UnivariatePolynomial("t", [Fraction(c, den) for c in coeffs])
+
+    @hypothesis.settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(polys(2, 4), polys(1, 3))
+    def check(g, f):
+        curve = ParametricCurve(RationalFunction(g), RationalFunction(f), Interval(0, 1))
+        cp = CenteredParametrization(curve, Point(g.evaluate(0), f.evaluate(0)))
+        assert vertical_certificate(cp).q == sylvester_vertical(cp)
+
+    check()
+
+
+def test_vertical_certificate_degree_bound_in_c(
+    cubic_vertical_build, cubic_centered, quartic_vertical_cert, quartic_centered
+):
+    # Three nodes beyond (d - 1) * max(deg P, deg R) + 1 give the same Q:
+    # the interpolated coefficients of c^k past the bound are all zero.
+    import ovalkit.elimination as elimination
+
+    nodes = elimination._sample_values
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(elimination, "_sample_values", lambda count: nodes(count + 3))
+        assert vertical_certificate(cubic_centered).q == cubic_vertical_build[0].q
+        assert vertical_certificate(quartic_centered).q == quartic_vertical_cert.q
+
+
+def test_vertical_certificate_records_charpoly_content(cubic_centered):
+    from ovalkit.elimination import vertical_eliminant
+    from ovalkit.quadrature import vertical_area_parts
+
+    cert = vertical_certificate(cubic_centered)
+    P, R = vertical_area_parts(cubic_centered)
+    raw = vertical_eliminant(cubic_centered.curve.g.as_univariate(), P, R, "S", "c")
+    (factor,) = cert.provenance.removed_factors
+    assert cert.q * Fraction(factor) == raw
+    assert cert.provenance.eliminated == ("t1", "t2")
 
 
 def test_vertical_certificate_graph_like_collapse():

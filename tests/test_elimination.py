@@ -10,8 +10,10 @@ from ovalkit import (
     resultant,
     sylvester_matrix,
 )
-from ovalkit.elimination import det_bareiss, det_cofactor, det_interpolated
+from ovalkit.elimination import _berkowitz, det_interpolated
 from ovalkit.errors import DegenerateEliminantError, SylvesterSizeError
+
+from oracles import det_bareiss, det_cofactor, sylvester_vertical_inputs
 
 
 def _poly(text, variables):
@@ -231,19 +233,38 @@ def test_resultant_matches_sympy():
 
 
 def test_resultant_makes_no_subs_calls(cubic_centered, monkeypatch):
-    import ovalkit.certify as certify
-
-    calls = []
-    monkeypatch.setattr(certify, "resultant", lambda f, g, var: calls.append((f, g, var)) or resultant(f, g, var))
-    certify.vertical_certificate(cubic_centered)
-    f, g, var = calls[-1]
-    assert sylvester_matrix(f, g, var).size == 13
+    # The cubic's second vertical resultant, Res_t2(Res_t1(e1, D), e_c).
+    e1, D, e_c, t1, t2 = sylvester_vertical_inputs(cubic_centered)
+    f = resultant(e1, D, t1)
+    assert sylvester_matrix(f, e_c, t2).size == 13
     subs = []
     original = Polynomial.subs
     monkeypatch.setattr(Polynomial, "subs", lambda self, *a: subs.append(a) or original(self, *a))
-    r = resultant(f, g, var)
+    r = resultant(f, e_c, t2)
     assert subs == []
     assert (r.degree_in("S"), r.degree_in("c")) == (6, 10)
+
+
+def test_berkowitz_matches_cofactor_oracle():
+    # det(S*I - A) at several integer S, on random small integer matrices
+    # that are often sparse, so that many leading entries are zero.
+    rng = random.Random(59)
+    for n in range(1, 8):
+        for _ in range(8):
+            a = [[rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(n)] for _ in range(n)]
+            coeffs = _berkowitz(a)
+            assert len(coeffs) == n + 1 and coeffs[0] == 1
+            for s in (-3, -1, 0, 2, 5):
+                shifted = [[(s if i == j else 0) - a[i][j] for j in range(n)] for i in range(n)]
+                assert sum(c * s ** (n - i) for i, c in enumerate(coeffs)) == det_cofactor(shifted)
+
+
+def test_berkowitz_zero_and_nilpotent_matrices():
+    assert _berkowitz([[0] * 4 for _ in range(4)]) == [1, 0, 0, 0, 0]
+    shift = [[1 if j == i + 1 else 0 for j in range(5)] for i in range(5)]
+    assert _berkowitz(shift) == [1, 0, 0, 0, 0, 0]
+    # The companion matrix of x^3 - 2x^2 + 3x - 4 has zero leading entries.
+    assert _berkowitz([[0, 0, 4], [1, 0, -3], [0, 1, 2]]) == [1, -2, 3, -4]
 
 
 def test_primitive_squarefree_univariate():

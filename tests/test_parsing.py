@@ -115,9 +115,20 @@ def test_product_expansion_budget():
     for text in (product("(x+y+1)", 44), product("x", 501), "2^5000*2^5000*2"):
         with pytest.raises(DeskScopeError):
             parse_polynomial(text, ["x", "y"])
-    for text in ("t^250*t^251", "t^250/t^251"):
+    for text in ("t^250*t^251", "t^250/(1/t^251)"):
         with pytest.raises(DeskScopeError):
             parse_rational_function(text, "t")
+
+
+def test_quotient_budget_uses_numerator_and_denominator_degrees():
+    # A quotient's numerator and denominator degrees are at most
+    # (n1 + d2, d1 + n2), a product's (n1 + n2, d1 + d2).
+    r = parse_rational_function("t^250/t^251", "t")
+    assert (r.num.degree(), r.den.degree()) == (0, 1)
+    r = parse_rational_function("(t+1)^300/(t-1)^201", "t")
+    assert (r.num.degree(), r.den.degree()) == (300, 201)
+    with pytest.raises(DeskScopeError, match="degree 501"):
+        parse_rational_function("(t+1)^300*(t-1)^201", "t")
 
 
 def test_nesting_depth_limit():

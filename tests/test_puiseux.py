@@ -88,6 +88,36 @@ def test_expand_five_terms(quartic_poly):
     assert render_series(s) == "x^(1/2) + 1/2*x - 1/8*x^(3/2) + 1/16*x^2 - 5/128*x^(5/2)"
 
 
+def _quartic_branch(n):
+    # y^2 = x + x^(3/2) on the branch, so y = u*(1 + u)^(1/2) with u = x^(1/2):
+    # the coefficient of x^((k+1)/2) is binomial(1/2, k).
+    terms, b = [], Fraction(1)
+    for k in range(n):
+        terms.append((Fraction(k + 1, 2), b))
+        b = b * (Fraction(1, 2) - k) / (k + 1)
+    return tuple(terms)
+
+
+def test_expand_quartic_closed_form(quartic_poly):
+    for n in (10, 20):
+        assert expand_branch(quartic_poly, n).terms == _quartic_branch(n)
+    s = expand_branch(quartic_poly, 40)
+    assert s.terms == _quartic_branch(40)
+    assert residual_order(quartic_poly, s) == s.truncation_order == Fraction(45, 2)
+
+
+def test_expand_apple_twenty_terms(apple_curve):
+    # From the eighth term on, every edge polynomial is linear, with
+    # coefficients too large to enumerate their divisors.
+    from ovalkit import implicitize
+
+    F_apple = implicitize(apple_curve)
+    s = expand_branch(F_apple, 20)
+    assert len(s.terms) == 20
+    assert s.terms[:2] == ((Fraction(2), Fraction(5, 54)), (Fraction(3), Fraction(85, 2916)))
+    assert residual_order(F_apple, s) == s.truncation_order
+
+
 def test_expand_terminating_branch():
     for n in (1, 3, 7):
         s = expand_branch(F("y - x"), n)
