@@ -14,13 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
-from .errors import DeskScopeError, EvaluationError
+from .errors import EvaluationError
 
 Scalar = Union[int, Fraction]
-
-# Largest trailing/leading coefficient magnitude for which rational-root
-# candidates are enumerated by trial division.
-_ROOT_DIVISOR_LIMIT = 10**12
 
 
 def as_fraction(value) -> Fraction:
@@ -112,9 +108,6 @@ class Polynomial:
             return -1
         i = self.vars.index(var)
         return max(e[i] for e in self.terms)
-
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * len(self.vars), Fraction(0))
 
     def used_vars(self) -> set[str]:
         used = set()
@@ -344,26 +337,6 @@ class Polynomial:
         if self.leading()[1] < 0:
             factor = -factor
         return self * (1 / factor), factor
-
-    def exact_div(self, divisor: "Polynomial") -> "Polynomial":
-        """Exact polynomial division; raises ValueError if not divisible."""
-        if divisor.is_zero:
-            raise ZeroDivisionError("division by the zero polynomial")
-        a, d = Polynomial._aligned(self, divisor)
-        if a.is_zero:
-            return a
-        d_exps, d_coeff = d.leading()
-        quotient: dict[tuple[int, ...], Fraction] = {}
-        rem = a
-        while rem.terms:
-            r_exps, r_coeff = rem.leading()
-            q_exps = tuple(r - s for r, s in zip(r_exps, d_exps))
-            if any(e < 0 for e in q_exps):
-                raise ValueError("polynomial division is not exact")
-            q_coeff = r_coeff / d_coeff
-            quotient[q_exps] = quotient.get(q_exps, Fraction(0)) + q_coeff
-            rem = rem - Polynomial(rem.vars, {q_exps: q_coeff}) * d
-        return Polynomial(a.vars, quotient)
 
     def __repr__(self):
         from .parsing import render_polynomial
@@ -648,45 +621,29 @@ def sturm_count_roots(p: UnivariatePolynomial, interval: Interval) -> int:
     return v_lo - v_hi
 
 
-_TRIAL_DIVISION_BOUND = 10**6
-_MAX_ROOT_CANDIDATES = 200_000
-
-
-def _divisors(n: int) -> list[int]:
-    """All positive divisors of n via trial-division factorization.
-
-    After dividing out primes up to 1e6, a remaining cofactor below 1e12 is
-    necessarily prime; anything larger is declared out of desk scope rather
-    than mis-factored.
-    """
-    factors: dict[int, int] = {}
-    m = n
-    d = 2
-    while d * d <= m and d <= _TRIAL_DIVISION_BOUND:
-        while m % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            m //= d
-        d += 1 if d == 2 else 2
-    if m > 1:
-        if m > _ROOT_DIVISOR_LIMIT:
-            raise DeskScopeError(
-                f"coefficient cofactor {m} too large for rational-root candidate enumeration"
-            )
-        factors[m] = factors.get(m, 0) + 1
-    divisors = [1]
-    for p, k in factors.items():
-        divisors = [dv * p**j for dv in divisors for j in range(k + 1)]
-        if len(divisors) > _MAX_ROOT_CANDIDATES:
-            raise DeskScopeError("too many divisor candidates for rational roots")
-    return sorted(divisors)
+def _divide_linear(p: UnivariatePolynomial, r: Fraction) -> tuple[UnivariatePolynomial, Fraction]:
+    """Quotient of p by t - r and the remainder p(r), by Horner's scheme."""
+    partial = [Fraction(0)]
+    for c in reversed(p.coeffs):
+        partial.append(partial[-1] * r + c)
+    return UnivariatePolynomial(p.var, reversed(partial[1:-1])), partial[-1]
 
 
 def rational_roots(p: UnivariatePolynomial) -> list[Fraction]:
     """All rational roots of p, repeated per multiplicity, ascending.
 
     A linear remainder, once the zero roots are stripped, gives its root
-    directly; otherwise the rational-root theorem is applied to the
-    primitive integer form.
+    directly. Otherwise the real roots of q, the primitive integer form of
+    the square-free part with leading coefficient lc, are isolated by
+    bisecting (-B, B], B the Cauchy bound, on Sturm counts until each
+    interval that still holds a root is narrower than 1/(2*lc^2).
+
+    This is exact: a rational root of q has a denominator dividing lc, and
+    two distinct rationals with denominators at most lc differ by at least
+    1/lc^2, so such an interval holds at most one rational root, which is
+    then the rational with denominator at most lc nearest the midpoint.
+    That one candidate is divided out of p while the remainder, its exact
+    value p(r), is zero, which checks it and gives its multiplicity.
     """
     if p.is_zero:
         raise ValueError("rational roots of the zero polynomial")
@@ -699,23 +656,40 @@ def rational_roots(p: UnivariatePolynomial) -> list[Fraction]:
         return sorted(roots)
     if work.degree() == 1:
         return sorted(roots + [-work.coeffs[0] / work.coeffs[1]])
-    prim, _ = work.primitive_integer()
-    a0 = abs(prim.coeffs[0].numerator)
-    an = abs(prim.coeffs[-1].numerator)
-    num_divs = _divisors(a0)
-    den_divs = _divisors(an)
-    if len(num_divs) * len(den_divs) > _MAX_ROOT_CANDIDATES:
-        raise DeskScopeError("too many rational-root candidates")
-    candidates = set()
-    for num in num_divs:
-        for den in den_divs:
-            candidates.add(Fraction(num, den))
-            candidates.add(Fraction(-num, den))
-    lin = UnivariatePolynomial.identity(p.var)
-    for r in sorted(candidates):
-        while not work.is_zero and work.degree() >= 1 and work.evaluate(r) == 0:
-            roots.append(r)
-            work = work // (lin - r)
+    q, _ = squarefree_part(work).primitive_integer()
+    lc = q.coeffs[-1].numerator
+    chain = [[c.numerator for c in f.primitive_integer()[0].coeffs] for f in sturm_chain(q)]
+
+    def variations(x: Fraction) -> int:
+        # b^deg(f) * f(a/b) has the sign of f(a/b) and is an integer.
+        a, b = x.numerator, x.denominator
+        values = []
+        for coeffs in chain:
+            acc, scale = 0, 1
+            for c in reversed(coeffs):
+                acc = acc * a + c * scale
+                scale *= b
+            values.append(acc)
+        return _sign_variations(values)
+
+    bound = 1 + max(abs(c) for c in q.coeffs) / lc
+    narrow = Fraction(1, 2 * lc * lc)
+    pending = [(-bound, bound, variations(-bound), variations(bound))]
+    while pending:
+        lo, hi, v_lo, v_hi = pending.pop()
+        if v_lo == v_hi:
+            continue
+        mid = (lo + hi) / 2
+        if hi - lo < narrow:
+            r = mid.limit_denominator(lc)
+            quotient, value = _divide_linear(work, r)
+            while not value:
+                roots.append(r)
+                work = quotient
+                quotient, value = _divide_linear(work, r)
+            continue
+        v_mid = variations(mid)
+        pending += [(lo, mid, v_lo, v_mid), (mid, hi, v_mid, v_hi)]
     return sorted(roots)
 
 

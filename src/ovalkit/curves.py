@@ -15,7 +15,6 @@ from .algebra import (
     as_fraction,
     gcd_univariate,
     rational_roots,
-    squarefree_part,
     substitute_rational,
     sturm_count_roots,
     univariate_from_polynomial,
@@ -245,7 +244,7 @@ def rational_singular_points(F: Polynomial, x: str = "x", y: str = "y") -> list[
                 eliminant = g
     if eliminant.degree() < 1:
         return []
-    candidates_x = sorted(set(rational_roots(squarefree_part(eliminant))))
+    candidates_x = sorted(set(rational_roots(eliminant)))
     points: list[Point] = []
     for x0 in candidates_x:
         specialized = [

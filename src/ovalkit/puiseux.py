@@ -89,7 +89,8 @@ def newton_polygon(F: Polynomial, x: str = "x", y: str = "y") -> list[NewtonPoly
     support = _support(F, x, y)
     if (0, 0) in support:
         raise ValueError("the origin is not on the curve: F(0,0) != 0")
-    hull = _lower_hull(list(support))
+    points = sorted(support)
+    hull = _lower_hull(points)
     edges: list[NewtonPolygonEdge] = []
     for (i1, j1), (i2, j2) in zip(hull, hull[1:]):
         if j2 >= j1:
@@ -97,7 +98,7 @@ def newton_polygon(F: Polynomial, x: str = "x", y: str = "y") -> list[NewtonPoly
         gamma = Fraction(i2 - i1, j1 - j2)
         on_edge = [
             SupportPoint(i, j)
-            for (i, j) in sorted(support)
+            for (i, j) in points
             if (j1 - j2) * (i - i1) + (i2 - i1) * (j - j1) == 0
             and min(i1, i2) <= i <= max(i1, i2)
         ]
@@ -184,35 +185,11 @@ def render_series(series: PuiseuxSeries, var: str = "x") -> str:
     return "".join(pieces)
 
 
-def _nonzero_rational_roots(p: UnivariatePolynomial) -> list[Fraction]:
-    return sorted({r for r in rational_roots(p) if r != 0})
-
-
-def _pick_root(roots: list[Fraction], first_round: bool) -> Fraction | None:
-    positives = sorted(r for r in roots if r > 0)
-    if first_round:
-        return positives[0] if positives else None
-    if positives:
-        return positives[0]
-    negatives = sorted((r for r in roots if r < 0), reverse=True)
-    return negatives[0] if negatives else None
-
-
-def _ramified_polygon(G: Polynomial, u: str, z: str):
-    support = _support(G, u, z)
-    hull = _lower_hull(list(support))
-    out = []
-    for (i1, j1), (i2, j2) in zip(hull, hull[1:]):
-        if j2 >= j1:
-            break
-        gamma = Fraction(i2 - i1, j1 - j2)
-        coeffs: dict[int, Fraction] = {}
-        for (i, j), c in support.items():
-            if (j1 - j2) * (i - i1) + (i2 - i1) * (j - j1) == 0 and min(i1, i2) <= i <= max(i1, i2):
-                coeffs[j] = c
-        phi = UnivariatePolynomial(_COEFF_VAR, [coeffs.get(k, 0) for k in range(max(coeffs) + 1)])
-        out.append((gamma, phi))
-    return out
+def _branch_coefficients(edge: NewtonPolygonEdge) -> list[Fraction]:
+    """Distinct nonzero rational roots of the edge polynomial in branch
+    order: positive roots ascending, then negative roots descending."""
+    roots = set(rational_roots(edge.edge_polynomial)) - {0}
+    return sorted(roots, key=lambda r: (r < 0, abs(r)))
 
 
 def branch_starts(F: Polynomial, x: str = "x", y: str = "y") -> list[tuple[Fraction, Fraction]]:
@@ -223,10 +200,7 @@ def branch_starts(F: Polynomial, x: str = "x", y: str = "y") -> list[tuple[Fract
     """
     starts: list[tuple[Fraction, Fraction]] = []
     for edge in newton_polygon(F, x, y):
-        roots = _nonzero_rational_roots(edge.edge_polynomial)
-        positives = sorted(r for r in roots if r > 0)
-        negatives = sorted((r for r in roots if r < 0), reverse=True)
-        for r in positives + negatives:
+        for r in _branch_coefficients(edge):
             starts.append((edge.slope, r))
     return starts
 
@@ -245,9 +219,9 @@ def expand_branch(F: Polynomial, num_terms: int, x: str = "x", y: str = "y") -> 
         raise BranchExpansionError("no Newton polygon edge admits a branch y(x)")
     chosen: tuple[Fraction, Fraction] | None = None
     for edge in edges:
-        root = _pick_root(_nonzero_rational_roots(edge.edge_polynomial), first_round=True)
-        if root is not None:
-            chosen = (edge.slope, root)
+        roots = _branch_coefficients(edge)
+        if roots and roots[0] > 0:
+            chosen = (edge.slope, roots[0])
             break
     if chosen is None:
         raise BranchExpansionError(
@@ -264,8 +238,11 @@ def expand_branch(F: Polynomial, num_terms: int, x: str = "x", y: str = "y") -> 
     for round_no in range(num_terms):
         if G.subs(z, 0).is_zero:
             break  # the accumulated sum is an exact root
+        # G(0, 0) = 0 holds on every round: F(0, 0) = 0 and every
+        # substitution adds a term of positive u-degree.
         picked = None
-        for g, phi in _ramified_polygon(G, u, z):
+        for edge in newton_polygon(G, u, z):
+            g = edge.slope
             if g <= prev_exp:
                 continue
             if g.denominator != 1:
@@ -273,9 +250,9 @@ def expand_branch(F: Polynomial, num_terms: int, x: str = "x", y: str = "y") -> 
                     f"branch requires ramification beyond 1/{N}"
                     f" (edge exponent {g} in the ramified variable)"
                 )
-            root = _pick_root(_nonzero_rational_roots(phi), first_round=(round_no == 0))
-            if root is not None:
-                picked = (int(g), root)
+            roots = _branch_coefficients(edge)
+            if roots and (round_no > 0 or roots[0] > 0):
+                picked = (int(g), roots[0])
                 break
         if picked is None:
             raise BranchExpansionError(

@@ -88,8 +88,9 @@ def orientation(curve: ParametricCurve) -> Orientation:
     return "clockwise" if s > 0 else "counterclockwise"
 
 
-def _orient_sign(curve: ParametricCurve) -> int:
-    return 1 if _signed_total(curve) > 0 else -1
+def _orient_sign(A: UnivariatePolynomial, interval: Interval) -> int:
+    """Sign of the signed total A(lo) - A(hi), for A = _area_antiderivative(curve)."""
+    return 1 if A.evaluate(interval.lo) > A.evaluate(interval.hi) else -1
 
 
 def _signed_shoelace(points: np.ndarray) -> float:
@@ -137,7 +138,7 @@ def chord_area_function(cp: CenteredParametrization) -> UnivariatePolynomial:
     A = _area_antiderivative(curve)
     half_triangle = g * f * Fraction(1, 2)
     body = half_triangle - (A - A.evaluate(curve.interval.lo))
-    return body * _orient_sign(curve)
+    return body * _orient_sign(A, curve.interval)
 
 
 def origin_chord_segment_area(cp: CenteredParametrization, t0) -> AreaResult:
@@ -161,7 +162,7 @@ def vertical_area_parts(cp: CenteredParametrization) -> tuple[UnivariatePolynomi
     """
     curve = cp.curve
     A = _area_antiderivative(curve)
-    sign = _orient_sign(curve)
+    sign = _orient_sign(A, curve.interval)
     lo, hi = curve.interval.lo, curve.interval.hi
     P = (A - A.evaluate(lo)) * (-sign)
     R = (UnivariatePolynomial.constant(A.var, A.evaluate(hi)) - A) * (-sign)

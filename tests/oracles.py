@@ -6,6 +6,7 @@ None of them is used by the package itself.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from ovalkit import Polynomial, resultant, validate_centered
 from ovalkit.cli import parse_curve_text
@@ -34,6 +35,27 @@ def det_cofactor(rows):
     return total
 
 
+def exact_div(a: Polynomial, divisor: Polynomial) -> Polynomial:
+    """Exact multivariate division; raises ValueError if not divisible."""
+    if divisor.is_zero:
+        raise ZeroDivisionError("division by the zero polynomial")
+    a, d = Polynomial._aligned(a, divisor)
+    if a.is_zero:
+        return a
+    d_exps, d_coeff = d.leading()
+    quotient: dict[tuple[int, ...], Fraction] = {}
+    rem = a
+    while rem.terms:
+        r_exps, r_coeff = rem.leading()
+        q_exps = tuple(r - s for r, s in zip(r_exps, d_exps))
+        if any(e < 0 for e in q_exps):
+            raise ValueError("polynomial division is not exact")
+        q_coeff = r_coeff / d_coeff
+        quotient[q_exps] = quotient.get(q_exps, Fraction(0)) + q_coeff
+        rem = rem - Polynomial(rem.vars, {q_exps: q_coeff}) * d
+    return Polynomial(a.vars, quotient)
+
+
 def det_bareiss(rows) -> Polynomial:
     """Fraction-free Bareiss determinant over the polynomial ring.
 
@@ -53,7 +75,7 @@ def det_bareiss(rows) -> Polynomial:
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = num if prev is None else num.exact_div(prev)
+                m[i][j] = num if prev is None else exact_div(num, prev)
             m[i][k] = m[i][k] * 0
         prev = m[k][k]
     result = m[n - 1][n - 1]
@@ -69,7 +91,7 @@ def sylvester_vertical_inputs(cp, area_var: str = "S", abscissa_var: str = "c"):
     g = cp.curve.g.as_univariate()
     e1 = Polynomial.variable(area_var) - P.rename(t1).to_polynomial() - R.rename(t2).to_polynomial()
     g2 = g.rename(t2).to_polynomial()
-    D = (g.rename(t1).to_polynomial() - g2).exact_div(Polynomial.variable(t1) - Polynomial.variable(t2))
+    D = exact_div(g.rename(t1).to_polynomial() - g2, Polynomial.variable(t1) - Polynomial.variable(t2))
     e_c = Polynomial.variable(abscissa_var) - g2
     return e1, D, e_c, t1, t2
 

@@ -228,6 +228,52 @@ def test_rational_roots_linear_remainder():
     assert rational_roots(p * t + q) == [Fraction(-q, p)]
 
 
+def test_rational_roots_match_sympy():
+    # The rational roots are the linear factors of sympy's factorization
+    # over Q. Numerators and denominators include two 10-digit primes and
+    # their product; quadratic factors are irreducible, some with real roots.
+    hypothesis = pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    st = hypothesis.strategies
+    t = UnivariatePolynomial.identity("t")
+    parts = st.sampled_from([1, 2, 3, 4, 7, 1000000007, 1000000009, 1000000007 * 1000000009])
+    rationals = st.builds(lambda n, d, s: Fraction(s * n, d), parts, parts, st.sampled_from([1, -1]))
+    linears = st.lists(st.tuples(rationals, st.integers(1, 3)), max_size=3)
+
+    def irreducible(abc):
+        a, b, c = abc
+        d = b * b - 4 * a * c
+        return d < 0 or math.isqrt(d) ** 2 != d
+
+    signed = parts | parts.map(lambda c: -c)
+    quadratics = st.lists(st.tuples(parts, st.integers(-3, 3), signed).filter(irreducible), max_size=1)
+
+    def sympy_roots(p):
+        s = sympy.Symbol("t")
+        coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+        roots = []
+        for f, k in sympy.Poly(coeffs, s, domain="QQ").factor_list()[1]:
+            if f.degree() == 1:
+                a, b = f.all_coeffs()
+                r = -b / a
+                roots += [Fraction(int(r.p), int(r.q))] * k
+        return sorted(roots)
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(linears, quadratics, st.integers(0, 2), rationals)
+    def check(lin, quad, zeros, scale):
+        p = t**zeros * scale
+        for r, k in lin:
+            p = p * (t - r) ** k
+        for a, b, c in quad:
+            p = p * UnivariatePolynomial("t", [c, b, a])
+        expected = sympy_roots(p)
+        assert expected == sorted([Fraction(0)] * zeros + [r for r, k in lin for _ in range(k)])
+        assert rational_roots(p) == expected
+
+    check()
+
+
 def test_equal_polynomials_share_exponent_tuples():
     a = parse_polynomial("3*x^2*y - y^3 + 7", ["x", "y"])
     b = Polynomial(("x", "y"), {(2, 1): 1, (0, 3): 5, (0, 0): 2}) * Fraction(1, 2)

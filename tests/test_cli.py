@@ -62,6 +62,17 @@ def test_singular_verb(capsys):
     assert "no rational singular points" in out
 
 
+def test_big_prime_coefficients_need_no_divisors(capsys):
+    # Leading and trailing coefficients carry the product of two 10-digit
+    # primes; rational roots are found without factoring them.
+    code, out, _ = run(capsys, ["singular", "--curve", "y^2 - x^2*(1000000007*1000000009*x^2 + 1)"])
+    assert code == 0
+    assert out.strip() == "(0, 0)"
+    code, _, err = run(capsys, ["puiseux", "--curve", "y^2 - x^3 - 1000000007*x^2*1000000009", "--terms", "3"])
+    assert code == 1
+    assert err.splitlines() == ["error: no polygon edge has a positive rational branch coefficient"]
+
+
 def test_missing_verb_is_usage_error(capsys):
     code, _, _ = run(capsys, [])
     assert code == 2

@@ -125,6 +125,14 @@ def test_expand_terminating_branch():
         assert s.is_exact
 
 
+def test_expand_skips_edges_without_positive_leading_coefficient():
+    # The slope-1 edge has only the coefficient -1; the branch continued is
+    # y = x^2 on the slope-2 edge, and no later round picks -x.
+    s = expand_branch(F("(y + x)*(y - x^2)"), 3)
+    assert s.terms == ((Fraction(2), Fraction(1)),)
+    assert s.is_exact
+
+
 def test_expand_rejects_irrational_leading_coefficient():
     with pytest.raises(BranchExpansionError):
         expand_branch(F("y^2 - 2*x^2"), 3)  # leading coefficient sqrt(2)
@@ -197,3 +205,11 @@ def test_branch_starts(quartic_poly):
     assert starts[0] == (Fraction(1, 2), Fraction(1))
     two_lines = branch_starts(F("y^2 - x^2"))
     assert two_lines == [(Fraction(1), Fraction(1)), (Fraction(1), Fraction(-1))]
+
+
+def test_branch_starts_order_positive_ascending_then_negative_descending():
+    from ovalkit import branch_starts
+
+    starts = branch_starts(F("(y - 2*x)*(y + 3*x)*(y - x)*(y + x)*(y - x^2)"))
+    one, two = Fraction(1), Fraction(2)
+    assert starts == [(one, one), (one, two), (one, -one), (one, Fraction(-3)), (two, one)]

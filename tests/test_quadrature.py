@@ -14,6 +14,7 @@ from ovalkit import (
     orientation,
     origin_chord_segment_area,
     parse_polynomial,
+    quadrature,
     segment_area,
     slope_of_chord,
     total_area,
@@ -31,6 +32,7 @@ from ovalkit.quadrature import (
     sample_boundary,
     shoelace_area,
     slope_function,
+    vertical_area_parts,
 )
 
 from conftest import square_boundary
@@ -130,6 +132,22 @@ def test_vertical_segment_quartic_exact_and_oracle(quartic_centered, quartic_cur
     c = float(quartic_curve.g.evaluate(Fraction(1, 2)))
     approx = numeric_segment_area(quartic_curve, (1.0, 0.0, -c), 1_000_000)
     assert abs(approx - float(v.value)) <= 1e-8 * float(v.value)
+
+
+def test_area_parts_build_the_antiderivative_once(monkeypatch, cubic_centered, quartic_centered):
+    build = quadrature._area_antiderivative
+    calls = []
+
+    def counting(curve):
+        calls.append(curve)
+        return build(curve)
+
+    monkeypatch.setattr(quadrature, "_area_antiderivative", counting)
+    for cp in (cubic_centered, quartic_centered):
+        for parts in (vertical_area_parts, chord_area_function):
+            calls.clear()
+            parts(cp)
+            assert len(calls) == 1
 
 
 def test_vertical_segment_mismatched_abscissa(quartic_centered):
