@@ -4,7 +4,7 @@ A certificate is a polynomial relation Q = 0 between the area S of a cut
 segment and the coefficients of the cutting line, obtained by eliminating
 the curve parameter from exact area and line-coefficient expressions.
 Verification samples concrete lines, measures areas with the independent
-numeric clipping oracle and reports scaled residuals.
+numeric area oracle and reports scaled residuals.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .algebra import (
     Polynomial,
@@ -23,17 +23,13 @@ from .curves import CenteredParametrization, ParametricCurve
 from .elimination import resultant, vertical_eliminant
 from .parsing import parse_polynomial, render_polynomial
 from .quadrature import (
+    _ClippedAreas,
+    _clipped_areas,
     chord_area_function,
-    clip_polygon_halfplane,
     free_inlet_function,
-    sample_boundary,
-    shoelace_area,
     slope_function,
     vertical_area_parts,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 ROLES = ("area", "slope", "intercept", "abscissa")
 
@@ -69,7 +65,7 @@ class Certificate:
         return next(v for v, r in self.roles.items() if r == "area")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LineSample:
     line: tuple[float, float, float]
     area: float
@@ -188,10 +184,11 @@ def annihilation_residual(
     return substitute_rational(cert.q, assignments)
 
 
-def _arc_side_line(points: np.ndarray, a: float, b: float, c: float) -> tuple[float, float, float]:
-    """Flip the half-plane sign so the sampled arc midpoint is inside."""
-    mid = points[len(points) // 2]
-    if a * mid[0] + b * mid[1] + c > 0:
+def _arc_side_line(areas: _ClippedAreas, arc_len: int, a: float, b: float, c: float) -> tuple[float, float, float]:
+    """Flip the half-plane sign so the midpoint of the arc through the
+    first arc_len boundary vertices is inside."""
+    mid = min(arc_len, len(areas.x)) // 2
+    if a * areas.x[mid] + b * areas.y[mid] + c > 0:
         return -a, -b, -c
     return a, b, c
 
@@ -202,9 +199,43 @@ def _window(interval, fraction: float = 0.15) -> tuple[float, float]:
     return lo + pad, hi - pad
 
 
-def _residual(cert: Certificate, assignment: dict[str, float]) -> float:
-    value, biggest = cert.q.evaluate_float(assignment)
-    return abs(value) / max(1.0, biggest)
+def _float_component(rf: RationalFunction) -> Callable[[float], float]:
+    """rf.evaluate_float with the coefficients converted once."""
+    num = [float(c) for c in reversed(rf.num.coeffs)]
+    den = [float(c) for c in reversed(rf.den.coeffs)]
+
+    def value(x: float) -> float:
+        n = d = 0.0
+        for c in num:
+            n = n * x + c
+        for c in den:
+            d = d * x + c
+        return n / d
+
+    return value
+
+
+def _residual_function(q: Polynomial, names: Sequence[str]) -> Callable[..., float]:
+    """Residual of Q at float values of `names`, in that order: |Q| over
+    its largest evaluated monomial, at least 1, so the verdict is invariant
+    under scaling Q. Each monomial is evaluated as in Polynomial.evaluate_float,
+    with the coefficients converted once."""
+    index = {v: k for k, v in enumerate(names)}
+    terms = [
+        (float(c), [(index[v], e) for v, e in zip(q.vars, exps) if e])
+        for exps, c in q.terms.items()
+    ]
+
+    def residual(*values: float) -> float:
+        total = biggest = 0.0
+        for term, powers in terms:
+            for k, e in powers:
+                term *= values[k] ** e
+            total += term
+            biggest = max(biggest, abs(term))
+        return abs(total) / max(1.0, biggest)
+
+    return residual
 
 
 def verify_certificate(
@@ -230,55 +261,54 @@ def verify_certificate(
     Residuals are |Q| divided by the largest evaluated monomial magnitude
     (at least 1), so the verdict is invariant under scaling Q.
     """
-    import numpy as np
-
     if n_samples < 10:
         raise ValueError("use at least 10 sample lines")
     rng = random.Random(seed)
     roles = dict(cert.roles)
     role_to_var = {r: v for v, r in roles.items()}
     is_curve = isinstance(curve, ParametricCurve)
-    polygon = sample_boundary(curve, oracle_samples) if is_curve else np.asarray(curve, float)
+    areas = _clipped_areas(curve, oracle_samples)
     samples: list[LineSample] = []
 
-    def measure(a: float, b: float, c: float, arc: np.ndarray) -> tuple[tuple[float, float, float], float]:
-        a, b, c = _arc_side_line(arc, a, b, c)
-        area = shoelace_area(clip_polygon_halfplane(polygon, a, b, c))
-        return (a, b, c), area
+    def measure(a: float, b: float, c: float, arc_len: int) -> tuple[tuple[float, float, float], float]:
+        line = _arc_side_line(areas, arc_len, a, b, c)
+        return line, areas.area(*line)
 
     role_set = set(roles.values())
     if role_set == {"area", "slope"}:
         if not is_curve:
             raise ValueError("chord sampling needs a parametric curve")
+        residual = _residual_function(cert.q, (role_to_var["slope"], cert.area_var))
+        g, f = _float_component(curve.g), _float_component(curve.f)
         lo, hi = _window(curve.interval)
         for _ in range(n_samples):
             while True:
                 t0 = rng.uniform(lo, hi)
-                gx = curve.g.evaluate_float(t0)
-                fy = curve.f.evaluate_float(t0)
+                gx = g(t0)
+                fy = f(t0)
                 if abs(gx) > 1e-9:
                     break
             m = fy / gx
             k = max(1, int(oracle_samples * (t0 - float(curve.interval.lo)) / (float(curve.interval.hi) - float(curve.interval.lo))))
-            arc = polygon[: max(k, 2)]
-            line, area = measure(fy, -gx, 0.0, arc)
-            res = _residual(cert, {role_to_var["slope"]: m, cert.area_var: area})
-            samples.append(LineSample(line, area, res))
+            line, area = measure(fy, -gx, 0.0, max(k, 2))
+            samples.append(LineSample(line, area, residual(m, area)))
     elif role_set == {"area", "abscissa"}:
         if not is_curve:
             raise ValueError("vertical-line sampling needs a parametric curve")
+        residual = _residual_function(cert.q, (role_to_var["abscissa"], cert.area_var))
+        g = _float_component(curve.g)
         lo, hi = _window(curve.interval)
         for _ in range(n_samples):
             t2 = rng.uniform(lo, hi)
-            cx = curve.g.evaluate_float(t2)
-            k = max(2, int(oracle_samples * 0.02))
-            arc = polygon[:k]
-            line, area = measure(1.0, 0.0, -cx, arc)
-            res = _residual(cert, {role_to_var["abscissa"]: cx, cert.area_var: area})
-            samples.append(LineSample(line, area, res))
+            cx = g(t2)
+            line, area = measure(1.0, 0.0, -cx, max(2, int(oracle_samples * 0.02)))
+            samples.append(LineSample(line, area, residual(cx, area)))
     elif role_set == {"area", "slope", "intercept"}:
+        residual = _residual_function(
+            cert.q, (role_to_var["slope"], role_to_var["intercept"], cert.area_var)
+        )
         windows = windows or {"slope": (0.1, 2.0), "intercept": (0.0, 1.0)}
-        total = shoelace_area(polygon)
+        total = abs(areas.signed_total)
         attempts = 0
         while len(samples) < n_samples:
             attempts += 1
@@ -286,18 +316,10 @@ def verify_certificate(
                 raise ValueError("could not sample enough lines hitting the region")
             m = rng.uniform(*windows["slope"])
             q = rng.uniform(*windows["intercept"])
-            area = shoelace_area(clip_polygon_halfplane(polygon, m, -1.0, q))
+            area = areas.area(m, -1.0, q)
             if not (1e-9 * total < area < (1 - 1e-9) * total):
                 continue  # the line misses the region
-            res = _residual(
-                cert,
-                {
-                    role_to_var["slope"]: m,
-                    role_to_var["intercept"]: q,
-                    cert.area_var: area,
-                },
-            )
-            samples.append(LineSample((m, -1.0, q), area, res))
+            samples.append(LineSample((m, -1.0, q), area, residual(m, q, area)))
     else:
         raise ValueError(f"unsupported role combination {sorted(role_set)}")
     worst = max(s.residual for s in samples)

@@ -245,15 +245,16 @@ def expand_branch(F: Polynomial, num_terms: int, x: str = "x", y: str = "y") -> 
             g = edge.slope
             if g <= prev_exp:
                 continue
+            roots = _branch_coefficients(edge)
+            if not roots or (round_no == 0 and roots[0] < 0):
+                continue
             if g.denominator != 1:
                 raise RamificationError(
                     f"branch requires ramification beyond 1/{N}"
                     f" (edge exponent {g} in the ramified variable)"
                 )
-            roots = _branch_coefficients(edge)
-            if roots and (round_no > 0 or roots[0] > 0):
-                picked = (int(g), roots[0])
-                break
+            picked = (int(g), roots[0])
+            break
         if picked is None:
             raise BranchExpansionError(
                 f"no edge with a rational branch coefficient at term {round_no + 1}"

@@ -1,5 +1,7 @@
 """Exact segment and oval areas via boundary integration, the air-damper
-free-section computation, and an independent numeric clipping oracle.
+free-section computation, and an independent numeric oracle: a densely
+sampled boundary polygon whose half-plane areas come from prefix sums of
+its edge cross products.
 
 Exact areas require polynomial curve components (antiderivatives of general
 rational functions would need logarithms). All public areas are magnitudes;
@@ -93,13 +95,6 @@ def _orient_sign(A: UnivariatePolynomial, interval: Interval) -> int:
     return 1 if A.evaluate(interval.lo) > A.evaluate(interval.hi) else -1
 
 
-def _signed_shoelace(points: np.ndarray) -> float:
-    import numpy as np
-
-    x, y = points[:, 0], points[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
-
-
 def total_area(curve: ParametricCurve, oracle_samples: int = 100_000) -> AreaResult:
     """Enclosed area of a closed curve.
 
@@ -115,7 +110,7 @@ def total_area(curve: ParametricCurve, oracle_samples: int = 100_000) -> AreaRes
             "rational curve components: total area measured with the numeric oracle",
             stacklevel=2,
         )
-        signed = _signed_shoelace(sample_boundary(curve, oracle_samples))
+        signed = _clipped_areas(curve, oracle_samples).signed_total
         label: Orientation = "clockwise" if signed > 0 else "counterclockwise"
         return AreaResult(abs(signed), False, label, False, signed)
     if s == 0:
@@ -279,13 +274,91 @@ def angle_to_parameter(
 
 # -- numeric oracle ----------------------------------------------------
 
-# numpy is imported inside the oracle functions only, so the exact verbs
-# never load it.
+# numpy is imported inside the oracle only, so the exact verbs never load it.
 Boundary = Union[ParametricCurve, Sequence[tuple[float, float]], "np.ndarray"]
 
 
-def sample_boundary(curve: ParametricCurve, samples: int) -> np.ndarray:
-    """Dense float sampling of the curve boundary, shape (samples, 2)."""
+class _ClippedAreas:
+    """Areas of one closed polygon clipped by half-planes a*x + b*y + c <= 0.
+
+    The shoelace sum of a clipped polygon is a sum of edge cross products
+    x_i*y_(i+1) - x_(i+1)*y_i (Green's theorem): the edges of each run of
+    kept vertices, whose sum is a difference of prefix sums taken once per
+    polygon, plus the cross products at the crossing points. So a line
+    costs one pass over the vertices to find the few crossing edges, and
+    no clipped polygon is built. Vertex sides and crossing points are
+    computed with the operations of the Sutherland-Hodgman clip the tests
+    keep as reference: d = a*x + b*y + c, inside where d <= 0, crossing
+    start + s*(end - start) with s = d_i/(d_i - d_j).
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        import numpy as np
+
+        n = len(x)
+        self.x, self.y = x, y
+        # Scratch buffers reused by every line: d and b*y, the vertex sides
+        # and the edges whose end vertex lies on the other side.
+        self._d, self._by = np.empty(n), np.empty(n)
+        self._inside, self._flip = np.empty(n, bool), np.empty(n, bool)
+        # prefix[k] = sum of the cross products of edges 0 .. k-1; edge n-1
+        # closes the polygon.
+        self._prefix = np.zeros(n + 1)
+        if n:
+            e, t = self._d, self._by
+            np.multiply(x[:-1], y[1:], out=e[:-1])
+            np.multiply(x[1:], y[:-1], out=t[:-1])
+            np.subtract(e[:-1], t[:-1], out=e[:-1])
+            e[-1] = x[-1] * y[0] - x[0] * y[-1]
+            np.cumsum(e, out=self._prefix[1:])
+        self.signed_total = 0.5 * float(self._prefix[-1])
+
+    def area(self, a: float, b: float, c: float) -> float:
+        """Area of the polygon's part with a*x + b*y + c <= 0."""
+        import numpy as np
+
+        x, y, n = self.x, self.y, len(self.x)
+        if n < 3:
+            return 0.0
+        d, inside, flip = self._d, self._inside, self._flip
+        np.multiply(x, a, out=d)
+        np.multiply(y, b, out=self._by)
+        np.add(d, self._by, out=d)
+        np.add(d, c, out=d)
+        np.less_equal(d, 0.0, out=inside)
+        np.not_equal(inside[:-1], inside[1:], out=flip[:-1])
+        flip[-1] = inside[-1] != inside[0]
+        edges = np.flatnonzero(flip).tolist()
+        if not inside[0]:
+            edges = edges[1:] + edges[:1]  # start with an edge that leaves
+        prefix = self._prefix
+        # The run of kept vertices through vertex 0 wraps around.
+        twice = prefix.item(n) if inside[0] else 0.0
+        # The clipped boundary runs vertex i, crossing i, crossing j,
+        # vertex j + 1, ..., for each leaving edge i and the entering edge
+        # j after it; the edges in between lie outside.
+        for i, j in zip(edges[0::2], edges[1::2]):
+            xi, yi = x.item(i), y.item(i)
+            pi_x, pi_y = self._crossing(i)
+            pj_x, pj_y = self._crossing(j)
+            k = j + 1 if j + 1 < n else 0
+            xk, yk = x.item(k), y.item(k)
+            twice += prefix.item(i) - prefix.item(j + 1)
+            twice += (xi * pi_y - pi_x * yi) + (pi_x * pj_y - pj_x * pi_y) + (pj_x * yk - xk * pj_y)
+        return abs(0.5 * twice)
+
+    def _crossing(self, i: int) -> tuple[float, float]:
+        """Where edge i meets the line of the last area() call."""
+        j = i + 1 if i + 1 < len(self.x) else 0
+        di, dj = self._d.item(i), self._d.item(j)
+        denom = di - dj
+        s = di / denom if denom != 0.0 else 0.0
+        x0, y0 = self.x.item(i), self.y.item(i)
+        return x0 + s * (self.x.item(j) - x0), y0 + s * (self.y.item(j) - y0)
+
+
+def _sample_components(curve: ParametricCurve, samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """Boundary vertices of the curve at evenly spaced parameters."""
     import numpy as np
 
     t = np.linspace(float(curve.interval.lo), float(curve.interval.hi), samples)
@@ -297,55 +370,18 @@ def sample_boundary(curve: ParametricCurve, samples: int) -> np.ndarray:
         den = np.polyval([float(c) for c in reversed(rf.den.coeffs)], t)
         return num / den
 
-    return np.column_stack([eval_rf(curve.g), eval_rf(curve.f)])
+    return eval_rf(curve.g), eval_rf(curve.f)
 
 
-def _as_polygon(boundary: Boundary, samples: int) -> np.ndarray:
+def _clipped_areas(boundary: Boundary, samples: int) -> _ClippedAreas:
+    """The area routine of a curve sampled at `samples` parameters, or of
+    a polygon given as (x, y) vertices."""
     import numpy as np
 
     if isinstance(boundary, ParametricCurve):
-        return sample_boundary(boundary, samples)
-    return np.asarray(boundary, dtype=float)
-
-
-def clip_polygon_halfplane(points: np.ndarray, a: float, b: float, c: float) -> np.ndarray:
-    """Clip a closed polygon against the half-plane a*x + b*y + c <= 0.
-
-    The result lists, in the polygon's order, every vertex inside the
-    half-plane and, right after the start vertex of each edge that crosses
-    the line, the crossing point. Only the few crossing edges are
-    interpolated; the kept vertices are gathered with one take.
-    """
-    import numpy as np
-
-    x, y = points[:, 0], points[:, 1]
-    d = a * x + b * y + c
-    inside = d <= 0.0
-    cross = np.flatnonzero(inside != np.roll(inside, -1))
-    nxt = (cross + 1) % len(points)
-    d_cross = d.take(cross)
-    denom = d_cross - d.take(nxt)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.where(denom != 0.0, d_cross / denom, 0.0)
-    start = points.take(cross, axis=0)
-    inter = start + s[:, None] * (points.take(nxt, axis=0) - start)
-    kept = np.flatnonzero(inside)
-    # Crossing j follows the kept vertices up to its edge's start and the
-    # j crossings before it; its slot takes vertex 0 until overwritten.
-    slots = np.searchsorted(kept, cross, side="right") + np.arange(len(cross))
-    is_slot = np.zeros(len(kept) + len(cross), dtype=bool)
-    is_slot[slots] = True
-    order = np.zeros(len(is_slot), dtype=np.intp)
-    order[~is_slot] = kept
-    out = points.take(order, axis=0).astype(float, copy=False)  # float for integer input too
-    out[slots] = inter
-    return out
-
-
-def shoelace_area(points: np.ndarray) -> float:
-    if len(points) < 3:
-        return 0.0
-    return abs(_signed_shoelace(points))
+        return _ClippedAreas(*_sample_components(boundary, samples))
+    points = np.asarray(boundary, dtype=float).reshape(-1, 2)
+    return _ClippedAreas(np.ascontiguousarray(points[:, 0]), np.ascontiguousarray(points[:, 1]))
 
 
 def numeric_segment_area(
@@ -354,16 +390,16 @@ def numeric_segment_area(
     samples: int = 100_000,
 ) -> float:
     """Area of {interior} intersect {a*x + b*y + c <= 0} by dense polygonal
-    sampling, half-plane clipping and the shoelace formula.
+    sampling and Green's theorem: the prefix sums of the boundary's edge
+    cross products over the kept runs, plus the cross products at the
+    crossing points, with no clipped polygon built.
 
     Independent of every exact code path; the error is empirically
     O(1/samples^2) for smooth arcs.
     """
     if samples < 1000:
         raise ValueError("use at least 1000 boundary samples")
-    polygon = _as_polygon(boundary, samples)
-    a, b, c = halfplane
-    return shoelace_area(clip_polygon_halfplane(polygon, a, b, c))
+    return _clipped_areas(boundary, samples).area(*halfplane)
 
 
 def segment_area(cp: CenteredParametrization, spec: SegmentSpec) -> AreaResult:

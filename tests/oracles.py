@@ -5,12 +5,15 @@ None of them is used by the package itself.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from ovalkit import Polynomial, resultant, validate_centered
 from ovalkit.cli import parse_curve_text
-from ovalkit.curves import Point
+from ovalkit.curves import ParametricCurve, Point
 from ovalkit.quadrature import vertical_area_parts
 
 
@@ -115,3 +118,67 @@ def seeded_loops(seed: int, degree: int, count: int) -> list:
         text = "bezier (0,0) " + " ".join(f"({x},{y})" for x, y in inner) + " (0,0)"
         loops.append(validate_centered(parse_curve_text(text), Point(0, 0)))
     return loops
+
+
+def sample_boundary(curve: ParametricCurve, samples: int) -> np.ndarray:
+    """Dense float sampling of the curve boundary, shape (samples, 2)."""
+    t = np.linspace(float(curve.interval.lo), float(curve.interval.hi), samples)
+
+    def eval_rf(rf) -> np.ndarray:
+        num = np.polyval([float(c) for c in reversed(rf.num.coeffs)] or [0.0], t)
+        if rf.is_polynomial:
+            return num
+        den = np.polyval([float(c) for c in reversed(rf.den.coeffs)], t)
+        return num / den
+
+    return np.column_stack([eval_rf(curve.g), eval_rf(curve.f)])
+
+
+def clip_polygon_halfplane(points: np.ndarray, a: float, b: float, c: float) -> np.ndarray:
+    """Clip a closed polygon against the half-plane a*x + b*y + c <= 0
+    (Sutherland and Hodgman, "Reentrant polygon clipping", CACM 1974).
+
+    The result lists, in the polygon's order, every vertex inside the
+    half-plane and, right after the start vertex of each edge that crosses
+    the line, the crossing point. Only the few crossing edges are
+    interpolated; the kept vertices are gathered with one take.
+    """
+    x, y = points[:, 0], points[:, 1]
+    d = a * x + b * y + c
+    inside = d <= 0.0
+    cross = np.flatnonzero(inside != np.roll(inside, -1))
+    nxt = (cross + 1) % len(points)
+    d_cross = d.take(cross)
+    denom = d_cross - d.take(nxt)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.where(denom != 0.0, d_cross / denom, 0.0)
+    start = points.take(cross, axis=0)
+    inter = start + s[:, None] * (points.take(nxt, axis=0) - start)
+    kept = np.flatnonzero(inside)
+    # Crossing j follows the kept vertices up to its edge's start and the
+    # j crossings before it; its slot takes vertex 0 until overwritten.
+    slots = np.searchsorted(kept, cross, side="right") + np.arange(len(cross))
+    is_slot = np.zeros(len(kept) + len(cross), dtype=bool)
+    is_slot[slots] = True
+    order = np.zeros(len(is_slot), dtype=np.intp)
+    order[~is_slot] = kept
+    out = points.take(order, axis=0).astype(float, copy=False)  # float for integer input too
+    out[slots] = inter
+    return out
+
+
+def shoelace_area(points: np.ndarray) -> float:
+    """Shoelace area of a closed polygon by two dot products."""
+    if len(points) < 3:
+        return 0.0
+    x, y = points[:, 0], points[:, 1]
+    return abs(0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y)))
+
+
+def fsum_shoelace(points: np.ndarray) -> float:
+    """Shoelace area with every product rounded once and the sum exact."""
+    if len(points) < 3:
+        return 0.0
+    x, y = points[:, 0], points[:, 1]
+    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    return abs(0.5 * math.fsum(np.concatenate([x * yn, -(xn * y)]).tolist()))

@@ -301,3 +301,48 @@ def test_general_line_verification_mechanics():
         windows={"slope": (0.05, 0.3), "intercept": (0.1, 0.5)},
     )
     assert report.passed, report.max_relative_residual
+
+
+def test_residuals_are_those_of_polynomial_evaluate_float(cubic_centered, cubic_curve):
+    # verify_certificate converts Q and the curve to floats once per call;
+    # every residual must still equal, bit for bit, the one computed
+    # through Polynomial.evaluate_float at the sampled values.
+    def residual(cert, assignment):
+        value, biggest = cert.q.evaluate_float(assignment)
+        return abs(value) / max(1.0, biggest)
+
+    for cert in (pencil_certificate(cubic_centered), vertical_certificate(cubic_centered)):
+        line_var = next(v for v, r in cert.roles.items() if r != "area")
+        report = verify_certificate(cert, cubic_curve, n_samples=20)
+        for sample in report.samples:
+            # Chords are (f, -g, 0) and verticals (1, 0, -c), up to sign;
+            # both divisions below are exact, with or without the flip.
+            a, b, c = sample.line
+            value = a / -b if cert.roles[line_var] == "slope" else -c / a
+            assert sample.residual == residual(cert, {line_var: value, "S": sample.area})
+    q = parse_polynomial("(2*S + m + 2*q - 2)*(2*m*S - (1 - q)^2)", ["S", "m", "q"])
+    cert = Certificate(q, {"S": "area", "m": "slope", "q": "intercept"})
+    report = verify_certificate(cert, square_boundary(10_000), n_samples=20)
+    for sample in report.samples:
+        m, _, q0 = sample.line
+        assert sample.residual == residual(cert, {"m": m, "q": q0, "S": sample.area})
+
+
+def test_vertical_lines_use_curve_evaluate_float(cubic_centered, cubic_curve):
+    # The abscissae come from the curve's coefficients converted once per
+    # call; they must equal RationalFunction.evaluate_float bit for bit.
+    import random
+
+    from ovalkit.certify import _window
+
+    report = verify_certificate(vertical_certificate(cubic_centered), cubic_curve, n_samples=20, seed=3)
+    rng = random.Random(3)
+    lo, hi = _window(cubic_curve.interval)
+    for sample in report.samples:
+        a, _, c = sample.line
+        assert -c / a == cubic_curve.g.evaluate_float(rng.uniform(lo, hi))
+
+
+def test_line_samples_carry_no_instance_dict(cubic_centered, cubic_curve):
+    report = verify_certificate(pencil_certificate(cubic_centered), cubic_curve, n_samples=10)
+    assert not hasattr(report.samples[0], "__dict__")

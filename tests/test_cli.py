@@ -47,6 +47,12 @@ def test_puiseux_verb(capsys):
     assert out.strip() == "x^(1/2) + 1/2*x - 1/8*x^(3/2) + 1/16*x^2 - 5/128*x^(5/2) + ..."
 
 
+def test_puiseux_verb_skips_ramified_negative_branch(capsys):
+    code, out, _ = run(capsys, ["puiseux", "--curve", "(y^3 + x)*(y - x^2)", "--terms", "3"])
+    assert code == 0
+    assert out.strip() == "x^2"
+
+
 def test_implicitize_verb(capsys):
     code, out, _ = run(capsys, ["implicitize", "--param", QUARTIC_PARAM])
     assert code == 0

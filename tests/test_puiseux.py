@@ -133,6 +133,25 @@ def test_expand_skips_edges_without_positive_leading_coefficient():
     assert s.is_exact
 
 
+def test_expand_skips_ramified_edges_it_would_not_pick():
+    # The slope-1/3 edge of y^3 + x has only the coefficient -1, so it is
+    # passed over like a slope-1 edge would be, not refused for needing
+    # ramification; the branch continued is y = x^2.
+    s = expand_branch(F("(y^3 + x)*(y - x^2)"), 3)
+    assert s.terms == ((Fraction(2), Fraction(1)),)
+    assert s.is_exact
+
+
+def test_expand_cubic_node_branch_past_irrational_edge(cubic_poly):
+    # At the cubic's node the slope-1/2 edge has only the irrational
+    # coefficients +-sqrt(3); the branch tangent to the x-axis, y = x^2/3
+    # + ..., is expanded instead of refused for ramification.
+    s = expand_branch(cubic_poly, 8)
+    assert s.ramification == 1
+    assert s.terms[:2] == ((Fraction(2), Fraction(1, 3)), (Fraction(3), Fraction(1, 3)))
+    assert residual_order(cubic_poly, s) == s.truncation_order == 11
+
+
 def test_expand_rejects_irrational_leading_coefficient():
     with pytest.raises(BranchExpansionError):
         expand_branch(F("y^2 - 2*x^2"), 3)  # leading coefficient sqrt(2)

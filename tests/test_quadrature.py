@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 
 from ovalkit import (
     Interval,
+    pencil_certificate,
+    verify_certificate,
     angle_to_parameter,
     free_inlet_area,
     free_inlet_function,
@@ -28,14 +31,12 @@ from ovalkit.errors import ExactIntegrationError, NonMonotoneSlopeError
 from ovalkit.quadrature import (
     SegmentSpec,
     chord_area_function,
-    clip_polygon_halfplane,
-    sample_boundary,
-    shoelace_area,
     slope_function,
     vertical_area_parts,
 )
 
 from conftest import square_boundary
+from oracles import clip_polygon_halfplane, fsum_shoelace, sample_boundary, shoelace_area
 
 
 def test_orientation_examples(cubic_curve, quartic_curve):
@@ -343,7 +344,7 @@ def test_clip_matches_reference_bitwise(samples, cubic_curve, quartic_curve, app
 
 
 def test_clip_unit_square_exact():
-    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    square = UNIT_SQUARE
     cases = [
         # y <= x, through the corners (0, 0) and (1, 1)
         ((-1.0, 1.0, 0.0), [[0, 0], [1, 0], [1, 1], [1, 1], [0, 0]]),
@@ -365,14 +366,18 @@ def test_clip_unit_square_exact():
     assert from_ints.dtype == np.float64 and np.array_equal(from_ints, [[0, 0], [0.5, 0], [0.5, 1], [0, 1]])
 
 
+# Four teeth of width 1 from y = 1 (y = 0 at the outer edges) up to y = 3;
+# the line y = 3/2 crosses every tooth twice.
+COMB = np.array(
+    [[0, 0], [7, 0], [7, 3], [6, 3], [6, 1], [5, 1], [5, 3], [4, 3],
+     [4, 1], [3, 1], [3, 3], [2, 3], [2, 1], [1, 1], [1, 3], [0, 3]],
+    dtype=float,
+)
+UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+
+
 def test_clip_comb_crossed_eight_times():
-    # Four teeth of width 1 from y = 1 (y = 0 at the outer edges) up to
-    # y = 3; the line y = 3/2 crosses every tooth twice.
-    comb = np.array(
-        [[0, 0], [7, 0], [7, 3], [6, 3], [6, 1], [5, 1], [5, 3], [4, 3],
-         [4, 1], [3, 1], [3, 3], [2, 3], [2, 1], [1, 1], [1, 3], [0, 3]],
-        dtype=float,
-    )
+    comb = COMB
     clipped = clip_polygon_halfplane(comb, 0.0, -1.0, 1.5)  # y >= 3/2
     expected = [
         [7, 1.5], [7, 3], [6, 3], [6, 1.5], [5, 1.5], [5, 3], [4, 3], [4, 1.5],
@@ -390,3 +395,95 @@ def test_shoelace_small_and_signed():
     assert shoelace_area(np.array([[0.0, 0.0], [1.0, 1.0]])) == 0.0
     triangle = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
     assert shoelace_area(triangle) == shoelace_area(triangle[::-1]) == 1.0
+
+
+# -- the prefix-sum area routine against the reference clip -------------
+
+
+def _reference_area(polygon, line):
+    return fsum_shoelace(clip_polygon_halfplane(polygon, *line))
+
+
+def _assert_areas_match(polygon, lines):
+    """Every area within 1e-12 of the total of the fsum shoelace of the
+    reference clip, and the total within 1e-12 of its own."""
+    areas = quadrature._clipped_areas(polygon, len(polygon))
+    total = fsum_shoelace(polygon)
+    assert abs(abs(areas.signed_total) - total) <= 1e-12 * total
+    for line in lines:
+        assert abs(areas.area(*line) - _reference_area(polygon, line)) <= 1e-12 * total, line
+
+
+@pytest.mark.parametrize("samples", [1_000, 100_000])
+def test_prefix_areas_match_reference_clip(samples, cubic_curve, quartic_curve, apple_curve):
+    for seed, curve in enumerate((cubic_curve, quartic_curve, apple_curve)):
+        polygon = sample_boundary(curve, samples)
+        # The routine samples the same vertices, with no (n, 2) stack.
+        areas = quadrature._clipped_areas(curve, samples)
+        assert np.array_equal(areas.x, polygon[:, 0]) and np.array_equal(areas.y, polygon[:, 1])
+        assert areas.x.flags.c_contiguous and areas.y.flags.c_contiguous
+        _assert_areas_match(polygon, _oracle_lines(polygon, seed, 100))
+
+
+def test_prefix_areas_comb_all_rotations():
+    for shift in range(len(COMB)):
+        for comb in (np.roll(COMB, shift, axis=0), np.roll(COMB[::-1], shift, axis=0)):
+            areas = quadrature._clipped_areas(comb, len(comb))
+            assert areas.area(0.0, -1.0, 1.5) == 6.0  # y >= 3/2
+            assert areas.area(0.0, 1.0, -1.5) == 9.0  # y <= 3/2
+            assert abs(areas.signed_total) == 15.0
+            _assert_areas_match(comb, [(0.0, -1.0, 1.5), (0.0, 1.0, -1.5)])
+
+
+def test_prefix_areas_unit_square_corners():
+    for square in (UNIT_SQUARE, UNIT_SQUARE.astype(np.int64), UNIT_SQUARE[::-1]):
+        areas = quadrature._clipped_areas(square, 4)
+        for line in ((-1.0, 1.0, 0.0), (1.0, 1.0, -1.0), (1.0, 0.0, -0.5), (0.0, -1.0, 0.5)):
+            assert areas.area(*line) == 0.5, line
+        assert areas.area(0.0, 0.0, -1.0) == 1.0  # every vertex inside
+        assert areas.area(0.0, 0.0, 1.0) == 0.0  # every vertex outside
+        assert areas.area(1.0, 0.0, -1.0) == 1.0  # d == 0 on the edge x = 1
+        assert areas.area(1.0, 0.0, 0.0) == 0.0  # d == 0 on the edge x = 0
+    assert quadrature._clipped_areas(UNIT_SQUARE, 4).signed_total == 1.0
+    assert quadrature._clipped_areas(UNIT_SQUARE[::-1], 4).signed_total == -1.0
+
+
+def test_prefix_areas_fewer_than_three_vertices():
+    for polygon in (np.zeros((0, 2)), [(1.0, 2.0)], [(0.0, 0.0), (1.0, 1.0)]):
+        areas = quadrature._clipped_areas(polygon, 1000)
+        assert areas.signed_total == 0.0
+        for line in ((1.0, 0.0, -0.5), (0.0, 0.0, -1.0), (0.0, 0.0, 1.0)):
+            assert areas.area(*line) == 0.0
+
+
+def test_prefix_areas_random_star_polygons():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.1, 10.0)), min_size=3, max_size=40),
+        st.floats(0.0, 2 * math.pi),
+        st.floats(-12.0, 12.0),
+    )
+    def check(vertices, theta, offset):
+        # Vertices by angle around the origin: a star-shaped polygon.
+        vertices = sorted(vertices)
+        polygon = np.array([(r * math.cos(2 * math.pi * t), r * math.sin(2 * math.pi * t)) for t, r in vertices])
+        hypothesis.assume(fsum_shoelace(polygon) > 1e-6)
+        line = (math.cos(theta), math.sin(theta), offset)
+        _assert_areas_match(polygon, [line, tuple(-v for v in line)])
+
+    check()
+
+
+def test_verify_memory_peak(cubic_centered, cubic_curve):
+    cert = pencil_certificate(cubic_centered)
+    tracemalloc.start()
+    try:
+        report = verify_certificate(cert, cubic_curve, n_samples=50, oracle_samples=100_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed and len(report.samples) == 50
+    assert peak < 5.0e6, peak
