@@ -40,7 +40,6 @@ from .curves import (
 )
 from .elimination import (
     SylvesterMatrix,
-    primitive_squarefree,
     resultant,
     sylvester_matrix,
 )

@@ -4,7 +4,9 @@ rational root extraction.
 
 Coefficients are `fractions.Fraction` throughout, so every operation is
 exact and every stored value is automatically in lowest terms with a
-positive denominator.
+positive denominator. The one exception is `sturm_chain`, whose primitive
+integer lists serve every univariate square-free, counting and
+rational-root question.
 """
 
 from __future__ import annotations
@@ -458,17 +460,18 @@ class UnivariatePolynomial:
         d = self._coerce(other)
         if d.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        q = UnivariatePolynomial.zero(self.var)
-        r = self
-        dlc = d.leading_coefficient()
+        # Long division on one copied coefficient list (Knuth, TAOCP vol. 2,
+        # 4.6.1, Algorithm D); by a monic linear divisor this is Horner.
         ddeg = d.degree()
-        while not r.is_zero and r.degree() >= ddeg:
-            shift = r.degree() - ddeg
-            coeff = r.leading_coefficient() / dlc
-            mono = UnivariatePolynomial(self.var, [0] * shift + [coeff])
-            q = q + mono
-            r = r - mono * d
-        return q, r
+        *low, lc = d.coeffs
+        r = list(self.coeffs)
+        q = [Fraction(0)] * max(len(r) - ddeg, 0)
+        for shift in reversed(range(len(q))):
+            c = q[shift] = r[shift + ddeg] / lc
+            if c:
+                for i, dc in enumerate(low, shift):
+                    r[i] -= c * dc
+        return UnivariatePolynomial(self.var, q), UnivariatePolynomial(self.var, r[:ddeg])
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -560,27 +563,45 @@ def gcd_univariate(p: UnivariatePolynomial, q: UnivariatePolynomial) -> Univaria
     return a.monic()
 
 
-def squarefree_part(p: UnivariatePolynomial) -> UnivariatePolynomial:
-    """Monic product of the distinct irreducible factors of p."""
-    if p.is_zero:
-        raise ValueError("square-free part of the zero polynomial")
-    if p.degree() == 0:
-        return UnivariatePolynomial.constant(p.var, 1)
-    g = gcd_univariate(p, p.derivative())
-    return (p // g).monic()
+def sturm_chain(p: UnivariatePolynomial) -> list[list[int]]:
+    """Sturm sequence of the square-free part of a nonzero p, as primitive
+    integer coefficient lists (ascending); chain[0] is the square-free part.
 
-
-def sturm_chain(p: UnivariatePolynomial) -> list[UnivariatePolynomial]:
+    One signed remainder sequence p, p', -rem, ... is run, and every element
+    is divided by its last one, g = gcd(p, p'). The divisions are exact and
+    the quotients are a Sturm sequence for p/g (Basu, Pollack and Roy,
+    Algorithms in Real Algebraic Geometry, ch. 2). Each element is then
+    scaled by a positive rational, which keeps its signs.
+    """
     chain = [p, p.derivative()]
     while not chain[-1].is_zero:
         chain.append(-(chain[-2] % chain[-1]))
     chain.pop()
-    return chain
+    g = chain[-1]
+    return [[c.numerator for c in (f // g).primitive_integer()[0].coeffs] for f in chain]
 
 
-def _sign_variations(values: Iterable[Fraction]) -> int:
-    signs = [1 if v > 0 else -1 for v in values if v]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _variations(chain: list[list[int]], x: Fraction) -> int:
+    """Sign variations of the chain at x = a/b, counted on the integers
+    b^deg(f) * f(a/b), which have the signs of the values f(x)."""
+    a, b = x.numerator, x.denominator
+    signs = []
+    for coeffs in chain:
+        acc, scale = 0, 1
+        for c in reversed(coeffs):
+            acc = acc * a + c * scale
+            scale *= b
+        if acc:
+            signs.append(acc > 0)
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def squarefree_part(p: UnivariatePolynomial) -> UnivariatePolynomial:
+    """Monic product of the distinct irreducible factors of p: the monic
+    form of sturm_chain(p)[0]."""
+    if p.is_zero:
+        raise ValueError("square-free part of the zero polynomial")
+    return UnivariatePolynomial(p.var, sturm_chain(p)[0]).monic()
 
 
 @dataclass(frozen=True)
@@ -608,42 +629,33 @@ class Interval:
 def sturm_count_roots(p: UnivariatePolynomial, interval: Interval) -> int:
     """Number of distinct real roots of p in the half-open interval (lo, hi].
 
-    The square-free part is taken internally, so multiplicities are ignored.
+    The difference of the sign variations of sturm_chain(p) at lo and at
+    hi; the chain is that of the square-free part, so multiplicities are
+    ignored and lo or hi may be roots of any multiplicity.
     """
     if p.is_zero:
         raise ValueError("root counting requires a nonzero polynomial")
-    q = squarefree_part(p)
-    if q.degree() < 1:
-        return 0
-    chain = sturm_chain(q)
-    v_lo = _sign_variations(f.evaluate(interval.lo) for f in chain)
-    v_hi = _sign_variations(f.evaluate(interval.hi) for f in chain)
-    return v_lo - v_hi
-
-
-def _divide_linear(p: UnivariatePolynomial, r: Fraction) -> tuple[UnivariatePolynomial, Fraction]:
-    """Quotient of p by t - r and the remainder p(r), by Horner's scheme."""
-    partial = [Fraction(0)]
-    for c in reversed(p.coeffs):
-        partial.append(partial[-1] * r + c)
-    return UnivariatePolynomial(p.var, reversed(partial[1:-1])), partial[-1]
+    chain = sturm_chain(p)
+    return _variations(chain, interval.lo) - _variations(chain, interval.hi)
 
 
 def rational_roots(p: UnivariatePolynomial) -> list[Fraction]:
     """All rational roots of p, repeated per multiplicity, ascending.
 
     A linear remainder, once the zero roots are stripped, gives its root
-    directly. Otherwise the real roots of q, the primitive integer form of
-    the square-free part with leading coefficient lc, are isolated by
-    bisecting (-B, B], B the Cauchy bound, on Sturm counts until each
-    interval that still holds a root is narrower than 1/(2*lc^2).
+    directly. Otherwise the real roots of q = sturm_chain(p)[0], the
+    primitive integer form of the square-free part with leading coefficient
+    of absolute value lc, are isolated by bisecting (-B, B], B the Cauchy
+    bound, on the sign variations of that same chain until each interval
+    that still holds a root is narrower than 1/(2*lc^2).
 
     This is exact: a rational root of q has a denominator dividing lc, and
     two distinct rationals with denominators at most lc differ by at least
     1/lc^2, so such an interval holds at most one rational root, which is
     then the rational with denominator at most lc nearest the midpoint.
-    That one candidate is divided out of p while the remainder, its exact
-    value p(r), is zero, which checks it and gives its multiplicity.
+    That one candidate is divided out of p by t - r while the remainder,
+    its exact value p(r), is zero, which checks it and gives its
+    multiplicity.
     """
     if p.is_zero:
         raise ValueError("rational roots of the zero polynomial")
@@ -656,25 +668,11 @@ def rational_roots(p: UnivariatePolynomial) -> list[Fraction]:
         return sorted(roots)
     if work.degree() == 1:
         return sorted(roots + [-work.coeffs[0] / work.coeffs[1]])
-    q, _ = squarefree_part(work).primitive_integer()
-    lc = q.coeffs[-1].numerator
-    chain = [[c.numerator for c in f.primitive_integer()[0].coeffs] for f in sturm_chain(q)]
-
-    def variations(x: Fraction) -> int:
-        # b^deg(f) * f(a/b) has the sign of f(a/b) and is an integer.
-        a, b = x.numerator, x.denominator
-        values = []
-        for coeffs in chain:
-            acc, scale = 0, 1
-            for c in reversed(coeffs):
-                acc = acc * a + c * scale
-                scale *= b
-            values.append(acc)
-        return _sign_variations(values)
-
-    bound = 1 + max(abs(c) for c in q.coeffs) / lc
+    chain = sturm_chain(work)
+    lc = abs(chain[0][-1])
+    bound = 1 + Fraction(max(abs(c) for c in chain[0]), lc)
     narrow = Fraction(1, 2 * lc * lc)
-    pending = [(-bound, bound, variations(-bound), variations(bound))]
+    pending = [(-bound, bound, _variations(chain, -bound), _variations(chain, bound))]
     while pending:
         lo, hi, v_lo, v_hi = pending.pop()
         if v_lo == v_hi:
@@ -682,13 +680,14 @@ def rational_roots(p: UnivariatePolynomial) -> list[Fraction]:
         mid = (lo + hi) / 2
         if hi - lo < narrow:
             r = mid.limit_denominator(lc)
-            quotient, value = _divide_linear(work, r)
-            while not value:
+            factor = UnivariatePolynomial(p.var, [-r, 1])
+            quotient, rem = divmod(work, factor)
+            while rem.is_zero:
                 roots.append(r)
                 work = quotient
-                quotient, value = _divide_linear(work, r)
+                quotient, rem = divmod(work, factor)
             continue
-        v_mid = variations(mid)
+        v_mid = _variations(chain, mid)
         pending += [(lo, mid, v_lo, v_mid), (mid, hi, v_mid, v_hi)]
     return sorted(roots)
 

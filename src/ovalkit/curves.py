@@ -19,7 +19,7 @@ from .algebra import (
     sturm_count_roots,
     univariate_from_polynomial,
 )
-from .elimination import primitive_squarefree, resultant
+from .elimination import resultant
 from .errors import CenteredParametrizationError, DegenerateEliminantError
 
 
@@ -170,7 +170,7 @@ def implicitize(curve: ParametricCurve, x: str = "x", y: str = "y") -> Polynomia
     p1 = Polynomial.variable(x) * curve.g.den.to_polynomial() - curve.g.num.to_polynomial()
     p2 = Polynomial.variable(y) * curve.f.den.to_polynomial() - curve.f.num.to_polynomial()
     raw = resultant(p1, p2, t)
-    return primitive_squarefree(raw, x).with_vars((x, y))
+    return raw.primitive_normalized()[0].with_vars((x, y))
 
 
 def on_curve_residual(F: Polynomial, curve: ParametricCurve, x: str = "x", y: str = "y"):
@@ -216,10 +216,12 @@ def _specialized_common_roots(polys: list[UnivariatePolynomial]) -> list[Fractio
 def rational_singular_points(F: Polynomial, x: str = "x", y: str = "y") -> list[Point]:
     """All singular points of F = 0 with both coordinates rational.
 
-    Candidate abscissae come from rational roots of the eliminants
-    Res_y(F, dF/dy) and Res_y(F, dF/dx); each candidate is confirmed by an
-    exact gradient check. A square-free violation (zero first eliminant) is
-    reported as degenerate.
+    Candidate abscissae are the rational roots of gcd(Res_y(F, dF/dy),
+    Res_y(F, dF/dx)), or of the first eliminant when that gcd is constant;
+    each candidate is confirmed by an exact gradient check. The eliminants
+    go in raw, as `rational_roots` works on the square-free part itself and
+    neither content nor multiplicity changes a root set. A square-free
+    violation (zero first eliminant) is reported as degenerate.
     """
     if F.is_zero:
         raise ValueError("zero polynomial")
@@ -233,13 +235,12 @@ def rational_singular_points(F: Polynomial, x: str = "x", y: str = "y") -> list[
         raise DegenerateEliminantError(
             "Res_y(F, dF/dy) vanished identically: the curve is not square-free"
         )
-    eliminant = univariate_from_polynomial(primitive_squarefree(r1, x), x)
+    eliminant = univariate_from_polynomial(r1, x)
     if Fx.degree_in(y) >= 1:
         r2 = resultant(F, Fx, y, strict=False)
         if not r2.is_zero:
             # Singular abscissae are roots of both eliminants.
-            e2 = univariate_from_polynomial(primitive_squarefree(r2, x), x)
-            g = gcd_univariate(eliminant, e2)
+            g = gcd_univariate(eliminant, univariate_from_polynomial(r2, x))
             if g.degree() >= 1:
                 eliminant = g
     if eliminant.degree() < 1:

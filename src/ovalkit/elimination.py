@@ -26,12 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .algebra import (
-    Polynomial,
-    UnivariatePolynomial,
-    squarefree_part,
-    univariate_from_polynomial,
-)
+from .algebra import Polynomial, UnivariatePolynomial
 from .errors import DegenerateEliminantError, SylvesterSizeError
 
 MAX_SYLVESTER_SIZE = 64
@@ -406,19 +401,3 @@ def vertical_eliminant(
                 terms[(n - i, e)] = c * scale * lam**e
     return Polynomial((area_var, abscissa_var), terms)
 
-
-def primitive_squarefree(p: Polynomial, var: str) -> Polynomial:
-    """Normalize an eliminant: remove rational content, fix the leading sign,
-    and (when p is univariate) divide out repeated factors."""
-    if p.is_zero:
-        raise ValueError("cannot normalize the zero polynomial")
-    used = p.used_vars()
-    if len(used) <= 1:
-        u = univariate_from_polynomial(p, next(iter(used)) if used else var)
-        if u.degree() >= 1:
-            u = squarefree_part(u)
-        poly = u.to_polynomial()
-        if u.var in p.vars:
-            poly = poly.with_vars(p.vars)
-        return poly.primitive_normalized()[0]
-    return p.primitive_normalized()[0]

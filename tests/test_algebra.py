@@ -171,6 +171,57 @@ def test_gcd_of_coprime_polynomials_is_one():
         assert gcd_univariate(a, b) == UnivariatePolynomial.constant("t", 1)
 
 
+def _to_sympy(sympy, p):
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+    return sympy.Poly(coeffs or [0], sympy.Symbol("t"), domain="QQ")
+
+
+def _from_sympy(P):
+    return UnivariatePolynomial("t", [Fraction(int(c.p), int(c.q)) for c in reversed(P.all_coeffs())])
+
+
+def _univariate_strategy(st, max_size):
+    small = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+    return st.lists(small, max_size=max_size).map(lambda cs: UnivariatePolynomial("t", cs))
+
+
+def test_divmod_matches_sympy():
+    hypothesis = pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    st = hypothesis.strategies
+    polys = _univariate_strategy(st, 9)
+
+    @hypothesis.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(polys, polys.filter(lambda d: not d.is_zero))
+    def check(p, d):
+        q, r = divmod(p, d)
+        sq, sr = sympy.div(_to_sympy(sympy, p), _to_sympy(sympy, d))
+        assert (q, r) == (_from_sympy(sq), _from_sympy(sr))
+        assert q * d + r == p
+        assert r.degree() < d.degree()
+
+    check()
+
+
+def test_gcd_matches_sympy():
+    # Shared factors make the gcd nontrivial in most examples.
+    hypothesis = pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    st = hypothesis.strategies
+    polys = _univariate_strategy(st, 4)
+
+    @hypothesis.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(polys, polys, polys)
+    def check(common, a, b):
+        p, q = common * a, common * b
+        expected = _to_sympy(sympy, p).gcd(_to_sympy(sympy, q))
+        if not expected.is_zero:
+            expected = expected.monic()
+        assert gcd_univariate(p, q) == _from_sympy(expected)
+
+    check()
+
+
 def test_sturm_examples():
     t = UnivariatePolynomial.identity("t")
     assert sturm_count_roots(t**2 - 1, Interval(-2, 0)) == 1
@@ -207,6 +258,42 @@ def test_sturm_against_sign_scanning():
                 prev = cur
             x += step
         assert sturm_count_roots(p, Interval(lo, hi)) == len(roots) == brute
+
+
+def test_sturm_counts_distinct_roots_of_non_squarefree_products():
+    # Roots of multiplicity up to 3 sit exactly at lo, at hi and inside; the
+    # count must be that of the distinct real roots in (lo, hi], which only a
+    # chain divided by gcd(p, p') gives at multiple roots on the boundary.
+    hypothesis = pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    st = hypothesis.strategies
+    t = UnivariatePolynomial.identity("t")
+    assert sturm_count_roots((t - 1) ** 2 * (t + 1) ** 3 * t * (t**2 - 2), Interval(-1, 1)) == 2
+    rationals = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3]))
+    multiplicity = st.integers(0, 3)
+
+    @hypothesis.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        rationals,
+        rationals,
+        st.tuples(multiplicity, multiplicity, multiplicity),
+        st.lists(st.tuples(rationals, st.integers(1, 3)), max_size=3),
+        st.sampled_from([0, 2, 3, -5]),
+        st.sampled_from([1, -3, Fraction(2, 7)]),
+    )
+    def check(a, b, boundary, others, quadratic, scale):
+        hypothesis.assume(a != b)
+        lo, hi = min(a, b), max(a, b)
+        p = UnivariatePolynomial.constant("t", scale)
+        for r, k in list(zip((lo, (lo + hi) / 2, hi), boundary)) + others:
+            p = p * (t - r) ** k
+        if quadratic:
+            p = p * (t**2 - quadratic)  # irrational real roots, or none
+        roots = set(_to_sympy(sympy, p).real_roots())
+        expected = sum(1 for r in roots if lo < r <= hi)
+        assert sturm_count_roots(p, Interval(lo, hi)) == expected
+
+    check()
 
 
 def test_rational_roots_examples():
@@ -249,10 +336,8 @@ def test_rational_roots_match_sympy():
     quadratics = st.lists(st.tuples(parts, st.integers(-3, 3), signed).filter(irreducible), max_size=1)
 
     def sympy_roots(p):
-        s = sympy.Symbol("t")
-        coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
         roots = []
-        for f, k in sympy.Poly(coeffs, s, domain="QQ").factor_list()[1]:
+        for f, k in _to_sympy(sympy, p).factor_list()[1]:
             if f.degree() == 1:
                 a, b = f.all_coeffs()
                 r = -b / a
@@ -286,6 +371,8 @@ def test_squarefree_part():
     t = UnivariatePolynomial.identity("t")
     p = (t - 1) ** 2 * (t + 2)
     assert squarefree_part(p) == ((t - 1) * (t + 2)).monic()
+    assert squarefree_part(-3 * p**2 * (2 * t - 1) ** 3) == ((t - 1) * (t + 2) * (t - Fraction(1, 2))).monic()
+    assert squarefree_part(UnivariatePolynomial.constant("t", -7)) == UnivariatePolynomial.constant("t", 1)
 
 
 def test_rational_function_reduction():

@@ -127,6 +127,28 @@ def test_large_power_is_a_one_line_domain_error():
         assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["area", "--in", "{missing}"],
+        ["verify", "--cert-file", "{missing}", "--param", CUBIC_PARAM],
+        ["damper-table", "--param", CUBIC_PARAM, "--range", "1/2,1", "--steps", "3", "--out", "{dir}"],
+        ["damper-table", "--param", CUBIC_PARAM, "--range", "1/2,1", "--steps", "3", "--svg", "{missing}/a.svg"],
+    ],
+    ids=["area-in", "verify-cert-file", "damper-out-directory", "damper-svg-missing-dir"],
+)
+def test_file_errors_are_one_line(tmp_path, argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    argv = [a.format(missing=tmp_path / "missing", dir=tmp_path) for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", "ovalkit.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+
+
 def test_importing_the_package_and_cli_does_not_load_numpy():
     # numpy serves only the float oracle; exact verbs should not pay for it.
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))

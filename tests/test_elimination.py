@@ -6,7 +6,6 @@ import pytest
 from ovalkit import (
     Polynomial,
     parse_polynomial,
-    primitive_squarefree,
     resultant,
     sylvester_matrix,
 )
@@ -59,7 +58,7 @@ def test_resultant_contains_implicit_equation(quartic_poly):
     f = _poly("x - (t^2-1)^2", ["x", "t"])
     g = _poly("y - (t^3-t)", ["y", "t"])
     r = resultant(f, g, "t")
-    cleaned = primitive_squarefree(r, "x")
+    cleaned = r.primitive_normalized()[0]
     assert cleaned.with_vars(("x", "y")) == quartic_poly
 
 
@@ -267,17 +266,15 @@ def test_berkowitz_zero_and_nilpotent_matrices():
     assert _berkowitz([[0, 0, 4], [1, 0, -3], [0, 1, 2]]) == [1, -2, 3, -4]
 
 
-def test_primitive_squarefree_univariate():
-    p = _poly("4*t^2 - 8*t + 4", ["t"])
-    assert primitive_squarefree(p, "t") == _poly("t - 1", ["t"])
-
-
-def test_primitive_squarefree_content():
+def test_primitive_normalized_content():
     p = _poly("6*x^2*y + 9*x*y", ["x", "y"])
-    assert primitive_squarefree(p, "x") == _poly("2*x^2*y + 3*x*y", ["x", "y"])
+    cleaned, factor = p.primitive_normalized()
+    assert cleaned == _poly("2*x^2*y + 3*x*y", ["x", "y"])
+    assert factor == 3
 
 
-def test_primitive_squarefree_sign():
+def test_primitive_normalized_sign():
     p = _poly("-2*x^2 - 4*y", ["x", "y"])
-    cleaned = primitive_squarefree(p, "x")
+    cleaned, factor = p.primitive_normalized()
     assert cleaned.leading()[1] > 0
+    assert cleaned * factor == p
