@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import random
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -21,6 +22,7 @@ from .algebra import (
 )
 from .curves import CenteredParametrization, ParametricCurve
 from .elimination import resultant, vertical_eliminant
+from .errors import DeskScopeError
 from .parsing import parse_polynomial, render_polynomial
 from .quadrature import (
     _ClippedAreas,
@@ -32,6 +34,10 @@ from .quadrature import (
 )
 
 ROLES = ("area", "slope", "intercept", "abscissa")
+
+# Sampled lines per verify_certificate call at most, so that no input runs
+# without bound; each line costs one oracle area.
+MAX_VERIFY_LINES = 10_000
 
 
 @dataclass(frozen=True)
@@ -72,11 +78,23 @@ class LineSample:
     residual: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SampleReport:
-    samples: tuple[LineSample, ...]
+    """The sampled lines of one verification and its verdict.
+
+    values holds five floats per line, a, b, c, area and residual, in one
+    array, so a held report takes a few kilobytes; samples rebuilds them
+    as LineSamples, bit for bit, on each read.
+    """
+
+    values: array
     max_relative_residual: float
     tolerance: float
+
+    @property
+    def samples(self) -> tuple[LineSample, ...]:
+        v = self.values
+        return tuple(LineSample((v[i], v[i + 1], v[i + 2]), v[i + 3], v[i + 4]) for i in range(0, len(v), 5))
 
     @property
     def passed(self) -> bool:
@@ -263,12 +281,14 @@ def verify_certificate(
     """
     if n_samples < 10:
         raise ValueError("use at least 10 sample lines")
+    if n_samples > MAX_VERIFY_LINES:
+        raise DeskScopeError(f"{n_samples} sample lines exceed the supported {MAX_VERIFY_LINES}")
     rng = random.Random(seed)
     roles = dict(cert.roles)
     role_to_var = {r: v for v, r in roles.items()}
     is_curve = isinstance(curve, ParametricCurve)
     areas = _clipped_areas(curve, oracle_samples)
-    samples: list[LineSample] = []
+    values = array("d")
 
     def measure(a: float, b: float, c: float, arc_len: int) -> tuple[tuple[float, float, float], float]:
         line = _arc_side_line(areas, arc_len, a, b, c)
@@ -291,7 +311,7 @@ def verify_certificate(
             m = fy / gx
             k = max(1, int(oracle_samples * (t0 - float(curve.interval.lo)) / (float(curve.interval.hi) - float(curve.interval.lo))))
             line, area = measure(fy, -gx, 0.0, max(k, 2))
-            samples.append(LineSample(line, area, residual(m, area)))
+            values.extend((*line, area, residual(m, area)))
     elif role_set == {"area", "abscissa"}:
         if not is_curve:
             raise ValueError("vertical-line sampling needs a parametric curve")
@@ -302,7 +322,7 @@ def verify_certificate(
             t2 = rng.uniform(lo, hi)
             cx = g(t2)
             line, area = measure(1.0, 0.0, -cx, max(2, int(oracle_samples * 0.02)))
-            samples.append(LineSample(line, area, residual(cx, area)))
+            values.extend((*line, area, residual(cx, area)))
     elif role_set == {"area", "slope", "intercept"}:
         residual = _residual_function(
             cert.q, (role_to_var["slope"], role_to_var["intercept"], cert.area_var)
@@ -310,7 +330,7 @@ def verify_certificate(
         windows = windows or {"slope": (0.1, 2.0), "intercept": (0.0, 1.0)}
         total = abs(areas.signed_total)
         attempts = 0
-        while len(samples) < n_samples:
+        while len(values) < 5 * n_samples:
             attempts += 1
             if attempts > 100 * n_samples:
                 raise ValueError("could not sample enough lines hitting the region")
@@ -319,11 +339,10 @@ def verify_certificate(
             area = areas.area(m, -1.0, q)
             if not (1e-9 * total < area < (1 - 1e-9) * total):
                 continue  # the line misses the region
-            samples.append(LineSample((m, -1.0, q), area, residual(m, q, area)))
+            values.extend((m, -1.0, q, area, residual(m, q, area)))
     else:
         raise ValueError(f"unsupported role combination {sorted(role_set)}")
-    worst = max(s.residual for s in samples)
-    return SampleReport(tuple(samples), worst, tol)
+    return SampleReport(values, max(values[4::5]), tol)
 
 
 def serialize_certificate(cert: Certificate) -> str:

@@ -1,7 +1,8 @@
 """Exact segment and oval areas via boundary integration, the air-damper
 free-section computation, and an independent numeric oracle: a densely
 sampled boundary polygon whose half-plane areas come from prefix sums of
-its edge cross products.
+its edge cross products. Each line evaluates only the blocks of vertices
+whose bounding boxes it may cross.
 
 Exact areas require polynomial curve components (antiderivatives of general
 rational functions would need logarithms). All public areas are magnitudes;
@@ -284,12 +285,30 @@ class _ClippedAreas:
     The shoelace sum of a clipped polygon is a sum of edge cross products
     x_i*y_(i+1) - x_(i+1)*y_i (Green's theorem): the edges of each run of
     kept vertices, whose sum is a difference of prefix sums taken once per
-    polygon, plus the cross products at the crossing points. So a line
-    costs one pass over the vertices to find the few crossing edges, and
-    no clipped polygon is built. Vertex sides and crossing points are
-    computed with the operations of the Sutherland-Hodgman clip the tests
-    keep as reference: d = a*x + b*y + c, inside where d <= 0, crossing
-    start + s*(end - start) with s = d_i/(d_i - d_j).
+    polygon, plus the cross products at the crossing points. So no clipped
+    polygon is built, and a line only has to find its few crossing edges.
+
+    It finds them from bounding boxes. The n edges fall into blocks of
+    B = isqrt(n) edges: block k holds edges kB .. min((k+1)B, n) - 1, so
+    its box covers vertices kB .. min((k+1)B, n), vertex n being vertex 0.
+    For a line, the box corners chosen by the signs of a and b give a lower
+    and an upper bound of d = a*x + b*y + c over the block, computed with
+    the vertices' own operations. A block is settled when both bounds lie
+    beyond zero by the margin 6u*(|a|*max|x| + |b|*max|y| + |c|),
+    u = 2**-53: the bound and each vertex's d are each within about
+    3u*(...) of their exact values (Higham, Accuracy and Stability of
+    Numerical Algorithms, sec. 3.1), so every vertex of a settled block
+    lies on one side in computed d too, and none of its edges crosses the
+    line. (Rounding is also monotone, so the corner bounds hold for the
+    computed d even without the margin.) Only the unsettled blocks are
+    evaluated: a line costs O(n/B + B*k) for k unsettled blocks instead of
+    O(n).
+
+    Vertex sides and crossing points are computed with the operations of
+    the Sutherland-Hodgman clip the tests keep as reference:
+    d = a*x + b*y + c, inside where d <= 0, crossing start + s*(end - start)
+    with s = d_i/(d_i - d_j). The crossing edges, and so the sum and its
+    order, are those of a pass over every vertex, which the tests also keep.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
@@ -297,21 +316,25 @@ class _ClippedAreas:
 
         n = len(x)
         self.x, self.y = x, y
-        # Scratch buffers reused by every line: d and b*y, the vertex sides
-        # and the edges whose end vertex lies on the other side.
-        self._d, self._by = np.empty(n), np.empty(n)
-        self._inside, self._flip = np.empty(n, bool), np.empty(n, bool)
         # prefix[k] = sum of the cross products of edges 0 .. k-1; edge n-1
         # closes the polygon.
         self._prefix = np.zeros(n + 1)
         if n:
-            e, t = self._d, self._by
+            e = np.empty(n)
             np.multiply(x[:-1], y[1:], out=e[:-1])
-            np.multiply(x[1:], y[:-1], out=t[:-1])
-            np.subtract(e[:-1], t[:-1], out=e[:-1])
+            np.subtract(e[:-1], x[1:] * y[:-1], out=e[:-1])
             e[-1] = x[-1] * y[0] - x[0] * y[-1]
             np.cumsum(e, out=self._prefix[1:])
         self.signed_total = 0.5 * float(self._prefix[-1])
+        B = self._block = max(1, math.isqrt(n))
+        # Vertex offsets of one block's row: its first vertex through the
+        # next block's first.
+        self._steps = np.arange(B + 1)
+        starts = np.arange(0, n, B)
+        self._xmin, self._xmax = _block_bounds(x, starts)
+        self._ymin, self._ymax = _block_bounds(y, starts)
+        self._x_abs = float(max(-self._xmin.min(initial=0.0), self._xmax.max(initial=0.0)))
+        self._y_abs = float(max(-self._ymin.min(initial=0.0), self._ymax.max(initial=0.0)))
 
     def area(self, a: float, b: float, c: float) -> float:
         """Area of the polygon's part with a*x + b*y + c <= 0."""
@@ -320,41 +343,66 @@ class _ClippedAreas:
         x, y, n = self.x, self.y, len(self.x)
         if n < 3:
             return 0.0
-        d, inside, flip = self._d, self._inside, self._flip
-        np.multiply(x, a, out=d)
-        np.multiply(y, b, out=self._by)
-        np.add(d, self._by, out=d)
-        np.add(d, c, out=d)
-        np.less_equal(d, 0.0, out=inside)
-        np.not_equal(inside[:-1], inside[1:], out=flip[:-1])
-        flip[-1] = inside[-1] != inside[0]
-        edges = np.flatnonzero(flip).tolist()
-        if not inside[0]:
+        x_lo, x_hi = (self._xmin, self._xmax) if a >= 0 else (self._xmax, self._xmin)
+        y_lo, y_hi = (self._ymin, self._ymax) if b >= 0 else (self._ymax, self._ymin)
+        lo = x_lo * a + y_lo * b + c
+        hi = x_hi * a + y_hi * b + c
+        margin = 6 * 2.0**-53 * (abs(a) * self._x_abs + abs(b) * self._y_abs + abs(c))
+        # Written as "not settled", so that NaN bounds count as unsettled.
+        rows = np.flatnonzero(~((hi < -margin) | (lo > margin)))
+        B = self._block
+        # Each unsettled block's vertices, a row each; the last block's
+        # row is padded with its closing vertex n, which is vertex 0, so
+        # the padding adds no crossing.
+        v = np.minimum(rows[:, None] * B + self._steps, n)
+        d = x.take(v, mode="wrap") * a
+        d += y.take(v, mode="wrap") * b
+        d += c
+        inside = d <= 0.0
+        # (edge, d at its start, d at its end) for each crossing edge.
+        edges = []
+        for p in np.flatnonzero(inside[:, :-1] != inside[:, 1:]).tolist():
+            r, j = divmod(p, B)
+            edges.append((rows.item(r) * B + j, d.item(r, j), d.item(r, j + 1)))
+        inside0 = x.item(0) * a + y.item(0) * b + c <= 0.0
+        if not inside0:
             edges = edges[1:] + edges[:1]  # start with an edge that leaves
         prefix = self._prefix
         # The run of kept vertices through vertex 0 wraps around.
-        twice = prefix.item(n) if inside[0] else 0.0
+        twice = prefix.item(n) if inside0 else 0.0
         # The clipped boundary runs vertex i, crossing i, crossing j,
         # vertex j + 1, ..., for each leaving edge i and the entering edge
         # j after it; the edges in between lie outside.
-        for i, j in zip(edges[0::2], edges[1::2]):
+        for leave, enter in zip(edges[0::2], edges[1::2]):
+            i, j = leave[0], enter[0]
             xi, yi = x.item(i), y.item(i)
-            pi_x, pi_y = self._crossing(i)
-            pj_x, pj_y = self._crossing(j)
+            pi_x, pi_y = self._crossing(*leave)
+            pj_x, pj_y = self._crossing(*enter)
             k = j + 1 if j + 1 < n else 0
             xk, yk = x.item(k), y.item(k)
             twice += prefix.item(i) - prefix.item(j + 1)
             twice += (xi * pi_y - pi_x * yi) + (pi_x * pj_y - pj_x * pi_y) + (pj_x * yk - xk * pj_y)
         return abs(0.5 * twice)
 
-    def _crossing(self, i: int) -> tuple[float, float]:
-        """Where edge i meets the line of the last area() call."""
+    def _crossing(self, i: int, di: float, dj: float) -> tuple[float, float]:
+        """Where edge i, with d values di and dj at its ends, meets the line."""
         j = i + 1 if i + 1 < len(self.x) else 0
-        di, dj = self._d.item(i), self._d.item(j)
         denom = di - dj
         s = di / denom if denom != 0.0 else 0.0
         x0, y0 = self.x.item(i), self.y.item(i)
         return x0 + s * (self.x.item(j) - x0), y0 + s * (self.y.item(j) - y0)
+
+
+def _block_bounds(v: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least and greatest of v over each block's vertices: from its start
+    through the next block's start, vertex 0 for the last block."""
+    import numpy as np
+
+    first_of_next = np.roll(v[starts], -1)
+    return (
+        np.minimum(np.minimum.reduceat(v, starts), first_of_next),
+        np.maximum(np.maximum.reduceat(v, starts), first_of_next),
+    )
 
 
 def _sample_components(curve: ParametricCurve, samples: int) -> tuple[np.ndarray, np.ndarray]:
@@ -392,7 +440,9 @@ def numeric_segment_area(
     """Area of {interior} intersect {a*x + b*y + c <= 0} by dense polygonal
     sampling and Green's theorem: the prefix sums of the boundary's edge
     cross products over the kept runs, plus the cross products at the
-    crossing points, with no clipped polygon built.
+    crossing points, with no clipped polygon built. The crossing edges are
+    found from per-block bounding boxes, so only the blocks of vertices the
+    line may cross are evaluated.
 
     Independent of every exact code path; the error is empirically
     O(1/samples^2) for smooth arcs.

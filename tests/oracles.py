@@ -167,6 +167,44 @@ def clip_polygon_halfplane(points: np.ndarray, a: float, b: float, c: float) -> 
     return out
 
 
+def full_pass_area(x: np.ndarray, y: np.ndarray, prefix: np.ndarray, a: float, b: float, c: float) -> float:
+    """Area of the polygon's part with a*x + b*y + c <= 0 from the prefix
+    sums of its edge cross products, finding the crossing edges by one pass
+    over every vertex. prefix[k] is the sum of the cross products of edges
+    0 .. k-1, edge n-1 closing the polygon.
+
+    The arithmetic is that of quadrature._ClippedAreas, which finds the
+    same edges from block bounding boxes, so every area must be equal.
+    """
+    n = len(x)
+    if n < 3:
+        return 0.0
+    d = x * a + y * b + c
+    inside = d <= 0.0
+    edges = np.flatnonzero(inside != np.roll(inside, -1)).tolist()
+    if not inside[0]:
+        edges = edges[1:] + edges[:1]  # start with an edge that leaves
+
+    def crossing(i):
+        j = i + 1 if i + 1 < n else 0
+        di, dj = d.item(i), d.item(j)
+        denom = di - dj
+        s = di / denom if denom != 0.0 else 0.0
+        x0, y0 = x.item(i), y.item(i)
+        return x0 + s * (x.item(j) - x0), y0 + s * (y.item(j) - y0)
+
+    twice = prefix.item(n) if inside[0] else 0.0
+    for i, j in zip(edges[0::2], edges[1::2]):
+        xi, yi = x.item(i), y.item(i)
+        pi_x, pi_y = crossing(i)
+        pj_x, pj_y = crossing(j)
+        k = j + 1 if j + 1 < n else 0
+        xk, yk = x.item(k), y.item(k)
+        twice += prefix.item(i) - prefix.item(j + 1)
+        twice += (xi * pi_y - pi_x * yi) + (pi_x * pj_y - pj_x * pi_y) + (pj_x * yk - xk * pj_y)
+    return abs(0.5 * twice)
+
+
 def shoelace_area(points: np.ndarray) -> float:
     """Shoelace area of a closed polygon by two dot products."""
     if len(points) < 3:

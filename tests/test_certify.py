@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,14 +10,17 @@ from ovalkit import (
     parse_certificate,
     parse_polynomial,
     pencil_certificate,
+    quadrature,
     serialize_certificate,
     verify_certificate,
     vertical_certificate,
 )
+from ovalkit.certify import MAX_VERIFY_LINES, LineSample
+from ovalkit.errors import DeskScopeError
 from ovalkit.quadrature import chord_area_function, free_inlet_function, slope_function
 
 from conftest import square_boundary
-from oracles import seeded_loops, sylvester_vertical
+from oracles import full_pass_area, seeded_loops, sylvester_vertical
 
 
 def test_pencil_certificate_cubic(cubic_centered, cubic_curve):
@@ -341,6 +345,36 @@ def test_vertical_lines_use_curve_evaluate_float(cubic_centered, cubic_curve):
     for sample in report.samples:
         a, _, c = sample.line
         assert -c / a == cubic_curve.g.evaluate_float(rng.uniform(lo, hi))
+
+
+def test_held_report_is_small_and_rebuilds_its_samples(cubic_centered, cubic_curve):
+    cert = pencil_certificate(cubic_centered)
+    first = verify_certificate(cert, cubic_curve, n_samples=50)
+    tracemalloc.start()
+    try:
+        reports = [verify_certificate(cert, cubic_curve, n_samples=50) for _ in range(10)]
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held / len(reports) < 3000, held
+    report = reports[0]
+    assert all(r == first for r in reports)
+    # Each read rebuilds the LineSamples from the stored floats, with the
+    # areas those of the full-pass reference.
+    samples = report.samples
+    assert samples == first.samples
+    assert len(samples) == 50 and all(type(s) is LineSample for s in samples)
+    areas = quadrature._clipped_areas(cubic_curve, 100_000)
+    for s in samples:
+        assert all(type(v) is float for v in (*s.line, s.area, s.residual))
+        assert s.area == full_pass_area(areas.x, areas.y, areas._prefix, *s.line)
+    assert report.max_relative_residual == max(s.residual for s in samples)
+
+
+def test_verify_refuses_more_lines_than_its_limit(cubic_centered, cubic_curve):
+    cert = pencil_certificate(cubic_centered)
+    with pytest.raises(DeskScopeError):
+        verify_certificate(cert, cubic_curve, n_samples=MAX_VERIFY_LINES + 1)
 
 
 def test_line_samples_carry_no_instance_dict(cubic_centered, cubic_curve):

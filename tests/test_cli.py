@@ -149,6 +149,20 @@ def test_file_errors_are_one_line(tmp_path, argv):
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
 
 
+def test_verify_sample_count_is_bounded():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    argv = ["verify", "--cert", "S - m\nroles: S=area m=slope", "--param", CUBIC_PARAM, "--samples", "100000000"]
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "ovalkit.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert time.monotonic() - start < 2.0
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+
+
 def test_importing_the_package_and_cli_does_not_load_numpy():
     # numpy serves only the float oracle; exact verbs should not pay for it.
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))

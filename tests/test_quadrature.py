@@ -36,7 +36,7 @@ from ovalkit.quadrature import (
 )
 
 from conftest import square_boundary
-from oracles import clip_polygon_halfplane, fsum_shoelace, sample_boundary, shoelace_area
+from oracles import clip_polygon_halfplane, fsum_shoelace, full_pass_area, sample_boundary, shoelace_area
 
 
 def test_orientation_examples(cubic_curve, quartic_curve):
@@ -405,13 +405,52 @@ def _reference_area(polygon, line):
 
 
 def _assert_areas_match(polygon, lines):
-    """Every area within 1e-12 of the total of the fsum shoelace of the
-    reference clip, and the total within 1e-12 of its own."""
+    """Every area equal to the full-pass reference and within 1e-12 of the
+    total of the fsum shoelace of the reference clip, and the total within
+    1e-12 of its own."""
     areas = quadrature._clipped_areas(polygon, len(polygon))
     total = fsum_shoelace(polygon)
     assert abs(abs(areas.signed_total) - total) <= 1e-12 * total
     for line in lines:
-        assert abs(areas.area(*line) - _reference_area(polygon, line)) <= 1e-12 * total, line
+        area = areas.area(*line)
+        assert area == full_pass_area(areas.x, areas.y, areas._prefix, *line), line
+        assert abs(area - _reference_area(polygon, line)) <= 1e-12 * total, line
+
+
+def _assert_full_pass_areas(areas, lines):
+    for line in lines:
+        assert areas.area(*line) == full_pass_area(areas.x, areas.y, areas._prefix, *line), line
+
+
+def _both_signs(a, b, c):
+    return [(a, b, c), (-a, -b, -c)]
+
+
+def _chord(x, y, u, v):
+    """The line through vertices u and v, exact zero of d at v."""
+    a, b = y.item(u) - y.item(v), x.item(v) - x.item(u)
+    return a, b, -(a * x.item(v) + b * y.item(v))
+
+
+def _block_lines(x, y):
+    """For each block of the area routine: vertical and horizontal lines
+    through its extreme vertices in x and in y, both signs, so d == 0 at a
+    vertex that sets a bound of its box. Then chords from vertex 0 and
+    from vertex n - 1 (both the origin on a centered curve) to vertices
+    around the polygon, both signs."""
+    n = len(x)
+    size = max(1, math.isqrt(n))
+    lines = []
+    for start in range(0, n, size):
+        block = np.arange(start, min(start + size, n) + 1) % n
+        for k in (block[np.argmin(x[block])], block[np.argmax(x[block])]):
+            lines += _both_signs(1.0, 0.0, -x.item(k))
+        for k in (block[np.argmin(y[block])], block[np.argmax(y[block])]):
+            lines += _both_signs(0.0, 1.0, -y.item(k))
+    for v in (0, n - 1):
+        for u in range(1, n - 1, max(1, n // 16)):
+            lines += _both_signs(*_chord(x, y, u, v))
+    return lines
 
 
 @pytest.mark.parametrize("samples", [1_000, 100_000])
@@ -423,6 +462,15 @@ def test_prefix_areas_match_reference_clip(samples, cubic_curve, quartic_curve, 
         assert np.array_equal(areas.x, polygon[:, 0]) and np.array_equal(areas.y, polygon[:, 1])
         assert areas.x.flags.c_contiguous and areas.y.flags.c_contiguous
         _assert_areas_match(polygon, _oracle_lines(polygon, seed, 100))
+
+
+@pytest.mark.parametrize("samples", [3, 4, 1009, 1024, 1025, 100_000])
+def test_block_areas_equal_full_pass_through_block_extremes(samples, cubic_curve, quartic_curve, apple_curve):
+    # 1009 is prime and 1025 a square plus one: both end in a short block.
+    for seed, curve in enumerate((cubic_curve, quartic_curve, apple_curve)):
+        areas = quadrature._clipped_areas(curve, samples)
+        polygon = np.column_stack([areas.x, areas.y])
+        _assert_full_pass_areas(areas, _block_lines(areas.x, areas.y) + _oracle_lines(polygon, seed, 20))
 
 
 def test_prefix_areas_comb_all_rotations():
@@ -444,6 +492,7 @@ def test_prefix_areas_unit_square_corners():
         assert areas.area(0.0, 0.0, 1.0) == 0.0  # every vertex outside
         assert areas.area(1.0, 0.0, -1.0) == 1.0  # d == 0 on the edge x = 1
         assert areas.area(1.0, 0.0, 0.0) == 0.0  # d == 0 on the edge x = 0
+        _assert_areas_match(square, [(-1.0, 1.0, 0.0), (1.0, 1.0, -1.0), (1.0, 0.0, -1.0), (1.0, 0.0, 0.0)])
     assert quadrature._clipped_areas(UNIT_SQUARE, 4).signed_total == 1.0
     assert quadrature._clipped_areas(UNIT_SQUARE[::-1], 4).signed_total == -1.0
 
@@ -473,6 +522,34 @@ def test_prefix_areas_random_star_polygons():
         hypothesis.assume(fsum_shoelace(polygon) > 1e-6)
         line = (math.cos(theta), math.sin(theta), offset)
         _assert_areas_match(polygon, [line, tuple(-v for v in line)])
+
+    check()
+
+
+def test_block_areas_equal_full_pass_on_star_polygons():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        st.integers(3, 5000),
+        st.integers(0, 2**32 - 1),
+        st.floats(0.0, 2 * math.pi),
+        st.floats(-12.0, 12.0),
+        st.integers(0, 5000),
+    )
+    def check(n, seed, theta, offset, vertex):
+        # n vertices by angle around the origin: a star-shaped polygon.
+        rng = np.random.default_rng(seed)
+        t, r = np.sort(rng.uniform(0.0, 2 * math.pi, n)), rng.uniform(0.1, 10.0, n)
+        areas = quadrature._clipped_areas(np.column_stack([r * np.cos(t), r * np.sin(t)]), n)
+        x, y, u = areas.x, areas.y, vertex % n
+        lines = _both_signs(math.cos(theta), math.sin(theta), offset)
+        lines += _both_signs(1.0, 0.0, -x.item(u)) + _both_signs(0.0, 1.0, -y.item(u))
+        for v in (0, n - 1):
+            if v != u:
+                lines += _both_signs(*_chord(x, y, u, v))
+        _assert_full_pass_areas(areas, lines)
 
     check()
 
