@@ -301,8 +301,12 @@ def verify_certificate(
         residual = _residual_function(cert.q, (role_to_var["slope"], cert.area_var))
         g, f = _float_component(curve.g), _float_component(curve.f)
         lo, hi = _window(curve.interval)
+        draws = 0
         for _ in range(n_samples):
             while True:
+                draws += 1
+                if draws > 100 * n_samples:
+                    raise ValueError("could not sample enough chords of finite slope")
                 t0 = rng.uniform(lo, hi)
                 gx = g(t0)
                 fy = f(t0)

@@ -19,7 +19,7 @@ from . import curves as curves_mod
 from . import quadrature as quad
 from .algebra import Interval, as_fraction
 from .curves import BezierControlPolygon, ParametricCurve, Point, validate_centered
-from .errors import OvalkitError
+from .errors import DeskScopeError, OvalkitError
 from .parsing import parse_polynomial, parse_rational_function, render_polynomial
 from .puiseux import expand_branch, render_series
 
@@ -28,6 +28,8 @@ _PARAM_RE = re.compile(
     r"\[\s*(?P<lo>[^,\]]+)\s*,\s*(?P<hi>[^,\]]+)\s*\]\s*$"
 )
 _POINT_RE = re.compile(r"\(\s*([^,()]+)\s*,\s*([^,()]+)\s*\)")
+
+MAX_TABLE_ROWS = 10_000
 
 
 def parse_curve_text(text: str) -> ParametricCurve:
@@ -75,6 +77,8 @@ def _fmt(x: float) -> str:
 def damper_rows(cp, t_range: Interval, steps: int) -> list[TableRow]:
     if steps < 2:
         raise OvalkitError("damper table needs at least 2 steps")
+    if steps > MAX_TABLE_ROWS:
+        raise DeskScopeError(f"{steps} damper table rows exceed the supported {MAX_TABLE_ROWS}")
     s2 = quad.free_inlet_function(cp)
     slope = quad.slope_function(cp)
     rows = []

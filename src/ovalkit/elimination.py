@@ -1,19 +1,20 @@
-"""Sylvester resultants, iterated elimination and the vertical eliminant.
+"""Sylvester resultants and the vertical eliminant.
 
-Every determinant of a polynomial matrix, at every size, goes through one
-exact engine, `det_interpolated`:
+`resultant` works from the two inputs' coefficient lists in the
+eliminated variable; no polynomial matrix is built:
 
-1. compile each entry once into (exponent tuple, int) pairs over the
-   matrix's variables, clearing each row's denominators and keeping the
-   product of the row multipliers;
+1. scale each input once by the lcm of its denominators and compile each
+   coefficient into (exponent tuple, int) pairs over the remaining
+   variables;
 2. at every point of an integer grid with (degree bound + 1) values per
-   variable, evaluate the entries on ints;
-3. take each grid determinant with integer Bareiss (`_bareiss`);
+   variable, evaluate those m + n + 2 coefficients on ints, one variable
+   at a time;
+3. lay the two evaluated lists out as the scalar Sylvester rows and take
+   the determinant with integer Bareiss (`_bareiss`);
 4. interpolate the integer values by tensor Newton divided differences,
-   one variable at a time, and divide by the row multipliers once.
+   one variable at a time, and divide by the input scales once.
 
-`resultant` tightens the grid with the Bezout bound on the resultant's
-total degree. `vertical_eliminant` needs no Sylvester matrix: it takes the
+`vertical_eliminant` needs no Sylvester matrix: it takes the
 characteristic polynomial of an integer multiplication matrix with
 `_berkowitz` at integer nodes of one variable and interpolates with the
 same `_newton`.
@@ -50,18 +51,25 @@ class SylvesterMatrix:
         return self.deg_f + self.deg_g
 
 
-def sylvester_matrix(f: Polynomial, g: Polynomial, var: str) -> SylvesterMatrix:
-    m = f.degree_in(var)
-    n = g.degree_in(var)
+def _sylvester_degrees(f: Polynomial, g: Polynomial, var: str) -> tuple[int, int]:
+    """Degrees m, n of f and g in var, checked for a Sylvester matrix of
+    supported size m + n."""
     if f.is_zero or g.is_zero:
         raise ValueError("Sylvester matrix requires nonzero polynomials")
-    if m < 0 or n < 0 or m + n < 1:
+    m = f.degree_in(var)
+    n = g.degree_in(var)
+    if m + n < 1:
         raise ValueError(f"total degree in {var!r} must be at least 1")
-    size = m + n
-    if size > MAX_SYLVESTER_SIZE:
+    if m + n > MAX_SYLVESTER_SIZE:
         raise SylvesterSizeError(
-            f"Sylvester matrix {size}x{size} exceeds the supported {MAX_SYLVESTER_SIZE}x{MAX_SYLVESTER_SIZE}"
+            f"Sylvester matrix {m + n}x{m + n} exceeds the supported {MAX_SYLVESTER_SIZE}x{MAX_SYLVESTER_SIZE}"
         )
+    return m, n
+
+
+def sylvester_matrix(f: Polynomial, g: Polynomial, var: str) -> SylvesterMatrix:
+    m, n = _sylvester_degrees(f, g, var)
+    size = m + n
     fc = list(reversed(f.coeffs_in(var)))  # descending
     gc = list(reversed(g.coeffs_in(var)))
     rest_vars = tuple(dict.fromkeys(list(f.vars) + list(g.vars)))
@@ -145,44 +153,6 @@ def _berkowitz(m: list[list[int]]) -> list[int]:
     return poly
 
 
-def _compile(rows, variables: tuple[str, ...]):
-    """Integer form of a polynomial matrix.
-
-    Returns (entries, cells, scale, bounds): the distinct entries as tuples
-    of (exponent tuple over variables, int) pairs, cells[r][c] indexing
-    them, the product of the row multipliers that clear each row's
-    denominators (so det(rows) = det(integer matrix) / scale), and the
-    row-sum degree bound of the determinant in each variable.
-    """
-    index = {v: i for i, v in enumerate(variables)}
-    distinct: dict[tuple, int] = {}
-    cells = []
-    scale = 1
-    bounds = [0] * len(variables)
-    for row in rows:
-        lcm = 1
-        for entry in row:
-            for c in entry.terms.values():
-                lcm = math.lcm(lcm, c.denominator)
-        scale *= lcm
-        row_max = [0] * len(variables)
-        row_cells = []
-        for entry in row:
-            pos = [index.get(v) for v in entry.vars]
-            terms = []
-            for exps, c in entry.terms.items():
-                aligned = [0] * len(variables)
-                for p, e in zip(pos, exps):
-                    if e:
-                        aligned[p] = e
-                        row_max[p] = max(row_max[p], e)
-                terms.append((tuple(aligned), int(c * lcm)))
-            row_cells.append(distinct.setdefault(tuple(sorted(terms)), len(distinct)))
-        bounds = [b + r for b, r in zip(bounds, row_max)]
-        cells.append(row_cells)
-    return list(distinct), cells, scale, bounds
-
-
 def _sample_values(count: int) -> list[int]:
     # Small centered integers keep the scalar determinants compact.
     values = [0]
@@ -226,32 +196,57 @@ def _newton(xs: list[int], ys: list[int]) -> list[int]:
     return coeffs
 
 
-def det_interpolated(rows, degree_cap: int | None = None) -> Polynomial:
-    """Exact determinant of a polynomial matrix by grid evaluation and
-    tensor Newton interpolation.
+def resultant(f: Polynomial, g: Polynomial, var: str, strict: bool = True) -> Polynomial:
+    """Resultant of f and g with respect to var (raw, unnormalized).
 
-    Specializing entries commutes with taking determinants, so sampling
-    every variable on (degree bound + 1) integers determines the
-    determinant uniquely. The bound per variable is the sum over rows of
-    the largest entry degree, lowered to degree_cap when given (a bound on
-    the determinant's total degree known to the caller).
+    Specializing the remaining variables commutes with the determinant of
+    the Sylvester matrix, taken with the formal degrees m and n, so a
+    leading coefficient that vanishes at a node changes nothing.
+
+    An identically zero resultant means a common factor of positive degree
+    in var; with strict=True that raises DegenerateEliminantError, with
+    strict=False the zero polynomial is returned.
     """
+    m, n = _sylvester_degrees(f, g, var)
+    # The Sylvester rows: n shifted copies of f's coefficients, then m of
+    # g's, leading coefficient first. An input with no rows is left out.
+    blocks = [(list(reversed(p.coeffs_in(var))), rows) for p, rows in ((f, n), (g, m)) if rows]
+    # Declare the remaining variables in the order the rows first use them.
+    remaining = [v for v in dict.fromkeys(f.vars + g.vars) if v != var]
     seen: dict[str, None] = {}
-    for row in rows:
-        for entry in row:
-            used = entry.used_vars()
-            seen.update((v, None) for v in entry.vars if v in used)
+    for coeffs, _ in blocks:
+        for c in coeffs:
+            used = c.used_vars()
+            seen.update((v, None) for v in remaining if v in used)
     variables = tuple(seen)
-    entries, cells, scale, bounds = _compile(rows, variables)
-    if degree_cap is not None:
-        bounds = [min(b, degree_cap) for b in bounds]
-    nodes = [_sample_values(b + 1) for b in bounds]
+    entries = []
+    scale = 1
+    # Bezout: with d, e the total degrees, every term of the resultant has
+    # total degree at most n*d + m*e - m*n <= d*e, which caps the row-sum
+    # bound n*deg_v(f) + m*deg_v(g) in each remaining variable v.
+    cap = n * f.total_degree() + m * g.total_degree() - m * n
+    bounds = [0] * len(variables)
+    for coeffs, rows in blocks:
+        lcm = math.lcm(*(c.denominator for p in coeffs for c in p.terms.values()))
+        scale *= lcm**rows
+        compiled = [
+            tuple((e, c.numerator * (lcm // c.denominator)) for e, c in p.with_vars(variables).terms.items())
+            for p in coeffs
+        ]
+        for i in range(len(variables)):
+            bounds[i] += rows * max(e[i] for entry in compiled for e, _ in entry)
+        entries += compiled
+    nodes = [_sample_values(min(b, cap) + 1) for b in bounds]
     values: dict[tuple[int, ...], int] = {}
 
     def walk(entries: list[tuple], point: tuple[int, ...]) -> None:
         if len(point) == len(nodes):
             scalars = [sum(c for _, c in e) for e in entries]
-            values[point] = _bareiss([[scalars[j] for j in row] for row in cells])
+            matrix = []
+            for coeffs, rows in blocks:
+                row, scalars = scalars[: len(coeffs)], scalars[len(coeffs) :]
+                matrix += [[0] * s + row + [0] * (m + n - s - len(row)) for s in range(rows)]
+            values[point] = _bareiss(matrix)
             return
         for i, s in enumerate(nodes[len(point)]):
             walk([_at_first(e, s) for e in entries], point + (i,))
@@ -268,23 +263,7 @@ def det_interpolated(rows, degree_cap: int | None = None) -> Polynomial:
             for e, c in enumerate(_newton(xs, ys)):
                 if c:
                     coeffs[rest[:axis] + (e,) + rest[axis:]] = c
-    return Polynomial(variables, {e: Fraction(c, scale) for e, c in coeffs.items()})
-
-
-def resultant(f: Polynomial, g: Polynomial, var: str, strict: bool = True) -> Polynomial:
-    """Resultant of f and g with respect to var (raw, unnormalized).
-
-    An identically zero resultant means a common factor of positive degree
-    in var; with strict=True that raises DegenerateEliminantError, with
-    strict=False the zero polynomial is returned.
-    """
-    matrix = sylvester_matrix(f, g, var)
-    # Bezout: with m, n the degrees in var and d, e the total degrees,
-    # every term of the Sylvester determinant has total degree at most
-    # n*d + m*e - m*n <= d*e, which bounds each remaining variable too.
-    m, n = matrix.deg_f, matrix.deg_g
-    cap = n * f.total_degree() + m * g.total_degree() - m * n
-    det = det_interpolated(matrix.entries, cap)
+    det = Polynomial(variables, {e: Fraction(c, scale) for e, c in coeffs.items()})
     if det.is_zero and strict:
         raise DegenerateEliminantError(
             f"resultant in {var!r} vanished identically: the inputs share a factor"

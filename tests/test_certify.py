@@ -16,6 +16,7 @@ from ovalkit import (
     vertical_certificate,
 )
 from ovalkit.certify import MAX_VERIFY_LINES, LineSample
+from ovalkit.cli import parse_curve_text
 from ovalkit.errors import DeskScopeError
 from ovalkit.quadrature import chord_area_function, free_inlet_function, slope_function
 
@@ -375,6 +376,15 @@ def test_verify_refuses_more_lines_than_its_limit(cubic_centered, cubic_curve):
     cert = pencil_certificate(cubic_centered)
     with pytest.raises(DeskScopeError):
         verify_certificate(cert, cubic_curve, n_samples=MAX_VERIFY_LINES + 1)
+
+
+def test_verify_chord_draws_are_bounded():
+    # x(t) vanishes on the whole window, so no chord through the origin
+    # has a finite slope; the draws stop after 100 per requested line.
+    cert = parse_certificate("S - m\nroles: S=area m=slope")
+    for text in ("x=0; y=t^2-t; t in [0,1]", "x=t/1000000000000; y=t^2-t; t in [0,1]"):
+        with pytest.raises(ValueError, match="finite slope"):
+            verify_certificate(cert, parse_curve_text(text), n_samples=10)
 
 
 def test_line_samples_carry_no_instance_dict(cubic_centered, cubic_curve):

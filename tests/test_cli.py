@@ -163,6 +163,36 @@ def test_verify_sample_count_is_bounded():
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--cert", "S - m\nroles: S=area m=slope", "--param", "x=0; y=t^2-t; t in [0,1]", "--samples", "10"],
+        [
+            "verify",
+            "--cert",
+            "S - m\nroles: S=area m=slope",
+            "--param",
+            "x=t/1000000000000; y=t^2-t; t in [0,1]",
+            "--samples",
+            "10",
+        ],
+        ["damper-table", "--param", CUBIC_PARAM, "--range", "1/2,1", "--steps", "1000000000"],
+    ],
+    ids=["verify-chords-x-zero", "verify-chords-x-tiny", "damper-table-steps"],
+)
+def test_unbounded_inputs_end_in_one_line_error(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "ovalkit.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert time.monotonic() - start < 2.0
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+
+
 def test_importing_the_package_and_cli_does_not_load_numpy():
     # numpy serves only the float oracle; exact verbs should not pay for it.
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))

@@ -5,11 +5,16 @@ import pytest
 
 from ovalkit import (
     Polynomial,
+    implicitize,
     parse_polynomial,
+    pencil_certificate,
+    rational_singular_points,
     resultant,
     sylvester_matrix,
 )
-from ovalkit.elimination import _berkowitz, det_interpolated
+from ovalkit import elimination
+from ovalkit.curves import Point
+from ovalkit.elimination import _bareiss, _berkowitz
 from ovalkit.errors import DegenerateEliminantError, SylvesterSizeError
 
 from oracles import det_bareiss, det_cofactor, sylvester_vertical_inputs
@@ -119,10 +124,6 @@ def _random_matrix(rng, n, nvars=1, fractions=False):
     return rows
 
 
-def _constant_matrix(values):
-    return [[Polynomial.constant(v) for v in row] for row in values]
-
-
 def test_bareiss_matches_cofactor_oracle():
     rng = random.Random(41)
     for n in (2, 3, 4, 5, 6):
@@ -130,41 +131,21 @@ def test_bareiss_matches_cofactor_oracle():
         assert det_bareiss(rows) == det_cofactor(rows)
 
 
-def test_interpolated_matches_bareiss():
-    rng = random.Random(43)
-    inputs = []
-    for n in (2, 3, 4, 5):
-        for nvars in (1, 2):
-            inputs.append(_random_matrix(rng, n, nvars))
-    # Row denominators differ, so each row gets its own scale.
-    for n in (2, 3, 4):
-        inputs.append(_random_matrix(rng, n, 2, fractions=True))
-    for n in (2, 3, 4):
-        inputs.append(_random_matrix(rng, n, 3, fractions=n == 3))
-    x, y = Polynomial.variable("x"), Polynomial.variable("y")
-    zero = Polynomial.zero(("x", "y"))
-    inputs += [
-        _constant_matrix([[Fraction(1, 2), 3, 0], [Fraction(-2, 3), 1, 5], [4, Fraction(7, 5), -1]]),
-        _constant_matrix([[7]]),
-        [[x + 1, y, x * y], [zero, zero, zero], [y, x - y, 2 * x]],
-        # No pivot exists in the first column, nor in the second one once
-        # the first step has cleared the rows below the first.
-        [[zero, x, y + 1], [zero, y, x], [zero, x * y, 1 + 0 * x]],
-        [[x, y, 1 + 0 * x], [2 * x, 2 * y, x], [3 * x, 3 * y, y]],
-        [[x, y], [zero, x * y]],
-    ]
-    for rows in inputs:
-        assert det_interpolated(rows) == det_bareiss(rows)
-
-
-def test_interpolated_matches_cofactor_on_sparse_integer_matrices():
+def test_bareiss_matches_cofactor_on_sparse_integer_matrices():
     # Mostly-zero rows skip pivot steps, which Bareiss defers and replays.
     rng = random.Random(47)
+    inputs = [
+        [[7]],
+        # No pivot exists in the first column, nor in the second one once
+        # the first step has cleared the rows below the first.
+        [[0, 1, 2], [0, 3, 4], [0, 5, 6]],
+        [[1, 2, 3], [2, 4, 5], [3, 6, 7]],
+    ]
     for n in range(1, 8):
         for _ in range(6):
-            values = [[rng.choice([0, 0, 0, rng.randint(-9, 9)]) for _ in range(n)] for _ in range(n)]
-            rows = _constant_matrix(values)
-            assert det_interpolated(rows) == det_cofactor(rows)
+            inputs.append([[rng.choice([0, 0, 0, rng.randint(-9, 9)]) for _ in range(n)] for _ in range(n)])
+    for values in inputs:
+        assert _bareiss([list(row) for row in values]) == det_cofactor(values)
 
 
 def _random_poly(rng, variables, degree):
@@ -183,7 +164,7 @@ def _random_poly(rng, variables, degree):
 def test_resultant_total_degree_within_bezout_bound():
     # Res_x(f, g) has total degree at most n*d + m*e - m*n <= d*e, where
     # m, n are the degrees in x and d, e the total degrees; the result
-    # equals the one interpolated under the row-sum bounds alone.
+    # equals the Sylvester determinant taken over the polynomial ring.
     rng = random.Random(53)
     for variables in (("x", "y"), ("x", "y", "z")):
         for _ in range(12):
@@ -193,7 +174,71 @@ def test_resultant_total_degree_within_bezout_bound():
             m, n = f.degree_in("x"), g.degree_in("x")
             d, e = f.total_degree(), g.total_degree()
             assert r.total_degree() <= n * d + m * e - m * n <= d * e
-            assert r == det_interpolated(sylvester_matrix(f, g, "x").entries)
+            assert r == det_bareiss(sylvester_matrix(f, g, "x").entries)
+
+
+def _scaled(rng, variables, degree, den):
+    # All of the polynomial's denominators divide den.
+    p = _random_poly(rng, variables, degree)
+    return Polynomial(variables, {e: Fraction(c.numerator, den * rng.randint(1, 3)) for e, c in p.terms.items()})
+
+
+def test_resultant_matches_sylvester_determinant():
+    # f and g carry different denominators, so each input gets its own
+    # scale; the leading coefficients in x often vanish at grid nodes.
+    rng = random.Random(43)
+    pairs = []
+    for variables in (("x", "y", "z"), ("x", "y", "z", "w")):
+        for _ in range(10):
+            f = _scaled(rng, variables, 3, rng.choice([1, 2, 5]))
+            g = _scaled(rng, variables, 2, rng.choice([3, 4, 7]))
+            pairs.append((f, g))
+    x, y, z, w = (Polynomial.variable(v) for v in "xyzw")
+    pairs += [
+        ((y - z) * x**2 + Fraction(1, 2) * x + w, Fraction(1, 3) * y * x - z + 1),
+        (Fraction(2, 5) * z * x**3 + y, Fraction(3, 7) * (y + w) * x**2 + z * x),
+        # A middle coefficient is zero; g has degree 0 in x.
+        (x**3 + Fraction(1, 4) * y * z, Fraction(5, 6) * y * w + 1 + 0 * x),
+    ]
+    for f, g in pairs:
+        r = resultant(f, g, "x", strict=False)
+        assert r == det_bareiss(sylvester_matrix(f, g, "x").entries)
+        assert r.used_vars() <= {"y", "z", "w"}
+
+
+def test_resultant_with_vanishing_leading_coefficients():
+    # Both leading coefficients in y vanish on the grid (x = 0 and x = 1):
+    # the formal degrees keep the specialized Sylvester matrix right.
+    r = resultant(_poly("x*y^2 + y + 1", ["x", "y"]), _poly("(x-1)*y + 2", ["x", "y"]), "y")
+    assert r == _poly("x^2 + 3", ["x"])
+    assert r.vars == ("x",) and repr(r) == "Polynomial('x^2 + 3')"
+
+
+def test_resultant_of_an_input_without_rows():
+    # deg_x g = 0, so f has no Sylvester rows and contributes no variable.
+    r = resultant(_poly("x^2 + y", ["x", "y"]), _poly("z + 1", ["z"]), "x")
+    assert r == _poly("z^2 + 2*z + 1", ["z"])
+    assert r.vars == ("z",) and repr(r) == "Polynomial('z^2 + 2*z + 1')"
+
+
+def test_resultant_declares_variables_in_first_use_order():
+    # f's leading coefficient z comes before its constant term y.
+    r = resultant(_poly("z*x + y", ["x", "y", "z"]), _poly("x - 1", ["x"]), "x")
+    assert r == _poly("-y - z", ["y", "z"])
+    assert r.vars == ("z", "y") and repr(r) == "Polynomial('-y - z')"
+
+
+def test_resultant_builds_no_polynomial_sylvester_matrix(cubic_centered, quartic_curve, apple_curve, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("sylvester_matrix called")
+
+    monkeypatch.setattr(elimination, "sylvester_matrix", refuse)
+    cert = pencil_certificate(cubic_centered)
+    assert cert.q.degree_in("S") >= 1 and cert.q.degree_in("m") >= 1
+    F = implicitize(quartic_curve)
+    assert F == _poly("y^4 - 2*x*y^2 - x^3 + x^2", ["x", "y"])
+    assert rational_singular_points(F) == [Point(0, 0)]
+    assert Point(0, 0) in rational_singular_points(implicitize(apple_curve))
 
 
 def test_resultant_matches_sympy():
