@@ -62,14 +62,12 @@ from .puiseux import (
 )
 from .quadrature import (
     AreaResult,
-    SegmentSpec,
     angle_to_parameter,
     free_inlet_area,
     free_inlet_function,
     numeric_segment_area,
     orientation,
     origin_chord_segment_area,
-    segment_area,
     slope_of_chord,
     total_area,
     vertical_segment_area,

@@ -28,9 +28,12 @@ from fractions import Fraction
 from operator import mul
 
 from .algebra import Polynomial, UnivariatePolynomial
-from .errors import DegenerateEliminantError, SylvesterSizeError
+from .errors import DegenerateEliminantError, DeskScopeError, SylvesterSizeError
 
 MAX_SYLVESTER_SIZE = 64
+# The vertical eliminant's matrix has d(d - 1) rows for deg g = d, and its
+# cost rises steeply with them: 30 rows at d = 6, 56 at d = 8.
+MAX_VERTICAL_DEGREE = 6
 
 
 @dataclass(frozen=True)
@@ -308,6 +311,10 @@ def vertical_eliminant(
     d = g.degree()
     if d < 2:
         raise ValueError("the vertical eliminant needs deg g >= 2")
+    if d > MAX_VERTICAL_DEGREE:
+        raise DeskScopeError(
+            f"x-component of degree {d} exceeds the supported {MAX_VERTICAL_DEGREE} for vertical certificates"
+        )
     gi, k = g.primitive_integer()
     a = gi.coeffs[-1].numerator
     # Monic g_hat(tau) = a^(d-1) * gi(tau/a).

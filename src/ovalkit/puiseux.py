@@ -21,9 +21,13 @@ from .algebra import (
     rational_roots,
     univariate_from_polynomial,
 )
-from .errors import BranchExpansionError, RamificationError
+from .errors import BranchExpansionError, DeskScopeError, RamificationError
 
 _COEFF_VAR = "c"
+
+# Each term substitutes into a remainder that grows with the series, so
+# the cost grows about as the square of the term count.
+MAX_SERIES_TERMS = 100
 
 
 @dataclass(frozen=True)
@@ -131,7 +135,6 @@ class PuiseuxSeries:
     ramification: int
     terms: tuple[tuple[Fraction, Fraction], ...]  # (exponent, coefficient), ascending
     truncation_order: Fraction | float
-    principal: bool = True
 
     def __post_init__(self):
         exps = [e for e, _ in self.terms]
@@ -214,6 +217,8 @@ def expand_branch(F: Polynomial, num_terms: int, x: str = "x", y: str = "y") -> 
     """
     if num_terms < 1:
         raise ValueError("num_terms must be positive")
+    if num_terms > MAX_SERIES_TERMS:
+        raise DeskScopeError(f"{num_terms} series terms exceed the supported {MAX_SERIES_TERMS}")
     edges = newton_polygon(F, x, y)
     if not edges:
         raise BranchExpansionError("no Newton polygon edge admits a branch y(x)")

@@ -4,9 +4,12 @@ sampled boundary polygon whose half-plane areas come from prefix sums of
 its edge cross products. Each line evaluates only the blocks of vertices
 whose bounding boxes it may cross.
 
-Exact areas require polynomial curve components (antiderivatives of general
-rational functions would need logarithms). All public areas are magnitudes;
-the signed value and the orientation label travel along in the result.
+Every exact area reads one swept integral of f*g' dt (`_swept`): the
+total, chords through the center, vertical lines and the free section.
+It requires polynomial curve components (antiderivatives of general
+rational functions would need logarithms). An AreaResult holds the
+signed_value, the orientation label and whether it is exact; its value
+is the magnitude.
 """
 
 from __future__ import annotations
@@ -38,103 +41,84 @@ Orientation = Literal["clockwise", "counterclockwise"]
 
 
 @dataclass(frozen=True)
-class SegmentSpec:
-    """A segment request: a chord through the center at parameter t0, or a
-    vertical line met at parameters (t1, t2)."""
-
-    kind: Literal["origin_chord", "vertical_line"]
-    t0: Fraction | None = None
-    t1: Fraction | None = None
-    t2: Fraction | None = None
-
-
-@dataclass(frozen=True)
 class AreaResult:
     """An area with provenance.
 
-    value is a magnitude (signed=False); the raw signed number is kept in
-    signed_value. exact distinguishes symbolic results from the numeric
-    oracle.
+    signed_value is the raw signed number and value its magnitude. exact
+    distinguishes symbolic results from the numeric oracle.
     """
 
-    value: Fraction | float
-    signed: bool
+    signed_value: Fraction | float
     orientation: Orientation
     exact: bool
-    signed_value: Fraction | float
+
+    @property
+    def value(self) -> Fraction | float:
+        return abs(self.signed_value)
 
 
-def _polynomial_components(curve: ParametricCurve) -> tuple[UnivariatePolynomial, UnivariatePolynomial]:
+def _swept(curve: ParametricCurve) -> tuple[UnivariatePolynomial, Fraction]:
+    """The boundary integral every exact area reads: B(t) = A(lo) - A(t)
+    with A = integral of f*g' dt, and the signed total B(hi).
+
+    B(t) is the integral of -y dx along the boundary from the start to t,
+    which vanishes along a vertical line; adding the triangle g*f/2 gives
+    the integral of (x dy - y dx)/2, which vanishes along a line through
+    the origin.
+    """
     if not (curve.g.is_polynomial and curve.f.is_polynomial):
         raise ExactIntegrationError(
             "exact areas need polynomial components; use the numeric oracle for rational ones"
         )
-    return curve.g.as_univariate(), curve.f.as_univariate()
-
-
-def _area_antiderivative(curve: ParametricCurve) -> UnivariatePolynomial:
-    g, f = _polynomial_components(curve)
-    return (f * g.derivative()).antiderivative()
-
-
-def _signed_total(curve: ParametricCurve) -> Fraction:
-    A = _area_antiderivative(curve)
-    return -(A.evaluate(curve.interval.hi) - A.evaluate(curve.interval.lo))
+    A = (curve.f.as_univariate() * curve.g.as_univariate().derivative()).antiderivative()
+    B = A.evaluate(curve.interval.lo) - A
+    return B, B.evaluate(curve.interval.hi)
 
 
 def orientation(curve: ParametricCurve) -> Orientation:
     """Traversal orientation label from the sign of the closed boundary
     integral; positive means clockwise under the sign convention used here."""
-    s = _signed_total(curve)
-    if s == 0:
+    total = _swept(curve)[1]
+    if total == 0:
         raise DegenerateCurveError("curve encloses zero signed area")
-    return "clockwise" if s > 0 else "counterclockwise"
-
-
-def _orient_sign(A: UnivariatePolynomial, interval: Interval) -> int:
-    """Sign of the signed total A(lo) - A(hi), for A = _area_antiderivative(curve)."""
-    return 1 if A.evaluate(interval.lo) > A.evaluate(interval.hi) else -1
+    return "clockwise" if total > 0 else "counterclockwise"
 
 
 def total_area(curve: ParametricCurve, oracle_samples: int = 100_000) -> AreaResult:
     """Enclosed area of a closed curve.
 
     Exact for polynomial components; rational components fall back to the
-    numeric oracle (with a warning), flagged exact=False in the result.
+    numeric oracle (with a warning), flagged exact=False in the result. An
+    exact total of 0 is labelled clockwise.
     """
     if not curve.is_closed():
         raise ValueError("total area requires a closed curve (matching endpoints)")
     try:
-        s = _signed_total(curve)
+        total = _swept(curve)[1]
     except ExactIntegrationError:
         warnings.warn(
             "rational curve components: total area measured with the numeric oracle",
             stacklevel=2,
         )
         signed = _clipped_areas(curve, oracle_samples).signed_total
-        label: Orientation = "clockwise" if signed > 0 else "counterclockwise"
-        return AreaResult(abs(signed), False, label, False, signed)
-    if s == 0:
-        return AreaResult(Fraction(0), False, "clockwise", True, Fraction(0))
-    return AreaResult(abs(s), False, orientation(curve), True, s)
+        return AreaResult(signed, "clockwise" if signed > 0 else "counterclockwise", False)
+    return AreaResult(total, "counterclockwise" if total < 0 else "clockwise", True)
 
 
 def chord_area_function(cp: CenteredParametrization) -> UnivariatePolynomial:
     """Signed area of the segment cut by the chord from the center to the
     moving point, as an exact polynomial in the parameter.
 
-    Combines the boundary integral from the start of the interval with the
-    triangle correction for the chord; the overall sign follows the curve's
+    The boundary integral from the start of the interval plus the triangle
+    correction g*f/2 for the chord; the overall sign follows the curve's
     orientation so the value is the positive segment area on the valid range.
     """
     if cp.center != Point(Fraction(0), Fraction(0)):
         raise ValueError("chord construction requires the center at the origin")
     curve = cp.curve
-    g, f = _polynomial_components(curve)
-    A = _area_antiderivative(curve)
-    half_triangle = g * f * Fraction(1, 2)
-    body = half_triangle - (A - A.evaluate(curve.interval.lo))
-    return body * _orient_sign(A, curve.interval)
+    B, total = _swept(curve)
+    body = B + curve.g.as_univariate() * curve.f.as_univariate() * Fraction(1, 2)
+    return body if total > 0 else -body
 
 
 def origin_chord_segment_area(cp: CenteredParametrization, t0) -> AreaResult:
@@ -146,8 +130,7 @@ def origin_chord_segment_area(cp: CenteredParametrization, t0) -> AreaResult:
         raise ValueError(f"t0={t0} must lie strictly inside the parameter interval")
     if curve.g.evaluate(t0) == cp.center.x:
         raise ValueError("chord is undefined: the point shares the center abscissa")
-    s = chord_area_function(cp).evaluate(t0)
-    return AreaResult(abs(s), False, orientation(curve), True, s)
+    return AreaResult(chord_area_function(cp).evaluate(t0), orientation(curve), True)
 
 
 def vertical_area_parts(cp: CenteredParametrization) -> tuple[UnivariatePolynomial, UnivariatePolynomial]:
@@ -156,13 +139,9 @@ def vertical_area_parts(cp: CenteredParametrization) -> tuple[UnivariatePolynomi
     P integrates the boundary from the interval start to t1, R from t2 to
     the end; both carry the orientation sign.
     """
-    curve = cp.curve
-    A = _area_antiderivative(curve)
-    sign = _orient_sign(A, curve.interval)
-    lo, hi = curve.interval.lo, curve.interval.hi
-    P = (A - A.evaluate(lo)) * (-sign)
-    R = (UnivariatePolynomial.constant(A.var, A.evaluate(hi)) - A) * (-sign)
-    return P, R
+    B, total = _swept(cp.curve)
+    P, R = B, total - B
+    return (P, R) if total > 0 else (-P, -R)
 
 
 def vertical_segment_area(cp: CenteredParametrization, t1, t2) -> AreaResult:
@@ -178,8 +157,7 @@ def vertical_segment_area(cp: CenteredParametrization, t1, t2) -> AreaResult:
     if curve.g.evaluate(t1) != curve.g.evaluate(t2):
         raise ValueError("g(t1) must equal g(t2): the two points share the vertical line")
     P, R = vertical_area_parts(cp)
-    s = P.evaluate(t1) + R.evaluate(t2)
-    return AreaResult(abs(s), False, orientation(curve), True, s)
+    return AreaResult(P.evaluate(t1) + R.evaluate(t2), orientation(curve), True)
 
 
 def free_inlet_function(cp: CenteredParametrization) -> UnivariatePolynomial:
@@ -187,8 +165,9 @@ def free_inlet_function(cp: CenteredParametrization) -> UnivariatePolynomial:
     exact polynomial in the shutter parameter: twice the chord segment
     minus the whole oval."""
     S1 = chord_area_function(cp)
-    total = total_area(cp.curve).value
-    return S1 * 2 - UnivariatePolynomial.constant(S1.var, total)
+    # The chord ends at the center, where the triangle term vanishes, so
+    # S1(hi) is the signed total times its own sign: the whole oval's area.
+    return S1 * 2 - S1.evaluate(cp.curve.interval.hi)
 
 
 def free_inlet_area(cp: CenteredParametrization, tP, valid_range: Interval) -> AreaResult:
@@ -199,8 +178,7 @@ def free_inlet_area(cp: CenteredParametrization, tP, valid_range: Interval) -> A
     tP = as_fraction(tP)
     if not valid_range.contains(tP):
         raise ValueError(f"tP={tP} outside the valid range [{valid_range.lo}, {valid_range.hi}]")
-    s = free_inlet_function(cp).evaluate(tP)
-    return AreaResult(abs(s), False, orientation(cp.curve), True, s)
+    return AreaResult(free_inlet_function(cp).evaluate(tP), orientation(cp.curve), True)
 
 
 def slope_function(cp: CenteredParametrization) -> RationalFunction:
@@ -451,11 +429,3 @@ def numeric_segment_area(
         raise ValueError("use at least 1000 boundary samples")
     return _clipped_areas(boundary, samples).area(*halfplane)
 
-
-def segment_area(cp: CenteredParametrization, spec: SegmentSpec) -> AreaResult:
-    """Dispatch a SegmentSpec to the matching exact computation."""
-    if spec.kind == "origin_chord":
-        return origin_chord_segment_area(cp, spec.t0)
-    if spec.kind == "vertical_line":
-        return vertical_segment_area(cp, spec.t1, spec.t2)
-    raise ValueError(f"unknown segment kind {spec.kind!r}")

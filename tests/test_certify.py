@@ -268,6 +268,19 @@ def test_vertical_certificate_graph_like_collapse():
     assert cert.q.evaluate({"S": Fraction(1, 3), "c": Fraction(0)}) == 0
 
 
+def test_vertical_certificate_refuses_x_components_past_its_degree_limit():
+    # deg g = 8 makes a 56-square multiplication matrix; it is refused
+    # before any matrix is built.
+    from ovalkit.curves import Point, validate_centered
+    from ovalkit.elimination import MAX_VERTICAL_DEGREE
+
+    loop = "bezier (0,0) (2,-2) (3,-2) (4,0) (4,0) (4,2) (3,2) (2,4) (0,0)"
+    cp = validate_centered(parse_curve_text(loop), Point(0, 0))
+    assert cp.curve.g.as_univariate().degree() == 8 > MAX_VERTICAL_DEGREE
+    with pytest.raises(DeskScopeError, match="degree 8"):
+        vertical_certificate(cp)
+
+
 def test_trivial_certificate_fails(cubic_curve):
     q = parse_polynomial("S", ["S", "m"])
     cert = Certificate(q, {"S": "area", "m": "slope"})

@@ -177,8 +177,16 @@ def test_verify_sample_count_is_bounded():
             "10",
         ],
         ["damper-table", "--param", CUBIC_PARAM, "--range", "1/2,1", "--steps", "1000000000"],
+        ["puiseux", "--curve", "y^4-2*x*y^2-x^3+x^2", "--terms", "101"],
+        [
+            "certify",
+            "--family",
+            "vertical",
+            "--param",
+            "bezier (0,0) (2,-2) (3,-2) (4,0) (4,0) (4,2) (3,2) (2,4) (0,0)",
+        ],
     ],
-    ids=["verify-chords-x-zero", "verify-chords-x-tiny", "damper-table-steps"],
+    ids=["verify-chords-x-zero", "verify-chords-x-tiny", "damper-table-steps", "puiseux-terms", "vertical-degree-8"],
 )
 def test_unbounded_inputs_end_in_one_line_error(argv):
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))

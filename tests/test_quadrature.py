@@ -18,7 +18,6 @@ from ovalkit import (
     origin_chord_segment_area,
     parse_polynomial,
     quadrature,
-    segment_area,
     slope_of_chord,
     total_area,
     validate_centered,
@@ -27,16 +26,22 @@ from ovalkit import (
 from ovalkit.algebra import univariate_from_polynomial
 from ovalkit.cli import parse_curve_text
 from ovalkit.curves import Point
-from ovalkit.errors import ExactIntegrationError, NonMonotoneSlopeError
+from ovalkit.errors import DegenerateCurveError, ExactIntegrationError, NonMonotoneSlopeError
 from ovalkit.quadrature import (
-    SegmentSpec,
     chord_area_function,
     slope_function,
     vertical_area_parts,
 )
 
 from conftest import square_boundary
-from oracles import clip_polygon_halfplane, fsum_shoelace, full_pass_area, sample_boundary, shoelace_area
+from oracles import (
+    clip_polygon_halfplane,
+    fsum_shoelace,
+    full_pass_area,
+    sample_boundary,
+    seeded_loops,
+    shoelace_area,
+)
 
 
 def test_orientation_examples(cubic_curve, quartic_curve):
@@ -48,7 +53,7 @@ def test_orientation_examples(cubic_curve, quartic_curve):
 def test_total_area_cubic(cubic_curve):
     result = total_area(cubic_curve)
     assert result.value == Fraction(3, 20)
-    assert result.exact and not result.signed
+    assert result.exact
 
 
 def test_total_area_quartic(quartic_curve):
@@ -136,19 +141,59 @@ def test_vertical_segment_quartic_exact_and_oracle(quartic_centered, quartic_cur
 
 
 def test_area_parts_build_the_antiderivative_once(monkeypatch, cubic_centered, quartic_centered):
-    build = quadrature._area_antiderivative
+    build = quadrature._swept
     calls = []
 
     def counting(curve):
         calls.append(curve)
         return build(curve)
 
-    monkeypatch.setattr(quadrature, "_area_antiderivative", counting)
+    monkeypatch.setattr(quadrature, "_swept", counting)
     for cp in (cubic_centered, quartic_centered):
-        for parts in (vertical_area_parts, chord_area_function):
+        for parts in (vertical_area_parts, chord_area_function, free_inlet_function):
             calls.clear()
             parts(cp)
             assert len(calls) == 1
+
+
+def test_swept_integral_identities(cubic_centered, quartic_centered):
+    # Every exact area reads the one swept integral; these identities tie
+    # the total, the vertical parts, the chord and the free section together.
+    loops = [cubic_centered, quartic_centered] + seeded_loops(61, 3, 2) + seeded_loops(67, 4, 1)
+    for cp in loops + [validate_centered(cp.curve.reversed(), Point(0, 0)) for cp in loops]:
+        curve = cp.curve
+        lo, hi = curve.interval.lo, curve.interval.hi
+        total = total_area(curve).value
+        P, R = vertical_area_parts(cp)
+        chord = chord_area_function(cp)
+        for k in range(5):
+            t = lo + (hi - lo) * Fraction(2 * k + 1, 11)
+            assert P.evaluate(t) + R.evaluate(t) == total
+            for result in (
+                origin_chord_segment_area(cp, t),
+                vertical_segment_area(cp, t, t),
+                free_inlet_area(cp, t, curve.interval),
+            ):
+                assert result.value == abs(result.signed_value)
+        assert chord.evaluate(hi) == total
+        assert free_inlet_function(cp) == chord * 2 - total
+
+
+def test_retraced_arc_keeps_the_sign_rule():
+    # A palindromic control polygon retraces its own arc: the signed total
+    # is exactly 0. The total is labelled clockwise, while the segment
+    # functions take the negative sign, as for a counterclockwise curve.
+    cp = validate_centered(parse_curve_text("bezier (0,0) (1,2) (2,-1) (1,2) (0,0)"), Point(0, 0))
+    curve = cp.curve
+    g, f = curve.g.as_univariate(), curve.f.as_univariate()
+    A = (f * g.derivative()).antiderivative()
+    swept = A.evaluate(curve.interval.lo) - A
+    result = total_area(curve)
+    assert (result.signed_value, result.orientation, result.exact) == (0, "clockwise", True)
+    with pytest.raises(DegenerateCurveError):
+        orientation(curve)
+    assert vertical_area_parts(cp) == (-swept, swept)
+    assert chord_area_function(cp) == -(swept + g * f * Fraction(1, 2))
 
 
 def test_vertical_segment_mismatched_abscissa(quartic_centered):
@@ -272,16 +317,6 @@ def test_numeric_chord_matches_exact(cubic_centered, cubic_curve):
 def test_numeric_requires_enough_samples(cubic_curve):
     with pytest.raises(ValueError):
         numeric_segment_area(cubic_curve, (0.0, 0.0, -1.0), 10)
-
-
-def test_segment_spec_dispatch(cubic_centered, quartic_centered):
-    s = segment_area(cubic_centered, SegmentSpec(kind="origin_chord", t0=Fraction(3, 4)))
-    assert s.value == origin_chord_segment_area(cubic_centered, Fraction(3, 4)).value
-    v = segment_area(
-        quartic_centered,
-        SegmentSpec(kind="vertical_line", t1=Fraction(-1, 2), t2=Fraction(1, 2)),
-    )
-    assert v.value == Fraction(617, 1680)
 
 
 def test_total_area_degenerate_point_curve():
