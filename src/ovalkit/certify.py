@@ -206,9 +206,18 @@ def _arc_side_line(areas: _ClippedAreas, arc_len: int, a: float, b: float, c: fl
     """Flip the half-plane sign so the midpoint of the arc through the
     first arc_len boundary vertices is inside."""
     mid = min(arc_len, len(areas.x)) // 2
-    if a * areas.x[mid] + b * areas.y[mid] + c > 0:
+    if a * areas.x.item(mid) + b * areas.y.item(mid) + c > 0:
         return -a, -b, -c
     return a, b, c
+
+
+def _measure(areas: _ClippedAreas, values: array, table, residual: Callable[[float, float], float]) -> None:
+    """Measure the lines of table, a view of values, in one batch, then
+    replace each line's slope or abscissa, held in its residual slot, by
+    its residual."""
+    table[:, 3] = areas.areas(table[:, :3])
+    for j in range(0, len(values), 5):
+        values[j + 4] = residual(values[j + 4], values[j + 3])
 
 
 def _window(interval, fraction: float = 0.15) -> tuple[float, float]:
@@ -278,21 +287,27 @@ def verify_certificate(
 
     Residuals are |Q| divided by the largest evaluated monomial magnitude
     (at least 1), so the verdict is invariant under scaling Q.
+
+    The lines are drawn one at a time from random.Random(seed) and measured
+    together by one batched oracle call (general lines by one call per
+    round of draws), with the areas of a call per line, bit for bit.
     """
     if n_samples < 10:
         raise ValueError("use at least 10 sample lines")
     if n_samples > MAX_VERIFY_LINES:
         raise DeskScopeError(f"{n_samples} sample lines exceed the supported {MAX_VERIFY_LINES}")
+    import numpy as np
+
     rng = random.Random(seed)
     roles = dict(cert.roles)
     role_to_var = {r: v for v, r in roles.items()}
     is_curve = isinstance(curve, ParametricCurve)
     areas = _clipped_areas(curve, oracle_samples)
-    values = array("d")
-
-    def measure(a: float, b: float, c: float, arc_len: int) -> tuple[tuple[float, float, float], float]:
-        line = _arc_side_line(areas, arc_len, a, b, c)
-        return line, areas.area(*line)
+    # Five floats per line: a, b, c, area and residual. Each line is
+    # written here as it is drawn, and all are measured in one batch
+    # through this numpy view.
+    values = array("d", [0.0]) * (5 * n_samples)
+    table = np.frombuffer(values).reshape(n_samples, 5)
 
     role_set = set(roles.values())
     if role_set == {"area", "slope"}:
@@ -302,7 +317,7 @@ def verify_certificate(
         g, f = _float_component(curve.g), _float_component(curve.f)
         lo, hi = _window(curve.interval)
         draws = 0
-        for _ in range(n_samples):
+        for j in range(0, len(values), 5):
             while True:
                 draws += 1
                 if draws > 100 * n_samples:
@@ -312,38 +327,49 @@ def verify_certificate(
                 fy = f(t0)
                 if abs(gx) > 1e-9:
                     break
-            m = fy / gx
             k = max(1, int(oracle_samples * (t0 - float(curve.interval.lo)) / (float(curve.interval.hi) - float(curve.interval.lo))))
-            line, area = measure(fy, -gx, 0.0, max(k, 2))
-            values.extend((*line, area, residual(m, area)))
+            values[j], values[j + 1], values[j + 2] = _arc_side_line(areas, max(k, 2), fy, -gx, 0.0)
+            values[j + 4] = fy / gx  # the slope, until _measure sets the residual
+        _measure(areas, values, table, residual)
     elif role_set == {"area", "abscissa"}:
         if not is_curve:
             raise ValueError("vertical-line sampling needs a parametric curve")
         residual = _residual_function(cert.q, (role_to_var["abscissa"], cert.area_var))
         g = _float_component(curve.g)
         lo, hi = _window(curve.interval)
-        for _ in range(n_samples):
-            t2 = rng.uniform(lo, hi)
-            cx = g(t2)
-            line, area = measure(1.0, 0.0, -cx, max(2, int(oracle_samples * 0.02)))
-            values.extend((*line, area, residual(cx, area)))
+        for j in range(0, len(values), 5):
+            cx = g(rng.uniform(lo, hi))
+            values[j], values[j + 1], values[j + 2] = _arc_side_line(areas, max(2, int(oracle_samples * 0.02)), 1.0, 0.0, -cx)
+            values[j + 4] = cx  # the abscissa, until _measure sets the residual
+        _measure(areas, values, table, residual)
     elif role_set == {"area", "slope", "intercept"}:
         residual = _residual_function(
             cert.q, (role_to_var["slope"], role_to_var["intercept"], cert.area_var)
         )
         windows = windows or {"slope": (0.1, 2.0), "intercept": (0.0, 1.0)}
         total = abs(areas.signed_total)
-        attempts = 0
-        while len(values) < 5 * n_samples:
-            attempts += 1
-            if attempts > 100 * n_samples:
+        # Candidates are drawn in rounds of as many as are still missing:
+        # a round can only complete the set with its last candidate, so the
+        # draws and the lines kept are those of a one-at-a-time loop that
+        # stops at the last line needed or after 100 draws per line.
+        kept = attempts = 0
+        while kept < n_samples:
+            if attempts >= 100 * n_samples:
                 raise ValueError("could not sample enough lines hitting the region")
-            m = rng.uniform(*windows["slope"])
-            q = rng.uniform(*windows["intercept"])
-            area = areas.area(m, -1.0, q)
-            if not (1e-9 * total < area < (1 - 1e-9) * total):
-                continue  # the line misses the region
-            values.extend((m, -1.0, q, area, residual(m, q, area)))
+            rows = min(n_samples - kept, 100 * n_samples - attempts)
+            attempts += rows
+            for j in range(5 * kept, 5 * (kept + rows), 5):
+                values[j] = rng.uniform(*windows["slope"])
+                values[j + 1] = -1.0
+                values[j + 2] = rng.uniform(*windows["intercept"])
+            drawn = table[kept : kept + rows]
+            drawn[:, 3] = areas.areas(drawn[:, :3])
+            # Only the lines that cut the region are kept, in draw order.
+            hits = drawn[(1e-9 * total < drawn[:, 3]) & (drawn[:, 3] < (1 - 1e-9) * total)]
+            table[kept : kept + len(hits)] = hits
+            kept += len(hits)
+        for j in range(0, len(values), 5):
+            values[j + 4] = residual(values[j], values[j + 2], values[j + 3])
     else:
         raise ValueError(f"unsupported role combination {sorted(role_set)}")
     return SampleReport(values, max(values[4::5]), tol)

@@ -75,21 +75,31 @@ def _swept(curve: ParametricCurve) -> tuple[UnivariatePolynomial, Fraction]:
     return B, B.evaluate(curve.interval.hi)
 
 
+def _label(total: Fraction | float) -> Orientation:
+    """Orientation label of a signed total; positive means clockwise under
+    the sign convention used here, and a zero total is labelled clockwise."""
+    return "counterclockwise" if total < 0 else "clockwise"
+
+
+def _nonzero_label(total: Fraction) -> Orientation:
+    """The label of a signed total that must enclose some area."""
+    if total == 0:
+        raise DegenerateCurveError("curve encloses zero signed area")
+    return _label(total)
+
+
 def orientation(curve: ParametricCurve) -> Orientation:
     """Traversal orientation label from the sign of the closed boundary
     integral; positive means clockwise under the sign convention used here."""
-    total = _swept(curve)[1]
-    if total == 0:
-        raise DegenerateCurveError("curve encloses zero signed area")
-    return "clockwise" if total > 0 else "counterclockwise"
+    return _nonzero_label(_swept(curve)[1])
 
 
 def total_area(curve: ParametricCurve, oracle_samples: int = 100_000) -> AreaResult:
     """Enclosed area of a closed curve.
 
     Exact for polynomial components; rational components fall back to the
-    numeric oracle (with a warning), flagged exact=False in the result. An
-    exact total of 0 is labelled clockwise.
+    numeric oracle (with a warning), flagged exact=False in the result. A
+    total of 0, exact or measured, is labelled clockwise.
     """
     if not curve.is_closed():
         raise ValueError("total area requires a closed curve (matching endpoints)")
@@ -101,8 +111,8 @@ def total_area(curve: ParametricCurve, oracle_samples: int = 100_000) -> AreaRes
             stacklevel=2,
         )
         signed = _clipped_areas(curve, oracle_samples).signed_total
-        return AreaResult(signed, "clockwise" if signed > 0 else "counterclockwise", False)
-    return AreaResult(total, "counterclockwise" if total < 0 else "clockwise", True)
+        return AreaResult(signed, _label(signed), False)
+    return AreaResult(total, _label(total), True)
 
 
 def chord_area_function(cp: CenteredParametrization) -> UnivariatePolynomial:
@@ -113,12 +123,17 @@ def chord_area_function(cp: CenteredParametrization) -> UnivariatePolynomial:
     correction g*f/2 for the chord; the overall sign follows the curve's
     orientation so the value is the positive segment area on the valid range.
     """
+    return _chord(cp)[0]
+
+
+def _chord(cp: CenteredParametrization) -> tuple[UnivariatePolynomial, Fraction]:
+    """The chord area function and the signed total that fixed its sign."""
     if cp.center != Point(Fraction(0), Fraction(0)):
         raise ValueError("chord construction requires the center at the origin")
     curve = cp.curve
     B, total = _swept(curve)
     body = B + curve.g.as_univariate() * curve.f.as_univariate() * Fraction(1, 2)
-    return body if total > 0 else -body
+    return (body if total > 0 else -body), total
 
 
 def origin_chord_segment_area(cp: CenteredParametrization, t0) -> AreaResult:
@@ -130,7 +145,8 @@ def origin_chord_segment_area(cp: CenteredParametrization, t0) -> AreaResult:
         raise ValueError(f"t0={t0} must lie strictly inside the parameter interval")
     if curve.g.evaluate(t0) == cp.center.x:
         raise ValueError("chord is undefined: the point shares the center abscissa")
-    return AreaResult(chord_area_function(cp).evaluate(t0), orientation(curve), True)
+    S, total = _chord(cp)
+    return AreaResult(S.evaluate(t0), _nonzero_label(total), True)
 
 
 def vertical_area_parts(cp: CenteredParametrization) -> tuple[UnivariatePolynomial, UnivariatePolynomial]:
@@ -139,9 +155,14 @@ def vertical_area_parts(cp: CenteredParametrization) -> tuple[UnivariatePolynomi
     P integrates the boundary from the interval start to t1, R from t2 to
     the end; both carry the orientation sign.
     """
+    return _vertical_parts(cp)[:2]
+
+
+def _vertical_parts(cp: CenteredParametrization) -> tuple[UnivariatePolynomial, UnivariatePolynomial, Fraction]:
+    """P, R and the signed total that fixed their sign."""
     B, total = _swept(cp.curve)
     P, R = B, total - B
-    return (P, R) if total > 0 else (-P, -R)
+    return (P, R, total) if total > 0 else (-P, -R, total)
 
 
 def vertical_segment_area(cp: CenteredParametrization, t1, t2) -> AreaResult:
@@ -156,18 +177,23 @@ def vertical_segment_area(cp: CenteredParametrization, t1, t2) -> AreaResult:
         raise ValueError("require t1 <= t2")
     if curve.g.evaluate(t1) != curve.g.evaluate(t2):
         raise ValueError("g(t1) must equal g(t2): the two points share the vertical line")
-    P, R = vertical_area_parts(cp)
-    return AreaResult(P.evaluate(t1) + R.evaluate(t2), orientation(curve), True)
+    P, R, total = _vertical_parts(cp)
+    return AreaResult(P.evaluate(t1) + R.evaluate(t2), _nonzero_label(total), True)
 
 
 def free_inlet_function(cp: CenteredParametrization) -> UnivariatePolynomial:
     """Free-section area of a damper built from two congruent ovals, as an
     exact polynomial in the shutter parameter: twice the chord segment
     minus the whole oval."""
-    S1 = chord_area_function(cp)
+    return _free_inlet(cp)[0]
+
+
+def _free_inlet(cp: CenteredParametrization) -> tuple[UnivariatePolynomial, Fraction]:
+    """The free-section function and the signed total that fixed its sign."""
+    S1, total = _chord(cp)
     # The chord ends at the center, where the triangle term vanishes, so
     # S1(hi) is the signed total times its own sign: the whole oval's area.
-    return S1 * 2 - S1.evaluate(cp.curve.interval.hi)
+    return S1 * 2 - S1.evaluate(cp.curve.interval.hi), total
 
 
 def free_inlet_area(cp: CenteredParametrization, tP, valid_range: Interval) -> AreaResult:
@@ -178,7 +204,8 @@ def free_inlet_area(cp: CenteredParametrization, tP, valid_range: Interval) -> A
     tP = as_fraction(tP)
     if not valid_range.contains(tP):
         raise ValueError(f"tP={tP} outside the valid range [{valid_range.lo}, {valid_range.hi}]")
-    return AreaResult(free_inlet_function(cp).evaluate(tP), orientation(cp.curve), True)
+    free, total = _free_inlet(cp)
+    return AreaResult(free.evaluate(tP), _nonzero_label(total), True)
 
 
 def slope_function(cp: CenteredParametrization) -> RationalFunction:
@@ -282,121 +309,187 @@ class _ClippedAreas:
     evaluated: a line costs O(n/B + B*k) for k unsettled blocks instead of
     O(n).
 
+    `areas` evaluates a batch of lines with a fixed number of numpy calls
+    per chunk, not per line. The bounds of every (line, block) pair are
+    one broadcast. Each unsettled pair copies its block's B + 1 vertices
+    as a row, from a strided view of the vertex buffer, whose padding past
+    vertex n - 1 repeats vertex 0; the crossing edges of all rows are then
+    found together. The chunks come from the vertex count: with
+    m = min(n, _CHUNK), a chunk holds at most m // blocks lines, whose
+    unsettled rows are gathered m // (B + 1) at a time, so no temporary
+    holds more than m elements, whatever the batch (the crossings of a
+    chunk, a few per line, hold fewer). For n = 100,000 a batch of up to
+    103 lines is one chunk.
+
     Vertex sides and crossing points are computed with the operations of
     the Sutherland-Hodgman clip the tests keep as reference:
     d = a*x + b*y + c, inside where d <= 0, crossing start + s*(end - start)
-    with s = d_i/(d_i - d_j). The crossing edges, and so the sum and its
-    order, are those of a pass over every vertex, which the tests also keep.
+    with s = d_i/(d_i - d_j). The crossing edges, and so each line's sum
+    and its order, are those of a pass over every vertex for that line
+    alone, which the tests also keep.
     """
 
-    def __init__(self, x: np.ndarray, y: np.ndarray):
+    def __init__(self, x_buffer: np.ndarray, y_buffer: np.ndarray, n: int, scratch: np.ndarray):
+        """x_buffer and y_buffer are _vertex_buffer(n)s holding the n
+        vertices; the build pads them and overwrites scratch, a dead
+        buffer of at least n floats."""
         import numpy as np
 
-        n = len(x)
-        self.x, self.y = x, y
+        x, y = self.x, self.y = x_buffer[:n], y_buffer[:n]
         # prefix[k] = sum of the cross products of edges 0 .. k-1; edge n-1
         # closes the polygon.
-        self._prefix = np.zeros(n + 1)
+        prefix = self._prefix = np.empty(n + 1)
+        prefix[0] = 0.0
         if n:
-            e = np.empty(n)
-            np.multiply(x[:-1], y[1:], out=e[:-1])
-            np.subtract(e[:-1], x[1:] * y[:-1], out=e[:-1])
-            e[-1] = x[-1] * y[0] - x[0] * y[-1]
-            np.cumsum(e, out=self._prefix[1:])
-        self.signed_total = 0.5 * float(self._prefix[-1])
+            cross = prefix[1:n]
+            np.multiply(x[:-1], y[1:], out=cross)
+            np.subtract(cross, np.multiply(x[1:], y[:-1], out=scratch[: n - 1]), out=cross)
+            prefix[n] = x[-1] * y[0] - x[0] * y[-1]
+            np.add.accumulate(prefix[1:], out=prefix[1:])
+            # The last block's row runs past vertex n - 1 into vertex 0,
+            # repeated: it closes the polygon and adds no crossing.
+            x_buffer[n:], y_buffer[n:] = x[0], y[0]
+        self.signed_total = 0.5 * float(prefix[-1])
         B = self._block = max(1, math.isqrt(n))
-        # Vertex offsets of one block's row: its first vertex through the
-        # next block's first.
-        self._steps = np.arange(B + 1)
-        starts = np.arange(0, n, B)
-        self._xmin, self._xmax = _block_bounds(x, starts)
-        self._ymin, self._ymax = _block_bounds(y, starts)
+        # Row k: block k's vertices kB .. kB + B, a view into the buffer.
+        shape, steps = (-(-n // B), B + 1), (B * x_buffer.itemsize, x_buffer.itemsize)
+        self._x_rows = np.ndarray(shape, buffer=x_buffer, strides=steps)
+        self._y_rows = np.ndarray(shape, buffer=y_buffer, strides=steps)
+        self._xmin, self._xmax = self._x_rows.min(axis=1), self._x_rows.max(axis=1)
+        self._ymin, self._ymax = self._y_rows.min(axis=1), self._y_rows.max(axis=1)
         self._x_abs = float(max(-self._xmin.min(initial=0.0), self._xmax.max(initial=0.0)))
         self._y_abs = float(max(-self._ymin.min(initial=0.0), self._ymax.max(initial=0.0)))
 
     def area(self, a: float, b: float, c: float) -> float:
         """Area of the polygon's part with a*x + b*y + c <= 0."""
+        return self.areas([(a, b, c)]).item()
+
+    def areas(self, lines) -> np.ndarray:
+        """Area of the polygon's part with a*x + b*y + c <= 0 for each row
+        (a, b, c) of lines, an (L, 3) array."""
         import numpy as np
 
-        x, y, n = self.x, self.y, len(self.x)
+        lines = np.asarray(lines, dtype=float).reshape(-1, 3)
+        n = len(self.x)
+        out = np.zeros(len(lines))
         if n < 3:
-            return 0.0
-        x_lo, x_hi = (self._xmin, self._xmax) if a >= 0 else (self._xmax, self._xmin)
-        y_lo, y_hi = (self._ymin, self._ymax) if b >= 0 else (self._ymax, self._ymin)
-        lo = x_lo * a + y_lo * b + c
-        hi = x_hi * a + y_hi * b + c
-        margin = 6 * 2.0**-53 * (abs(a) * self._x_abs + abs(b) * self._y_abs + abs(c))
+            return out
+        per_chunk = max(1, min(n, _CHUNK) // len(self._x_rows))
+        for first in range(0, len(lines), per_chunk):
+            out[first : first + per_chunk] = self._chunk_areas(lines[first : first + per_chunk])
+        return out
+
+    def _chunk_areas(self, lines: np.ndarray) -> np.ndarray:
+        """`areas` of a chunk of lines whose bounds fit in one temporary."""
+        import numpy as np
+
+        x, y, n, B = self.x, self.y, len(self.x), self._block
+        a, b, c = lines[:, 0, None], lines[:, 1, None], lines[:, 2, None]
+        a_pos, b_pos = a >= 0, b >= 0
+        lo = np.where(a_pos, self._xmin, self._xmax) * a
+        lo += np.where(b_pos, self._ymin, self._ymax) * b
+        lo += c
+        hi = np.where(a_pos, self._xmax, self._xmin) * a
+        hi += np.where(b_pos, self._ymax, self._ymin) * b
+        hi += c
+        margin = 6 * 2.0**-53 * (np.abs(a) * self._x_abs + np.abs(b) * self._y_abs + np.abs(c))
         # Written as "not settled", so that NaN bounds count as unsettled.
-        rows = np.flatnonzero(~((hi < -margin) | (lo > margin)))
-        B = self._block
-        # Each unsettled block's vertices, a row each; the last block's
-        # row is padded with its closing vertex n, which is vertex 0, so
-        # the padding adds no crossing.
-        v = np.minimum(rows[:, None] * B + self._steps, n)
-        d = x.take(v, mode="wrap") * a
-        d += y.take(v, mode="wrap") * b
-        d += c
-        inside = d <= 0.0
-        # (edge, d at its start, d at its end) for each crossing edge.
-        edges = []
-        for p in np.flatnonzero(inside[:, :-1] != inside[:, 1:]).tolist():
-            r, j = divmod(p, B)
-            edges.append((rows.item(r) * B + j, d.item(r, j), d.item(r, j + 1)))
-        inside0 = x.item(0) * a + y.item(0) * b + c <= 0.0
-        if not inside0:
-            edges = edges[1:] + edges[:1]  # start with an edge that leaves
+        line, block = np.nonzero(~((hi < -margin) | (lo > margin)))
+        # (line, edge, d at its start, d at its end) of each crossing edge,
+        # by line and, within a line, by edge.
+        none = np.empty(0)
+        crossings = [(line[:0], block[:0], none, none)]
+        rows = max(1, min(n, _CHUNK) // (B + 1))
+        for r in range(0, len(line), rows):
+            rl, rb = line[r : r + rows], block[r : r + rows]
+            # d = a*x + b*y + c over each unsettled block's row.
+            d = self._x_rows[rb]
+            d *= a[rl]
+            by = self._y_rows[rb]
+            by *= b[rl]
+            d += by
+            d += c[rl]
+            inside = d <= 0.0
+            p = np.flatnonzero(inside[:, :-1] != inside[:, 1:])
+            row, j = np.divmod(p, B)
+            flat = d.ravel()
+            crossings.append((rl[row], rb[row] * B + j, flat[p + row], flat[p + row + 1]))
+        line, edge, d_start, d_end = (np.concatenate(v) for v in zip(*crossings))
+        # Where each crossing edge meets its line.
+        denom = d_start - d_end
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = np.where(denom != 0.0, d_start / denom, 0.0)
+        x0, y0 = x[edge], y[edge]
+        px = x0 + s * (x.take(edge + 1, mode="wrap") - x0)
+        py = y0 + s * (y.take(edge + 1, mode="wrap") - y0)
+        # The clipped boundary runs vertex i, crossing i, crossing j, vertex
+        # j + 1, ..., for each leaving edge i and the entering edge j after
+        # it in its line's cyclic order; the edges in between lie outside.
+        leave = np.flatnonzero(d_start <= 0.0)
+        enter = leave + 1
+        wrap = enter == line.searchsorted(line[leave], "right")
+        enter[wrap] = line.searchsorted(line[leave[wrap]])
+        i, j = edge[leave], edge[enter]
+        xi, yi, pix, piy = x[i], y[i], px[leave], py[leave]
+        pjx, pjy, xk, yk = px[enter], py[enter], x.take(j + 1, mode="wrap"), y.take(j + 1, mode="wrap")
         prefix = self._prefix
-        # The run of kept vertices through vertex 0 wraps around.
-        twice = prefix.item(n) if inside0 else 0.0
-        # The clipped boundary runs vertex i, crossing i, crossing j,
-        # vertex j + 1, ..., for each leaving edge i and the entering edge
-        # j after it; the edges in between lie outside.
-        for leave, enter in zip(edges[0::2], edges[1::2]):
-            i, j = leave[0], enter[0]
-            xi, yi = x.item(i), y.item(i)
-            pi_x, pi_y = self._crossing(*leave)
-            pj_x, pj_y = self._crossing(*enter)
-            k = j + 1 if j + 1 < n else 0
-            xk, yk = x.item(k), y.item(k)
-            twice += prefix.item(i) - prefix.item(j + 1)
-            twice += (xi * pi_y - pi_x * yi) + (pi_x * pj_y - pj_x * pi_y) + (pj_x * yk - xk * pj_y)
-        return abs(0.5 * twice)
-
-    def _crossing(self, i: int, di: float, dj: float) -> tuple[float, float]:
-        """Where edge i, with d values di and dj at its ends, meets the line."""
-        j = i + 1 if i + 1 < len(self.x) else 0
-        denom = di - dj
-        s = di / denom if denom != 0.0 else 0.0
-        x0, y0 = self.x.item(i), self.y.item(i)
-        return x0 + s * (self.x.item(j) - x0), y0 + s * (self.y.item(j) - y0)
+        runs = prefix[i] - prefix[j + 1]
+        corners = (xi * piy - pix * yi) + (pix * pjy - pjx * piy) + (pjx * yk - xk * pjy)
+        # The run of kept vertices through vertex 0 wraps around. Each
+        # line's pairs are added in edge order, as a pass for that line
+        # alone adds them: the k-th pairs of all lines at step k.
+        inside0 = x.item(0) * a[:, 0] + y.item(0) * b[:, 0] + c[:, 0] <= 0.0
+        twice = np.where(inside0, prefix.item(n), 0.0)
+        owner = line[leave]
+        rank = np.arange(len(owner)) - owner.searchsorted(owner)
+        for k in range(rank.max(initial=-1) + 1):
+            step = rank == k
+            at = owner[step]
+            twice[at] += runs[step]
+            twice[at] += corners[step]
+        return np.abs(0.5 * twice)
 
 
-def _block_bounds(v: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least and greatest of v over each block's vertices: from its start
-    through the next block's start, vertex 0 for the last block."""
+# Elements per temporary of the batched area routine at most, 256 KiB of
+# floats: a chunk's temporaries stay in cache, and its fixed numpy calls
+# are spread over many rows. Chunks of n elements ran up to twice as slow
+# on 100,000-vertex curves whose lines leave many blocks unsettled.
+_CHUNK = 2**15
+
+
+def _vertex_buffer(n: int) -> np.ndarray:
+    """An empty buffer for n vertex coordinates and the padding that
+    completes the last block's row in _ClippedAreas."""
     import numpy as np
 
-    first_of_next = np.roll(v[starts], -1)
-    return (
-        np.minimum(np.minimum.reduceat(v, starts), first_of_next),
-        np.maximum(np.maximum.reduceat(v, starts), first_of_next),
-    )
+    B = max(1, math.isqrt(n))
+    return np.empty(max(-(-n // B), 1) * B + 1)
 
 
-def _sample_components(curve: ParametricCurve, samples: int) -> tuple[np.ndarray, np.ndarray]:
-    """Boundary vertices of the curve at evenly spaced parameters."""
+def _sample_components(curve: ParametricCurve, samples: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vertex buffers of x and y, sampled at evenly spaced parameters, and
+    the buffer of those parameters, which the caller may overwrite."""
     import numpy as np
 
     t = np.linspace(float(curve.interval.lo), float(curve.interval.hi), samples)
 
-    def eval_rf(rf: RationalFunction) -> np.ndarray:
-        num = np.polyval([float(c) for c in reversed(rf.num.coeffs)] or [0.0], t)
-        if rf.is_polynomial:
-            return num
-        den = np.polyval([float(c) for c in reversed(rf.den.coeffs)], t)
-        return num / den
+    def horner(coeffs: Sequence[Fraction], out: np.ndarray) -> np.ndarray:
+        # np.polyval's y = y*t + c, in place. It starts from y = 0, which
+        # its first step turns into the leading coefficient for finite t.
+        out.fill(float(coeffs[-1]) if coeffs else 0.0)
+        for c in reversed(coeffs[:-1]):
+            np.multiply(out, t, out=out)
+            np.add(out, float(c), out=out)
+        return out
 
-    return eval_rf(curve.g), eval_rf(curve.f)
+    def eval_rf(rf: RationalFunction) -> np.ndarray:
+        buffer = _vertex_buffer(samples)
+        num = horner(rf.num.coeffs, buffer[:samples])
+        if not rf.is_polynomial:
+            np.divide(num, horner(rf.den.coeffs, np.empty(samples)), out=num)
+        return buffer
+
+    return eval_rf(curve.g), eval_rf(curve.f), t
 
 
 def _clipped_areas(boundary: Boundary, samples: int) -> _ClippedAreas:
@@ -405,9 +498,13 @@ def _clipped_areas(boundary: Boundary, samples: int) -> _ClippedAreas:
     import numpy as np
 
     if isinstance(boundary, ParametricCurve):
-        return _ClippedAreas(*_sample_components(boundary, samples))
+        x, y, t = _sample_components(boundary, samples)
+        return _ClippedAreas(x, y, samples, t)
     points = np.asarray(boundary, dtype=float).reshape(-1, 2)
-    return _ClippedAreas(np.ascontiguousarray(points[:, 0]), np.ascontiguousarray(points[:, 1]))
+    n = len(points)
+    x, y = _vertex_buffer(n), _vertex_buffer(n)
+    x[:n], y[:n] = points[:, 0], points[:, 1]
+    return _ClippedAreas(x, y, n, np.empty(n))
 
 
 def numeric_segment_area(
@@ -420,7 +517,10 @@ def numeric_segment_area(
     cross products over the kept runs, plus the cross products at the
     crossing points, with no clipped polygon built. The crossing edges are
     found from per-block bounding boxes, so only the blocks of vertices the
-    line may cross are evaluated.
+    line may cross are evaluated. The boundary is sampled by in-place
+    Horner steps, the same arithmetic as np.polyval; the line goes through
+    the batched area routine as a batch of one, and verify_certificate
+    sends all its sampled lines through it in one call.
 
     Independent of every exact code path; the error is empirically
     O(1/samples^2) for smooth arcs.
@@ -428,4 +528,3 @@ def numeric_segment_area(
     if samples < 1000:
         raise ValueError("use at least 1000 boundary samples")
     return _clipped_areas(boundary, samples).area(*halfplane)
-

@@ -1,10 +1,13 @@
+import random
 import tracemalloc
+import types
 from fractions import Fraction
 
 import pytest
 
 from ovalkit import (
     Certificate,
+    certify,
     RationalFunction,
     annihilation_residual,
     parse_certificate,
@@ -403,3 +406,94 @@ def test_verify_chord_draws_are_bounded():
 def test_line_samples_carry_no_instance_dict(cubic_centered, cubic_curve):
     report = verify_certificate(pencil_certificate(cubic_centered), cubic_curve, n_samples=10)
     assert not hasattr(report.samples[0], "__dict__")
+
+
+SQUARE_Q = "(2*S + m + 2*q - 2)*(2*m*S - (1 - q)^2)"
+# Windows where many general lines miss the unit square.
+WIDE_WINDOWS = {"slope": (-3.0, 3.0), "intercept": (-1.5, 1.5)}
+
+
+def _arc_side(x, y, arc_len, a, b, c):
+    mid = min(arc_len, len(x)) // 2
+    return (-a, -b, -c) if a * x.item(mid) + b * y.item(mid) + c > 0 else (a, b, c)
+
+
+def _serial_draws(family, boundary, n, seed, windows=None, oracle_samples=100_000):
+    """The (line, area) pairs of verify_certificate rebuilt one line at a
+    time, each area from the full-pass reference, and the draw count."""
+    areas = quadrature._clipped_areas(boundary, oracle_samples)
+    x, y, prefix = areas.x, areas.y, areas._prefix
+    rng = random.Random(seed)
+    out, attempts = [], 0
+    if family == "general":
+        total = abs(areas.signed_total)
+        while len(out) < n:
+            attempts += 1
+            if attempts > 100 * n:
+                raise ValueError("could not sample enough lines hitting the region")
+            m, q = rng.uniform(*windows["slope"]), rng.uniform(*windows["intercept"])
+            area = full_pass_area(x, y, prefix, m, -1.0, q)
+            if 1e-9 * total < area < (1 - 1e-9) * total:
+                out.append(((m, -1.0, q), area))
+        return out, attempts
+    lo, hi = float(boundary.interval.lo), float(boundary.interval.hi)
+    pad = (hi - lo) * 0.15
+    while len(out) < n:
+        attempts += 1
+        t = rng.uniform(lo + pad, hi - pad)
+        gx = boundary.g.evaluate_float(t)
+        if family == "pencil":
+            if abs(gx) <= 1e-9:
+                continue
+            k = max(1, int(oracle_samples * (t - lo) / (hi - lo)))
+            line = _arc_side(x, y, max(k, 2), boundary.f.evaluate_float(t), -gx, 0.0)
+        else:
+            line = _arc_side(x, y, max(2, int(oracle_samples * 0.02)), 1.0, 0.0, -gx)
+        out.append((line, full_pass_area(x, y, prefix, *line)))
+    return out, attempts
+
+
+def _drawn(report):
+    return [(s.line, s.area) for s in report.samples]
+
+
+def test_verify_draws_equal_a_serial_reference_loop(cubic_centered, quartic_centered):
+    # The lines are drawn, kept and measured in one batch; every line and
+    # area must be those of a loop that draws and measures one at a time.
+    for cp in [cubic_centered, quartic_centered] + seeded_loops(21, 3, 2):
+        for seed in (7, 11):
+            report = verify_certificate(pencil_certificate(cp), cp.curve, n_samples=30, seed=seed)
+            assert _drawn(report) == _serial_draws("pencil", cp.curve, 30, seed)[0]
+    for cp in (cubic_centered, quartic_centered):
+        report = verify_certificate(vertical_certificate(cp), cp.curve, n_samples=30, seed=3)
+        assert _drawn(report) == _serial_draws("vertical", cp.curve, 30, 3)[0]
+
+
+def test_verify_general_lines_equal_a_serial_reference_loop(monkeypatch):
+    # Rejected candidates included: the draws come in rounds, but the
+    # kept lines, their order and the number of draws are the serial ones.
+    cert = Certificate(parse_polynomial(SQUARE_Q, ["S", "m", "q"]), {"S": "area", "m": "slope", "q": "intercept"})
+    draws = []
+
+    class CountingRandom(random.Random):
+        def uniform(self, a, b):
+            draws.append((a, b))
+            return super().uniform(a, b)
+
+    monkeypatch.setattr(certify, "random", types.SimpleNamespace(Random=CountingRandom))
+    boundary = square_boundary(4000)
+    rejected = 0
+    for seed in (1, 2, 7):
+        for windows in (None, WIDE_WINDOWS):
+            expected, attempts = _serial_draws("general", boundary, 25, seed, windows or {"slope": (0.1, 2.0), "intercept": (0.0, 1.0)}, 4000)
+            draws.clear()
+            report = verify_certificate(cert, boundary, n_samples=25, seed=seed, windows=windows, oracle_samples=4000)
+            assert _drawn(report) == expected
+            assert len(draws) == 2 * attempts
+            rejected += attempts - 25
+    assert rejected > 25
+    # A window that never cuts the square stops after 100 draws per line.
+    draws.clear()
+    with pytest.raises(ValueError, match="hitting the region"):
+        verify_certificate(cert, boundary, n_samples=12, windows={"slope": (0.1, 0.2), "intercept": (5.0, 6.0)})
+    assert len(draws) == 2 * 100 * 12

@@ -156,6 +156,53 @@ def test_area_parts_build_the_antiderivative_once(monkeypatch, cubic_centered, q
             assert len(calls) == 1
 
 
+def test_exact_segment_areas_build_the_swept_integral_once(monkeypatch, cubic_centered, cubic_valid_range):
+    # The orientation label is read from the total the area was signed by.
+    build = quadrature._swept
+    calls = []
+
+    def counting(curve):
+        calls.append(curve)
+        return build(curve)
+
+    monkeypatch.setattr(quadrature, "_swept", counting)
+    t = Fraction(3, 4)
+    for area in (
+        lambda: origin_chord_segment_area(cubic_centered, t),
+        lambda: vertical_segment_area(cubic_centered, t, t),
+        lambda: free_inlet_area(cubic_centered, t, cubic_valid_range),
+    ):
+        calls.clear()
+        result = area()
+        assert len(calls) == 1
+        assert result.orientation == "clockwise" and result.exact
+
+
+def test_exact_segment_areas_refuse_a_zero_total():
+    cp = validate_centered(parse_curve_text("bezier (0,0) (1,2) (2,-1) (1,2) (0,0)"), Point(0, 0))
+    t = Fraction(1, 2)
+    for area in (
+        lambda: origin_chord_segment_area(cp, t),
+        lambda: vertical_segment_area(cp, t, t),
+        lambda: free_inlet_area(cp, t, cp.curve.interval),
+    ):
+        with pytest.raises(DegenerateCurveError, match="zero signed area"):
+            area()
+
+
+def test_oracle_total_of_zero_is_labelled_clockwise(monkeypatch):
+    # The exact total and the oracle's share one rule: a total of 0 is
+    # clockwise (test_retraced_arc_keeps_the_sign_rule pins the exact 0).
+    class ZeroTotal:
+        signed_total = 0.0
+
+    monkeypatch.setattr(quadrature, "_clipped_areas", lambda boundary, samples: ZeroTotal())
+    curve = parse_curve_text("x=3*(1-t)^2*t/(2+t^2); y=3*(1-t)*t^2/(2+t^2); t in [0,1]")
+    with pytest.warns(UserWarning, match="numeric oracle"):
+        result = total_area(curve)
+    assert (result.signed_value, result.orientation, result.exact) == (0.0, "clockwise", False)
+
+
 def test_swept_integral_identities(cubic_centered, quartic_centered):
     # Every exact area reads the one swept integral; these identities tie
     # the total, the vertical parts, the chord and the free section together.
@@ -587,6 +634,107 @@ def test_block_areas_equal_full_pass_on_star_polygons():
         _assert_full_pass_areas(areas, lines)
 
     check()
+
+
+def _bits(v: np.ndarray) -> bytes:
+    """The float64 bits of v, so that -0.0 and NaN compare exactly."""
+    return np.ascontiguousarray(v, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("samples", [3, 1000, 1009, 100_000])
+def test_sampling_equals_polyval_bitwise(samples, cubic_curve, quartic_curve, apple_curve):
+    # In-place Horner steps are np.polyval's arithmetic, rational
+    # components included; sample_boundary keeps np.polyval.
+    curves = [cubic_curve, quartic_curve, apple_curve]
+    curves += [
+        parse_curve_text(text)
+        for text in (
+            "x=3*(1-t)^2*t/(2+t^2); y=3*(1-t)*t^2/(2+t^2); t in [0,1]",
+            "x=(1-t^2)/(1+t^2); y=2*t/(1+t^2); t in [-3,5/2]",
+            "x=0; y=(t^2-t)/(t-7); t in [-1,1]",
+        )
+    ]
+    for curve in curves:
+        polygon = sample_boundary(curve, samples)
+        areas = quadrature._clipped_areas(curve, samples)
+        assert _bits(areas.x) == _bits(polygon[:, 0]) and _bits(areas.y) == _bits(polygon[:, 1])
+
+
+def _full_pass_areas(areas, lines):
+    return [full_pass_area(areas.x, areas.y, areas._prefix, *line) for line in lines]
+
+
+def _batch_lines(x, y, seed, count):
+    """Random lines through the polygon's box, lines that miss it on either
+    side, axis-parallel lines through vertices and chords from vertex 0, in
+    a shuffled order."""
+    polygon = np.column_stack([x, y])
+    lines = _oracle_lines(polygon, seed, count)
+    lines += [_chord(x, y, u, 0) for u in range(1, len(x), max(1, len(x) // count))]
+    lines += [tuple(-v for v in line) for line in lines[::3]]
+    random.Random(seed).shuffle(lines)
+    return lines
+
+
+def test_batched_areas_equal_full_pass_on_mixed_batches(cubic_curve, quartic_curve, apple_curve):
+    for seed, curve in enumerate((cubic_curve, quartic_curve, apple_curve)):
+        for samples in (1000, 1009, 100_000):
+            areas = quadrature._clipped_areas(curve, samples)
+            lines = _batch_lines(areas.x, areas.y, seed, 40)
+            assert areas.areas(lines).tolist() == _full_pass_areas(areas, lines)
+    # Lines that cross many blocks: the comb, in every rotation.
+    for shift in range(len(COMB)):
+        for comb in (np.roll(COMB, shift, axis=0), np.roll(COMB[::-1], shift, axis=0)):
+            areas = quadrature._clipped_areas(comb, len(comb))
+            lines = [(0.0, -1.0, 1.5), (0.0, 1.0, -1.5), (1.0, 0.0, -3.5), (0.0, 0.0, -1.0), (0.0, 0.0, 1.0)]
+            lines += _batch_lines(areas.x, areas.y, shift, 10)
+            assert areas.areas(lines).tolist() == _full_pass_areas(areas, lines)
+
+
+def test_batched_areas_equal_full_pass_on_star_polygons():
+    # Star polygons: lines through the center cross many blocks.
+    rng = np.random.default_rng(5)
+    for n in (3, 17, 1000, 5000):
+        t, r = np.sort(rng.uniform(0.0, 2 * math.pi, n)), rng.uniform(0.1, 10.0, n)
+        areas = quadrature._clipped_areas(np.column_stack([r * np.cos(t), r * np.sin(t)]), n)
+        lines = _batch_lines(areas.x, areas.y, n, 30)
+        lines += [(math.cos(a), math.sin(a), 0.0) for a in rng.uniform(0.0, 2 * math.pi, 20)]
+        assert areas.areas(lines).tolist() == _full_pass_areas(areas, lines)
+
+
+def test_batched_areas_of_empty_batches_and_small_polygons(cubic_curve):
+    areas = quadrature._clipped_areas(cubic_curve, 1000)
+    for empty in ([], np.zeros((0, 3))):
+        result = areas.areas(empty)
+        assert result.shape == (0,) and result.dtype == np.float64
+    for polygon in (np.zeros((0, 2)), [(1.0, 2.0)], [(0.0, 0.0), (1.0, 1.0)]):
+        small = quadrature._clipped_areas(polygon, 1000)
+        assert small.areas([(1.0, 0.0, -0.5), (0.0, 0.0, -1.0), (0.0, 0.0, 1.0)]).tolist() == [0.0] * 3
+        assert small.areas([]).shape == (0,)
+
+
+def _straddled_blocks(areas, line):
+    """Blocks with vertices on both sides of the line or on it, by brute
+    force: a lower bound on the blocks the area routine gathers."""
+    a, b, c = line
+    d = areas._x_rows * a + areas._y_rows * b + c
+    return int(((d.min(axis=1) <= 0) & (d.max(axis=1) >= 0)).sum())
+
+
+@pytest.mark.parametrize("samples", [1000, 100_000])
+def test_batched_areas_equal_full_pass_across_chunks(samples, cubic_curve):
+    # Enough lines that both the bounds and the gathered rows take several
+    # chunks under the documented rule.
+    areas = quadrature._clipped_areas(cubic_curve, samples)
+    x, y = areas.x, areas.y
+    lines = _batch_lines(x, y, 9, 150) + [_chord(x, y, u, samples - 1) for u in range(1, samples - 1, samples // 150)]
+    budget = min(samples, quadrature._CHUNK)
+    rows = sum(_straddled_blocks(areas, line) for line in lines)
+    assert len(lines) > 2 * (budget // len(areas._x_rows))
+    assert rows > 2 * (budget // (areas._block + 1))
+    assert areas.areas(lines).tolist() == _full_pass_areas(areas, lines)
+    # Every line of the batch alone gives the same area.
+    assert [areas.area(*line) for line in lines[::7]] == _full_pass_areas(areas, lines[::7])
 
 
 def test_verify_memory_peak(cubic_centered, cubic_curve):
