@@ -25,8 +25,10 @@ from .elimination import resultant, vertical_eliminant
 from .errors import DeskScopeError
 from .parsing import parse_polynomial, render_polynomial
 from .quadrature import (
+    ORACLE_SAMPLES,
     _ClippedAreas,
     _clipped_areas,
+    _Extrapolated,
     chord_area_function,
     free_inlet_function,
     slope_function,
@@ -84,12 +86,15 @@ class SampleReport:
 
     values holds five floats per line, a, b, c, area and residual, in one
     array, so a held report takes a few kilobytes; samples rebuilds them
-    as LineSamples, bit for bit, on each read.
+    as LineSamples, bit for bit, on each read. oracle_error is the largest
+    error estimate of the oracle over the sampled lines, that of the fine
+    polygon (0.0 for a polygon boundary, which is measured as it is).
     """
 
     values: array
     max_relative_residual: float
     tolerance: float
+    oracle_error: float
 
     @property
     def samples(self) -> tuple[LineSample, ...]:
@@ -202,7 +207,7 @@ def annihilation_residual(
     return substitute_rational(cert.q, assignments)
 
 
-def _arc_side_line(areas: _ClippedAreas, arc_len: int, a: float, b: float, c: float) -> tuple[float, float, float]:
+def _arc_side_line(areas: _ClippedAreas | _Extrapolated, arc_len: int, a: float, b: float, c: float) -> tuple[float, float, float]:
     """Flip the half-plane sign so the midpoint of the arc through the
     first arc_len boundary vertices is inside."""
     mid = min(arc_len, len(areas.x)) // 2
@@ -211,13 +216,16 @@ def _arc_side_line(areas: _ClippedAreas, arc_len: int, a: float, b: float, c: fl
     return a, b, c
 
 
-def _measure(areas: _ClippedAreas, values: array, table, residual: Callable[[float, float], float]) -> None:
+def _measure(
+    areas: _ClippedAreas | _Extrapolated, values: array, table, residual: Callable[[float, float], float]
+) -> float:
     """Measure the lines of table, a view of values, in one batch, then
     replace each line's slope or abscissa, held in its residual slot, by
-    its residual."""
-    table[:, 3] = areas.areas(table[:, :3])
+    its residual. Returns the largest error estimate of the areas."""
+    table[:, 3], errors = areas.measure(table[:, :3])
     for j in range(0, len(values), 5):
         values[j + 4] = residual(values[j + 4], values[j + 3])
+    return errors.max().item()
 
 
 def _window(interval, fraction: float = 0.15) -> tuple[float, float]:
@@ -270,7 +278,7 @@ def verify_certificate(
     curve,
     n_samples: int = 50,
     tol: float = 1e-6,
-    oracle_samples: int = 100_000,
+    oracle_samples: int = ORACLE_SAMPLES,
     seed: int = 7,
     windows: Mapping[str, tuple[float, float]] | None = None,
 ) -> SampleReport:
@@ -291,6 +299,9 @@ def verify_certificate(
     The lines are drawn one at a time from random.Random(seed) and measured
     together by one batched oracle call (general lines by one call per
     round of draws), with the areas of a call per line, bit for bit.
+    oracle_samples is the oracle's fine vertex count on a curve (see
+    quadrature._Extrapolated); the report's oracle_error is the largest
+    error estimate of the kept lines' areas.
     """
     if n_samples < 10:
         raise ValueError("use at least 10 sample lines")
@@ -316,6 +327,7 @@ def verify_certificate(
         residual = _residual_function(cert.q, (role_to_var["slope"], cert.area_var))
         g, f = _float_component(curve.g), _float_component(curve.f)
         lo, hi = _window(curve.interval)
+        start, span = float(curve.interval.lo), float(curve.interval.hi) - float(curve.interval.lo)
         draws = 0
         for j in range(0, len(values), 5):
             while True:
@@ -327,10 +339,10 @@ def verify_certificate(
                 fy = f(t0)
                 if abs(gx) > 1e-9:
                     break
-            k = max(1, int(oracle_samples * (t0 - float(curve.interval.lo)) / (float(curve.interval.hi) - float(curve.interval.lo))))
+            k = max(1, int(oracle_samples * (t0 - start) / span))
             values[j], values[j + 1], values[j + 2] = _arc_side_line(areas, max(k, 2), fy, -gx, 0.0)
             values[j + 4] = fy / gx  # the slope, until _measure sets the residual
-        _measure(areas, values, table, residual)
+        oracle_error = _measure(areas, values, table, residual)
     elif role_set == {"area", "abscissa"}:
         if not is_curve:
             raise ValueError("vertical-line sampling needs a parametric curve")
@@ -341,7 +353,7 @@ def verify_certificate(
             cx = g(rng.uniform(lo, hi))
             values[j], values[j + 1], values[j + 2] = _arc_side_line(areas, max(2, int(oracle_samples * 0.02)), 1.0, 0.0, -cx)
             values[j + 4] = cx  # the abscissa, until _measure sets the residual
-        _measure(areas, values, table, residual)
+        oracle_error = _measure(areas, values, table, residual)
     elif role_set == {"area", "slope", "intercept"}:
         residual = _residual_function(
             cert.q, (role_to_var["slope"], role_to_var["intercept"], cert.area_var)
@@ -353,6 +365,7 @@ def verify_certificate(
         # draws and the lines kept are those of a one-at-a-time loop that
         # stops at the last line needed or after 100 draws per line.
         kept = attempts = 0
+        oracle_error = 0.0
         while kept < n_samples:
             if attempts >= 100 * n_samples:
                 raise ValueError("could not sample enough lines hitting the region")
@@ -363,16 +376,18 @@ def verify_certificate(
                 values[j + 1] = -1.0
                 values[j + 2] = rng.uniform(*windows["intercept"])
             drawn = table[kept : kept + rows]
-            drawn[:, 3] = areas.areas(drawn[:, :3])
+            drawn[:, 3], errors = areas.measure(drawn[:, :3])
             # Only the lines that cut the region are kept, in draw order.
-            hits = drawn[(1e-9 * total < drawn[:, 3]) & (drawn[:, 3] < (1 - 1e-9) * total)]
+            cut = (1e-9 * total < drawn[:, 3]) & (drawn[:, 3] < (1 - 1e-9) * total)
+            hits = drawn[cut]
+            oracle_error = max(oracle_error, errors[cut].max(initial=0.0).item())
             table[kept : kept + len(hits)] = hits
             kept += len(hits)
         for j in range(0, len(values), 5):
             values[j + 4] = residual(values[j], values[j + 2], values[j + 3])
     else:
         raise ValueError(f"unsupported role combination {sorted(role_set)}")
-    return SampleReport(values, max(values[4::5]), tol)
+    return SampleReport(values, max(values[4::5]), tol, oracle_error)
 
 
 def serialize_certificate(cert: Certificate) -> str:

@@ -281,6 +281,7 @@ def _cmd_verify(args) -> int:
     verdict = "PASS" if report.passed else "FAIL"
     print(f"sampled lines: {len(report.samples)}")
     print(f"max relative residual: {report.max_relative_residual:.3e}")
+    print(f"oracle error estimate: {report.oracle_error:.3e}")
     print(f"tolerance: {report.tolerance:.3e} -> {verdict}")
     return 0 if report.passed else 1
 
@@ -365,7 +366,7 @@ def main(argv: list[str] | None = None) -> int:
     except OvalkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, ZeroDivisionError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

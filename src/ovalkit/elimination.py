@@ -180,22 +180,27 @@ def _at_first(entry: tuple, s: int) -> tuple:
 def _newton(xs: list[int], ys: list[int]) -> list[int]:
     """Ascending coefficients of the polynomial through (xs[i], ys[i]).
 
-    The values come from a polynomial with integer coefficients, whose
-    divided differences at integer nodes are integers (those of t^k are
-    complete symmetric polynomials in the nodes), so every division is
-    exact.
+    The values must come from a polynomial with integer coefficients,
+    whose divided differences at integer nodes are integers (those of t^k
+    are complete symmetric polynomials in the nodes), so every division
+    is exact. Other values raise ArithmeticError at the first division
+    that leaves a remainder, rather than give a wrong polynomial.
     """
     dd = list(ys)
     n = len(xs)
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) // (xs[i] - xs[i - j])
+            dd[i], rem = divmod(dd[i] - dd[i - 1], xs[i] - xs[i - j])
+            if rem:
+                raise ArithmeticError("interpolated values are not those of an integer polynomial")
     coeffs = [dd[-1]]
     for i in range(n - 2, -1, -1):
-        # coeffs * (t - xs[i]) + dd[i]
-        coeffs = [dd[i] - xs[i] * coeffs[0]] + [
-            a - xs[i] * b for a, b in zip(coeffs, coeffs[1:] + [0])
-        ]
+        # coeffs * (t - x) + dd[i], in place from the top coefficient down.
+        x = xs[i]
+        coeffs.append(coeffs[-1])
+        for k in range(len(coeffs) - 2, 0, -1):
+            coeffs[k] = coeffs[k - 1] - x * coeffs[k]
+        coeffs[0] = dd[i] - x * coeffs[0]
     return coeffs
 
 

@@ -1,8 +1,9 @@
 """Exact segment and oval areas via boundary integration, the air-damper
-free-section computation, and an independent numeric oracle: a densely
-sampled boundary polygon whose half-plane areas come from prefix sums of
-its edge cross products. Each line evaluates only the blocks of vertices
-whose bounding boxes it may cross.
+free-section computation, and an independent numeric oracle: sampled
+boundary polygons whose half-plane areas come from prefix sums of their
+edge cross products, Richardson-extrapolated from two resolutions. Each
+line evaluates only the blocks of vertices whose bounding boxes it may
+cross.
 
 Every exact area reads one swept integral of f*g' dt (`_swept`): the
 total, chords through the center, vertical lines and the free section.
@@ -38,6 +39,10 @@ if TYPE_CHECKING:
     import numpy as np
 
 Orientation = Literal["clockwise", "counterclockwise"]
+
+# Parameters at which the numeric oracle samples a curve by default: its
+# fine resolution, odd so that the coarse one keeps both endpoints.
+ORACLE_SAMPLES = 4_001
 
 
 @dataclass(frozen=True)
@@ -94,7 +99,7 @@ def orientation(curve: ParametricCurve) -> Orientation:
     return _nonzero_label(_swept(curve)[1])
 
 
-def total_area(curve: ParametricCurve, oracle_samples: int = 100_000) -> AreaResult:
+def total_area(curve: ParametricCurve, oracle_samples: int = ORACLE_SAMPLES) -> AreaResult:
     """Enclosed area of a closed curve.
 
     Exact for polynomial components; rational components fall back to the
@@ -314,12 +319,13 @@ class _ClippedAreas:
     one broadcast. Each unsettled pair copies its block's B + 1 vertices
     as a row, from a strided view of the vertex buffer, whose padding past
     vertex n - 1 repeats vertex 0; the crossing edges of all rows are then
-    found together. The chunks come from the vertex count: with
-    m = min(n, _CHUNK), a chunk holds at most m // blocks lines, whose
-    unsettled rows are gathered m // (B + 1) at a time, so no temporary
-    holds more than m elements, whatever the batch (the crossings of a
-    chunk, a few per line, hold fewer). For n = 100,000 a batch of up to
-    103 lines is one chunk.
+    found together. A chunk holds at most _CHUNK // blocks lines, whose
+    unsettled rows are gathered _CHUNK // (B + 1) at a time, so no
+    temporary holds more than _CHUNK elements, whatever the batch or the
+    polygon (the crossings of a chunk, a few per line, hold fewer). For
+    the default oracle's 4,001 fine vertices a batch of up to 512 lines is
+    one chunk, for its 2,001 coarse ones up to 712, and for 100,000
+    vertices up to 103.
 
     Vertex sides and crossing points are computed with the operations of
     the Sutherland-Hodgman clip the tests keep as reference:
@@ -364,27 +370,33 @@ class _ClippedAreas:
         """Area of the polygon's part with a*x + b*y + c <= 0."""
         return self.areas([(a, b, c)]).item()
 
+    def measure(self, lines) -> tuple[np.ndarray, np.ndarray]:
+        """`areas` of lines and their error estimates: all zero, since a
+        polygon given by its vertices is measured as it is."""
+        import numpy as np
+
+        out = self.areas(lines)
+        return out, np.zeros_like(out)
+
     def areas(self, lines) -> np.ndarray:
         """Area of the polygon's part with a*x + b*y + c <= 0 for each row
         (a, b, c) of lines, an (L, 3) array."""
         import numpy as np
 
         lines = np.asarray(lines, dtype=float).reshape(-1, 3)
-        n = len(self.x)
         out = np.zeros(len(lines))
-        if n < 3:
+        if len(self.x) < 3:
             return out
-        per_chunk = max(1, min(n, _CHUNK) // len(self._x_rows))
+        per_chunk = max(1, _CHUNK // len(self._x_rows))
         for first in range(0, len(lines), per_chunk):
             out[first : first + per_chunk] = self._chunk_areas(lines[first : first + per_chunk])
         return out
 
-    def _chunk_areas(self, lines: np.ndarray) -> np.ndarray:
-        """`areas` of a chunk of lines whose bounds fit in one temporary."""
+    def _unsettled(self, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(line, block) indices of the blocks that are not settled for the
+        lines given as columns a, b, c, by line and then by block."""
         import numpy as np
 
-        x, y, n, B = self.x, self.y, len(self.x), self._block
-        a, b, c = lines[:, 0, None], lines[:, 1, None], lines[:, 2, None]
         a_pos, b_pos = a >= 0, b >= 0
         lo = np.where(a_pos, self._xmin, self._xmax) * a
         lo += np.where(b_pos, self._ymin, self._ymax) * b
@@ -394,12 +406,20 @@ class _ClippedAreas:
         hi += c
         margin = 6 * 2.0**-53 * (np.abs(a) * self._x_abs + np.abs(b) * self._y_abs + np.abs(c))
         # Written as "not settled", so that NaN bounds count as unsettled.
-        line, block = np.nonzero(~((hi < -margin) | (lo > margin)))
+        return np.nonzero(~((hi < -margin) | (lo > margin)))
+
+    def _chunk_areas(self, lines: np.ndarray) -> np.ndarray:
+        """`areas` of a chunk of lines whose bounds fit in one temporary."""
+        import numpy as np
+
+        x, y, n, B = self.x, self.y, len(self.x), self._block
+        a, b, c = lines[:, 0, None], lines[:, 1, None], lines[:, 2, None]
+        line, block = self._unsettled(a, b, c)
         # (line, edge, d at its start, d at its end) of each crossing edge,
         # by line and, within a line, by edge.
         none = np.empty(0)
         crossings = [(line[:0], block[:0], none, none)]
-        rows = max(1, min(n, _CHUNK) // (B + 1))
+        rows = max(1, _CHUNK // (B + 1))
         for r in range(0, len(line), rows):
             rl, rb = line[r : r + rows], block[r : r + rows]
             # d = a*x + b*y + c over each unsettled block's row.
@@ -453,7 +473,9 @@ class _ClippedAreas:
 # Elements per temporary of the batched area routine at most, 256 KiB of
 # floats: a chunk's temporaries stay in cache, and its fixed numpy calls
 # are spread over many rows. Chunks of n elements ran up to twice as slow
-# on 100,000-vertex curves whose lines leave many blocks unsettled.
+# on 100,000-vertex curves whose lines leave many blocks unsettled, and
+# chunks capped at n elements made a 2,000-line verify on 4,001 vertices
+# about 1.4 times as slow.
 _CHUNK = 2**15
 
 
@@ -492,14 +514,56 @@ def _sample_components(curve: ParametricCurve, samples: int) -> tuple[np.ndarray
     return eval_rf(curve.g), eval_rf(curve.f), t
 
 
-def _clipped_areas(boundary: Boundary, samples: int) -> _ClippedAreas:
-    """The area routine of a curve sampled at `samples` parameters, or of
-    a polygon given as (x, y) vertices."""
+class _Extrapolated:
+    """Areas of a curve sampled at n parameters, n odd, by Richardson
+    extrapolation (Phil. Trans. R. Soc. A 210, 1911) from two polygons:
+    the fine one through all n vertices and the coarse one through the
+    even-indexed vertices, both endpoints among them.
+
+    A polygon inscribed in a smooth arc errs by about C/n^2, so the coarse
+    polygon errs by about four times the fine one's, and every area and
+    total here is (4*fine - coarse)/3, which cancels that term. What
+    remains was measured at about C'/n^3 for lines that cross the boundary
+    between samples (the crossing term has no smooth expansion in n) and
+    C''/n^4 for totals. |fine - coarse|/3, the fine polygon's own error
+    estimate, is the conservative figure `measure` reports per line.
+
+    x and y are the fine polygon's vertices.
+    """
+
+    def __init__(self, fine: _ClippedAreas, coarse: _ClippedAreas):
+        self.fine, self.coarse = fine, coarse
+        self.x, self.y = fine.x, fine.y
+        self.signed_total = (4.0 * fine.signed_total - coarse.signed_total) / 3.0
+
+    def area(self, a: float, b: float, c: float) -> float:
+        """Area of the curve's part with a*x + b*y + c <= 0."""
+        return self.measure([(a, b, c)])[0].item()
+
+    def measure(self, lines) -> tuple[np.ndarray, np.ndarray]:
+        """Area of the curve's part with a*x + b*y + c <= 0 for each row
+        (a, b, c) of lines, an (L, 3) array, and per line the fine
+        polygon's error estimate |fine - coarse|/3."""
+        import numpy as np
+
+        fine, coarse = self.fine.areas(lines), self.coarse.areas(lines)
+        return (4.0 * fine - coarse) / 3.0, np.abs(fine - coarse) / 3.0
+
+
+def _clipped_areas(boundary: Boundary, samples: int) -> _ClippedAreas | _Extrapolated:
+    """The extrapolated areas of a curve sampled at `samples` parameters,
+    samples + 1 if it is even, or the areas of a polygon given as (x, y)
+    vertices."""
     import numpy as np
 
     if isinstance(boundary, ParametricCurve):
-        x, y, t = _sample_components(boundary, samples)
-        return _ClippedAreas(x, y, samples, t)
+        n = samples | 1
+        x, y, t = _sample_components(boundary, n)
+        fine = _ClippedAreas(x, y, n, t)
+        m = n // 2 + 1
+        x_coarse, y_coarse = _vertex_buffer(m), _vertex_buffer(m)
+        x_coarse[:m], y_coarse[:m] = x[:n:2], y[:n:2]
+        return _Extrapolated(fine, _ClippedAreas(x_coarse, y_coarse, m, t))
     points = np.asarray(boundary, dtype=float).reshape(-1, 2)
     n = len(points)
     x, y = _vertex_buffer(n), _vertex_buffer(n)
@@ -510,20 +574,30 @@ def _clipped_areas(boundary: Boundary, samples: int) -> _ClippedAreas:
 def numeric_segment_area(
     boundary: Boundary,
     halfplane: tuple[float, float, float],
-    samples: int = 100_000,
+    samples: int = ORACLE_SAMPLES,
 ) -> float:
-    """Area of {interior} intersect {a*x + b*y + c <= 0} by dense polygonal
+    """Area of {interior} intersect {a*x + b*y + c <= 0} by polygonal
     sampling and Green's theorem: the prefix sums of the boundary's edge
     cross products over the kept runs, plus the cross products at the
     crossing points, with no clipped polygon built. The crossing edges are
     found from per-block bounding boxes, so only the blocks of vertices the
-    line may cross are evaluated. The boundary is sampled by in-place
-    Horner steps, the same arithmetic as np.polyval; the line goes through
-    the batched area routine as a batch of one, and verify_certificate
-    sends all its sampled lines through it in one call.
+    line may cross are evaluated. A curve is sampled at `samples`
+    parameters (samples + 1 if even) by in-place Horner steps, the same
+    arithmetic as np.polyval, and its area is Richardson-extrapolated from
+    the polygons through all samples and through every other one; a
+    polygon's area is taken as it is. The line goes through the batched
+    area routine as a batch of one, and verify_certificate sends all its
+    sampled lines through it in one call.
 
-    Independent of every exact code path; the error is empirically
-    O(1/samples^2) for smooth arcs.
+    Independent of every exact code path. Measured against exact areas
+    with crossings between samples, from 1,001 to 32,001 samples: the
+    plain polygon errs as C/samples^2, the extrapolated segment areas
+    about as C'/samples^3 and the extrapolated totals as C''/samples^4.
+    At the default 4,001 samples the worst errors were 6.0e-12 to 7.8e-11
+    for chords through the center and vertical segments of the cubic,
+    quartic and four seeded cubic loops, where 100,000 plain samples err
+    by 7.1e-11 to 6.7e-10, and 9.8e-13 and 5.0e-13 for the apple and
+    folium totals, against 2.6e-9 and 1.0e-9.
     """
     if samples < 1000:
         raise ValueError("use at least 1000 boundary samples")

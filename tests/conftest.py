@@ -14,6 +14,9 @@ SQUARE_TEXT = "x^2*y^2-x^2*y-x*y^2+x*y"
 QUARTIC_PARAM = "x=(t^2-1)^2; y=t^3-t; t in [-1,1]"
 CUBIC_PARAM = "x=3*(1-t)^2*t; y=3*(1-t)*t^2; t in [0,1]"
 APPLE_BEZIER = "bezier (0,0) (-3,0) (-1,2) (0,2) (1,2) (3,0) (0,0)"
+# The folium of Descartes, x^3 + y^3 - 3xy = 0, by a rational
+# parametrization of its loop; the loop's area is 3/2.
+FOLIUM_PARAM = "x=3*t*(1-t)^2/((1-t)^3+t^3); y=3*t^2*(1-t)/((1-t)^3+t^3); t in [0,1]"
 
 
 @pytest.fixture(scope="session")
@@ -44,6 +47,11 @@ def cubic_curve():
 @pytest.fixture(scope="session")
 def apple_curve():
     return parse_curve_text(APPLE_BEZIER)
+
+
+@pytest.fixture(scope="session")
+def folium_curve():
+    return parse_curve_text(FOLIUM_PARAM)
 
 
 @pytest.fixture(scope="session")

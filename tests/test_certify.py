@@ -1,4 +1,5 @@
 import random
+import sys
 import tracemalloc
 import types
 from fractions import Fraction
@@ -375,17 +376,31 @@ def test_held_report_is_small_and_rebuilds_its_samples(cubic_centered, cubic_cur
         tracemalloc.stop()
     assert held / len(reports) < 3000, held
     report = reports[0]
+    # What a report holds: five floats per line in one array, and the
+    # report object itself.
+    assert sys.getsizeof(report.values) + sys.getsizeof(report) <= 8 * 5 * 50 + 200
     assert all(r == first for r in reports)
     # Each read rebuilds the LineSamples from the stored floats, with the
     # areas those of the full-pass reference.
     samples = report.samples
     assert samples == first.samples
     assert len(samples) == 50 and all(type(s) is LineSample for s in samples)
-    areas = quadrature._clipped_areas(cubic_curve, 100_000)
+    areas = quadrature._clipped_areas(cubic_curve, quadrature.ORACLE_SAMPLES)
     for s in samples:
         assert all(type(v) is float for v in (*s.line, s.area, s.residual))
-        assert s.area == full_pass_area(areas.x, areas.y, areas._prefix, *s.line)
+        assert s.area == _full_pass(areas, s.line)[0]
     assert report.max_relative_residual == max(s.residual for s in samples)
+    assert report.oracle_error == max(_full_pass(areas, s.line)[1] for s in samples) > 0.0
+
+
+def _full_pass(areas, line):
+    """The area verify_certificate reports for line and its error estimate,
+    from the full-pass reference: (4*fine - coarse)/3 and |fine - coarse|/3
+    of a curve's two resolutions, or a polygon's area and 0.0."""
+    if isinstance(areas, quadrature._ClippedAreas):
+        return full_pass_area(areas.x, areas.y, areas._prefix, *line), 0.0
+    fine, coarse = (full_pass_area(r.x, r.y, r._prefix, *line) for r in (areas.fine, areas.coarse))
+    return (4.0 * fine - coarse) / 3.0, abs(fine - coarse) / 3.0
 
 
 def test_verify_refuses_more_lines_than_its_limit(cubic_centered, cubic_curve):
@@ -418,11 +433,11 @@ def _arc_side(x, y, arc_len, a, b, c):
     return (-a, -b, -c) if a * x.item(mid) + b * y.item(mid) + c > 0 else (a, b, c)
 
 
-def _serial_draws(family, boundary, n, seed, windows=None, oracle_samples=100_000):
+def _serial_draws(family, boundary, n, seed, windows=None, oracle_samples=quadrature.ORACLE_SAMPLES):
     """The (line, area) pairs of verify_certificate rebuilt one line at a
     time, each area from the full-pass reference, and the draw count."""
     areas = quadrature._clipped_areas(boundary, oracle_samples)
-    x, y, prefix = areas.x, areas.y, areas._prefix
+    x, y = areas.x, areas.y
     rng = random.Random(seed)
     out, attempts = [], 0
     if family == "general":
@@ -432,7 +447,7 @@ def _serial_draws(family, boundary, n, seed, windows=None, oracle_samples=100_00
             if attempts > 100 * n:
                 raise ValueError("could not sample enough lines hitting the region")
             m, q = rng.uniform(*windows["slope"]), rng.uniform(*windows["intercept"])
-            area = full_pass_area(x, y, prefix, m, -1.0, q)
+            area = _full_pass(areas, (m, -1.0, q))[0]
             if 1e-9 * total < area < (1 - 1e-9) * total:
                 out.append(((m, -1.0, q), area))
         return out, attempts
@@ -449,7 +464,7 @@ def _serial_draws(family, boundary, n, seed, windows=None, oracle_samples=100_00
             line = _arc_side(x, y, max(k, 2), boundary.f.evaluate_float(t), -gx, 0.0)
         else:
             line = _arc_side(x, y, max(2, int(oracle_samples * 0.02)), 1.0, 0.0, -gx)
-        out.append((line, full_pass_area(x, y, prefix, *line)))
+        out.append((line, _full_pass(areas, line)[0]))
     return out, attempts
 
 
@@ -497,3 +512,18 @@ def test_verify_general_lines_equal_a_serial_reference_loop(monkeypatch):
     with pytest.raises(ValueError, match="hitting the region"):
         verify_certificate(cert, boundary, n_samples=12, windows={"slope": (0.1, 0.2), "intercept": (5.0, 6.0)})
     assert len(draws) == 2 * 100 * 12
+
+
+def test_oracle_error_is_the_largest_estimate_over_the_kept_lines(cubic_centered, cubic_curve):
+    areas = quadrature._clipped_areas(cubic_curve, quadrature.ORACLE_SAMPLES)
+    general = Certificate(parse_polynomial("S - m - q", ["S", "m", "q"]), {"S": "area", "m": "slope", "q": "intercept"})
+    windows = {"slope": (-2.0, 2.0), "intercept": (-0.5, 0.5)}
+    for cert in (pencil_certificate(cubic_centered), vertical_certificate(cubic_centered), general):
+        report = verify_certificate(cert, cubic_curve, n_samples=20, windows=windows)
+        assert report.oracle_error == max(_full_pass(areas, s.line)[1] for s in report.samples)
+        assert 0.0 < report.oracle_error < 1e-6
+    # An even count is sampled as count + 1.
+    assert verify_certificate(general, cubic_curve, n_samples=20, windows=windows, oracle_samples=4000) == report
+    # A polygon is measured as it is.
+    square = Certificate(parse_polynomial(SQUARE_Q, ["S", "m", "q"]), {"S": "area", "m": "slope", "q": "intercept"})
+    assert verify_certificate(square, square_boundary(4000), n_samples=20).oracle_error == 0.0

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import ovalkit.cli as cli
+from ovalkit import elimination
 from ovalkit.algebra import Interval
 from ovalkit.cli import emit_damper_table, main, parse_curve_text
 
@@ -147,6 +148,20 @@ def test_file_errors_are_one_line(tmp_path, argv):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+
+
+def test_arithmetic_errors_are_one_line(capsys, monkeypatch):
+    # An exact area too large for a float, and the interpolation's check
+    # of its own arithmetic: exit 1 with one message, no traceback.
+    code, _, err = run(capsys, ["area", "--param", "x=10^400*t*(1-t)^2; y=t^2*(1-t); t in [0,1]"])
+    assert code == 1 and err.startswith("error:") and len(err.splitlines()) == 1, err
+
+    def broken(xs, ys):
+        raise ArithmeticError("interpolated values are not those of an integer polynomial")
+
+    monkeypatch.setattr(elimination, "_newton", broken)
+    code, _, err = run(capsys, ["certify", "--param", CUBIC_PARAM, "--family", "vertical"])
+    assert code == 1 and err == "error: interpolated values are not those of an integer polynomial\n"
 
 
 def test_verify_sample_count_is_bounded():
@@ -309,6 +324,9 @@ def test_certify_and_verify_roundtrip(tmp_path, capsys):
     )
     assert code == 0
     assert "PASS" in out
+    lines = out.splitlines()
+    assert lines[-2].startswith("oracle error estimate: ") and float(lines[-2].split(": ")[1]) > 0.0
+    assert lines[-1].endswith("-> PASS")
 
 
 def test_verify_bad_certificate_fails(capsys, tmp_path):

@@ -14,7 +14,7 @@ from ovalkit import (
 )
 from ovalkit import elimination
 from ovalkit.curves import Point
-from ovalkit.elimination import _bareiss, _berkowitz
+from ovalkit.elimination import _bareiss, _berkowitz, _newton, _sample_values
 from ovalkit.errors import DegenerateEliminantError, SylvesterSizeError
 
 from oracles import det_bareiss, det_cofactor, sylvester_vertical_inputs
@@ -309,6 +309,32 @@ def test_berkowitz_zero_and_nilpotent_matrices():
     assert _berkowitz(shift) == [1, 0, 0, 0, 0, 0]
     # The companion matrix of x^3 - 2x^2 + 3x - 4 has zero leading entries.
     assert _berkowitz([[0, 0, 4], [1, 0, -3], [0, 1, 2]]) == [1, -2, 3, -4]
+
+
+def test_newton_interpolates_integer_polynomials_exactly():
+    rng = random.Random(5)
+    for degree in range(8):
+        for _ in range(20):
+            coeffs = [rng.randint(-10**12, 10**12) for _ in range(degree + 1)]
+            for xs in (_sample_values(degree + 1), _sample_values(degree + 4), [rng.randint(-50, 50) * 7 + k for k in range(degree + 2)]):
+                ys = [sum(c * x**e for e, c in enumerate(coeffs)) for x in xs]
+                got = _newton(xs, ys)
+                assert got[: degree + 1] == coeffs and not any(got[degree + 1 :])
+
+
+def test_newton_refuses_values_of_a_non_integer_polynomial():
+    # t*(t - 1)/2 and (t^3 + 2*t)/3 take integer values at integer nodes,
+    # but their leading divided differences are 1/2 and 1/3: floor division
+    # would return a wrong integer polynomial with no error.
+    cases = [
+        ([0, 1, 2], [0, 0, 1]),
+        (_sample_values(5), [x * (x - 1) // 2 for x in _sample_values(5)]),
+        (_sample_values(6), [(x**3 + 2 * x) // 3 for x in _sample_values(6)]),
+        ([0, 2], [0, 1]),
+    ]
+    for xs, ys in cases:
+        with pytest.raises(ArithmeticError):
+            _newton(xs, ys)
 
 
 def test_primitive_normalized_content():

@@ -535,24 +535,44 @@ def _block_lines(x, y):
     return lines
 
 
+def _resolutions(areas):
+    """The fine and the coarse area routine of a sampled curve."""
+    return areas.fine, areas.coarse
+
+
 @pytest.mark.parametrize("samples", [1_000, 100_000])
 def test_prefix_areas_match_reference_clip(samples, cubic_curve, quartic_curve, apple_curve):
     for seed, curve in enumerate((cubic_curve, quartic_curve, apple_curve)):
-        polygon = sample_boundary(curve, samples)
-        # The routine samples the same vertices, with no (n, 2) stack.
+        # An even count is sampled as count + 1; the coarse polygon is
+        # every other vertex of the fine one, both endpoints among them.
+        fine_polygon = sample_boundary(curve, samples + 1)
         areas = quadrature._clipped_areas(curve, samples)
-        assert np.array_equal(areas.x, polygon[:, 0]) and np.array_equal(areas.y, polygon[:, 1])
-        assert areas.x.flags.c_contiguous and areas.y.flags.c_contiguous
-        _assert_areas_match(polygon, _oracle_lines(polygon, seed, 100))
+        for resolution, polygon in zip(_resolutions(areas), (fine_polygon, fine_polygon[::2])):
+            # The routine samples the same vertices, with no (n, 2) stack.
+            x, y = resolution.x, resolution.y
+            assert np.array_equal(x, polygon[:, 0]) and np.array_equal(y, polygon[:, 1])
+            assert x.flags.c_contiguous and y.flags.c_contiguous
+            _assert_areas_match(polygon, _oracle_lines(polygon, seed, 100))
 
 
 @pytest.mark.parametrize("samples", [3, 4, 1009, 1024, 1025, 100_000])
 def test_block_areas_equal_full_pass_through_block_extremes(samples, cubic_curve, quartic_curve, apple_curve):
     # 1009 is prime and 1025 a square plus one: both end in a short block.
+    # The curve is sampled at exactly `samples` vertices, as a polygon, to
+    # keep those block shapes; its oracle samples samples | 1.
     for seed, curve in enumerate((cubic_curve, quartic_curve, apple_curve)):
-        areas = quadrature._clipped_areas(curve, samples)
-        polygon = np.column_stack([areas.x, areas.y])
+        polygon = sample_boundary(curve, samples)
+        areas = quadrature._clipped_areas(polygon, samples)
         _assert_full_pass_areas(areas, _block_lines(areas.x, areas.y) + _oracle_lines(polygon, seed, 20))
+
+
+def test_default_resolutions_equal_full_pass_through_block_extremes(cubic_curve, quartic_curve, apple_curve, folium_curve):
+    # The default oracle's fine polygon has 4,001 vertices in blocks of 63,
+    # its coarse one 2,001 in blocks of 44; the last block of each is short.
+    for seed, curve in enumerate((cubic_curve, quartic_curve, apple_curve, folium_curve)):
+        for areas in _resolutions(quadrature._clipped_areas(curve, quadrature.ORACLE_SAMPLES)):
+            polygon = np.column_stack([areas.x, areas.y])
+            _assert_full_pass_areas(areas, _block_lines(areas.x, areas.y) + _oracle_lines(polygon, seed, 20))
 
 
 def test_prefix_areas_comb_all_rotations():
@@ -656,8 +676,12 @@ def test_sampling_equals_polyval_bitwise(samples, cubic_curve, quartic_curve, ap
     ]
     for curve in curves:
         polygon = sample_boundary(curve, samples)
-        areas = quadrature._clipped_areas(curve, samples)
-        assert _bits(areas.x) == _bits(polygon[:, 0]) and _bits(areas.y) == _bits(polygon[:, 1])
+        x, y, _ = quadrature._sample_components(curve, samples)
+        assert _bits(x[:samples]) == _bits(polygon[:, 0]) and _bits(y[:samples]) == _bits(polygon[:, 1])
+        # The oracle's resolutions: samples | 1 vertices, and every other one.
+        fine = sample_boundary(curve, samples | 1)
+        for areas, polygon in zip(_resolutions(quadrature._clipped_areas(curve, samples)), (fine, fine[::2])):
+            assert _bits(areas.x) == _bits(polygon[:, 0]) and _bits(areas.y) == _bits(polygon[:, 1])
 
 
 def _full_pass_areas(areas, lines):
@@ -679,9 +703,9 @@ def _batch_lines(x, y, seed, count):
 def test_batched_areas_equal_full_pass_on_mixed_batches(cubic_curve, quartic_curve, apple_curve):
     for seed, curve in enumerate((cubic_curve, quartic_curve, apple_curve)):
         for samples in (1000, 1009, 100_000):
-            areas = quadrature._clipped_areas(curve, samples)
-            lines = _batch_lines(areas.x, areas.y, seed, 40)
-            assert areas.areas(lines).tolist() == _full_pass_areas(areas, lines)
+            for areas in _resolutions(quadrature._clipped_areas(curve, samples)):
+                lines = _batch_lines(areas.x, areas.y, seed, 40)
+                assert areas.areas(lines).tolist() == _full_pass_areas(areas, lines)
     # Lines that cross many blocks: the comb, in every rotation.
     for shift in range(len(COMB)):
         for comb in (np.roll(COMB, shift, axis=0), np.roll(COMB[::-1], shift, axis=0)):
@@ -705,8 +729,8 @@ def test_batched_areas_equal_full_pass_on_star_polygons():
 def test_batched_areas_of_empty_batches_and_small_polygons(cubic_curve):
     areas = quadrature._clipped_areas(cubic_curve, 1000)
     for empty in ([], np.zeros((0, 3))):
-        result = areas.areas(empty)
-        assert result.shape == (0,) and result.dtype == np.float64
+        for result in (*areas.measure(empty), areas.fine.areas(empty)):
+            assert result.shape == (0,) and result.dtype == np.float64
     for polygon in (np.zeros((0, 2)), [(1.0, 2.0)], [(0.0, 0.0), (1.0, 1.0)]):
         small = quadrature._clipped_areas(polygon, 1000)
         assert small.areas([(1.0, 0.0, -0.5), (0.0, 0.0, -1.0), (0.0, 0.0, 1.0)]).tolist() == [0.0] * 3
@@ -724,17 +748,17 @@ def _straddled_blocks(areas, line):
 @pytest.mark.parametrize("samples", [1000, 100_000])
 def test_batched_areas_equal_full_pass_across_chunks(samples, cubic_curve):
     # Enough lines that both the bounds and the gathered rows take several
-    # chunks under the documented rule.
-    areas = quadrature._clipped_areas(cubic_curve, samples)
-    x, y = areas.x, areas.y
-    lines = _batch_lines(x, y, 9, 150) + [_chord(x, y, u, samples - 1) for u in range(1, samples - 1, samples // 150)]
-    budget = min(samples, quadrature._CHUNK)
-    rows = sum(_straddled_blocks(areas, line) for line in lines)
-    assert len(lines) > 2 * (budget // len(areas._x_rows))
-    assert rows > 2 * (budget // (areas._block + 1))
-    assert areas.areas(lines).tolist() == _full_pass_areas(areas, lines)
-    # Every line of the batch alone gives the same area.
-    assert [areas.area(*line) for line in lines[::7]] == _full_pass_areas(areas, lines[::7])
+    # chunks under the documented rule, at each resolution.
+    for areas in _resolutions(quadrature._clipped_areas(cubic_curve, samples)):
+        x, y, n = areas.x, areas.y, len(areas.x)
+        per_chunk = quadrature._CHUNK // len(areas._x_rows)
+        lines = _batch_lines(x, y, 9, 2 * per_chunk) + [_chord(x, y, u, n - 1) for u in range(1, n - 1, n // 150)]
+        rows = sum(_straddled_blocks(areas, line) for line in lines)
+        assert len(lines) > 2 * per_chunk
+        assert rows > 2 * (quadrature._CHUNK // (areas._block + 1))
+        assert areas.areas(lines).tolist() == _full_pass_areas(areas, lines)
+        # Every line of the batch alone gives the same area.
+        assert [areas.area(*line) for line in lines[::7]] == _full_pass_areas(areas, lines[::7])
 
 
 def test_verify_memory_peak(cubic_centered, cubic_curve):
@@ -747,3 +771,158 @@ def test_verify_memory_peak(cubic_centered, cubic_curve):
         tracemalloc.stop()
     assert report.passed and len(report.samples) == 50
     assert peak < 5.0e6, peak
+
+
+# -- the extrapolated oracle ----------------------------------------------
+
+
+def test_oracle_resolutions_and_extrapolated_areas(cubic_curve, folium_curve, apple_curve):
+    for curve in (cubic_curve, folium_curve, apple_curve):
+        for samples, fine_count in ((1000, 1001), (1001, 1001), (quadrature.ORACLE_SAMPLES, 4001)):
+            areas = quadrature._clipped_areas(curve, samples)
+            fine, coarse = _resolutions(areas)
+            # The coarse polygon is every other vertex, both endpoints kept.
+            assert len(fine.x) == fine_count and len(coarse.x) == fine_count // 2 + 1
+            assert _bits(coarse.x) == _bits(fine.x[::2]) and _bits(coarse.y) == _bits(fine.y[::2])
+            assert coarse.x[-1] == fine.x[-1] and coarse.y[-1] == fine.y[-1]
+            assert areas.x is fine.x and areas.y is fine.y
+            assert areas.signed_total == (4.0 * fine.signed_total - coarse.signed_total) / 3.0
+            lines = _batch_lines(fine.x, fine.y, samples, 20)
+            got, errors = areas.measure(lines)
+            for line, area, error in zip(lines, got.tolist(), errors.tolist()):
+                f = full_pass_area(fine.x, fine.y, fine._prefix, *line)
+                c = full_pass_area(coarse.x, coarse.y, coarse._prefix, *line)
+                assert area == (4.0 * f - c) / 3.0 == areas.area(*line) == numeric_segment_area(curve, line, samples)
+                assert error == abs(f - c) / 3.0
+    # A polygon is measured as it is, with no error estimate.
+    square = quadrature._clipped_areas(UNIT_SQUARE, 4)
+    got, errors = square.measure([(1.0, 0.0, -0.5), (0.0, 0.0, -1.0)])
+    assert got.tolist() == [0.5, 1.0] and errors.tolist() == [0.0, 0.0]
+
+
+# 7919 is prime: no t0 = lo + (hi - lo)*k/7919, 0 < k < 7919, is a sample
+# parameter of the oracle's 4,001 or 2,001 vertices or of 100,000 plain
+# ones. Crossings on sample parameters would hide the O(1/n^3) term.
+OFF_GRID = 7919
+
+
+def _on_a_grid(curve, t) -> bool:
+    lo, hi = curve.interval.lo, curve.interval.hi
+    return any(((t - lo) / (hi - lo) * (n - 1)).denominator == 1 for n in (4001, 2001, 100_000))
+
+
+def _chord_lines(cp, count=17):
+    """Chords from the center to off-grid points t0, each oriented so that
+    the arc from the start to t0 is inside, and their exact areas."""
+    curve = cp.curve
+    lo, hi = curve.interval.lo, curve.interval.hi
+    lines, exact = [], []
+    for k in range(OFF_GRID // (2 * count), OFF_GRID, OFF_GRID // count):
+        t0 = lo + (hi - lo) * Fraction(k, OFF_GRID)
+        gx, fy = float(curve.g.evaluate(t0)), float(curve.f.evaluate(t0))
+        mid = curve.point_at((lo + t0) / 2)
+        line = (fy, -gx, 0.0) if fy * mid.x - gx * mid.y <= 0 else (-fy, gx, -0.0)
+        assert not _on_a_grid(curve, t0)
+        lines.append(line)
+        exact.append(float(origin_chord_segment_area(cp, t0).value))
+    return lines, exact
+
+
+def _vertical_pairs(cp, count=12):
+    """Rational off-grid pairs t1 < t2 with g(t1) = g(t2), for a cubic g.
+
+    The divided difference D(t1, t2) = (g(t1) - g(t2))/(t1 - t2) of a
+    cubic is a conic through (lo, hi), since the curve is closed; the line
+    t1 = lo + u, t2 = hi + s*u of rational slope s meets it again at a
+    rational u."""
+    curve = cp.curve
+    lo, hi = curve.interval.lo, curve.interval.hi
+    coeffs = curve.g.as_univariate().coeffs
+    assert len(coeffs) == 4
+
+    def D(a, b):
+        return sum(gj * sum(a**i * b ** (j - 1 - i) for i in range(j)) for j, gj in enumerate(coeffs))
+
+    pairs = []
+    for k in range(1, 200):
+        s = Fraction(-k, 37)
+        # D(lo + u, hi + s*u) = u*(A + C*u)
+        plus, minus = D(lo + 1, hi + s), D(lo - 1, hi - s)
+        A, C = (plus - minus) / 2, (plus + minus) / 2
+        if C:
+            u = -A / C
+            t1, t2 = lo + u, hi + s * u
+            if lo < t1 < t2 < hi and not (_on_a_grid(curve, t1) or _on_a_grid(curve, t2)):
+                pairs.append((t1, t2))
+    return pairs[:: max(1, len(pairs) // count)][:count]
+
+
+def _vertical_lines(cp, pairs):
+    """Vertical lines x = g(t1), oriented so that the start of the curve is
+    inside, and the exact areas of the segments cut between t1 and t2."""
+    curve = cp.curve
+    start = float(curve.g.evaluate(curve.interval.lo))
+    lines, exact = [], []
+    for t1, t2 in pairs:
+        assert curve.g.evaluate(t1) == curve.g.evaluate(t2)
+        assert not (_on_a_grid(curve, t1) or _on_a_grid(curve, t2))
+        cx = float(curve.g.evaluate(t1))
+        lines.append((1.0, 0.0, -cx) if start <= cx else (-1.0, 0.0, cx))
+        exact.append(float(vertical_segment_area(cp, t1, t2).value))
+    return lines, exact
+
+
+def _worst_errors(curve, lines, exact):
+    """The worst error of the default oracle and of 100,000 plain samples."""
+    exact = np.array(exact)
+    default = np.array([numeric_segment_area(curve, line) for line in lines])
+    plain = quadrature._clipped_areas(sample_boundary(curve, 100_000), 100_000).areas(lines)
+    return np.abs(default - exact).max(), np.abs(plain - exact).max()
+
+
+def test_default_oracle_is_no_less_accurate_than_100k_plain_samples(
+    cubic_centered, quartic_centered, apple_curve, folium_curve
+):
+    loops = seeded_loops(11, 3, 4)
+    assert len({(str(cp.curve.g), str(cp.curve.f)) for cp in loops}) == 4
+    quartic_pairs = [(-Fraction(k, OFF_GRID), Fraction(k, OFF_GRID)) for k in range(300, OFF_GRID, 630)]
+    for cp in [cubic_centered, quartic_centered] + loops:
+        pairs = quartic_pairs if cp is quartic_centered else _vertical_pairs(cp)
+        assert len(pairs) >= 6
+        for lines, exact in (_chord_lines(cp), _vertical_lines(cp, pairs)):
+            default, plain = _worst_errors(cp.curve, lines, exact)
+            assert default <= plain, (cp.curve, default, plain)
+            assert default < 1e-10
+    for curve, exact in ((apple_curve, total_area(apple_curve).value), (folium_curve, Fraction(3, 2))):
+        default, plain = _worst_errors(curve, [(0.0, 0.0, -1.0)], [float(exact)])
+        assert default <= plain and default < 1e-11, (curve, default, plain)
+    with pytest.warns(UserWarning, match="numeric oracle"):
+        folium = total_area(folium_curve)
+    assert abs(folium.value - 1.5) < 1e-11 and not folium.exact
+
+
+def test_blocks_within_the_rounding_margin_are_evaluated(cubic_curve):
+    # For each block of the default fine polygon (4,001 vertices, B = 63),
+    # lines through one of its extreme vertices shifted by one rounding
+    # step, so that d there is the smallest nonzero value of its sign and
+    # the block's box bound equals it. Such a block lies within the margin
+    # of the line, so it must be evaluated, not settled, and every area
+    # must still equal the full pass.
+    areas = quadrature._clipped_areas(cubic_curve, quadrature.ORACLE_SAMPLES).fine
+    assert len(areas.x) == 4001 and areas._block == 63
+    lines, blocks = [], []
+    for k in range(len(areas._x_rows)):
+        for (a, b), low, high in (
+            ((1.0, 0.0), areas._xmin[k], areas._xmax[k]),
+            ((0.0, 1.0), areas._ymin[k], areas._ymax[k]),
+        ):
+            # d = low - nextafter(low, -inf) > 0 at the lowest vertex and
+            # d = high - nextafter(high, inf) < 0 at the highest one.
+            for c in (-np.nextafter(low, -np.inf), -np.nextafter(high, np.inf)):
+                lines += _both_signs(a, b, float(c))
+                blocks += [k, k]
+    table = np.array(lines)
+    line, block = areas._unsettled(table[:, 0, None], table[:, 1, None], table[:, 2, None])
+    unsettled = set(zip(line.tolist(), block.tolist()))
+    assert all((i, k) in unsettled for i, k in enumerate(blocks))
+    assert areas.areas(lines).tolist() == _full_pass_areas(areas, lines)
