@@ -68,9 +68,10 @@ class Polynomial:
             c = as_fraction(coeff)
             if c:
                 exps = _EXPONENTS.setdefault(exps, exps)
-                cleaned[exps] = cleaned.get(exps, Fraction(0)) + c
-                if not cleaned[exps]:
-                    del cleaned[exps]
+                if exps in cleaned:
+                    c += cleaned.pop(exps)
+                if c:
+                    cleaned[exps] = c
         self.vars = vs
         self.terms = cleaned
 

@@ -10,6 +10,7 @@ numeric area oracle and reports scaled residuals.
 from __future__ import annotations
 
 import functools
+import math
 import random
 from array import array
 from dataclasses import dataclass, field
@@ -167,9 +168,15 @@ def vertical_certificate(
     D = (g(t1) - g(t2)) / (t1 - t2), which vanishes at every off-diagonal
     pair, and Q is the characteristic polynomial in S of multiplication by
     P(t1) + R(t2) on Q(c)[t1, t2]/(D, g(t2) - c), built on integers by
-    `vertical_eliminant`. It equals Res_t2(Res_t1(S - P(t1) - R(t2), D),
-    c - g(t2)) after normalization; the recorded removed factor is the
-    content of the characteristic polynomial.
+    `vertical_eliminant`, which expands P and R in powers of g so that
+    the multiplier is a polynomial in c with parts built once, and takes
+    as many abscissa nodes as their growth in c requires. Q equals
+    Res_t2(Res_t1(S - P(t1) - R(t2), D), c - g(t2)) after normalization;
+    the recorded removed factor is the content of the characteristic
+    polynomial. The provenance inputs are these three polynomials
+    S - P(t1) - R(t2), D and c - g(t2), rendered; they are written term by
+    term, as nothing else uses them. The names t1, t2 (from the curve's
+    parameter t) must differ from area_var and abscissa_var.
 
     An x-component of degree at most 1 has no off-diagonal pairs (D is a
     constant), so S can only be P(t) + R(t), the signed total area, and
@@ -179,18 +186,26 @@ def vertical_certificate(
     t1, t2 = t + "1", t + "2"
     P, R = vertical_area_parts(cp)  # ExactIntegrationError unless g, f are polynomials
     g = cp.curve.g.as_univariate()
-    S = Polynomial.variable(area_var)
     if g.degree() <= 1:
-        raw = (S - (P + R).to_polynomial()).with_vars((area_var, abscissa_var))
+        raw = (Polynomial.variable(area_var) - (P + R).to_polynomial()).with_vars((area_var, abscissa_var))
         eliminated, inputs = (), (raw,)
     else:
-        e1 = S - P.rename(t1).to_polynomial() - R.rename(t2).to_polynomial()
-        g2 = g.rename(t2).to_polynomial()
+        if {t1, t2} & {area_var, abscissa_var}:
+            raise ValueError("parameter variable collides with a certificate variable")
+        # The inputs are only rendered, so their terms are written directly:
+        # e1 = S - P(t1) - R(t2), D, and e_c = c - g(t2).
+        terms = {(0, i, 0): -c for i, c in enumerate(P.coeffs)}
+        for j, c in enumerate(R.coeffs):
+            terms[(0, 0, j)] = terms.get((0, 0, j), 0) - c
+        terms[(1, 0, 0)] = 1
+        e1 = Polynomial((area_var, t1, t2), terms)
         # D = sum_j g_j (t1^j - t2^j)/(t1 - t2) = sum_j g_j sum_(i<j) t1^i t2^(j-1-i)
         D = Polynomial(
             (t1, t2), {(i, j - 1 - i): c for j, c in enumerate(g.coeffs) for i in range(j)}
         )
-        e_c = Polynomial.variable(abscissa_var) - g2
+        terms = {(0, j): -c for j, c in enumerate(g.coeffs)}
+        terms[(1, 0)] = 1
+        e_c = Polynomial((abscissa_var, t2), terms)
         raw = vertical_eliminant(g, P, R, area_var, abscissa_var)
         eliminated, inputs = (t1, t2), (e1, D, e_c)
     q, prov = _cleanup(raw, eliminated, inputs)
@@ -294,7 +309,9 @@ def verify_certificate(
     kept.
 
     Residuals are |Q| divided by the largest evaluated monomial magnitude
-    (at least 1), so the verdict is invariant under scaling Q.
+    (at least 1), so the verdict is invariant under scaling Q. tol must be
+    finite and positive (ValueError otherwise): an infinite one would pass
+    every certificate, a NaN one none.
 
     The lines are drawn one at a time from random.Random(seed) and measured
     together by one batched oracle call (general lines by one call per
@@ -303,6 +320,8 @@ def verify_certificate(
     quadrature._Extrapolated); the report's oracle_error is the largest
     error estimate of the kept lines' areas.
     """
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance must be finite and positive, not {tol}")
     if n_samples < 10:
         raise ValueError("use at least 10 sample lines")
     if n_samples > MAX_VERIFY_LINES:

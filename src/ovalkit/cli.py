@@ -8,6 +8,7 @@ condition), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import decimal
 import math
 import re
 import sys
@@ -185,7 +186,26 @@ def _write_out(args, text: str):
 
 
 def _exact_with_decimal(value: Fraction) -> str:
-    return f"{value} = {_fmt(float(value))}"
+    """value and its decimal to 12 significant digits. The decimal is that
+    of the float where a float holds value at full precision, and is
+    rounded from the Fraction where the float would overflow or lose
+    digits."""
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not value or sys.float_info.min <= abs(x) < math.inf:
+        return f"{value} = {_fmt(x)}"
+    digits = decimal.Context(prec=12).divide(decimal.Decimal(value.numerator), value.denominator)
+    return f"{value} = {digits.normalize():.12g}"
+
+
+def _pair(text: str, flag: str, form: str) -> tuple[Fraction, Fraction]:
+    """The two rationals of a flag's 'a,b' value."""
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise OvalkitError(f"{flag} expects {form}, not {text!r}")
+    return as_fraction(parts[0].strip()), as_fraction(parts[1].strip())
 
 
 def _cmd_parse(args) -> int:
@@ -229,9 +249,9 @@ def _cmd_area(args) -> int:
         cp = _centered_origin(curve)
         result = quad.origin_chord_segment_area(cp, as_fraction(args.chord))
     elif args.vertical is not None:
-        t1_s, t2_s = args.vertical.split(",")
+        t1, t2 = _pair(args.vertical, "--vertical", "t1,t2")
         cp = _centered_origin(curve)
-        result = quad.vertical_segment_area(cp, as_fraction(t1_s), as_fraction(t2_s))
+        result = quad.vertical_segment_area(cp, t1, t2)
     else:
         result = quad.total_area(curve)
     print(_exact_with_decimal(result.value))
@@ -241,8 +261,7 @@ def _cmd_area(args) -> int:
 def _cmd_damper_table(args) -> int:
     curve = _curve_from_args(args)
     cp = _centered_origin(curve)
-    lo_s, hi_s = args.range.split(",")
-    t_range = Interval(as_fraction(lo_s), as_fraction(hi_s))
+    t_range = Interval(*_pair(args.range, "--range", "a,b"))
     rows = damper_rows(cp, t_range, args.steps)
     _write_out(args, _damper_csv(rows))
     if args.svg:
@@ -320,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", help="curve text")
     p.add_argument("--in", dest="infile", help="read the curve text from a file")
     p.add_argument("--chord", help="chord parameter t0 (origin-centered curves)")
-    p.add_argument("--vertical", help="parameters t1,t2 of a vertical-line segment")
+    p.add_argument("--vertical", help="parameters t1,t2 of a vertical-line segment (--vertical=t1,t2)")
     p.set_defaults(func=_cmd_area)
 
     p = sub.add_parser("damper-table", help="free-section table S2(t_P) as CSV")

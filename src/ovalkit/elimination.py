@@ -14,10 +14,10 @@ eliminated variable; no polynomial matrix is built:
 4. interpolate the integer values by tensor Newton divided differences,
    one variable at a time, and divide by the input scales once.
 
-`vertical_eliminant` needs no Sylvester matrix: it takes the
-characteristic polynomial of an integer multiplication matrix with
-`_berkowitz` at integer nodes of one variable and interpolates with the
-same `_newton`.
+`vertical_eliminant` needs no Sylvester matrix: it expands the area parts
+in powers of the x-component (`_g_adic`), takes the characteristic
+polynomial of an integer multiplication matrix with `_berkowitz` at
+integer nodes of one variable and interpolates with the same `_newton`.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from operator import mul
 
 from .algebra import Polynomial, UnivariatePolynomial
@@ -279,6 +280,49 @@ def resultant(f: Polynomial, g: Polynomial, var: str, strict: bool = True) -> Po
     return det
 
 
+def _integer_inputs(
+    g: UnivariatePolynomial, P: UnivariatePolynomial, R: UnivariatePolynomial
+) -> tuple[list[int], list[int], list[int], Fraction, Fraction]:
+    """Step 1 of `vertical_eliminant`: the ascending integer coefficients
+    of the monic g_hat, P_hat and R_hat in tau = a*t, and the scales K, lam
+    with P_hat(tau) = K*P(tau/a), R_hat alike, and g_hat = lam*g."""
+    gi, k = g.primitive_integer()
+    d = gi.degree()
+    a = gi.coeffs[-1].numerator
+    # g_hat(tau) = a^(d-1) * gi(tau/a).
+    gh = [c.numerator * a ** (d - 1 - i) for i, c in enumerate(gi.coeffs[:-1])] + [1]
+    m = max(P.degree(), R.degree(), 0)
+    lcm = math.lcm(*(c.denominator for c in P.coeffs + R.coeffs))
+    ph = [c.numerator * (lcm // c.denominator) * a ** (m - i) for i, c in enumerate(P.coeffs)]
+    rh = [c.numerator * (lcm // c.denominator) * a ** (m - i) for i, c in enumerate(R.coeffs)]
+    content = math.gcd(*ph, *rh) or 1
+    ph = [c // content for c in ph]
+    rh = [c // content for c in rh]
+    return gh, ph, rh, Fraction(lcm * a**m, content), Fraction(a ** (d - 1)) / k
+
+
+def _g_adic(p: list[int], g: list[int]) -> list[list[int]]:
+    """Parts p_k of p = sum_k p_k * g^k with deg p_k < deg g, for ascending
+    integer coefficients p and a monic integer g; each part's trailing
+    zeros are dropped. Dividing by a monic g keeps every part integral."""
+    d = len(g) - 1
+    parts = []
+    while p:
+        p = list(p)
+        q = [0] * max(len(p) - d, 0)
+        for i in range(len(q) - 1, -1, -1):
+            q[i] = c = p[i + d]
+            if c:
+                for j, gj in enumerate(g):
+                    p[i + j] -= c * gj
+        r = p[:d]
+        while r and not r[-1]:
+            r.pop()
+        parts.append(r)
+        p = q
+    return parts
+
+
 def vertical_eliminant(
     g: UnivariatePolynomial,
     P: UnivariatePolynomial,
@@ -300,16 +344,37 @@ def vertical_eliminant(
     Everything runs on ints:
 
     1. with g = k*gi for an integer primitive gi of leading coefficient a,
-       t = tau/a makes D and g(tau2) - c_hat monic integer polynomials,
-       c_hat = lam*c with lam = a^(d-1)/k, and h = K*(P + R) has integer
+       t = tau/a makes g_hat(tau) = a^(d-1)*gi(tau/a), D and
+       g_hat(tau2) - c_hat monic integer polynomials, c_hat = lam*c with
+       lam = a^(d-1)/k, and P_hat = K*P, R_hat = K*R have integer
        coefficients in tau;
-    2. at each integer node c_hat, M is built from the multiplications by
-       tau1 and tau2 on the basis;
-    3. its characteristic polynomial is taken by `_berkowitz`;
+    2. P_hat and R_hat are expanded in powers of the monic g_hat (exact
+       integer division): P_hat = sum_k P_k * g_hat^k with deg P_k < d, and
+       R_hat alike. In the quotient ring g_hat(tau1) - g_hat(tau2) =
+       (tau1 - tau2)*D = 0, so g_hat(tau1) = g_hat(tau2) = c_hat and
+       h = P_hat(tau1) + R_hat(tau2) = sum_k c_hat^k * h_k with
+       h_k = P_k(tau1) + R_k(tau2). No h_k depends on c_hat, and each
+       needs at most one reduction of tau1^(d-1), so they are built once;
+    3. at each integer node c_hat, h is summed from the h_k by Horner in
+       c_hat, M is built from h by the multiplications by tau1 and tau2 on
+       the basis, and its characteristic polynomial is taken by
+       `_berkowitz`;
     4. each coefficient is interpolated in c_hat by `_newton` on
-       (d-1)*max(deg P, deg R) + 1 nodes. Each eigenvalue grows like
-       |c|^(deg h/d), so the product of all d(d-1) of them bounds every
-       coefficient's degree in c by (d-1)*deg h.
+       N + 1 nodes, N = max over the k with h_k != 0 of
+       d(d-1)*k + (d-1)*max(deg P_k, deg R_k).
+
+    Why N bounds Q's degree in c_hat: for large |c_hat| every root tau of
+    g_hat(tau) = c_hat has |tau| = O(|c_hat|^(1/d)), so each of the
+    d(d-1) eigenvalues of M, a value of h at a pair of such roots, is
+    O(|c_hat|^e) with e = max over the k with h_k != 0 of
+    k + max(deg P_k, deg R_k)/d. The coefficient of S^(d(d-1) - i) is
+    +-(the i-th elementary symmetric function of the eigenvalues), a
+    polynomial in c_hat that is O(|c_hat|^(i*e)), so its degree is at most
+    floor(i*e) <= d(d-1)*e = N. As P + R is the constant signed total,
+    P_k = -R_k for k >= 1, and an h_k whose parts are constants vanishes:
+    the cubic's top part drops out, and N = 10 is Q's degree in c where
+    (d-1)*max(deg P, deg R) = 12 was not. N never exceeds that bound,
+    since d*k + deg P_k <= deg P_hat for each nonzero part.
 
     Then S_hat = K*S and c_hat = lam*c map the result back.
     """
@@ -320,28 +385,30 @@ def vertical_eliminant(
         raise DeskScopeError(
             f"x-component of degree {d} exceeds the supported {MAX_VERTICAL_DEGREE} for vertical certificates"
         )
-    gi, k = g.primitive_integer()
-    a = gi.coeffs[-1].numerator
-    # Monic g_hat(tau) = a^(d-1) * gi(tau/a).
-    gh = [c.numerator * a ** (d - 1 - i) for i, c in enumerate(gi.coeffs[:-1])]
-    m = max(P.degree(), R.degree(), 0)
-    lcm = math.lcm(*(c.denominator for c in P.coeffs + R.coeffs))
-    ph = [c.numerator * (lcm // c.denominator) * a ** (m - i) for i, c in enumerate(P.coeffs)]
-    rh = [c.numerator * (lcm // c.denominator) * a ** (m - i) for i, c in enumerate(R.coeffs)]
-    content = math.gcd(*ph, *rh) or 1
-    ph = [c // content for c in ph]
-    rh = [c // content for c in rh]
-    K = Fraction(lcm * a**m, content)
-    lam = Fraction(a ** (d - 1)) / k
+    full, ph, rh, K, lam = _integer_inputs(g, P, R)
+    gh = full[:-1]
     # D_hat = sum_i tau1^i * w_i(tau2) with w_i = sum_{j > i} g_hat_j tau2^(j-1-i)
     # and w_(d-1) = 1, so tau1^(d-1) = -sum_(i < d-1) tau1^i w_i(tau2).
     n = d * (d - 1)
-    full = gh + [1]
     reduce_t1 = [0] * n
     for i in range(d - 1):
         for j in range(i + 1, d + 1):
             reduce_t1[i * d + j - 1 - i] -= full[j]
-    nodes = _sample_values((d - 1) * m + 1)
+    # h_k = P_k(tau1) + R_k(tau2) on the basis, tau1^(d-1) reduced once.
+    parts = []
+    bound = 0
+    for k, (pk, rk) in enumerate(zip_longest(_g_adic(ph, full), _g_adic(rh, full), fillvalue=[])):
+        v = [0] * n
+        for i, c in enumerate(pk[: d - 1]):
+            v[i * d] = c
+        if len(pk) == d:
+            v = [x + pk[-1] * y for x, y in zip(v, reduce_t1)]
+        for j, c in enumerate(rk):
+            v[j] += c
+        if any(v):
+            bound = max(bound, n * k + (d - 1) * (max(len(pk), len(rk)) - 1))
+        parts.append(v)
+    nodes = _sample_values(bound + 1)
     values = []
     for c_hat in nodes:
 
@@ -369,26 +436,23 @@ def vertical_eliminant(
             return out
 
         h = [0] * n
-        for c in reversed(ph):
-            h = times_t1(h)
-            h[0] += c
-        r = [0] * n
-        for c in reversed(rh):
-            r = times_t2(r)
-            r[0] += c
+        for part in reversed(parts):
+            h = [c_hat * x + y for x, y in zip(h, part)]
         # Column i*d + j of M is h * tau1^i tau2^j; the characteristic
         # polynomial of M's transpose is the same.
-        cols = [[x + y for x, y in zip(h, r)]]
+        cols = [h]
         for j in range(1, d):
             cols.append(times_t2(cols[-1]))
         for i in range(1, d - 1):
             cols += [times_t1(col) for col in cols[-d:]]
         values.append(_berkowitz(cols))
     terms: dict[tuple[int, int], Fraction] = {}
+    lam_num = [lam.numerator**e for e in range(len(nodes))]
+    lam_den = [lam.denominator**e for e in range(len(nodes))]
     for i in range(n + 1):
-        scale = K ** (n - i)
+        k_num, k_den = K.numerator ** (n - i), K.denominator ** (n - i)
         for e, c in enumerate(_newton(nodes, [v[i] for v in values])):
             if c:
-                terms[(n - i, e)] = c * scale * lam**e
+                terms[(n - i, e)] = Fraction(c * k_num * lam_num[e], k_den * lam_den[e])
     return Polynomial((area_var, abscissa_var), terms)
 

@@ -15,6 +15,7 @@ from ovalkit import (
     parse_polynomial,
     pencil_certificate,
     quadrature,
+    render_polynomial,
     serialize_certificate,
     verify_certificate,
     vertical_certificate,
@@ -25,7 +26,7 @@ from ovalkit.errors import DeskScopeError
 from ovalkit.quadrature import chord_area_function, free_inlet_function, slope_function
 
 from conftest import square_boundary
-from oracles import full_pass_area, seeded_loops, sylvester_vertical
+from oracles import full_pass_area, seeded_loops, sylvester_vertical, sylvester_vertical_inputs
 
 
 def test_pencil_certificate_cubic(cubic_centered, cubic_curve):
@@ -156,10 +157,11 @@ def test_vertical_certificate_cubic_shape(cubic_vertical_build):
     # Eliminating against the divided difference (g(t1) - g(t2))/(t1 - t2)
     # drops the whole-oval diagonal t1 = t2 and its spurious factor 20*S - 3.
     # The quotient Q(c)[t1, t2]/(D, g(t2) - c) of the cubic has dimension
-    # 3 * 2, so each multiplication matrix is 6x6.
-    # (d - 1) * max(deg P, deg R) = 2 * 6 bounds Q's degree in c: 13 nodes.
+    # 3 * 2, so each multiplication matrix is 6x6. P and R have degree 6 =
+    # 2 * deg g; their top g-adic parts are opposite constants and cancel,
+    # so the bound on Q's degree in c is 6 * 1 + 2 * 2 = 10: 11 nodes.
     cert, sizes = cubic_vertical_build
-    assert sizes == [(6, 6)] * 13
+    assert sizes == [(6, 6)] * 11
     q = cert.q
     assert len(q.terms) == 27
     assert (q.degree_in("S"), q.degree_in("c")) == (6, 10)
@@ -201,10 +203,11 @@ def test_vertical_certificate_matches_sylvester_on_seeded_loops():
         assert vertical_certificate(cp).q == sylvester_vertical(cp)
 
 
-def test_vertical_certificate_matches_sylvester_on_random_parametrizations():
-    # The identity needs no closed loop: any polynomial g of degree >= 2
-    # and f, here with small rational coefficients, give P, R and the same
-    # eliminant by both routes.
+def _for_random_parametrizations(check) -> None:
+    """Run check(cp) on 25 centered parametrizations with random polynomial
+    g of degree 2 to 4 and f of degree 1 to 3, with small rational
+    coefficients. They need not be closed loops: any such g and f give P
+    and R."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     from ovalkit import Interval, UnivariatePolynomial
@@ -220,19 +223,70 @@ def test_vertical_certificate_matches_sylvester_on_random_parametrizations():
 
     @hypothesis.settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @hypothesis.given(polys(2, 4), polys(1, 3))
-    def check(g, f):
+    def run(g, f):
         curve = ParametricCurve(RationalFunction(g), RationalFunction(f), Interval(0, 1))
-        cp = CenteredParametrization(curve, Point(g.evaluate(0), f.evaluate(0)))
+        check(CenteredParametrization(curve, Point(g.evaluate(0), f.evaluate(0))))
+
+    run()
+
+
+def test_vertical_certificate_matches_sylvester_on_random_parametrizations():
+    # The identity needs no closed loop: P, R and the same eliminant by
+    # both routes.
+    def check(cp):
         assert vertical_certificate(cp).q == sylvester_vertical(cp)
 
-    check()
+    _for_random_parametrizations(check)
+
+
+def _node_bound(cp) -> tuple[int, int]:
+    """The vertical eliminant's bound N on Q's degree in c (it takes N + 1
+    nodes) and Q's actual degree in c."""
+    import ovalkit.elimination as elimination
+
+    counts = []
+    sample = elimination._sample_values
+
+    def recording(count):
+        counts.append(count)
+        return sample(count)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(elimination, "_sample_values", recording)
+        q = vertical_certificate(cp).q
+    (count,) = counts
+    return count - 1, q.degree_in("c")
+
+
+def test_vertical_node_bound_covers_the_degree_in_c(cubic_centered, quartic_centered):
+    assert _node_bound(cubic_centered) == (10, 10)
+    assert _node_bound(quartic_centered) == (21, 21)
+    loops = seeded_loops(61, 3, 12) + seeded_loops(67, 4, 2)
+    bounds = [_node_bound(cp) for cp in loops]
+    assert all(bound >= degree for bound, degree in bounds), bounds
+
+    def check(cp):
+        bound, degree = _node_bound(cp)
+        assert bound >= degree
+
+    _for_random_parametrizations(check)
+
+
+def test_vertical_provenance_inputs_are_the_rendered_system(cubic_centered, quartic_centered):
+    for cp, names in ((cubic_centered, ()), (quartic_centered, ()), (cubic_centered, ("A", "x0"))):
+        cert = vertical_certificate(cp, *names)
+        e1, D, e_c, _, _ = sylvester_vertical_inputs(cp, *names)
+        assert cert.provenance.inputs == (render_polynomial(e1), render_polynomial(D), render_polynomial(e_c))
+    for names in (("t1", "c"), ("S", "t2")):
+        with pytest.raises(ValueError, match="collides"):
+            vertical_certificate(cubic_centered, *names)
 
 
 def test_vertical_certificate_degree_bound_in_c(
     cubic_vertical_build, cubic_centered, quartic_vertical_cert, quartic_centered
 ):
-    # Three nodes beyond (d - 1) * max(deg P, deg R) + 1 give the same Q:
-    # the interpolated coefficients of c^k past the bound are all zero.
+    # Three nodes beyond the N + 1 that vertical_eliminant takes give the
+    # same Q: the interpolated coefficients of c^k past N are all zero.
     import ovalkit.elimination as elimination
 
     nodes = elimination._sample_values
@@ -290,6 +344,16 @@ def test_trivial_certificate_fails(cubic_curve):
     cert = Certificate(q, {"S": "area", "m": "slope"})
     report = verify_certificate(cert, cubic_curve, n_samples=20, tol=1e-6)
     assert not report.passed
+
+
+def test_verify_needs_a_finite_positive_tolerance(cubic_curve):
+    # An infinite tolerance would pass every certificate, a negative or NaN
+    # one none; each is refused before any line is measured.
+    cert = Certificate(parse_polynomial("S", ["S", "m"]), {"S": "area", "m": "slope"})
+    for tol in (float("inf"), float("nan"), -1.0, 0.0, -float("inf")):
+        with pytest.raises(ValueError, match="tolerance must be finite and positive"):
+            verify_certificate(cert, cubic_curve, n_samples=20, tol=tol)
+    assert verify_certificate(cert, cubic_curve, n_samples=20, tol=1e300).passed
 
 
 def test_certificate_requires_area_role():

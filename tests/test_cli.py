@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 import time
@@ -40,6 +41,34 @@ def test_area_chord_and_vertical(capsys):
     code, out, _ = run(capsys, ["area", "--param", QUARTIC_PARAM, "--vertical=-1/2,1/2"])
     assert code == 0
     assert out.startswith("617/1680")
+
+
+def test_area_vertical_needs_two_parameters(capsys):
+    for value in ("1/2", "1/4,1/2,3/4"):
+        code, out, err = run(capsys, ["area", "--param", QUARTIC_PARAM, f"--vertical={value}"])
+        assert code == 1 and out == ""
+        assert err == f"error: --vertical expects t1,t2, not {value!r}\n"
+
+
+def test_area_decimal_past_the_float_range(capsys):
+    # The exact area 10^400/60 overflows a float; its decimal is rounded from
+    # the Fraction instead, and so is that of 10^-400/60, which underflows.
+    code, out, _ = run(capsys, ["area", "--param", "x=10^400*t*(1-t)^2; y=t^2*(1-t); t in [0,1]"])
+    assert code == 0
+    assert out == f"{Fraction(10**400, 60)} = 1.66666666667e+398\n"
+    code, out, _ = run(capsys, ["area", "--param", "x=t*(1-t)^2/10^400; y=-t^2*(1-t); t in [0,1]"])
+    assert code == 0
+    assert out == f"{Fraction(1, 60 * 10**400)} = 1.66666666667e-402\n"
+    assert cli._exact_with_decimal(Fraction(-10**320)) == f"{-10**320} = -1e+320"
+    assert cli._exact_with_decimal(Fraction(2 * 10**400 - 1, 3)) == f"{Fraction(2 * 10**400 - 1, 3)} = 6.66666666667e+399"
+
+
+def test_area_decimal_of_a_float_keeps_the_float_digits():
+    rng = random.Random(13)
+    values = [Fraction(0), Fraction(3, 20), Fraction(617, 1680), Fraction(-1, 3), Fraction(10**308), Fraction(1, 10**307)]
+    values += [Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**30)) * Fraction(10) ** rng.randint(-300, 300) for _ in range(300)]
+    for v in values:
+        assert cli._exact_with_decimal(v) == f"{v} = {float(v):.12g}"
 
 
 def test_puiseux_verb(capsys):
@@ -151,9 +180,11 @@ def test_file_errors_are_one_line(tmp_path, argv):
 
 
 def test_arithmetic_errors_are_one_line(capsys, monkeypatch):
-    # An exact area too large for a float, and the interpolation's check
-    # of its own arithmetic: exit 1 with one message, no traceback.
-    code, _, err = run(capsys, ["area", "--param", "x=10^400*t*(1-t)^2; y=t^2*(1-t); t in [0,1]"])
+    # A damper-table value too large for its float column, and the
+    # interpolation's check of its own arithmetic: exit 1 with one message,
+    # no traceback.
+    argv = ["damper-table", "--param", "x=10^400*t*(1-t)^2; y=t^2*(1-t); t in [0,1]", "--range", "1/2,1", "--steps", "3"]
+    code, _, err = run(capsys, argv)
     assert code == 1 and err.startswith("error:") and len(err.splitlines()) == 1, err
 
     def broken(xs, ys):
@@ -337,6 +368,14 @@ def test_verify_bad_certificate_fails(capsys, tmp_path):
     )
     assert code == 1
     assert "FAIL" in out
+
+
+def test_verify_refuses_a_tolerance_that_is_not_finite_and_positive(capsys):
+    cert = "S - m\nroles: S=area m=slope\n"
+    for tol in ("inf", "nan", "-1", "0"):
+        code, out, err = run(capsys, ["verify", "--cert", cert, "--param", CUBIC_PARAM, f"--tol={tol}"])
+        assert code == 1 and out == ""
+        assert err == f"error: tolerance must be finite and positive, not {float(tol)}\n"
 
 
 def test_curve_text_errors():

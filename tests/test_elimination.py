@@ -5,6 +5,7 @@ import pytest
 
 from ovalkit import (
     Polynomial,
+    UnivariatePolynomial,
     implicitize,
     parse_polynomial,
     pencil_certificate,
@@ -17,7 +18,7 @@ from ovalkit.curves import Point
 from ovalkit.elimination import _bareiss, _berkowitz, _newton, _sample_values
 from ovalkit.errors import DegenerateEliminantError, SylvesterSizeError
 
-from oracles import det_bareiss, det_cofactor, sylvester_vertical_inputs
+from oracles import det_bareiss, det_cofactor, seeded_loops, sylvester_vertical_inputs
 
 
 def _poly(text, variables):
@@ -335,6 +336,45 @@ def test_newton_refuses_values_of_a_non_integer_polynomial():
     for xs, ys in cases:
         with pytest.raises(ArithmeticError):
             _newton(xs, ys)
+
+
+def _rebuild(parts: list[list[int]], g: list[int]) -> UnivariatePolynomial:
+    """sum_k parts[k] * g^k."""
+    G = UnivariatePolynomial("t", g)
+    return sum((UnivariatePolynomial("t", part) * G**k for k, part in enumerate(parts)), UnivariatePolynomial.zero("t"))
+
+
+def test_g_adic_parts_rebuild_the_scaled_area_parts(cubic_centered, quartic_centered):
+    # P_hat = sum_k P_k * g_hat^k with deg P_k < deg g_hat, exactly, for
+    # the scaled integer parts of every curve; g_hat = lam*g(tau/a) and
+    # P_hat = K*P(tau/a), R_hat = K*R(tau/a).
+    from ovalkit.quadrature import vertical_area_parts
+
+    cases = [cubic_centered, quartic_centered] + seeded_loops(61, 3, 6) + seeded_loops(67, 4, 2)
+    for cp in cases:
+        g = cp.curve.g.as_univariate()
+        P, R = vertical_area_parts(cp)
+        gh, ph, rh, K, lam = elimination._integer_inputs(g, P, R)
+        assert gh[-1] == 1 and len(gh) == g.degree() + 1
+        a = g.primitive_integer()[0].coeffs[-1]
+        for tau in (Fraction(-2), Fraction(1, 3), Fraction(5)):
+            value = lambda coeffs: sum(c * tau**i for i, c in enumerate(coeffs))
+            assert value(gh) == lam * g.evaluate(tau / a)
+            assert value(ph) == K * P.evaluate(tau / a)
+            assert value(rh) == K * R.evaluate(tau / a)
+        for p in (ph, rh):
+            parts = elimination._g_adic(p, gh)
+            assert all(len(part) < len(gh) for part in parts)
+            assert _rebuild(parts, gh) == UnivariatePolynomial("t", p)
+    rng = random.Random(11)
+    for _ in range(200):
+        g = [rng.randint(-9, 9) for _ in range(rng.randint(1, 6))] + [1]
+        p = [rng.randint(-10**6, 10**6) for _ in range(rng.randint(0, 20))]
+        while p and not p[-1]:
+            p.pop()
+        parts = elimination._g_adic(p, g)
+        assert all(len(part) < len(g) and (not part or part[-1]) for part in parts)
+        assert _rebuild(parts, g) == UnivariatePolynomial("t", p)
 
 
 def test_primitive_normalized_content():
