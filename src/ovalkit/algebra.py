@@ -1,12 +1,12 @@
 """Exact arithmetic backbone: rationals, sparse multivariate polynomials,
-dense univariate polynomials, rational functions, Sturm counts and
-rational root extraction.
+dense univariate polynomials, rational functions, Sturm counts, root
+isolation and rational root extraction.
 
 Coefficients are `fractions.Fraction` throughout, so every operation is
 exact and every stored value is automatically in lowest terms with a
 positive denominator. The one exception is `sturm_chain`, whose primitive
-integer lists serve every univariate square-free, counting and
-rational-root question.
+integer lists serve every univariate square-free, counting, isolation
+and rational-root question.
 """
 
 from __future__ import annotations
@@ -640,15 +640,36 @@ def sturm_count_roots(p: UnivariatePolynomial, interval: Interval) -> int:
     return _variations(chain, interval.lo) - _variations(chain, interval.hi)
 
 
+def isolate_roots(chain: list[list[int]], lo: Fraction, hi: Fraction, width: Fraction) -> list[tuple[Fraction, Fraction, int]]:
+    """The distinct real roots of chain[0], chain a sturm_chain, in (lo, hi]:
+    disjoint intervals (a, b], ascending, each narrower than width, with the
+    number of roots each holds. (lo, hi] is bisected on the chain's sign
+    variations, whose drop from a to b counts the roots in (a, b] (Basu,
+    Pollack and Roy, Algorithms in Real Algebraic Geometry, ch. 2).
+    """
+    found = []
+    pending = [(lo, hi, _variations(chain, lo), _variations(chain, hi))]
+    while pending:
+        a, b, v_a, v_b = pending.pop()
+        if v_a == v_b:
+            continue
+        if b - a < width:
+            found.append((a, b, v_a - v_b))
+            continue
+        mid = (a + b) / 2
+        v_mid = _variations(chain, mid)
+        pending += [(mid, b, v_mid, v_b), (a, mid, v_a, v_mid)]
+    return found
+
+
 def rational_roots(p: UnivariatePolynomial) -> list[Fraction]:
     """All rational roots of p, repeated per multiplicity, ascending.
 
     A linear remainder, once the zero roots are stripped, gives its root
     directly. Otherwise the real roots of q = sturm_chain(p)[0], the
     primitive integer form of the square-free part with leading coefficient
-    of absolute value lc, are isolated by bisecting (-B, B], B the Cauchy
-    bound, on the sign variations of that same chain until each interval
-    that still holds a root is narrower than 1/(2*lc^2).
+    of absolute value lc, are isolated in (-B, B], B the Cauchy bound, by
+    isolate_roots to intervals narrower than 1/(2*lc^2).
 
     This is exact: a rational root of q has a denominator dividing lc, and
     two distinct rationals with denominators at most lc differ by at least
@@ -672,24 +693,14 @@ def rational_roots(p: UnivariatePolynomial) -> list[Fraction]:
     chain = sturm_chain(work)
     lc = abs(chain[0][-1])
     bound = 1 + Fraction(max(abs(c) for c in chain[0]), lc)
-    narrow = Fraction(1, 2 * lc * lc)
-    pending = [(-bound, bound, _variations(chain, -bound), _variations(chain, bound))]
-    while pending:
-        lo, hi, v_lo, v_hi = pending.pop()
-        if v_lo == v_hi:
-            continue
-        mid = (lo + hi) / 2
-        if hi - lo < narrow:
-            r = mid.limit_denominator(lc)
-            factor = UnivariatePolynomial(p.var, [-r, 1])
+    for a, b, _ in isolate_roots(chain, -bound, bound, Fraction(1, 2 * lc * lc)):
+        r = ((a + b) / 2).limit_denominator(lc)
+        factor = UnivariatePolynomial(p.var, [-r, 1])
+        quotient, rem = divmod(work, factor)
+        while rem.is_zero:
+            roots.append(r)
+            work = quotient
             quotient, rem = divmod(work, factor)
-            while rem.is_zero:
-                roots.append(r)
-                work = quotient
-                quotient, rem = divmod(work, factor)
-            continue
-        v_mid = _variations(chain, mid)
-        pending += [(lo, mid, v_lo, v_mid), (mid, hi, v_mid, v_hi)]
     return sorted(roots)
 
 

@@ -67,8 +67,7 @@ def parse_curve_text(text: str) -> ParametricCurve:
 class TableRow:
     t_P: Fraction
     alpha_deg: float
-    S2: float
-    S2_exact: Fraction
+    S2: Fraction
 
 
 def _fmt(x: float) -> str:
@@ -80,6 +79,9 @@ def damper_rows(cp, t_range: Interval, steps: int) -> list[TableRow]:
         raise OvalkitError("damper table needs at least 2 steps")
     if steps > MAX_TABLE_ROWS:
         raise DeskScopeError(f"{steps} damper table rows exceed the supported {MAX_TABLE_ROWS}")
+    interval = cp.curve.interval
+    if not (interval.contains(t_range.lo) and interval.contains(t_range.hi)):
+        raise OvalkitError(f"the t_P range must lie in the parameter interval [{interval.lo}, {interval.hi}]")
     s2 = quad.free_inlet_function(cp)
     slope = quad.slope_function(cp)
     rows = []
@@ -88,10 +90,12 @@ def damper_rows(cp, t_range: Interval, steps: int) -> list[TableRow]:
         den = slope.den.evaluate(t)
         if den == 0:
             alpha = 90.0
+        elif abs(m := slope.num.evaluate(t) / den) <= 1:
+            alpha = math.degrees(math.atan(m))
         else:
-            alpha = math.degrees(math.atan(float(slope.num.evaluate(t) / den)))
-        value = s2.evaluate(t)
-        rows.append(TableRow(t_P=t, alpha_deg=alpha, S2=float(value), S2_exact=value))
+            # atan(m) = +-90 degrees - atan(1/m), finite where float(m) is not.
+            alpha = (90.0 if m > 0 else -90.0) - math.degrees(math.atan(1 / m))
+        rows.append(TableRow(t_P=t, alpha_deg=alpha, S2=s2.evaluate(t)))
     return rows
 
 
@@ -99,7 +103,7 @@ def _damper_csv(rows: list[TableRow]) -> str:
     lines = ["t_P,alpha_deg,S2,S2_exact"]
     for row in rows:
         lines.append(
-            f"{_fmt(float(row.t_P))},{_fmt(row.alpha_deg)},{_fmt(row.S2)},{row.S2_exact}"
+            f"{_fmt(float(row.t_P))},{_fmt(row.alpha_deg)},{_decimal(row.S2)},{row.S2}"
         )
     return "\n".join(lines) + "\n"
 
@@ -185,19 +189,18 @@ def _write_out(args, text: str):
         sys.stdout.write(text)
 
 
-def _exact_with_decimal(value: Fraction) -> str:
-    """value and its decimal to 12 significant digits. The decimal is that
-    of the float where a float holds value at full precision, and is
-    rounded from the Fraction where the float would overflow or lose
-    digits."""
+def _decimal(value: Fraction) -> str:
+    """The decimal of value to 12 significant digits: that of the float
+    where a float holds value at full precision, and rounded from the
+    Fraction where the float would overflow or lose digits."""
     try:
         x = float(value)
     except OverflowError:
         x = math.inf
     if not value or sys.float_info.min <= abs(x) < math.inf:
-        return f"{value} = {_fmt(x)}"
+        return _fmt(x)
     digits = decimal.Context(prec=12).divide(decimal.Decimal(value.numerator), value.denominator)
-    return f"{value} = {digits.normalize():.12g}"
+    return f"{digits.normalize():.12g}"
 
 
 def _pair(text: str, flag: str, form: str) -> tuple[Fraction, Fraction]:
@@ -254,7 +257,7 @@ def _cmd_area(args) -> int:
         result = quad.vertical_segment_area(cp, t1, t2)
     else:
         result = quad.total_area(curve)
-    print(_exact_with_decimal(result.value))
+    print(f"{result.value} = {_decimal(result.value)}")
     return 0
 
 
@@ -266,7 +269,7 @@ def _cmd_damper_table(args) -> int:
     _write_out(args, _damper_csv(rows))
     if args.svg:
         svg = _svg_plot(
-            [float(r.t_P) for r in rows], [r.S2 for r in rows], "t_P", "S2"
+            [float(r.t_P) for r in rows], [float(r.S2) for r in rows], "t_P", "S2"
         )
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(svg)

@@ -54,9 +54,5 @@ class DegenerateCurveError(OvalkitError):
     """The curve encloses zero signed area or is otherwise degenerate."""
 
 
-class NonMonotoneSlopeError(OvalkitError):
-    """The chord slope is not monotone on the probed parameter range."""
-
-
 class DeskScopeError(OvalkitError):
     """Input is structurally valid but beyond the supported desk scale."""

@@ -26,14 +26,11 @@ from .algebra import (
     RationalFunction,
     UnivariatePolynomial,
     as_fraction,
+    isolate_roots,
+    sturm_chain,
 )
 from .curves import CenteredParametrization, ParametricCurve, Point
-from .errors import (
-    DegenerateCurveError,
-    EvaluationError,
-    ExactIntegrationError,
-    NonMonotoneSlopeError,
-)
+from .errors import DegenerateCurveError, ExactIntegrationError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -232,55 +229,43 @@ def angle_to_parameter(
     cp: CenteredParametrization,
     alpha: float,
     t_range: tuple[float, float] | None = None,
-    probes: int = 257,
 ) -> float:
-    """Parameter tP whose chord makes the angle alpha with the x-axis.
+    """Parameter tP in t_range, by default the curve's parameter interval,
+    whose chord makes the angle alpha in [0, pi/2] with the x-axis.
 
-    Bisection on arctan of the reduced slope; the slope must be monotone on
-    the probed range. Relative slope accuracy 1e-12 where the tangent is
-    finite.
+    The float tan(alpha) is an exact rational p/q, so tP is a root of
+    q*num - p*den, num/den the reduced slope. `isolate_roots` counts its
+    roots on the closed range, then narrows the interval (a, b] of the one
+    root, each pass to half an ulp of its larger endpoint, until it is
+    narrower than an ulp of its smaller one. The float nearest its midpoint
+    is returned, or the root itself where it is the range's start or a
+    bisection point b. Raises ValueError unless the range lies on the
+    curve and holds exactly one root.
     """
-    if not (-1e-12 <= alpha <= math.pi / 2 + 1e-12):
+    if not 0 <= alpha <= math.pi / 2:
         raise ValueError("alpha must lie in [0, pi/2]")
+    interval = cp.curve.interval
+    lo, hi = (interval.lo, interval.hi) if t_range is None else map(Fraction, t_range)
+    if not (interval.contains(lo) and interval.contains(hi) and lo < hi):
+        raise ValueError(f"t_range must lie in the parameter interval [{interval.lo}, {interval.hi}]")
     slope = slope_function(cp)
-    if t_range is None:
-        span = float(cp.curve.interval.hi) - float(cp.curve.interval.lo)
-        t_range = (
-            float(cp.curve.interval.lo) + 1e-9 * span,
-            float(cp.curve.interval.hi) - 1e-9 * span,
-        )
-    lo, hi = t_range
+    tan_alpha = Fraction(math.tan(alpha))
+    target = slope.num * tan_alpha.denominator - slope.den * tan_alpha.numerator
+    if target.is_zero:
+        raise ValueError(f"the chord slope is tan({alpha}) all along the curve")
 
-    def angle_at(t: float) -> float:
-        den = slope.den.evaluate_float(t)
-        num = slope.num.evaluate_float(t)
-        if den == 0.0:
-            return math.pi / 2 if num >= 0 else -math.pi / 2
-        return math.atan(num / den)
+    def ulp(x: Fraction) -> Fraction:
+        return Fraction(math.ulp(float(x)))
 
-    values = [angle_at(lo + (hi - lo) * k / (probes - 1)) for k in range(probes)]
-    diffs = [b - a for a, b in zip(values, values[1:])]
-    increasing = all(d >= -1e-12 for d in diffs)
-    decreasing = all(d <= 1e-12 for d in diffs)
-    if not (increasing or decreasing):
-        raise NonMonotoneSlopeError("chord slope is not monotone on the probed range")
-    a, b = (lo, hi) if increasing else (hi, lo)
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        if angle_at(mid) < alpha:
-            a = mid
-        else:
-            b = mid
-        if abs(b - a) < 1e-16 * max(1.0, abs(a)):
-            break
-    t_star = 0.5 * (a + b)
-    tan_alpha = math.tan(alpha)
-    if abs(tan_alpha) < 1e9:
-        m = slope.evaluate_float(t_star)
-        scale = max(1.0, abs(tan_alpha))
-        if abs(m - tan_alpha) > 1e-12 * scale:
-            raise EvaluationError("bisection failed to reach the requested slope accuracy")
-    return t_star
+    at_lo = target.evaluate(lo) == 0
+    chain = sturm_chain(target)
+    found = isolate_roots(chain, lo, hi, ulp(max(abs(lo), abs(hi))) / 2)
+    if at_lo + sum(count for _, _, count in found) != 1:
+        raise ValueError(f"the chord angle {alpha} is not reached exactly once on [{lo}, {hi}]")
+    a, b = (lo, lo) if at_lo else found[0][:2]
+    while target.evaluate(b) and b - a >= ulp(min(abs(a), abs(b))):
+        (a, b, _), = isolate_roots(chain, a, b, ulp(max(abs(a), abs(b))) / 2)
+    return float((a + b) / 2 if target.evaluate(b) else b)
 
 
 # -- numeric oracle ----------------------------------------------------

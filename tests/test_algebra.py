@@ -16,7 +16,7 @@ from ovalkit import (
     substitute_rational,
     univariate_from_polynomial,
 )
-from ovalkit.algebra import squarefree_part
+from ovalkit.algebra import isolate_roots, squarefree_part, sturm_chain
 from ovalkit.errors import EvaluationError
 from ovalkit.parsing import parse_rational_function
 
@@ -292,6 +292,58 @@ def test_sturm_counts_distinct_roots_of_non_squarefree_products():
         roots = set(_to_sympy(sympy, p).real_roots())
         expected = sum(1 for r in roots if lo < r <= hi)
         assert sturm_count_roots(p, Interval(lo, hi)) == expected
+
+    check()
+
+
+def assert_isolates(p, lo, hi, width):
+    """isolate_roots on sturm_chain(p): ascending, disjoint intervals (a, b]
+    in (lo, hi], narrower than width, whose counts are the Sturm counts on
+    them and add up to that of (lo, hi]."""
+    found = isolate_roots(sturm_chain(p), lo, hi, width)
+    for a, b, count in found:
+        assert lo <= a < b <= hi and b - a < width
+        assert count == sturm_count_roots(p, Interval(a, b)) >= 1
+    assert all(b <= a for (_, b, _), (a, _, _) in zip(found, found[1:]))
+    assert sum(count for _, _, count in found) == sturm_count_roots(p, Interval(lo, hi))
+    return found
+
+
+def test_isolate_roots_examples():
+    t = UnivariatePolynomial.identity("t")
+    eps = Fraction(1, 10**12)
+    r = Fraction(1, 3)
+    p = (t - r) * (t - r - eps) * (t**2 - 2) * (t**2 + 1)
+    # Two roots closer than the width share one interval, and split below it.
+    assert [c for _, _, c in assert_isolates(p, Fraction(-2), Fraction(2), Fraction(1, 10**6))] == [1, 2, 1]
+    assert [c for _, _, c in assert_isolates(p, Fraction(-2), Fraction(2), eps / 2)] == [1, 1, 1, 1]
+    # A root at lo is outside (lo, hi], one at hi inside.
+    assert assert_isolates(p, r, r + eps, Fraction(1, 3)) == [(r, r + eps, 1)]
+    assert assert_isolates(t**2 + 1, Fraction(-5), Fraction(5), Fraction(1)) == []
+
+
+def test_isolate_roots_partitions_the_sturm_count():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    t = UnivariatePolynomial.identity("t")
+    rationals = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 7]))
+
+    @hypothesis.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        st.lists(st.tuples(rationals, st.integers(1, 3)), min_size=1, max_size=4),
+        st.sampled_from([0, 2, 3, -5]),
+        rationals,
+        rationals,
+        st.sampled_from([Fraction(1, 10**9), Fraction(1, 50), Fraction(1), Fraction(10)]),
+    )
+    def check(factors, quadratic, a, b, width):
+        hypothesis.assume(a != b)
+        p = UnivariatePolynomial.constant("t", 1)
+        for r, k in factors:
+            p = p * (t - r) ** k
+        if quadratic:
+            p = p * (t**2 - quadratic)
+        assert_isolates(p, min(a, b), max(a, b), width)
 
     check()
 

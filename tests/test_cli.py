@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import ovalkit.cli as cli
-from ovalkit import elimination
+from ovalkit import elimination, quadrature
 from ovalkit.algebra import Interval
 from ovalkit.cli import emit_damper_table, main, parse_curve_text
 
@@ -59,8 +60,8 @@ def test_area_decimal_past_the_float_range(capsys):
     code, out, _ = run(capsys, ["area", "--param", "x=t*(1-t)^2/10^400; y=-t^2*(1-t); t in [0,1]"])
     assert code == 0
     assert out == f"{Fraction(1, 60 * 10**400)} = 1.66666666667e-402\n"
-    assert cli._exact_with_decimal(Fraction(-10**320)) == f"{-10**320} = -1e+320"
-    assert cli._exact_with_decimal(Fraction(2 * 10**400 - 1, 3)) == f"{Fraction(2 * 10**400 - 1, 3)} = 6.66666666667e+399"
+    assert cli._decimal(Fraction(-10**320)) == "-1e+320"
+    assert cli._decimal(Fraction(2 * 10**400 - 1, 3)) == "6.66666666667e+399"
 
 
 def test_area_decimal_of_a_float_keeps_the_float_digits():
@@ -68,7 +69,7 @@ def test_area_decimal_of_a_float_keeps_the_float_digits():
     values = [Fraction(0), Fraction(3, 20), Fraction(617, 1680), Fraction(-1, 3), Fraction(10**308), Fraction(1, 10**307)]
     values += [Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**30)) * Fraction(10) ** rng.randint(-300, 300) for _ in range(300)]
     for v in values:
-        assert cli._exact_with_decimal(v) == f"{v} = {float(v):.12g}"
+        assert cli._decimal(v) == f"{float(v):.12g}"
 
 
 def test_puiseux_verb(capsys):
@@ -179,12 +180,12 @@ def test_file_errors_are_one_line(tmp_path, argv):
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
 
 
-def test_arithmetic_errors_are_one_line(capsys, monkeypatch):
-    # A damper-table value too large for its float column, and the
-    # interpolation's check of its own arithmetic: exit 1 with one message,
-    # no traceback.
+def test_arithmetic_errors_are_one_line(capsys, monkeypatch, tmp_path):
+    # A damper-table value too large for the float axes of its SVG plot, and
+    # the interpolation's check of its own arithmetic: exit 1 with one
+    # message, no traceback.
     argv = ["damper-table", "--param", "x=10^400*t*(1-t)^2; y=t^2*(1-t); t in [0,1]", "--range", "1/2,1", "--steps", "3"]
-    code, _, err = run(capsys, argv)
+    code, _, err = run(capsys, argv + ["--svg", str(tmp_path / "s2.svg")])
     assert code == 1 and err.startswith("error:") and len(err.splitlines()) == 1, err
 
     def broken(xs, ys):
@@ -324,6 +325,41 @@ def test_damper_table_cli_computes_rows_once(capsys, monkeypatch, cubic_centered
     assert code == 0
     assert out == expected
     assert len(calls) == 1
+
+
+def test_damper_table_past_the_float_range(capsys, cubic_centered, quartic_centered):
+    # S2 overflows a float on the first curve, the chord slope on the second:
+    # the decimals are rounded from the Fractions, and the angle is taken as
+    # 90 degrees - atan(1/m).
+    code, out, _ = run(capsys, ["damper-table", "--param", "x=10^400*t*(1-t)^2; y=t^2*(1-t); t in [0,1]", "--range", "1/2,1", "--steps", "3"])
+    assert code == 0
+    assert out.splitlines()[2:] == [
+        f"0.75,0,1.32161458333e+398,{Fraction(203 * 10**400, 15360)}",
+        f"1,90,1.66666666667e+398,{Fraction(10**400, 60)}",
+    ]
+    code, out, _ = run(capsys, ["damper-table", "--param", "x=t*(1-t)^2; y=10^400*t^2*(1-t); t in [0,1]", "--range", "1/2,1", "--steps", "3"])
+    assert code == 0
+    assert [row.split(",")[:3] for row in out.splitlines()] == [
+        ["t_P", "alpha_deg", "S2"],
+        ["0.5", "90", "0"],
+        ["0.75", "90", "1.32161458333e+398"],
+        ["1", "90", "1.66666666667e+398"],
+    ]
+    rows = cli.damper_rows(cli._centered_origin(parse_curve_text("x=t*(1-t)^2; y=-10^400*t^2*(1-t); t in [0,1]")), Interval(Fraction(1, 2), Fraction(3, 4)), 2)
+    assert [row.alpha_deg for row in rows] == [-90.0, -90.0]
+    # On either side of slope +-1 the angle is the float atan of the slope.
+    for cp, lo, hi in ((cubic_centered, 0, 1), (quartic_centered, -1, 1)):
+        slope = quadrature.slope_function(cp)
+        for row in cli.damper_rows(cp, Interval(lo, hi), 41):
+            if slope.den.evaluate(row.t_P):
+                assert abs(row.alpha_deg - math.degrees(math.atan(slope.evaluate(row.t_P)))) <= 1e-13
+
+
+def test_damper_table_range_must_lie_on_the_curve(capsys):
+    for value in ("1/2,3", "-1/2,1/2"):
+        code, out, err = run(capsys, ["damper-table", "--param", CUBIC_PARAM, f"--range={value}", "--steps", "4"])
+        assert code == 1 and out == ""
+        assert err == "error: the t_P range must lie in the parameter interval [0, 1]\n"
 
 
 def test_damper_table_invalid_range(capsys):

@@ -26,7 +26,7 @@ from ovalkit import (
 from ovalkit.algebra import univariate_from_polynomial
 from ovalkit.cli import parse_curve_text
 from ovalkit.curves import Point
-from ovalkit.errors import DegenerateCurveError, ExactIntegrationError, NonMonotoneSlopeError
+from ovalkit.errors import DegenerateCurveError, ExactIntegrationError
 from ovalkit.quadrature import (
     chord_area_function,
     slope_function,
@@ -331,8 +331,86 @@ def test_angle_rejects_non_monotone():
     f = parse_rational_function("t^2 - t", "t")
     curve = ParametricCurve(g, f, Interval(Fraction(0), Fraction(1)))
     cp = CenteredParametrization(curve, Point(0, 0))
-    with pytest.raises(NonMonotoneSlopeError):
+    with pytest.raises(ValueError):
         angle_to_parameter(cp, math.pi / 4, t_range=(0.05, 0.95))
+
+
+def assert_within_one_ulp_of_root(cp, alpha, t):
+    """The exact root of q*num - p*den, tan(alpha) = p/q, lies within one
+    ulp of t: the polynomial changes sign (or vanishes) on [t - u, t + u],
+    clipped to the parameter interval, the slope being monotone there."""
+    slope = slope_function(cp)
+    tan_alpha = Fraction(math.tan(alpha))
+    target = slope.num * tan_alpha.denominator - slope.den * tan_alpha.numerator
+    u, interval = Fraction(math.ulp(t)), cp.curve.interval
+    lo, hi = max(Fraction(t) - u, interval.lo), min(Fraction(t) + u, interval.hi)
+    assert interval.contains(Fraction(t))
+    assert target.evaluate(lo) * target.evaluate(hi) <= 0, (alpha, t)
+
+
+ANGLES = [0.0, 1e-3, 0.1, math.pi / 4, math.atan(2), 1.5, math.pi / 2 - 1e-6, math.pi / 2]
+
+
+@pytest.mark.parametrize("name", ["cubic_centered", "quartic_centered"])
+def test_angle_to_parameter_within_one_ulp(request, name):
+    cp = request.getfixturevalue(name)
+    for alpha in ANGLES:
+        assert_within_one_ulp_of_root(cp, alpha, angle_to_parameter(cp, alpha))
+
+
+def test_angle_at_zero_and_near_vertical(cubic_centered, quartic_centered):
+    # A horizontal chord: the cubic's root is the start of its range, the
+    # quartic's the bisection point 0; both are returned as they are.
+    assert angle_to_parameter(cubic_centered, 0.0) == 0.0
+    assert math.copysign(1.0, angle_to_parameter(quartic_centered, 0.0)) == 1.0
+    alpha = math.pi / 2 - 1e-6
+    t = angle_to_parameter(cubic_centered, alpha)
+    assert abs(t - 1 / (1 + 1 / math.tan(alpha))) < 1e-15
+    assert_within_one_ulp_of_root(cubic_centered, alpha, t)
+    t = angle_to_parameter(quartic_centered, alpha)
+    assert -1 < t < -0.999999
+    assert_within_one_ulp_of_root(quartic_centered, alpha, t)
+
+
+def test_angle_reached_twice_raises():
+    from ovalkit.curves import CenteredParametrization, ParametricCurve, Point
+    from ovalkit.parsing import parse_rational_function
+
+    # slope t - t^2 rises from 0 to 1/4 and falls back to 0 on [0, 1]
+    curve = ParametricCurve(
+        parse_rational_function("1", "t"), parse_rational_function("t - t^2", "t"), Interval(0, 1)
+    )
+    cp = CenteredParametrization(curve, Point(0, 0))
+    for alpha in (0.0, math.atan(0.2)):
+        with pytest.raises(ValueError, match="exactly once"):
+            angle_to_parameter(cp, alpha)
+    # a horizontal chord along the whole of a flat curve
+    flat = ParametricCurve(parse_rational_function("t", "t"), parse_rational_function("0", "t"), Interval(0, 1))
+    with pytest.raises(ValueError, match="all along the curve"):
+        angle_to_parameter(CenteredParametrization(flat, Point(0, 0)), 0.0)
+    # each half of the range reaches it once
+    assert abs(angle_to_parameter(cp, math.atan(0.2), t_range=(0.0, 0.5)) - (5 - math.sqrt(5)) / 10) < 1e-15
+    assert abs(angle_to_parameter(cp, math.atan(0.2), t_range=(0.5, 1.0)) - (5 + math.sqrt(5)) / 10) < 1e-15
+
+
+def test_angle_range_must_lie_on_the_curve(cubic_centered):
+    for t_range in ((0.5, 3.0), (-0.5, 0.5), (0.75, 0.5), (0.5, 0.5)):
+        with pytest.raises(ValueError, match="parameter interval"):
+            angle_to_parameter(cubic_centered, math.pi / 4, t_range=t_range)
+    assert angle_to_parameter(cubic_centered, math.pi / 4, t_range=(0.25, 0.75)) == angle_to_parameter(cubic_centered, math.pi / 4)
+
+
+@pytest.mark.parametrize("name", ["cubic_centered", "quartic_centered"])
+def test_angle_round_trip_within_one_ulp(request, name):
+    hypothesis = pytest.importorskip("hypothesis")
+    cp = request.getfixturevalue(name)
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(hypothesis.strategies.floats(0.0, math.pi / 2))
+    def check(alpha):
+        assert_within_one_ulp_of_root(cp, alpha, angle_to_parameter(cp, alpha))
+
+    check()
 
 
 def test_numeric_square_diagonal():
