@@ -22,7 +22,7 @@ from .algebra import (
     substitute_rational,
 )
 from .curves import CenteredParametrization, ParametricCurve
-from .elimination import resultant, vertical_eliminant
+from .elimination import pencil_eliminant, vertical_eliminant
 from .errors import DeskScopeError
 from .parsing import parse_polynomial, render_polynomial
 from .quadrature import (
@@ -107,13 +107,6 @@ class SampleReport:
         return self.max_relative_residual <= self.tolerance
 
 
-def _linear_in(var: str, rf: RationalFunction) -> Polynomial:
-    """num(var - rf(t)) = var*den(t) - num(t) as a polynomial in (var, t)."""
-    return (
-        Polynomial.variable(var) * rf.den.to_polynomial() - rf.num.to_polynomial()
-    )
-
-
 def _cleanup(raw: Polynomial, eliminated: Sequence[str], inputs: Sequence[Polynomial]) -> tuple[Polynomial, Provenance]:
     normalized, factor = raw.primitive_normalized()
     removed = () if factor == 1 else (str(factor),)
@@ -133,23 +126,33 @@ def pencil_certificate(
 ) -> Certificate:
     """Certificate Q(S, m) for the pencil of lines through the center.
 
-    Eliminates the curve parameter from the exact segment-area expression
-    (or the free-inlet expression with area="free_inlet") and the exact
-    chord-slope expression.
+    Eliminates the curve parameter from the exact segment-area polynomial
+    s(t) (or the free-inlet one with area="free_inlet") and the reduced
+    chord slope a(t)/b(t): Q is Res_t(S - s(t), m*b(t) - a(t)) after
+    normalization, taken by `pencil_eliminant` as the norm of S - s on
+    Q[t]/(m*b - a). The provenance inputs are these two polynomials
+    S - s(t) and m*b(t) - a(t), rendered; they are written term by term,
+    as nothing else uses them.
     """
     t = cp.curve.var
     if t in (area_var, slope_var):
         raise ValueError("parameter variable collides with a certificate variable")
     if area == "chord":
-        S_rf = RationalFunction(chord_area_function(cp))
+        s = chord_area_function(cp)
     elif area == "free_inlet":
-        S_rf = RationalFunction(free_inlet_function(cp))
+        s = free_inlet_function(cp)
     else:
         raise ValueError(f"unknown area kind {area!r}")
-    m_rf = slope_function(cp)
-    e_S = _linear_in(area_var, S_rf)
-    e_m = _linear_in(slope_var, m_rf)
-    raw = resultant(e_S, e_m, t)
+    slope = slope_function(cp)
+    a, b = slope.num, slope.den
+    raw = pencil_eliminant(s, a, b, area_var, slope_var)
+    terms = {(0, i): -c for i, c in enumerate(s.coeffs)}
+    terms[(1, 0)] = 1
+    e_S = Polynomial((area_var, t), terms)
+    terms = {(0, i): -c for i, c in enumerate(a.coeffs)}
+    for i, c in enumerate(b.coeffs):
+        terms[(1, i)] = c
+    e_m = Polynomial((slope_var, t), terms)
     q, prov = _cleanup(raw, (t,), (e_S, e_m))
     return Certificate(q, {area_var: "area", slope_var: "slope"}, prov)
 

@@ -1,4 +1,8 @@
-"""Sylvester resultants and the vertical eliminant.
+"""Sylvester resultants, the pencil eliminant and the vertical eliminant.
+
+Each certificate has one path: pencil certificates take
+`pencil_eliminant`, vertical certificates `vertical_eliminant`, and
+implicitization and singular points `resultant`.
 
 `resultant` works from the two inputs' coefficient lists in the
 eliminated variable; no polynomial matrix is built:
@@ -13,6 +17,12 @@ eliminated variable; no polynomial matrix is built:
    the determinant with integer Bareiss (`_bareiss`);
 4. interpolate the integer values by tensor Newton divided differences,
    one variable at a time, and divide by the input scales once.
+
+`pencil_eliminant` returns the resultant of S - s(t) and m*b(t) - a(t)
+without a Sylvester matrix: S enters linearly, so at each integer node of
+m it is the characteristic polynomial of multiplication by s on
+Q[t]/(m*b - a), a d x d integer matrix for d = max(deg a, deg b), taken
+by `_berkowitz` and interpolated in m by `_newton`.
 
 `vertical_eliminant` needs no Sylvester matrix: it expands the area parts
 in powers of the x-component (`_g_adic`), takes the characteristic
@@ -62,13 +72,17 @@ def _sylvester_degrees(f: Polynomial, g: Polynomial, var: str) -> tuple[int, int
         raise ValueError("Sylvester matrix requires nonzero polynomials")
     m = f.degree_in(var)
     n = g.degree_in(var)
-    if m + n < 1:
-        raise ValueError(f"total degree in {var!r} must be at least 1")
-    if m + n > MAX_SYLVESTER_SIZE:
-        raise SylvesterSizeError(
-            f"Sylvester matrix {m + n}x{m + n} exceeds the supported {MAX_SYLVESTER_SIZE}x{MAX_SYLVESTER_SIZE}"
-        )
+    _check_sylvester_size(m + n, var)
     return m, n
+
+
+def _check_sylvester_size(size: int, var: str) -> None:
+    if size < 1:
+        raise ValueError(f"total degree in {var!r} must be at least 1")
+    if size > MAX_SYLVESTER_SIZE:
+        raise SylvesterSizeError(
+            f"Sylvester matrix {size}x{size} exceeds the supported {MAX_SYLVESTER_SIZE}x{MAX_SYLVESTER_SIZE}"
+        )
 
 
 def sylvester_matrix(f: Polynomial, g: Polynomial, var: str) -> SylvesterMatrix:
@@ -278,6 +292,95 @@ def resultant(f: Polynomial, g: Polynomial, var: str, strict: bool = True) -> Po
             f"resultant in {var!r} vanished identically: the inputs share a factor"
         )
     return det
+
+
+def pencil_eliminant(
+    s: UnivariatePolynomial,
+    a: UnivariatePolynomial,
+    b: UnivariatePolynomial,
+    area_var: str,
+    slope_var: str,
+) -> Polynomial:
+    """Res_t(S - s(t), m*b(t) - a(t)) over the variables (area_var,
+    slope_var): the polynomial `resultant` returns for these two inputs
+    (raw, unnormalized), without a Sylvester matrix.
+
+    S enters linearly, so with G = m*b - a, d = deg_t G and ds = deg s,
+    Res = (-1)^(ds*d) * lc(G)^ds * prod over the roots r of G of (S - s(r)),
+    and the product is the characteristic polynomial of multiplication by
+    s on the quotient ring Q[t]/(G), a norm. Everything runs on ints:
+
+    1. s_hat = Ls*s and G_hat = Lg*G, with Ls, Lg the lcms of the
+       denominators of s and of a, b, have integer coefficients;
+    2. at each integer node m0, G_hat(m0) has leading coefficient l, a
+       linear polynomial in m0 that is not zero, so at most one node is
+       skipped. tau = l*t makes G_hat(m0) monic with integer coefficients
+       (as in `_integer_inputs`) and l^ds * s_hat(tau/l) integral, and
+       `_berkowitz` takes the characteristic polynomial chi of its d x d
+       integer multiplication matrix. Its eigenvalues are l^ds times the
+       values of s_hat at the roots, so the coefficient of Y^(d-i) in
+       Res_t(Y - s_hat, G_hat(m0)) is the integer +-l^ds * chi_i / l^(ds*i).
+       A remainder there raises ArithmeticError;
+    3. those coefficients are polynomials in m of degree at most ds, one
+       per row of G_hat in the Sylvester matrix, so `_newton` interpolates
+       them on ds + 1 nodes. With Y = Ls*S, the term S^(d-i) * m^e is then
+       divided by Ls^i * Lg^ds.
+
+    Raises SylvesterSizeError, as `resultant` does, when ds + d exceeds
+    MAX_SYLVESTER_SIZE.
+    """
+    ds = s.degree()
+    d = max(a.degree(), b.degree())
+    _check_sylvester_size(ds + d, s.var)
+    if ds < 0 or d < 1:
+        raise ValueError("the pencil eliminant needs a nonzero s and a nonconstant slope a/b")
+    ls = math.lcm(*(c.denominator for c in s.coeffs))
+    sh = [c.numerator * (ls // c.denominator) for c in s.coeffs]
+    lg = math.lcm(*(c.denominator for c in a.coeffs + b.coeffs))
+    ah, bh = ([c.numerator * (lg // c.denominator) for c in p.coeffs] + [0] * (d - p.degree()) for p in (a, b))
+    sign = -1 if ds * d % 2 else 1
+    nodes: list[int] = []
+    values = []
+    for m0 in _sample_values(ds + 2):
+        G = [m0 * y - x for x, y in zip(ah, bh)]
+        lc = G[d]
+        if not lc:
+            continue
+        g = [c * lc ** (d - 1 - i) for i, c in enumerate(G[:d])]
+
+        def times_tau(v: list[int]) -> list[int]:
+            # tau^d = -sum_(i < d) g_i tau^i
+            top = v[-1]
+            out = [0] + v[:-1]
+            return [x - top * c for x, c in zip(out, g)] if top else out
+
+        # Column j of the matrix is s_tilde * tau^j, s_tilde by Horner.
+        col = [0] * d
+        for i in range(ds, -1, -1):
+            col = times_tau(col)
+            col[0] += sh[i] * lc ** (ds - i)
+        cols = [col]
+        for _ in range(d - 1):
+            cols.append(times_tau(cols[-1]))
+        scale = lc**ds
+        row = []
+        for i, chi in enumerate(_berkowitz(cols)):
+            v, rem = divmod(sign * scale * chi, scale**i)
+            if rem:
+                raise ArithmeticError("a norm coefficient is not divisible by the leading coefficient's power")
+            row.append(v)
+        nodes.append(m0)
+        values.append(row)
+        if len(nodes) == ds + 1:
+            break
+    terms: dict[tuple[int, int], Fraction] = {}
+    den = lg**ds
+    for i in range(d + 1):
+        for e, c in enumerate(_newton(nodes, [v[i] for v in values])):
+            if c:
+                terms[(d - i, e)] = Fraction(c, den)
+        den *= ls
+    return Polynomial((area_var, slope_var), terms)
 
 
 def _integer_inputs(

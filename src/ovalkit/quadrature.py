@@ -202,8 +202,12 @@ def free_inlet_area(cp: CenteredParametrization, tP, valid_range: Interval) -> A
     """Exact free inlet section for a shutter position tP.
 
     The valid parameter sub-range is supplied by the caller (it depends on
-    the oval; for the standard cubic oval it is [1/2, 1])."""
+    the oval; for the standard cubic oval it is [1/2, 1]). It must lie in
+    the curve's parameter interval, and tP in it; ValueError otherwise."""
     tP = as_fraction(tP)
+    interval = cp.curve.interval
+    if not (interval.contains(valid_range.lo) and interval.contains(valid_range.hi)):
+        raise ValueError(f"the valid range must lie in the parameter interval [{interval.lo}, {interval.hi}]")
     if not valid_range.contains(tP):
         raise ValueError(f"tP={tP} outside the valid range [{valid_range.lo}, {valid_range.hi}]")
     free, total = _free_inlet(cp)

@@ -11,10 +11,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from ovalkit import Polynomial, resultant, validate_centered
+from ovalkit import Polynomial, RationalFunction, resultant, validate_centered
 from ovalkit.cli import parse_curve_text
 from ovalkit.curves import ParametricCurve, Point
-from ovalkit.quadrature import vertical_area_parts
+from ovalkit.quadrature import chord_area_function, free_inlet_function, slope_function, vertical_area_parts
 
 
 def det_cofactor(rows):
@@ -104,6 +104,18 @@ def sylvester_vertical(cp) -> Polynomial:
     Res_t2(Res_t1(e1, D), e_c), normalized."""
     e1, D, e_c, t1, t2 = sylvester_vertical_inputs(cp)
     return resultant(resultant(e1, D, t1), e_c, t2).primitive_normalized()[0]
+
+
+def linear_in(var: str, rf: RationalFunction) -> Polynomial:
+    """num(var - rf(t)) = var*den(t) - num(t) as a polynomial in (var, t)."""
+    return Polynomial.variable(var) * rf.den.to_polynomial() - rf.num.to_polynomial()
+
+
+def pencil_inputs(cp, area: str = "chord", area_var: str = "S", slope_var: str = "m"):
+    """(e_S, e_m) of the pencil system: e_S = S - s(t) for the chord or
+    free-inlet area s, and e_m = m*b(t) - a(t) for the reduced slope a/b."""
+    s = chord_area_function(cp) if area == "chord" else free_inlet_function(cp)
+    return linear_in(area_var, RationalFunction(s)), linear_in(slope_var, slope_function(cp))
 
 
 def seeded_loops(seed: int, degree: int, count: int) -> list:

@@ -26,7 +26,7 @@ from ovalkit.errors import DeskScopeError
 from ovalkit.quadrature import chord_area_function, free_inlet_function, slope_function
 
 from conftest import square_boundary
-from oracles import full_pass_area, seeded_loops, sylvester_vertical, sylvester_vertical_inputs
+from oracles import full_pass_area, pencil_inputs, seeded_loops, sylvester_vertical, sylvester_vertical_inputs
 
 
 def test_pencil_certificate_cubic(cubic_centered, cubic_curve):
@@ -92,17 +92,62 @@ def test_scale_invariance_of_verification(cubic_centered, cubic_curve):
 
 def test_provenance_records_removed_content(cubic_centered):
     from ovalkit.elimination import resultant
-    from ovalkit.certify import _linear_in
 
     cert = pencil_certificate(cubic_centered)
-    t = cubic_centered.curve.var
-    e_S = _linear_in("S", RationalFunction(chord_area_function(cubic_centered)))
-    e_m = _linear_in("m", slope_function(cubic_centered))
-    raw = resultant(e_S, e_m, t)
+    e_S, e_m = pencil_inputs(cubic_centered)
+    raw = resultant(e_S, e_m, cubic_centered.curve.var)
     factor = Fraction(1)
     for f in cert.provenance.removed_factors:
         factor *= Fraction(f)
     assert cert.q * factor == raw
+
+
+PENCIL_GOLDEN = {
+    ("cubic", "chord"): (
+        "20*S*m^5 - 3*m^5 + 100*S*m^4 - 15*m^4 + 200*S*m^3 - 30*m^3 + 200*S*m^2 + 100*S*m + 20*S",
+        ("-9/10*t^5 + 9/4*t^4 - 3/2*t^3 + S", "m*t + t - m"),
+        ("-1/20",),
+    ),
+    ("cubic", "free_inlet"): (
+        "20*S*m^5 - 3*m^5 + 100*S*m^4 - 15*m^4 + 200*S*m^3 - 30*m^3 + 200*S*m^2 + 30*m^2"
+        " + 100*S*m + 15*m + 20*S + 3",
+        ("-9/5*t^5 + 9/2*t^4 - 3*t^3 + S + 3/20", "m*t + t - m"),
+        ("-1/20",),
+    ),
+    ("quartic", "chord"): (
+        "44100*S^2*m^7 - 26880*S*m^7 - 14700*S*m^4 + 4480*m^4 - 6720*m^3 - 17640*S*m^2"
+        " + 5376*m^2 - 1575*m - 3150*S + 960",
+        ("-1/14*t^7 + 1/10*t^5 + 1/6*t^3 - 1/2*t + S - 32/105", "m*t^2 - t - m"),
+        ("1/44100",),
+    ),
+    ("quartic", "free_inlet"): (
+        "11025*S^2*m^7 - 4096*m^7 - 7350*S*m^4 - 6720*m^3 - 8820*S*m^2 - 1575*m - 1575*S",
+        ("-1/7*t^7 + 1/5*t^5 + 1/3*t^3 - t + S", "m*t^2 - t - m"),
+        ("1/11025",),
+    ),
+}
+
+
+def test_pencil_certificates_golden_text(cubic_centered, quartic_centered):
+    curves = {"cubic": cubic_centered, "quartic": quartic_centered}
+    for (name, area), (q, inputs, removed) in PENCIL_GOLDEN.items():
+        cert = pencil_certificate(curves[name], area=area)
+        assert serialize_certificate(cert) == f"{q}\nroles: S=area m=slope\n"
+        assert cert.q.vars == ("S", "m")
+        assert cert.provenance == certify.Provenance(inputs, ("t",), removed)
+
+
+def test_pencil_certificate_never_calls_resultant(cubic_centered, quartic_centered, monkeypatch):
+    import ovalkit.elimination as elimination
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("resultant called")
+
+    monkeypatch.setattr(elimination, "resultant", refuse)
+    monkeypatch.setattr(certify, "resultant", refuse, raising=False)
+    for cp in (cubic_centered, quartic_centered):
+        for area in ("chord", "free_inlet"):
+            assert pencil_certificate(cp, area=area).q.degree_in("S") >= 1
 
 
 @pytest.fixture(scope="module")

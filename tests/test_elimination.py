@@ -8,17 +8,17 @@ from ovalkit import (
     UnivariatePolynomial,
     implicitize,
     parse_polynomial,
-    pencil_certificate,
     rational_singular_points,
     resultant,
     sylvester_matrix,
 )
 from ovalkit import elimination
 from ovalkit.curves import Point
-from ovalkit.elimination import _bareiss, _berkowitz, _newton, _sample_values
+from ovalkit.elimination import _bareiss, _berkowitz, _newton, _sample_values, pencil_eliminant
 from ovalkit.errors import DegenerateEliminantError, SylvesterSizeError
+from ovalkit.quadrature import chord_area_function, free_inlet_function, slope_function
 
-from oracles import det_bareiss, det_cofactor, seeded_loops, sylvester_vertical_inputs
+from oracles import det_bareiss, det_cofactor, pencil_inputs, seeded_loops, sylvester_vertical_inputs
 
 
 def _poly(text, variables):
@@ -234,8 +234,9 @@ def test_resultant_builds_no_polynomial_sylvester_matrix(cubic_centered, quartic
         raise AssertionError("sylvester_matrix called")
 
     monkeypatch.setattr(elimination, "sylvester_matrix", refuse)
-    cert = pencil_certificate(cubic_centered)
-    assert cert.q.degree_in("S") >= 1 and cert.q.degree_in("m") >= 1
+    e_S, e_m = pencil_inputs(cubic_centered)
+    r = resultant(e_S, e_m, cubic_centered.curve.var)
+    assert r.degree_in("S") >= 1 and r.degree_in("m") >= 1
     F = implicitize(quartic_curve)
     assert F == _poly("y^4 - 2*x*y^2 - x^3 + x^2", ["x", "y"])
     assert rational_singular_points(F) == [Point(0, 0)]
@@ -389,3 +390,91 @@ def test_primitive_normalized_sign():
     cleaned, factor = p.primitive_normalized()
     assert cleaned.leading()[1] > 0
     assert cleaned * factor == p
+
+
+def _pencil_resultant_pair(cp, area):
+    """pencil_eliminant and the Sylvester resultant of the same pencil."""
+    s = chord_area_function(cp) if area == "chord" else free_inlet_function(cp)
+    slope = slope_function(cp)
+    e_S, e_m = pencil_inputs(cp, area)
+    return pencil_eliminant(s, slope.num, slope.den, "S", "m"), resultant(e_S, e_m, cp.curve.var)
+
+
+def test_pencil_eliminant_equals_resultant(cubic_centered, quartic_centered):
+    # Seeded loops with collinear control points have a constant slope and
+    # no area; both paths refuse them alike.
+    loops = seeded_loops(61, 3, 24)
+    compared = 0
+    for cp in [cubic_centered, quartic_centered] + loops:
+        slope = slope_function(cp)
+        for area in ("chord", "free_inlet"):
+            if max(slope.num.degree(), slope.den.degree()) < 1:
+                with pytest.raises(ValueError, match="total degree"):
+                    _pencil_resultant_pair(cp, area)
+                continue
+            p, r = _pencil_resultant_pair(cp, area)
+            assert p.vars == r.vars == ("S", "m")
+            assert p.terms == r.terms
+            compared += 1
+    assert compared >= 2 * 22
+
+
+def test_pencil_eliminant_matches_resultant_on_random_pencils():
+    # Three shapes of G = m*b - a: deg a > deg b (lc(G) a constant),
+    # deg b > deg a (lc(G) = m*lc(b) vanishes at node 0), and equal degrees
+    # with lc(G) = lc(b)*(m - k) vanishing at the node k, which is skipped.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coeff = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+    nonzero = coeff.filter(bool)
+
+    @st.composite
+    def pencils(draw):
+        case = draw(st.sampled_from(("a_higher", "b_higher", "equal")))
+        ds = draw(st.integers(1, 4))
+        d = draw(st.integers(1, 3))
+
+        def poly(degree, lead):
+            return UnivariatePolynomial("t", draw(st.lists(coeff, min_size=degree, max_size=degree)) + [lead])
+
+        s = poly(ds, draw(nonzero))
+        low = draw(st.integers(0, d - 1))
+        if case == "a_higher":
+            a, b = poly(d, draw(nonzero)), poly(low, draw(nonzero))
+        elif case == "b_higher":
+            a, b = poly(low, draw(nonzero)), poly(d, draw(nonzero))
+        else:
+            lead = draw(nonzero)
+            k = draw(st.sampled_from(_sample_values(ds + 1)[1:]))
+            a, b = poly(d, k * lead), poly(d, lead)
+        return s, a, b
+
+    S, m = Polynomial.variable("S"), Polynomial.variable("m")
+
+    @hypothesis.settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(pencils())
+    def check(pencil):
+        s, a, b = pencil
+        p = pencil_eliminant(s, a, b, "S", "m")
+        r = resultant(S - s.to_polynomial(), m * b.to_polynomial() - a.to_polynomial(), "t")
+        assert p.vars == r.vars == ("S", "m")
+        assert p.terms == r.terms
+
+    check()
+
+
+def test_pencil_eliminant_refuses_oversized_pencils(monkeypatch):
+    # ds + d = 61 + 3 is the largest Sylvester size supported, 62 + 3 is
+    # refused before any node is evaluated.
+    a = UnivariatePolynomial("t", [1])
+    b = UnivariatePolynomial("t", [0, 0, 0, 1])
+    largest = pencil_eliminant(UnivariatePolynomial("t", [1] * 62), a, b, "S", "m")
+    assert largest.degree_in("S") == 3 and largest.degree_in("m") == 61
+
+    def refuse(*args):
+        raise AssertionError("node work started")
+
+    monkeypatch.setattr(elimination, "_sample_values", refuse)
+    monkeypatch.setattr(elimination, "_berkowitz", refuse)
+    with pytest.raises(SylvesterSizeError):
+        pencil_eliminant(UnivariatePolynomial("t", [1] * 63), a, b, "S", "m")

@@ -277,6 +277,16 @@ def test_free_inlet_values(cubic_centered, cubic_valid_range):
         free_inlet_area(cubic_centered, Fraction(1, 4), cubic_valid_range)
 
 
+def test_free_inlet_refuses_a_range_off_the_curve(cubic_centered):
+    # At t = 3 the free-section polynomial reads 615/4, a value off the
+    # oval whose whole area is 3/20.
+    # tP lies in each valid range, and even on the curve in the last two.
+    for tP, lo, hi in ((3, Fraction(1, 2), 3), (Fraction(1, 4), Fraction(-1, 2), Fraction(1, 2)), (0, -2, 2)):
+        with pytest.raises(ValueError, match="parameter interval"):
+            free_inlet_area(cubic_centered, tP, Interval(lo, hi))
+    assert free_inlet_area(cubic_centered, 1, cubic_centered.curve.interval).value == Fraction(3, 20)
+
+
 def test_free_inlet_polynomial(cubic_centered):
     # S2(t) = -6t^3 + 45/2 t^4 - 126/5 t^5 + 9 t^6 + m(t) g(t)^2 - 3/20
     s2 = free_inlet_function(cubic_centered)
