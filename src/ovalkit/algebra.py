@@ -618,10 +618,6 @@ class Interval:
         if not self.lo < self.hi:
             raise ValueError("interval requires lo < hi")
 
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
     def contains(self, x, closed: bool = True) -> bool:
         x = as_fraction(x)
         return (self.lo <= x <= self.hi) if closed else (self.lo < x < self.hi)

@@ -23,7 +23,7 @@ from .algebra import (
 )
 from .curves import CenteredParametrization, ParametricCurve
 from .elimination import pencil_eliminant, vertical_eliminant
-from .errors import DeskScopeError
+from .errors import DegenerateCurveError, DeskScopeError
 from .parsing import parse_polynomial, render_polynomial
 from .quadrature import (
     ORACLE_SAMPLES,
@@ -143,6 +143,9 @@ def pencil_certificate(
         s = free_inlet_function(cp)
     else:
         raise ValueError(f"unknown area kind {area!r}")
+    # Either function's value at the interval's end is the enclosed area.
+    if not s.evaluate(cp.curve.interval.hi):
+        raise DegenerateCurveError("curve encloses zero signed area")
     slope = slope_function(cp)
     a, b = slope.num, slope.den
     raw = pencil_eliminant(s, a, b, area_var, slope_var)

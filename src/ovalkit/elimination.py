@@ -1,11 +1,15 @@
-"""Sylvester resultants, the pencil eliminant and the vertical eliminant.
+"""Resultants, the pencil eliminant and the vertical eliminant.
 
 Each certificate has one path: pencil certificates take
 `pencil_eliminant`, vertical certificates `vertical_eliminant`, and
-implicitization and singular points `resultant`.
+implicitization and singular points `resultant`. Every determinant is a
+characteristic polynomial of an integer matrix taken by `_berkowitz` at
+an integer node, and `_newton` interpolates the nodes' values. Both 1-D
+eliminants share one node step, `_norm(G, s)`: the norm of Y - s on
+Q[t]/(G), lc(G)^deg s * prod over the roots r of G of (Y - s(r)).
 
 `resultant` works from the two inputs' coefficient lists in the
-eliminated variable; no polynomial matrix is built:
+eliminated variable; no Sylvester matrix is built:
 
 1. scale each input once by the lcm of its denominators and compile each
    coefficient into (exponent tuple, int) pairs over the remaining
@@ -13,21 +17,17 @@ eliminated variable; no polynomial matrix is built:
 2. at every point of an integer grid with (degree bound + 1) values per
    variable, evaluate those m + n + 2 coefficients on ints, one variable
    at a time;
-3. lay the two evaluated lists out as the scalar Sylvester rows and take
-   the determinant with integer Bareiss (`_bareiss`);
+3. take each point's value from the norm on the quotient ring by the
+   input of lower degree (`_resultant_at`);
 4. interpolate the integer values by tensor Newton divided differences,
    one variable at a time, and divide by the input scales once.
 
-`pencil_eliminant` returns the resultant of S - s(t) and m*b(t) - a(t)
-without a Sylvester matrix: S enters linearly, so at each integer node of
-m it is the characteristic polynomial of multiplication by s on
-Q[t]/(m*b - a), a d x d integer matrix for d = max(deg a, deg b), taken
-by `_berkowitz` and interpolated in m by `_newton`.
+`pencil_eliminant` is the whole norm of s on Q[t]/(m*b - a) at each
+integer node of m, as S enters linearly, interpolated in m.
 
-`vertical_eliminant` needs no Sylvester matrix: it expands the area parts
-in powers of the x-component (`_g_adic`), takes the characteristic
-polynomial of an integer multiplication matrix with `_berkowitz` at
-integer nodes of one variable and interpolates with the same `_newton`.
+`vertical_eliminant` expands the area parts in powers of the x-component
+(`_g_adic`) and takes the characteristic polynomial of multiplication on
+a two-variable quotient ring at integer nodes of the abscissa.
 """
 
 from __future__ import annotations
@@ -108,46 +108,6 @@ def sylvester_matrix(f: Polynomial, g: Polynomial, var: str) -> SylvesterMatrix:
 # -- determinants ------------------------------------------------------
 
 
-def _bareiss(m: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by fraction-free Bareiss
-    elimination. m is overwritten; every division is exact.
-
-    A row whose entry in the pivot column is zero is only multiplied by
-    pivot/prev at that step. Those factors telescope, so such a row is
-    left as it is and brought up to date the next time it is used:
-    row i holds its values before step done[i], and pivots[k] is the
-    divisor of step k (pivots[0] = 1).
-    """
-    n = len(m)
-    sign = 1
-    pivots = [1]
-    done = [0] * n
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot_row = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
-            if pivot_row is None:
-                return 0
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            done[k], done[pivot_row] = done[pivot_row], done[k]
-            sign = -sign
-        prev = pivots[k]
-        tail = m[k][k:]
-        if done[k] < k:
-            tail = [x * prev // pivots[done[k]] for x in tail]
-        pivot = tail[0]
-        for i in range(k + 1, n):
-            row = m[i]
-            if row[k]:
-                rest = row[k:]
-                if done[i] < k:
-                    rest = [x * prev // pivots[done[i]] for x in rest]
-                a = rest[0]
-                row[k + 1 :] = [(pivot * x - a * y) // prev for x, y in zip(rest[1:], tail[1:])]
-                done[i] = k + 1
-        pivots.append(pivot)
-    return sign * m[n - 1][n - 1] * pivots[n - 1] // pivots[done[n - 1]]
-
-
 def _berkowitz(m: list[list[int]]) -> list[int]:
     """Coefficients of det(x*I - m), highest degree first, for a square
     integer matrix m, by Berkowitz's division-free algorithm.
@@ -169,6 +129,63 @@ def _berkowitz(m: list[list[int]]) -> list[int]:
                 v = [sum(map(mul, r, v)) for r in block]
         poly = [sum(map(mul, toeplitz[i::-1], poly)) for i in range(k + 2)]
     return poly
+
+
+def _norm(G: list[int], s: list[int]) -> list[int]:
+    """Coefficients of Res_t(G, Y - s) = l^k * prod over the roots r of G
+    of (Y - s(r)), highest degree in Y first, for ascending integer lists
+    G of degree d >= 1 with leading coefficient l != 0 and s of formal
+    degree k: the norm of Y - s on Q[t]/(G).
+
+    tau = l*t makes G monic with integer coefficients and l^k * s(tau/l)
+    integral. `_berkowitz` takes the characteristic polynomial chi of
+    multiplication by the latter, a d x d integer matrix whose eigenvalues
+    are l^k times the values of s at the roots, so coefficient i is the
+    integer l^k * chi_i / l^(k*i). A remainder there raises ArithmeticError.
+    """
+    d, k = len(G) - 1, len(s) - 1
+    lc = G[d]
+    g = [c * lc ** (d - 1 - i) for i, c in enumerate(G[:d])]
+
+    def times_tau(v: list[int]) -> list[int]:
+        # tau^d = -sum_(i < d) g_i tau^i
+        top = v[-1]
+        out = [0] + v[:-1]
+        return [x - top * c for x, c in zip(out, g)] if top else out
+
+    # Column j of the matrix is s_tilde * tau^j, s_tilde by Horner.
+    col = [0] * d
+    for i in range(k, -1, -1):
+        col = times_tau(col)
+        col[0] += s[i] * lc ** (k - i)
+    cols = [col]
+    for _ in range(d - 1):
+        cols.append(times_tau(cols[-1]))
+    scale = lc**k
+    out = []
+    for i, chi in enumerate(_berkowitz(cols)):
+        v, rem = divmod(scale * chi, scale**i)
+        if rem:
+            raise ArithmeticError("a norm coefficient is not divisible by the leading coefficient's power")
+        out.append(v)
+    return out
+
+
+def _resultant_at(f: list[int], g: list[int]) -> int:
+    """Res(f, g) of ascending integer lists of formal degrees m, n >= 1.
+
+    With lc(f) != 0, Res(f, g) = lc(f)^n * prod over the roots r of f of
+    g(r) = (-1)^m * _norm(f, g)[-1] (Poisson), and Res(g, f) =
+    (-1)^(m*n) Res(f, g). The modulus is the input of lower degree whose
+    leading coefficient is nonzero, f on equal degrees; with both zero,
+    the Sylvester matrix has a zero first column.
+    """
+    m, n = len(f) - 1, len(g) - 1
+    if f[-1] and (m <= n or not g[-1]):
+        return (-1) ** m * _norm(f, g)[-1]
+    if g[-1]:
+        return (-1) ** (m * n + n) * _norm(g, f)[-1]
+    return 0
 
 
 def _sample_values(count: int) -> list[int]:
@@ -224,15 +241,17 @@ def resultant(f: Polynomial, g: Polynomial, var: str, strict: bool = True) -> Po
 
     Specializing the remaining variables commutes with the determinant of
     the Sylvester matrix, taken with the formal degrees m and n, so a
-    leading coefficient that vanishes at a node changes nothing.
+    leading coefficient that vanishes at a node changes nothing. Each node's
+    value is the constant term of a norm on the quotient ring by the input
+    of lower degree (`_resultant_at`); no Sylvester matrix is built.
 
     An identically zero resultant means a common factor of positive degree
     in var; with strict=True that raises DegenerateEliminantError, with
     strict=False the zero polynomial is returned.
     """
     m, n = _sylvester_degrees(f, g, var)
-    # The Sylvester rows: n shifted copies of f's coefficients, then m of
-    # g's, leading coefficient first. An input with no rows is left out.
+    # f's coefficients, then g's, leading coefficient first. f has n
+    # Sylvester rows and g has m; an input with no rows is left out.
     blocks = [(list(reversed(p.coeffs_in(var))), rows) for p, rows in ((f, n), (g, m)) if rows]
     # Declare the remaining variables in the order the rows first use them.
     remaining = [v for v in dict.fromkeys(f.vars + g.vars) if v != var]
@@ -265,11 +284,11 @@ def resultant(f: Polynomial, g: Polynomial, var: str, strict: bool = True) -> Po
     def walk(entries: list[tuple], point: tuple[int, ...]) -> None:
         if len(point) == len(nodes):
             scalars = [sum(c for _, c in e) for e in entries]
-            matrix = []
-            for coeffs, rows in blocks:
-                row, scalars = scalars[: len(coeffs)], scalars[len(coeffs) :]
-                matrix += [[0] * s + row + [0] * (m + n - s - len(row)) for s in range(rows)]
-            values[point] = _bareiss(matrix)
+            if len(blocks) == 1:
+                # The other input has degree 0: its constant on the diagonal.
+                values[point] = scalars[0] ** blocks[0][1]
+            else:
+                values[point] = _resultant_at(scalars[m::-1], scalars[:m:-1])
             return
         for i, s in enumerate(nodes[len(point)]):
             walk([_at_first(e, s) for e in entries], point + (i,))
@@ -314,13 +333,10 @@ def pencil_eliminant(
        denominators of s and of a, b, have integer coefficients;
     2. at each integer node m0, G_hat(m0) has leading coefficient l, a
        linear polynomial in m0 that is not zero, so at most one node is
-       skipped. tau = l*t makes G_hat(m0) monic with integer coefficients
-       (as in `_integer_inputs`) and l^ds * s_hat(tau/l) integral, and
-       `_berkowitz` takes the characteristic polynomial chi of its d x d
-       integer multiplication matrix. Its eigenvalues are l^ds times the
-       values of s_hat at the roots, so the coefficient of Y^(d-i) in
-       Res_t(Y - s_hat, G_hat(m0)) is the integer +-l^ds * chi_i / l^(ds*i).
-       A remainder there raises ArithmeticError;
+       skipped. `_norm` gives the coefficients of
+       Res_t(G_hat(m0), Y - s_hat), a d x d characteristic polynomial, and
+       the sign (-1)^(ds*d) turns them into those of
+       Res_t(Y - s_hat, G_hat(m0));
     3. those coefficients are polynomials in m of degree at most ds, one
        per row of G_hat in the Sylvester matrix, so `_newton` interpolates
        them on ds + 1 nodes. With Y = Ls*S, the term S^(d-i) * m^e is then
@@ -343,34 +359,10 @@ def pencil_eliminant(
     values = []
     for m0 in _sample_values(ds + 2):
         G = [m0 * y - x for x, y in zip(ah, bh)]
-        lc = G[d]
-        if not lc:
+        if not G[d]:
             continue
-        g = [c * lc ** (d - 1 - i) for i, c in enumerate(G[:d])]
-
-        def times_tau(v: list[int]) -> list[int]:
-            # tau^d = -sum_(i < d) g_i tau^i
-            top = v[-1]
-            out = [0] + v[:-1]
-            return [x - top * c for x, c in zip(out, g)] if top else out
-
-        # Column j of the matrix is s_tilde * tau^j, s_tilde by Horner.
-        col = [0] * d
-        for i in range(ds, -1, -1):
-            col = times_tau(col)
-            col[0] += sh[i] * lc ** (ds - i)
-        cols = [col]
-        for _ in range(d - 1):
-            cols.append(times_tau(cols[-1]))
-        scale = lc**ds
-        row = []
-        for i, chi in enumerate(_berkowitz(cols)):
-            v, rem = divmod(sign * scale * chi, scale**i)
-            if rem:
-                raise ArithmeticError("a norm coefficient is not divisible by the leading coefficient's power")
-            row.append(v)
         nodes.append(m0)
-        values.append(row)
+        values.append([sign * c for c in _norm(G, sh)])
         if len(nodes) == ds + 1:
             break
     terms: dict[tuple[int, int], Fraction] = {}

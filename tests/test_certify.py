@@ -56,6 +56,29 @@ def test_pencil_certificate_free_inlet_variant(cubic_centered):
     assert res.num.is_zero
 
 
+def test_pencil_certificate_refuses_a_curve_of_zero_area(monkeypatch):
+    # Collinear control points retrace a segment, so both area functions
+    # are 0 at the interval's end and the pencil is refused as `area` refuses
+    # the curve, before any elimination. The vertical relation S^6 = 0 holds
+    # there: every vertical segment has area 0.
+    from ovalkit import elimination
+    from ovalkit.curves import Point, validate_centered
+    from ovalkit.errors import DegenerateCurveError
+
+    cp = validate_centered(parse_curve_text("bezier (0,0) (1,-1) (2,-2) (0,0)"), Point(0, 0))
+
+    def refuse(*args):
+        raise AssertionError("elimination started")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(elimination, "_norm", refuse)
+        mp.setattr(elimination, "_sample_values", refuse)
+        for area in ("chord", "free_inlet"):
+            with pytest.raises(DegenerateCurveError, match="zero signed area"):
+                pencil_certificate(cp, area=area)
+    assert vertical_certificate(cp).q == parse_polynomial("S^6", ["S", "c"])
+
+
 def test_pencil_elimination_linear_construction():
     # Degree-1 area and slope expressions eliminate to a certificate that
     # is linear in both S and m.

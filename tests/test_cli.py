@@ -122,6 +122,14 @@ def test_domain_error_exit_code(capsys):
     assert "error:" in err
 
 
+def test_pencil_certificate_of_zero_area_is_a_domain_error(capsys):
+    # The same one-line message as `area` gives on this retraced segment.
+    zero_area = "bezier (0,0) (1,-1) (2,-2) (0,0)"
+    for argv in (["certify", "--family", "pencil"], ["area", "--chord", "1/2"]):
+        code, out, err = run(capsys, argv + ["--param", zero_area])
+        assert (code, out, err) == (1, "", "error: curve encloses zero signed area\n")
+
+
 def test_deep_nesting_is_a_one_line_domain_error():
     # Run as its own process so an uncaught RecursionError would show as a traceback.
     expr = "(" * 3000 + "x" + ")" * 3000

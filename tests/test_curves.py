@@ -20,6 +20,8 @@ from ovalkit.cli import parse_curve_text
 from ovalkit.curves import Point, convexity_probe
 from ovalkit.errors import CenteredParametrizationError, DegenerateEliminantError
 
+from conftest import FOLIUM_PARAM
+
 
 def test_validate_centered_quartic(quartic_curve):
     cp = validate_centered(quartic_curve, Point(0, 0))
@@ -75,6 +77,27 @@ def test_implicitize_rejects_constant_component():
 def test_implicitize_zero_test_all_examples(quartic_curve, cubic_curve, apple_curve):
     for curve in (quartic_curve, cubic_curve, apple_curve):
         assert on_curve_residual(implicitize(curve), curve).num.is_zero
+
+
+@pytest.mark.parametrize(
+    "param, expected",
+    [
+        (FOLIUM_PARAM, "y^3 + x^3 - 3*x*y"),
+        ("x=(1-t^2)/(1+t^2); y=2*t/(1+t^2); t in [0,1]", "y^2 + x^2 - 1"),
+        # t and -t give the same point, so the resultant is the square of
+        # y*(x + 1) - 1.
+        ("x=t^2; y=1/(1+t^2); t in [0,1]", "x^2*y^2 + 2*x*y^2 + y^2 - 2*x*y - 2*y + 1"),
+    ],
+)
+def test_implicitize_rational_curves(param, expected):
+    # Components with denominators. On the circle the inputs' leading
+    # coefficients in t are x + 1 and y, so grid nodes take either input as
+    # the modulus of their norm, or find both leading coefficients 0.
+    curve = parse_curve_text(param)
+    F = implicitize(curve)
+    assert F == parse_polynomial(expected, ["x", "y"])
+    assert F.vars == ("x", "y") and repr(F) == f"Polynomial('{expected}')"
+    assert on_curve_residual(F, curve).num.is_zero
 
 
 def test_bezier_linear():

@@ -14,7 +14,7 @@ from ovalkit import (
 )
 from ovalkit import elimination
 from ovalkit.curves import Point
-from ovalkit.elimination import _bareiss, _berkowitz, _newton, _sample_values, pencil_eliminant
+from ovalkit.elimination import _berkowitz, _newton, _sample_values, pencil_eliminant
 from ovalkit.errors import DegenerateEliminantError, SylvesterSizeError
 from ovalkit.quadrature import chord_area_function, free_inlet_function, slope_function
 
@@ -132,21 +132,68 @@ def test_bareiss_matches_cofactor_oracle():
         assert det_bareiss(rows) == det_cofactor(rows)
 
 
-def test_bareiss_matches_cofactor_on_sparse_integer_matrices():
-    # Mostly-zero rows skip pivot steps, which Bareiss defers and replays.
-    rng = random.Random(47)
-    inputs = [
-        [[7]],
-        # No pivot exists in the first column, nor in the second one once
-        # the first step has cleared the rows below the first.
-        [[0, 1, 2], [0, 3, 4], [0, 5, 6]],
-        [[1, 2, 3], [2, 4, 5], [3, 6, 7]],
+def _integer_sylvester(f, g):
+    """Sylvester matrix of ascending integer lists f, g of formal degrees
+    m, n: n shifted rows of f, then m of g, leading coefficient first."""
+    m, n = len(f) - 1, len(g) - 1
+    return [[0] * i + f[::-1] + [0] * (n - 1 - i) for i in range(n)] + [
+        [0] * i + g[::-1] + [0] * (m - 1 - i) for i in range(m)
     ]
-    for n in range(1, 8):
-        for _ in range(6):
-            inputs.append([[rng.choice([0, 0, 0, rng.randint(-9, 9)]) for _ in range(n)] for _ in range(n)])
-    for values in inputs:
-        assert _bareiss([list(row) for row in values]) == det_cofactor(values)
+
+
+def test_resultant_at_matches_cofactor_on_sparse_integer_inputs(monkeypatch):
+    # The per-node resultant is a norm on the quotient ring by the input of
+    # lower degree, f on equal degrees. A vanishing leading coefficient
+    # moves the modulus to the other input, and two make the value 0.
+    rng = random.Random(47)
+    moduli = []
+    norm = elimination._norm
+    monkeypatch.setattr(elimination, "_norm", lambda G, s: moduli.append(len(G) - 1) or norm(G, s))
+    for m in range(1, 7):
+        for n in range(1, 7):
+            for lead_f, lead_g in ((1, 1), (0, 1), (1, 0), (0, 0)):
+                for _ in range(3):
+                    f = [rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(m)]
+                    f.append(rng.choice([-1, 1]) * rng.randint(1, 9) * lead_f)
+                    g = [rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(n)]
+                    g.append(rng.choice([-1, 1]) * rng.randint(1, 9) * lead_g)
+                    moduli.clear()
+                    assert elimination._resultant_at(f, g) == det_cofactor(_integer_sylvester(f, g))
+                    if lead_f and (m <= n or not lead_g):
+                        assert moduli == [m]
+                    elif lead_g:
+                        assert moduli == [n]
+                    else:
+                        assert moduli == []
+
+
+def test_resultant_norms_take_the_lower_degree_modulus(apple_curve, monkeypatch):
+    # Each node of implicitize and rational_singular_points takes one
+    # characteristic polynomial, on the quotient ring by the input of lower
+    # degree: min(m, n) rows where the Sylvester matrix has m + n. Only a
+    # node where that input's leading coefficient vanishes takes the other
+    # input: x = 0 for Res_y(F, dF/dx), as dF/dx has leading coefficient
+    # c*x in y, of degree 3 against F's 5.
+    nodes, sizes = [], []
+    resultant_at, berkowitz = elimination._resultant_at, elimination._berkowitz
+
+    def recording(matrix):
+        assert all(len(row) == len(matrix) for row in matrix)
+        sizes.append(len(matrix))
+        return berkowitz(matrix)
+
+    def at(f, g):
+        before = len(sizes)
+        value = resultant_at(f, g)
+        nodes.append((min(len(f), len(g)) - 1, sizes[before:]))
+        return value
+
+    monkeypatch.setattr(elimination, "_berkowitz", recording)
+    monkeypatch.setattr(elimination, "_resultant_at", at)
+    F = implicitize(apple_curve)
+    assert Point(0, 0) in rational_singular_points(F)
+    assert len(nodes) > 50 and all(len(taken) == 1 for _, taken in nodes)
+    assert [(low, taken) for low, taken in nodes if taken != [low]] == [(3, [5])]
 
 
 def _random_poly(rng, variables, degree):
