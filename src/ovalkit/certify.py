@@ -237,18 +237,6 @@ def _arc_side_line(areas: _ClippedAreas | _Extrapolated, arc_len: int, a: float,
     return a, b, c
 
 
-def _measure(
-    areas: _ClippedAreas | _Extrapolated, values: array, table, residual: Callable[[float, float], float]
-) -> float:
-    """Measure the lines of table, a view of values, in one batch, then
-    replace each line's slope or abscissa, held in its residual slot, by
-    its residual. Returns the largest error estimate of the areas."""
-    table[:, 3], errors = areas.measure(table[:, :3])
-    for j in range(0, len(values), 5):
-        values[j + 4] = residual(values[j + 4], values[j + 3])
-    return errors.max().item()
-
-
 def _window(interval, fraction: float = 0.15) -> tuple[float, float]:
     lo, hi = float(interval.lo), float(interval.hi)
     pad = (hi - lo) * fraction
@@ -319,12 +307,17 @@ def verify_certificate(
     finite and positive (ValueError otherwise): an infinite one would pass
     every certificate, a NaN one none.
 
-    The lines are drawn one at a time from random.Random(seed) and measured
-    together by one batched oracle call (general lines by one call per
-    round of draws), with the areas of a call per line, bit for bit.
-    oracle_samples is the oracle's fine vertex count on a curve (see
-    quadrature._Extrapolated); the report's oracle_error is the largest
-    error estimate of the kept lines' areas.
+    One loop serves every family. Candidate lines are drawn one at a time
+    from random.Random(seed), in rounds of as many as are still missing;
+    each round is measured by one batched oracle call, with the areas of a
+    call per line, bit for bit. A round can only complete the set with its
+    last candidate, so the lines kept, in draw order, and the draws taken
+    are those of a one-at-a-time loop. A chord through a point with
+    |x| <= 1e-9 is rejected before it is measured, a general line that
+    misses the region after; 100 draws per requested line end in a
+    ValueError. oracle_samples is the oracle's fine vertex count on a
+    curve (see quadrature._Extrapolated); the report's oracle_error is the
+    largest error estimate of the kept lines' areas.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tolerance must be finite and positive, not {tol}")
@@ -335,83 +328,67 @@ def verify_certificate(
     import numpy as np
 
     rng = random.Random(seed)
-    roles = dict(cert.roles)
-    role_to_var = {r: v for v, r in roles.items()}
-    is_curve = isinstance(curve, ParametricCurve)
+    role_to_var = {r: v for v, r in cert.roles.items()}
     areas = _clipped_areas(curve, oracle_samples)
-    # Five floats per line: a, b, c, area and residual. Each line is
-    # written here as it is drawn, and all are measured in one batch
-    # through this numpy view.
-    values = array("d", [0.0]) * (5 * n_samples)
-    table = np.frombuffer(values).reshape(n_samples, 5)
+    cut = None
+    if role_to_var.keys() == {"area", "slope", "intercept"}:
+        windows = windows or {"slope": (0.1, 2.0), "intercept": (0.0, 1.0)}
+        total = abs(areas.signed_total)
+        cut = 1e-9 * total, (1 - 1e-9) * total
+        miss = "could not sample enough lines hitting the region"
 
-    role_set = set(roles.values())
-    if role_set == {"area", "slope"}:
-        if not is_curve:
-            raise ValueError("chord sampling needs a parametric curve")
-        residual = _residual_function(cert.q, (role_to_var["slope"], cert.area_var))
+        def draw():
+            return rng.uniform(*windows["slope"]), -1.0, rng.uniform(*windows["intercept"])
+
+    elif role_to_var.keys() in ({"area", "slope"}, {"area", "abscissa"}):
+        chords = "slope" in role_to_var
+        if not isinstance(curve, ParametricCurve):
+            raise ValueError(f"{'chord' if chords else 'vertical-line'} sampling needs a parametric curve")
         g, f = _float_component(curve.g), _float_component(curve.f)
         lo, hi = _window(curve.interval)
         start, span = float(curve.interval.lo), float(curve.interval.hi) - float(curve.interval.lo)
-        draws = 0
-        for j in range(0, len(values), 5):
-            while True:
-                draws += 1
-                if draws > 100 * n_samples:
-                    raise ValueError("could not sample enough chords of finite slope")
-                t0 = rng.uniform(lo, hi)
-                gx = g(t0)
-                fy = f(t0)
-                if abs(gx) > 1e-9:
-                    break
-            k = max(1, int(oracle_samples * (t0 - start) / span))
-            values[j], values[j + 1], values[j + 2] = _arc_side_line(areas, max(k, 2), fy, -gx, 0.0)
-            values[j + 4] = fy / gx  # the slope, until _measure sets the residual
-        oracle_error = _measure(areas, values, table, residual)
-    elif role_set == {"area", "abscissa"}:
-        if not is_curve:
-            raise ValueError("vertical-line sampling needs a parametric curve")
-        residual = _residual_function(cert.q, (role_to_var["abscissa"], cert.area_var))
-        g = _float_component(curve.g)
-        lo, hi = _window(curve.interval)
-        for j in range(0, len(values), 5):
-            cx = g(rng.uniform(lo, hi))
-            values[j], values[j + 1], values[j + 2] = _arc_side_line(areas, max(2, int(oracle_samples * 0.02)), 1.0, 0.0, -cx)
-            values[j + 4] = cx  # the abscissa, until _measure sets the residual
-        oracle_error = _measure(areas, values, table, residual)
-    elif role_set == {"area", "slope", "intercept"}:
-        residual = _residual_function(
-            cert.q, (role_to_var["slope"], role_to_var["intercept"], cert.area_var)
-        )
-        windows = windows or {"slope": (0.1, 2.0), "intercept": (0.0, 1.0)}
-        total = abs(areas.signed_total)
-        # Candidates are drawn in rounds of as many as are still missing:
-        # a round can only complete the set with its last candidate, so the
-        # draws and the lines kept are those of a one-at-a-time loop that
-        # stops at the last line needed or after 100 draws per line.
-        kept = attempts = 0
-        oracle_error = 0.0
-        while kept < n_samples:
-            if attempts >= 100 * n_samples:
-                raise ValueError("could not sample enough lines hitting the region")
-            rows = min(n_samples - kept, 100 * n_samples - attempts)
-            attempts += rows
-            for j in range(5 * kept, 5 * (kept + rows), 5):
-                values[j] = rng.uniform(*windows["slope"])
-                values[j + 1] = -1.0
-                values[j + 2] = rng.uniform(*windows["intercept"])
-            drawn = table[kept : kept + rows]
-            drawn[:, 3], errors = areas.measure(drawn[:, :3])
-            # Only the lines that cut the region are kept, in draw order.
-            cut = (1e-9 * total < drawn[:, 3]) & (drawn[:, 3] < (1 - 1e-9) * total)
-            hits = drawn[cut]
-            oracle_error = max(oracle_error, errors[cut].max(initial=0.0).item())
-            table[kept : kept + len(hits)] = hits
-            kept += len(hits)
-        for j in range(0, len(values), 5):
-            values[j + 4] = residual(values[j], values[j + 2], values[j + 3])
+        miss = "could not sample enough chords of finite slope"
+
+        def draw():
+            t0 = rng.uniform(lo, hi)
+            x = g(t0)
+            if not chords:
+                return _arc_side_line(areas, max(2, int(oracle_samples * 0.02)), 1.0, 0.0, -x)
+            if abs(x) > 1e-9:
+                return _arc_side_line(areas, max(2, int(oracle_samples * (t0 - start) / span)), f(t0), -x, 0.0)
+            return None
+
     else:
-        raise ValueError(f"unsupported role combination {sorted(role_set)}")
+        raise ValueError(f"unsupported role combination {sorted(role_to_var)}")
+    # Five floats per line: a, b, c, area and residual, in one array.
+    values = array("d", [0.0]) * (5 * n_samples)
+    table = np.frombuffer(values).reshape(n_samples, 5)
+    kept = draws = 0
+    oracle_error = 0.0
+    while kept < n_samples:
+        if draws >= 100 * n_samples:
+            raise ValueError(miss)
+        rows = min(n_samples - kept, 100 * n_samples - draws)
+        draws += rows
+        lines = [line for _ in range(rows) if (line := draw())]
+        if not lines:
+            continue
+        drawn = table[kept : kept + len(lines)]
+        drawn[:, :3] = lines
+        drawn[:, 3], errors = areas.measure(drawn[:, :3])
+        if cut:
+            hits = (cut[0] < drawn[:, 3]) & (drawn[:, 3] < cut[1])
+            drawn, errors = drawn[hits], errors[hits]
+            table[kept : kept + len(drawn)] = drawn
+        oracle_error = max(oracle_error, errors.max(initial=0.0).item())
+        kept += len(drawn)
+    # Each role value is read off the lines a*x + b*y + c = 0.
+    read = {"slope": lambda a, b, c: -a / b, "intercept": lambda a, b, c: -c / b, "abscissa": lambda a, b, c: -c / a}
+    roles = [r for r in ROLES[1:] if r in role_to_var]
+    residual = _residual_function(cert.q, [role_to_var[r] for r in roles + ["area"]])
+    a, b, c, area = table[:, :4].T
+    points = zip(*[read[r](a, b, c).tolist() for r in roles], area.tolist())
+    table[:, 4] = [residual(*point) for point in points]
     return SampleReport(values, max(values[4::5]), tol, oracle_error)
 
 

@@ -176,16 +176,31 @@ def _resultant_at(f: list[int], g: list[int]) -> int:
 
     With lc(f) != 0, Res(f, g) = lc(f)^n * prod over the roots r of f of
     g(r) = (-1)^m * _norm(f, g)[-1] (Poisson), and Res(g, f) =
-    (-1)^(m*n) Res(f, g). The modulus is the input of lower degree whose
-    leading coefficient is nonzero, f on equal degrees; with both zero,
-    the Sylvester matrix has a zero first column.
+    (-1)^(m*n) Res(f, g). The modulus is the input of lower degree, f on
+    equal degrees, so a node takes at most min(m, n) rows. A vanished
+    leading coefficient is trimmed first: Res_(m,n)(f, g) is
+    (-1)^n * g_n * Res_(m-1,n)(f, g) when f_m = 0 and f_m * Res_(m,n-1)(f, g)
+    when g_n = 0, and a constant f0 gives f0^n. With both leading
+    coefficients zero, the Sylvester matrix has a zero first column.
     """
     m, n = len(f) - 1, len(g) - 1
-    if f[-1] and (m <= n or not g[-1]):
-        return (-1) ** m * _norm(f, g)[-1]
-    if g[-1]:
-        return (-1) ** (m * n + n) * _norm(g, f)[-1]
-    return 0
+    if not (f[m] or g[n]):
+        return 0
+    scale = 1
+    while m and not f[m]:
+        m -= 1
+        scale *= (-1) ** n * g[n]
+    while n and not g[n]:
+        n -= 1
+        scale *= f[m]
+    if not m:
+        return scale * f[0] ** n
+    if not n:
+        return scale * g[0] ** m
+    f, g = f[: m + 1], g[: n + 1]
+    if m <= n:
+        return scale * (-1) ** m * _norm(f, g)[-1]
+    return scale * (-1) ** (m * n + n) * _norm(g, f)[-1]
 
 
 def _sample_values(count: int) -> list[int]:

@@ -30,7 +30,11 @@ class DegenerateEliminantError(OvalkitError):
     """
 
 
-class SylvesterSizeError(OvalkitError):
+class DeskScopeError(OvalkitError):
+    """Input is structurally valid but beyond the supported desk scale."""
+
+
+class SylvesterSizeError(DeskScopeError):
     """Requested Sylvester matrix exceeds the supported desk-scale size."""
 
 
@@ -53,6 +57,3 @@ class ExactIntegrationError(OvalkitError):
 class DegenerateCurveError(OvalkitError):
     """The curve encloses zero signed area or is otherwise degenerate."""
 
-
-class DeskScopeError(OvalkitError):
-    """Input is structurally valid but beyond the supported desk scale."""

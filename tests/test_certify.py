@@ -550,6 +550,37 @@ def test_verify_chord_draws_are_bounded():
             verify_certificate(cert, parse_curve_text(text), n_samples=10)
 
 
+def test_verify_chord_draws_stop_after_100_per_requested_line(monkeypatch):
+    draws = []
+
+    class CountingRandom(random.Random):
+        def uniform(self, a, b):
+            draws.append((a, b))
+            return super().uniform(a, b)
+
+    monkeypatch.setattr(certify, "random", types.SimpleNamespace(Random=CountingRandom))
+    cert = parse_certificate("S - m\nroles: S=area m=slope")
+    for n in (10, 13):
+        draws.clear()
+        with pytest.raises(ValueError, match="could not sample enough chords of finite slope"):
+            verify_certificate(cert, parse_curve_text("x=0; y=t^2-t; t in [0,1]"), n_samples=n)
+        assert len(draws) == 100 * n
+
+
+def test_verify_refuses_an_unsupported_role_combination(cubic_curve):
+    cert = Certificate(parse_polynomial("S - q", ["S", "q"]), {"S": "area", "q": "intercept"})
+    with pytest.raises(ValueError, match=r"unsupported role combination \['area', 'intercept'\]"):
+        verify_certificate(cert, cubic_curve)
+
+
+def test_verify_chords_and_verticals_need_a_parametric_curve():
+    square = square_boundary(4000)
+    for role, family in (("slope", "chord"), ("abscissa", "vertical-line")):
+        cert = Certificate(parse_polynomial("S - c", ["S", "c"]), {"S": "area", "c": role})
+        with pytest.raises(ValueError, match=f"^{family} sampling needs a parametric curve$"):
+            verify_certificate(cert, square)
+
+
 def test_line_samples_carry_no_instance_dict(cubic_centered, cubic_curve):
     report = verify_certificate(pencil_certificate(cubic_centered), cubic_curve, n_samples=10)
     assert not hasattr(report.samples[0], "__dict__")

@@ -240,8 +240,16 @@ def test_verify_sample_count_is_bounded():
             "--param",
             "bezier (0,0) (2,-2) (3,-2) (4,0) (4,0) (4,2) (3,2) (2,4) (0,0)",
         ],
+        ["implicitize", "--param", "x=t^40; y=t^39+t; t in [0,1]"],
     ],
-    ids=["verify-chords-x-zero", "verify-chords-x-tiny", "damper-table-steps", "puiseux-terms", "vertical-degree-8"],
+    ids=[
+        "verify-chords-x-zero",
+        "verify-chords-x-tiny",
+        "damper-table-steps",
+        "puiseux-terms",
+        "vertical-degree-8",
+        "implicitize-sylvester-79",
+    ],
 )
 def test_unbounded_inputs_end_in_one_line_error(argv):
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))

@@ -15,7 +15,7 @@ from ovalkit import (
 from ovalkit import elimination
 from ovalkit.curves import Point
 from ovalkit.elimination import _berkowitz, _newton, _sample_values, pencil_eliminant
-from ovalkit.errors import DegenerateEliminantError, SylvesterSizeError
+from ovalkit.errors import DegenerateEliminantError, DeskScopeError, SylvesterSizeError
 from ovalkit.quadrature import chord_area_function, free_inlet_function, slope_function
 
 from oracles import det_bareiss, det_cofactor, pencil_inputs, seeded_loops, sylvester_vertical_inputs
@@ -58,6 +58,8 @@ def test_size_guard():
     g = _poly("v^40 - y", ["v", "y"])
     with pytest.raises(SylvesterSizeError):
         sylvester_matrix(f, g, "v")
+    with pytest.raises(DeskScopeError):
+        resultant(f, g, "v")
 
 
 def test_resultant_contains_implicit_equation(quartic_poly):
@@ -141,14 +143,20 @@ def _integer_sylvester(f, g):
     ]
 
 
+def _degree(p):
+    return max((i for i, c in enumerate(p) if c), default=0)
+
+
 def test_resultant_at_matches_cofactor_on_sparse_integer_inputs(monkeypatch):
     # The per-node resultant is a norm on the quotient ring by the input of
-    # lower degree, f on equal degrees. A vanishing leading coefficient
-    # moves the modulus to the other input, and two make the value 0.
+    # lower degree, f on equal degrees. A vanishing leading coefficient is
+    # trimmed to the input's actual degree first, a constant takes no norm,
+    # and two vanishing leading coefficients make the value 0.
     rng = random.Random(47)
     moduli = []
     norm = elimination._norm
     monkeypatch.setattr(elimination, "_norm", lambda G, s: moduli.append(len(G) - 1) or norm(G, s))
+    pairs = []
     for m in range(1, 7):
         for n in range(1, 7):
             for lead_f, lead_g in ((1, 1), (0, 1), (1, 0), (0, 0)):
@@ -157,23 +165,34 @@ def test_resultant_at_matches_cofactor_on_sparse_integer_inputs(monkeypatch):
                     f.append(rng.choice([-1, 1]) * rng.randint(1, 9) * lead_f)
                     g = [rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(n)]
                     g.append(rng.choice([-1, 1]) * rng.randint(1, 9) * lead_g)
-                    moduli.clear()
-                    assert elimination._resultant_at(f, g) == det_cofactor(_integer_sylvester(f, g))
-                    if lead_f and (m <= n or not lead_g):
-                        assert moduli == [m]
-                    elif lead_g:
-                        assert moduli == [n]
-                    else:
-                        assert moduli == []
+                    pairs.append((f, g))
+    # Trimmed by one, by two, to a constant and to zero, on either input;
+    # then both leading coefficients zero.
+    cases = [
+        ([1, 2, 3, 0], [4, -1, 2]),
+        ([2, 0, 1, 0, 0], [1, 1, -3]),
+        ([1, 0, 0, 0, 0, 0], [-2, 0, 3, 1]),
+        ([5, 0, 0], [1, 2, 3, 4]),
+        ([0, 0, 0], [1, 2, 7]),
+        ([1, 2, 3, 4, 5, 6], [0, 3, 0, 0, 0, 0, 0]),
+        ([1, 2, 0], [3, 4, 0]),
+        ([1, 2, 3, 0, 0], [0, 0]),
+        ([0, 0, 0], [0, 0, 0, 0]),
+    ]
+    pairs += cases + [(g, f) for f, g in cases]
+    for f, g in pairs:
+        moduli.clear()
+        assert elimination._resultant_at(f, g) == det_cofactor(_integer_sylvester(f, g)), (f, g)
+        low = min(_degree(f), _degree(g)) if f[-1] or g[-1] else 0
+        assert moduli == ([low] if low else [])
 
 
 def test_resultant_norms_take_the_lower_degree_modulus(apple_curve, monkeypatch):
-    # Each node of implicitize and rational_singular_points takes one
-    # characteristic polynomial, on the quotient ring by the input of lower
-    # degree: min(m, n) rows where the Sylvester matrix has m + n. Only a
-    # node where that input's leading coefficient vanishes takes the other
-    # input: x = 0 for Res_y(F, dF/dx), as dF/dx has leading coefficient
-    # c*x in y, of degree 3 against F's 5.
+    # Each node of implicitize and rational_singular_points takes at most
+    # one characteristic polynomial, on the quotient ring by the input of
+    # lower degree: at most min(m, n) rows where the Sylvester matrix has
+    # m + n. Only x = 0 for Res_y(F, dF/dx) takes none: F is even in x, so
+    # dF/dx vanishes there and the node's value is 0.
     nodes, sizes = [], []
     resultant_at, berkowitz = elimination._resultant_at, elimination._berkowitz
 
@@ -192,8 +211,8 @@ def test_resultant_norms_take_the_lower_degree_modulus(apple_curve, monkeypatch)
     monkeypatch.setattr(elimination, "_resultant_at", at)
     F = implicitize(apple_curve)
     assert Point(0, 0) in rational_singular_points(F)
-    assert len(nodes) > 50 and all(len(taken) == 1 for _, taken in nodes)
-    assert [(low, taken) for low, taken in nodes if taken != [low]] == [(3, [5])]
+    assert len(nodes) > 50 and all(size <= low for low, taken in nodes for size in taken)
+    assert [(low, taken) for low, taken in nodes if taken != [low]] == [(3, [])]
 
 
 def _random_poly(rng, variables, degree):
@@ -524,4 +543,6 @@ def test_pencil_eliminant_refuses_oversized_pencils(monkeypatch):
     monkeypatch.setattr(elimination, "_sample_values", refuse)
     monkeypatch.setattr(elimination, "_berkowitz", refuse)
     with pytest.raises(SylvesterSizeError):
+        pencil_eliminant(UnivariatePolynomial("t", [1] * 63), a, b, "S", "m")
+    with pytest.raises(DeskScopeError):
         pencil_eliminant(UnivariatePolynomial("t", [1] * 63), a, b, "S", "m")
