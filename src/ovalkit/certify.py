@@ -14,7 +14,7 @@ import math
 import random
 from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .algebra import (
     Polynomial,
@@ -27,14 +27,16 @@ from .errors import DegenerateCurveError, DeskScopeError
 from .parsing import parse_polynomial, render_polynomial
 from .quadrature import (
     ORACLE_SAMPLES,
-    _ClippedAreas,
     _clipped_areas,
-    _Extrapolated,
+    _evaluate,
     chord_area_function,
     free_inlet_function,
     slope_function,
     vertical_area_parts,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ROLES = ("area", "slope", "intercept", "abscissa")
 
@@ -65,9 +67,16 @@ class Certificate:
         areas = [v for v, r in self.roles.items() if r == "area"]
         if len(areas) != 1:
             raise ValueError("exactly one variable must carry the area role")
+        holders: dict[str, str] = {}
         for v, r in self.roles.items():
             if r not in ROLES:
                 raise ValueError(f"unknown role {r!r} for {v!r}")
+            if r in holders:
+                raise ValueError(f"role {r!r} is given to both {holders[r]!r} and {v!r}")
+            holders[r] = v
+        for v in self.q.vars:
+            if v not in self.roles and self.q.degree_in(v) > 0:
+                raise ValueError(f"variable {v!r} of the certificate polynomial carries no role")
 
     @property
     def area_var(self) -> str:
@@ -228,58 +237,38 @@ def annihilation_residual(
     return substitute_rational(cert.q, assignments)
 
 
-def _arc_side_line(areas: _ClippedAreas | _Extrapolated, arc_len: int, a: float, b: float, c: float) -> tuple[float, float, float]:
-    """Flip the half-plane sign so the midpoint of the arc through the
-    first arc_len boundary vertices is inside."""
-    mid = min(arc_len, len(areas.x)) // 2
-    if a * areas.x.item(mid) + b * areas.y.item(mid) + c > 0:
-        return -a, -b, -c
-    return a, b, c
-
-
 def _window(interval, fraction: float = 0.15) -> tuple[float, float]:
     lo, hi = float(interval.lo), float(interval.hi)
     pad = (hi - lo) * fraction
     return lo + pad, hi - pad
 
 
-def _float_component(rf: RationalFunction) -> Callable[[float], float]:
-    """rf.evaluate_float with the coefficients converted once."""
-    num = [float(c) for c in reversed(rf.num.coeffs)]
-    den = [float(c) for c in reversed(rf.den.coeffs)]
+def _residuals(q: Polynomial, columns: Mapping[str, np.ndarray]) -> np.ndarray:
+    """Residual of Q at each row of the value columns, one per variable:
+    |Q| over its largest evaluated monomial, at least 1, so the verdict is
+    invariant under scaling Q. Each term is its float coefficient times its
+    power columns in variable order, and the terms are summed in order, as
+    in Polynomial.evaluate_float, so every residual is that function's bit
+    for bit; a NaN term makes the residual NaN. Each power column is built
+    once, by Python's float ** int on each value (an OverflowError where
+    that overflows): numpy's power and repeated multiplication both round
+    differently. A first power is the column itself, as v ** 1 is v."""
+    import numpy as np
 
-    def value(x: float) -> float:
-        n = d = 0.0
-        for c in num:
-            n = n * x + c
-        for c in den:
-            d = d * x + c
-        return n / d
-
-    return value
-
-
-def _residual_function(q: Polynomial, names: Sequence[str]) -> Callable[..., float]:
-    """Residual of Q at float values of `names`, in that order: |Q| over
-    its largest evaluated monomial, at least 1, so the verdict is invariant
-    under scaling Q. Each monomial is evaluated as in Polynomial.evaluate_float,
-    with the coefficients converted once."""
-    index = {v: k for k, v in enumerate(names)}
-    terms = [
-        (float(c), [(index[v], e) for v, e in zip(q.vars, exps) if e])
-        for exps, c in q.terms.items()
-    ]
-
-    def residual(*values: float) -> float:
-        total = biggest = 0.0
-        for term, powers in terms:
-            for k, e in powers:
-                term *= values[k] ** e
+    n = len(next(iter(columns.values())))
+    total, biggest = np.zeros(n), np.zeros(n)
+    powers = {(v, 1): column for v, column in columns.items()}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for exps, c in q.terms.items():
+            term = float(c)
+            for v, e in zip(q.vars, exps):
+                if e:
+                    if (v, e) not in powers:
+                        powers[v, e] = np.array([value**e for value in columns[v].tolist()])
+                    term *= powers[v, e]
             total += term
-            biggest = max(biggest, abs(term))
-        return abs(total) / max(1.0, biggest)
-
-    return residual
+            np.maximum(biggest, np.abs(term), out=biggest)
+        return np.abs(total) / np.maximum(1.0, biggest)
 
 
 def verify_certificate(
@@ -303,21 +292,23 @@ def verify_certificate(
     kept.
 
     Residuals are |Q| divided by the largest evaluated monomial magnitude
-    (at least 1), so the verdict is invariant under scaling Q. tol must be
-    finite and positive (ValueError otherwise): an infinite one would pass
-    every certificate, a NaN one none.
+    (at least 1), so the verdict is invariant under scaling Q; a NaN
+    residual (an inf - inf in Q, say) fails the report. tol must be finite
+    and positive (ValueError otherwise): an infinite one would pass every
+    certificate, a NaN one none.
 
-    One loop serves every family. Candidate lines are drawn one at a time
-    from random.Random(seed), in rounds of as many as are still missing;
-    each round is measured by one batched oracle call, with the areas of a
-    call per line, bit for bit. A round can only complete the set with its
-    last candidate, so the lines kept, in draw order, and the draws taken
-    are those of a one-at-a-time loop. A chord through a point with
-    |x| <= 1e-9 is rejected before it is measured, a general line that
-    misses the region after; 100 draws per requested line end in a
-    ValueError. oracle_samples is the oracle's fine vertex count on a
-    curve (see quadrature._Extrapolated); the report's oracle_error is the
-    largest error estimate of the kept lines' areas.
+    One loop serves every family. It runs in rounds of as many candidate
+    lines as are still missing: a round takes its random numbers from
+    random.Random(seed) in the order of a one-at-a-time loop, then builds
+    its lines as numpy columns, whose every value is that loop's, bit for
+    bit, and measures them by one batched oracle call. A round can only
+    complete the set with its last candidate, so the lines kept, in draw
+    order, and the draws taken are those of a one-at-a-time loop. A chord
+    through a point with |x| <= 1e-9 is masked out before it is measured,
+    a general line that misses the region after; 100 draws per requested
+    line end in a ValueError. oracle_samples is the oracle's fine vertex
+    count on a curve (see quadrature._Extrapolated); the report's
+    oracle_error is the largest error estimate of the kept lines' areas.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tolerance must be finite and positive, not {tol}")
@@ -337,26 +328,34 @@ def verify_certificate(
         cut = 1e-9 * total, (1 - 1e-9) * total
         miss = "could not sample enough lines hitting the region"
 
-        def draw():
-            return rng.uniform(*windows["slope"]), -1.0, rng.uniform(*windows["intercept"])
+        def draw(rows):
+            return np.array([(rng.uniform(*windows["slope"]), -1.0, rng.uniform(*windows["intercept"])) for _ in range(rows)])
 
     elif role_to_var.keys() in ({"area", "slope"}, {"area", "abscissa"}):
         chords = "slope" in role_to_var
         if not isinstance(curve, ParametricCurve):
             raise ValueError(f"{'chord' if chords else 'vertical-line'} sampling needs a parametric curve")
-        g, f = _float_component(curve.g), _float_component(curve.f)
         lo, hi = _window(curve.interval)
         start, span = float(curve.interval.lo), float(curve.interval.hi) - float(curve.interval.lo)
         miss = "could not sample enough chords of finite slope"
 
-        def draw():
-            t0 = rng.uniform(lo, hi)
-            x = g(t0)
-            if not chords:
-                return _arc_side_line(areas, max(2, int(oracle_samples * 0.02)), 1.0, 0.0, -x)
-            if abs(x) > 1e-9:
-                return _arc_side_line(areas, max(2, int(oracle_samples * (t0 - start) / span)), f(t0), -x, 0.0)
-            return None
+        def draw(rows):
+            t0 = np.array([rng.uniform(lo, hi) for _ in range(rows)])
+            x = _evaluate(curve.g, t0, np.empty(rows))
+            if chords:
+                keep = np.abs(x) > 1e-9  # a NaN x is dropped too
+                t0, x = t0[keep], x[keep]
+                lines = np.column_stack((_evaluate(curve.f, t0, np.empty(len(t0))), -x, np.zeros(len(t0))))
+                arc = np.maximum(2, (oracle_samples * (t0 - start) / span).astype(np.int64))
+            else:
+                lines = np.column_stack((np.ones(rows), np.zeros(rows), -x))
+                arc = max(2, int(oracle_samples * 0.02))
+            # Flip each line so that the midpoint of the boundary arc through
+            # its first `arc` vertices is inside.
+            mid = np.minimum(arc, len(areas.x)) // 2
+            flip = lines[:, 0] * areas.x[mid] + lines[:, 1] * areas.y[mid] + lines[:, 2] > 0
+            lines[flip] = -lines[flip]
+            return lines
 
     else:
         raise ValueError(f"unsupported role combination {sorted(role_to_var)}")
@@ -370,8 +369,8 @@ def verify_certificate(
             raise ValueError(miss)
         rows = min(n_samples - kept, 100 * n_samples - draws)
         draws += rows
-        lines = [line for _ in range(rows) if (line := draw())]
-        if not lines:
+        lines = draw(rows)
+        if not len(lines):
             continue
         drawn = table[kept : kept + len(lines)]
         drawn[:, :3] = lines
@@ -383,13 +382,11 @@ def verify_certificate(
         oracle_error = max(oracle_error, errors.max(initial=0.0).item())
         kept += len(drawn)
     # Each role value is read off the lines a*x + b*y + c = 0.
-    read = {"slope": lambda a, b, c: -a / b, "intercept": lambda a, b, c: -c / b, "abscissa": lambda a, b, c: -c / a}
-    roles = [r for r in ROLES[1:] if r in role_to_var]
-    residual = _residual_function(cert.q, [role_to_var[r] for r in roles + ["area"]])
     a, b, c, area = table[:, :4].T
-    points = zip(*[read[r](a, b, c).tolist() for r in roles], area.tolist())
-    table[:, 4] = [residual(*point) for point in points]
-    return SampleReport(values, max(values[4::5]), tol, oracle_error)
+    read = {"slope": lambda: -a / b, "intercept": lambda: -c / b, "abscissa": lambda: -c / a, "area": lambda: area}
+    table[:, 4] = _residuals(cert.q, {v: read[r]() for v, r in cert.roles.items()})
+    # numpy's max, unlike Python's, keeps a NaN, so a NaN residual fails.
+    return SampleReport(values, table[:, 4].max().item(), tol, oracle_error)
 
 
 def serialize_certificate(cert: Certificate) -> str:

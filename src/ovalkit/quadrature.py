@@ -477,30 +477,37 @@ def _vertex_buffer(n: int) -> np.ndarray:
     return np.empty(max(-(-n // B), 1) * B + 1)
 
 
-def _sample_components(curve: ParametricCurve, samples: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vertex buffers of x and y, sampled at evenly spaced parameters, and
-    the buffer of those parameters, which the caller may overwrite."""
+def _evaluate(rf: RationalFunction, t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """rf at each parameter of t, written into out, bit for bit
+    rf.evaluate_float: np.polyval's y = y*t + c in place on the numerator
+    and the denominator, then their quotient. evaluate_float starts from
+    y = 0, which its first step turns into the leading coefficient for
+    finite t, so here y starts from that coefficient."""
     import numpy as np
 
-    t = np.linspace(float(curve.interval.lo), float(curve.interval.hi), samples)
-
     def horner(coeffs: Sequence[Fraction], out: np.ndarray) -> np.ndarray:
-        # np.polyval's y = y*t + c, in place. It starts from y = 0, which
-        # its first step turns into the leading coefficient for finite t.
         out.fill(float(coeffs[-1]) if coeffs else 0.0)
         for c in reversed(coeffs[:-1]):
             np.multiply(out, t, out=out)
             np.add(out, float(c), out=out)
         return out
 
-    def eval_rf(rf: RationalFunction) -> np.ndarray:
-        buffer = _vertex_buffer(samples)
-        num = horner(rf.num.coeffs, buffer[:samples])
-        if not rf.is_polynomial:
-            np.divide(num, horner(rf.den.coeffs, np.empty(samples)), out=num)
-        return buffer
+    horner(rf.num.coeffs, out)
+    if not rf.is_polynomial:
+        np.divide(out, horner(rf.den.coeffs, np.empty(len(t))), out=out)
+    return out
 
-    return eval_rf(curve.g), eval_rf(curve.f), t
+
+def _sample_components(curve: ParametricCurve, samples: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vertex buffers of x and y, sampled at evenly spaced parameters, and
+    the buffer of those parameters, which the caller may overwrite."""
+    import numpy as np
+
+    t = np.linspace(float(curve.interval.lo), float(curve.interval.hi), samples)
+    x, y = _vertex_buffer(samples), _vertex_buffer(samples)
+    _evaluate(curve.g, t, x[:samples])
+    _evaluate(curve.f, t, y[:samples])
+    return x, y, t
 
 
 class _Extrapolated:

@@ -14,7 +14,15 @@ import numpy as np
 from ovalkit import Polynomial, RationalFunction, resultant, validate_centered
 from ovalkit.cli import parse_curve_text
 from ovalkit.curves import ParametricCurve, Point
-from ovalkit.quadrature import chord_area_function, free_inlet_function, slope_function, vertical_area_parts
+from ovalkit.quadrature import (
+    ORACLE_SAMPLES,
+    _clipped_areas,
+    _ClippedAreas,
+    chord_area_function,
+    free_inlet_function,
+    slope_function,
+    vertical_area_parts,
+)
 
 
 def det_cofactor(rows):
@@ -215,6 +223,93 @@ def full_pass_area(x: np.ndarray, y: np.ndarray, prefix: np.ndarray, a: float, b
         twice += prefix.item(i) - prefix.item(j + 1)
         twice += (xi * pi_y - pi_x * yi) + (pi_x * pj_y - pj_x * pi_y) + (pj_x * yk - xk * pj_y)
     return abs(0.5 * twice)
+
+
+def full_pass(areas, line) -> tuple[float, float]:
+    """The area verify_certificate reports for line and its error estimate,
+    from the full-pass reference: (4*fine - coarse)/3 and |fine - coarse|/3
+    of a curve's two resolutions, or a polygon's area and 0.0."""
+    if isinstance(areas, _ClippedAreas):
+        return full_pass_area(areas.x, areas.y, areas._prefix, *line), 0.0
+    fine, coarse = (full_pass_area(r.x, r.y, r._prefix, *line) for r in (areas.fine, areas.coarse))
+    return (4.0 * fine - coarse) / 3.0, abs(fine - coarse) / 3.0
+
+
+def scalar_residual(q: Polynomial, names):
+    """Residual of Q at float values of `names`, in that order, one point
+    per call: |Q| over its largest evaluated monomial, at least 1. Each
+    monomial is evaluated as in Polynomial.evaluate_float, with the
+    coefficients converted once."""
+    index = {v: k for k, v in enumerate(names)}
+    terms = [(float(c), [(index[v], e) for v, e in zip(q.vars, exps) if e]) for exps, c in q.terms.items()]
+
+    def residual(*values: float) -> float:
+        total = biggest = 0.0
+        for term, powers in terms:
+            for k, e in powers:
+                term *= values[k] ** e
+            total += term
+            biggest = max(biggest, abs(term))
+        return abs(total) / max(1.0, biggest)
+
+    return residual
+
+
+def serial_verify(cert, curve, n_samples: int, seed: int = 7, windows=None, oracle_samples: int = ORACLE_SAMPLES):
+    """The lines of verify_certificate rebuilt one at a time: each drawn,
+    evaluated and flipped in Python floats, measured by the full-pass
+    reference and kept or rejected before the next is drawn; then each
+    kept line's residual by scalar_residual. Returns the (a, b, c, area,
+    residual) rows and the number of candidate lines drawn."""
+    areas = _clipped_areas(curve, oracle_samples)
+    rng = random.Random(seed)
+    role_to_var = {r: v for v, r in cert.roles.items()}
+
+    def arc_side(arc_len, a, b, c):
+        # Flip so that the midpoint of the arc through the first arc_len
+        # boundary vertices is inside.
+        mid = min(arc_len, len(areas.x)) // 2
+        return (-a, -b, -c) if a * areas.x.item(mid) + b * areas.y.item(mid) + c > 0 else (a, b, c)
+
+    if "intercept" in role_to_var:
+        windows = windows or {"slope": (0.1, 2.0), "intercept": (0.0, 1.0)}
+        total = abs(areas.signed_total)
+
+        def draw():
+            return rng.uniform(*windows["slope"]), -1.0, rng.uniform(*windows["intercept"])
+
+        def keep(area):
+            return 1e-9 * total < area < (1 - 1e-9) * total
+
+    else:
+        lo, hi = float(curve.interval.lo), float(curve.interval.hi)
+        pad = (hi - lo) * 0.15
+
+        def draw():
+            t = rng.uniform(lo + pad, hi - pad)
+            x = curve.g.evaluate_float(t)
+            if "abscissa" in role_to_var:
+                return arc_side(max(2, int(oracle_samples * 0.02)), 1.0, 0.0, -x)
+            if abs(x) > 1e-9:
+                return arc_side(max(2, int(oracle_samples * (t - lo) / (hi - lo))), curve.f.evaluate_float(t), -x, 0.0)
+            return None
+
+        def keep(area):
+            return True
+
+    lines, draws = [], 0
+    while len(lines) < n_samples:
+        draws += 1
+        if draws > 100 * n_samples:
+            raise ValueError("too many rejected lines")
+        line = draw()
+        if line is not None and keep(area := full_pass(areas, line)[0]):
+            lines.append((*line, area))
+    # Each role value is read off the line a*x + b*y + c = 0.
+    read = {"slope": lambda a, b, c: -a / b, "intercept": lambda a, b, c: -c / b, "abscissa": lambda a, b, c: -c / a}
+    roles = [r for r in ("slope", "intercept", "abscissa") if r in role_to_var]
+    residual = scalar_residual(cert.q, [role_to_var[r] for r in roles + ["area"]])
+    return [(a, b, c, area, residual(*[read[r](a, b, c) for r in roles], area)) for a, b, c, area in lines], draws
 
 
 def shoelace_area(points: np.ndarray) -> float:

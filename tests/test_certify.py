@@ -4,10 +4,12 @@ import tracemalloc
 import types
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ovalkit import (
     Certificate,
+    Polynomial,
     certify,
     RationalFunction,
     annihilation_residual,
@@ -26,7 +28,7 @@ from ovalkit.errors import DeskScopeError
 from ovalkit.quadrature import chord_area_function, free_inlet_function, slope_function
 
 from conftest import square_boundary
-from oracles import full_pass_area, pencil_inputs, seeded_loops, sylvester_vertical, sylvester_vertical_inputs
+from oracles import full_pass, pencil_inputs, scalar_residual, seeded_loops, serial_verify, sylvester_vertical, sylvester_vertical_inputs
 
 
 def test_pencil_certificate_cubic(cubic_centered, cubic_curve):
@@ -520,19 +522,9 @@ def test_held_report_is_small_and_rebuilds_its_samples(cubic_centered, cubic_cur
     areas = quadrature._clipped_areas(cubic_curve, quadrature.ORACLE_SAMPLES)
     for s in samples:
         assert all(type(v) is float for v in (*s.line, s.area, s.residual))
-        assert s.area == _full_pass(areas, s.line)[0]
+        assert s.area == full_pass(areas, s.line)[0]
     assert report.max_relative_residual == max(s.residual for s in samples)
-    assert report.oracle_error == max(_full_pass(areas, s.line)[1] for s in samples) > 0.0
-
-
-def _full_pass(areas, line):
-    """The area verify_certificate reports for line and its error estimate,
-    from the full-pass reference: (4*fine - coarse)/3 and |fine - coarse|/3
-    of a curve's two resolutions, or a polygon's area and 0.0."""
-    if isinstance(areas, quadrature._ClippedAreas):
-        return full_pass_area(areas.x, areas.y, areas._prefix, *line), 0.0
-    fine, coarse = (full_pass_area(r.x, r.y, r._prefix, *line) for r in (areas.fine, areas.coarse))
-    return (4.0 * fine - coarse) / 3.0, abs(fine - coarse) / 3.0
+    assert report.oracle_error == max(full_pass(areas, s.line)[1] for s in samples) > 0.0
 
 
 def test_verify_refuses_more_lines_than_its_limit(cubic_centered, cubic_curve):
@@ -591,60 +583,24 @@ SQUARE_Q = "(2*S + m + 2*q - 2)*(2*m*S - (1 - q)^2)"
 WIDE_WINDOWS = {"slope": (-3.0, 3.0), "intercept": (-1.5, 1.5)}
 
 
-def _arc_side(x, y, arc_len, a, b, c):
-    mid = min(arc_len, len(x)) // 2
-    return (-a, -b, -c) if a * x.item(mid) + b * y.item(mid) + c > 0 else (a, b, c)
-
-
-def _serial_draws(family, boundary, n, seed, windows=None, oracle_samples=quadrature.ORACLE_SAMPLES):
-    """The (line, area) pairs of verify_certificate rebuilt one line at a
-    time, each area from the full-pass reference, and the draw count."""
-    areas = quadrature._clipped_areas(boundary, oracle_samples)
-    x, y = areas.x, areas.y
-    rng = random.Random(seed)
-    out, attempts = [], 0
-    if family == "general":
-        total = abs(areas.signed_total)
-        while len(out) < n:
-            attempts += 1
-            if attempts > 100 * n:
-                raise ValueError("could not sample enough lines hitting the region")
-            m, q = rng.uniform(*windows["slope"]), rng.uniform(*windows["intercept"])
-            area = _full_pass(areas, (m, -1.0, q))[0]
-            if 1e-9 * total < area < (1 - 1e-9) * total:
-                out.append(((m, -1.0, q), area))
-        return out, attempts
-    lo, hi = float(boundary.interval.lo), float(boundary.interval.hi)
-    pad = (hi - lo) * 0.15
-    while len(out) < n:
-        attempts += 1
-        t = rng.uniform(lo + pad, hi - pad)
-        gx = boundary.g.evaluate_float(t)
-        if family == "pencil":
-            if abs(gx) <= 1e-9:
-                continue
-            k = max(1, int(oracle_samples * (t - lo) / (hi - lo)))
-            line = _arc_side(x, y, max(k, 2), boundary.f.evaluate_float(t), -gx, 0.0)
-        else:
-            line = _arc_side(x, y, max(2, int(oracle_samples * 0.02)), 1.0, 0.0, -gx)
-        out.append((line, _full_pass(areas, line)[0]))
-    return out, attempts
-
-
-def _drawn(report):
-    return [(s.line, s.area) for s in report.samples]
-
-
 def test_verify_draws_equal_a_serial_reference_loop(cubic_centered, quartic_centered):
-    # The lines are drawn, kept and measured in one batch; every line and
-    # area must be those of a loop that draws and measures one at a time.
-    for cp in [cubic_centered, quartic_centered] + seeded_loops(21, 3, 2):
-        for seed in (7, 11):
-            report = verify_certificate(pencil_certificate(cp), cp.curve, n_samples=30, seed=seed)
-            assert _drawn(report) == _serial_draws("pencil", cp.curve, 30, seed)[0]
+    # The lines are drawn as numpy columns and measured in one batch, and
+    # the residuals are taken over the line table; every value of a report,
+    # the sign of a zero included, must be that of a loop that takes one
+    # line at a time: chords, vertical lines and general lines, on the
+    # fixture curves, seeded loops and the unit square as a polygon.
+    general = Certificate(parse_polynomial(SQUARE_Q, ["S", "m", "q"]), {"S": "area", "m": "slope", "q": "intercept"})
+    cases = [(general, square_boundary(4000), None), (general, cubic_centered.curve, WIDE_WINDOWS)]
     for cp in (cubic_centered, quartic_centered):
-        report = verify_certificate(vertical_certificate(cp), cp.curve, n_samples=30, seed=3)
-        assert _drawn(report) == _serial_draws("vertical", cp.curve, 30, 3)[0]
+        certs = (pencil_certificate(cp), pencil_certificate(cp, area="free_inlet"), vertical_certificate(cp))
+        cases += [(cert, cp.curve, None) for cert in certs]
+    cases += [(pencil_certificate(cp), cp.curve, None) for cp in seeded_loops(21, 3, 2)]
+    for cert, boundary, windows in cases:
+        for seed in (1, 7, 11):
+            report = verify_certificate(cert, boundary, n_samples=30, seed=seed, windows=windows)
+            rows, _ = serial_verify(cert, boundary, 30, seed, windows)
+            assert report.values.tobytes() == np.array(rows).tobytes()
+            assert report.max_relative_residual == max(row[4] for row in rows)
 
 
 def test_verify_general_lines_equal_a_serial_reference_loop(monkeypatch):
@@ -663,10 +619,10 @@ def test_verify_general_lines_equal_a_serial_reference_loop(monkeypatch):
     rejected = 0
     for seed in (1, 2, 7):
         for windows in (None, WIDE_WINDOWS):
-            expected, attempts = _serial_draws("general", boundary, 25, seed, windows or {"slope": (0.1, 2.0), "intercept": (0.0, 1.0)}, 4000)
+            expected, attempts = serial_verify(cert, boundary, 25, seed, windows, 4000)
             draws.clear()
             report = verify_certificate(cert, boundary, n_samples=25, seed=seed, windows=windows, oracle_samples=4000)
-            assert _drawn(report) == expected
+            assert report.values.tobytes() == np.array(expected).tobytes()
             assert len(draws) == 2 * attempts
             rejected += attempts - 25
     assert rejected > 25
@@ -677,13 +633,59 @@ def test_verify_general_lines_equal_a_serial_reference_loop(monkeypatch):
     assert len(draws) == 2 * 100 * 12
 
 
+def test_residual_columns_equal_the_scalar_residual():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    exps = st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 3))
+    # Coefficients of 10^300 make inf - inf, so NaN residuals are drawn too.
+    coeffs = st.fractions(-10**6, 10**6, max_denominator=50) | st.sampled_from([10**300, -(10**300)])
+    values = st.floats(-50.0, 50.0)
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.dictionaries(exps, coeffs, min_size=1, max_size=12), st.lists(st.tuples(values, values, values), min_size=1, max_size=40))
+    def check(terms, points):
+        q = Polynomial(("S", "m", "q"), terms)
+        hypothesis.assume(not q.is_zero)
+        columns = dict(zip(("S", "m", "q"), np.array(points).T))
+        got = certify._residuals(q, columns)
+        residual = scalar_residual(q, ["m", "q", "S"])
+        assert got.tobytes() == np.array([residual(m, q0, S) for S, m, q0 in points]).tobytes()
+
+    check()
+
+
+def test_a_nan_residual_fails_the_report(cubic_centered, cubic_curve):
+    # 10^300 * m^100 * Q still annihilates the chord areas, but its terms
+    # overflow, and inf - inf makes some residuals NaN. Python's max would
+    # skip them; the report's maximum keeps them and fails.
+    q = pencil_certificate(cubic_centered).q * parse_polynomial("10^300*m^100", ["S", "m"])
+    report = verify_certificate(Certificate(q, {"S": "area", "m": "slope"}), cubic_curve, n_samples=50)
+    residuals = [s.residual for s in report.samples]
+    assert 0 < sum(r != r for r in residuals) < 50
+    assert max(r for r in residuals if r == r) < 1e-6
+    assert report.max_relative_residual != report.max_relative_residual
+    assert not report.passed
+
+
+def test_certificate_refuses_a_repeated_role_and_an_unassigned_variable():
+    q = parse_polynomial("S - m - k", ["S", "m", "k"])
+    with pytest.raises(ValueError, match="^role 'slope' is given to both 'm' and 'k'$"):
+        Certificate(q, {"S": "area", "m": "slope", "k": "slope"})
+    with pytest.raises(ValueError, match="^role 'slope' is given to both 'm' and 'k'$"):
+        parse_certificate("S - m - k\nroles: S=area m=slope k=slope")
+    with pytest.raises(ValueError, match="^variable 'k' of the certificate polynomial carries no role$"):
+        Certificate(q, {"S": "area", "m": "slope"})
+    # A variable that Q lists but does not use needs no role.
+    Certificate(parse_polynomial("S - m", ["S", "m", "k"]), {"S": "area", "m": "slope"})
+
+
 def test_oracle_error_is_the_largest_estimate_over_the_kept_lines(cubic_centered, cubic_curve):
     areas = quadrature._clipped_areas(cubic_curve, quadrature.ORACLE_SAMPLES)
     general = Certificate(parse_polynomial("S - m - q", ["S", "m", "q"]), {"S": "area", "m": "slope", "q": "intercept"})
     windows = {"slope": (-2.0, 2.0), "intercept": (-0.5, 0.5)}
     for cert in (pencil_certificate(cubic_centered), vertical_certificate(cubic_centered), general):
         report = verify_certificate(cert, cubic_curve, n_samples=20, windows=windows)
-        assert report.oracle_error == max(_full_pass(areas, s.line)[1] for s in report.samples)
+        assert report.oracle_error == max(full_pass(areas, s.line)[1] for s in report.samples)
         assert 0.0 < report.oracle_error < 1e-6
     # An even count is sampled as count + 1.
     assert verify_certificate(general, cubic_curve, n_samples=20, windows=windows, oracle_samples=4000) == report

@@ -430,6 +430,15 @@ def test_verify_refuses_a_tolerance_that_is_not_finite_and_positive(capsys):
         assert err == f"error: tolerance must be finite and positive, not {float(tol)}\n"
 
 
+def test_verify_refuses_a_repeated_role_in_one_line(capsys):
+    # The role map is checked when the certificate is read, before any line
+    # is drawn; it once ended in a KeyError traceback from the residuals.
+    cert = "S - m - k\nroles: S=area m=slope k=slope"
+    code, out, err = run(capsys, ["verify", "--cert", cert, "--param", CUBIC_PARAM])
+    assert code == 1 and out == ""
+    assert err == "error: role 'slope' is given to both 'm' and 'k'\n"
+
+
 def test_curve_text_errors():
     with pytest.raises(Exception):
         parse_curve_text("x=t; y=t")
