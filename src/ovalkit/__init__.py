@@ -32,17 +32,12 @@ from .curves import (
     bezier_to_parametric,
     implicitize,
     is_singular_at,
-    is_symmetric_swap,
     on_curve_residual,
     rational_singular_points,
     tangent_vector,
     validate_centered,
 )
-from .elimination import (
-    SylvesterMatrix,
-    resultant,
-    sylvester_matrix,
-)
+from .elimination import resultant
 from .errors import OvalkitError
 from .parsing import (
     parse_polynomial,
@@ -54,7 +49,6 @@ from .puiseux import (
     NewtonPolygonEdge,
     PuiseuxSeries,
     SupportPoint,
-    branch_starts,
     expand_branch,
     newton_polygon,
     render_series,
@@ -68,7 +62,6 @@ from .quadrature import (
     numeric_segment_area,
     orientation,
     origin_chord_segment_area,
-    slope_of_chord,
     total_area,
     vertical_segment_area,
 )

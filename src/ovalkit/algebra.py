@@ -514,9 +514,6 @@ class UnivariatePolynomial:
             acc = acc * inner + c
         return acc
 
-    def rename(self, var: str) -> "UnivariatePolynomial":
-        return UnivariatePolynomial(var, self.coeffs)
-
     def primitive_integer(self) -> tuple["UnivariatePolynomial", Fraction]:
         """Integer-coefficient primitive form and the removed positive factor."""
         if self.is_zero:

@@ -127,12 +127,7 @@ def _cleanup(raw: Polynomial, eliminated: Sequence[str], inputs: Sequence[Polyno
 _shared_provenance = functools.lru_cache(maxsize=256)(Provenance)
 
 
-def pencil_certificate(
-    cp: CenteredParametrization,
-    area: str = "chord",
-    area_var: str = "S",
-    slope_var: str = "m",
-) -> Certificate:
+def pencil_certificate(cp: CenteredParametrization, area: str = "chord") -> Certificate:
     """Certificate Q(S, m) for the pencil of lines through the center.
 
     Eliminates the curve parameter from the exact segment-area polynomial
@@ -141,10 +136,10 @@ def pencil_certificate(
     normalization, taken by `pencil_eliminant` as the norm of S - s on
     Q[t]/(m*b - a). The provenance inputs are these two polynomials
     S - s(t) and m*b(t) - a(t), rendered; they are written term by term,
-    as nothing else uses them.
+    as nothing else uses them. A curve parameter named S or m is refused.
     """
     t = cp.curve.var
-    if t in (area_var, slope_var):
+    if t in ("S", "m"):
         raise ValueError("parameter variable collides with a certificate variable")
     if area == "chord":
         s = chord_area_function(cp)
@@ -157,23 +152,19 @@ def pencil_certificate(
         raise DegenerateCurveError("curve encloses zero signed area")
     slope = slope_function(cp)
     a, b = slope.num, slope.den
-    raw = pencil_eliminant(s, a, b, area_var, slope_var)
+    raw = pencil_eliminant(s, a, b)
     terms = {(0, i): -c for i, c in enumerate(s.coeffs)}
     terms[(1, 0)] = 1
-    e_S = Polynomial((area_var, t), terms)
+    e_S = Polynomial(("S", t), terms)
     terms = {(0, i): -c for i, c in enumerate(a.coeffs)}
     for i, c in enumerate(b.coeffs):
         terms[(1, i)] = c
-    e_m = Polynomial((slope_var, t), terms)
+    e_m = Polynomial(("m", t), terms)
     q, prov = _cleanup(raw, (t,), (e_S, e_m))
-    return Certificate(q, {area_var: "area", slope_var: "slope"}, prov)
+    return Certificate(q, {"S": "area", "m": "slope"}, prov)
 
 
-def vertical_certificate(
-    cp: CenteredParametrization,
-    area_var: str = "S",
-    abscissa_var: str = "c",
-) -> Certificate:
+def vertical_certificate(cp: CenteredParametrization) -> Certificate:
     """Certificate Q(S, c) for segments cut by vertical lines x = c.
 
     A segment is cut between parameters t1 < t2 with g(t1) = g(t2) = c and
@@ -190,8 +181,8 @@ def vertical_certificate(
     the recorded removed factor is the content of the characteristic
     polynomial. The provenance inputs are these three polynomials
     S - P(t1) - R(t2), D and c - g(t2), rendered; they are written term by
-    term, as nothing else uses them. The names t1, t2 (from the curve's
-    parameter t) must differ from area_var and abscissa_var.
+    term, as nothing else uses them. The names t1, t2 are the curve's
+    parameter t with 1 and 2 appended, so neither is S or c.
 
     An x-component of degree at most 1 has no off-diagonal pairs (D is a
     constant), so S can only be P(t) + R(t), the signed total area, and
@@ -202,29 +193,27 @@ def vertical_certificate(
     P, R = vertical_area_parts(cp)  # ExactIntegrationError unless g, f are polynomials
     g = cp.curve.g.as_univariate()
     if g.degree() <= 1:
-        raw = (Polynomial.variable(area_var) - (P + R).to_polynomial()).with_vars((area_var, abscissa_var))
+        raw = (Polynomial.variable("S") - (P + R).to_polynomial()).with_vars(("S", "c"))
         eliminated, inputs = (), (raw,)
     else:
-        if {t1, t2} & {area_var, abscissa_var}:
-            raise ValueError("parameter variable collides with a certificate variable")
         # The inputs are only rendered, so their terms are written directly:
         # e1 = S - P(t1) - R(t2), D, and e_c = c - g(t2).
         terms = {(0, i, 0): -c for i, c in enumerate(P.coeffs)}
         for j, c in enumerate(R.coeffs):
             terms[(0, 0, j)] = terms.get((0, 0, j), 0) - c
         terms[(1, 0, 0)] = 1
-        e1 = Polynomial((area_var, t1, t2), terms)
+        e1 = Polynomial(("S", t1, t2), terms)
         # D = sum_j g_j (t1^j - t2^j)/(t1 - t2) = sum_j g_j sum_(i<j) t1^i t2^(j-1-i)
         D = Polynomial(
             (t1, t2), {(i, j - 1 - i): c for j, c in enumerate(g.coeffs) for i in range(j)}
         )
         terms = {(0, j): -c for j, c in enumerate(g.coeffs)}
         terms[(1, 0)] = 1
-        e_c = Polynomial((abscissa_var, t2), terms)
-        raw = vertical_eliminant(g, P, R, area_var, abscissa_var)
+        e_c = Polynomial(("c", t2), terms)
+        raw = vertical_eliminant(g, P, R)
         eliminated, inputs = (t1, t2), (e1, D, e_c)
     q, prov = _cleanup(raw, eliminated, inputs)
-    return Certificate(q, {area_var: "area", abscissa_var: "abscissa"}, prov)
+    return Certificate(q, {"S": "area", "c": "abscissa"}, prov)
 
 
 def annihilation_residual(
@@ -243,16 +232,41 @@ def _window(interval, fraction: float = 0.15) -> tuple[float, float]:
     return lo + pad, hi - pad
 
 
+def _power(value: float, e: int) -> float:
+    """Python's value ** e, or where that overflows the infinity IEEE
+    arithmetic gives: -inf for a negative value and an odd e, inf
+    otherwise."""
+    try:
+        return value**e
+    except OverflowError:
+        return -math.inf if value < 0 and e % 2 else math.inf
+
+
+def _power_column(column: np.ndarray, e: int) -> np.ndarray:
+    """Python's value ** e for each value of column, taken again by
+    `_power` only when some power overflows, so that a column without an
+    overflow costs one list comprehension."""
+    import numpy as np
+
+    values = column.tolist()
+    try:
+        return np.array([value**e for value in values])
+    except OverflowError:
+        return np.array([_power(value, e) for value in values])
+
+
 def _residuals(q: Polynomial, columns: Mapping[str, np.ndarray]) -> np.ndarray:
     """Residual of Q at each row of the value columns, one per variable:
     |Q| over its largest evaluated monomial, at least 1, so the verdict is
     invariant under scaling Q. Each term is its float coefficient times its
     power columns in variable order, and the terms are summed in order, as
     in Polynomial.evaluate_float, so every residual is that function's bit
-    for bit; a NaN term makes the residual NaN. Each power column is built
-    once, by Python's float ** int on each value (an OverflowError where
-    that overflows): numpy's power and repeated multiplication both round
-    differently. A first power is the column itself, as v ** 1 is v."""
+    for bit wherever no power overflows; a NaN term makes the residual NaN.
+    Each power column is built once by `_power_column`, with Python's
+    float ** int on each value, as numpy's power and repeated multiplication
+    both round differently. An overflowing power is +-inf, so the report
+    fails as it does when a product overflows. A first power is the column
+    itself, as v ** 1 is v."""
     import numpy as np
 
     n = len(next(iter(columns.values())))
@@ -264,7 +278,7 @@ def _residuals(q: Polynomial, columns: Mapping[str, np.ndarray]) -> np.ndarray:
             for v, e in zip(q.vars, exps):
                 if e:
                     if (v, e) not in powers:
-                        powers[v, e] = np.array([value**e for value in columns[v].tolist()])
+                        powers[v, e] = _power_column(columns[v], e)
                     term *= powers[v, e]
             total += term
             np.maximum(biggest, np.abs(term), out=biggest)

@@ -108,10 +108,6 @@ def _damper_csv(rows: list[TableRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_damper_table(cp, t_range: Interval, steps: int) -> str:
-    return _damper_csv(damper_rows(cp, t_range, steps))
-
-
 def _svg_plot(xs: list[float], ys: list[float], xlabel: str, ylabel: str) -> str:
     width, height, margin = 640, 480, 60
     x0, x1 = min(xs), max(xs)

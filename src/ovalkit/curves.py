@@ -32,9 +32,6 @@ class Point:
         object.__setattr__(self, "x", as_fraction(self.x))
         object.__setattr__(self, "y", as_fraction(self.y))
 
-    def __iter__(self):
-        return iter((self.x, self.y))
-
 
 ORIGIN = Point(Fraction(0), Fraction(0))
 
@@ -139,14 +136,14 @@ class BezierControlPolygon:
         return len(self.control_points) >= 3 and self.control_points[0] == self.control_points[-1]
 
 
-def bezier_to_parametric(cp: BezierControlPolygon, var: str = "t") -> ParametricCurve:
-    """Exact Bernstein parametrization on [0, 1]."""
+def bezier_to_parametric(cp: BezierControlPolygon) -> ParametricCurve:
+    """Exact Bernstein parametrization in t on [0, 1]."""
     pts = cp.control_points
     n = len(pts) - 1
-    t = UnivariatePolynomial.identity(var)
-    one_minus_t = UnivariatePolynomial(var, [1, -1])
-    gx = UnivariatePolynomial.zero(var)
-    fy = UnivariatePolynomial.zero(var)
+    t = UnivariatePolynomial.identity("t")
+    one_minus_t = UnivariatePolynomial("t", [1, -1])
+    gx = UnivariatePolynomial.zero("t")
+    fy = UnivariatePolynomial.zero("t")
     for i, p in enumerate(pts):
         basis = one_minus_t ** (n - i) * t**i * comb(n, i)
         gx = gx + basis * p.x
@@ -156,29 +153,36 @@ def bezier_to_parametric(cp: BezierControlPolygon, var: str = "t") -> Parametric
     )
 
 
-def implicitize(curve: ParametricCurve, x: str = "x", y: str = "y") -> Polynomial:
+def implicitize(curve: ParametricCurve) -> Polynomial:
     """Implicit equation F(x, y) = 0 of a rational parametric curve.
 
     Clears denominators, eliminates the parameter with a resultant and
-    normalizes the output (content removed, canonical leading sign).
+    normalizes the output (content removed, canonical leading sign). A
+    parameter named x or y is refused: it would be eliminated together
+    with that coordinate. The inputs x*gd - gn and y*fd - fn are linear in
+    their own coordinate with coprime gn, gd, so they share no factor and
+    the resultant is never zero.
     """
     if curve.g.num.degree() < 1 and curve.g.den.degree() < 1:
         raise ValueError("x-component is constant; the curve has no implicit equation")
     if curve.f.num.degree() < 1 and curve.f.den.degree() < 1:
         raise ValueError("y-component is constant; the curve has no implicit equation")
     t = curve.var
-    p1 = Polynomial.variable(x) * curve.g.den.to_polynomial() - curve.g.num.to_polynomial()
-    p2 = Polynomial.variable(y) * curve.f.den.to_polynomial() - curve.f.num.to_polynomial()
+    if t in ("x", "y"):
+        raise ValueError(f"parameter variable {t!r} collides with an implicit coordinate")
+    p1 = Polynomial.variable("x") * curve.g.den.to_polynomial() - curve.g.num.to_polynomial()
+    p2 = Polynomial.variable("y") * curve.f.den.to_polynomial() - curve.f.num.to_polynomial()
     raw = resultant(p1, p2, t)
-    return raw.primitive_normalized()[0].with_vars((x, y))
+    return raw.primitive_normalized()[0].with_vars(("x", "y"))
 
 
-def on_curve_residual(F: Polynomial, curve: ParametricCurve, x: str = "x", y: str = "y"):
-    """F composed with the parametrization, as an exact rational function.
+def on_curve_residual(F: Polynomial, curve: ParametricCurve):
+    """F(x, y) composed with the parametrization, as an exact rational
+    function.
 
     Zero iff the parametrized curve lies on F = 0.
     """
-    return substitute_rational(F.with_vars((x, y)), {x: curve.g, y: curve.f})
+    return substitute_rational(F.with_vars(("x", "y")), {"x": curve.g, "y": curve.f})
 
 
 def tangent_vector(curve: ParametricCurve, t0) -> tuple[Fraction, Fraction]:
@@ -189,15 +193,16 @@ def tangent_vector(curve: ParametricCurve, t0) -> tuple[Fraction, Fraction]:
     return curve.g.derivative().evaluate(t0), curve.f.derivative().evaluate(t0)
 
 
-def is_singular_at(F: Polynomial, p: Point, x: str = "x", y: str = "y") -> bool:
-    """True iff F and both partial derivatives vanish at p, all exactly."""
-    F = F.with_vars(tuple(dict.fromkeys(list(F.vars) + [x, y])))
-    assignment = {x: p.x, y: p.y}
+def is_singular_at(F: Polynomial, p: Point) -> bool:
+    """True iff F(x, y) and both partial derivatives vanish at p, all
+    exactly."""
+    F = F.with_vars(tuple(dict.fromkeys(list(F.vars) + ["x", "y"])))
+    assignment = {"x": p.x, "y": p.y}
     if F.evaluate(assignment) != 0:
         return False
     return (
-        F.partial_derivative(x).evaluate(assignment) == 0
-        and F.partial_derivative(y).evaluate(assignment) == 0
+        F.partial_derivative("x").evaluate(assignment) == 0
+        and F.partial_derivative("y").evaluate(assignment) == 0
     )
 
 
@@ -213,8 +218,8 @@ def _specialized_common_roots(polys: list[UnivariatePolynomial]) -> list[Fractio
     return sorted(set(rational_roots(g)))
 
 
-def rational_singular_points(F: Polynomial, x: str = "x", y: str = "y") -> list[Point]:
-    """All singular points of F = 0 with both coordinates rational.
+def rational_singular_points(F: Polynomial) -> list[Point]:
+    """All singular points of F(x, y) = 0 with both coordinates rational.
 
     Candidate abscissae are the rational roots of gcd(Res_y(F, dF/dy),
     Res_y(F, dF/dx)), or of the first eliminant when that gcd is constant;
@@ -225,22 +230,22 @@ def rational_singular_points(F: Polynomial, x: str = "x", y: str = "y") -> list[
     """
     if F.is_zero:
         raise ValueError("zero polynomial")
-    F = F.with_vars(tuple(dict.fromkeys(list(F.vars) + [x, y])))
-    if F.degree_in(x) < 1 or F.degree_in(y) < 1:
+    F = F.with_vars(tuple(dict.fromkeys(list(F.vars) + ["x", "y"])))
+    if F.degree_in("x") < 1 or F.degree_in("y") < 1:
         raise ValueError("polynomial must involve both coordinates")
-    Fx = F.partial_derivative(x)
-    Fy = F.partial_derivative(y)
-    r1 = resultant(F, Fy, y, strict=False)
+    Fx = F.partial_derivative("x")
+    Fy = F.partial_derivative("y")
+    r1 = resultant(F, Fy, "y")
     if r1.is_zero:
         raise DegenerateEliminantError(
             "Res_y(F, dF/dy) vanished identically: the curve is not square-free"
         )
-    eliminant = univariate_from_polynomial(r1, x)
-    if Fx.degree_in(y) >= 1:
-        r2 = resultant(F, Fx, y, strict=False)
+    eliminant = univariate_from_polynomial(r1, "x")
+    if Fx.degree_in("y") >= 1:
+        r2 = resultant(F, Fx, "y")
         if not r2.is_zero:
             # Singular abscissae are roots of both eliminants.
-            g = gcd_univariate(eliminant, univariate_from_polynomial(r2, x))
+            g = gcd_univariate(eliminant, univariate_from_polynomial(r2, "x"))
             if g.degree() >= 1:
                 eliminant = g
     if eliminant.degree() < 1:
@@ -249,31 +254,25 @@ def rational_singular_points(F: Polynomial, x: str = "x", y: str = "y") -> list[
     points: list[Point] = []
     for x0 in candidates_x:
         specialized = [
-            univariate_from_polynomial(p.subs(x, x0), y)
+            univariate_from_polynomial(p.subs("x", x0), "y")
             for p in (F, Fx, Fy)
         ]
         for y0 in _specialized_common_roots(specialized):
             pt = Point(x0, y0)
-            if is_singular_at(F, pt, x, y):
+            if is_singular_at(F, pt):
                 points.append(pt)
     return points
 
 
-def is_symmetric_swap(F: Polynomial, x: str = "x", y: str = "y") -> bool:
-    """True iff F(x, y) = F(y, x) exactly (mirror symmetry across y = x)."""
-    F = F.with_vars(tuple(dict.fromkeys(list(F.vars) + [x, y])))
-    swapped = F.rename_vars({x: y, y: x})
-    return (F - swapped).is_zero
-
-
-def convexity_probe(curve: ParametricCurve, samples: int = 256) -> bool:
-    """Numeric convexity check: the cross product of consecutive boundary
-    steps keeps one sign. A probe, not a proof; used only for warnings."""
+def convexity_probe(curve: ParametricCurve) -> bool:
+    """Numeric convexity check: the cross product of consecutive steps
+    through 256 boundary samples keeps one sign. A probe, not a proof; used
+    only for warnings."""
     lo = float(curve.interval.lo)
     hi = float(curve.interval.hi)
     pts = []
-    for k in range(samples):
-        t = lo + (hi - lo) * k / samples
+    for k in range(256):
+        t = lo + (hi - lo) * k / 256
         pts.append((curve.g.evaluate_float(t), curve.f.evaluate_float(t)))
     sign = 0
     n = len(pts)

@@ -39,7 +39,7 @@ from itertools import zip_longest
 from operator import mul
 
 from .algebra import Polynomial, UnivariatePolynomial
-from .errors import DegenerateEliminantError, DeskScopeError, SylvesterSizeError
+from .errors import DeskScopeError, SylvesterSizeError
 
 MAX_SYLVESTER_SIZE = 64
 # The vertical eliminant's matrix has d(d - 1) rows for deg g = d, and its
@@ -86,6 +86,8 @@ def _check_sylvester_size(size: int, var: str) -> None:
 
 
 def sylvester_matrix(f: Polynomial, g: Polynomial, var: str) -> SylvesterMatrix:
+    """The Sylvester matrix of f and g in var. No ovalkit path builds it;
+    perfbench/tracer.py calls it by name to size each traced resultant."""
     m, n = _sylvester_degrees(f, g, var)
     size = m + n
     fc = list(reversed(f.coeffs_in(var)))  # descending
@@ -251,7 +253,7 @@ def _newton(xs: list[int], ys: list[int]) -> list[int]:
     return coeffs
 
 
-def resultant(f: Polynomial, g: Polynomial, var: str, strict: bool = True) -> Polynomial:
+def resultant(f: Polynomial, g: Polynomial, var: str) -> Polynomial:
     """Resultant of f and g with respect to var (raw, unnormalized).
 
     Specializing the remaining variables commutes with the determinant of
@@ -260,9 +262,8 @@ def resultant(f: Polynomial, g: Polynomial, var: str, strict: bool = True) -> Po
     value is the constant term of a norm on the quotient ring by the input
     of lower degree (`_resultant_at`); no Sylvester matrix is built.
 
-    An identically zero resultant means a common factor of positive degree
-    in var; with strict=True that raises DegenerateEliminantError, with
-    strict=False the zero polynomial is returned.
+    The zero polynomial is returned exactly when f and g share a factor of
+    positive degree in var.
     """
     m, n = _sylvester_degrees(f, g, var)
     # f's coefficients, then g's, leading coefficient first. f has n
@@ -320,24 +321,17 @@ def resultant(f: Polynomial, g: Polynomial, var: str, strict: bool = True) -> Po
             for e, c in enumerate(_newton(xs, ys)):
                 if c:
                     coeffs[rest[:axis] + (e,) + rest[axis:]] = c
-    det = Polynomial(variables, {e: Fraction(c, scale) for e, c in coeffs.items()})
-    if det.is_zero and strict:
-        raise DegenerateEliminantError(
-            f"resultant in {var!r} vanished identically: the inputs share a factor"
-        )
-    return det
+    return Polynomial(variables, {e: Fraction(c, scale) for e, c in coeffs.items()})
 
 
 def pencil_eliminant(
     s: UnivariatePolynomial,
     a: UnivariatePolynomial,
     b: UnivariatePolynomial,
-    area_var: str,
-    slope_var: str,
 ) -> Polynomial:
-    """Res_t(S - s(t), m*b(t) - a(t)) over the variables (area_var,
-    slope_var): the polynomial `resultant` returns for these two inputs
-    (raw, unnormalized), without a Sylvester matrix.
+    """Res_t(S - s(t), m*b(t) - a(t)) over the variables (S, m): the
+    polynomial `resultant` returns for these two inputs (raw,
+    unnormalized), without a Sylvester matrix.
 
     S enters linearly, so with G = m*b - a, d = deg_t G and ds = deg s,
     Res = (-1)^(ds*d) * lc(G)^ds * prod over the roots r of G of (S - s(r)),
@@ -387,7 +381,7 @@ def pencil_eliminant(
             if c:
                 terms[(d - i, e)] = Fraction(c, den)
         den *= ls
-    return Polynomial((area_var, slope_var), terms)
+    return Polynomial(("S", "m"), terms)
 
 
 def _integer_inputs(
@@ -437,8 +431,6 @@ def vertical_eliminant(
     g: UnivariatePolynomial,
     P: UnivariatePolynomial,
     R: UnivariatePolynomial,
-    area_var: str,
-    abscissa_var: str,
 ) -> Polynomial:
     """Q(S, c) whose roots in S, at each c, are the values P(t1) + R(t2)
     at the common zeros of D(t1, t2) = (g(t1) - g(t2)) / (t1 - t2) and
@@ -564,5 +556,5 @@ def vertical_eliminant(
         for e, c in enumerate(_newton(nodes, [v[i] for v in values])):
             if c:
                 terms[(n - i, e)] = Fraction(c * k_num * lam_num[e], k_den * lam_den[e])
-    return Polynomial((area_var, abscissa_var), terms)
+    return Polynomial(("S", "c"), terms)
 

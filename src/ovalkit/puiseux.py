@@ -155,17 +155,17 @@ class PuiseuxSeries:
     def evaluate_float(self, x: float) -> float:
         return sum(float(c) * x ** float(e) for e, c in self.terms)
 
-    def as_ramified_polynomial(self, var: str = "u") -> UnivariatePolynomial:
+    def as_ramified_polynomial(self) -> UnivariatePolynomial:
         """The series as a polynomial in u = x^(1/N)."""
         coeffs: dict[int, Fraction] = {}
         for e, c in self.terms:
             coeffs[int(e * self.ramification)] = c
         if not coeffs:
-            return UnivariatePolynomial.zero(var)
-        return UnivariatePolynomial(var, [coeffs.get(k, 0) for k in range(max(coeffs) + 1)])
+            return UnivariatePolynomial.zero("u")
+        return UnivariatePolynomial("u", [coeffs.get(k, 0) for k in range(max(coeffs) + 1)])
 
 
-def render_series(series: PuiseuxSeries, var: str = "x") -> str:
+def render_series(series: PuiseuxSeries) -> str:
     """Text form like 'x^(1/2) + 1/2*x - 1/8*x^(3/2)'."""
     if not series.terms:
         return "0"
@@ -175,11 +175,11 @@ def render_series(series: PuiseuxSeries, var: str = "x") -> str:
             body = str(abs(c))
         else:
             if e == 1:
-                power = var
+                power = "x"
             elif e.denominator == 1:
-                power = f"{var}^{e}"
+                power = f"x^{e}"
             else:
-                power = f"{var}^({e})"
+                power = f"x^({e})"
             body = power if abs(c) == 1 else f"{abs(c)}*{power}"
         if not pieces:
             pieces.append(body if c > 0 else f"-{body}")
@@ -195,20 +195,7 @@ def _branch_coefficients(edge: NewtonPolygonEdge) -> list[Fraction]:
     return sorted(roots, key=lambda r: (r < 0, abs(r)))
 
 
-def branch_starts(F: Polynomial, x: str = "x", y: str = "y") -> list[tuple[Fraction, Fraction]]:
-    """All rational leading terms c * x^gamma of branches at the origin.
-
-    Ordered by exponent, then by coefficient (positive roots ascending
-    first); the first entry is the one expand_branch continues.
-    """
-    starts: list[tuple[Fraction, Fraction]] = []
-    for edge in newton_polygon(F, x, y):
-        for r in _branch_coefficients(edge):
-            starts.append((edge.slope, r))
-    return starts
-
-
-def expand_branch(F: Polynomial, num_terms: int, x: str = "x", y: str = "y") -> PuiseuxSeries:
+def expand_branch(F: Polynomial, num_terms: int) -> PuiseuxSeries:
     """Expand the positive real branch of F(x, y) = 0 at the origin.
 
     Returns a series with num_terms nonzero terms (fewer only when the
@@ -219,7 +206,7 @@ def expand_branch(F: Polynomial, num_terms: int, x: str = "x", y: str = "y") -> 
         raise ValueError("num_terms must be positive")
     if num_terms > MAX_SERIES_TERMS:
         raise DeskScopeError(f"{num_terms} series terms exceed the supported {MAX_SERIES_TERMS}")
-    edges = newton_polygon(F, x, y)
+    edges = newton_polygon(F)
     if not edges:
         raise BranchExpansionError("no Newton polygon edge admits a branch y(x)")
     chosen: tuple[Fraction, Fraction] | None = None
@@ -236,7 +223,7 @@ def expand_branch(F: Polynomial, num_terms: int, x: str = "x", y: str = "y") -> 
     N = gamma.denominator
     u, z = "u", "z"
     # Move to the ramified variable: G(u, z) = F(u^N, z).
-    G = F.rename_vars({x: "_xx", y: z})
+    G = F.rename_vars({"x": "_xx", "y": z})
     G = G.subs("_xx", Polynomial.variable(u) ** N)
     terms: list[tuple[int, Fraction]] = []  # (u-exponent, coefficient)
     prev_exp = 0
@@ -281,12 +268,12 @@ def expand_branch(F: Polynomial, num_terms: int, x: str = "x", y: str = "y") -> 
     return PuiseuxSeries(ramification=N, terms=series_terms, truncation_order=order)
 
 
-def residual_order(F: Polynomial, series: PuiseuxSeries, x: str = "x", y: str = "y"):
+def residual_order(F: Polynomial, series: PuiseuxSeries):
     """Exact x-order of F(x, series(x)); math.inf when it vanishes identically."""
     N = series.ramification
     u = "u"
-    ypoly = series.as_ramified_polynomial(u).to_polynomial()
-    G = F.rename_vars({x: "_xx", y: "_yy"})
+    ypoly = series.as_ramified_polynomial().to_polynomial()
+    G = F.rename_vars({"x": "_xx", "y": "_yy"})
     G = G.subs("_yy", ypoly)
     G = G.subs("_xx", Polynomial.variable(u) ** N)
     if G.is_zero:

@@ -96,7 +96,7 @@ def orientation(curve: ParametricCurve) -> Orientation:
     return _nonzero_label(_swept(curve)[1])
 
 
-def total_area(curve: ParametricCurve, oracle_samples: int = ORACLE_SAMPLES) -> AreaResult:
+def total_area(curve: ParametricCurve) -> AreaResult:
     """Enclosed area of a closed curve.
 
     Exact for polynomial components; rational components fall back to the
@@ -112,7 +112,7 @@ def total_area(curve: ParametricCurve, oracle_samples: int = ORACLE_SAMPLES) -> 
             "rational curve components: total area measured with the numeric oracle",
             stacklevel=2,
         )
-        signed = _clipped_areas(curve, oracle_samples).signed_total
+        signed = _clipped_areas(curve, ORACLE_SAMPLES).signed_total
         return AreaResult(signed, _label(signed), False)
     return AreaResult(total, _label(total), True)
 
@@ -219,14 +219,6 @@ def slope_function(cp: CenteredParametrization) -> RationalFunction:
     if cp.center != Point(Fraction(0), Fraction(0)):
         raise ValueError("chord slopes require the center at the origin")
     return cp.curve.f / cp.curve.g
-
-
-def slope_of_chord(cp: CenteredParametrization, tP) -> Fraction:
-    """Exact slope m = f(tP)/g(tP) of the chord through the center."""
-    tP = as_fraction(tP)
-    if cp.curve.g.evaluate(tP) == 0:
-        raise ValueError("slope undefined: g(tP) = 0")
-    return cp.curve.f.evaluate(tP) / cp.curve.g.evaluate(tP)
 
 
 def angle_to_parameter(

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ovalkit import Polynomial, RationalFunction, resultant, validate_centered
+from ovalkit import Polynomial, RationalFunction, UnivariatePolynomial, resultant, validate_centered
 from ovalkit.cli import parse_curve_text
 from ovalkit.curves import ParametricCurve, Point
 from ovalkit.quadrature import (
@@ -93,17 +93,22 @@ def det_bareiss(rows) -> Polynomial:
     return result if sign > 0 else -result
 
 
-def sylvester_vertical_inputs(cp, area_var: str = "S", abscissa_var: str = "c"):
+def in_var(p, var: str) -> Polynomial:
+    """The univariate polynomial p in the variable var."""
+    return UnivariatePolynomial(var, p.coeffs).to_polynomial()
+
+
+def sylvester_vertical_inputs(cp):
     """(e1, D, e_c, t1, t2) of the vertical system: e1 = S - P(t1) - R(t2),
     D = (g(t1) - g(t2)) / (t1 - t2) by exact division, e_c = c - g(t2)."""
     t = cp.curve.var
     t1, t2 = t + "1", t + "2"
     P, R = vertical_area_parts(cp)
     g = cp.curve.g.as_univariate()
-    e1 = Polynomial.variable(area_var) - P.rename(t1).to_polynomial() - R.rename(t2).to_polynomial()
-    g2 = g.rename(t2).to_polynomial()
-    D = exact_div(g.rename(t1).to_polynomial() - g2, Polynomial.variable(t1) - Polynomial.variable(t2))
-    e_c = Polynomial.variable(abscissa_var) - g2
+    e1 = Polynomial.variable("S") - in_var(P, t1) - in_var(R, t2)
+    g2 = in_var(g, t2)
+    D = exact_div(in_var(g, t1) - g2, Polynomial.variable(t1) - Polynomial.variable(t2))
+    e_c = Polynomial.variable("c") - g2
     return e1, D, e_c, t1, t2
 
 
@@ -119,11 +124,11 @@ def linear_in(var: str, rf: RationalFunction) -> Polynomial:
     return Polynomial.variable(var) * rf.den.to_polynomial() - rf.num.to_polynomial()
 
 
-def pencil_inputs(cp, area: str = "chord", area_var: str = "S", slope_var: str = "m"):
+def pencil_inputs(cp, area: str = "chord"):
     """(e_S, e_m) of the pencil system: e_S = S - s(t) for the chord or
     free-inlet area s, and e_m = m*b(t) - a(t) for the reduced slope a/b."""
     s = chord_area_function(cp) if area == "chord" else free_inlet_function(cp)
-    return linear_in(area_var, RationalFunction(s)), linear_in(slope_var, slope_function(cp))
+    return linear_in("S", RationalFunction(s)), linear_in("m", slope_function(cp))
 
 
 def seeded_loops(seed: int, degree: int, count: int) -> list:
@@ -239,7 +244,8 @@ def scalar_residual(q: Polynomial, names):
     """Residual of Q at float values of `names`, in that order, one point
     per call: |Q| over its largest evaluated monomial, at least 1. Each
     monomial is evaluated as in Polynomial.evaluate_float, with the
-    coefficients converted once."""
+    coefficients converted once; a power that overflows is the infinity
+    IEEE arithmetic gives, -inf for a negative base and an odd exponent."""
     index = {v: k for k, v in enumerate(names)}
     terms = [(float(c), [(index[v], e) for v, e in zip(q.vars, exps) if e]) for exps, c in q.terms.items()]
 
@@ -247,7 +253,10 @@ def scalar_residual(q: Polynomial, names):
         total = biggest = 0.0
         for term, powers in terms:
             for k, e in powers:
-                term *= values[k] ** e
+                try:
+                    term *= values[k] ** e
+                except OverflowError:
+                    term *= -math.inf if values[k] < 0 and e % 2 else math.inf
             total += term
             biggest = max(biggest, abs(term))
         return abs(total) / max(1.0, biggest)

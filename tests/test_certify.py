@@ -343,13 +343,10 @@ def test_vertical_node_bound_covers_the_degree_in_c(cubic_centered, quartic_cent
 
 
 def test_vertical_provenance_inputs_are_the_rendered_system(cubic_centered, quartic_centered):
-    for cp, names in ((cubic_centered, ()), (quartic_centered, ()), (cubic_centered, ("A", "x0"))):
-        cert = vertical_certificate(cp, *names)
-        e1, D, e_c, _, _ = sylvester_vertical_inputs(cp, *names)
+    for cp in (cubic_centered, quartic_centered):
+        cert = vertical_certificate(cp)
+        e1, D, e_c, _, _ = sylvester_vertical_inputs(cp)
         assert cert.provenance.inputs == (render_polynomial(e1), render_polynomial(D), render_polynomial(e_c))
-    for names in (("t1", "c"), ("S", "t2")):
-        with pytest.raises(ValueError, match="collides"):
-            vertical_certificate(cubic_centered, *names)
 
 
 def test_vertical_certificate_degree_bound_in_c(
@@ -372,7 +369,7 @@ def test_vertical_certificate_records_charpoly_content(cubic_centered):
 
     cert = vertical_certificate(cubic_centered)
     P, R = vertical_area_parts(cubic_centered)
-    raw = vertical_eliminant(cubic_centered.curve.g.as_univariate(), P, R, "S", "c")
+    raw = vertical_eliminant(cubic_centered.curve.g.as_univariate(), P, R)
     (factor,) = cert.provenance.removed_factors
     assert cert.q * Fraction(factor) == raw
     assert cert.provenance.eliminated == ("t1", "t2")
@@ -637,9 +634,10 @@ def test_residual_columns_equal_the_scalar_residual():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     exps = st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 3))
-    # Coefficients of 10^300 make inf - inf, so NaN residuals are drawn too.
+    # Coefficients of 10^300 make inf - inf, so NaN residuals are drawn too,
+    # and values of +-10^100 make powers of degree 4 and up overflow.
     coeffs = st.fractions(-10**6, 10**6, max_denominator=50) | st.sampled_from([10**300, -(10**300)])
-    values = st.floats(-50.0, 50.0)
+    values = st.floats(-50.0, 50.0) | st.sampled_from([1e100, -1e100])
 
     @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @hypothesis.given(st.dictionaries(exps, coeffs, min_size=1, max_size=12), st.lists(st.tuples(values, values, values), min_size=1, max_size=40))

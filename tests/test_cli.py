@@ -12,7 +12,7 @@ import pytest
 import ovalkit.cli as cli
 from ovalkit import elimination, quadrature
 from ovalkit.algebra import Interval
-from ovalkit.cli import emit_damper_table, main, parse_curve_text
+from ovalkit.cli import main, parse_curve_text
 
 from conftest import CUBIC_PARAM, QUARTIC_PARAM
 
@@ -274,7 +274,7 @@ def test_importing_the_package_and_cli_does_not_load_numpy():
 
 
 def test_damper_table_golden(capsys, cubic_centered):
-    csv_text = emit_damper_table(cubic_centered, Interval(Fraction(1, 2), Fraction(1)), 6)
+    csv_text = cli._damper_csv(cli.damper_rows(cubic_centered, Interval(Fraction(1, 2), Fraction(1)), 6))
     lines = csv_text.strip().splitlines()
     assert lines[0] == "t_P,alpha_deg,S2,S2_exact"
     assert len(lines) == 7
@@ -285,12 +285,12 @@ def test_damper_table_golden(capsys, cubic_centered):
     assert last[2] == "0.15"
     assert last[3] == "3/20"
     # byte-for-byte determinism
-    again = emit_damper_table(cubic_centered, Interval(Fraction(1, 2), Fraction(1)), 6)
+    again = cli._damper_csv(cli.damper_rows(cubic_centered, Interval(Fraction(1, 2), Fraction(1)), 6))
     assert again == csv_text
 
 
 def test_damper_table_two_steps(capsys, cubic_centered):
-    csv_text = emit_damper_table(cubic_centered, Interval(Fraction(1, 2), Fraction(1)), 2)
+    csv_text = cli._damper_csv(cli.damper_rows(cubic_centered, Interval(Fraction(1, 2), Fraction(1)), 2))
     assert len(csv_text.strip().splitlines()) == 3
 
 
@@ -328,7 +328,7 @@ def test_damper_table_cli_with_svg(tmp_path, capsys):
 
 
 def test_damper_table_cli_computes_rows_once(capsys, monkeypatch, cubic_centered):
-    expected = emit_damper_table(cubic_centered, Interval(Fraction(1, 2), Fraction(1)), 6)
+    expected = cli._damper_csv(cli.damper_rows(cubic_centered, Interval(Fraction(1, 2), Fraction(1)), 6))
     build = cli.damper_rows
     calls = []
 
@@ -437,6 +437,23 @@ def test_verify_refuses_a_repeated_role_in_one_line(capsys):
     code, out, err = run(capsys, ["verify", "--cert", cert, "--param", CUBIC_PARAM])
     assert code == 1 and out == ""
     assert err == "error: role 'slope' is given to both 'm' and 'k'\n"
+
+
+def test_verify_fails_a_certificate_whose_power_overflows(capsys):
+    # m^480 overflows a float at the steeper sampled chords; it is inf
+    # there, as an overflowing product is, and the report fails instead of
+    # raising.
+    cert = "S*m^480 - 1\nroles: S=area m=slope"
+    code, out, err = run(capsys, ["verify", "--cert", cert, "--param", CUBIC_PARAM])
+    assert code == 1 and err == ""
+    assert out.splitlines()[-1].endswith("-> FAIL")
+
+
+def test_implicitize_refuses_a_parameter_named_x_or_y_in_one_line(capsys):
+    for param, name in (("x=x^2; y=x^3-x; x in [-1,1]", "x"), ("x=y^2; y=y^3-y; y in [-1,1]", "y")):
+        code, out, err = run(capsys, ["implicitize", "--param", param])
+        assert code == 1 and out == ""
+        assert err == f"error: parameter variable '{name}' collides with an implicit coordinate\n"
 
 
 def test_curve_text_errors():

@@ -9,7 +9,6 @@ from ovalkit import (
     bezier_to_parametric,
     implicitize,
     is_singular_at,
-    is_symmetric_swap,
     on_curve_residual,
     parse_polynomial,
     rational_singular_points,
@@ -72,6 +71,20 @@ def test_implicitize_rejects_constant_component():
     const = parse_curve_text("x=1; y=t; t in [0,1]")
     with pytest.raises(ValueError):
         implicitize(const)
+
+
+def test_implicitize_refuses_a_parameter_named_x():
+    # Eliminating x would take the x-coordinate with it: the nodal cubic
+    # came out as y^2.
+    curve = parse_curve_text("x=x^2; y=x^3-x; x in [-1,1]")
+    with pytest.raises(ValueError, match="^parameter variable 'x' collides with an implicit coordinate$"):
+        implicitize(curve)
+
+
+def test_implicitize_refuses_a_parameter_named_y():
+    curve = parse_curve_text("x=y^2; y=y^3-y; y in [-1,1]")
+    with pytest.raises(ValueError, match="^parameter variable 'y' collides with an implicit coordinate$"):
+        implicitize(curve)
 
 
 def test_implicitize_zero_test_all_examples(quartic_curve, cubic_curve, apple_curve):
@@ -175,12 +188,6 @@ def test_singular_points_degenerate_curve():
     doubled = parse_polynomial("(y - x)^2", ["x", "y"])
     with pytest.raises(DegenerateEliminantError):
         rational_singular_points(doubled)
-
-
-def test_symmetry_swap(cubic_poly, quartic_poly):
-    assert is_symmetric_swap(cubic_poly)
-    assert not is_symmetric_swap(quartic_poly)
-    assert is_symmetric_swap(parse_polynomial("x + y", ["x", "y"]))
 
 
 def test_convexity_probe(cubic_curve, quartic_curve):

@@ -216,19 +216,3 @@ def test_render_series_edge_cases():
     empty = PuiseuxSeries(1, (), Fraction(0))
     assert render_series(empty) == "0"
 
-
-def test_branch_starts(quartic_poly):
-    from ovalkit import branch_starts
-
-    starts = branch_starts(quartic_poly)
-    assert starts[0] == (Fraction(1, 2), Fraction(1))
-    two_lines = branch_starts(F("y^2 - x^2"))
-    assert two_lines == [(Fraction(1), Fraction(1)), (Fraction(1), Fraction(-1))]
-
-
-def test_branch_starts_order_positive_ascending_then_negative_descending():
-    from ovalkit import branch_starts
-
-    starts = branch_starts(F("(y - 2*x)*(y + 3*x)*(y - x)*(y + x)*(y - x^2)"))
-    one, two = Fraction(1), Fraction(2)
-    assert starts == [(one, one), (one, two), (one, -one), (one, Fraction(-3)), (two, one)]

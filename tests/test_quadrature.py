@@ -18,7 +18,6 @@ from ovalkit import (
     origin_chord_segment_area,
     parse_polynomial,
     quadrature,
-    slope_of_chord,
     total_area,
     validate_centered,
     vertical_segment_area,
@@ -313,15 +312,10 @@ def test_slope_examples(cubic_centered, quartic_centered):
     from ovalkit.parsing import parse_rational_function
 
     assert m == parse_rational_function("t/(1-t)", t)
-    assert slope_of_chord(quartic_centered, Fraction(1, 2)) == Fraction(-2, 3)
-    assert slope_of_chord(cubic_centered, Fraction(1, 3)) == Fraction(1, 2)
+    assert slope_function(quartic_centered).evaluate(Fraction(1, 2)) == Fraction(-2, 3)
+    assert m.evaluate(Fraction(1, 3)) == Fraction(1, 2)
     # f vanishing gives slope zero
-    assert slope_of_chord(quartic_centered, Fraction(0)) == 0
-
-
-def test_slope_rejects_center_abscissa(cubic_centered):
-    with pytest.raises(ValueError):
-        slope_of_chord(cubic_centered, 0)
+    assert slope_function(quartic_centered).evaluate(Fraction(0)) == 0
 
 
 def test_angle_to_parameter(cubic_centered):
