@@ -242,19 +242,6 @@ def _power(value: float, e: int) -> float:
         return -math.inf if value < 0 and e % 2 else math.inf
 
 
-def _power_column(column: np.ndarray, e: int) -> np.ndarray:
-    """Python's value ** e for each value of column, taken again by
-    `_power` only when some power overflows, so that a column without an
-    overflow costs one list comprehension."""
-    import numpy as np
-
-    values = column.tolist()
-    try:
-        return np.array([value**e for value in values])
-    except OverflowError:
-        return np.array([_power(value, e) for value in values])
-
-
 def _residuals(q: Polynomial, columns: Mapping[str, np.ndarray]) -> np.ndarray:
     """Residual of Q at each row of the value columns, one per variable:
     |Q| over its largest evaluated monomial, at least 1, so the verdict is
@@ -262,11 +249,11 @@ def _residuals(q: Polynomial, columns: Mapping[str, np.ndarray]) -> np.ndarray:
     power columns in variable order, and the terms are summed in order, as
     in Polynomial.evaluate_float, so every residual is that function's bit
     for bit wherever no power overflows; a NaN term makes the residual NaN.
-    Each power column is built once by `_power_column`, with Python's
-    float ** int on each value, as numpy's power and repeated multiplication
-    both round differently. An overflowing power is +-inf, so the report
-    fails as it does when a product overflows. A first power is the column
-    itself, as v ** 1 is v."""
+    Each power column is built once by `_power`, Python's float ** int on
+    each value, as numpy's power and repeated multiplication both round
+    differently. An overflowing power is +-inf, so the report fails as it
+    does when a product overflows. A first power is the column itself, as
+    v ** 1 is v."""
     import numpy as np
 
     n = len(next(iter(columns.values())))
@@ -278,7 +265,7 @@ def _residuals(q: Polynomial, columns: Mapping[str, np.ndarray]) -> np.ndarray:
             for v, e in zip(q.vars, exps):
                 if e:
                     if (v, e) not in powers:
-                        powers[v, e] = _power_column(columns[v], e)
+                        powers[v, e] = np.array([_power(x, e) for x in columns[v].tolist()])
                     term *= powers[v, e]
             total += term
             np.maximum(biggest, np.abs(term), out=biggest)

@@ -188,11 +188,12 @@ def render_series(series: PuiseuxSeries) -> str:
     return "".join(pieces)
 
 
-def _branch_coefficients(edge: NewtonPolygonEdge) -> list[Fraction]:
-    """Distinct nonzero rational roots of the edge polynomial in branch
-    order: positive roots ascending, then negative roots descending."""
+def _branch_coefficient(edge: NewtonPolygonEdge) -> Fraction | None:
+    """The nonzero rational root of the edge polynomial a branch goes on
+    with: the smallest positive one, else the negative one nearest zero;
+    None when there is no nonzero rational root."""
     roots = set(rational_roots(edge.edge_polynomial)) - {0}
-    return sorted(roots, key=lambda r: (r < 0, abs(r)))
+    return min(roots, key=lambda r: (r < 0, abs(r)), default=None)
 
 
 def expand_branch(F: Polynomial, num_terms: int) -> PuiseuxSeries:
@@ -211,9 +212,9 @@ def expand_branch(F: Polynomial, num_terms: int) -> PuiseuxSeries:
         raise BranchExpansionError("no Newton polygon edge admits a branch y(x)")
     chosen: tuple[Fraction, Fraction] | None = None
     for edge in edges:
-        roots = _branch_coefficients(edge)
-        if roots and roots[0] > 0:
-            chosen = (edge.slope, roots[0])
+        coeff = _branch_coefficient(edge)
+        if coeff is not None and coeff > 0:
+            chosen = (edge.slope, coeff)
             break
     if chosen is None:
         raise BranchExpansionError(
@@ -237,15 +238,15 @@ def expand_branch(F: Polynomial, num_terms: int) -> PuiseuxSeries:
             g = edge.slope
             if g <= prev_exp:
                 continue
-            roots = _branch_coefficients(edge)
-            if not roots or (round_no == 0 and roots[0] < 0):
+            coeff = _branch_coefficient(edge)
+            if coeff is None or (round_no == 0 and coeff < 0):
                 continue
             if g.denominator != 1:
                 raise RamificationError(
                     f"branch requires ramification beyond 1/{N}"
                     f" (edge exponent {g} in the ramified variable)"
                 )
-            picked = (int(g), roots[0])
+            picked = (int(g), coeff)
             break
         if picked is None:
             raise BranchExpansionError(

@@ -133,6 +133,20 @@ def test_expand_skips_edges_without_positive_leading_coefficient():
     assert s.is_exact
 
 
+def test_expand_takes_the_smallest_positive_coefficient_first():
+    # The slope-1 edge has the coefficients 1 and 2; the branch is y = x.
+    s = expand_branch(F("(y - 2*x)*(y - x)"), 1)
+    assert s.terms == ((Fraction(1), Fraction(1)),)
+
+
+def test_expand_continues_with_the_negative_coefficient_nearest_zero():
+    # After y = x the remaining edge has only the coefficients -1 and -2;
+    # the branch continued is y = x - x^2.
+    s = expand_branch(F("(y - x + x^2)*(y - x + 2*x^2)"), 3)
+    assert s.terms == ((Fraction(1), Fraction(1)), (Fraction(2), Fraction(-1)))
+    assert s.is_exact
+
+
 def test_expand_skips_ramified_edges_it_would_not_pick():
     # The slope-1/3 edge of y^3 + x has only the coefficient -1, so it is
     # passed over like a slope-1 edge would be, not refused for needing
