@@ -294,12 +294,6 @@ class Polynomial:
             result = result * replacement + c
         return result
 
-    def rename_vars(self, mapping: Mapping[str, str]) -> "Polynomial":
-        new = tuple(mapping.get(v, v) for v in self.vars)
-        if len(set(new)) != len(new):
-            raise ValueError("renaming collides variable names")
-        return Polynomial(new, dict(self.terms))
-
     # -- coefficient views ---------------------------------------------
 
     def coeffs_in(self, var: str) -> list["Polynomial"]:
@@ -536,13 +530,8 @@ class UnivariatePolynomial:
         return f"UnivariatePolynomial({render_polynomial(self.to_polynomial())!r})"
 
 
-def univariate_from_polynomial(p: Polynomial, var: str | None = None) -> UnivariatePolynomial:
-    used = p.used_vars()
-    if var is None:
-        if len(used) > 1:
-            raise ValueError("polynomial is not univariate")
-        var = next(iter(used)) if used else (p.vars[0] if p.vars else "t")
-    if used - {var}:
+def univariate_from_polynomial(p: Polynomial, var: str) -> UnivariatePolynomial:
+    if p.used_vars() - {var}:
         raise ValueError(f"polynomial involves variables besides {var!r}")
     coeffs = [Fraction(0)] * (p.degree_in(var) + 1 if p.terms else 0)
     i = p.vars.index(var) if var in p.vars else None

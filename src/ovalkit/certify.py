@@ -183,36 +183,25 @@ def vertical_certificate(cp: CenteredParametrization) -> Certificate:
     S - P(t1) - R(t2), D and c - g(t2), rendered; they are written term by
     term, as nothing else uses them. The names t1, t2 are the curve's
     parameter t with 1 and 2 appended, so neither is S or c.
-
-    An x-component of degree at most 1 has no off-diagonal pairs (D is a
-    constant), so S can only be P(t) + R(t), the signed total area, and
-    Q = S - (P + R) needs no elimination.
     """
     t = cp.curve.var
     t1, t2 = t + "1", t + "2"
     P, R = vertical_area_parts(cp)  # ExactIntegrationError unless g, f are polynomials
     g = cp.curve.g.as_univariate()
-    if g.degree() <= 1:
-        raw = (Polynomial.variable("S") - (P + R).to_polynomial()).with_vars(("S", "c"))
-        eliminated, inputs = (), (raw,)
-    else:
-        # The inputs are only rendered, so their terms are written directly:
-        # e1 = S - P(t1) - R(t2), D, and e_c = c - g(t2).
-        terms = {(0, i, 0): -c for i, c in enumerate(P.coeffs)}
-        for j, c in enumerate(R.coeffs):
-            terms[(0, 0, j)] = terms.get((0, 0, j), 0) - c
-        terms[(1, 0, 0)] = 1
-        e1 = Polynomial(("S", t1, t2), terms)
-        # D = sum_j g_j (t1^j - t2^j)/(t1 - t2) = sum_j g_j sum_(i<j) t1^i t2^(j-1-i)
-        D = Polynomial(
-            (t1, t2), {(i, j - 1 - i): c for j, c in enumerate(g.coeffs) for i in range(j)}
-        )
-        terms = {(0, j): -c for j, c in enumerate(g.coeffs)}
-        terms[(1, 0)] = 1
-        e_c = Polynomial(("c", t2), terms)
-        raw = vertical_eliminant(g, P, R)
-        eliminated, inputs = (t1, t2), (e1, D, e_c)
-    q, prov = _cleanup(raw, eliminated, inputs)
+    raw = vertical_eliminant(g, P, R)
+    # The inputs are only rendered, so their terms are written directly:
+    # e1 = S - P(t1) - R(t2), D, and e_c = c - g(t2).
+    terms = {(0, i, 0): -c for i, c in enumerate(P.coeffs)}
+    for j, c in enumerate(R.coeffs):
+        terms[(0, 0, j)] = terms.get((0, 0, j), 0) - c
+    terms[(1, 0, 0)] = 1
+    e1 = Polynomial(("S", t1, t2), terms)
+    # D = sum_j g_j (t1^j - t2^j)/(t1 - t2) = sum_j g_j sum_(i<j) t1^i t2^(j-1-i)
+    D = Polynomial((t1, t2), {(i, j - 1 - i): c for j, c in enumerate(g.coeffs) for i in range(j)})
+    terms = {(0, j): -c for j, c in enumerate(g.coeffs)}
+    terms[(1, 0)] = 1
+    e_c = Polynomial(("c", t2), terms)
+    q, prov = _cleanup(raw, (t1, t2), (e1, D, e_c))
     return Certificate(q, {"S": "area", "c": "abscissa"}, prov)
 
 

@@ -159,17 +159,17 @@ def _svg_plot(xs: list[float], ys: list[float], xlabel: str, ylabel: str) -> str
     return "\n".join(parts) + "\n"
 
 
-def _read_input(args, flag_value: str | None) -> str:
-    if flag_value:
-        return flag_value
-    if getattr(args, "infile", None):
+def _read_input(args) -> str:
+    if args.text:
+        return args.text
+    if args.infile:
         with open(args.infile, "r", encoding="utf-8") as fh:
             return fh.read()
     raise OvalkitError("no input given (use the flag or --in <path>)")
 
 
 def _curve_from_args(args) -> ParametricCurve:
-    return parse_curve_text(_read_input(args, getattr(args, "param", None)))
+    return parse_curve_text(_read_input(args))
 
 
 def _centered_origin(curve: ParametricCurve):
@@ -177,9 +177,8 @@ def _centered_origin(curve: ParametricCurve):
 
 
 def _write_out(args, text: str):
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -209,21 +208,27 @@ def _pair(text: str, flag: str, form: str) -> tuple[Fraction, Fraction]:
 
 def _cmd_parse(args) -> int:
     variables = tuple(v.strip() for v in args.vars.split(",") if v.strip())
-    poly = parse_polynomial(_read_input(args, args.expr), variables)
+    poly = parse_polynomial(_read_input(args), variables)
     print(render_polynomial(poly))
     return 0
 
 
 def _cmd_implicitize(args) -> int:
     curve = _curve_from_args(args)
-    if not curves_mod.convexity_probe(curve):
+    try:
+        convex = curves_mod.convexity_probe(curve)
+    except ArithmeticError as exc:
+        # Floats cannot hold the curve's values; the exact equation still exists.
+        print(f"warning: numeric convexity probe skipped ({exc})", file=sys.stderr)
+        convex = True
+    if not convex:
         print("warning: boundary fails a numeric convexity probe", file=sys.stderr)
     print(render_polynomial(curves_mod.implicitize(curve)))
     return 0
 
 
 def _cmd_puiseux(args) -> int:
-    poly = parse_polynomial(_read_input(args, args.curve), ("x", "y"))
+    poly = parse_polynomial(_read_input(args), ("x", "y"))
     series = expand_branch(poly, args.terms)
     text = render_series(series)
     if not series.is_exact:
@@ -233,7 +238,7 @@ def _cmd_puiseux(args) -> int:
 
 
 def _cmd_singular(args) -> int:
-    poly = parse_polynomial(_read_input(args, args.curve), ("x", "y"))
+    poly = parse_polynomial(_read_input(args), ("x", "y"))
     points = curves_mod.rational_singular_points(poly)
     if not points:
         print("no rational singular points")
@@ -304,6 +309,15 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+def _input_parser(flag: str, help_text: str, what: str) -> argparse.ArgumentParser:
+    """A verb's input: flag, or --in <path> naming a file with the same
+    text; _read_input reads whichever is given."""
+    parser = argparse.ArgumentParser(add_help=False)
+    parser.add_argument(flag, dest="text", metavar=flag[2:].upper(), help=help_text)
+    parser.add_argument("--in", dest="infile", metavar="INFILE", help=f"read the {what} from a file")
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ovalkit",
@@ -311,48 +325,39 @@ def build_parser() -> argparse.ArgumentParser:
         "certificates for algebraic ovals.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
+    expr = _input_parser("--expr", "polynomial expression", "expression")
+    curve_text = _input_parser(
+        "--param", "curve text: x=<expr>; y=<expr>; t in [a,b] (or bezier ...)", "curve text"
+    )
+    implicit = _input_parser("--curve", "implicit polynomial in x and y", "polynomial")
 
-    p = sub.add_parser("parse", help="parse a polynomial and print its canonical form")
-    p.add_argument("--expr", help="polynomial expression")
+    p = sub.add_parser("parse", parents=[expr], help="parse a polynomial and print its canonical form")
     p.add_argument("--vars", default="x,y", help="comma-separated variable order")
-    p.add_argument("--in", dest="infile", help="read the expression from a file")
     p.set_defaults(func=_cmd_parse)
 
-    p = sub.add_parser("implicitize", help="implicit equation of a parametric curve")
-    p.add_argument("--param", help="curve text: x=<expr>; y=<expr>; t in [a,b] (or bezier ...)")
-    p.add_argument("--in", dest="infile", help="read the curve text from a file")
+    p = sub.add_parser("implicitize", parents=[curve_text], help="implicit equation of a parametric curve")
     p.set_defaults(func=_cmd_implicitize)
 
-    p = sub.add_parser("puiseux", help="fractional power-series branch at the origin")
-    p.add_argument("--curve", help="implicit polynomial in x and y")
+    p = sub.add_parser("puiseux", parents=[implicit], help="fractional power-series branch at the origin")
     p.add_argument("--terms", type=int, default=5, help="number of series terms")
-    p.add_argument("--in", dest="infile", help="read the polynomial from a file")
     p.set_defaults(func=_cmd_puiseux)
 
-    p = sub.add_parser("singular", help="rational singular points of an implicit curve")
-    p.add_argument("--curve", help="implicit polynomial in x and y")
-    p.add_argument("--in", dest="infile", help="read the polynomial from a file")
+    p = sub.add_parser("singular", parents=[implicit], help="rational singular points of an implicit curve")
     p.set_defaults(func=_cmd_singular)
 
-    p = sub.add_parser("area", help="exact total or segment area")
-    p.add_argument("--param", help="curve text")
-    p.add_argument("--in", dest="infile", help="read the curve text from a file")
+    p = sub.add_parser("area", parents=[curve_text], help="exact total or segment area")
     p.add_argument("--chord", help="chord parameter t0 (origin-centered curves)")
     p.add_argument("--vertical", help="parameters t1,t2 of a vertical-line segment (--vertical=t1,t2)")
     p.set_defaults(func=_cmd_area)
 
-    p = sub.add_parser("damper-table", help="free-section table S2(t_P) as CSV")
-    p.add_argument("--param", help="curve text")
-    p.add_argument("--in", dest="infile", help="read the curve text from a file")
+    p = sub.add_parser("damper-table", parents=[curve_text], help="free-section table S2(t_P) as CSV")
     p.add_argument("--range", required=True, help="t_P range as 'a,b' (rationals)")
     p.add_argument("--steps", type=int, required=True, help="number of rows")
     p.add_argument("--out", help="write the CSV here instead of stdout")
     p.add_argument("--svg", help="also write an SVG plot of S2 vs t_P")
     p.set_defaults(func=_cmd_damper_table)
 
-    p = sub.add_parser("certify", help="generate a squarability certificate")
-    p.add_argument("--param", help="curve text")
-    p.add_argument("--in", dest="infile", help="read the curve text from a file")
+    p = sub.add_parser("certify", parents=[curve_text], help="generate a squarability certificate")
     p.add_argument(
         "--family",
         choices=("pencil", "vertical"),
@@ -361,11 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_certify)
 
-    p = sub.add_parser("verify", help="verify a certificate against sampled areas")
+    p = sub.add_parser("verify", parents=[curve_text], help="verify a certificate against sampled areas")
     p.add_argument("--cert", help="certificate text (polynomial + roles line)")
     p.add_argument("--cert-file", help="read the certificate from a file")
-    p.add_argument("--param", help="curve text")
-    p.add_argument("--in", dest="infile", help="read the curve text from a file")
     p.add_argument("--samples", type=int, default=50, help="number of sampled lines")
     p.add_argument("--tol", type=float, default=1e-6, help="residual tolerance")
     p.set_defaults(func=_cmd_verify)
@@ -381,10 +384,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except OvalkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, ArithmeticError, OSError) as exc:
+    except (OvalkitError, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

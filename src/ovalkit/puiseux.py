@@ -3,10 +3,10 @@ curve branches at the origin.
 
 The expansion repeats the classical two-step procedure: read the leading
 exponent and coefficient off a lower-hull edge, substitute
-y -> c*x^gamma + z, and build a fresh polygon for the remainder. All
-arithmetic happens in the ramified variable u = x^(1/N), with N fixed by
-the first selected edge; a branch that would need a finer ramification is
-rejected rather than guessed.
+y -> y + c*x^gamma, and build a fresh polygon for the remainder. All
+arithmetic happens on G(x, y) = F(x^N, y), whose x is the ramified
+variable x^(1/N), with N fixed by the first selected edge; a branch that
+would need a finer ramification is rejected rather than guessed.
 """
 
 from __future__ import annotations
@@ -53,12 +53,12 @@ class NewtonPolygonEdge:
     points: tuple[SupportPoint, ...] = field(default=())
 
 
-def _support(F: Polynomial, x: str, y: str) -> dict[tuple[int, int], Fraction]:
-    extra = F.used_vars() - {x, y}
+def _support(F: Polynomial) -> dict[tuple[int, int], Fraction]:
+    extra = F.used_vars() - {"x", "y"}
     if extra:
         raise ValueError(f"polynomial involves unexpected variables {sorted(extra)}")
-    ix = F.vars.index(x) if x in F.vars else None
-    iy = F.vars.index(y) if y in F.vars else None
+    ix = F.vars.index("x") if "x" in F.vars else None
+    iy = F.vars.index("y") if "y" in F.vars else None
     out: dict[tuple[int, int], Fraction] = {}
     for exps, c in F.terms.items():
         i = exps[ix] if ix is not None else 0
@@ -82,15 +82,15 @@ def _lower_hull(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return hull
 
 
-def newton_polygon(F: Polynomial, x: str = "x", y: str = "y") -> list[NewtonPolygonEdge]:
-    """Lower-left hull edges of the support of F, with their edge polynomials.
+def newton_polygon(F: Polynomial) -> list[NewtonPolygonEdge]:
+    """Lower-left hull edges of the support of F(x, y), with their edge polynomials.
 
     Requires F nonzero with F(0,0) = 0. Edges are returned with strictly
     increasing branch exponents.
     """
     if F.is_zero:
         raise ValueError("Newton polygon of the zero polynomial")
-    support = _support(F, x, y)
+    support = _support(F)
     if (0, 0) in support:
         raise ValueError("the origin is not on the curve: F(0,0) != 0")
     points = sorted(support)
@@ -196,6 +196,17 @@ def _branch_coefficient(edge: NewtonPolygonEdge) -> Fraction | None:
     return min(roots, key=lambda r: (r < 0, abs(r)), default=None)
 
 
+def _branch_term(edges: list[NewtonPolygonEdge], after: int, first: bool) -> tuple[Fraction, Fraction] | None:
+    """Slope and branch coefficient of the first edge steeper than after
+    that has a branch coefficient, positive when it is the first term."""
+    for edge in edges:
+        if edge.slope > after:
+            coeff = _branch_coefficient(edge)
+            if coeff is not None and not (first and coeff < 0):
+                return edge.slope, coeff
+    return None
+
+
 def expand_branch(F: Polynomial, num_terms: int) -> PuiseuxSeries:
     """Expand the positive real branch of F(x, y) = 0 at the origin.
 
@@ -210,60 +221,39 @@ def expand_branch(F: Polynomial, num_terms: int) -> PuiseuxSeries:
     edges = newton_polygon(F)
     if not edges:
         raise BranchExpansionError("no Newton polygon edge admits a branch y(x)")
-    chosen: tuple[Fraction, Fraction] | None = None
-    for edge in edges:
-        coeff = _branch_coefficient(edge)
-        if coeff is not None and coeff > 0:
-            chosen = (edge.slope, coeff)
-            break
-    if chosen is None:
-        raise BranchExpansionError(
-            "no polygon edge has a positive rational branch coefficient"
-        )
-    gamma, c1 = chosen
-    N = gamma.denominator
-    u, z = "u", "z"
-    # Move to the ramified variable: G(u, z) = F(u^N, z).
-    G = F.rename_vars({"x": "_xx", "y": z})
-    G = G.subs("_xx", Polynomial.variable(u) ** N)
-    terms: list[tuple[int, Fraction]] = []  # (u-exponent, coefficient)
+    leading = _branch_term(edges, 0, first=True)
+    if leading is None:
+        raise BranchExpansionError("no polygon edge has a positive rational branch coefficient")
+    N = leading[0].denominator
+    x, y = Polynomial.variable("x"), Polynomial.variable("y")
+    # G(x, y) = F(x^N, y): the x of G is x^(1/N) on the curve.
+    G = F.subs("x", x**N)
+    terms: list[tuple[int, Fraction]] = []  # (exponent in G's x, coefficient)
     prev_exp = 0
     for round_no in range(num_terms):
-        if G.subs(z, 0).is_zero:
+        if G.subs("y", 0).is_zero:
             break  # the accumulated sum is an exact root
         # G(0, 0) = 0 holds on every round: F(0, 0) = 0 and every
-        # substitution adds a term of positive u-degree.
-        picked = None
-        for edge in newton_polygon(G, u, z):
-            g = edge.slope
-            if g <= prev_exp:
-                continue
-            coeff = _branch_coefficient(edge)
-            if coeff is None or (round_no == 0 and coeff < 0):
-                continue
-            if g.denominator != 1:
-                raise RamificationError(
-                    f"branch requires ramification beyond 1/{N}"
-                    f" (edge exponent {g} in the ramified variable)"
-                )
-            picked = (int(g), coeff)
-            break
-        if picked is None:
-            raise BranchExpansionError(
-                f"no edge with a rational branch coefficient at term {round_no + 1}"
+        # substitution adds a term of positive x-degree.
+        term = _branch_term(newton_polygon(G), prev_exp, first=round_no == 0)
+        if term is None:
+            raise BranchExpansionError(f"no edge with a rational branch coefficient at term {round_no + 1}")
+        g, coeff = term
+        if g.denominator != 1:
+            raise RamificationError(
+                f"branch requires ramification beyond 1/{N}"
+                f" (edge exponent {g} in the ramified variable)"
             )
-        g_int, coeff = picked
-        terms.append((g_int, coeff))
-        replacement = Polynomial.variable(z) + Polynomial.variable(u) ** g_int * coeff
-        G = G.subs(z, replacement)
-        prev_exp = g_int
-    tail = G.subs(z, 0)
+        prev_exp = int(g)
+        terms.append((prev_exp, coeff))
+        G = G.subs("y", y + x**prev_exp * coeff)
+    tail = G.subs("y", 0)
     if tail.is_zero:
         order: Fraction | float = math.inf
     else:
-        # Order of F(x, series) is the u-order of the constant-in-z part.
-        tail_u = univariate_from_polynomial(tail, u)
-        k = next(i for i, cc in enumerate(tail_u.coeffs) if cc)
+        # Order of F(x, series) is the x-order of the constant-in-y part of G.
+        tail_x = univariate_from_polynomial(tail, "x")
+        k = next(i for i, cc in enumerate(tail_x.coeffs) if cc)
         order = Fraction(k, N)
     series_terms = tuple((Fraction(e, N), c) for e, c in terms)
     return PuiseuxSeries(ramification=N, terms=series_terms, truncation_order=order)
@@ -272,13 +262,10 @@ def expand_branch(F: Polynomial, num_terms: int) -> PuiseuxSeries:
 def residual_order(F: Polynomial, series: PuiseuxSeries):
     """Exact x-order of F(x, series(x)); math.inf when it vanishes identically."""
     N = series.ramification
-    u = "u"
-    ypoly = series.as_ramified_polynomial().to_polynomial()
-    G = F.rename_vars({"x": "_xx", "y": "_yy"})
-    G = G.subs("_yy", ypoly)
-    G = G.subs("_xx", Polynomial.variable(u) ** N)
+    u = Polynomial.variable("u")
+    G = F.subs("x", u**N).subs("y", series.as_ramified_polynomial().to_polynomial())
     if G.is_zero:
         return math.inf
-    gu = univariate_from_polynomial(G, u)
+    gu = univariate_from_polynomial(G, "u")
     k = next(i for i, c in enumerate(gu.coeffs) if c)
     return Fraction(k, N)

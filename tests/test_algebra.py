@@ -460,8 +460,8 @@ def test_univariate_from_polynomial_roundtrip():
     p = parse_polynomial("t^3 - 2*t + 1/2", ["t"])
     u = univariate_from_polynomial(p, "t")
     assert u.to_polynomial() == p
-    with pytest.raises(ValueError):
-        univariate_from_polynomial(parse_polynomial("x*y", ["x", "y"]))
+    with pytest.raises(ValueError, match="besides 'x'"):
+        univariate_from_polynomial(parse_polynomial("x*y", ["x", "y"]), "x")
 
 
 def test_rational_function_arithmetic():

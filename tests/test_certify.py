@@ -376,7 +376,9 @@ def test_vertical_certificate_records_charpoly_content(cubic_centered):
 
 
 def test_vertical_certificate_graph_like_collapse():
-    # g(t) = t makes both abscissa equations the same linear relation.
+    # g(t) = t has no off-diagonal pairs; validate_centered refuses it as
+    # constant on a closed oval, and a hand-built open curve is refused by
+    # the eliminant.
     from ovalkit.algebra import Interval
     from ovalkit.curves import CenteredParametrization, ParametricCurve, Point
     from ovalkit.parsing import parse_rational_function
@@ -385,12 +387,8 @@ def test_vertical_certificate_graph_like_collapse():
     f = parse_rational_function("t^2", "t")
     curve = ParametricCurve(g, f, Interval(Fraction(0), Fraction(1)))
     cp = CenteredParametrization(curve, Point(0, 0))
-    cert = vertical_certificate(cp)
-    # with an injective x-component the two intersection parameters agree,
-    # so the relation collapses to one univariate constraint on the area
-    assert cert.q.degree_in("c") == 0
-    assert cert.q.degree_in("S") == 1
-    assert cert.q.evaluate({"S": Fraction(1, 3), "c": Fraction(0)}) == 0
+    with pytest.raises(ValueError, match="needs deg g >= 2"):
+        vertical_certificate(cp)
 
 
 def test_vertical_certificate_refuses_x_components_past_its_degree_limit():

@@ -14,7 +14,7 @@ from ovalkit import elimination, quadrature
 from ovalkit.algebra import Interval
 from ovalkit.cli import main, parse_curve_text
 
-from conftest import CUBIC_PARAM, QUARTIC_PARAM
+from conftest import CUBIC_PARAM, QUARTIC_PARAM, QUARTIC_TEXT
 
 
 def run(capsys, argv):
@@ -88,6 +88,23 @@ def test_implicitize_verb(capsys):
     code, out, _ = run(capsys, ["implicitize", "--param", QUARTIC_PARAM])
     assert code == 0
     assert out.strip() == "y^4 - 2*x*y^2 - x^3 + x^2"
+
+
+def test_implicitize_verb_past_the_float_range(capsys):
+    # The convexity probe cannot hold 10^400 in a float; the exact equation
+    # is still printed, after a one-line warning that the probe was skipped.
+    E = 10**400
+    code, out, err = run(capsys, ["implicitize", "--param", "x=10^400*t*(1-t)^2; y=t^2*(1-t); t in [0,1]"])
+    assert code == 0
+    assert out == f"{E**3}*y^3 + {3 * E**2}*x*y^2 + {3 * E}*x^2*y + x^3 - {E**2}*x*y\n"
+    assert err == "warning: numeric convexity probe skipped (integer division result too large for a float)\n"
+
+
+def test_implicitize_verb_warns_on_a_boundary_that_is_not_convex(capsys):
+    code, out, err = run(capsys, ["implicitize", "--param", "x=t^3-t; y=(t^2-1)*(1-4*t^2); t in [-1,1]"])
+    assert code == 0
+    assert out == "64*x^4 + y^3 - 4*x^2*y + y^2 - 9*x^2\n"
+    assert err == "warning: boundary fails a numeric convexity probe\n"
 
 
 def test_singular_verb(capsys):
@@ -469,3 +486,64 @@ def test_input_from_file(tmp_path, capsys):
     code, out, _ = run(capsys, ["area", "--in", str(path)])
     assert code == 0
     assert out.startswith("3/20")
+
+
+TRIVIAL_CERT = "S - m\nroles: S=area m=slope"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["implicitize"], "no input given (use the flag or --in <path>)"),
+        (["parse"], "no input given (use the flag or --in <path>)"),
+        (["verify", "--param", CUBIC_PARAM], "no certificate given (--cert or --cert-file)"),
+        (["verify", "--cert", "S", "--param", CUBIC_PARAM], "certificate text needs a polynomial line and a 'roles:' line"),
+        (["verify", "--cert", TRIVIAL_CERT, "--param", CUBIC_PARAM, "--samples", "5"], "use at least 10 sample lines"),
+        (["damper-table", "--param", CUBIC_PARAM, "--range", "1/2,1", "--steps", "1"], "damper table needs at least 2 steps"),
+        (
+            ["damper-table", "--param", CUBIC_PARAM, "--range", "1/2,1", "--steps", "10001"],
+            "10001 damper table rows exceed the supported 10000",
+        ),
+        (["puiseux", "--curve", QUARTIC_TEXT, "--terms", "0"], "num_terms must be positive"),
+        (["puiseux", "--curve", QUARTIC_TEXT, "--terms", "101"], "101 series terms exceed the supported 100"),
+    ],
+    ids=[
+        "implicitize-no-input",
+        "parse-no-input",
+        "verify-no-certificate",
+        "verify-certificate-without-roles",
+        "verify-too-few-samples",
+        "damper-table-one-step",
+        "damper-table-too-many-steps",
+        "puiseux-no-terms",
+        "puiseux-too-many-terms",
+    ],
+)
+def test_refusals_are_one_line(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["parse", "--expr", "(y^2-x)^2 - x^3", "--vars", "x,y"],
+        ["implicitize", "--param", CUBIC_PARAM],
+        ["puiseux", "--curve", QUARTIC_TEXT, "--terms", "4"],
+        ["singular", "--curve", QUARTIC_TEXT],
+        ["area", "--param", CUBIC_PARAM, "--chord", "3/4"],
+        ["damper-table", "--param", CUBIC_PARAM, "--range", "1/2,1", "--steps", "3"],
+        ["certify", "--param", CUBIC_PARAM, "--family", "vertical"],
+        ["verify", "--cert", TRIVIAL_CERT, "--param", CUBIC_PARAM, "--samples", "10"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_every_verb_reads_its_input_from_a_file(tmp_path, capsys, argv):
+    k = next(i for i, a in enumerate(argv) if a in ("--expr", "--param", "--curve"))
+    path = tmp_path / "input.txt"
+    path.write_text(argv[k + 1])
+    direct = run(capsys, argv)
+    from_file = run(capsys, argv[:k] + ["--in", str(path)] + argv[k + 2 :])
+    assert from_file[:2] == direct[:2]
+    assert direct[1]

@@ -35,6 +35,7 @@ def test_public_surface():
         ovalkit.rational_singular_points: ["F"],
         ovalkit.bezier_to_parametric: ["cp"],
         curves.convexity_probe: ["curve"],
+        ovalkit.newton_polygon: ["F"],
         ovalkit.expand_branch: ["F", "num_terms"],
         ovalkit.residual_order: ["F", "series"],
         ovalkit.render_series: ["series"],
@@ -45,12 +46,14 @@ def test_public_surface():
         elimination.vertical_eliminant: ["g", "P", "R"],
         ovalkit.resultant: ["f", "g", "var"],
         ovalkit.total_area: ["curve"],
+        ovalkit.univariate_from_polynomial: ["p", "var"],
     }
     for function, names in parameters.items():
         assert list(inspect.signature(function).parameters) == names, function.__qualname__
     for owner, name in (
         (cli, "emit_damper_table"),
         (ovalkit.UnivariatePolynomial, "rename"),
+        (ovalkit.Polynomial, "rename_vars"),
         (ovalkit.Point, "__iter__"),
         (quadrature, "slope_of_chord"),
         (puiseux, "branch_starts"),
