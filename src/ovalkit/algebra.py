@@ -333,7 +333,13 @@ class Polynomial:
         factor = self.content()
         if self.leading()[1] < 0:
             factor = -factor
-        return self * (1 / factor), factor
+        num, den = factor.numerator, factor.denominator
+        # Each coefficient over the content is an integer, found by one
+        # exact division; the terms are already valid and are not rechecked.
+        out = object.__new__(Polynomial)
+        out.vars = self.vars
+        out.terms = {e: Fraction(c.numerator // num * (den // c.denominator)) for e, c in self.terms.items()}
+        return out, factor
 
     def __repr__(self):
         from .parsing import render_polynomial

@@ -176,7 +176,8 @@ def vertical_certificate(cp: CenteredParametrization) -> Certificate:
     P(t1) + R(t2) on Q(c)[t1, t2]/(D, g(t2) - c), built on integers by
     `vertical_eliminant`, which expands P and R in powers of g so that
     the multiplier is a polynomial in c with parts built once, and takes
-    as many abscissa nodes as their growth in c requires. Q equals
+    one characteristic polynomial at the abscissa node c = 2^k, whose
+    base-2^k digits are Q's coefficients in c. Q equals
     Res_t2(Res_t1(S - P(t1) - R(t2), D), c - g(t2)) after normalization;
     the recorded removed factor is the content of the characteristic
     polynomial. The provenance inputs are these three polynomials

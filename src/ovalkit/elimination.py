@@ -4,8 +4,10 @@ Each certificate has one path: pencil certificates take
 `pencil_eliminant`, vertical certificates `vertical_eliminant`, and
 implicitization and singular points `resultant`. Every determinant is a
 characteristic polynomial of an integer matrix taken by `_berkowitz` at
-an integer node, and `_newton` interpolates the nodes' values. Both 1-D
-eliminants share one node step, `_norm(G, s)`: the norm of Y - s on
+an integer node. `resultant` and `pencil_eliminant` take small nodes and
+`_newton` interpolates their values; `vertical_eliminant` takes one node
+2^k and reads the coefficients off its value as base-2^k digits. Both
+1-D eliminants share one node step, `_norm(G, s)`: the norm of Y - s on
 Q[t]/(G), lc(G)^deg s * prod over the roots r of G of (Y - s(r)).
 
 `resultant` works from the two inputs' coefficient lists in the
@@ -27,7 +29,14 @@ integer node of m, as S enters linearly, interpolated in m.
 
 `vertical_eliminant` expands the area parts in powers of the x-component
 (`_g_adic`) and takes the characteristic polynomial of multiplication on
-a two-variable quotient ring at integer nodes of the abscissa.
+a two-variable quotient ring at one node of the abscissa, c = 2^k, wide
+enough to hold every coefficient in c (Kronecker substitution; Kronecker
+1882, Schoenhage 1982). One determinant on wide integers beats many on
+small ones while the interpreter's cost per operation outweighs the
+arithmetic: for the vertical matrices of the cubic (6 x 6) and the
+quartic (12 x 12), but not at deg g = 6 (30 x 30, see README) or for
+pencils whose slope has a high degree, which keep their nodes, as
+`resultant` does.
 """
 
 from __future__ import annotations
@@ -427,6 +436,56 @@ def _g_adic(p: list[int], g: list[int]) -> list[list[int]]:
     return parts
 
 
+def _root_ceil(x: int, m: int) -> int:
+    """The least integer r with r^m >= x, for integers x, m >= 1."""
+    r = 1 << -(-x.bit_length() // m)
+    # Integer Newton steps from above descend to floor(x^(1/m)).
+    while True:
+        s = ((m - 1) * r + x // r ** (m - 1)) // m
+        if s >= r:
+            return r if r**m >= x else r + 1
+        r = s
+
+
+def _kronecker_width(g: list[int], parts: list[tuple[list[int], list[int]]], n: int) -> int:
+    """Bits k such that 2^(k-1) exceeds every coefficient in c_hat of the
+    n x n characteristic polynomial det(S*I - M(c_hat)) of
+    `vertical_eliminant`, for the ascending integer lists of g_hat (monic)
+    and of the g-adic parts (P_k, R_k) of P_hat and R_hat.
+
+    For complex |c_hat| <= 1 every root tau of g_hat(tau) - c_hat has
+    |tau| <= rt, the smaller of Cauchy's bound 1 + max |a_j| and
+    Fujiwara's 2 * max |a_j|^(1/(d-j)) on its coefficients a_j below the
+    leading one, with |g_0| + 1 standing in for the constant term. Each
+    eigenvalue sum_k c_hat^k * (P_k(tau1) + R_k(tau2)) is then at most
+    E = sum over k and j of (|P_kj| + |R_kj|) * rt^j, so the coefficient of
+    S^(n-i), an elementary symmetric function of the eigenvalues, is at
+    most C(n, i) * E^i on the unit circle, and by Cauchy's estimate so is
+    each of its coefficients in c_hat.
+    """
+    d = len(g) - 1
+    a = [abs(g[0]) + 1] + [abs(c) for c in g[1:d]]
+    fujiwara = 2 * max(_root_ceil(x, d - j) for j, x in enumerate(a) if x)
+    rt = min(1 + max(a), fujiwara)
+    eig = sum(abs(c) * rt**j for part in parts for p in part for j, c in enumerate(p))
+    return max(math.comb(n, i) * eig**i for i in range(n + 1)).bit_length() + 1
+
+
+def _digits(v: int, k: int, count: int) -> list[int]:
+    """The balanced base-2^k digits q_e of v, lowest first:
+    v = sum_e q_e * 2^(k*e) with -2^(k-1) <= q_e < 2^(k-1). More than count
+    digits raise ArithmeticError."""
+    half, mask = 1 << (k - 1), (1 << k) - 1
+    out = []
+    while v:
+        if len(out) == count:
+            raise ArithmeticError("the Kronecker digits exceed the degree bound in c")
+        q = ((v + half) & mask) - half
+        out.append(q)
+        v = (v - q) >> k
+    return out
+
+
 def vertical_eliminant(
     g: UnivariatePolynomial,
     P: UnivariatePolynomial,
@@ -456,14 +515,16 @@ def vertical_eliminant(
        (tau1 - tau2)*D = 0, so g_hat(tau1) = g_hat(tau2) = c_hat and
        h = P_hat(tau1) + R_hat(tau2) = sum_k c_hat^k * h_k with
        h_k = P_k(tau1) + R_k(tau2). No h_k depends on c_hat, and each
-       needs at most one reduction of tau1^(d-1), so they are built once;
-    3. at each integer node c_hat, h is summed from the h_k by Horner in
-       c_hat, M is built from h by the multiplications by tau1 and tau2 on
-       the basis, and its characteristic polynomial is taken by
-       `_berkowitz`;
-    4. each coefficient is interpolated in c_hat by `_newton` on
-       N + 1 nodes, N = max over the k with h_k != 0 of
-       d(d-1)*k + (d-1)*max(deg P_k, deg R_k).
+       needs at most one reduction of tau1^(d-1);
+    3. at the one node c_hat = 2^w, w from `_kronecker_width`, h is summed
+       from the h_k by Horner in c_hat, M is built from h by the
+       multiplications by tau1 and tau2 on the basis, and its
+       characteristic polynomial is taken by `_berkowitz`;
+    4. each coefficient is a polynomial in c_hat evaluated at 2^w
+       (Kronecker substitution), and 2^(w-1) exceeds all its coefficients,
+       so they are the integer's balanced base-2^w digits (`_digits`).
+       More than N + 1 digits, N = max over the k with h_k != 0 of
+       d(d-1)*k + (d-1)*max(deg P_k, deg R_k), raise ArithmeticError.
 
     Why N bounds Q's degree in c_hat: for large |c_hat| every root tau of
     g_hat(tau) = c_hat has |tau| = O(|c_hat|^(1/d)), so each of the
@@ -497,9 +558,10 @@ def vertical_eliminant(
         for j in range(i + 1, d + 1):
             reduce_t1[i * d + j - 1 - i] -= full[j]
     # h_k = P_k(tau1) + R_k(tau2) on the basis, tau1^(d-1) reduced once.
+    adic = list(zip_longest(_g_adic(ph, full), _g_adic(rh, full), fillvalue=[]))
     parts = []
     bound = 0
-    for k, (pk, rk) in enumerate(zip_longest(_g_adic(ph, full), _g_adic(rh, full), fillvalue=[])):
+    for k, (pk, rk) in enumerate(adic):
         v = [0] * n
         for i, c in enumerate(pk[: d - 1]):
             v[i * d] = c
@@ -510,51 +572,48 @@ def vertical_eliminant(
         if any(v):
             bound = max(bound, n * k + (d - 1) * (max(len(pk), len(rk)) - 1))
         parts.append(v)
-    nodes = _sample_values(bound + 1)
-    values = []
-    for c_hat in nodes:
+    width = _kronecker_width(full, adic, n)
+    c_hat = 1 << width
 
-        def times_t2(v: list[int]) -> list[int]:
-            # tau2^d = c_hat - sum_(j < d) g_hat_j tau2^j
-            out = [0] * n
-            for base in range(0, n, d):
-                top = v[base + d - 1]
-                out[base + 1 : base + d] = v[base : base + d - 1]
-                if top:
-                    out[base] = top * c_hat
-                    for j, c in enumerate(gh):
-                        out[base + j] -= top * c
-            return out
+    def times_t2(v: list[int]) -> list[int]:
+        # tau2^d = c_hat - sum_(j < d) g_hat_j tau2^j
+        out = [0] * n
+        for base in range(0, n, d):
+            top = v[base + d - 1]
+            out[base + 1 : base + d] = v[base : base + d - 1]
+            if top:
+                out[base] = top * c_hat
+                for j, c in enumerate(gh):
+                    out[base + j] -= top * c
+        return out
 
-        wrap = [reduce_t1]
-        for _ in range(d - 1):
-            wrap.append(times_t2(wrap[-1]))
+    wrap = [reduce_t1]
+    for _ in range(d - 1):
+        wrap.append(times_t2(wrap[-1]))
 
-        def times_t1(v: list[int]) -> list[int]:
-            out = [0] * d + v[: n - d]
-            for top, w in zip(v[n - d :], wrap):
-                if top:
-                    out = [x + top * y for x, y in zip(out, w)]
-            return out
+    def times_t1(v: list[int]) -> list[int]:
+        out = [0] * d + v[: n - d]
+        for top, w in zip(v[n - d :], wrap):
+            if top:
+                out = [x + top * y for x, y in zip(out, w)]
+        return out
 
-        h = [0] * n
-        for part in reversed(parts):
-            h = [c_hat * x + y for x, y in zip(h, part)]
-        # Column i*d + j of M is h * tau1^i tau2^j; the characteristic
-        # polynomial of M's transpose is the same.
-        cols = [h]
-        for j in range(1, d):
-            cols.append(times_t2(cols[-1]))
-        for i in range(1, d - 1):
-            cols += [times_t1(col) for col in cols[-d:]]
-        values.append(_berkowitz(cols))
+    h = [0] * n
+    for part in reversed(parts):
+        h = [c_hat * x + y for x, y in zip(h, part)]
+    # Column i*d + j of M is h * tau1^i tau2^j; the characteristic
+    # polynomial of M's transpose is the same.
+    cols = [h]
+    for j in range(1, d):
+        cols.append(times_t2(cols[-1]))
+    for i in range(1, d - 1):
+        cols += [times_t1(col) for col in cols[-d:]]
     terms: dict[tuple[int, int], Fraction] = {}
-    lam_num = [lam.numerator**e for e in range(len(nodes))]
-    lam_den = [lam.denominator**e for e in range(len(nodes))]
-    for i in range(n + 1):
+    lam_num = [lam.numerator**e for e in range(bound + 1)]
+    lam_den = [lam.denominator**e for e in range(bound + 1)]
+    for i, value in enumerate(_berkowitz(cols)):
         k_num, k_den = K.numerator ** (n - i), K.denominator ** (n - i)
-        for e, c in enumerate(_newton(nodes, [v[i] for v in values])):
+        for e, c in enumerate(_digits(value, width, bound + 1)):
             if c:
                 terms[(n - i, e)] = Fraction(c * k_num * lam_num[e], k_den * lam_den[e])
     return Polynomial(("S", "c"), terms)
-

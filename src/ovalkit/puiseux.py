@@ -53,10 +53,14 @@ class NewtonPolygonEdge:
     points: tuple[SupportPoint, ...] = field(default=())
 
 
-def _support(F: Polynomial) -> dict[tuple[int, int], Fraction]:
+def _check_xy(F: Polynomial) -> None:
     extra = F.used_vars() - {"x", "y"}
     if extra:
         raise ValueError(f"polynomial involves unexpected variables {sorted(extra)}")
+
+
+def _support(F: Polynomial) -> dict[tuple[int, int], Fraction]:
+    _check_xy(F)
     ix = F.vars.index("x") if "x" in F.vars else None
     iy = F.vars.index("y") if "y" in F.vars else None
     out: dict[tuple[int, int], Fraction] = {}
@@ -260,7 +264,9 @@ def expand_branch(F: Polynomial, num_terms: int) -> PuiseuxSeries:
 
 
 def residual_order(F: Polynomial, series: PuiseuxSeries):
-    """Exact x-order of F(x, series(x)); math.inf when it vanishes identically."""
+    """Exact x-order of F(x, series(x)); math.inf when it vanishes identically.
+    F may involve only x and y."""
+    _check_xy(F)
     N = series.ramification
     u = Polynomial.variable("u")
     G = F.subs("x", u**N).subs("y", series.as_ramified_polynomial().to_polynomial())

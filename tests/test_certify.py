@@ -227,11 +227,10 @@ def test_vertical_certificate_cubic_shape(cubic_vertical_build):
     # Eliminating against the divided difference (g(t1) - g(t2))/(t1 - t2)
     # drops the whole-oval diagonal t1 = t2 and its spurious factor 20*S - 3.
     # The quotient Q(c)[t1, t2]/(D, g(t2) - c) of the cubic has dimension
-    # 3 * 2, so each multiplication matrix is 6x6. P and R have degree 6 =
-    # 2 * deg g; their top g-adic parts are opposite constants and cancel,
-    # so the bound on Q's degree in c is 6 * 1 + 2 * 2 = 10: 11 nodes.
+    # 3 * 2, so the multiplication matrix is 6x6, taken once at the one
+    # Kronecker node c = 2^k.
     cert, sizes = cubic_vertical_build
-    assert sizes == [(6, 6)] * 11
+    assert sizes == [(6, 6)]
     q = cert.q
     assert len(q.terms) == 27
     assert (q.degree_in("S"), q.degree_in("c")) == (6, 10)
@@ -309,28 +308,53 @@ def test_vertical_certificate_matches_sylvester_on_random_parametrizations():
     _for_random_parametrizations(check)
 
 
-def _node_bound(cp) -> tuple[int, int]:
-    """The vertical eliminant's bound N on Q's degree in c (it takes N + 1
-    nodes) and Q's actual degree in c."""
+def _kronecker_read(cp, extra_bits: int) -> tuple[int, int, list[int], Polynomial]:
+    """Run vertical_certificate with its Kronecker width raised by
+    extra_bits. Returns the width k it chose, its bound N on Q's degree in
+    c (it reads at most N + 1 digits), every digit it read, and Q."""
     import ovalkit.elimination as elimination
 
-    counts = []
-    sample = elimination._sample_values
+    seen = {"digits": []}
+    width, digits = elimination._kronecker_width, elimination._digits
 
-    def recording(count):
-        counts.append(count)
-        return sample(count)
+    def wider(*args):
+        seen["width"] = width(*args)
+        return seen["width"] + extra_bits
+
+    def recording(value, k, count):
+        seen["count"] = count
+        out = digits(value, k, count)
+        seen["digits"] += out
+        return out
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(elimination, "_sample_values", recording)
+        mp.setattr(elimination, "_kronecker_width", wider)
+        mp.setattr(elimination, "_digits", recording)
         q = vertical_certificate(cp).q
-    (count,) = counts
-    return count - 1, q.degree_in("c")
+    return seen["width"], seen["count"] - 1, seen["digits"], q
+
+
+def _node_bound(cp) -> tuple[int, int]:
+    """Check the vertical eliminant's Kronecker width k: read at width 2k,
+    the digits are Q's integer coefficients whenever those are below
+    2^(2k-1), and 2^(k-1) must exceed them all. Returns the bound N and
+    Q's actual degree in c."""
+    k, bound, _, q = _kronecker_read(cp, 0)
+    _, _, digits, wide = _kronecker_read(cp, k)
+    assert wide == q
+    assert max(map(abs, digits)) < 2 ** (k - 1)
+    return bound, q.degree_in("c")
 
 
 def test_vertical_node_bound_covers_the_degree_in_c(cubic_centered, quartic_centered):
+    from ovalkit.curves import Point, validate_centered
+
     assert _node_bound(cubic_centered) == (10, 10)
     assert _node_bound(quartic_centered) == (21, 21)
+    # deg g = 5, beyond the fixtures and the seeded loops.
+    quintic = validate_centered(parse_curve_text("x=t*(1-t)*(2+t^3); y=t^2*(1-t); t in [0,1]"), Point(0, 0))
+    bound, degree = _node_bound(quintic)
+    assert bound >= degree
     loops = seeded_loops(61, 3, 12) + seeded_loops(67, 4, 2)
     bounds = [_node_bound(cp) for cp in loops]
     assert all(bound >= degree for bound, degree in bounds), bounds

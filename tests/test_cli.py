@@ -207,18 +207,16 @@ def test_file_errors_are_one_line(tmp_path, argv):
 
 def test_arithmetic_errors_are_one_line(capsys, monkeypatch, tmp_path):
     # A damper-table value too large for the float axes of its SVG plot, and
-    # the interpolation's check of its own arithmetic: exit 1 with one
-    # message, no traceback.
+    # the vertical eliminant's check of its own arithmetic, at a Kronecker
+    # width too narrow for the cubic's digits: exit 1 with one message, no
+    # traceback.
     argv = ["damper-table", "--param", "x=10^400*t*(1-t)^2; y=t^2*(1-t); t in [0,1]", "--range", "1/2,1", "--steps", "3"]
     code, _, err = run(capsys, argv + ["--svg", str(tmp_path / "s2.svg")])
     assert code == 1 and err.startswith("error:") and len(err.splitlines()) == 1, err
 
-    def broken(xs, ys):
-        raise ArithmeticError("interpolated values are not those of an integer polynomial")
-
-    monkeypatch.setattr(elimination, "_newton", broken)
+    monkeypatch.setattr(elimination, "_kronecker_width", lambda *args: 2)
     code, _, err = run(capsys, ["certify", "--param", CUBIC_PARAM, "--family", "vertical"])
-    assert code == 1 and err == "error: interpolated values are not those of an integer polynomial\n"
+    assert code == 1 and err == "error: the Kronecker digits exceed the degree bound in c\n"
 
 
 def test_verify_sample_count_is_bounded():

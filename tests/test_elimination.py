@@ -13,7 +13,7 @@ from ovalkit import (
 )
 from ovalkit import elimination
 from ovalkit.curves import Point
-from ovalkit.elimination import _berkowitz, _newton, _sample_values, pencil_eliminant, sylvester_matrix
+from ovalkit.elimination import _berkowitz, _digits, _newton, _root_ceil, _sample_values, pencil_eliminant, sylvester_matrix
 from ovalkit.errors import DeskScopeError, SylvesterSizeError
 from ovalkit.quadrature import chord_area_function, free_inlet_function, slope_function
 
@@ -404,6 +404,29 @@ def test_newton_refuses_values_of_a_non_integer_polynomial():
     for xs, ys in cases:
         with pytest.raises(ArithmeticError):
             _newton(xs, ys)
+
+
+def test_digits_read_back_integer_polynomials_at_a_power_of_two():
+    # Balanced digits: negative coefficients borrow from the next digit, and
+    # -2^(k-1), the most negative digit, is read back too.
+    rng = random.Random(11)
+    for k in (2, 3, 17, 64):
+        half = 1 << (k - 1)
+        for _ in range(50):
+            coeffs = [rng.randint(-half, half - 1) for _ in range(rng.randint(1, 8))]
+            coeffs[-1] = coeffs[-1] or -half
+            value = sum(c << (k * e) for e, c in enumerate(coeffs))
+            assert _digits(value, k, len(coeffs)) == coeffs
+            with pytest.raises(ArithmeticError):
+                _digits(value, k, len(coeffs) - 1)
+    assert _digits(0, 5, 0) == []
+
+
+def test_root_ceil_is_the_least_integer_root_bound():
+    for m in range(1, 7):
+        for x in list(range(1, 300)) + [10**40 + 1, 2**200, 3**120 - 1]:
+            r = _root_ceil(x, m)
+            assert r**m >= x > (r - 1) ** m, (x, m, r)
 
 
 def _rebuild(parts: list[list[int]], g: list[int]) -> UnivariatePolynomial:

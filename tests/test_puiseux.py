@@ -186,6 +186,15 @@ def test_residual_order_exact_root():
     assert residual_order(F("y - x"), s) == math.inf
 
 
+def test_residual_order_refuses_variables_other_than_x_and_y():
+    # A u in F would merge with the series variable u = x^(1/N): y - u
+    # would read as an exact root and y - x*u as order 1.
+    s = expand_branch(F("y - x"), 1)
+    for text in ("y - u", "y - x*u"):
+        with pytest.raises(ValueError, match=r"unexpected variables \['u'\]"):
+            residual_order(parse_polynomial(text, ["x", "y", "u"]), s)
+
+
 def test_residual_order_empty_series():
     empty = PuiseuxSeries(ramification=1, terms=(), truncation_order=Fraction(0))
     assert residual_order(F("y^2 - x"), empty) == 1
