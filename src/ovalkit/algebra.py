@@ -347,8 +347,30 @@ class Polynomial:
         return f"Polynomial({render_polynomial(self)!r})"
 
 
+def _numerators(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of coeffs over their least common denominator,
+    and that denominator."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _from_numerators(var: str, nums: list[int], den: int) -> "UnivariatePolynomial":
+    """The polynomial with coefficients nums[i]/den, trailing zeros
+    dropped: one Fraction per coefficient."""
+    while nums and not nums[-1]:
+        nums.pop()
+    out = object.__new__(UnivariatePolynomial)
+    out.var = var
+    out.coeffs = [Fraction(n, den) for n in nums]
+    return out
+
+
 class UnivariatePolynomial:
-    """Dense univariate polynomial over Fraction, ascending coefficients."""
+    """Dense univariate polynomial over Fraction, ascending coefficients.
+
+    Sums, products, values and antiderivatives are computed on integer
+    numerators over one common denominator, and each coefficient of the
+    result is reduced once."""
 
     __slots__ = ("var", "coeffs")
 
@@ -408,13 +430,15 @@ class UnivariatePolynomial:
 
     def __add__(self, other):
         o = self._coerce(other)
-        n = max(len(self.coeffs), len(o.coeffs))
-        cs = [Fraction(0)] * n
-        for i, c in enumerate(self.coeffs):
-            cs[i] += c
-        for i, c in enumerate(o.coeffs):
-            cs[i] += c
-        return UnivariatePolynomial(self.var, cs)
+        (a, da), (b, db) = _numerators(self.coeffs), _numerators(o.coeffs)
+        den = math.lcm(da, db)
+        sa, sb = den // da, den // db
+        nums = [0] * max(len(a), len(b))
+        for i, c in enumerate(a):
+            nums[i] = c * sa
+        for i, c in enumerate(b):
+            nums[i] += c * sb
+        return _from_numerators(self.var, nums, den)
 
     __radd__ = __add__
 
@@ -428,19 +452,19 @@ class UnivariatePolynomial:
         return (-self) + other
 
     def __mul__(self, other):
+        a, da = _numerators(self.coeffs)
         if isinstance(other, (int, Fraction)):
             k = as_fraction(other)
-            return UnivariatePolynomial(self.var, [c * k for c in self.coeffs])
-        o = self._coerce(other)
-        if self.is_zero or o.is_zero:
+            return _from_numerators(self.var, [c * k.numerator for c in a], da * k.denominator)
+        b, db = _numerators(self._coerce(other).coeffs)
+        if not (a and b):
             return UnivariatePolynomial.zero(self.var)
-        cs = [Fraction(0)] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(o.coeffs):
-                cs[i + j] += a * b
-        return UnivariatePolynomial(self.var, cs)
+        nums = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    nums[j] += x * y
+        return _from_numerators(self.var, nums, da * db)
 
     __rmul__ = __mul__
 
@@ -482,10 +506,14 @@ class UnivariatePolynomial:
 
     def evaluate(self, x) -> Fraction:
         x = as_fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        # Horner on p/q: sum of nums[i] * p^i * q^(deg - i), over den * q^deg.
+        nums, den = _numerators(self.coeffs)
+        p, q = x.numerator, x.denominator
+        acc, scale = 0, 1
+        for c in reversed(nums):
+            acc = acc * p + c * scale
+            scale *= q
+        return Fraction(acc, den * scale // q) if nums else Fraction(0)
 
     def evaluate_float(self, x: float) -> float:
         acc = 0.0
@@ -498,9 +526,10 @@ class UnivariatePolynomial:
 
     def antiderivative(self) -> "UnivariatePolynomial":
         """Formal antiderivative with zero constant term."""
-        return UnivariatePolynomial(
-            self.var, [Fraction(0)] + [c / (i + 1) for i, c in enumerate(self.coeffs)]
-        )
+        out = object.__new__(UnivariatePolynomial)
+        out.var = self.var
+        out.coeffs = [Fraction(0)] + [Fraction(c.numerator, c.denominator * i) for i, c in enumerate(self.coeffs, 1)] if self.coeffs else []
+        return out
 
     def monic(self) -> "UnivariatePolynomial":
         if self.is_zero:
@@ -546,14 +575,36 @@ def univariate_from_polynomial(p: Polynomial, var: str) -> UnivariatePolynomial:
     return UnivariatePolynomial(var, coeffs)
 
 
+def _primitive(nums: list[int]) -> list[int]:
+    """nums divided by the gcd of its entries."""
+    g = math.gcd(*nums)
+    return [c // g for c in nums] if g > 1 else nums
+
+
 def gcd_univariate(p: UnivariatePolynomial, q: UnivariatePolynomial) -> UnivariatePolynomial:
-    """Monic greatest common divisor via the Euclidean algorithm."""
+    """Monic greatest common divisor by the primitive remainder sequence
+    over the integers (Collins 1967; Brown and Traub 1971).
+
+    p and q become primitive integer lists. Each step takes a
+    pseudo-remainder of a by b, lc(b)^k * a mod b for some k >= 0, which
+    needs no division, and divides out its content. Each element is a
+    nonzero rational multiple of the Euclidean remainder over the
+    rationals, so the last nonzero one, made monic, is the same gcd.
+    """
     if p.var != q.var:
         raise ValueError("gcd requires a common variable")
-    a, b = p, q
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+    a, b = _primitive(_numerators(p.coeffs)[0]), _primitive(_numerators(q.coeffs)[0])
+    while b:
+        r, lc, low = a, b[-1], b[:-1]
+        while len(r) >= len(b):
+            # r := lc*r - r[-1] * t^shift * b, whose top coefficient vanishes.
+            top, r = r[-1], [lc * c for c in r[:-1]]
+            for i, c in enumerate(low, len(r) - len(low)):
+                r[i] -= top * c
+            while r and not r[-1]:
+                r.pop()
+        a, b = b, _primitive(r)
+    return _from_numerators(p.var, a, a[-1]) if a else UnivariatePolynomial.zero(p.var)
 
 
 def sturm_chain(p: UnivariatePolynomial) -> list[list[int]]:

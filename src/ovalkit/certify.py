@@ -298,7 +298,7 @@ def verify_certificate(
     through a point with |x| <= 1e-9 is masked out before it is measured,
     a general line that misses the region after; 100 draws per requested
     line end in a ValueError. oracle_samples is the oracle's fine vertex
-    count on a curve (see quadrature._Extrapolated); the report's
+    count on a curve (see quadrature._ClippedAreas); the report's
     oracle_error is the largest error estimate of the kept lines' areas.
     """
     if not 0 < tol < math.inf:

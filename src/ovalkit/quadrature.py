@@ -1,9 +1,10 @@
 """Exact segment and oval areas via boundary integration, the air-damper
 free-section computation, and an independent numeric oracle: sampled
 boundary polygons whose half-plane areas come from prefix sums of their
-edge cross products, Richardson-extrapolated from two resolutions. Each
-line evaluates only the blocks of vertices whose bounding boxes it may
-cross.
+edge cross products, Richardson-extrapolated from two resolutions. One
+block structure over the fine polygon serves both resolutions: each line
+evaluates only the blocks of vertices whose bounding boxes it may cross,
+once, and reads the coarse polygon's crossings off every other vertex.
 
 Every exact area reads one swept integral of f*g' dt (`_swept`): the
 total, chords through the center, vertical lines and the free section.
@@ -30,7 +31,7 @@ from .algebra import (
     sturm_chain,
 )
 from .curves import CenteredParametrization, ParametricCurve, Point
-from .errors import DegenerateCurveError, ExactIntegrationError
+from .errors import DegenerateCurveError, DeskScopeError, ExactIntegrationError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -271,106 +272,148 @@ Boundary = Union[ParametricCurve, Sequence[tuple[float, float]], "np.ndarray"]
 
 
 class _ClippedAreas:
-    """Areas of one closed polygon clipped by half-planes a*x + b*y + c <= 0.
+    """Areas of a closed polygon clipped by half-planes a*x + b*y + c <= 0,
+    at one resolution for a polygon and at two for a sampled curve: the
+    fine polygon through all n vertices, n odd, and the coarse one through
+    the even-indexed vertices, both endpoints among them.
 
     The shoelace sum of a clipped polygon is a sum of edge cross products
     x_i*y_(i+1) - x_(i+1)*y_i (Green's theorem): the edges of each run of
     kept vertices, whose sum is a difference of prefix sums taken once per
-    polygon, plus the cross products at the crossing points. So no clipped
-    polygon is built, and a line only has to find its few crossing edges.
+    resolution, plus the cross products at the crossing points. So no
+    clipped polygon is built, and a line only has to find its few crossing
+    edges.
 
-    It finds them from bounding boxes. The n edges fall into blocks of
-    B = isqrt(n) edges: block k holds edges kB .. min((k+1)B, n) - 1, so
-    its box covers vertices kB .. min((k+1)B, n), vertex n being vertex 0.
-    For a line, the box corners chosen by the signs of a and b give a lower
-    and an upper bound of d = a*x + b*y + c over the block, computed with
-    the vertices' own operations. A block is settled when both bounds lie
-    beyond zero by the margin 6u*(|a|*max|x| + |b|*max|y| + |c|),
-    u = 2**-53: the bound and each vertex's d are each within about
-    3u*(...) of their exact values (Higham, Accuracy and Stability of
-    Numerical Algorithms, sec. 3.1), so every vertex of a settled block
-    lies on one side in computed d too, and none of its edges crosses the
-    line. (Rounding is also monotone, so the corner bounds hold for the
-    computed d even without the margin.) Only the unsettled blocks are
-    evaluated: a line costs O(n/B + B*k) for k unsettled blocks instead of
-    O(n).
+    It finds them from bounding boxes. The n fine edges fall into blocks of
+    B edges, B = isqrt(n) rounded up to an even number: block k holds edges
+    kB .. min((k+1)B, n) - 1, so its box covers vertices kB .. min((k+1)B,
+    n), vertex n being vertex 0. B is even, so every coarse edge (2i, 2i+2)
+    lies in one block too, the closing one (n-1, n+1) in the last, whose
+    padding repeats vertex 0. For a line, the box corners chosen by the
+    signs of a and b give a lower and an upper bound of d = a*x + b*y + c
+    over the block, computed with the vertices' own operations. A block is
+    settled when both bounds lie beyond zero by the margin
+    6u*(|a|*max|x| + |b|*max|y| + |c|), u = 2**-53: the bound and each
+    vertex's d are each within about 3u*(...) of their exact values
+    (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1), so
+    every vertex of a settled block lies on one side in computed d too, and
+    no fine or coarse edge of it crosses the line. (Rounding is also
+    monotone, so the corner bounds hold for the computed d even without the
+    margin.) Only the unsettled blocks are evaluated: a line costs
+    O(n/B + B*k) for k unsettled blocks instead of O(n).
 
     `areas` evaluates a batch of lines with a fixed number of numpy calls
     per chunk, not per line. The bounds of every (line, block) pair are
     one broadcast. Each unsettled pair copies its block's B + 1 vertices
-    as a row, from a strided view of the vertex buffer, whose padding past
-    vertex n - 1 repeats vertex 0; the crossing edges of all rows are then
-    found together. A chunk holds at most _CHUNK // blocks lines, whose
-    unsettled rows are gathered _CHUNK // (B + 1) at a time, so no
-    temporary holds more than _CHUNK elements, whatever the batch or the
-    polygon (the crossings of a chunk, a few per line, hold fewer). For
-    the default oracle's 4,001 fine vertices a batch of up to 512 lines is
-    one chunk, for its 2,001 coarse ones up to 712, and for 100,000
-    vertices up to 103.
+    as a row, from a strided view of the vertex buffer, and computes d on
+    it once; the fine crossing edges of all rows are found from d, the
+    coarse ones from every other column of d, and the coarse lines ride
+    along as lines L .. 2L - 1 of a batch of L through the crossing points,
+    corners and prefix differences. A chunk holds at most _CHUNK // blocks
+    lines, whose unsettled rows are gathered _CHUNK // (B + 1) at a time,
+    so no temporary holds more than _CHUNK elements, whatever the batch or
+    the polygon (the crossings of a chunk, a few per line, hold fewer). For
+    the default oracle's 4,001 vertices a batch of up to 520 lines is one
+    chunk, and for 100,001 vertices up to 103.
 
     Vertex sides and crossing points are computed with the operations of
     the Sutherland-Hodgman clip the tests keep as reference:
     d = a*x + b*y + c, inside where d <= 0, crossing start + s*(end - start)
     with s = d_i/(d_i - d_j). The crossing edges, and so each line's sum
-    and its order, are those of a pass over every vertex for that line
-    alone, which the tests also keep.
+    and its order, are those of a pass over every vertex of each polygon
+    for that line alone, which the tests also keep.
     """
 
-    def __init__(self, x_buffer: np.ndarray, y_buffer: np.ndarray, n: int, scratch: np.ndarray):
+    def __init__(self, x_buffer: np.ndarray, y_buffer: np.ndarray, n: int, scratch: np.ndarray, steps: tuple[int, ...]):
         """x_buffer and y_buffer are _vertex_buffer(n)s holding the n
-        vertices; the build pads them and overwrites scratch, a dead
-        buffer of at least n floats."""
+        vertices; each resolution is the polygon through every step-th of
+        them, steps (1,) for a polygon and (1, 2) for a curve, n odd. The
+        build pads the buffers and overwrites scratch, a dead buffer of at
+        least n floats."""
         import numpy as np
 
         x, y = self.x, self.y = x_buffer[:n], y_buffer[:n]
-        # prefix[k] = sum of the cross products of edges 0 .. k-1; edge n-1
-        # closes the polygon.
-        prefix = self._prefix = np.empty(n + 1)
-        prefix[0] = 0.0
         if n:
-            cross = prefix[1:n]
-            np.multiply(x[:-1], y[1:], out=cross)
-            np.subtract(cross, np.multiply(x[1:], y[:-1], out=scratch[: n - 1]), out=cross)
-            prefix[n] = x[-1] * y[0] - x[0] * y[-1]
-            np.add.accumulate(prefix[1:], out=prefix[1:])
             # The last block's row runs past vertex n - 1 into vertex 0,
-            # repeated: it closes the polygon and adds no crossing.
+            # repeated: it closes both polygons and adds no crossing.
             x_buffer[n:], y_buffer[n:] = x[0], y[0]
-        self.signed_total = 0.5 * float(prefix[-1])
-        B = self._block = max(1, math.isqrt(n))
+        self._x_buffer, self._y_buffer = x_buffer, y_buffer
+        # Each resolution's prefix sums, one after the other in one array:
+        # prefix[k] = sum of the cross products of its edges 0 .. k-1, its
+        # last edge closing it.
+        self._steps = steps
+        counts = [len(x[::step]) for step in steps]
+        self._offsets = [sum(counts[:r]) + r for r in range(len(steps))]
+        self._prefix = np.empty(sum(counts) + len(steps))
+        self._polygons = []
+        for step, m, offset in zip(steps, counts, self._offsets):
+            xr, yr, prefix = x[::step], y[::step], self._prefix[offset : offset + m + 1]
+            prefix[0] = 0.0
+            if m:
+                cross = prefix[1:m]
+                np.multiply(xr[:-1], yr[1:], out=cross)
+                np.subtract(cross, np.multiply(xr[1:], yr[:-1], out=scratch[: m - 1]), out=cross)
+                prefix[m] = xr[-1] * yr[0] - xr[0] * yr[-1]
+                np.add.accumulate(prefix[1:], out=prefix[1:])
+            self._polygons.append((xr, yr, prefix))
+        self._twice_totals = np.array([prefix[-1] for _, _, prefix in self._polygons])
+        self.signed_total = self._extrapolate(0.5 * self._twice_totals)[0].item()
+        B = self._block = _block_size(n)
         # Row k: block k's vertices kB .. kB + B, a view into the buffer.
-        shape, steps = (-(-n // B), B + 1), (B * x_buffer.itemsize, x_buffer.itemsize)
-        self._x_rows = np.ndarray(shape, buffer=x_buffer, strides=steps)
-        self._y_rows = np.ndarray(shape, buffer=y_buffer, strides=steps)
+        shape, strides = (-(-n // B), B + 1), (B * x_buffer.itemsize, x_buffer.itemsize)
+        self._x_rows = np.ndarray(shape, buffer=x_buffer, strides=strides)
+        self._y_rows = np.ndarray(shape, buffer=y_buffer, strides=strides)
         self._xmin, self._xmax = self._x_rows.min(axis=1), self._x_rows.max(axis=1)
         self._ymin, self._ymax = self._y_rows.min(axis=1), self._y_rows.max(axis=1)
         self._x_abs = float(max(-self._xmin.min(initial=0.0), self._xmax.max(initial=0.0)))
         self._y_abs = float(max(-self._ymin.min(initial=0.0), self._ymax.max(initial=0.0)))
 
-    def area(self, a: float, b: float, c: float) -> float:
-        """Area of the polygon's part with a*x + b*y + c <= 0."""
-        return self.areas([(a, b, c)]).item()
-
-    def measure(self, lines) -> tuple[np.ndarray, np.ndarray]:
-        """`areas` of lines and their error estimates: all zero, since a
-        polygon given by its vertices is measured as it is."""
+    @staticmethod
+    def _extrapolate(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Areas and error estimates from the rows of values, one per
+        resolution. A polygon is measured as it is, with zero error. A
+        polygon inscribed in a smooth arc errs by about C/n^2, so the
+        coarse polygon errs by about four times the fine one's, and
+        (4*fine - coarse)/3 cancels that term (Richardson, Phil. Trans. R.
+        Soc. A 210, 1911). What remains was measured at about C'/n^3 for
+        lines that cross the boundary between samples (the crossing term
+        has no smooth expansion in n) and C''/n^4 for totals.
+        |fine - coarse|/3, the fine polygon's own error estimate, is the
+        conservative figure reported per line."""
         import numpy as np
 
-        out = self.areas(lines)
-        return out, np.zeros_like(out)
+        if len(values) == 1:
+            return values[0], np.zeros_like(values[0])
+        fine, coarse = values
+        return (4.0 * fine - coarse) / 3.0, np.abs(fine - coarse) / 3.0
+
+    def area(self, a: float, b: float, c: float) -> float:
+        """Area of the boundary's part with a*x + b*y + c <= 0."""
+        return self.measure([(a, b, c)])[0].item()
+
+    def measure(self, lines) -> tuple[np.ndarray, np.ndarray]:
+        """Area of the boundary's part with a*x + b*y + c <= 0 for each row
+        (a, b, c) of lines, an (L, 3) array, and per line its error
+        estimate: extrapolated from both resolutions of a curve, or a
+        polygon's own areas and zeros."""
+        return self._extrapolate(self.areas(lines))
 
     def areas(self, lines) -> np.ndarray:
-        """Area of the polygon's part with a*x + b*y + c <= 0 for each row
-        (a, b, c) of lines, an (L, 3) array."""
+        """Area of each resolution's polygon with a*x + b*y + c <= 0 for
+        each row (a, b, c) of lines, an (L, 3) array: one row of L areas
+        per resolution, the fine one first."""
         import numpy as np
 
         lines = np.asarray(lines, dtype=float).reshape(-1, 3)
-        out = np.zeros(len(lines))
+        out = np.zeros((len(self._polygons), len(lines)))
         if len(self.x) < 3:
             return out
         per_chunk = max(1, _CHUNK // len(self._x_rows))
         for first in range(0, len(lines), per_chunk):
-            out[first : first + per_chunk] = self._chunk_areas(lines[first : first + per_chunk])
+            out[:, first : first + per_chunk] = self._chunk_areas(lines[first : first + per_chunk])
+        # A curve sampled at 3 parameters has a coarse polygon of 2
+        # vertices, which encloses nothing.
+        out[[len(xr) < 3 for xr, _, _ in self._polygons]] = 0.0
         return out
 
     def _unsettled(self, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -393,13 +436,14 @@ class _ClippedAreas:
         """`areas` of a chunk of lines whose bounds fit in one temporary."""
         import numpy as np
 
-        x, y, n, B = self.x, self.y, len(self.x), self._block
+        B, count, steps = self._block, len(lines), self._steps
         a, b, c = lines[:, 0, None], lines[:, 1, None], lines[:, 2, None]
         line, block = self._unsettled(a, b, c)
-        # (line, edge, d at its start, d at its end) of each crossing edge,
-        # by line and, within a line, by edge.
-        none = np.empty(0)
-        crossings = [(line[:0], block[:0], none, none)]
+        # Per resolution, (line, first vertex, the vertex after it in that
+        # polygon, its prefix index, d at both vertices) of each crossing
+        # edge, by line and, within a line, by edge. The coarse lines follow
+        # the fine ones as lines count .. 2*count - 1.
+        crossings: list[list[tuple[np.ndarray, ...]]] = [[] for _ in steps]
         rows = max(1, _CHUNK // (B + 1))
         for r in range(0, len(line), rows):
             rl, rb = line[r : r + rows], block[r : r + rows]
@@ -411,18 +455,30 @@ class _ClippedAreas:
             d += by
             d += c[rl]
             inside = d <= 0.0
-            p = np.flatnonzero(inside[:, :-1] != inside[:, 1:])
-            row, j = np.divmod(p, B)
             flat = d.ravel()
-            crossings.append((rl[row], rb[row] * B + j, flat[p + row], flat[p + row + 1]))
-        line, edge, d_start, d_end = (np.concatenate(v) for v in zip(*crossings))
-        # Where each crossing edge meets its line.
+            for level, step in enumerate(steps):
+                side = inside[:, ::step]
+                p = np.flatnonzero(side[:, :-1] != side[:, 1:])
+                row, j = np.divmod(p, B // step)
+                # Edge j of a row of B // step edges starts in column
+                # step*j of d, whose rows hold B + 1 columns: at flat index
+                # row*(B + 1) + step*j = step*p + row.
+                at = step * p + row
+                start = rb[row] * B + step * j
+                edge = start // step + self._offsets[level]
+                crossings[level].append((rl[row] + level * count, start, start + step, edge, flat[at], flat[at + step]))
+        none = (np.empty(0, dtype=np.intp),) * 4 + (np.empty(0),) * 2
+        found = [none] + [part for level in crossings for part in level]
+        line, start, end, edge, d_start, d_end = (np.concatenate(v) for v in zip(*found))
+        # Where each crossing edge meets its line. The vertex buffers'
+        # padding repeats vertex 0, so end needs no wrap.
+        xb, yb = self._x_buffer, self._y_buffer
         denom = d_start - d_end
         with np.errstate(divide="ignore", invalid="ignore"):
             s = np.where(denom != 0.0, d_start / denom, 0.0)
-        x0, y0 = x[edge], y[edge]
-        px = x0 + s * (x.take(edge + 1, mode="wrap") - x0)
-        py = y0 + s * (y.take(edge + 1, mode="wrap") - y0)
+        x0, y0 = xb[start], yb[start]
+        px = x0 + s * (xb[end] - x0)
+        py = y0 + s * (yb[end] - y0)
         # The clipped boundary runs vertex i, crossing i, crossing j, vertex
         # j + 1, ..., for each leaving edge i and the entering edge j after
         # it in its line's cyclic order; the edges in between lie outside.
@@ -430,25 +486,25 @@ class _ClippedAreas:
         enter = leave + 1
         wrap = enter == line.searchsorted(line[leave], "right")
         enter[wrap] = line.searchsorted(line[leave[wrap]])
-        i, j = edge[leave], edge[enter]
-        xi, yi, pix, piy = x[i], y[i], px[leave], py[leave]
-        pjx, pjy, xk, yk = px[enter], py[enter], x.take(j + 1, mode="wrap"), y.take(j + 1, mode="wrap")
+        i, after = start[leave], end[enter]
+        xi, yi, pix, piy = xb[i], yb[i], px[leave], py[leave]
+        pjx, pjy, xk, yk = px[enter], py[enter], xb[after], yb[after]
         prefix = self._prefix
-        runs = prefix[i] - prefix[j + 1]
+        runs = prefix[edge[leave]] - prefix[edge[enter] + 1]
         corners = (xi * piy - pix * yi) + (pix * pjy - pjx * piy) + (pjx * yk - xk * pjy)
         # The run of kept vertices through vertex 0 wraps around. Each
         # line's pairs are added in edge order, as a pass for that line
         # alone adds them: the k-th pairs of all lines at step k.
-        inside0 = x.item(0) * a[:, 0] + y.item(0) * b[:, 0] + c[:, 0] <= 0.0
-        twice = np.where(inside0, prefix.item(n), 0.0)
+        inside0 = self.x.item(0) * a[:, 0] + self.y.item(0) * b[:, 0] + c[:, 0] <= 0.0
+        twice = np.where(inside0, self._twice_totals[:, None], 0.0).ravel()
         owner = line[leave]
         rank = np.arange(len(owner)) - owner.searchsorted(owner)
         for k in range(rank.max(initial=-1) + 1):
-            step = rank == k
-            at = owner[step]
-            twice[at] += runs[step]
-            twice[at] += corners[step]
-        return np.abs(0.5 * twice)
+            turn = rank == k
+            at = owner[turn]
+            twice[at] += runs[turn]
+            twice[at] += corners[turn]
+        return np.abs(0.5 * twice).reshape(len(steps), count)
 
 
 # Elements per temporary of the batched area routine at most, 256 KiB of
@@ -460,12 +516,18 @@ class _ClippedAreas:
 _CHUNK = 2**15
 
 
+def _block_size(n: int) -> int:
+    """Edges per block of _ClippedAreas on n vertices: isqrt(n) rounded up
+    to an even number, so that a block holds whole coarse edges."""
+    return max(2, math.isqrt(n) + math.isqrt(n) % 2)
+
+
 def _vertex_buffer(n: int) -> np.ndarray:
     """An empty buffer for n vertex coordinates and the padding that
     completes the last block's row in _ClippedAreas."""
     import numpy as np
 
-    B = max(1, math.isqrt(n))
+    B = _block_size(n)
     return np.empty(max(-(-n // B), 1) * B + 1)
 
 
@@ -474,14 +536,19 @@ def _evaluate(rf: RationalFunction, t: np.ndarray, out: np.ndarray) -> np.ndarra
     rf.evaluate_float: np.polyval's y = y*t + c in place on the numerator
     and the denominator, then their quotient. evaluate_float starts from
     y = 0, which its first step turns into the leading coefficient for
-    finite t, so here y starts from that coefficient."""
+    finite t, so here y starts from that coefficient. A coefficient
+    beyond the float range raises DeskScopeError."""
     import numpy as np
 
     def horner(coeffs: Sequence[Fraction], out: np.ndarray) -> np.ndarray:
-        out.fill(float(coeffs[-1]) if coeffs else 0.0)
-        for c in reversed(coeffs[:-1]):
+        try:
+            values = [float(c) for c in coeffs]
+        except OverflowError:
+            raise DeskScopeError("the curve is beyond the float range of the numeric oracle") from None
+        out.fill(values[-1] if values else 0.0)
+        for c in reversed(values[:-1]):
             np.multiply(out, t, out=out)
-            np.add(out, float(c), out=out)
+            np.add(out, c, out=out)
         return out
 
     horner(rf.num.coeffs, out)
@@ -502,61 +569,21 @@ def _sample_components(curve: ParametricCurve, samples: int) -> tuple[np.ndarray
     return x, y, t
 
 
-class _Extrapolated:
-    """Areas of a curve sampled at n parameters, n odd, by Richardson
-    extrapolation (Phil. Trans. R. Soc. A 210, 1911) from two polygons:
-    the fine one through all n vertices and the coarse one through the
-    even-indexed vertices, both endpoints among them.
-
-    A polygon inscribed in a smooth arc errs by about C/n^2, so the coarse
-    polygon errs by about four times the fine one's, and every area and
-    total here is (4*fine - coarse)/3, which cancels that term. What
-    remains was measured at about C'/n^3 for lines that cross the boundary
-    between samples (the crossing term has no smooth expansion in n) and
-    C''/n^4 for totals. |fine - coarse|/3, the fine polygon's own error
-    estimate, is the conservative figure `measure` reports per line.
-
-    x and y are the fine polygon's vertices.
-    """
-
-    def __init__(self, fine: _ClippedAreas, coarse: _ClippedAreas):
-        self.fine, self.coarse = fine, coarse
-        self.x, self.y = fine.x, fine.y
-        self.signed_total = (4.0 * fine.signed_total - coarse.signed_total) / 3.0
-
-    def area(self, a: float, b: float, c: float) -> float:
-        """Area of the curve's part with a*x + b*y + c <= 0."""
-        return self.measure([(a, b, c)])[0].item()
-
-    def measure(self, lines) -> tuple[np.ndarray, np.ndarray]:
-        """Area of the curve's part with a*x + b*y + c <= 0 for each row
-        (a, b, c) of lines, an (L, 3) array, and per line the fine
-        polygon's error estimate |fine - coarse|/3."""
-        import numpy as np
-
-        fine, coarse = self.fine.areas(lines), self.coarse.areas(lines)
-        return (4.0 * fine - coarse) / 3.0, np.abs(fine - coarse) / 3.0
-
-
-def _clipped_areas(boundary: Boundary, samples: int) -> _ClippedAreas | _Extrapolated:
-    """The extrapolated areas of a curve sampled at `samples` parameters,
-    samples + 1 if it is even, or the areas of a polygon given as (x, y)
+def _clipped_areas(boundary: Boundary, samples: int) -> _ClippedAreas:
+    """The areas of a curve sampled at `samples` parameters, samples + 1 if
+    it is even, at both resolutions, or of a polygon given as (x, y)
     vertices."""
     import numpy as np
 
     if isinstance(boundary, ParametricCurve):
         n = samples | 1
         x, y, t = _sample_components(boundary, n)
-        fine = _ClippedAreas(x, y, n, t)
-        m = n // 2 + 1
-        x_coarse, y_coarse = _vertex_buffer(m), _vertex_buffer(m)
-        x_coarse[:m], y_coarse[:m] = x[:n:2], y[:n:2]
-        return _Extrapolated(fine, _ClippedAreas(x_coarse, y_coarse, m, t))
+        return _ClippedAreas(x, y, n, t, (1, 2))
     points = np.asarray(boundary, dtype=float).reshape(-1, 2)
     n = len(points)
     x, y = _vertex_buffer(n), _vertex_buffer(n)
     x[:n], y[:n] = points[:, 0], points[:, 1]
-    return _ClippedAreas(x, y, n, np.empty(n))
+    return _ClippedAreas(x, y, n, np.empty(n), (1,))
 
 
 def numeric_segment_area(
@@ -572,10 +599,12 @@ def numeric_segment_area(
     line may cross are evaluated. A curve is sampled at `samples`
     parameters (samples + 1 if even) by in-place Horner steps, the same
     arithmetic as np.polyval, and its area is Richardson-extrapolated from
-    the polygons through all samples and through every other one; a
-    polygon's area is taken as it is. The line goes through the batched
-    area routine as a batch of one, and verify_certificate sends all its
-    sampled lines through it in one call.
+    the polygons through all samples and through every other one, both
+    measured in one pass over one block structure; a polygon's area is
+    taken as it is. The line goes through the batched area routine as a
+    batch of one, and verify_certificate sends all its sampled lines
+    through it in one call. A curve whose coefficients a float cannot
+    hold raises DeskScopeError.
 
     Independent of every exact code path. Measured against exact areas
     with crossings between samples, from 1,001 to 32,001 samples: the

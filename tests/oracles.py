@@ -17,7 +17,6 @@ from ovalkit.curves import ParametricCurve, Point
 from ovalkit.quadrature import (
     ORACLE_SAMPLES,
     _clipped_areas,
-    _ClippedAreas,
     chord_area_function,
     free_inlet_function,
     slope_function,
@@ -91,6 +90,58 @@ def det_bareiss(rows) -> Polynomial:
         prev = m[k][k]
     result = m[n - 1][n - 1]
     return result if sign > 0 else -result
+
+
+# -- Fraction references for UnivariatePolynomial's integer kernels -----
+# Each works on ascending Fraction lists term by term, with none of the
+# common-denominator arithmetic the package uses.
+
+
+def _trimmed(cs: list[Fraction]) -> list[Fraction]:
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def fraction_add(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
+    cs = [Fraction(0)] * max(len(p), len(q))
+    for i, c in enumerate(p):
+        cs[i] += c
+    for i, c in enumerate(q):
+        cs[i] += c
+    return _trimmed(cs)
+
+
+def fraction_mul(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
+    if not (p and q):
+        return []
+    cs = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            cs[i + j] += a * b
+    return _trimmed(cs)
+
+
+def fraction_evaluate(p: list[Fraction], x: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def fraction_antiderivative(p: list[Fraction]) -> list[Fraction]:
+    return _trimmed([Fraction(0)] + [c / (i + 1) for i, c in enumerate(p)])
+
+
+def euclid_gcd(p: UnivariatePolynomial, q: UnivariatePolynomial) -> UnivariatePolynomial:
+    """Monic gcd by the Euclidean algorithm over Fraction: remainders by
+    long division, then the last nonzero one divided by its leading
+    coefficient."""
+    a, b = p, q
+    while not b.is_zero:
+        a, b = b, a % b
+    lc = a.leading_coefficient()
+    return UnivariatePolynomial(a.var, [c / lc for c in a.coeffs]) if a.coeffs else a
 
 
 def in_var(p, var: str) -> Polynomial:
@@ -199,7 +250,8 @@ def full_pass_area(x: np.ndarray, y: np.ndarray, prefix: np.ndarray, a: float, b
     0 .. k-1, edge n-1 closing the polygon.
 
     The arithmetic is that of quadrature._ClippedAreas, which finds the
-    same edges from block bounding boxes, so every area must be equal.
+    same edges from block bounding boxes, at each of its resolutions, so
+    every area must be equal.
     """
     n = len(x)
     if n < 3:
@@ -232,11 +284,13 @@ def full_pass_area(x: np.ndarray, y: np.ndarray, prefix: np.ndarray, a: float, b
 
 def full_pass(areas, line) -> tuple[float, float]:
     """The area verify_certificate reports for line and its error estimate,
-    from the full-pass reference: (4*fine - coarse)/3 and |fine - coarse|/3
-    of a curve's two resolutions, or a polygon's area and 0.0."""
-    if isinstance(areas, _ClippedAreas):
-        return full_pass_area(areas.x, areas.y, areas._prefix, *line), 0.0
-    fine, coarse = (full_pass_area(r.x, r.y, r._prefix, *line) for r in (areas.fine, areas.coarse))
+    from the full-pass reference on each resolution's own vertices and
+    prefix sums: (4*fine - coarse)/3 and |fine - coarse|/3 of a curve's two
+    resolutions, or a polygon's area and 0.0."""
+    values = [full_pass_area(x, y, prefix, *line) for x, y, prefix in areas._polygons]
+    if len(values) == 1:
+        return values[0], 0.0
+    fine, coarse = values
     return (4.0 * fine - coarse) / 3.0, abs(fine - coarse) / 3.0
 
 

@@ -20,6 +20,8 @@ from ovalkit.algebra import isolate_roots, squarefree_part, sturm_chain
 from ovalkit.errors import EvaluationError
 from ovalkit.parsing import parse_rational_function
 
+from oracles import euclid_gcd, fraction_add, fraction_antiderivative, fraction_evaluate, fraction_mul
+
 
 def rand_poly(rng, variables=("x", "y"), max_deg=3, max_terms=4):
     terms = {}
@@ -218,6 +220,58 @@ def test_gcd_matches_sympy():
         if not expected.is_zero:
             expected = expected.monic()
         assert gcd_univariate(p, q) == _from_sympy(expected)
+
+    check()
+
+
+def _mixed_coefficients(st):
+    """Zero, small and large integers, and fractions with unrelated
+    denominators, of either sign."""
+    return st.one_of(
+        st.just(Fraction(0)),
+        st.integers(-(10**30), 10**30).map(Fraction),
+        st.builds(Fraction, st.integers(-(10**12), 10**12), st.integers(1, 10**12)),
+        st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 4, 6, 7, 9, 12, 35, 2**40])),
+    )
+
+
+def test_integer_kernels_match_the_fraction_references():
+    # Sums, products, values and antiderivatives on integer numerators
+    # equal the term-by-term Fraction loops, empty and zero lists included.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coeffs = st.lists(_mixed_coefficients(st), max_size=7)
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(coeffs, coeffs, _mixed_coefficients(st))
+    def check(a, b, x):
+        p, q = UnivariatePolynomial("t", a), UnivariatePolynomial("t", b)
+        assert (p + q).coeffs == fraction_add(a, b)
+        assert (p - q).coeffs == fraction_add(a, [-c for c in b])
+        assert (p * q).coeffs == fraction_mul(a, b)
+        assert (p * x).coeffs == fraction_mul(a, [x]) and (p * 3).coeffs == fraction_mul(a, [Fraction(3)])
+        assert p.evaluate(x) == fraction_evaluate(a, x) and p.evaluate(0) == fraction_evaluate(a, Fraction(0))
+        assert p.antiderivative().coeffs == fraction_antiderivative(a)
+        for result in (p + q, p * q, p * x, p.antiderivative()):
+            assert all(type(c) is Fraction for c in result.coeffs)
+            assert not result.coeffs or result.coeffs[-1]
+
+    check()
+
+
+def test_integer_gcd_matches_the_euclidean_reference():
+    # The primitive remainder sequence returns the monic gcd of Euclid over
+    # Fraction, for shared factors, coprime pairs, zeros and constants.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    polys = st.lists(_mixed_coefficients(st), max_size=4).map(lambda cs: UnivariatePolynomial("t", cs))
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(polys, polys, polys)
+    def check(common, a, b):
+        for p, q in ((common * a, common * b), (a, b), (common, UnivariatePolynomial.zero("t"))):
+            assert gcd_univariate(p, q) == euclid_gcd(p, q)
+            assert gcd_univariate(q, p) == euclid_gcd(q, p)
 
     check()
 

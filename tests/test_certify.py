@@ -373,18 +373,21 @@ def test_vertical_provenance_inputs_are_the_rendered_system(cubic_centered, quar
         assert cert.provenance.inputs == (render_polynomial(e1), render_polynomial(D), render_polynomial(e_c))
 
 
-def test_vertical_certificate_degree_bound_in_c(
-    cubic_vertical_build, cubic_centered, quartic_vertical_cert, quartic_centered
-):
-    # Three nodes beyond the N + 1 that vertical_eliminant takes give the
-    # same Q: the interpolated coefficients of c^k past N are all zero.
+def test_vertical_certificate_degree_bound_in_c(cubic_centered, quartic_centered):
+    # A Kronecker node 16 bits wider than vertical_eliminant takes, read
+    # to three digits past the degree bound N, gives the same Q: no digit
+    # at the usual width wraps into the next, the N + 1 digits the bound
+    # admits are all read, and every digit past them is zero. Both Qs are
+    # taken here, so a refused digit fails the test itself.
     import ovalkit.elimination as elimination
 
-    nodes = elimination._sample_values
+    cps = (cubic_centered, quartic_centered)
+    usual = [vertical_certificate(cp).q for cp in cps]
+    width, digits = elimination._kronecker_width, elimination._digits
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(elimination, "_sample_values", lambda count: nodes(count + 3))
-        assert vertical_certificate(cubic_centered).q == cubic_vertical_build[0].q
-        assert vertical_certificate(quartic_centered).q == quartic_vertical_cert.q
+        mp.setattr(elimination, "_kronecker_width", lambda *args: width(*args) + 16)
+        mp.setattr(elimination, "_digits", lambda v, k, count: digits(v, k, count + 3))
+        assert [vertical_certificate(cp).q for cp in cps] == usual
 
 
 def test_vertical_certificate_records_charpoly_content(cubic_centered):

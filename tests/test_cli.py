@@ -464,6 +464,18 @@ def test_verify_fails_a_certificate_whose_power_overflows(capsys):
     assert out.splitlines()[-1].endswith("-> FAIL")
 
 
+def test_verify_refuses_a_curve_beyond_the_float_range_in_one_line(capsys, tmp_path):
+    # The exact certificate is printed; the numeric oracle cannot sample a
+    # coefficient of 10^400, and says so instead of an OverflowError text.
+    param = "x=10^400*t*(1-t)^2; y=t^2*(1-t); t in [0,1]"
+    code, cert, _ = run(capsys, ["certify", "--param", param, "--family", "pencil"])
+    assert code == 0 and cert.splitlines()[-1] == "roles: S=area m=slope"
+    (tmp_path / "cert.txt").write_text(cert)
+    code, out, err = run(capsys, ["verify", "--cert-file", str(tmp_path / "cert.txt"), "--param", param])
+    assert code == 1 and out == ""
+    assert err == "error: the curve is beyond the float range of the numeric oracle\n"
+
+
 def test_implicitize_refuses_a_parameter_named_x_or_y_in_one_line(capsys):
     for param, name in (("x=x^2; y=x^3-x; x in [-1,1]", "x"), ("x=y^2; y=y^3-y; y in [-1,1]", "y")):
         code, out, err = run(capsys, ["implicitize", "--param", param])

@@ -36,6 +36,7 @@ from conftest import square_boundary
 from oracles import (
     clip_polygon_halfplane,
     fsum_shoelace,
+    full_pass,
     full_pass_area,
     sample_boundary,
     seeded_loops,
@@ -577,13 +578,15 @@ def _assert_areas_match(polygon, lines):
     assert abs(abs(areas.signed_total) - total) <= 1e-12 * total
     for line in lines:
         area = areas.area(*line)
-        assert area == full_pass_area(areas.x, areas.y, areas._prefix, *line), line
+        assert area == full_pass(areas, line)[0], line
         assert abs(area - _reference_area(polygon, line)) <= 1e-12 * total, line
 
 
 def _assert_full_pass_areas(areas, lines):
+    """Each line alone: its area at every resolution equal to the full
+    pass over that resolution's polygon."""
     for line in lines:
-        assert areas.area(*line) == full_pass_area(areas.x, areas.y, areas._prefix, *line), line
+        assert areas.areas([line])[:, 0].tolist() == [row[0] for row in _full_pass_areas(areas, [line])], line
 
 
 def _both_signs(a, b, c):
@@ -596,14 +599,13 @@ def _chord(x, y, u, v):
     return a, b, -(a * x.item(v) + b * y.item(v))
 
 
-def _block_lines(x, y):
+def _block_lines(areas):
     """For each block of the area routine: vertical and horizontal lines
     through its extreme vertices in x and in y, both signs, so d == 0 at a
     vertex that sets a bound of its box. Then chords from vertex 0 and
     from vertex n - 1 (both the origin on a centered curve) to vertices
     around the polygon, both signs."""
-    n = len(x)
-    size = max(1, math.isqrt(n))
+    x, y, n, size = areas.x, areas.y, len(areas.x), areas._block
     lines = []
     for start in range(0, n, size):
         block = np.arange(start, min(start + size, n) + 1) % n
@@ -618,8 +620,10 @@ def _block_lines(x, y):
 
 
 def _resolutions(areas):
-    """The fine and the coarse area routine of a sampled curve."""
-    return areas.fine, areas.coarse
+    """The vertices and prefix sums of each resolution of the area
+    routine: the fine and the coarse polygon of a sampled curve, or the
+    one polygon given."""
+    return areas._polygons
 
 
 @pytest.mark.parametrize("samples", [1_000, 100_000])
@@ -629,12 +633,17 @@ def test_prefix_areas_match_reference_clip(samples, cubic_curve, quartic_curve, 
         # every other vertex of the fine one, both endpoints among them.
         fine_polygon = sample_boundary(curve, samples + 1)
         areas = quadrature._clipped_areas(curve, samples)
-        for resolution, polygon in zip(_resolutions(areas), (fine_polygon, fine_polygon[::2])):
-            # The routine samples the same vertices, with no (n, 2) stack.
-            x, y = resolution.x, resolution.y
+        # The routine samples the same vertices, with no (n, 2) stack; the
+        # coarse polygon is a view of every other fine vertex.
+        assert areas.x.flags.c_contiguous and areas.y.flags.c_contiguous
+        for level, ((x, y, _), polygon) in enumerate(zip(_resolutions(areas), (fine_polygon, fine_polygon[::2]))):
             assert np.array_equal(x, polygon[:, 0]) and np.array_equal(y, polygon[:, 1])
-            assert x.flags.c_contiguous and y.flags.c_contiguous
-            _assert_areas_match(polygon, _oracle_lines(polygon, seed, 100))
+            assert np.shares_memory(x, areas.x) and np.shares_memory(y, areas.y)
+            lines = _oracle_lines(polygon, seed, 100)
+            _assert_areas_match(polygon, lines)
+            # The merged routine's areas at this resolution are the polygon's.
+            plain = quadrature._clipped_areas(polygon, len(polygon))
+            assert areas.areas(lines)[level].tolist() == plain.areas(lines)[0].tolist()
 
 
 @pytest.mark.parametrize("samples", [3, 4, 1009, 1024, 1025, 100_000])
@@ -645,16 +654,20 @@ def test_block_areas_equal_full_pass_through_block_extremes(samples, cubic_curve
     for seed, curve in enumerate((cubic_curve, quartic_curve, apple_curve)):
         polygon = sample_boundary(curve, samples)
         areas = quadrature._clipped_areas(polygon, samples)
-        _assert_full_pass_areas(areas, _block_lines(areas.x, areas.y) + _oracle_lines(polygon, seed, 20))
+        _assert_full_pass_areas(areas, _block_lines(areas) + _oracle_lines(polygon, seed, 20))
 
 
 def test_default_resolutions_equal_full_pass_through_block_extremes(cubic_curve, quartic_curve, apple_curve, folium_curve):
-    # The default oracle's fine polygon has 4,001 vertices in blocks of 63,
-    # its coarse one 2,001 in blocks of 44; the last block of each is short.
+    # The default oracle's 4,001 vertices fall in 63 blocks of 64 edges,
+    # the last one short; each block holds 32 edges of the coarse polygon
+    # through its 2,001 even-indexed vertices, the last one 17.
     for seed, curve in enumerate((cubic_curve, quartic_curve, apple_curve, folium_curve)):
-        for areas in _resolutions(quadrature._clipped_areas(curve, quadrature.ORACLE_SAMPLES)):
-            polygon = np.column_stack([areas.x, areas.y])
-            _assert_full_pass_areas(areas, _block_lines(areas.x, areas.y) + _oracle_lines(polygon, seed, 20))
+        areas = quadrature._clipped_areas(curve, quadrature.ORACLE_SAMPLES)
+        assert areas._block == 64 and len(areas._x_rows) == 63
+        lines = _block_lines(areas)
+        for x, y, _ in _resolutions(areas):
+            lines += _oracle_lines(np.column_stack([x, y]), seed, 20)
+        _assert_full_pass_areas(areas, lines)
 
 
 def test_prefix_areas_comb_all_rotations():
@@ -762,12 +775,13 @@ def test_sampling_equals_polyval_bitwise(samples, cubic_curve, quartic_curve, ap
         assert _bits(x[:samples]) == _bits(polygon[:, 0]) and _bits(y[:samples]) == _bits(polygon[:, 1])
         # The oracle's resolutions: samples | 1 vertices, and every other one.
         fine = sample_boundary(curve, samples | 1)
-        for areas, polygon in zip(_resolutions(quadrature._clipped_areas(curve, samples)), (fine, fine[::2])):
-            assert _bits(areas.x) == _bits(polygon[:, 0]) and _bits(areas.y) == _bits(polygon[:, 1])
+        for (x, y, _), polygon in zip(_resolutions(quadrature._clipped_areas(curve, samples)), (fine, fine[::2])):
+            assert _bits(x) == _bits(polygon[:, 0]) and _bits(y) == _bits(polygon[:, 1])
 
 
 def _full_pass_areas(areas, lines):
-    return [full_pass_area(areas.x, areas.y, areas._prefix, *line) for line in lines]
+    """The full-pass areas of lines, one list per resolution."""
+    return [[full_pass_area(x, y, prefix, *line) for line in lines] for x, y, prefix in _resolutions(areas)]
 
 
 def _batch_lines(x, y, seed, count):
@@ -785,9 +799,9 @@ def _batch_lines(x, y, seed, count):
 def test_batched_areas_equal_full_pass_on_mixed_batches(cubic_curve, quartic_curve, apple_curve):
     for seed, curve in enumerate((cubic_curve, quartic_curve, apple_curve)):
         for samples in (1000, 1009, 100_000):
-            for areas in _resolutions(quadrature._clipped_areas(curve, samples)):
-                lines = _batch_lines(areas.x, areas.y, seed, 40)
-                assert areas.areas(lines).tolist() == _full_pass_areas(areas, lines)
+            areas = quadrature._clipped_areas(curve, samples)
+            lines = [line for x, y, _ in _resolutions(areas) for line in _batch_lines(x, y, seed, 40)]
+            assert areas.areas(lines).tolist() == _full_pass_areas(areas, lines)
     # Lines that cross many blocks: the comb, in every rotation.
     for shift in range(len(COMB)):
         for comb in (np.roll(COMB, shift, axis=0), np.roll(COMB[::-1], shift, axis=0)):
@@ -811,12 +825,19 @@ def test_batched_areas_equal_full_pass_on_star_polygons():
 def test_batched_areas_of_empty_batches_and_small_polygons(cubic_curve):
     areas = quadrature._clipped_areas(cubic_curve, 1000)
     for empty in ([], np.zeros((0, 3))):
-        for result in (*areas.measure(empty), areas.fine.areas(empty)):
+        for result in areas.measure(empty):
             assert result.shape == (0,) and result.dtype == np.float64
+        assert areas.areas(empty).shape == (2, 0) and areas.areas(empty).dtype == np.float64
     for polygon in (np.zeros((0, 2)), [(1.0, 2.0)], [(0.0, 0.0), (1.0, 1.0)]):
         small = quadrature._clipped_areas(polygon, 1000)
-        assert small.areas([(1.0, 0.0, -0.5), (0.0, 0.0, -1.0), (0.0, 0.0, 1.0)]).tolist() == [0.0] * 3
-        assert small.areas([]).shape == (0,)
+        assert small.areas([(1.0, 0.0, -0.5), (0.0, 0.0, -1.0), (0.0, 0.0, 1.0)]).tolist() == [[0.0] * 3]
+        assert small.areas([]).shape == (1, 0)
+    # A curve sampled at 3 parameters: its coarse polygon of 2 vertices
+    # encloses nothing.
+    tiny = quadrature._clipped_areas(cubic_curve, 3)
+    lines = [(1.0, 0.0, -0.2), (0.0, 1.0, -0.2), (0.0, 0.0, -1.0)]
+    assert tiny.areas(lines)[1].tolist() == [0.0] * 3
+    assert tiny.areas(lines)[0].tolist() == _full_pass_areas(tiny, lines)[0]
 
 
 def _straddled_blocks(areas, line):
@@ -830,17 +851,36 @@ def _straddled_blocks(areas, line):
 @pytest.mark.parametrize("samples", [1000, 100_000])
 def test_batched_areas_equal_full_pass_across_chunks(samples, cubic_curve):
     # Enough lines that both the bounds and the gathered rows take several
-    # chunks under the documented rule, at each resolution.
-    for areas in _resolutions(quadrature._clipped_areas(cubic_curve, samples)):
+    # chunks under the documented rule; both resolutions ride in each.
+    areas = quadrature._clipped_areas(cubic_curve, samples)
+    per_chunk = quadrature._CHUNK // len(areas._x_rows)
+    lines = []
+    for x, y, _ in _resolutions(areas):
+        n = len(x)
+        lines += _batch_lines(x, y, 9, per_chunk) + [_chord(x, y, u, n - 1) for u in range(1, n - 1, n // 150)]
+    rows = sum(_straddled_blocks(areas, line) for line in lines)
+    assert len(lines) > 2 * per_chunk
+    assert rows > 2 * (quadrature._CHUNK // (areas._block + 1))
+    assert areas.areas(lines).tolist() == _full_pass_areas(areas, lines)
+    # Every line of the batch alone gives the same areas.
+    assert [areas.area(*line) for line in lines[::7]] == [full_pass(areas, line)[0] for line in lines[::7]]
+
+
+@pytest.mark.parametrize("samples, count", [(4001, 2000), (100_001, 300)])
+def test_verify_sized_batches_equal_full_pass_across_chunks(samples, count, cubic_curve, quartic_curve):
+    # Batches of verify's shape, chords through the origin and vertical
+    # lines, long enough to take several chunks at both resolutions.
+    for seed, curve in enumerate((cubic_curve, quartic_curve)):
+        areas = quadrature._clipped_areas(curve, samples)
         x, y, n = areas.x, areas.y, len(areas.x)
-        per_chunk = quadrature._CHUNK // len(areas._x_rows)
-        lines = _batch_lines(x, y, 9, 2 * per_chunk) + [_chord(x, y, u, n - 1) for u in range(1, n - 1, n // 150)]
-        rows = sum(_straddled_blocks(areas, line) for line in lines)
-        assert len(lines) > 2 * per_chunk
-        assert rows > 2 * (quadrature._CHUNK // (areas._block + 1))
+        assert count > 2 * (quadrature._CHUNK // len(areas._x_rows))
+        rng = random.Random(seed)
+        lines = []
+        for u in (rng.randrange(1, n - 1) for _ in range(count)):
+            lines.append(_chord(x, y, u, 0) if u % 2 else (1.0, 0.0, -rng.uniform(x.min(), x.max())))
         assert areas.areas(lines).tolist() == _full_pass_areas(areas, lines)
-        # Every line of the batch alone gives the same area.
-        assert [areas.area(*line) for line in lines[::7]] == _full_pass_areas(areas, lines[::7])
+        measured, errors = areas.measure(lines)
+        assert list(zip(measured.tolist(), errors.tolist())) == [full_pass(areas, line) for line in lines]
 
 
 def test_verify_memory_peak(cubic_centered, cubic_curve):
@@ -862,18 +902,18 @@ def test_oracle_resolutions_and_extrapolated_areas(cubic_curve, folium_curve, ap
     for curve in (cubic_curve, folium_curve, apple_curve):
         for samples, fine_count in ((1000, 1001), (1001, 1001), (quadrature.ORACLE_SAMPLES, 4001)):
             areas = quadrature._clipped_areas(curve, samples)
-            fine, coarse = _resolutions(areas)
+            (fx, fy, fine), (cx, cy, coarse) = _resolutions(areas)
             # The coarse polygon is every other vertex, both endpoints kept.
-            assert len(fine.x) == fine_count and len(coarse.x) == fine_count // 2 + 1
-            assert _bits(coarse.x) == _bits(fine.x[::2]) and _bits(coarse.y) == _bits(fine.y[::2])
-            assert coarse.x[-1] == fine.x[-1] and coarse.y[-1] == fine.y[-1]
-            assert areas.x is fine.x and areas.y is fine.y
-            assert areas.signed_total == (4.0 * fine.signed_total - coarse.signed_total) / 3.0
-            lines = _batch_lines(fine.x, fine.y, samples, 20)
+            assert len(fx) == fine_count and len(cx) == fine_count // 2 + 1
+            assert _bits(cx) == _bits(fx[::2]) and _bits(cy) == _bits(fy[::2])
+            assert cx[-1] == fx[-1] and cy[-1] == fy[-1]
+            assert np.shares_memory(areas.x, fx) and _bits(areas.x) == _bits(fx) and _bits(areas.y) == _bits(fy)
+            assert areas.signed_total == (4.0 * (0.5 * fine[-1]) - 0.5 * coarse[-1]) / 3.0
+            lines = _batch_lines(fx, fy, samples, 20)
             got, errors = areas.measure(lines)
             for line, area, error in zip(lines, got.tolist(), errors.tolist()):
-                f = full_pass_area(fine.x, fine.y, fine._prefix, *line)
-                c = full_pass_area(coarse.x, coarse.y, coarse._prefix, *line)
+                f = full_pass_area(fx, fy, fine, *line)
+                c = full_pass_area(cx, cy, coarse, *line)
                 assert area == (4.0 * f - c) / 3.0 == areas.area(*line) == numeric_segment_area(curve, line, samples)
                 assert error == abs(f - c) / 3.0
     # A polygon is measured as it is, with no error estimate.
@@ -984,14 +1024,14 @@ def test_default_oracle_is_no_less_accurate_than_100k_plain_samples(
 
 
 def test_blocks_within_the_rounding_margin_are_evaluated(cubic_curve):
-    # For each block of the default fine polygon (4,001 vertices, B = 63),
-    # lines through one of its extreme vertices shifted by one rounding
-    # step, so that d there is the smallest nonzero value of its sign and
-    # the block's box bound equals it. Such a block lies within the margin
-    # of the line, so it must be evaluated, not settled, and every area
-    # must still equal the full pass.
-    areas = quadrature._clipped_areas(cubic_curve, quadrature.ORACLE_SAMPLES).fine
-    assert len(areas.x) == 4001 and areas._block == 63
+    # For each block of the default oracle (4,001 vertices, B = 64), lines
+    # through one of its extreme vertices shifted by one rounding step, so
+    # that d there is the smallest nonzero value of its sign and the
+    # block's box bound equals it. Such a block lies within the margin of
+    # the line, so it must be evaluated, not settled, and every area, fine
+    # and coarse, must still equal the full pass.
+    areas = quadrature._clipped_areas(cubic_curve, quadrature.ORACLE_SAMPLES)
+    assert len(areas.x) == 4001 and areas._block == 64
     lines, blocks = [], []
     for k in range(len(areas._x_rows)):
         for (a, b), low, high in (
