@@ -119,12 +119,18 @@ class SampleReport:
 def _cleanup(raw: Polynomial, eliminated: Sequence[str], inputs: Sequence[Polynomial]) -> tuple[Polynomial, Provenance]:
     normalized, factor = raw.primitive_normalized()
     removed = () if factor == 1 else (str(factor),)
-    prov = _shared_provenance(tuple(render_polynomial(p) for p in inputs), tuple(eliminated), removed)
-    return normalized, prov
+    prov = Provenance(tuple(render_polynomial(p) for p in inputs), tuple(eliminated), removed)
+    # With its content divided out, Q has integer coefficients.
+    terms = normalized.terms
+    return _shared_parts(normalized.vars, tuple(terms), tuple(c.numerator for c in terms.values()), prov)
 
 
-# A Provenance is immutable, so certificates of the same inputs share one.
-_shared_provenance = functools.lru_cache(maxsize=256)(Provenance)
+@functools.lru_cache(maxsize=256)
+def _shared_parts(variables, exponents, coefficients, prov: Provenance) -> tuple[Polynomial, Provenance]:
+    """Q and its Provenance are immutable, so certificates with equal ones
+    share them: every Q is still computed in full, but a caller holding
+    many certificates of one curve holds one copy of Q's terms."""
+    return Polynomial(variables, dict(zip(exponents, coefficients))), prov
 
 
 def pencil_certificate(cp: CenteredParametrization, area: str = "chord") -> Certificate:

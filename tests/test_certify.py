@@ -1,3 +1,4 @@
+import gc
 import random
 import sys
 import tracemalloc
@@ -547,6 +548,24 @@ def test_held_report_is_small_and_rebuilds_its_samples(cubic_centered, cubic_cur
         assert s.area == full_pass(areas, s.line)[0]
     assert report.max_relative_residual == max(s.residual for s in samples)
     assert report.oracle_error == max(full_pass(areas, s.line)[1] for s in samples) > 0.0
+
+
+def test_held_certificates_of_one_curve_share_q(cubic_centered, quartic_centered):
+    first = vertical_certificate(cubic_centered)
+    tracemalloc.start()
+    try:
+        certs = [vertical_certificate(cubic_centered) for _ in range(10)]
+        gc.collect()  # also empties the free lists that the elimination filled
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Each held certificate keeps its own small object and role map; Q's
+    # terms are kept once.
+    assert held / len(certs) < 600, held
+    assert all(c == first and c.q is first.q and c.provenance is first.provenance for c in certs)
+    pencil = pencil_certificate(cubic_centered)
+    assert pencil_certificate(cubic_centered).q is pencil.q
+    assert vertical_certificate(quartic_centered).q != first.q
 
 
 def test_verify_refuses_more_lines_than_its_limit(cubic_centered, cubic_curve):
