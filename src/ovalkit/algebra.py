@@ -4,7 +4,8 @@ isolation and rational root extraction.
 
 Coefficients are `fractions.Fraction` throughout, so every operation is
 exact and every stored value is automatically in lowest terms with a
-positive denominator. The one exception is `sturm_chain`, whose primitive
+positive denominator. The one exception is the remainder sequence on
+integer lists behind `gcd_univariate` and `sturm_chain`, whose primitive
 integer lists serve every univariate square-free, counting, isolation
 and rational-root question.
 """
@@ -581,48 +582,74 @@ def _primitive(nums: list[int]) -> list[int]:
     return [c // g for c in nums] if g > 1 else nums
 
 
-def gcd_univariate(p: UnivariatePolynomial, q: UnivariatePolynomial) -> UnivariatePolynomial:
-    """Monic greatest common divisor by the primitive remainder sequence
-    over the integers (Collins 1967; Brown and Traub 1971).
+def _remainder_sequence(a: list[int], b: list[int]) -> list[list[int]]:
+    """The primitive signed remainder sequence of ascending integer lists
+    a and b, up to its last nonzero element (Collins 1967; Brown and Traub
+    1971): a and b divided by their contents, then each element the
+    negated pseudo-remainder of the two before it, divided by its content.
 
-    p and q become primitive integer lists. Each step takes a
-    pseudo-remainder of a by b, lc(b)^k * a mod b for some k >= 0, which
-    needs no division, and divides out its content. Each element is a
-    nonzero rational multiple of the Euclidean remainder over the
-    rationals, so the last nonzero one, made monic, is the same gcd.
+    The pseudo-remainder of r by b is |lc(b)|^k * r mod b for some k >= 0,
+    which needs no division. So each element is a positive multiple of the
+    one in a, b, -rem(a, b), ... over the rationals: same signs, and the
+    last one is the gcd up to a constant factor.
     """
-    if p.var != q.var:
-        raise ValueError("gcd requires a common variable")
-    a, b = _primitive(_numerators(p.coeffs)[0]), _primitive(_numerators(q.coeffs)[0])
-    while b:
-        r, lc, low = a, b[-1], b[:-1]
+    seq = [_primitive(a), _primitive(b)]
+    while seq[-1]:
+        r, b = seq[-2], seq[-1]
+        lc, sign, low = abs(b[-1]), 1 if b[-1] > 0 else -1, b[:-1]
         while len(r) >= len(b):
-            # r := lc*r - r[-1] * t^shift * b, whose top coefficient vanishes.
-            top, r = r[-1], [lc * c for c in r[:-1]]
+            # r := lc*r - sign*r[-1] * t^shift * b, whose top coefficient vanishes.
+            top, r = sign * r[-1], [lc * c for c in r[:-1]]
             for i, c in enumerate(low, len(r) - len(low)):
                 r[i] -= top * c
             while r and not r[-1]:
                 r.pop()
-        a, b = b, _primitive(r)
-    return _from_numerators(p.var, a, a[-1]) if a else UnivariatePolynomial.zero(p.var)
+        content = math.gcd(*r)
+        seq.append([c // -content for c in r])
+    seq.pop()
+    return seq
+
+
+def gcd_univariate(p: UnivariatePolynomial, q: UnivariatePolynomial) -> UnivariatePolynomial:
+    """Monic greatest common divisor: the last element of the primitive
+    remainder sequence over the integers (`_remainder_sequence`), made
+    monic."""
+    if p.var != q.var:
+        raise ValueError("gcd requires a common variable")
+    g = _remainder_sequence(_numerators(p.coeffs)[0], _numerators(q.coeffs)[0])[-1]
+    return _from_numerators(p.var, g, g[-1]) if g else UnivariatePolynomial.zero(p.var)
+
+
+def _exact_quotient(f: list[int], g: list[int]) -> list[int]:
+    """f / g for ascending integer lists, g dividing f with an integer
+    quotient: each step's division by lc(g) is then exact."""
+    d = len(g) - 1
+    r = list(f)
+    q = [0] * (len(f) - d)
+    for i in range(len(q) - 1, -1, -1):
+        q[i] = c = r[i + d] // g[-1]
+        if c:
+            for j, gj in enumerate(g):
+                r[i + j] -= c * gj
+    return q
 
 
 def sturm_chain(p: UnivariatePolynomial) -> list[list[int]]:
     """Sturm sequence of the square-free part of a nonzero p, as primitive
     integer coefficient lists (ascending); chain[0] is the square-free part.
 
-    One signed remainder sequence p, p', -rem, ... is run, and every element
-    is divided by its last one, g = gcd(p, p'). The divisions are exact and
-    the quotients are a Sturm sequence for p/g (Basu, Pollack and Roy,
-    Algorithms in Real Algebraic Geometry, ch. 2). Each element is then
-    scaled by a positive rational, which keeps its signs.
+    The primitive signed remainder sequence of p and p' over the integers
+    (`_remainder_sequence`) is run, and every element is divided by its
+    last one, g, a multiple of gcd(p, p'). Each element is a positive
+    multiple of the one in p, p', -rem, ... over the rationals, whose
+    quotients by g are a Sturm sequence for p/g (Basu, Pollack and Roy,
+    Algorithms in Real Algebraic Geometry, ch. 2). Every element and g are
+    primitive, so by Gauss's lemma the quotients are primitive integer
+    lists.
     """
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero:
-        chain.append(-(chain[-2] % chain[-1]))
-    chain.pop()
-    g = chain[-1]
-    return [[c.numerator for c in (f // g).primitive_integer()[0].coeffs] for f in chain]
+    a = _numerators(p.coeffs)[0]
+    chain = _remainder_sequence(a, [i * c for i, c in enumerate(a)][1:])
+    return [_exact_quotient(f, chain[-1]) for f in chain]
 
 
 def _variations(chain: list[list[int]], x: Fraction) -> int:

@@ -4,39 +4,33 @@ Each certificate has one path: pencil certificates take
 `pencil_eliminant`, vertical certificates `vertical_eliminant`, and
 implicitization and singular points `resultant`. Every determinant is a
 characteristic polynomial of an integer matrix taken by `_berkowitz` at
-an integer node. `resultant` and `pencil_eliminant` take small nodes and
-`_newton` interpolates their values; `vertical_eliminant` takes one node
-2^k and reads the coefficients off its value as base-2^k digits. Both
-1-D eliminants share one node step, `_norm(G, s)`: the norm of Y - s on
-Q[t]/(G), lc(G)^deg s * prod over the roots r of G of (Y - s(r)).
+an integer node. `pencil_eliminant` takes small nodes and `_newton`
+interpolates their values; `resultant` and `vertical_eliminant` take one
+node, a power of two wide enough to hold every coefficient, and read the
+coefficients off its value as balanced base-2^k digits (`_digits`;
+Kronecker substitution, Kronecker 1882, Schoenhage 1982). `resultant`
+and `pencil_eliminant` share one norm, `_norm(G, s)`: the norm of Y - s
+on Q[t]/(G), lc(G)^deg s * prod over the roots r of G of (Y - s(r)).
 
 `resultant` works from the two inputs' coefficient lists in the
-eliminated variable; no Sylvester matrix is built:
-
-1. scale each input once by the lcm of its denominators and compile each
-   coefficient into (exponent tuple, int) pairs over the remaining
-   variables;
-2. at every point of an integer grid with (degree bound + 1) values per
-   variable, evaluate those m + n + 2 coefficients on ints, one variable
-   at a time;
-3. take each point's value from the norm on the quotient ring by the
-   input of lower degree (`_resultant_at`);
-4. interpolate the integer values by tensor Newton divided differences,
-   one variable at a time, and divide by the input scales once.
+eliminated variable; no Sylvester matrix is built. Each input is scaled
+once to integers, every remaining variable i is set to 2^(k*r_i) with
+mixed radices r_i from the degree bounds, and the one value is the
+constant term of the norm on the quotient ring by the input of lower
+degree. k comes from a Hadamard bound on the resultant's coefficients.
 
 `pencil_eliminant` is the whole norm of s on Q[t]/(m*b - a) at each
 integer node of m, as S enters linearly, interpolated in m.
 
 `vertical_eliminant` expands the area parts in powers of the x-component
 (`_g_adic`) and takes the characteristic polynomial of multiplication on
-a two-variable quotient ring at one node of the abscissa, c = 2^k, wide
-enough to hold every coefficient in c (Kronecker substitution; Kronecker
-1882, Schoenhage 1982). One determinant on wide integers beats many on
-small ones while the interpreter's cost per operation outweighs the
-arithmetic: for the vertical matrices of the cubic (6 x 6) and the
-quartic (12 x 12), but not at deg g = 6 (30 x 30, see README) or for
-pencils whose slope has a high degree, which keep their nodes, as
-`resultant` does.
+a two-variable quotient ring at one node of the abscissa, c = 2^k.
+One determinant on wide integers beats many on small ones while the
+interpreter's cost per operation outweighs the arithmetic: for
+resultants at desk scale and for the vertical matrices of the cubic
+(6 x 6) and the quartic (12 x 12), but not at deg g = 6 (30 x 30, see
+README) or for pencils whose slope has a high degree, which keep their
+nodes.
 """
 
 from __future__ import annotations
@@ -44,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 from operator import mul
 
 from .algebra import Polynomial, UnivariatePolynomial
@@ -182,38 +176,6 @@ def _norm(G: list[int], s: list[int]) -> list[int]:
     return out
 
 
-def _resultant_at(f: list[int], g: list[int]) -> int:
-    """Res(f, g) of ascending integer lists of formal degrees m, n >= 1.
-
-    With lc(f) != 0, Res(f, g) = lc(f)^n * prod over the roots r of f of
-    g(r) = (-1)^m * _norm(f, g)[-1] (Poisson), and Res(g, f) =
-    (-1)^(m*n) Res(f, g). The modulus is the input of lower degree, f on
-    equal degrees, so a node takes at most min(m, n) rows. A vanished
-    leading coefficient is trimmed first: Res_(m,n)(f, g) is
-    (-1)^n * g_n * Res_(m-1,n)(f, g) when f_m = 0 and f_m * Res_(m,n-1)(f, g)
-    when g_n = 0, and a constant f0 gives f0^n. With both leading
-    coefficients zero, the Sylvester matrix has a zero first column.
-    """
-    m, n = len(f) - 1, len(g) - 1
-    if not (f[m] or g[n]):
-        return 0
-    scale = 1
-    while m and not f[m]:
-        m -= 1
-        scale *= (-1) ** n * g[n]
-    while n and not g[n]:
-        n -= 1
-        scale *= f[m]
-    if not m:
-        return scale * f[0] ** n
-    if not n:
-        return scale * g[0] ** m
-    f, g = f[: m + 1], g[: n + 1]
-    if m <= n:
-        return scale * (-1) ** m * _norm(f, g)[-1]
-    return scale * (-1) ** (m * n + n) * _norm(g, f)[-1]
-
-
 def _sample_values(count: int) -> list[int]:
     # Small centered integers keep the scalar determinants compact.
     values = [0]
@@ -224,15 +186,6 @@ def _sample_values(count: int) -> list[int]:
             values.append(-k)
         k += 1
     return values[:count]
-
-
-def _at_first(entry: tuple, s: int) -> tuple:
-    """Evaluate the first variable of a compiled entry at s."""
-    out: dict[tuple[int, ...], int] = {}
-    for exps, c in entry:
-        rest = exps[1:]
-        out[rest] = out.get(rest, 0) + c * s ** exps[0]
-    return tuple(out.items())
 
 
 def _newton(xs: list[int], ys: list[int]) -> list[int]:
@@ -266,13 +219,35 @@ def resultant(f: Polynomial, g: Polynomial, var: str) -> Polynomial:
     """Resultant of f and g with respect to var (raw, unnormalized).
 
     Specializing the remaining variables commutes with the determinant of
-    the Sylvester matrix, taken with the formal degrees m and n, so a
-    leading coefficient that vanishes at a node changes nothing. Each node's
-    value is the constant term of a norm on the quotient ring by the input
-    of lower degree (`_resultant_at`); no Sylvester matrix is built.
+    the Sylvester matrix, taken with the formal degrees m and n, so the
+    whole resultant is read off its value at one integer point, as
+    `vertical_eliminant` reads Q (Kronecker substitution):
 
-    The zero polynomial is returned exactly when f and g share a factor of
-    positive degree in var.
+    1. each input is scaled once by the lcm of its denominators, to f_hat
+       and g_hat, whose coefficients in var are compiled into
+       (exponent tuple, int) pairs over the remaining variables;
+    2. every coefficient of Res(f_hat, g_hat) is at most
+       H = |f_hat|_1^n * |g_hat|_1^m, |.|_1 the sum of the absolute values
+       of all coefficients: on the unit torus each Sylvester row has
+       Euclidean length at most its input's |.|_1 (Hadamard), and Cauchy's
+       estimate carries the bound to the coefficients. So 2^(w-1) > H for
+       w = bit_length(H) + 1;
+    3. variable i is set to 2^(w*r_i), with r_0 = 1 and
+       r_(i+1) = r_i * (D_i + 1), D_i the degree bound in variable i, so a
+       compiled term c*x^e is c << w*(e.r) and every monomial of degree at
+       most D_i in each variable gets its own digit;
+    4. the value is the constant term of the norm on the quotient ring by
+       the input of lower degree, f on equal degrees (Poisson's product
+       formula: Res(f, g) = (-1)^m * _norm(f, g)[-1] and
+       Res(g, f) = (-1)^(m*n) Res(f, g)). The modulus's leading coefficient
+       is a nonzero polynomial with coefficients below 2^(w-1) and
+       exponents within the radix, so its value is not zero;
+    5. the balanced base-2^w digits of the value (`_digits`) are the
+       coefficients, each exponent recovered by mixed-radix division, and
+       the input scales are divided out once.
+
+    No Sylvester matrix is built. The zero polynomial is returned exactly
+    when f and g share a factor of positive degree in var.
     """
     m, n = _sylvester_degrees(f, g, var)
     # f's coefficients, then g's, leading coefficient first. f has n
@@ -287,7 +262,7 @@ def resultant(f: Polynomial, g: Polynomial, var: str) -> Polynomial:
             seen.update((v, None) for v in remaining if v in used)
     variables = tuple(seen)
     entries = []
-    scale = 1
+    scale = height = 1
     # Bezout: with d, e the total degrees, every term of the resultant has
     # total degree at most n*d + m*e - m*n <= d*e, which caps the row-sum
     # bound n*deg_v(f) + m*deg_v(g) in each remaining variable v.
@@ -297,40 +272,29 @@ def resultant(f: Polynomial, g: Polynomial, var: str) -> Polynomial:
         lcm = math.lcm(*(c.denominator for p in coeffs for c in p.terms.values()))
         scale *= lcm**rows
         compiled = [
-            tuple((e, c.numerator * (lcm // c.denominator)) for e, c in p.with_vars(variables).terms.items())
+            [(e, c.numerator * (lcm // c.denominator)) for e, c in p.with_vars(variables).terms.items()]
             for p in coeffs
         ]
         for i in range(len(variables)):
             bounds[i] += rows * max(e[i] for entry in compiled for e, _ in entry)
+        height *= sum(abs(c) for entry in compiled for _, c in entry) ** rows
         entries += compiled
-    nodes = [_sample_values(min(b, cap) + 1) for b in bounds]
-    values: dict[tuple[int, ...], int] = {}
-
-    def walk(entries: list[tuple], point: tuple[int, ...]) -> None:
-        if len(point) == len(nodes):
-            scalars = [sum(c for _, c in e) for e in entries]
-            if len(blocks) == 1:
-                # The other input has degree 0: its constant on the diagonal.
-                values[point] = scalars[0] ** blocks[0][1]
-            else:
-                values[point] = _resultant_at(scalars[m::-1], scalars[:m:-1])
-            return
-        for i, s in enumerate(nodes[len(point)]):
-            walk([_at_first(e, s) for e in entries], point + (i,))
-
-    walk(entries, ())
-    # Interpolate one axis at a time: afterwards key[axis] is an exponent.
-    coeffs = values
-    for axis, xs in enumerate(nodes):
-        fibers: dict[tuple[int, ...], list] = {}
-        for key, v in coeffs.items():
-            fibers.setdefault(key[:axis] + key[axis + 1 :], [0] * len(xs))[key[axis]] = v
-        coeffs = {}
-        for rest, ys in fibers.items():
-            for e, c in enumerate(_newton(xs, ys)):
-                if c:
-                    coeffs[rest[:axis] + (e,) + rest[axis:]] = c
-    return Polynomial(variables, {e: Fraction(c, scale) for e, c in coeffs.items()})
+    width = _digit_width(height)
+    degrees = [min(b, cap) for b in bounds]
+    radix = list(accumulate((d + 1 for d in degrees), mul, initial=1))
+    values = [sum(c << width * sum(map(mul, e, radix)) for e, c in entry) for entry in entries]
+    if len(blocks) == 1:
+        # The other input has degree 0: its constant on the diagonal.
+        value = values[0] ** blocks[0][1]
+    elif m <= n:
+        value = (-1) ** m * _norm(values[m::-1], values[:m:-1])[-1]
+    else:
+        value = (-1) ** (m * n + n) * _norm(values[:m:-1], values[m::-1])[-1]
+    terms = {}
+    for pos, c in enumerate(_digits(value, width, radix[-1])):
+        if c:
+            terms[tuple(pos // r % (d + 1) for r, d in zip(radix, degrees))] = Fraction(c, scale)
+    return Polynomial(variables, terms)
 
 
 def pencil_eliminant(
@@ -468,7 +432,13 @@ def _kronecker_width(g: list[int], parts: list[tuple[list[int], list[int]]], n: 
     fujiwara = 2 * max(_root_ceil(x, d - j) for j, x in enumerate(a) if x)
     rt = min(1 + max(a), fujiwara)
     eig = sum(abs(c) * rt**j for part in parts for p in part for j, c in enumerate(p))
-    return max(math.comb(n, i) * eig**i for i in range(n + 1)).bit_length() + 1
+    return _digit_width(max(math.comb(n, i) * eig**i for i in range(n + 1)))
+
+
+def _digit_width(bound: int) -> int:
+    """Bits k such that 2^(k-1) exceeds bound: balanced base-2^k digits
+    then hold every integer of absolute value at most bound."""
+    return bound.bit_length() + 1
 
 
 def _digits(v: int, k: int, count: int) -> list[int]:
@@ -479,7 +449,7 @@ def _digits(v: int, k: int, count: int) -> list[int]:
     out = []
     while v:
         if len(out) == count:
-            raise ArithmeticError("the Kronecker digits exceed the degree bound in c")
+            raise ArithmeticError("the Kronecker digits exceed the degree bound")
         q = ((v + half) & mask) - half
         out.append(q)
         v = (v - q) >> k

@@ -144,6 +144,18 @@ def euclid_gcd(p: UnivariatePolynomial, q: UnivariatePolynomial) -> UnivariatePo
     return UnivariatePolynomial(a.var, [c / lc for c in a.coeffs]) if a.coeffs else a
 
 
+def fraction_sturm_chain(p: UnivariatePolynomial) -> list[list[int]]:
+    """sturm_chain by the signed remainder sequence p, p', -rem, ... over
+    Fraction: every element divided by the last one by long division, then
+    made a primitive integer list by a positive factor."""
+    chain = [p, p.derivative()]
+    while not chain[-1].is_zero:
+        chain.append(-(chain[-2] % chain[-1]))
+    chain.pop()
+    g = chain[-1]
+    return [[c.numerator for c in (f // g).primitive_integer()[0].coeffs] for f in chain]
+
+
 def in_var(p, var: str) -> Polynomial:
     """The univariate polynomial p in the variable var."""
     return UnivariatePolynomial(var, p.coeffs).to_polynomial()

@@ -20,7 +20,14 @@ from ovalkit.algebra import isolate_roots, squarefree_part, sturm_chain
 from ovalkit.errors import EvaluationError
 from ovalkit.parsing import parse_rational_function
 
-from oracles import euclid_gcd, fraction_add, fraction_antiderivative, fraction_evaluate, fraction_mul
+from oracles import (
+    euclid_gcd,
+    fraction_add,
+    fraction_antiderivative,
+    fraction_evaluate,
+    fraction_mul,
+    fraction_sturm_chain,
+)
 
 
 def rand_poly(rng, variables=("x", "y"), max_deg=3, max_terms=4):
@@ -272,6 +279,24 @@ def test_integer_gcd_matches_the_euclidean_reference():
         for p, q in ((common * a, common * b), (a, b), (common, UnivariatePolynomial.zero("t"))):
             assert gcd_univariate(p, q) == euclid_gcd(p, q)
             assert gcd_univariate(q, p) == euclid_gcd(q, p)
+
+    check()
+
+
+def test_integer_sturm_chain_matches_the_fraction_reference():
+    # The primitive remainder sequence over the integers, divided by its
+    # last element, gives the chain of the signed remainder sequence over
+    # Fraction: repeated factors, constants and mixed denominators.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    polys = st.lists(_mixed_coefficients(st), max_size=4).map(lambda cs: UnivariatePolynomial("t", cs))
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(polys, polys, st.integers(1, 3), st.integers(1, 3))
+    def check(a, b, i, j):
+        p = a**i * b**j
+        hypothesis.assume(not p.is_zero)
+        assert sturm_chain(p) == fraction_sturm_chain(p)
 
     check()
 

@@ -216,7 +216,7 @@ def test_arithmetic_errors_are_one_line(capsys, monkeypatch, tmp_path):
 
     monkeypatch.setattr(elimination, "_kronecker_width", lambda *args: 2)
     code, _, err = run(capsys, ["certify", "--param", CUBIC_PARAM, "--family", "vertical"])
-    assert code == 1 and err == "error: the Kronecker digits exceed the degree bound in c\n"
+    assert code == 1 and err == "error: the Kronecker digits exceed the degree bound\n"
 
 
 def test_verify_sample_count_is_bounded():

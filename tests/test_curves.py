@@ -104,8 +104,8 @@ def test_implicitize_zero_test_all_examples(quartic_curve, cubic_curve, apple_cu
 )
 def test_implicitize_rational_curves(param, expected):
     # Components with denominators. On the circle the inputs' leading
-    # coefficients in t are x + 1 and y, so grid nodes take either input as
-    # the modulus of their norm, or find both leading coefficients 0.
+    # coefficients in t are x + 1 and y, which vanish at small integers
+    # but not at the Kronecker point.
     curve = parse_curve_text(param)
     F = implicitize(curve)
     assert F == parse_polynomial(expected, ["x", "y"])

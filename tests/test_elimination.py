@@ -11,7 +11,7 @@ from ovalkit import (
     rational_singular_points,
     resultant,
 )
-from ovalkit import elimination
+from ovalkit import curves, elimination
 from ovalkit.curves import Point
 from ovalkit.elimination import _berkowitz, _digits, _newton, _root_ceil, _sample_values, pencil_eliminant, sylvester_matrix
 from ovalkit.errors import DeskScopeError, SylvesterSizeError
@@ -131,85 +131,117 @@ def test_bareiss_matches_cofactor_oracle():
         assert det_bareiss(rows) == det_cofactor(rows)
 
 
-def _integer_sylvester(f, g):
-    """Sylvester matrix of ascending integer lists f, g of formal degrees
-    m, n: n shifted rows of f, then m of g, leading coefficient first."""
-    m, n = len(f) - 1, len(g) - 1
-    return [[0] * i + f[::-1] + [0] * (n - 1 - i) for i in range(n)] + [
-        [0] * i + g[::-1] + [0] * (m - 1 - i) for i in range(m)
-    ]
-
-
-def _degree(p):
-    return max((i for i, c in enumerate(p) if c), default=0)
-
-
-def test_resultant_at_matches_cofactor_on_sparse_integer_inputs(monkeypatch):
-    # The per-node resultant is a norm on the quotient ring by the input of
-    # lower degree, f on equal degrees. A vanishing leading coefficient is
-    # trimmed to the input's actual degree first, a constant takes no norm,
-    # and two vanishing leading coefficients make the value 0.
+def test_resultant_matches_cofactor_where_leading_coefficients_vanish_at_small_integers():
+    # Leading coefficients in y such as x, x - 1 and x + 1 vanish at small
+    # integers, on one input or on both at once, and a middle or constant
+    # coefficient may be zero: the Sylvester determinant with the formal
+    # degrees, by cofactors, is the reference.
     rng = random.Random(47)
-    moduli = []
-    norm = elimination._norm
-    monkeypatch.setattr(elimination, "_norm", lambda G, s: moduli.append(len(G) - 1) or norm(G, s))
-    pairs = []
-    for m in range(1, 7):
-        for n in range(1, 7):
-            for lead_f, lead_g in ((1, 1), (0, 1), (1, 0), (0, 0)):
-                for _ in range(3):
-                    f = [rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(m)]
-                    f.append(rng.choice([-1, 1]) * rng.randint(1, 9) * lead_f)
-                    g = [rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(n)]
-                    g.append(rng.choice([-1, 1]) * rng.randint(1, 9) * lead_g)
-                    pairs.append((f, g))
-    # Trimmed by one, by two, to a constant and to zero, on either input;
-    # then both leading coefficients zero.
-    cases = [
-        ([1, 2, 3, 0], [4, -1, 2]),
-        ([2, 0, 1, 0, 0], [1, 1, -3]),
-        ([1, 0, 0, 0, 0, 0], [-2, 0, 3, 1]),
-        ([5, 0, 0], [1, 2, 3, 4]),
-        ([0, 0, 0], [1, 2, 7]),
-        ([1, 2, 3, 4, 5, 6], [0, 3, 0, 0, 0, 0, 0]),
-        ([1, 2, 0], [3, 4, 0]),
-        ([1, 2, 3, 0, 0], [0, 0]),
-        ([0, 0, 0], [0, 0, 0, 0]),
+    x, y, z = (Polynomial.variable(v) for v in "xyz")
+    leads = [x, x - 1, x + 1, x * (x - 1), (x + 1) * z, x - z, Polynomial.constant(3)]
+
+    def draw(degree):
+        p = rng.choice(leads) * y**degree
+        for i in range(degree):
+            p = p + rng.choice([0, 0, rng.randint(-9, 9)]) * rng.choice([1, x, z, x * z]) * y**i
+        return p
+
+    pairs = [(draw(m), draw(n)) for m in range(1, 4) for n in range(4) for _ in range(4)]
+    pairs += [
+        (x * y**2 + y + 1, (x - 1) * y + 2),
+        ((x - 1) * y**3 + x, (x - 1) * y**2 + (x + 1)),
+        ((x + 1) * y, (x + 1) * y**2 + x * y),
+        (x * y + 1, x * y - 1),
     ]
-    pairs += cases + [(g, f) for f, g in cases]
     for f, g in pairs:
-        moduli.clear()
-        assert elimination._resultant_at(f, g) == det_cofactor(_integer_sylvester(f, g)), (f, g)
-        low = min(_degree(f), _degree(g)) if f[-1] or g[-1] else 0
-        assert moduli == ([low] if low else [])
+        for a, b in ((f, g), (g, f)):
+            assert resultant(a, b, "y") == det_cofactor(sylvester_matrix(a, b, "y").entries), (a, b)
 
 
 def test_resultant_norms_take_the_lower_degree_modulus(apple_curve, monkeypatch):
-    # Each node of implicitize and rational_singular_points takes at most
-    # one characteristic polynomial, on the quotient ring by the input of
-    # lower degree: at most min(m, n) rows where the Sylvester matrix has
-    # m + n. Only x = 0 for Res_y(F, dF/dx) takes none: F is even in x, so
-    # dF/dx vanishes there and the node's value is 0.
-    nodes, sizes = [], []
-    resultant_at, berkowitz = elimination._resultant_at, elimination._berkowitz
+    # Each resultant of implicitize and rational_singular_points takes one
+    # characteristic polynomial at one Kronecker point, on the quotient
+    # ring by the input of lower degree: min(m, n) rows where the Sylvester
+    # matrix has m + n.
+    calls = []
+    resultant, norm, berkowitz = curves.resultant, elimination._norm, elimination._berkowitz
 
-    def recording(matrix):
+    def recording_resultant(f, g, var):
+        calls.append(((f.degree_in(var), g.degree_in(var)), [], []))
+        return resultant(f, g, var)
+
+    def recording_norm(G, s):
+        calls[-1][1].append((len(G) - 1, len(s) - 1))
+        return norm(G, s)
+
+    def recording_berkowitz(matrix):
         assert all(len(row) == len(matrix) for row in matrix)
-        sizes.append(len(matrix))
+        calls[-1][2].append(len(matrix))
         return berkowitz(matrix)
 
-    def at(f, g):
-        before = len(sizes)
-        value = resultant_at(f, g)
-        nodes.append((min(len(f), len(g)) - 1, sizes[before:]))
-        return value
-
-    monkeypatch.setattr(elimination, "_berkowitz", recording)
-    monkeypatch.setattr(elimination, "_resultant_at", at)
+    monkeypatch.setattr(curves, "resultant", recording_resultant)
+    monkeypatch.setattr(elimination, "_norm", recording_norm)
+    monkeypatch.setattr(elimination, "_berkowitz", recording_berkowitz)
     F = implicitize(apple_curve)
     assert Point(0, 0) in rational_singular_points(F)
-    assert len(nodes) > 50 and all(size <= low for low, taken in nodes for size in taken)
-    assert [(low, taken) for low, taken in nodes if taken != [low]] == [(3, [])]
+    assert len(calls) >= 3
+    for (m, n), norms, sizes in calls:
+        assert norms == [(min(m, n), max(m, n))] and sizes == [min(m, n)], (m, n)
+
+
+def test_resultant_matches_bareiss_on_wide_coefficients():
+    # Integer and rational coefficients up to 10^6 over one to three
+    # remaining variables: the Kronecker width must hold every coefficient
+    # of the resultant, and the radix every exponent.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coeff = st.one_of(
+        st.integers(-(10**6), 10**6).map(Fraction),
+        st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**3)),
+    )
+
+    @st.composite
+    def pairs(draw):
+        variables = ("x",) + ("y", "z", "w")[: draw(st.integers(1, 3))]
+        exps = st.tuples(st.integers(0, 3), *(st.integers(0, 2) for _ in variables[1:]))
+
+        def poly():
+            terms = draw(st.dictionaries(exps, coeff, min_size=1, max_size=5))
+            lead = (draw(st.integers(1, 3)),) + draw(st.tuples(*(st.integers(0, 1) for _ in variables[1:])))
+            terms[lead] = draw(coeff.filter(bool))
+            return Polynomial(variables, terms)
+
+        return poly(), poly()
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(pairs())
+    def check(pair):
+        f, g = pair
+        assert resultant(f, g, "x") == det_bareiss(sylvester_matrix(f, g, "x").entries)
+
+    check()
+
+
+def test_resultant_reads_the_same_polynomials_at_a_wider_width(
+    quartic_curve, cubic_curve, apple_curve, folium_curve, monkeypatch
+):
+    # A Kronecker point 16 bits wider than resultant takes, read to three
+    # digits past the radix, gives the same implicitizations and singular
+    # eliminants Res_y(F, F_y), Res_y(F, F_x): no digit at the usual width
+    # wraps into the next, and every digit past the radix is zero.
+    def eliminants():
+        out = []
+        for curve in (quartic_curve, cubic_curve, apple_curve, folium_curve):
+            F = implicitize(curve)
+            out += [F, resultant(F, F.partial_derivative("y"), "y"), resultant(F, F.partial_derivative("x"), "y")]
+        return out
+
+    usual = eliminants()
+    width, digits = elimination._digit_width, elimination._digits
+    monkeypatch.setattr(elimination, "_digit_width", lambda bound: width(bound) + 16)
+    monkeypatch.setattr(elimination, "_digits", lambda v, k, count: digits(v, k, count + 3))
+    wide = eliminants()
+    assert [(p.vars, p) for p in wide] == [(p.vars, p) for p in usual]
 
 
 def _random_poly(rng, variables, degree):
@@ -249,7 +281,7 @@ def _scaled(rng, variables, degree, den):
 
 def test_resultant_matches_sylvester_determinant():
     # f and g carry different denominators, so each input gets its own
-    # scale; the leading coefficients in x often vanish at grid nodes.
+    # scale; the leading coefficients in x often vanish at small integers.
     rng = random.Random(43)
     pairs = []
     for variables in (("x", "y", "z"), ("x", "y", "z", "w")):
@@ -271,8 +303,8 @@ def test_resultant_matches_sylvester_determinant():
 
 
 def test_resultant_with_vanishing_leading_coefficients():
-    # Both leading coefficients in y vanish on the grid (x = 0 and x = 1):
-    # the formal degrees keep the specialized Sylvester matrix right.
+    # The leading coefficients in y vanish at x = 0 and x = 1, but are
+    # nonzero at the Kronecker point: the formal degrees stay right.
     r = resultant(_poly("x*y^2 + y + 1", ["x", "y"]), _poly("(x-1)*y + 2", ["x", "y"]), "y")
     assert r == _poly("x^2 + 3", ["x"])
     assert r.vars == ("x",) and repr(r) == "Polynomial('x^2 + 3')"
