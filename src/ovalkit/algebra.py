@@ -228,17 +228,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Polynomial":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("polynomial power requires a non-negative integer")
-        result = Polynomial.constant(1, self.vars)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _power(self, n, Polynomial.constant(1, self.vars))
 
     # -- calculus and evaluation ----------------------------------------
 
@@ -314,14 +304,7 @@ class Polynomial:
 
     def content(self) -> Fraction:
         """Positive rational content (gcd of coefficients); 0 for the zero poly."""
-        if not self.terms:
-            return Fraction(0)
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = math.gcd(num, abs(c.numerator))
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        return Fraction(num, den)
+        return _integer_form(self.terms.values())[1] if self.terms else Fraction(0)
 
     def primitive_normalized(self) -> tuple["Polynomial", Fraction]:
         """Divide out the content and fix the canonical leading sign positive.
@@ -331,16 +314,13 @@ class Polynomial:
         """
         if not self.terms:
             return self, Fraction(1)
-        factor = self.content()
-        if self.leading()[1] < 0:
-            factor = -factor
-        num, den = factor.numerator, factor.denominator
-        # Each coefficient over the content is an integer, found by one
-        # exact division; the terms are already valid and are not rechecked.
+        nums, factor = _integer_form(self.terms.values())
+        sign = -1 if self.leading()[1] < 0 else 1
+        # The terms are already valid and are not rechecked.
         out = object.__new__(Polynomial)
         out.vars = self.vars
-        out.terms = {e: Fraction(c.numerator // num * (den // c.denominator)) for e, c in self.terms.items()}
-        return out, factor
+        out.terms = {e: Fraction(sign * c) for e, c in zip(self.terms, nums)}
+        return out, sign * factor
 
     def __repr__(self):
         from .parsing import render_polynomial
@@ -353,6 +333,68 @@ def _numerators(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
     and that denominator."""
     den = math.lcm(*(c.denominator for c in coeffs))
     return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _primitive(nums: list[int]) -> tuple[list[int], int]:
+    """nums divided by the gcd g of its entries, and g (1 for an all-zero
+    list)."""
+    g = math.gcd(*nums) or 1
+    return ([c // g for c in nums] if g > 1 else nums), g
+
+
+def _integer_form(coeffs: Sequence[Fraction]) -> tuple[list[int], Fraction]:
+    """The primitive integer list n and the positive factor f with
+    coeffs = f * n: the numerators over the least common denominator, their
+    gcd divided out (f = 1 for an all-zero list)."""
+    nums, den = _numerators(coeffs)
+    nums, g = _primitive(nums)
+    return nums, Fraction(g, den)
+
+
+def _divide(f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of the ascending integer lists f by g, by long
+    division (Knuth, TAOCP vol. 2, 4.6.1), the remainder's trailing zeros
+    dropped. Each step's division by lc(g) is exact when g is monic or when
+    g divides f with an integer quotient."""
+    d = len(g) - 1
+    r = list(f)
+    q = [0] * max(len(f) - d, 0)
+    for i in reversed(range(len(q))):
+        q[i] = c = r[i + d] // g[-1]
+        if c:
+            for j, gj in enumerate(g, i):
+                r[j] -= c * gj
+    del r[d:]
+    while r and not r[-1]:
+        r.pop()
+    return q, r
+
+
+def _homogenized(nums: list[int], x: Fraction) -> int:
+    """b^deg(f) * f(a/b) for x = a/b and the ascending integer coefficients
+    nums of f, by Horner's rule on the homogenized form (Knuth, TAOCP
+    vol. 2, 4.6.4): an integer with the sign of f(x)."""
+    a, b = x.numerator, x.denominator
+    acc, scale = 0, 1
+    for c in reversed(nums):
+        acc = acc * a + c * scale
+        scale *= b
+    return acc
+
+
+def _power(base, n: int, one):
+    """base**n by repeated squaring (Knuth, TAOCP vol. 2, 4.6.3), one the
+    unit of base's ring."""
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("power requires a non-negative integer")
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
 
 
 def _from_numerators(var: str, nums: list[int], den: int) -> "UnivariatePolynomial":
@@ -470,17 +512,7 @@ class UnivariatePolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("power requires a non-negative integer")
-        out = UnivariatePolynomial.constant(self.var, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return _power(self, n, UnivariatePolynomial.constant(self.var, 1))
 
     def __divmod__(self, other):
         d = self._coerce(other)
@@ -507,14 +539,8 @@ class UnivariatePolynomial:
 
     def evaluate(self, x) -> Fraction:
         x = as_fraction(x)
-        # Horner on p/q: sum of nums[i] * p^i * q^(deg - i), over den * q^deg.
         nums, den = _numerators(self.coeffs)
-        p, q = x.numerator, x.denominator
-        acc, scale = 0, 1
-        for c in reversed(nums):
-            acc = acc * p + c * scale
-            scale *= q
-        return Fraction(acc, den * scale // q) if nums else Fraction(0)
+        return Fraction(_homogenized(nums, x), den * x.denominator ** (len(nums) - 1)) if nums else Fraction(0)
 
     def evaluate_float(self, x: float) -> float:
         acc = 0.0
@@ -546,16 +572,8 @@ class UnivariatePolynomial:
 
     def primitive_integer(self) -> tuple["UnivariatePolynomial", Fraction]:
         """Integer-coefficient primitive form and the removed positive factor."""
-        if self.is_zero:
-            return self, Fraction(1)
-        den = 1
-        for c in self.coeffs:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        num = 0
-        for c in self.coeffs:
-            num = math.gcd(num, abs(c.numerator * (den // c.denominator)))
-        factor = Fraction(num, den)
-        return self * (1 / factor), factor
+        nums, factor = _integer_form(self.coeffs)
+        return _from_numerators(self.var, nums, 1), factor
 
     def to_polynomial(self) -> Polynomial:
         return Polynomial((self.var,), {(i,): c for i, c in enumerate(self.coeffs) if c})
@@ -576,12 +594,6 @@ def univariate_from_polynomial(p: Polynomial, var: str) -> UnivariatePolynomial:
     return UnivariatePolynomial(var, coeffs)
 
 
-def _primitive(nums: list[int]) -> list[int]:
-    """nums divided by the gcd of its entries."""
-    g = math.gcd(*nums)
-    return [c // g for c in nums] if g > 1 else nums
-
-
 def _remainder_sequence(a: list[int], b: list[int]) -> list[list[int]]:
     """The primitive signed remainder sequence of ascending integer lists
     a and b, up to its last nonzero element (Collins 1967; Brown and Traub
@@ -593,7 +605,7 @@ def _remainder_sequence(a: list[int], b: list[int]) -> list[list[int]]:
     one in a, b, -rem(a, b), ... over the rationals: same signs, and the
     last one is the gcd up to a constant factor.
     """
-    seq = [_primitive(a), _primitive(b)]
+    seq = [_primitive(a)[0], _primitive(b)[0]]
     while seq[-1]:
         r, b = seq[-2], seq[-1]
         lc, sign, low = abs(b[-1]), 1 if b[-1] > 0 else -1, b[:-1]
@@ -620,20 +632,6 @@ def gcd_univariate(p: UnivariatePolynomial, q: UnivariatePolynomial) -> Univaria
     return _from_numerators(p.var, g, g[-1]) if g else UnivariatePolynomial.zero(p.var)
 
 
-def _exact_quotient(f: list[int], g: list[int]) -> list[int]:
-    """f / g for ascending integer lists, g dividing f with an integer
-    quotient: each step's division by lc(g) is then exact."""
-    d = len(g) - 1
-    r = list(f)
-    q = [0] * (len(f) - d)
-    for i in range(len(q) - 1, -1, -1):
-        q[i] = c = r[i + d] // g[-1]
-        if c:
-            for j, gj in enumerate(g):
-                r[i + j] -= c * gj
-    return q
-
-
 def sturm_chain(p: UnivariatePolynomial) -> list[list[int]]:
     """Sturm sequence of the square-free part of a nonzero p, as primitive
     integer coefficient lists (ascending); chain[0] is the square-free part.
@@ -649,21 +647,13 @@ def sturm_chain(p: UnivariatePolynomial) -> list[list[int]]:
     """
     a = _numerators(p.coeffs)[0]
     chain = _remainder_sequence(a, [i * c for i, c in enumerate(a)][1:])
-    return [_exact_quotient(f, chain[-1]) for f in chain]
+    return [_divide(f, chain[-1])[0] for f in chain]
 
 
 def _variations(chain: list[list[int]], x: Fraction) -> int:
     """Sign variations of the chain at x = a/b, counted on the integers
     b^deg(f) * f(a/b), which have the signs of the values f(x)."""
-    a, b = x.numerator, x.denominator
-    signs = []
-    for coeffs in chain:
-        acc, scale = 0, 1
-        for c in reversed(coeffs):
-            acc = acc * a + c * scale
-            scale *= b
-        if acc:
-            signs.append(acc > 0)
+    signs = [v > 0 for v in (_homogenized(f, x) for f in chain) if v]
     return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
@@ -857,8 +847,6 @@ class RationalFunction:
         return RationalFunction(self.num * o.den, self.den * o.num)
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("power requires a non-negative integer")
         return RationalFunction(self.num**n, self.den**n)
 
     def __rtruediv__(self, other):

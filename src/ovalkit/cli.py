@@ -19,7 +19,7 @@ from . import certify as certify_mod
 from . import curves as curves_mod
 from . import quadrature as quad
 from .algebra import Interval, as_fraction
-from .curves import BezierControlPolygon, ParametricCurve, Point, validate_centered
+from .curves import ORIGIN, BezierControlPolygon, ParametricCurve, Point, validate_centered
 from .errors import DeskScopeError, OvalkitError
 from .parsing import parse_polynomial, parse_rational_function, render_polynomial
 from .puiseux import expand_branch, render_series
@@ -28,7 +28,8 @@ _PARAM_RE = re.compile(
     r"^\s*x\s*=\s*(?P<x>[^;]+);\s*y\s*=\s*(?P<y>[^;]+);\s*(?P<var>[A-Za-z_]\w*)\s+in\s*"
     r"\[\s*(?P<lo>[^,\]]+)\s*,\s*(?P<hi>[^,\]]+)\s*\]\s*$"
 )
-_POINT_RE = re.compile(r"\(\s*([^,()]+)\s*,\s*([^,()]+)\s*\)")
+_POINT_RE = re.compile(r"\(\s*([^\s,()]+)\s*,\s*([^\s,()]+)\s*\)")
+_POINTS_RE = re.compile(rf"(?:\s*{_POINT_RE.pattern})*\s*")
 
 MAX_TABLE_ROWS = 10_000
 
@@ -44,10 +45,10 @@ def parse_curve_text(text: str) -> ParametricCurve:
     """
     body = text.strip()
     if body.startswith("bezier"):
-        pts = [
-            Point(as_fraction(a), as_fraction(b))
-            for a, b in _POINT_RE.findall(body[len("bezier") :])
-        ]
+        points = body[len("bezier") :]
+        if not _POINTS_RE.fullmatch(points):
+            raise OvalkitError("bezier text must be control points '(x,y)' separated by whitespace")
+        pts = [Point(as_fraction(a), as_fraction(b)) for a, b in _POINT_RE.findall(points)]
         return curves_mod.bezier_to_parametric(BezierControlPolygon(tuple(pts)))
     if body.startswith("param"):
         body = body[len("param") :]
@@ -173,7 +174,7 @@ def _curve_from_args(args) -> ParametricCurve:
 
 
 def _centered_origin(curve: ParametricCurve):
-    return validate_centered(curve, Point(Fraction(0), Fraction(0)))
+    return validate_centered(curve, ORIGIN)
 
 
 def _write_out(args, text: str):
@@ -302,7 +303,7 @@ def _cmd_verify(args) -> int:
         cert, curve, n_samples=args.samples, tol=args.tol
     )
     verdict = "PASS" if report.passed else "FAIL"
-    print(f"sampled lines: {len(report.samples)}")
+    print(f"sampled lines: {len(report.values) // 5}")
     print(f"max relative residual: {report.max_relative_residual:.3e}")
     print(f"oracle error estimate: {report.oracle_error:.3e}")
     print(f"tolerance: {report.tolerance:.3e} -> {verdict}")

@@ -131,10 +131,6 @@ class BezierControlPolygon:
             raise ValueError("need at least 2 distinct control points")
         object.__setattr__(self, "control_points", pts)
 
-    @property
-    def is_closed(self) -> bool:
-        return len(self.control_points) >= 3 and self.control_points[0] == self.control_points[-1]
-
 
 def bezier_to_parametric(cp: BezierControlPolygon) -> ParametricCurve:
     """Exact Bernstein parametrization in t on [0, 1]."""

@@ -41,7 +41,7 @@ from fractions import Fraction
 from itertools import accumulate, zip_longest
 from operator import mul
 
-from .algebra import Polynomial, UnivariatePolynomial
+from .algebra import Polynomial, UnivariatePolynomial, _divide, _integer_form, _numerators
 from .errors import DeskScopeError, SylvesterSizeError
 
 MAX_SYLVESTER_SIZE = 64
@@ -269,12 +269,11 @@ def resultant(f: Polynomial, g: Polynomial, var: str) -> Polynomial:
     cap = n * f.total_degree() + m * g.total_degree() - m * n
     bounds = [0] * len(variables)
     for coeffs, rows in blocks:
-        lcm = math.lcm(*(c.denominator for p in coeffs for c in p.terms.values()))
+        aligned = [p.with_vars(variables).terms for p in coeffs]
+        nums, lcm = _numerators([c for terms in aligned for c in terms.values()])
         scale *= lcm**rows
-        compiled = [
-            [(e, c.numerator * (lcm // c.denominator)) for e, c in p.with_vars(variables).terms.items()]
-            for p in coeffs
-        ]
+        numerators = iter(nums)
+        compiled = [[(e, next(numerators)) for e in terms] for terms in aligned]
         for i in range(len(variables)):
             bounds[i] += rows * max(e[i] for entry in compiled for e, _ in entry)
         height *= sum(abs(c) for entry in compiled for _, c in entry) ** rows
@@ -332,10 +331,9 @@ def pencil_eliminant(
     _check_sylvester_size(ds + d, s.var)
     if ds < 0 or d < 1:
         raise ValueError("the pencil eliminant needs a nonzero s and a nonconstant slope a/b")
-    ls = math.lcm(*(c.denominator for c in s.coeffs))
-    sh = [c.numerator * (ls // c.denominator) for c in s.coeffs]
-    lg = math.lcm(*(c.denominator for c in a.coeffs + b.coeffs))
-    ah, bh = ([c.numerator * (lg // c.denominator) for c in p.coeffs] + [0] * (d - p.degree()) for p in (a, b))
+    sh, ls = _numerators(s.coeffs)
+    abh, lg = _numerators(a.coeffs + [0] * (d - a.degree()) + b.coeffs + [0] * (d - b.degree()))
+    ah, bh = abh[: d + 1], abh[d + 1 :]
     sign = -1 if ds * d % 2 else 1
     nodes: list[int] = []
     values = []
@@ -369,34 +367,19 @@ def _integer_inputs(
     # g_hat(tau) = a^(d-1) * gi(tau/a).
     gh = [c.numerator * a ** (d - 1 - i) for i, c in enumerate(gi.coeffs[:-1])] + [1]
     m = max(P.degree(), R.degree(), 0)
-    lcm = math.lcm(*(c.denominator for c in P.coeffs + R.coeffs))
-    ph = [c.numerator * (lcm // c.denominator) * a ** (m - i) for i, c in enumerate(P.coeffs)]
-    rh = [c.numerator * (lcm // c.denominator) * a ** (m - i) for i, c in enumerate(R.coeffs)]
-    content = math.gcd(*ph, *rh) or 1
-    ph = [c // content for c in ph]
-    rh = [c // content for c in rh]
-    return gh, ph, rh, Fraction(lcm * a**m, content), Fraction(a ** (d - 1)) / k
+    nums, f = _integer_form([c * a ** (m - i) for p in (P, R) for i, c in enumerate(p.coeffs)])
+    ph, rh = nums[: len(P.coeffs)], nums[len(P.coeffs) :]
+    return gh, ph, rh, a**m / f, Fraction(a ** (d - 1)) / k
 
 
 def _g_adic(p: list[int], g: list[int]) -> list[list[int]]:
     """Parts p_k of p = sum_k p_k * g^k with deg p_k < deg g, for ascending
     integer coefficients p and a monic integer g; each part's trailing
     zeros are dropped. Dividing by a monic g keeps every part integral."""
-    d = len(g) - 1
     parts = []
     while p:
-        p = list(p)
-        q = [0] * max(len(p) - d, 0)
-        for i in range(len(q) - 1, -1, -1):
-            q[i] = c = p[i + d]
-            if c:
-                for j, gj in enumerate(g):
-                    p[i + j] -= c * gj
-        r = p[:d]
-        while r and not r[-1]:
-            r.pop()
+        p, r = _divide(p, g)
         parts.append(r)
-        p = q
     return parts
 
 

@@ -3,10 +3,13 @@
 Grammar (infix, no implicit multiplication):
 
     expr   := ['+'|'-'] term (('+'|'-') term)*
-    term   := factor ('*' factor)*           (also '/' in rational mode)
+    term   := factor (('*'|'/') factor)*
     factor := base ('^' uint)?
-    base   := number | var | '(' expr ')'
-    number := uint ('/' uint)?
+    base   := uint | var | '(' expr ')' | '-' base
+
+'/' binds like '*', from the left, after '^': 3/4^2 is 3/16. A rational
+function may be divided by any nonzero one; a polynomial only by a nonzero
+constant, so x/2 is a polynomial and x/(1-x) is refused.
 
 Printing uses a fixed canonical term order (graded, descending), so equal
 polynomials always render to the same string and render/parse round-trips.
@@ -18,7 +21,7 @@ import math
 import re
 from fractions import Fraction
 
-from .algebra import Polynomial, RationalFunction, UnivariatePolynomial
+from .algebra import Polynomial, RationalFunction, UnivariatePolynomial, _numerators
 from .errors import DeskScopeError, ParseError
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^()]))")
@@ -45,9 +48,10 @@ def _size(value) -> tuple[int, int, int, set[str], int]:
     height of a parsed value.
 
     A polynomial's degree is its total degree and its denominator degree 0.
-    The height, sum |c| times the lcm of the denominators, bounds every
-    numerator over the common denominator; a rational function counts the
-    coefficients of its numerator and denominator together.
+    The height, the larger of the lcm L of the denominators and sum |c| * L,
+    bounds that common denominator and every numerator over it; a rational
+    function counts the coefficients of its numerator and denominator
+    together.
     """
     if isinstance(value, RationalFunction):
         num, den = max(value.num.degree(), 0), value.den.degree()
@@ -57,9 +61,8 @@ def _size(value) -> tuple[int, int, int, set[str], int]:
         num, den = max(value.total_degree(), 0), 0
         coeffs = list(value.terms.values())
         variables = value.used_vars()
-    lcm = math.lcm(*(c.denominator for c in coeffs))
-    height = sum(abs(c.numerator) * (lcm // c.denominator) for c in coeffs)
-    return num, den, len(coeffs), variables, height
+    nums, lcm = _numerators(coeffs)
+    return num, den, len(coeffs), variables, max(sum(map(abs, nums)), lcm)
 
 
 def _check_budget(what: str, pos: int, degree: int, variables: set[str], terms: int, bits: int) -> None:
@@ -198,14 +201,20 @@ class _Parser:
                 _check_product(value, rhs, pos)
                 value = value * rhs
             elif kind == "op" and val == "/":
-                if self.rational_var is None:
-                    raise ParseError("division is only allowed between integer literals", pos)
                 self.take()
                 rhs = self.factor()
-                if rhs.num.is_zero:
+                if (rhs.num if self.rational_var else rhs).is_zero:
                     raise ParseError("division by zero", pos)
-                _check_product(value, rhs, pos, quotient=True)
-                value = value / rhs
+                if self.rational_var is not None:
+                    _check_product(value, rhs, pos, quotient=True)
+                    value = value / rhs
+                elif rhs.total_degree() > 0:
+                    raise ParseError("a polynomial may only be divided by a constant", pos)
+                else:
+                    # A polynomial over a constant c: its product with 1/c.
+                    c = 1 / rhs.leading()[1]
+                    _check_product(value, self._const(c), pos)
+                    value = value * c
             else:
                 return value
 
@@ -235,20 +244,7 @@ class _Parser:
     def base(self):
         kind, val, pos = self.take()
         if kind == "num":
-            value = Fraction(int(val))
-            # Fold "p/q" literals in polynomial mode, where '/' is otherwise illegal.
-            if self.rational_var is None:
-                k2, v2, _ = self.peek()
-                if k2 == "op" and v2 == "/":
-                    k3, v3, p3 = self.tokens[self.i + 1] if self.i + 1 < len(self.tokens) else (None, None, pos)
-                    if k3 == "num":
-                        self.i += 2
-                        if int(v3) == 0:
-                            raise ParseError("zero denominator in rational literal", p3)
-                        value /= int(v3)
-                    else:
-                        raise ParseError("division is only allowed between integer literals", p3)
-            return self._const(value)
+            return self._const(int(val))
         if kind == "name":
             return self._var_value(val, pos)
         if kind == "op" and val == "(":

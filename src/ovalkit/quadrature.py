@@ -30,7 +30,7 @@ from .algebra import (
     isolate_roots,
     sturm_chain,
 )
-from .curves import CenteredParametrization, ParametricCurve, Point
+from .curves import ORIGIN, CenteredParametrization, ParametricCurve
 from .errors import DegenerateCurveError, DeskScopeError, ExactIntegrationError
 
 if TYPE_CHECKING:
@@ -131,7 +131,7 @@ def chord_area_function(cp: CenteredParametrization) -> UnivariatePolynomial:
 
 def _chord(cp: CenteredParametrization) -> tuple[UnivariatePolynomial, Fraction]:
     """The chord area function and the signed total that fixed its sign."""
-    if cp.center != Point(Fraction(0), Fraction(0)):
+    if cp.center != ORIGIN:
         raise ValueError("chord construction requires the center at the origin")
     curve = cp.curve
     B, total = _swept(curve)
@@ -217,7 +217,7 @@ def free_inlet_area(cp: CenteredParametrization, tP, valid_range: Interval) -> A
 
 def slope_function(cp: CenteredParametrization) -> RationalFunction:
     """Chord slope f/g as a reduced rational function of the parameter."""
-    if cp.center != Point(Fraction(0), Fraction(0)):
+    if cp.center != ORIGIN:
         raise ValueError("chord slopes require the center at the origin")
     return cp.curve.f / cp.curve.g
 

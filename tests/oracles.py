@@ -133,6 +133,29 @@ def fraction_antiderivative(p: list[Fraction]) -> list[Fraction]:
     return _trimmed([Fraction(0)] + [c / (i + 1) for i, c in enumerate(p)])
 
 
+def fraction_content(p: list[Fraction]) -> Fraction:
+    """The largest positive rational c with every p[i]/c an integer, by
+    Euclid's algorithm on Fractions (a % b is exact); 0 for a zero list."""
+    g = Fraction(0)
+    for c in p:
+        a, b = abs(c), g
+        while b:
+            a, b = b, a % b
+        g = a
+    return g
+
+
+def fraction_divmod(f: list[Fraction], g: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of f by g, g's last entry nonzero, by
+    subtracting multiples of g term by term, highest first."""
+    r, q = [Fraction(c) for c in f], [Fraction(0)] * max(len(f) - len(g) + 1, 0)
+    for i in reversed(range(len(q))):
+        q[i] = r[i + len(g) - 1] / g[-1]
+        for j, c in enumerate(g):
+            r[i + j] -= q[i] * c
+    return _trimmed(q), _trimmed(r[: len(g) - 1])
+
+
 def euclid_gcd(p: UnivariatePolynomial, q: UnivariatePolynomial) -> UnivariatePolynomial:
     """Monic gcd by the Euclidean algorithm over Fraction: remainders by
     long division, then the last nonzero one divided by its leading

@@ -16,7 +16,7 @@ from ovalkit import (
     substitute_rational,
     univariate_from_polynomial,
 )
-from ovalkit.algebra import isolate_roots, squarefree_part, sturm_chain
+from ovalkit.algebra import _divide, _homogenized, isolate_roots, squarefree_part, sturm_chain
 from ovalkit.errors import EvaluationError
 from ovalkit.parsing import parse_rational_function
 
@@ -24,6 +24,8 @@ from oracles import (
     euclid_gcd,
     fraction_add,
     fraction_antiderivative,
+    fraction_content,
+    fraction_divmod,
     fraction_evaluate,
     fraction_mul,
     fraction_sturm_chain,
@@ -65,8 +67,11 @@ def test_ring_axioms_random():
 
 
 def test_negative_power_rejected():
-    with pytest.raises(ValueError):
-        Polynomial.variable("x") ** -1
+    t = UnivariatePolynomial.identity("t")
+    for value in (Polynomial.variable("x"), t, RationalFunction(t)):
+        for n in (-1, 2.0):
+            with pytest.raises(ValueError, match="non-negative integer"):
+                value**n
 
 
 def test_partial_derivative_quartic(quartic_poly):
@@ -297,6 +302,73 @@ def test_integer_sturm_chain_matches_the_fraction_reference():
         p = a**i * b**j
         hypothesis.assume(not p.is_zero)
         assert sturm_chain(p) == fraction_sturm_chain(p)
+
+    check()
+
+
+def test_integer_form_matches_the_fraction_reference():
+    # content and primitive_integer share one integer form: the numerators
+    # over the lcm with their gcd divided out.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def check_one(cs):
+        p = UnivariatePolynomial("t", cs)
+        content = fraction_content(cs)
+        assert Polynomial(("t",), {(i,): c for i, c in enumerate(cs)}).content() == content
+        prim, factor = p.primitive_integer()
+        assert factor == (content or 1) and factor > 0
+        assert prim.coeffs == [c / factor for c in p.coeffs]
+        assert all(c.denominator == 1 for c in prim.coeffs)
+        assert math.gcd(*(c.numerator for c in prim.coeffs)) == (1 if prim.coeffs else 0)
+
+    for cs in ([], [Fraction(0)], [Fraction(-6, 35)], [Fraction(4), Fraction(-2, 3)], [Fraction(1, 2), Fraction(-3, 4)]):
+        check_one(cs)
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.lists(_mixed_coefficients(st), max_size=7))
+    def check(cs):
+        check_one(cs)
+
+    check()
+
+
+def test_integer_division_matches_the_fraction_reference():
+    # By a monic g every quotient is integral and q*g + r = f; by any g
+    # that divides f the quotient is exact and the remainder empty.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    ints = st.integers(-(10**20), 10**20)
+    nonzero = ints.filter(bool)
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.lists(ints, max_size=6).map(lambda f: f + [1]), st.lists(ints, max_size=4), nonzero)
+    def check(f, g_low, top):
+        g = g_low + [1]
+        q, r = _divide(f, g)
+        assert all(type(c) is int for c in q + r) and not (r and not r[-1])
+        assert (q, r) == fraction_divmod(f, g)
+        assert fraction_add(fraction_mul(q, g), r) == f
+        g_any = g_low + [top]
+        assert _divide(fraction_mul(f, g_any), g_any) == (f, [])
+
+    check()
+
+
+def test_homogenized_value_has_the_sign_of_the_value():
+    # b^deg(f) * f(a/b) on integers equals the Fraction value scaled by
+    # b^deg(f) > 0, so it has its sign.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.lists(st.integers(-(10**12), 10**12), max_size=7), _mixed_coefficients(st))
+    def check(nums, x):
+        value = fraction_evaluate(nums, x)
+        h = _homogenized(nums, x)
+        assert type(h) is int
+        assert h == value * x.denominator ** max(len(nums) - 1, 0)
+        assert (h > 0) == (value > 0) and (h < 0) == (value < 0)
 
     check()
 

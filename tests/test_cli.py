@@ -27,6 +27,10 @@ def test_parse_verb(capsys):
     code, out, _ = run(capsys, ["parse", "--expr", "(y^2-x)^2 - x^3", "--vars", "x,y"])
     assert code == 0
     assert out.strip() == "y^4 - 2*x*y^2 - x^3 + x^2"
+    code, out, _ = run(capsys, ["parse", "--expr", "3/4^2*x", "--vars", "x"])
+    assert (code, out) == (0, "3/16*x\n")
+    code, out, err = run(capsys, ["parse", "--expr", "x/(1-x)", "--vars", "x"])
+    assert (code, out) == (1, "") and err.count("\n") == 1
 
 
 def test_area_verb(capsys):
@@ -423,6 +427,7 @@ def test_certify_and_verify_roundtrip(tmp_path, capsys):
     assert code == 0
     assert "PASS" in out
     lines = out.splitlines()
+    assert lines[0] == "sampled lines: 20"
     assert lines[-2].startswith("oracle error estimate: ") and float(lines[-2].split(": ")[1]) > 0.0
     assert lines[-1].endswith("-> PASS")
 
@@ -488,6 +493,22 @@ def test_curve_text_errors():
         parse_curve_text("x=t; y=t")
     bez = parse_curve_text("bezier (0,0) (1,0) (1,1)")
     assert bez.interval.lo == 0 and bez.interval.hi == 1
+
+
+def test_malformed_bezier_text_is_refused_in_one_line(capsys):
+    # Only control points '(x,y)' separated by whitespace follow 'bezier';
+    # a malformed point or a stray word is refused, not skipped.
+    message = "error: bezier text must be control points '(x,y)' separated by whitespace\n"
+    for text in (
+        "bezier (0,0) (1,2) (3,0 (0,0)",
+        "bezier (0,0) xyz (1,2) (3,0) (0,0)",
+        "bezier (0,0) (1,2) (3,0) (0,0) end",
+        "bezier (0,0) (1 2,3) (0,0)",
+        "bezier (" + " " * 3000 + "," + " " * 3000 + "1",
+    ):
+        code, out, err = run(capsys, ["implicitize", "--param", text])
+        assert (code, out, err) == (1, "", message)
+    assert parse_curve_text("bezier(0,0)  ( 1/2 , -2 )\t(3,0)  ") == parse_curve_text("bezier (0,0) (1/2,-2) (3,0)")
 
 
 def test_input_from_file(tmp_path, capsys):

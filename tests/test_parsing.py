@@ -94,8 +94,10 @@ def test_power_expansion_budget():
     assert parse_polynomial("x^500", ["x"]).total_degree() == 500
     assert len(parse_polynomial("(x+y+1)^43", ["x", "y"]).terms) == 990
     assert parse_polynomial("2^10000", ["x"]) == 2**10000
+    # A common denominator counts towards the bits as a numerator does.
+    assert parse_polynomial("(1/2)^10000", ["x"]) == Fraction(1, 2**10000)
     assert parse_rational_function("(t+1)^40/(t-1)", "t").num.degree() == 40
-    for text in ("x^501", "(x+1)^501", "(x+y+1)^44", "2^10001", "(x+y+1)^400", "7^30000000", "x^" + "9" * 400):
+    for text in ("x^501", "(x+1)^501", "(x+y+1)^44", "2^10001", "(x+y+1)^400", "7^30000000", "x^" + "9" * 400, "(1/2)^10001", "(1/7)^30000000"):
         with pytest.raises(DeskScopeError):
             parse_polynomial(text, ["x", "y"])
     with pytest.raises(DeskScopeError):
@@ -150,10 +152,19 @@ def test_nesting_depth_limit():
 
 
 def test_division_rejected_in_polynomial_mode():
-    with pytest.raises(ParseError):
-        parse_polynomial("x/(1-x)", ["x"])
-    # but integer literals may form rationals
+    for text, message in (
+        ("x/(1-x)", "only be divided by a constant"),
+        ("x/y", "only be divided by a constant"),
+        ("x/0", "division by zero"),
+        ("x/(2-2)", "division by zero"),
+    ):
+        with pytest.raises(ParseError, match=message):
+            parse_polynomial(text, ["x", "y"])
+    # but nonzero constants may divide
     assert parse_polynomial("3/4", ["x"]) == Polynomial.constant(Fraction(3, 4), ["x"])
+    x = Polynomial.variable("x")
+    assert parse_polynomial("x/2", ["x"]) == x * Fraction(1, 2)
+    assert parse_polynomial("(x^2 - x)/(3 - 1)/-3", ["x"]) == (x * x - x) * Fraction(-1, 6)
 
 
 def test_rational_function_examples():
@@ -185,3 +196,27 @@ def test_leading_negative_roundtrip():
     p = parse_polynomial("-x^3 + x", ["x"])
     assert render_polynomial(p) == "-x^3 + x"
     assert parse_polynomial(render_polynomial(p), ["x"]) == p
+
+
+def test_division_binds_after_powers_in_both_modes():
+    # '/' is one rule in both modes: 3/4^2 is 3/(4^2), not (3/4)^2.
+    x = Polynomial.variable("x")
+    assert parse_polynomial("3/4^2*x", ["x"]) == x * Fraction(3, 16)
+    assert parse_rational_function("3/4^2*t", "t") == parse_rational_function("3*t/16", "t")
+    assert parse_polynomial("1/2/3", ["x"]) == Fraction(1, 6)
+    assert parse_polynomial("2^3/4", ["x"]) == 2
+
+
+def test_render_parse_roundtrip_on_fractional_polynomials():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coeff = st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**6))
+    exps = st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5))
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.dictionaries(exps, coeff, max_size=8))
+    def check(terms):
+        p = Polynomial(("x", "y", "z"), terms)
+        assert parse_polynomial(render_polynomial(p), ["x", "y", "z"]) == p
+
+    check()
