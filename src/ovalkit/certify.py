@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 from .algebra import (
     Polynomial,
     RationalFunction,
+    _monomial_key,
     substitute_rational,
 )
 from .curves import CenteredParametrization, ParametricCurve
@@ -116,13 +117,21 @@ class SampleReport:
         return self.max_relative_residual <= self.tolerance
 
 
-def _cleanup(raw: Polynomial, eliminated: Sequence[str], inputs: Sequence[Polynomial]) -> tuple[Polynomial, Provenance]:
-    normalized, factor = raw.primitive_normalized()
+def _cleanup(eliminant, eliminated: Sequence[str], inputs: Sequence[Polynomial]) -> tuple[Polynomial, Provenance]:
+    """Q and its Provenance from an eliminant's integer form
+    (variables, terms, scale), the raw eliminant being scale times the
+    integer polynomial: Q is that polynomial divided by the gcd of its
+    coefficients, signed so that its leading term under the graded order
+    is positive, the rule of Polynomial.primitive_normalized. The removed
+    factor raw/Q is recorded unless it is 1."""
+    variables, terms, scale = eliminant
+    g = math.gcd(*terms.values())
+    if terms[max(terms, key=_monomial_key)] < 0:
+        g = -g
+    factor = g * scale
     removed = () if factor == 1 else (str(factor),)
     prov = Provenance(tuple(render_polynomial(p) for p in inputs), tuple(eliminated), removed)
-    # With its content divided out, Q has integer coefficients.
-    terms = normalized.terms
-    return _shared_parts(normalized.vars, tuple(terms), tuple(c.numerator for c in terms.values()), prov)
+    return _shared_parts(variables, tuple(terms), tuple(c // g for c in terms.values()), prov)
 
 
 @functools.lru_cache(maxsize=256)
@@ -158,7 +167,7 @@ def pencil_certificate(cp: CenteredParametrization, area: str = "chord") -> Cert
         raise DegenerateCurveError("curve encloses zero signed area")
     slope = slope_function(cp)
     a, b = slope.num, slope.den
-    raw = pencil_eliminant(s, a, b)
+    eliminant = pencil_eliminant(s, a, b)
     terms = {(0, i): -c for i, c in enumerate(s.coeffs)}
     terms[(1, 0)] = 1
     e_S = Polynomial(("S", t), terms)
@@ -166,7 +175,7 @@ def pencil_certificate(cp: CenteredParametrization, area: str = "chord") -> Cert
     for i, c in enumerate(b.coeffs):
         terms[(1, i)] = c
     e_m = Polynomial(("m", t), terms)
-    q, prov = _cleanup(raw, (t,), (e_S, e_m))
+    q, prov = _cleanup(eliminant, (t,), (e_S, e_m))
     return Certificate(q, {"S": "area", "m": "slope"}, prov)
 
 
@@ -195,7 +204,7 @@ def vertical_certificate(cp: CenteredParametrization) -> Certificate:
     t1, t2 = t + "1", t + "2"
     P, R = vertical_area_parts(cp)  # ExactIntegrationError unless g, f are polynomials
     g = cp.curve.g.as_univariate()
-    raw = vertical_eliminant(g, P, R)
+    eliminant = vertical_eliminant(g, P, R)
     # The inputs are only rendered, so their terms are written directly:
     # e1 = S - P(t1) - R(t2), D, and e_c = c - g(t2).
     terms = {(0, i, 0): -c for i, c in enumerate(P.coeffs)}
@@ -208,7 +217,7 @@ def vertical_certificate(cp: CenteredParametrization) -> Certificate:
     terms = {(0, j): -c for j, c in enumerate(g.coeffs)}
     terms[(1, 0)] = 1
     e_c = Polynomial(("c", t2), terms)
-    q, prov = _cleanup(raw, (t1, t2), (e1, D, e_c))
+    q, prov = _cleanup(eliminant, (t1, t2), (e1, D, e_c))
     return Certificate(q, {"S": "area", "c": "abscissa"}, prov)
 
 

@@ -18,10 +18,10 @@ from fractions import Fraction
 from . import certify as certify_mod
 from . import curves as curves_mod
 from . import quadrature as quad
-from .algebra import Interval, as_fraction
+from .algebra import Interval
 from .curves import ORIGIN, BezierControlPolygon, ParametricCurve, Point, validate_centered
 from .errors import DeskScopeError, OvalkitError
-from .parsing import parse_polynomial, parse_rational_function, render_polynomial
+from .parsing import MAX_POWER_BITS, parse_polynomial, parse_rational_function, render_polynomial
 from .puiseux import expand_branch, render_series
 
 _PARAM_RE = re.compile(
@@ -32,6 +32,66 @@ _POINT_RE = re.compile(r"\(\s*([^\s,()]+)\s*,\s*([^\s,()]+)\s*\)")
 _POINTS_RE = re.compile(rf"(?:\s*{_POINT_RE.pattern})*\s*")
 
 MAX_TABLE_ROWS = 10_000
+
+# A rational literal in Fraction()'s grammar (Python 3.12's, which allows
+# spaces around '/'): p/q, or a decimal with an optional exponent, digits
+# grouped by single underscores.
+_RATIONAL_RE = re.compile(
+    r"\s*(?P<sign>[-+]?)(?=\d|\.\d)(?P<num>\d*|\d+(?:_\d+)*)"
+    r"(?:\s*/\s*(?P<den>\d+(?:_\d+)*)|(?:\.(?P<frac>\d*|\d+(?:_\d+)*))?(?:[eE](?P<exp>[-+]?\d+(?:_\d+)*))?)\s*"
+)
+# 10^_MAX_DIGITS exceeds 2^MAX_POWER_BITS.
+_MAX_DIGITS = int(MAX_POWER_BITS / math.log2(10)) + 1
+
+
+def _too_wide(digits: str, zeros: int) -> bool:
+    """Whether int(digits) * 10^zeros, digits free of leading zeros, has
+    more than MAX_POWER_BITS bits, read off the digit count where that
+    decides it, so that nothing wide is built."""
+    if not digits:
+        return False
+    if len(digits) - 1 + zeros >= _MAX_DIGITS:
+        return True
+    return (int(digits) * 10**zeros).bit_length() > MAX_POWER_BITS
+
+
+def _rational(text: str) -> Fraction:
+    """The rational a command-line literal names, as Fraction(text) reads
+    it, its size checked before any integer is built. A literal p/q is
+    refused (DeskScopeError) when p or q as written has more than
+    MAX_POWER_BITS bits, and a nonzero decimal M*10^x, M without trailing
+    zeros, when M*10^x does or, for x < 0, M or 10^-x does. A zero
+    denominator is refused as such; text outside the grammar gets
+    Fraction's own error."""
+    m = _RATIONAL_RE.fullmatch(text)
+    if m is None:
+        return Fraction(text)
+    shown = text.strip()
+    if len(shown) > 40:
+        shown = shown[:37] + "..."
+    num = m["num"].replace("_", "").lstrip("0")
+    if m["den"] is not None:
+        den = m["den"].replace("_", "").lstrip("0")
+        if not den:
+            raise OvalkitError(f"zero denominator in {shown}")
+        # (digits, zeros) of the numerator and of the denominator.
+        p, q = (num, 0), (den, 0)
+    else:
+        frac = (m["frac"] or "").replace("_", "")
+        exp = (m["exp"] or "0").replace("_", "")
+        e = exp.lstrip("+-").lstrip("0")
+        # Past 12 digits only the exponent's sign matters: it is too wide.
+        x = (-1 if exp[0] == "-" else 1) * (int(e or "0") if len(e) <= 12 else 10**12)
+        digits = (num + frac).lstrip("0")
+        mantissa = digits.rstrip("0")
+        if not mantissa:
+            return Fraction(0)
+        x += len(digits) - len(mantissa) - len(frac)
+        p, q = (mantissa, max(x, 0)), ("1", max(-x, 0))
+    if _too_wide(*p) or _too_wide(*q):
+        raise DeskScopeError(f"rational {shown} exceeds the supported {MAX_POWER_BITS} bits")
+    p, q = int(p[0] or "0") * 10 ** p[1], int(q[0]) * 10 ** q[1]
+    return Fraction(-p if m["sign"] == "-" else p, q)
 
 
 def parse_curve_text(text: str) -> ParametricCurve:
@@ -48,7 +108,7 @@ def parse_curve_text(text: str) -> ParametricCurve:
         points = body[len("bezier") :]
         if not _POINTS_RE.fullmatch(points):
             raise OvalkitError("bezier text must be control points '(x,y)' separated by whitespace")
-        pts = [Point(as_fraction(a), as_fraction(b)) for a, b in _POINT_RE.findall(points)]
+        pts = [Point(_rational(a), _rational(b)) for a, b in _POINT_RE.findall(points)]
         return curves_mod.bezier_to_parametric(BezierControlPolygon(tuple(pts)))
     if body.startswith("param"):
         body = body[len("param") :]
@@ -60,7 +120,7 @@ def parse_curve_text(text: str) -> ParametricCurve:
     var = m.group("var")
     g = parse_rational_function(m.group("x"), var)
     f = parse_rational_function(m.group("y"), var)
-    interval = Interval(as_fraction(m.group("lo").strip()), as_fraction(m.group("hi").strip()))
+    interval = Interval(_rational(m.group("lo")), _rational(m.group("hi")))
     return ParametricCurve(g, f, interval)
 
 
@@ -204,7 +264,7 @@ def _pair(text: str, flag: str, form: str) -> tuple[Fraction, Fraction]:
     parts = text.split(",")
     if len(parts) != 2:
         raise OvalkitError(f"{flag} expects {form}, not {text!r}")
-    return as_fraction(parts[0].strip()), as_fraction(parts[1].strip())
+    return _rational(parts[0]), _rational(parts[1])
 
 
 def _cmd_parse(args) -> int:
@@ -252,7 +312,7 @@ def _cmd_area(args) -> int:
     curve = _curve_from_args(args)
     if args.chord is not None:
         cp = _centered_origin(curve)
-        result = quad.origin_chord_segment_area(cp, as_fraction(args.chord))
+        result = quad.origin_chord_segment_area(cp, _rational(args.chord))
     elif args.vertical is not None:
         t1, t2 = _pair(args.vertical, "--vertical", "t1,t2")
         cp = _centered_origin(curve)

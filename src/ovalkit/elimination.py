@@ -31,6 +31,13 @@ resultants at desk scale and for the vertical matrices of the cubic
 (6 x 6) and the quartic (12 x 12), but not at deg g = 6 (30 x 30, see
 README) or for pencils whose slope has a high degree, which keep their
 nodes.
+
+`resultant` returns a Polynomial. The two eliminants return theirs in
+integer form, a triple (variables, terms, scale): terms maps exponent
+tuples to nonzero ints, and the eliminant is scale times that integer
+polynomial. Their certificates divide out the ints' gcd (the content,
+von zur Gathen and Gerhard, Modern Computer Algebra, 6.2), so no
+rational coefficient is built between the digits and the certificate.
 """
 
 from __future__ import annotations
@@ -300,10 +307,12 @@ def pencil_eliminant(
     s: UnivariatePolynomial,
     a: UnivariatePolynomial,
     b: UnivariatePolynomial,
-) -> Polynomial:
+) -> tuple[tuple[str, str], dict[tuple[int, int], int], Fraction]:
     """Res_t(S - s(t), m*b(t) - a(t)) over the variables (S, m): the
     polynomial `resultant` returns for these two inputs (raw,
-    unnormalized), without a Sylvester matrix.
+    unnormalized), without a Sylvester matrix, in integer form: the triple
+    (("S", "m"), terms, scale), the resultant being scale times the
+    polynomial whose coefficients, keyed by exponents, are the ints terms.
 
     S enters linearly, so with G = m*b - a, d = deg_t G and ds = deg s,
     Res = (-1)^(ds*d) * lc(G)^ds * prod over the roots r of G of (S - s(r)),
@@ -321,7 +330,8 @@ def pencil_eliminant(
     3. those coefficients are polynomials in m of degree at most ds, one
        per row of G_hat in the Sylvester matrix, so `_newton` interpolates
        them on ds + 1 nodes. With Y = Ls*S, the term S^(d-i) * m^e is then
-       divided by Ls^i * Lg^ds.
+       divided by Ls^i * Lg^ds: its integer is the interpolated
+       coefficient times Ls^(d-i), and scale is 1/(Lg^ds * Ls^d).
 
     Raises SylvesterSizeError, as `resultant` does, when ds + d exceeds
     MAX_SYLVESTER_SIZE.
@@ -345,14 +355,14 @@ def pencil_eliminant(
         values.append([sign * c for c in _norm(G, sh)])
         if len(nodes) == ds + 1:
             break
-    terms: dict[tuple[int, int], Fraction] = {}
-    den = lg**ds
+    terms: dict[tuple[int, int], int] = {}
+    weight = ls**d
     for i in range(d + 1):
         for e, c in enumerate(_newton(nodes, [v[i] for v in values])):
             if c:
-                terms[(d - i, e)] = Fraction(c, den)
-        den *= ls
-    return Polynomial(("S", "m"), terms)
+                terms[(d - i, e)] = c * weight
+        weight //= ls
+    return ("S", "m"), terms, Fraction(1, lg**ds * ls**d)
 
 
 def _integer_inputs(
@@ -443,10 +453,12 @@ def vertical_eliminant(
     g: UnivariatePolynomial,
     P: UnivariatePolynomial,
     R: UnivariatePolynomial,
-) -> Polynomial:
+) -> tuple[tuple[str, str], dict[tuple[int, int], int], Fraction]:
     """Q(S, c) whose roots in S, at each c, are the values P(t1) + R(t2)
     at the common zeros of D(t1, t2) = (g(t1) - g(t2)) / (t1 - t2) and
-    g(t2) - c, with multiplicity (raw, unnormalized).
+    g(t2) - c, with multiplicity (raw, unnormalized), in integer form: the
+    triple (("S", "c"), terms, scale), Q being scale times the polynomial
+    whose coefficients, keyed by exponents, are the ints terms.
 
     For deg g = d >= 2, {D, g(t2) - c} is a lex Groebner basis: the
     leading terms t1^(d-1) and t2^d are coprime. So Q(c)[t1, t2]/(D, g - c)
@@ -492,7 +504,10 @@ def vertical_eliminant(
     (d-1)*max(deg P, deg R) = 12 was not. N never exceeds that bound,
     since d*k + deg P_k <= deg P_hat for each nonzero part.
 
-    Then S_hat = K*S and c_hat = lam*c map the result back.
+    Then S_hat = K*S and c_hat = lam*c map the result back: with
+    K = kn/kd and lam = ln/ld in lowest terms, the digit q of
+    S^(n-i) * c^e becomes the integer q * kn^(n-i) * kd^i * ln^e * ld^(N-e)
+    over the common denominator kd^n * ld^N, so scale = 1/(kd^n * ld^N).
     """
     d = g.degree()
     if d < 2:
@@ -561,12 +576,13 @@ def vertical_eliminant(
         cols.append(times_t2(cols[-1]))
     for i in range(1, d - 1):
         cols += [times_t1(col) for col in cols[-d:]]
-    terms: dict[tuple[int, int], Fraction] = {}
-    lam_num = [lam.numerator**e for e in range(bound + 1)]
-    lam_den = [lam.denominator**e for e in range(bound + 1)]
+    kn, kd = K.numerator, K.denominator
+    ln, ld = lam.numerator, lam.denominator
+    c_weights = [ln**e * ld ** (bound - e) for e in range(bound + 1)]
+    terms: dict[tuple[int, int], int] = {}
     for i, value in enumerate(_berkowitz(cols)):
-        k_num, k_den = K.numerator ** (n - i), K.denominator ** (n - i)
+        s_weight = kn ** (n - i) * kd**i
         for e, c in enumerate(_digits(value, width, bound + 1)):
             if c:
-                terms[(n - i, e)] = Fraction(c * k_num * lam_num[e], k_den * lam_den[e])
-    return Polynomial(("S", "c"), terms)
+                terms[(n - i, e)] = c * s_weight * c_weights[e]
+    return ("S", "c"), terms, Fraction(1, kd**n * ld**bound)

@@ -285,10 +285,6 @@ def parse_rational_function(text: str, variable: str) -> RationalFunction:
     return _Parser(_check_text(text), (var,), var).parse()
 
 
-def _format_coefficient(c: Fraction) -> str:
-    return str(c)
-
-
 def _monomial_text(variables, exps) -> str:
     parts = []
     for v, e in zip(variables, exps):
@@ -300,7 +296,9 @@ def _monomial_text(variables, exps) -> str:
 
 
 def render_polynomial(p) -> str:
-    """Canonical text for a polynomial: graded order, descending."""
+    """Canonical text for a polynomial: graded order, descending. Each
+    coefficient is written from its numerator and denominator, as
+    str(Fraction) writes it, its sign joining the terms."""
     if isinstance(p, UnivariatePolynomial):
         p = p.to_polynomial()
     if p.is_zero:
@@ -308,17 +306,16 @@ def render_polynomial(p) -> str:
     pieces = []
     for exps, coeff in p.sorted_terms():
         mono = _monomial_text(p.vars, exps)
-        mag = abs(coeff)
+        num, den = coeff.numerator, coeff.denominator
+        mag = f"{abs(num)}" if den == 1 else f"{abs(num)}/{den}"
         if not mono:
-            body = _format_coefficient(mag)
-        elif mag == 1:
+            body = mag
+        elif mag == "1":
             body = mono
         else:
-            body = f"{_format_coefficient(mag)}*{mono}"
-        if not pieces:
-            pieces.append(body if coeff > 0 else f"-{body}")
-        else:
-            pieces.append(f" + {body}" if coeff > 0 else f" - {body}")
+            body = f"{mag}*{mono}"
+        pieces += (" - " if num < 0 else " + ", body)
+    pieces[0] = "-" if pieces[0] == " - " else ""
     return "".join(pieces)
 
 

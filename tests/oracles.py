@@ -179,6 +179,49 @@ def fraction_sturm_chain(p: UnivariatePolynomial) -> list[list[int]]:
     return [[c.numerator for c in (f // g).primitive_integer()[0].coeffs] for f in chain]
 
 
+# -- Fraction references for certificate assembly -----------------------
+# The eliminants' integer form, Q's primitive form and the printer as they
+# were written with one Fraction per term.
+
+
+def eliminant_polynomial(eliminant) -> Polynomial:
+    """The raw eliminant an integer form (variables, terms, scale) stands
+    for: scale times the integer polynomial, one Fraction per term."""
+    variables, terms, scale = eliminant
+    return Polynomial(variables, {e: c * scale for e, c in terms.items()})
+
+
+def fraction_cleanup(raw: Polynomial) -> tuple[Polynomial, tuple[str, ...]]:
+    """Q and the removed factors a certificate records for the raw
+    eliminant, by Polynomial.primitive_normalized on its Fractions."""
+    q, factor = raw.primitive_normalized()
+    return q, () if factor == 1 else (str(factor),)
+
+
+def fraction_render(p) -> str:
+    """render_polynomial with each coefficient's magnitude, unit test and
+    sign taken on the Fraction."""
+    if isinstance(p, UnivariatePolynomial):
+        p = p.to_polynomial()
+    if p.is_zero:
+        return "0"
+    pieces = []
+    for exps, coeff in p.sorted_terms():
+        mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(p.vars, exps) if e)
+        mag = abs(coeff)
+        if not mono:
+            body = str(mag)
+        elif mag == 1:
+            body = mono
+        else:
+            body = f"{mag}*{mono}"
+        if not pieces:
+            pieces.append(body if coeff > 0 else f"-{body}")
+        else:
+            pieces.append(f" + {body}" if coeff > 0 else f" - {body}")
+    return "".join(pieces)
+
+
 def in_var(p, var: str) -> Polynomial:
     """The univariate polynomial p in the variable var."""
     return UnivariatePolynomial(var, p.coeffs).to_polynomial()
@@ -203,6 +246,27 @@ def sylvester_vertical(cp) -> Polynomial:
     Res_t2(Res_t1(e1, D), e_c), normalized."""
     e1, D, e_c, t1, t2 = sylvester_vertical_inputs(cp)
     return resultant(resultant(e1, D, t1), e_c, t2).primitive_normalized()[0]
+
+
+def vertical_raw(cp) -> Polynomial:
+    """The raw vertical eliminant K^n * det(S*I - M(c)), n = d(d - 1), from
+    the two Sylvester resultants: Res_t2(Res_t1(e1, D), e_c) is that
+    characteristic polynomial times a nonzero constant, its coefficient of
+    S^n. K = a^m/f makes K*P(tau/a) and K*R(tau/a) a pair of integer
+    polynomials in tau with content 1: a is g's leading coefficient over
+    g's content, m = max(deg P, deg R) and f the content of the
+    coefficients c_i*a^(m-i) of P and R together."""
+    e1, D, e_c, t1, t2 = sylvester_vertical_inputs(cp)
+    r = resultant(resultant(e1, D, t1), e_c, t2)
+    P, R = vertical_area_parts(cp)
+    g = cp.curve.g.as_univariate().coeffs
+    n = (len(g) - 1) * (len(g) - 2)
+    a = g[-1] / fraction_content(g)
+    m = max(len(P.coeffs), len(R.coeffs), 1) - 1
+    K = a**m / fraction_content([c * a ** (m - i) for p in (P, R) for i, c in enumerate(p.coeffs)])
+    i = r.vars.index("S")
+    (lead,) = [c for e, c in r.terms.items() if e[i] == n]
+    return r * (K**n / lead)
 
 
 def linear_in(var: str, rf: RationalFunction) -> Polynomial:

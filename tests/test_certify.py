@@ -29,7 +29,17 @@ from ovalkit.errors import DeskScopeError
 from ovalkit.quadrature import chord_area_function, free_inlet_function, slope_function
 
 from conftest import square_boundary
-from oracles import full_pass, pencil_inputs, scalar_residual, seeded_loops, serial_verify, sylvester_vertical, sylvester_vertical_inputs
+from oracles import (
+    eliminant_polynomial,
+    fraction_cleanup,
+    full_pass,
+    pencil_inputs,
+    scalar_residual,
+    seeded_loops,
+    serial_verify,
+    sylvester_vertical,
+    sylvester_vertical_inputs,
+)
 
 
 def test_pencil_certificate_cubic(cubic_centered, cubic_curve):
@@ -397,10 +407,37 @@ def test_vertical_certificate_records_charpoly_content(cubic_centered):
 
     cert = vertical_certificate(cubic_centered)
     P, R = vertical_area_parts(cubic_centered)
-    raw = vertical_eliminant(cubic_centered.curve.g.as_univariate(), P, R)
+    raw = eliminant_polynomial(vertical_eliminant(cubic_centered.curve.g.as_univariate(), P, R))
     (factor,) = cert.provenance.removed_factors
     assert cert.q * Fraction(factor) == raw
     assert cert.provenance.eliminated == ("t1", "t2")
+
+
+def test_cleanup_matches_primitive_normalized():
+    # Q, the removed factor and so its sign, from the integer form, against
+    # primitive_normalized on the raw eliminant's Fractions.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    exps = st.tuples(st.integers(0, 6), st.integers(0, 6))
+    coeff = st.integers(-(10**30), 10**30).filter(bool)
+    # Common factors, so that the gcd is often more than 1.
+    common = st.sampled_from((1, 2, 6, 7**9, 2**64 * 3))
+    scale = st.builds(Fraction, st.integers(-(10**9), 10**9).filter(bool), st.integers(1, 10**9))
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.dictionaries(exps, coeff, min_size=1, max_size=10), common, scale)
+    def check(terms, k, scale):
+        eliminant = (("S", "c"), {e: k * c for e, c in terms.items()}, scale)
+        raw = eliminant_polynomial(eliminant)
+        q, prov = certify._cleanup(eliminant, ("t",), ())
+        reference, removed = fraction_cleanup(raw)
+        assert q == reference and q.vars == reference.vars
+        assert prov.removed_factors == removed
+        assert q * Fraction(removed[0] if removed else 1) == raw
+        assert all(c.denominator == 1 for c in q.terms.values())
+        assert q.leading()[1] > 0
+
+    check()
 
 
 def test_vertical_certificate_graph_like_collapse():

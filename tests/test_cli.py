@@ -12,7 +12,9 @@ import pytest
 import ovalkit.cli as cli
 from ovalkit import elimination, quadrature
 from ovalkit.algebra import Interval
-from ovalkit.cli import main, parse_curve_text
+from ovalkit.cli import _rational, main, parse_curve_text
+from ovalkit.errors import DeskScopeError, OvalkitError
+from ovalkit.parsing import MAX_POWER_BITS
 
 from conftest import CUBIC_PARAM, QUARTIC_PARAM, QUARTIC_TEXT
 
@@ -281,6 +283,84 @@ def test_unbounded_inputs_end_in_one_line_error(argv):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["area", "--param", CUBIC_PARAM, "--chord", "1e-30000000"], "rational 1e-30000000 exceeds the supported 10000 bits"),
+        (["area", "--param", CUBIC_PARAM, "--chord", "1e-100000"], "rational 1e-100000 exceeds the supported 10000 bits"),
+        (["area", "--param", CUBIC_PARAM, "--chord", "1/0"], "zero denominator in 1/0"),
+        (
+            ["implicitize", "--param", "bezier (0,0) (1e-30000000,1) (2,0) (0,0)"],
+            "rational 1e-30000000 exceeds the supported 10000 bits",
+        ),
+        (
+            ["area", "--param", "x=3*(1-t)^2*t; y=3*(1-t)*t^2; t in [0,1e30000000]"],
+            "rational 1e30000000 exceeds the supported 10000 bits",
+        ),
+        (["area", "--param", QUARTIC_PARAM, "--vertical=-1/2,5e-30000000"], "rational 5e-30000000 exceeds the supported 10000 bits"),
+        (
+            ["damper-table", "--param", CUBIC_PARAM, "--range", "1/2,1e99999999999999999999", "--steps", "3"],
+            "rational 1e99999999999999999999 exceeds the supported 10000 bits",
+        ),
+        (["damper-table", "--param", CUBIC_PARAM, "--range", "1/2,1/0_0", "--steps", "3"], "zero denominator in 1/0_0"),
+    ],
+    ids=["chord-tiny", "chord-past-digit-limit", "chord-zero-denominator", "bezier-point", "interval-bound", "vertical", "range", "range-zero-denominator"],
+)
+def test_wide_or_undefined_literals_end_in_one_line(argv, message):
+    # Read by Fraction() unchecked, 1e-30000000 ran for more than 20 s,
+    # 1e-100000 failed on Python's digit limit for printing an int, and 1/0
+    # printed "error: Fraction(1, 0)".
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "ovalkit.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert time.monotonic() - start < 2.0
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.splitlines() == [f"error: {message}"]
+
+
+def test_rational_literals_read_as_fraction_reads_them():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    digits = st.text("0123456789", min_size=1, max_size=30)
+    sign = st.sampled_from(("", "-", "+"))
+    decimal = st.builds(
+        lambda s, a, b, e: f"{s}{a}{b}{e}",
+        sign,
+        st.one_of(digits, st.just("")),
+        st.one_of(st.just(""), st.builds(lambda d: "." + d, st.one_of(digits, st.just("")))),
+        st.one_of(st.just(""), st.builds(lambda c, n: f"{c}{n}", st.sampled_from("eE"), st.integers(-60, 60))),
+    ).filter(lambda t: any(c.isdigit() for c in t.split("e")[0].split("E")[0]))
+    ratio = st.builds(lambda s, p, q: f"{s}{p}/{q}", sign, digits, digits.filter(lambda q: int(q)))
+
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.one_of(decimal, ratio))
+    def check(text):
+        try:
+            expected = Fraction(text)
+        except ValueError:
+            with pytest.raises(ValueError):
+                _rational(text)
+        else:
+            assert _rational(text) == expected
+
+    check()
+    # The bound is exact at its edge, for numerators and denominators.
+    edge, past = str(2**MAX_POWER_BITS - 1), str(2**MAX_POWER_BITS)
+    assert _rational(edge) == 2**MAX_POWER_BITS - 1
+    assert _rational(f"-1/{edge}") == Fraction(-1, 2**MAX_POWER_BITS - 1)
+    assert _rational("1e-3010") == Fraction(1, 10**3010)
+    for text in (past, f"1/{past}", "1e-3011", "2e3010", f"{past}e-5"):
+        with pytest.raises(DeskScopeError):
+            _rational(text)
+    # Zeros and trailing zeros cost nothing, whatever the exponent.
+    assert _rational("0e-30000000") == _rational("-0.000e99999999999999") == 0
+    assert _rational("1" + "0" * 5000 + "e-5000") == 1
+    with pytest.raises(OvalkitError, match="zero denominator"):
+        _rational("3/000")
 
 
 def test_importing_the_package_and_cli_does_not_load_numpy():

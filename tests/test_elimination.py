@@ -13,11 +13,20 @@ from ovalkit import (
 )
 from ovalkit import curves, elimination
 from ovalkit.curves import Point
-from ovalkit.elimination import _berkowitz, _digits, _newton, _root_ceil, _sample_values, pencil_eliminant, sylvester_matrix
+from ovalkit.elimination import (
+    _berkowitz,
+    _digits,
+    _newton,
+    _root_ceil,
+    _sample_values,
+    pencil_eliminant,
+    sylvester_matrix,
+    vertical_eliminant,
+)
 from ovalkit.errors import DeskScopeError, SylvesterSizeError
-from ovalkit.quadrature import chord_area_function, free_inlet_function, slope_function
+from ovalkit.quadrature import chord_area_function, free_inlet_function, slope_function, vertical_area_parts
 
-from oracles import det_bareiss, det_cofactor, pencil_inputs, seeded_loops, sylvester_vertical_inputs
+from oracles import det_bareiss, det_cofactor, eliminant_polynomial, pencil_inputs, seeded_loops, sylvester_vertical_inputs, vertical_raw
 
 
 def _poly(text, variables):
@@ -514,12 +523,22 @@ def test_primitive_normalized_sign():
     assert cleaned * factor == p
 
 
+def _raw(eliminant, variables):
+    """The raw polynomial of an eliminant's integer form, whose shape is
+    checked: nonzero ints over the variables and a positive Fraction scale."""
+    names, terms, scale = eliminant
+    assert names == variables
+    assert type(scale) is Fraction and scale > 0
+    assert terms and all(type(c) is int and c for c in terms.values())
+    return eliminant_polynomial(eliminant)
+
+
 def _pencil_resultant_pair(cp, area):
     """pencil_eliminant and the Sylvester resultant of the same pencil."""
     s = chord_area_function(cp) if area == "chord" else free_inlet_function(cp)
     slope = slope_function(cp)
     e_S, e_m = pencil_inputs(cp, area)
-    return pencil_eliminant(s, slope.num, slope.den), resultant(e_S, e_m, cp.curve.var)
+    return _raw(pencil_eliminant(s, slope.num, slope.den), ("S", "m")), resultant(e_S, e_m, cp.curve.var)
 
 
 def test_pencil_eliminant_equals_resultant(cubic_centered, quartic_centered):
@@ -577,7 +596,7 @@ def test_pencil_eliminant_matches_resultant_on_random_pencils():
     @hypothesis.given(pencils())
     def check(pencil):
         s, a, b = pencil
-        p = pencil_eliminant(s, a, b)
+        p = _raw(pencil_eliminant(s, a, b), ("S", "m"))
         r = resultant(S - s.to_polynomial(), m * b.to_polynomial() - a.to_polynomial(), "t")
         assert p.vars == r.vars == ("S", "m")
         assert p.terms == r.terms
@@ -590,7 +609,7 @@ def test_pencil_eliminant_refuses_oversized_pencils(monkeypatch):
     # refused before any node is evaluated.
     a = UnivariatePolynomial("t", [1])
     b = UnivariatePolynomial("t", [0, 0, 0, 1])
-    largest = pencil_eliminant(UnivariatePolynomial("t", [1] * 62), a, b)
+    largest = _raw(pencil_eliminant(UnivariatePolynomial("t", [1] * 62), a, b), ("S", "m"))
     assert largest.degree_in("S") == 3 and largest.degree_in("m") == 61
 
     def refuse(*args):
@@ -602,3 +621,12 @@ def test_pencil_eliminant_refuses_oversized_pencils(monkeypatch):
         pencil_eliminant(UnivariatePolynomial("t", [1] * 63), a, b)
     with pytest.raises(DeskScopeError):
         pencil_eliminant(UnivariatePolynomial("t", [1] * 63), a, b)
+
+
+def test_vertical_eliminant_matches_the_sylvester_raw(cubic_centered, quartic_centered):
+    # The integer form stands for the raw eliminant, K^n times the
+    # characteristic polynomial, rebuilt from two Sylvester resultants.
+    for cp in [cubic_centered, quartic_centered] + seeded_loops(29, 3, 8) + seeded_loops(31, 4, 2):
+        P, R = vertical_area_parts(cp)
+        raw = _raw(vertical_eliminant(cp.curve.g.as_univariate(), P, R), ("S", "c"))
+        assert raw == vertical_raw(cp)

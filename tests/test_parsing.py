@@ -1,11 +1,14 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from ovalkit import Polynomial, parse_polynomial, render_polynomial
+from ovalkit import Polynomial, UnivariatePolynomial, parse_polynomial, render_polynomial
 from ovalkit.errors import DeskScopeError, ParseError
 from ovalkit.parsing import parse_rational_function, render_rational_function
+
+from oracles import fraction_render
 
 
 def test_square_polynomial_golden(square_poly):
@@ -220,3 +223,30 @@ def test_render_parse_roundtrip_on_fractional_polynomials():
         assert parse_polynomial(render_polynomial(p), ["x", "y", "z"]) == p
 
     check()
+
+
+def test_printer_matches_the_fraction_reference():
+    # Negative, unit, constant and fractional coefficients, against the
+    # printer that takes magnitude, unit test and sign on the Fraction.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    units = st.sampled_from((Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2), Fraction(-7, 3)))
+    coeff = st.one_of(units, st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**12)))
+    exps = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.dictionaries(exps, coeff, max_size=8), st.lists(coeff, max_size=5))
+    def check(terms, coeffs):
+        p = Polynomial(("x", "y", "z"), terms)
+        assert render_polynomial(p) == fraction_render(p)
+        u = UnivariatePolynomial("t", coeffs)
+        assert render_polynomial(u) == fraction_render(u)
+
+    check()
+    # A coefficient past Python's digit limit for int-to-str conversion, on
+    # versions that have one, fails alike.
+    if getattr(sys, "get_int_max_str_digits", lambda: 0)():
+        wide = Polynomial(("x",), {(1,): Fraction(-(10**5000), 3)})
+        for render in (render_polynomial, fraction_render):
+            with pytest.raises(ValueError, match="limit"):
+                render(wide)
