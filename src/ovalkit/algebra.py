@@ -2,12 +2,16 @@
 dense univariate polynomials, rational functions, Sturm counts, root
 isolation and rational root extraction.
 
-Coefficients are `fractions.Fraction` throughout, so every operation is
-exact and every stored value is automatically in lowest terms with a
-positive denominator. The one exception is the remainder sequence on
-integer lists behind `gcd_univariate` and `sturm_chain`, whose primitive
-integer lists serve every univariate square-free, counting, isolation
-and rational-root question.
+Stored coefficients are `fractions.Fraction`, so every value is exact
+and in lowest terms with a positive denominator. The arithmetic behind
+them runs on integers where it can: univariate sums, products and
+values work on integer numerators over one common denominator
+(`_numerators`) and build one Fraction per coefficient of the result
+(`_from_numerators`), and the remainder sequence on integer lists behind
+`gcd_univariate` and `sturm_chain` serves every univariate square-free,
+counting, isolation and rational-root question. The exact areas
+(`quadrature._swept`), the vertical eliminant's inputs and the
+certificates' provenance text use the same integer forms.
 """
 
 from __future__ import annotations
@@ -397,15 +401,21 @@ def _power(base, n: int, one):
     return result
 
 
+def _univariate(var: str, coeffs: list[Fraction]) -> "UnivariatePolynomial":
+    """The polynomial with the ascending Fractions coeffs, whose last entry
+    is not zero, built without the constructor's conversion and checks."""
+    out = object.__new__(UnivariatePolynomial)
+    out.var = var
+    out.coeffs = coeffs
+    return out
+
+
 def _from_numerators(var: str, nums: list[int], den: int) -> "UnivariatePolynomial":
     """The polynomial with coefficients nums[i]/den, trailing zeros
     dropped: one Fraction per coefficient."""
     while nums and not nums[-1]:
         nums.pop()
-    out = object.__new__(UnivariatePolynomial)
-    out.var = var
-    out.coeffs = [Fraction(n, den) for n in nums]
-    return out
+    return _univariate(var, [Fraction(n, den) for n in nums])
 
 
 class UnivariatePolynomial:
@@ -486,7 +496,7 @@ class UnivariatePolynomial:
     __radd__ = __add__
 
     def __neg__(self):
-        return UnivariatePolynomial(self.var, [-c for c in self.coeffs])
+        return _univariate(self.var, [-c for c in self.coeffs])
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -549,14 +559,12 @@ class UnivariatePolynomial:
         return acc
 
     def derivative(self) -> "UnivariatePolynomial":
-        return UnivariatePolynomial(self.var, [c * i for i, c in enumerate(self.coeffs)][1:])
+        return _univariate(self.var, [c * i for i, c in enumerate(self.coeffs) if i])
 
     def antiderivative(self) -> "UnivariatePolynomial":
         """Formal antiderivative with zero constant term."""
-        out = object.__new__(UnivariatePolynomial)
-        out.var = self.var
-        out.coeffs = [Fraction(0)] + [Fraction(c.numerator, c.denominator * i) for i, c in enumerate(self.coeffs, 1)] if self.coeffs else []
-        return out
+        coeffs = [Fraction(c.numerator, c.denominator * i) for i, c in enumerate(self.coeffs, 1)]
+        return _univariate(self.var, [Fraction(0)] + coeffs if coeffs else [])
 
     def monic(self) -> "UnivariatePolynomial":
         if self.is_zero:

@@ -25,7 +25,7 @@ from .algebra import (
 from .curves import CenteredParametrization, ParametricCurve
 from .elimination import pencil_eliminant, vertical_eliminant
 from .errors import DegenerateCurveError, DeskScopeError
-from .parsing import parse_polynomial, render_polynomial
+from .parsing import _render_terms, parse_polynomial, render_polynomial
 from .quadrature import (
     ORACLE_SAMPLES,
     _clipped_areas,
@@ -117,20 +117,20 @@ class SampleReport:
         return self.max_relative_residual <= self.tolerance
 
 
-def _cleanup(eliminant, eliminated: Sequence[str], inputs: Sequence[Polynomial]) -> tuple[Polynomial, Provenance]:
-    """Q and its Provenance from an eliminant's integer form
-    (variables, terms, scale), the raw eliminant being scale times the
-    integer polynomial: Q is that polynomial divided by the gcd of its
-    coefficients, signed so that its leading term under the graded order
-    is positive, the rule of Polynomial.primitive_normalized. The removed
-    factor raw/Q is recorded unless it is 1."""
+def _cleanup(eliminant, eliminated: Sequence[str], inputs: tuple[str, ...]) -> tuple[Polynomial, Provenance]:
+    """Q and its Provenance, with the rendered inputs, from an eliminant's
+    integer form (variables, terms, scale), the raw eliminant being scale
+    times the integer polynomial: Q is that polynomial divided by the gcd
+    of its coefficients, signed so that its leading term under the graded
+    order is positive, the rule of Polynomial.primitive_normalized. The
+    removed factor raw/Q is recorded unless it is 1."""
     variables, terms, scale = eliminant
     g = math.gcd(*terms.values())
     if terms[max(terms, key=_monomial_key)] < 0:
         g = -g
     factor = g * scale
     removed = () if factor == 1 else (str(factor),)
-    prov = Provenance(tuple(render_polynomial(p) for p in inputs), tuple(eliminated), removed)
+    prov = Provenance(inputs, tuple(eliminated), removed)
     return _shared_parts(variables, tuple(terms), tuple(c // g for c in terms.values()), prov)
 
 
@@ -150,8 +150,9 @@ def pencil_certificate(cp: CenteredParametrization, area: str = "chord") -> Cert
     chord slope a(t)/b(t): Q is Res_t(S - s(t), m*b(t) - a(t)) after
     normalization, taken by `pencil_eliminant` as the norm of S - s on
     Q[t]/(m*b - a). The provenance inputs are these two polynomials
-    S - s(t) and m*b(t) - a(t), rendered; they are written term by term,
-    as nothing else uses them. A curve parameter named S or m is refused.
+    S - s(t) and m*b(t) - a(t), rendered from the numerators and
+    denominators of the coefficients of s, a and b, as nothing else uses
+    them. A curve parameter named S or m is refused.
     """
     t = cp.curve.var
     if t in ("S", "m"):
@@ -168,14 +169,11 @@ def pencil_certificate(cp: CenteredParametrization, area: str = "chord") -> Cert
     slope = slope_function(cp)
     a, b = slope.num, slope.den
     eliminant = pencil_eliminant(s, a, b)
-    terms = {(0, i): -c for i, c in enumerate(s.coeffs)}
-    terms[(1, 0)] = 1
-    e_S = Polynomial(("S", t), terms)
-    terms = {(0, i): -c for i, c in enumerate(a.coeffs)}
-    for i, c in enumerate(b.coeffs):
-        terms[(1, i)] = c
-    e_m = Polynomial(("m", t), terms)
-    q, prov = _cleanup(eliminant, (t,), (e_S, e_m))
+    e_S = [((1, 0), 1, 1)] + [((0, i), -c.numerator, c.denominator) for i, c in enumerate(s.coeffs) if c]
+    e_m = [((0, i), -c.numerator, c.denominator) for i, c in enumerate(a.coeffs) if c]
+    e_m += [((1, i), c.numerator, c.denominator) for i, c in enumerate(b.coeffs) if c]
+    inputs = (_render_terms(("S", t), e_S), _render_terms(("m", t), e_m))
+    q, prov = _cleanup(eliminant, (t,), inputs)
     return Certificate(q, {"S": "area", "m": "slope"}, prov)
 
 
@@ -196,28 +194,30 @@ def vertical_certificate(cp: CenteredParametrization) -> Certificate:
     Res_t2(Res_t1(S - P(t1) - R(t2), D), c - g(t2)) after normalization;
     the recorded removed factor is the content of the characteristic
     polynomial. The provenance inputs are these three polynomials
-    S - P(t1) - R(t2), D and c - g(t2), rendered; they are written term by
-    term, as nothing else uses them. The names t1, t2 are the curve's
-    parameter t with 1 and 2 appended, so neither is S or c.
+    S - P(t1) - R(t2), D and c - g(t2), rendered from the numerators and
+    denominators of the coefficients of P, R and g, as nothing else uses
+    them. The names t1, t2 are the curve's parameter t with 1 and 2
+    appended, so neither is S or c.
     """
     t = cp.curve.var
     t1, t2 = t + "1", t + "2"
     P, R = vertical_area_parts(cp)  # ExactIntegrationError unless g, f are polynomials
     g = cp.curve.g.as_univariate()
     eliminant = vertical_eliminant(g, P, R)
-    # The inputs are only rendered, so their terms are written directly:
-    # e1 = S - P(t1) - R(t2), D, and e_c = c - g(t2).
-    terms = {(0, i, 0): -c for i, c in enumerate(P.coeffs)}
-    for j, c in enumerate(R.coeffs):
-        terms[(0, 0, j)] = terms.get((0, 0, j), 0) - c
-    terms[(1, 0, 0)] = 1
-    e1 = Polynomial(("S", t1, t2), terms)
+    # The inputs as (exponents, numerator, denominator) terms:
+    # e1 = S - P(t1) - R(t2), whose constant term -(P_0 + R_0) is dropped
+    # where it cancels, D, and e_c = c - g(t2).
+    e1 = [((1, 0, 0), 1, 1)]
+    e1 += [((0, i, 0), -c.numerator, c.denominator) for i, c in enumerate(P.coeffs) if i and c]
+    e1 += [((0, 0, j), -c.numerator, c.denominator) for j, c in enumerate(R.coeffs) if j and c]
+    c0 = sum(p.coeffs[0] for p in (P, R) if p.coeffs)
+    if c0:
+        e1.append(((0, 0, 0), -c0.numerator, c0.denominator))
     # D = sum_j g_j (t1^j - t2^j)/(t1 - t2) = sum_j g_j sum_(i<j) t1^i t2^(j-1-i)
-    D = Polynomial((t1, t2), {(i, j - 1 - i): c for j, c in enumerate(g.coeffs) for i in range(j)})
-    terms = {(0, j): -c for j, c in enumerate(g.coeffs)}
-    terms[(1, 0)] = 1
-    e_c = Polynomial(("c", t2), terms)
-    q, prov = _cleanup(eliminant, (t1, t2), (e1, D, e_c))
+    D = [((i, j - 1 - i), c.numerator, c.denominator) for j, c in enumerate(g.coeffs) if c for i in range(j)]
+    e_c = [((1, 0), 1, 1)] + [((0, j), -c.numerator, c.denominator) for j, c in enumerate(g.coeffs) if c]
+    inputs = (_render_terms(("S", t1, t2), e1), _render_terms((t1, t2), D), _render_terms(("c", t2), e_c))
+    q, prov = _cleanup(eliminant, (t1, t2), inputs)
     return Certificate(q, {"S": "area", "c": "abscissa"}, prov)
 
 

@@ -48,7 +48,7 @@ from fractions import Fraction
 from itertools import accumulate, zip_longest
 from operator import mul
 
-from .algebra import Polynomial, UnivariatePolynomial, _divide, _integer_form, _numerators
+from .algebra import Polynomial, UnivariatePolynomial, _divide, _integer_form, _numerators, _primitive
 from .errors import DeskScopeError, SylvesterSizeError
 
 MAX_SYLVESTER_SIZE = 64
@@ -370,16 +370,22 @@ def _integer_inputs(
 ) -> tuple[list[int], list[int], list[int], Fraction, Fraction]:
     """Step 1 of `vertical_eliminant`: the ascending integer coefficients
     of the monic g_hat, P_hat and R_hat in tau = a*t, and the scales K, lam
-    with P_hat(tau) = K*P(tau/a), R_hat alike, and g_hat = lam*g."""
-    gi, k = g.primitive_integer()
-    d = gi.degree()
-    a = gi.coeffs[-1].numerator
+    with P_hat(tau) = K*P(tau/a), R_hat alike, and g_hat = lam*g.
+
+    With P and R the numerators p and r over one denominator den, the
+    integers p_i*a^(m-i) and r_i*a^(m-i) divided by their gcd f are P_hat
+    and R_hat, and K = a^m*den/f."""
+    gi, k = _integer_form(g.coeffs)
+    d = len(gi) - 1
+    a = gi[-1]
     # g_hat(tau) = a^(d-1) * gi(tau/a).
-    gh = [c.numerator * a ** (d - 1 - i) for i, c in enumerate(gi.coeffs[:-1])] + [1]
+    gh = [c * a ** (d - 1 - i) for i, c in enumerate(gi[:-1])] + [1]
     m = max(P.degree(), R.degree(), 0)
-    nums, f = _integer_form([c * a ** (m - i) for p in (P, R) for i, c in enumerate(p.coeffs)])
-    ph, rh = nums[: len(P.coeffs)], nums[len(P.coeffs) :]
-    return gh, ph, rh, a**m / f, Fraction(a ** (d - 1)) / k
+    nums, den = _numerators(P.coeffs + R.coeffs)
+    powers = [a ** (m - i) for i in range(m + 1)]
+    split = len(P.coeffs)
+    nums, f = _primitive([c * w for part in (nums[:split], nums[split:]) for c, w in zip(part, powers)])
+    return gh, nums[:split], nums[split:], Fraction(a**m * den, f), Fraction(a ** (d - 1)) / k
 
 
 def _g_adic(p: list[int], g: list[int]) -> list[list[int]]:

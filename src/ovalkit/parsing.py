@@ -21,7 +21,7 @@ import math
 import re
 from fractions import Fraction
 
-from .algebra import Polynomial, RationalFunction, UnivariatePolynomial, _numerators
+from .algebra import Polynomial, RationalFunction, UnivariatePolynomial, _monomial_key, _numerators
 from .errors import DeskScopeError, ParseError
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^()]))")
@@ -301,12 +301,16 @@ def render_polynomial(p) -> str:
     str(Fraction) writes it, its sign joining the terms."""
     if isinstance(p, UnivariatePolynomial):
         p = p.to_polynomial()
-    if p.is_zero:
-        return "0"
+    return _render_terms(p.vars, [(e, c.numerator, c.denominator) for e, c in p.terms.items()])
+
+
+def _render_terms(variables, terms) -> str:
+    """`render_polynomial` of the polynomial over variables whose terms are
+    the triples (exponents, numerator, denominator): distinct exponents and
+    nonzero coefficients in lowest terms, with positive denominators."""
     pieces = []
-    for exps, coeff in p.sorted_terms():
-        mono = _monomial_text(p.vars, exps)
-        num, den = coeff.numerator, coeff.denominator
+    for exps, num, den in sorted(terms, key=lambda term: _monomial_key(term[0]), reverse=True):
+        mono = _monomial_text(variables, exps)
         mag = f"{abs(num)}" if den == 1 else f"{abs(num)}/{den}"
         if not mono:
             body = mag
@@ -315,6 +319,8 @@ def render_polynomial(p) -> str:
         else:
             body = f"{mag}*{mono}"
         pieces += (" - " if num < 0 else " + ", body)
+    if not pieces:
+        return "0"
     pieces[0] = "-" if pieces[0] == " - " else ""
     return "".join(pieces)
 

@@ -8,10 +8,13 @@ once, and reads the coarse polygon's crossings off every other vertex.
 
 Every exact area reads one swept integral of f*g' dt (`_swept`): the
 total, chords through the center, vertical lines and the free section.
-It requires polynomial curve components (antiderivatives of general
-rational functions would need logarithms). An AreaResult holds the
-signed_value, the orientation label and whether it is exact; its value
-is the magnitude.
+It is taken on integer numerators over one common denominator, and so
+are the area functions read off it; one Fraction per coefficient is
+built where a public function returns a polynomial. It requires
+polynomial curve components (antiderivatives of general rational
+functions would need logarithms). An AreaResult holds the signed_value,
+the orientation label and whether it is exact; its value is the
+magnitude.
 """
 
 from __future__ import annotations
@@ -26,6 +29,9 @@ from .algebra import (
     Interval,
     RationalFunction,
     UnivariatePolynomial,
+    _from_numerators,
+    _homogenized,
+    _numerators,
     as_fraction,
     isolate_roots,
     sturm_chain,
@@ -60,22 +66,53 @@ class AreaResult:
         return abs(self.signed_value)
 
 
-def _swept(curve: ParametricCurve) -> tuple[UnivariatePolynomial, Fraction]:
+def _swept(curve: ParametricCurve) -> tuple[list[int], int, int]:
     """The boundary integral every exact area reads: B(t) = A(lo) - A(t)
-    with A = integral of f*g' dt, and the signed total B(hi).
+    with A = integral of f*g' dt, and the signed total B(hi), as integers
+    over one positive denominator den, a multiple of fd*gd (below): B has
+    the ascending numerators nums and the total is top/den.
 
     B(t) is the integral of -y dx along the boundary from the start to t,
     which vanishes along a vertical line; adding the triangle g*f/2 gives
     the integral of (x dy - y dx)/2, which vanishes along a line through
     the origin.
+
+    With f and g taken as numerators over their denominators fd and gd
+    (`_numerators`), f*g' is an integer convolution over fd*gd, and A, of
+    degree n, has integer numerators over fd*gd*L, L = lcm(1, ..., n).
+    With lo = p/q, A(lo) = `_homogenized`(A, lo)/(fd*gd*L*q^n), so B's
+    numerators over fd*gd*L*q^n are `_homogenized`(A, lo) - A*q^n; with
+    hi = u/v, B(hi) is `_homogenized`(B, hi) over that denominator times
+    v^n, which B's numerators are scaled to share.
     """
     if not (curve.g.is_polynomial and curve.f.is_polynomial):
         raise ExactIntegrationError(
             "exact areas need polynomial components; use the numeric oracle for rational ones"
         )
-    A = (curve.f.as_univariate() * curve.g.as_univariate().derivative()).antiderivative()
-    B = A.evaluate(curve.interval.lo) - A
-    return B, B.evaluate(curve.interval.hi)
+    fn, fd = _numerators(curve.f.as_univariate().coeffs)
+    gn, gd = _numerators(curve.g.as_univariate().coeffs)
+    if not fn or len(gn) < 2:
+        # f = 0 or g constant: nothing is swept.
+        return [], fd * gd, 0
+    n = len(fn) + len(gn) - 2
+    # A_k = (sum over i + j = k of f_i * j*g_j) / k, over L.
+    A = [0] * (n + 1)
+    for i, x in enumerate(fn):
+        if x:
+            for j in range(1, len(gn)):
+                A[i + j] += x * j * gn[j]
+    L = math.lcm(*range(1, n + 1))
+    for k in range(1, n + 1):
+        A[k] *= L // k
+    q = curve.interval.lo.denominator ** n
+    nums = [-x * q for x in A]
+    nums[0] = _homogenized(A, curve.interval.lo)
+    den = fd * gd * L * q
+    top = _homogenized(nums, curve.interval.hi)
+    v = curve.interval.hi.denominator ** n
+    if v > 1:
+        nums = [x * v for x in nums]
+    return nums, den * v, top
 
 
 def _label(total: Fraction | float) -> Orientation:
@@ -84,8 +121,9 @@ def _label(total: Fraction | float) -> Orientation:
     return "counterclockwise" if total < 0 else "clockwise"
 
 
-def _nonzero_label(total: Fraction) -> Orientation:
-    """The label of a signed total that must enclose some area."""
+def _nonzero_label(total: Fraction | int) -> Orientation:
+    """The label of a signed total, or of its numerator over a positive
+    denominator, that must enclose some area."""
     if total == 0:
         raise DegenerateCurveError("curve encloses zero signed area")
     return _label(total)
@@ -94,7 +132,7 @@ def _nonzero_label(total: Fraction) -> Orientation:
 def orientation(curve: ParametricCurve) -> Orientation:
     """Traversal orientation label from the sign of the closed boundary
     integral; positive means clockwise under the sign convention used here."""
-    return _nonzero_label(_swept(curve)[1])
+    return _nonzero_label(_swept(curve)[2])
 
 
 def total_area(curve: ParametricCurve) -> AreaResult:
@@ -107,7 +145,7 @@ def total_area(curve: ParametricCurve) -> AreaResult:
     if not curve.is_closed():
         raise ValueError("total area requires a closed curve (matching endpoints)")
     try:
-        total = _swept(curve)[1]
+        _, den, top = _swept(curve)
     except ExactIntegrationError:
         warnings.warn(
             "rational curve components: total area measured with the numeric oracle",
@@ -115,6 +153,7 @@ def total_area(curve: ParametricCurve) -> AreaResult:
         )
         signed = _clipped_areas(curve, ORACLE_SAMPLES).signed_total
         return AreaResult(signed, _label(signed), False)
+    total = Fraction(top, den)
     return AreaResult(total, _label(total), True)
 
 
@@ -126,17 +165,28 @@ def chord_area_function(cp: CenteredParametrization) -> UnivariatePolynomial:
     correction g*f/2 for the chord; the overall sign follows the curve's
     orientation so the value is the positive segment area on the valid range.
     """
-    return _chord(cp)[0]
+    nums, den, _ = _chord(cp)
+    return _from_numerators(cp.curve.var, nums, den)
 
 
-def _chord(cp: CenteredParametrization) -> tuple[UnivariatePolynomial, Fraction]:
-    """The chord area function and the signed total that fixed its sign."""
+def _chord(cp: CenteredParametrization) -> tuple[list[int], int, int]:
+    """The chord area function's ascending numerators over a positive
+    denominator, and the numerator of the signed total that fixed its sign."""
     if cp.center != ORIGIN:
         raise ValueError("chord construction requires the center at the origin")
     curve = cp.curve
-    B, total = _swept(curve)
-    body = B + curve.g.as_univariate() * curve.f.as_univariate() * Fraction(1, 2)
-    return (body if total > 0 else -body), total
+    nums, den, top = _swept(curve)
+    # B + g*f/2 over 2*den, which is a multiple of 2*fd*gd.
+    fn, fd = _numerators(curve.f.as_univariate().coeffs)
+    gn, gd = _numerators(curve.g.as_univariate().coeffs)
+    scale = den // (fd * gd)
+    body = [2 * x for x in nums] + [0] * (len(fn) + len(gn) - 1 - len(nums))
+    for i, x in enumerate(gn):
+        if x:
+            for j, y in enumerate(fn, i):
+                body[j] += x * y * scale
+    sign = 1 if top > 0 else -1
+    return [sign * x for x in body], 2 * den, top
 
 
 def origin_chord_segment_area(cp: CenteredParametrization, t0) -> AreaResult:
@@ -148,8 +198,8 @@ def origin_chord_segment_area(cp: CenteredParametrization, t0) -> AreaResult:
         raise ValueError(f"t0={t0} must lie strictly inside the parameter interval")
     if curve.g.evaluate(t0) == cp.center.x:
         raise ValueError("chord is undefined: the point shares the center abscissa")
-    S, total = _chord(cp)
-    return AreaResult(S.evaluate(t0), _nonzero_label(total), True)
+    nums, den, top = _chord(cp)
+    return AreaResult(_from_numerators(curve.var, nums, den).evaluate(t0), _nonzero_label(top), True)
 
 
 def vertical_area_parts(cp: CenteredParametrization) -> tuple[UnivariatePolynomial, UnivariatePolynomial]:
@@ -161,11 +211,16 @@ def vertical_area_parts(cp: CenteredParametrization) -> tuple[UnivariatePolynomi
     return _vertical_parts(cp)[:2]
 
 
-def _vertical_parts(cp: CenteredParametrization) -> tuple[UnivariatePolynomial, UnivariatePolynomial, Fraction]:
-    """P, R and the signed total that fixed their sign."""
-    B, total = _swept(cp.curve)
-    P, R = B, total - B
-    return (P, R, total) if total > 0 else (-P, -R, total)
+def _vertical_parts(cp: CenteredParametrization) -> tuple[UnivariatePolynomial, UnivariatePolynomial, int]:
+    """P = B and R = total - B, signed, each coefficient built once from
+    B's numerators, and the numerator of the signed total that fixed their
+    sign."""
+    nums, den, top = _swept(cp.curve)
+    sign = 1 if top > 0 else -1
+    rest = [-x for x in nums] or [0]
+    rest[0] += top
+    P, R = (_from_numerators(cp.curve.var, [sign * x for x in part], den) for part in (nums, rest))
+    return P, R, top
 
 
 def vertical_segment_area(cp: CenteredParametrization, t1, t2) -> AreaResult:
@@ -180,23 +235,32 @@ def vertical_segment_area(cp: CenteredParametrization, t1, t2) -> AreaResult:
         raise ValueError("require t1 <= t2")
     if curve.g.evaluate(t1) != curve.g.evaluate(t2):
         raise ValueError("g(t1) must equal g(t2): the two points share the vertical line")
-    P, R, total = _vertical_parts(cp)
-    return AreaResult(P.evaluate(t1) + R.evaluate(t2), _nonzero_label(total), True)
+    P, R, top = _vertical_parts(cp)
+    return AreaResult(P.evaluate(t1) + R.evaluate(t2), _nonzero_label(top), True)
 
 
 def free_inlet_function(cp: CenteredParametrization) -> UnivariatePolynomial:
     """Free-section area of a damper built from two congruent ovals, as an
     exact polynomial in the shutter parameter: twice the chord segment
     minus the whole oval."""
-    return _free_inlet(cp)[0]
+    nums, den, _ = _free_inlet(cp)
+    return _from_numerators(cp.curve.var, nums, den)
 
 
-def _free_inlet(cp: CenteredParametrization) -> tuple[UnivariatePolynomial, Fraction]:
-    """The free-section function and the signed total that fixed its sign."""
-    S1, total = _chord(cp)
-    # The chord ends at the center, where the triangle term vanishes, so
-    # S1(hi) is the signed total times its own sign: the whole oval's area.
-    return S1 * 2 - S1.evaluate(cp.curve.interval.hi), total
+def _free_inlet(cp: CenteredParametrization) -> tuple[list[int], int, int]:
+    """The free-section function's ascending numerators over a positive
+    denominator, and the numerator of the signed total that fixed its sign."""
+    nums, den, top = _chord(cp)
+    if not nums:
+        return nums, den, top
+    # 2*S1 - S1(hi) over den*v^deg, hi = u/v. The chord ends at the
+    # center, where the triangle term vanishes, so S1(hi) is the signed
+    # total times its own sign: the whole oval's area.
+    hi = cp.curve.interval.hi
+    w = hi.denominator ** (len(nums) - 1)
+    free = [2 * w * x for x in nums]
+    free[0] -= _homogenized(nums, hi)
+    return free, den * w, top
 
 
 def free_inlet_area(cp: CenteredParametrization, tP, valid_range: Interval) -> AreaResult:
@@ -211,8 +275,8 @@ def free_inlet_area(cp: CenteredParametrization, tP, valid_range: Interval) -> A
         raise ValueError(f"the valid range must lie in the parameter interval [{interval.lo}, {interval.hi}]")
     if not valid_range.contains(tP):
         raise ValueError(f"tP={tP} outside the valid range [{valid_range.lo}, {valid_range.hi}]")
-    free, total = _free_inlet(cp)
-    return AreaResult(free.evaluate(tP), _nonzero_label(total), True)
+    nums, den, top = _free_inlet(cp)
+    return AreaResult(_from_numerators(cp.curve.var, nums, den).evaluate(tP), _nonzero_label(top), True)
 
 
 def slope_function(cp: CenteredParametrization) -> RationalFunction:

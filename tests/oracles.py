@@ -156,6 +156,29 @@ def fraction_divmod(f: list[Fraction], g: list[Fraction]) -> tuple[list[Fraction
     return _trimmed(q), _trimmed(r[: len(g) - 1])
 
 
+def fraction_swept(curve: ParametricCurve) -> tuple[UnivariatePolynomial, Fraction]:
+    """The swept integral B(t) = A(lo) - A(t), A = integral of f*g' dt,
+    and the signed total B(hi), on Fraction lists."""
+    f, g = curve.f.as_univariate().coeffs, curve.g.as_univariate().coeffs
+    A = fraction_antiderivative(fraction_mul(f, [c * i for i, c in enumerate(g)][1:]))
+    B = fraction_add([fraction_evaluate(A, curve.interval.lo)], [-c for c in A])
+    return UnivariatePolynomial(curve.var, B), fraction_evaluate(B, curve.interval.hi)
+
+
+def fraction_areas(cp) -> tuple[UnivariatePolynomial, ...]:
+    """The vertical parts P and R, the chord function and the free-section
+    function from `fraction_swept`, each signed by the total: P = B,
+    R = total - B, chord = B + g*f/2 and free = 2*chord - chord(hi)."""
+    B, total = fraction_swept(cp.curve)
+    sign = 1 if total > 0 else -1
+    b = [sign * c for c in B.coeffs]
+    gf = fraction_mul(cp.curve.g.as_univariate().coeffs, cp.curve.f.as_univariate().coeffs)
+    chord = fraction_add(b, [sign * c / 2 for c in gf])
+    free = fraction_add([2 * c for c in chord], [-fraction_evaluate(chord, cp.curve.interval.hi)])
+    R = fraction_add([sign * total], [-c for c in b])
+    return tuple(UnivariatePolynomial(cp.curve.var, cs) for cs in (b, R, chord, free))
+
+
 def euclid_gcd(p: UnivariatePolynomial, q: UnivariatePolynomial) -> UnivariatePolynomial:
     """Monic gcd by the Euclidean algorithm over Fraction: remainders by
     long division, then the last nonzero one divided by its leading
@@ -267,6 +290,40 @@ def vertical_raw(cp) -> Polynomial:
     i = r.vars.index("S")
     (lead,) = [c for e, c in r.terms.items() if e[i] == n]
     return r * (K**n / lead)
+
+
+def vertical_provenance_system(cp) -> tuple[Polynomial, Polynomial, Polynomial]:
+    """e1 = S - P(t1) - R(t2), D and e_c = c - g(t2), each built term by
+    term through the Polynomial constructor, which adds the constant terms
+    of P and R and drops a zero sum."""
+    t = cp.curve.var
+    t1, t2 = t + "1", t + "2"
+    P, R = vertical_area_parts(cp)
+    g = cp.curve.g.as_univariate()
+    terms = {(0, i, 0): -c for i, c in enumerate(P.coeffs)}
+    for j, c in enumerate(R.coeffs):
+        terms[(0, 0, j)] = terms.get((0, 0, j), 0) - c
+    terms[(1, 0, 0)] = 1
+    e1 = Polynomial(("S", t1, t2), terms)
+    D = Polynomial((t1, t2), {(i, j - 1 - i): c for j, c in enumerate(g.coeffs) for i in range(j)})
+    terms = {(0, j): -c for j, c in enumerate(g.coeffs)}
+    terms[(1, 0)] = 1
+    return e1, D, Polynomial(("c", t2), terms)
+
+
+def pencil_provenance_system(cp, area: str = "chord") -> tuple[Polynomial, Polynomial]:
+    """e_S = S - s(t) and e_m = m*b(t) - a(t), each built term by term
+    through the Polynomial constructor."""
+    t = cp.curve.var
+    s = chord_area_function(cp) if area == "chord" else free_inlet_function(cp)
+    slope = slope_function(cp)
+    terms = {(0, i): -c for i, c in enumerate(s.coeffs)}
+    terms[(1, 0)] = 1
+    e_S = Polynomial(("S", t), terms)
+    terms = {(0, i): -c for i, c in enumerate(slope.num.coeffs)}
+    for i, c in enumerate(slope.den.coeffs):
+        terms[(1, i)] = c
+    return e_S, Polynomial(("m", t), terms)
 
 
 def linear_in(var: str, rf: RationalFunction) -> Polynomial:

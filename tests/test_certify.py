@@ -34,11 +34,13 @@ from oracles import (
     fraction_cleanup,
     full_pass,
     pencil_inputs,
+    pencil_provenance_system,
     scalar_residual,
     seeded_loops,
     serial_verify,
     sylvester_vertical,
     sylvester_vertical_inputs,
+    vertical_provenance_system,
 )
 
 
@@ -382,6 +384,31 @@ def test_vertical_provenance_inputs_are_the_rendered_system(cubic_centered, quar
         cert = vertical_certificate(cp)
         e1, D, e_c, _, _ = sylvester_vertical_inputs(cp)
         assert cert.provenance.inputs == (render_polynomial(e1), render_polynomial(D), render_polynomial(e_c))
+
+
+def test_provenance_inputs_render_the_term_by_term_systems(cubic_centered, quartic_centered):
+    # Both builders render their inputs from (exponents, numerator,
+    # denominator) terms; the text is that of the systems built through the
+    # Polynomial constructor, also for a retraced arc with fractional
+    # coefficients, where P_0 + R_0 = 0 leaves e1 without a constant term.
+    from ovalkit.curves import Point, validate_centered
+
+    def centered(text):
+        return validate_centered(parse_curve_text(text), Point(0, 0))
+
+    fractional = centered("x=3/7*(1-t)^2*t; y=5/3*(1-t)*t^2; t in [0,1]")
+    retraced = centered("x=(t-1)*(2-t)/3; y=((t-1)*(2-t))^2/2; t in [1,2]")
+    P, R = quadrature.vertical_area_parts(retraced)
+    assert P.coeffs[0] + R.coeffs[0] == 0 and P.coeffs[0] != 0
+    assert (0, 0, 0) not in vertical_provenance_system(retraced)[0].terms
+    loops = [cubic_centered, quartic_centered, fractional] + seeded_loops(61, 3, 6) + seeded_loops(67, 4, 2)
+    for cp in loops + [retraced]:
+        inputs = tuple(render_polynomial(p) for p in vertical_provenance_system(cp))
+        assert vertical_certificate(cp).provenance.inputs == inputs
+    for cp in loops:
+        for area in ("chord", "free_inlet"):
+            inputs = tuple(render_polynomial(p) for p in pencil_provenance_system(cp, area))
+            assert pencil_certificate(cp, area).provenance.inputs == inputs
 
 
 def test_vertical_certificate_degree_bound_in_c(cubic_centered, quartic_centered):

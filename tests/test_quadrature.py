@@ -27,6 +27,7 @@ from ovalkit.cli import parse_curve_text
 from ovalkit.curves import Point
 from ovalkit.errors import DegenerateCurveError, ExactIntegrationError
 from ovalkit.quadrature import (
+    AreaResult,
     chord_area_function,
     slope_function,
     vertical_area_parts,
@@ -35,6 +36,8 @@ from ovalkit.quadrature import (
 from conftest import square_boundary
 from oracles import (
     clip_polygon_halfplane,
+    fraction_areas,
+    fraction_swept,
     fsum_shoelace,
     full_pass,
     full_pass_area,
@@ -224,6 +227,58 @@ def test_swept_integral_identities(cubic_centered, quartic_centered):
                 assert result.value == abs(result.signed_value)
         assert chord.evaluate(hi) == total
         assert free_inlet_function(cp) == chord * 2 - total
+
+
+def test_swept_integral_matches_the_fraction_reference():
+    # The swept integral on integers, and every area function read off
+    # it, equal their Fraction references: fractional coefficients,
+    # interval ends of either sign and not integers, constant and linear
+    # components, open and closed curves, each traversed both ways.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    from ovalkit import RationalFunction, UnivariatePolynomial
+    from ovalkit.curves import CenteredParametrization, ParametricCurve
+
+    fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
+
+    @st.composite
+    def polys(draw, low, high):
+        coeffs = draw(st.lists(fractions, min_size=low, max_size=high))
+        return UnivariatePolynomial("t", coeffs + [draw(fractions.filter(bool))])
+
+    def check(curve) -> Fraction:
+        nums, den, top = quadrature._swept(curve)
+        B, total = fraction_swept(curve)
+        assert den > 0
+        assert (UnivariatePolynomial("t", [Fraction(c, den) for c in nums]), Fraction(top, den)) == (B, total)
+        cp = CenteredParametrization(curve, Point(0, 0))
+        P, R, chord, free = fraction_areas(cp)
+        assert vertical_area_parts(cp) == (P, R)
+        assert chord_area_function(cp) == chord
+        assert free_inlet_function(cp) == free
+        if curve.is_closed():
+            assert total_area(curve) == AreaResult(total, "counterclockwise" if total < 0 else "clockwise", True)
+        return total
+
+    line = UnivariatePolynomial("t", [Fraction(1, 3), Fraction(-5, 2)])
+    unit = UnivariatePolynomial("t", [Fraction(7, 4)])
+    widths = st.builds(Fraction, st.integers(1, 9), st.integers(1, 4))
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(polys(0, 4), polys(0, 3), fractions, widths, st.booleans())
+    @hypothesis.example(line, unit, Fraction(-3, 2), Fraction(5, 3), False)
+    @hypothesis.example(unit, line, Fraction(-3, 2), Fraction(5, 3), False)
+    @hypothesis.example(line, unit, Fraction(-3, 2), Fraction(5, 3), True)
+    def run(g, f, lo, width, closed):
+        hi = lo + width
+        if closed:
+            # Both components vanish at both ends: a closed curve.
+            ends = UnivariatePolynomial("t", [lo * hi, -(lo + hi), 1])
+            g, f = g * ends, f * ends
+        curve = ParametricCurve(RationalFunction(g), RationalFunction(f), Interval(lo, hi))
+        assert check(curve) == -check(curve.reversed())
+
+    run()
 
 
 def test_retraced_arc_keeps_the_sign_rule():
