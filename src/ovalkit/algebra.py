@@ -9,7 +9,11 @@ values work on integer numerators over one common denominator
 (`_numerators`) and build one Fraction per coefficient of the result
 (`_from_numerators`), and the remainder sequence on integer lists behind
 `gcd_univariate` and `sturm_chain` serves every univariate square-free,
-counting, isolation and rational-root question. The exact areas
+counting, isolation and rational-root question. `_divide`, on integer
+lists, is the one polynomial long division: rational functions are
+reduced by the last element of the integer remainder sequence of their
+numerator and denominator, and rational roots are divided out of the
+primitive integer list of their polynomial. The exact areas
 (`quadrature._swept`), the vertical eliminant's inputs and the
 certificates' provenance text use the same integer forms.
 """
@@ -453,11 +457,6 @@ class UnivariatePolynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def leading_coefficient(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[-1]
-
     def _check(self, other: "UnivariatePolynomial"):
         if self.var != other.var:
             raise ValueError(f"variable mismatch: {self.var!r} vs {other.var!r}")
@@ -524,29 +523,6 @@ class UnivariatePolynomial:
     def __pow__(self, n: int):
         return _power(self, n, UnivariatePolynomial.constant(self.var, 1))
 
-    def __divmod__(self, other):
-        d = self._coerce(other)
-        if d.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        # Long division on one copied coefficient list (Knuth, TAOCP vol. 2,
-        # 4.6.1, Algorithm D); by a monic linear divisor this is Horner.
-        ddeg = d.degree()
-        *low, lc = d.coeffs
-        r = list(self.coeffs)
-        q = [Fraction(0)] * max(len(r) - ddeg, 0)
-        for shift in reversed(range(len(q))):
-            c = q[shift] = r[shift + ddeg] / lc
-            if c:
-                for i, dc in enumerate(low, shift):
-                    r[i] -= c * dc
-        return UnivariatePolynomial(self.var, q), UnivariatePolynomial(self.var, r[:ddeg])
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
     def evaluate(self, x) -> Fraction:
         x = as_fraction(x)
         nums, den = _numerators(self.coeffs)
@@ -566,22 +542,11 @@ class UnivariatePolynomial:
         coeffs = [Fraction(c.numerator, c.denominator * i) for i, c in enumerate(self.coeffs, 1)]
         return _univariate(self.var, [Fraction(0)] + coeffs if coeffs else [])
 
-    def monic(self) -> "UnivariatePolynomial":
-        if self.is_zero:
-            return self
-        lc = self.leading_coefficient()
-        return UnivariatePolynomial(self.var, [c / lc for c in self.coeffs])
-
     def compose(self, inner: "UnivariatePolynomial") -> "UnivariatePolynomial":
         acc = UnivariatePolynomial.zero(inner.var)
         for c in reversed(self.coeffs):
             acc = acc * inner + c
         return acc
-
-    def primitive_integer(self) -> tuple["UnivariatePolynomial", Fraction]:
-        """Integer-coefficient primitive form and the removed positive factor."""
-        nums, factor = _integer_form(self.coeffs)
-        return _from_numerators(self.var, nums, 1), factor
 
     def to_polynomial(self) -> Polynomial:
         return Polynomial((self.var,), {(i,): c for i, c in enumerate(self.coeffs) if c})
@@ -670,7 +635,8 @@ def squarefree_part(p: UnivariatePolynomial) -> UnivariatePolynomial:
     form of sturm_chain(p)[0]."""
     if p.is_zero:
         raise ValueError("square-free part of the zero polynomial")
-    return UnivariatePolynomial(p.var, sturm_chain(p)[0]).monic()
+    chain = sturm_chain(p)
+    return _from_numerators(p.var, chain[0], chain[0][-1])
 
 
 @dataclass(frozen=True)
@@ -739,37 +705,42 @@ def rational_roots(p: UnivariatePolynomial) -> list[Fraction]:
     two distinct rationals with denominators at most lc differ by at least
     1/lc^2, so such an interval holds at most one rational root, which is
     then the rational with denominator at most lc nearest the midpoint.
-    That one candidate is divided out of p by t - r while the remainder,
-    its exact value p(r), is zero, which checks it and gives its
-    multiplicity.
+    That one candidate r = a/b is checked on the primitive integer list w
+    of p, zero roots stripped: b^deg(w) * w(r) (`_homogenized`) is zero
+    exactly when r is a root, and then b*t - a, which is primitive, is
+    divided out by `_divide` with an integer quotient by Gauss's lemma,
+    while it divides, which gives r's multiplicity.
     """
     if p.is_zero:
         raise ValueError("rational roots of the zero polynomial")
-    roots: list[Fraction] = []
-    work = p
-    while work.coeffs and not work.coeffs[0]:
-        roots.append(Fraction(0))
-        work = UnivariatePolynomial(p.var, work.coeffs[1:])
-    if work.degree() < 1:
-        return sorted(roots)
-    if work.degree() == 1:
-        return sorted(roots + [-work.coeffs[0] / work.coeffs[1]])
-    chain = sturm_chain(work)
-    lc = abs(chain[0][-1])
-    bound = 1 + Fraction(max(abs(c) for c in chain[0]), lc)
-    for a, b, _ in isolate_roots(chain, -bound, bound, Fraction(1, 2 * lc * lc)):
-        r = ((a + b) / 2).limit_denominator(lc)
-        factor = UnivariatePolynomial(p.var, [-r, 1])
-        quotient, rem = divmod(work, factor)
-        while rem.is_zero:
-            roots.append(r)
-            work = quotient
-            quotient, rem = divmod(work, factor)
+    zeros = next(i for i, c in enumerate(p.coeffs) if c)
+    roots = [Fraction(0)] * zeros
+    work = _integer_form(p.coeffs[zeros:])[0]
+    if len(work) == 2:
+        roots.append(Fraction(-work[0], work[1]))
+    elif len(work) > 2:
+        chain = sturm_chain(_univariate(p.var, p.coeffs[zeros:]))
+        lc = abs(chain[0][-1])
+        bound = 1 + Fraction(max(abs(c) for c in chain[0]), lc)
+        for a, b, _ in isolate_roots(chain, -bound, bound, Fraction(1, 2 * lc * lc)):
+            r = ((a + b) / 2).limit_denominator(lc)
+            while not _homogenized(work, r):
+                roots.append(r)
+                work = _divide(work, [-r.numerator, r.denominator])[0]
     return sorted(roots)
 
 
 class RationalFunction:
-    """Quotient of two univariate polynomials, kept coprime with monic denominator."""
+    """Quotient of two univariate polynomials, kept coprime with monic
+    denominator.
+
+    The pair is reduced on integers: the numerators a and b of num and den
+    over their own common denominators are divided by the last element g
+    of their primitive remainder sequence (`_remainder_sequence`) with
+    `_divide`, exactly, as g is primitive and by Gauss's lemma the
+    quotients are integer lists; the denominator is then made monic. A
+    pair with constant g and a monic denominator is kept as it is.
+    """
 
     __slots__ = ("num", "den")
 
@@ -783,13 +754,14 @@ class RationalFunction:
         if num.is_zero:
             den = UnivariatePolynomial.constant(num.var, 1)
         else:
-            g = gcd_univariate(num, den)
-            if g.degree() > 0:
-                num, den = num // g, den // g
-            lc = den.leading_coefficient()
-            if lc != 1:
-                num = num * (1 / lc)
-                den = den * (1 / lc)
+            (a, da), (b, db) = _numerators(num.coeffs), _numerators(den.coeffs)
+            g = _remainder_sequence(a, b)[-1]
+            if len(g) > 1:
+                a, b = _divide(a, g)[0], _divide(b, g)[0]
+            if len(g) > 1 or den.coeffs[-1] != 1:
+                # num/den = (a/da)/(b/db) = (a*db/(da*lc))/(b/lc), lc = b[-1].
+                num = _from_numerators(num.var, [c * db for c in a], da * b[-1])
+                den = _from_numerators(num.var, b, b[-1])
         self.num = num
         self.den = den
 

@@ -117,29 +117,32 @@ class SampleReport:
         return self.max_relative_residual <= self.tolerance
 
 
-def _cleanup(eliminant, eliminated: Sequence[str], inputs: tuple[str, ...]) -> tuple[Polynomial, Provenance]:
-    """Q and its Provenance, with the rendered inputs, from an eliminant's
-    integer form (variables, terms, scale), the raw eliminant being scale
-    times the integer polynomial: Q is that polynomial divided by the gcd
-    of its coefficients, signed so that its leading term under the graded
-    order is positive, the rule of Polynomial.primitive_normalized. The
-    removed factor raw/Q is recorded unless it is 1."""
+def _cleanup(eliminant, eliminated: Sequence[str], systems: tuple) -> tuple[Polynomial, Provenance]:
+    """Q and its Provenance from an eliminant's integer form (variables,
+    terms, scale), the raw eliminant being scale times the integer
+    polynomial: Q is that polynomial divided by the gcd of its
+    coefficients, signed so that its leading term under the graded order
+    is positive, the rule of Polynomial.primitive_normalized. The removed
+    factor raw/Q is recorded unless it is 1. systems holds the provenance
+    inputs as (variables, terms) pairs of `_render_terms`, terms a tuple."""
     variables, terms, scale = eliminant
     g = math.gcd(*terms.values())
     if terms[max(terms, key=_monomial_key)] < 0:
         g = -g
     factor = g * scale
     removed = () if factor == 1 else (str(factor),)
-    prov = Provenance(inputs, tuple(eliminated), removed)
-    return _shared_parts(variables, tuple(terms), tuple(c // g for c in terms.values()), prov)
+    coefficients = tuple(c // g for c in terms.values())
+    return _shared_parts(variables, tuple(terms), coefficients, systems, tuple(eliminated), removed)
 
 
 @functools.lru_cache(maxsize=256)
-def _shared_parts(variables, exponents, coefficients, prov: Provenance) -> tuple[Polynomial, Provenance]:
+def _shared_parts(variables, exponents, coefficients, systems, eliminated, removed) -> tuple[Polynomial, Provenance]:
     """Q and its Provenance are immutable, so certificates with equal ones
     share them: every Q is still computed in full, but a caller holding
-    many certificates of one curve holds one copy of Q's terms."""
-    return Polynomial(variables, dict(zip(exponents, coefficients))), prov
+    many certificates of one curve holds one copy of Q's terms, and the
+    provenance inputs are rendered from systems only on a miss."""
+    inputs = tuple(_render_terms(vs, terms) for vs, terms in systems)
+    return Polynomial(variables, dict(zip(exponents, coefficients))), Provenance(inputs, eliminated, removed)
 
 
 def pencil_certificate(cp: CenteredParametrization, area: str = "chord") -> Certificate:
@@ -169,11 +172,10 @@ def pencil_certificate(cp: CenteredParametrization, area: str = "chord") -> Cert
     slope = slope_function(cp)
     a, b = slope.num, slope.den
     eliminant = pencil_eliminant(s, a, b)
-    e_S = [((1, 0), 1, 1)] + [((0, i), -c.numerator, c.denominator) for i, c in enumerate(s.coeffs) if c]
-    e_m = [((0, i), -c.numerator, c.denominator) for i, c in enumerate(a.coeffs) if c]
-    e_m += [((1, i), c.numerator, c.denominator) for i, c in enumerate(b.coeffs) if c]
-    inputs = (_render_terms(("S", t), e_S), _render_terms(("m", t), e_m))
-    q, prov = _cleanup(eliminant, (t,), inputs)
+    e_S = (((1, 0), 1, 1),) + tuple(((0, i), -c.numerator, c.denominator) for i, c in enumerate(s.coeffs) if c)
+    e_m = tuple(((0, i), -c.numerator, c.denominator) for i, c in enumerate(a.coeffs) if c)
+    e_m += tuple(((1, i), c.numerator, c.denominator) for i, c in enumerate(b.coeffs) if c)
+    q, prov = _cleanup(eliminant, (t,), ((("S", t), e_S), (("m", t), e_m)))
     return Certificate(q, {"S": "area", "m": "slope"}, prov)
 
 
@@ -214,10 +216,10 @@ def vertical_certificate(cp: CenteredParametrization) -> Certificate:
     if c0:
         e1.append(((0, 0, 0), -c0.numerator, c0.denominator))
     # D = sum_j g_j (t1^j - t2^j)/(t1 - t2) = sum_j g_j sum_(i<j) t1^i t2^(j-1-i)
-    D = [((i, j - 1 - i), c.numerator, c.denominator) for j, c in enumerate(g.coeffs) if c for i in range(j)]
-    e_c = [((1, 0), 1, 1)] + [((0, j), -c.numerator, c.denominator) for j, c in enumerate(g.coeffs) if c]
-    inputs = (_render_terms(("S", t1, t2), e1), _render_terms((t1, t2), D), _render_terms(("c", t2), e_c))
-    q, prov = _cleanup(eliminant, (t1, t2), inputs)
+    D = tuple(((i, j - 1 - i), c.numerator, c.denominator) for j, c in enumerate(g.coeffs) if c for i in range(j))
+    e_c = (((1, 0), 1, 1),) + tuple(((0, j), -c.numerator, c.denominator) for j, c in enumerate(g.coeffs) if c)
+    systems = ((("S", t1, t2), tuple(e1)), ((t1, t2), D), (("c", t2), e_c))
+    q, prov = _cleanup(eliminant, (t1, t2), systems)
     return Certificate(q, {"S": "area", "c": "abscissa"}, prov)
 
 

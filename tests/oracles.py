@@ -181,25 +181,28 @@ def fraction_areas(cp) -> tuple[UnivariatePolynomial, ...]:
 
 def euclid_gcd(p: UnivariatePolynomial, q: UnivariatePolynomial) -> UnivariatePolynomial:
     """Monic gcd by the Euclidean algorithm over Fraction: remainders by
-    long division, then the last nonzero one divided by its leading
+    `fraction_divmod`, then the last nonzero one divided by its leading
     coefficient."""
-    a, b = p, q
-    while not b.is_zero:
-        a, b = b, a % b
-    lc = a.leading_coefficient()
-    return UnivariatePolynomial(a.var, [c / lc for c in a.coeffs]) if a.coeffs else a
+    a, b = p.coeffs, q.coeffs
+    while b:
+        a, b = b, fraction_divmod(a, b)[1]
+    return UnivariatePolynomial(p.var, [c / a[-1] for c in a])
 
 
 def fraction_sturm_chain(p: UnivariatePolynomial) -> list[list[int]]:
     """sturm_chain by the signed remainder sequence p, p', -rem, ... over
-    Fraction: every element divided by the last one by long division, then
-    made a primitive integer list by a positive factor."""
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero:
-        chain.append(-(chain[-2] % chain[-1]))
+    Fraction: every element divided by the last one by `fraction_divmod`,
+    then made a primitive integer list by its `fraction_content`."""
+    chain = [p.coeffs, p.derivative().coeffs]
+    while chain[-1]:
+        chain.append([-c for c in fraction_divmod(chain[-2], chain[-1])[1]])
     chain.pop()
-    g = chain[-1]
-    return [[c.numerator for c in (f // g).primitive_integer()[0].coeffs] for f in chain]
+    out = []
+    for f in chain:
+        q = fraction_divmod(f, chain[-1])[0]
+        content = fraction_content(q)
+        out.append([int(c / content) for c in q])
+    return out
 
 
 # -- Fraction references for certificate assembly -----------------------

@@ -16,7 +16,7 @@ from ovalkit import (
     substitute_rational,
     univariate_from_polynomial,
 )
-from ovalkit.algebra import _divide, _homogenized, isolate_roots, squarefree_part, sturm_chain
+from ovalkit.algebra import _divide, _homogenized, _integer_form, isolate_roots, squarefree_part, sturm_chain
 from ovalkit.errors import EvaluationError
 from ovalkit.parsing import parse_rational_function
 
@@ -170,9 +170,9 @@ def test_antiderivative_cubic_oval_area():
 
 def test_gcd_examples():
     t = UnivariatePolynomial.identity("t")
-    assert gcd_univariate(t**2 - 1, t - 1) == (t - 1).monic()
+    assert gcd_univariate(t**2 - 1, t - 1) == t - 1
     p = 3 * t**2 + 6
-    assert gcd_univariate(p, UnivariatePolynomial.zero("t")) == p.monic()
+    assert gcd_univariate(p, UnivariatePolynomial.zero("t")) == t**2 + 2
 
 
 def test_gcd_of_coprime_polynomials_is_one():
@@ -199,24 +199,6 @@ def _univariate_strategy(st, max_size):
     return st.lists(small, max_size=max_size).map(lambda cs: UnivariatePolynomial("t", cs))
 
 
-def test_divmod_matches_sympy():
-    hypothesis = pytest.importorskip("hypothesis")
-    sympy = pytest.importorskip("sympy")
-    st = hypothesis.strategies
-    polys = _univariate_strategy(st, 9)
-
-    @hypothesis.settings(max_examples=80, deadline=None, derandomize=True, database=None)
-    @hypothesis.given(polys, polys.filter(lambda d: not d.is_zero))
-    def check(p, d):
-        q, r = divmod(p, d)
-        sq, sr = sympy.div(_to_sympy(sympy, p), _to_sympy(sympy, d))
-        assert (q, r) == (_from_sympy(sq), _from_sympy(sr))
-        assert q * d + r == p
-        assert r.degree() < d.degree()
-
-    check()
-
-
 def test_gcd_matches_sympy():
     # Shared factors make the gcd nontrivial in most examples.
     hypothesis = pytest.importorskip("hypothesis")
@@ -234,6 +216,37 @@ def test_gcd_matches_sympy():
         assert gcd_univariate(p, q) == _from_sympy(expected)
 
     check()
+
+
+def test_rational_function_normal_form_matches_sympy():
+    # Reduced on the integer remainder sequence, num/den is sympy's
+    # cancelled form: coprime, den monic. Common factors, denominators with
+    # negative or non-unit leading coefficients, fractional coefficients
+    # and zero numerators.
+    hypothesis = pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    st = hypothesis.strategies
+    polys = _univariate_strategy(st, 4)
+    nonzero = polys.filter(lambda p: not p.is_zero)
+    scales = st.sampled_from([Fraction(1), Fraction(-1), Fraction(3), Fraction(-2, 7), Fraction(5, 4)])
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(nonzero, polys, nonzero, scales)
+    def check(common, a, b, scale):
+        num, den = common * a, common * b * scale
+        rf = RationalFunction(num, den)
+        n, d = sympy.fraction(sympy.cancel(_to_sympy(sympy, num).as_expr() / _to_sympy(sympy, den).as_expr()))
+        t = sympy.Symbol("t")
+        D = sympy.Poly(d, t, domain="QQ")
+        assert rf.num == _from_sympy(sympy.Poly(n, t, domain="QQ") * (1 / D.LC()))
+        assert rf.den == _from_sympy(D.monic())
+        assert rf.den.coeffs[-1] == 1
+        assert gcd_univariate(rf.num, rf.den) == 1
+
+    check()
+    t = UnivariatePolynomial.identity("t")
+    zero = RationalFunction(UnivariatePolynomial.zero("t"), -3 * t + 1)
+    assert zero.num.is_zero and zero.den == 1
 
 
 def _mixed_coefficients(st):
@@ -307,20 +320,18 @@ def test_integer_sturm_chain_matches_the_fraction_reference():
 
 
 def test_integer_form_matches_the_fraction_reference():
-    # content and primitive_integer share one integer form: the numerators
-    # over the lcm with their gcd divided out.
+    # content and _integer_form: the numerators over the lcm with their
+    # gcd divided out, and the positive factor taken out.
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
     def check_one(cs):
-        p = UnivariatePolynomial("t", cs)
         content = fraction_content(cs)
         assert Polynomial(("t",), {(i,): c for i, c in enumerate(cs)}).content() == content
-        prim, factor = p.primitive_integer()
+        nums, factor = _integer_form(cs)
         assert factor == (content or 1) and factor > 0
-        assert prim.coeffs == [c / factor for c in p.coeffs]
-        assert all(c.denominator == 1 for c in prim.coeffs)
-        assert math.gcd(*(c.numerator for c in prim.coeffs)) == (1 if prim.coeffs else 0)
+        assert all(type(n) is int for n in nums) and nums == [c / factor for c in cs]
+        assert math.gcd(*nums) == (1 if content else 0)
 
     for cs in ([], [Fraction(0)], [Fraction(-6, 35)], [Fraction(4), Fraction(-2, 3)], [Fraction(1, 2), Fraction(-3, 4)]):
         check_one(cs)
@@ -573,8 +584,8 @@ def test_equal_polynomials_share_exponent_tuples():
 def test_squarefree_part():
     t = UnivariatePolynomial.identity("t")
     p = (t - 1) ** 2 * (t + 2)
-    assert squarefree_part(p) == ((t - 1) * (t + 2)).monic()
-    assert squarefree_part(-3 * p**2 * (2 * t - 1) ** 3) == ((t - 1) * (t + 2) * (t - Fraction(1, 2))).monic()
+    assert squarefree_part(p) == t**2 + t - 2
+    assert squarefree_part(-3 * p**2 * (2 * t - 1) ** 3) == t**3 + Fraction(1, 2) * t**2 - Fraction(5, 2) * t + 1
     assert squarefree_part(UnivariatePolynomial.constant("t", -7)) == UnivariatePolynomial.constant("t", 1)
 
 
@@ -618,6 +629,8 @@ def test_univariate_from_polynomial_roundtrip():
 def test_rational_function_arithmetic():
     a = parse_rational_function("t/(1-t)", "t")
     b = parse_rational_function("1/(1-t)", "t")
-    assert (a + b).num == UnivariatePolynomial("t", [-1, -1]) or (a + b) == parse_rational_function("(t+1)/(1-t)", "t")
+    # t/(1-t) + 1/(1-t) = (t+1)/(1-t) = (-t-1)/(t-1), the denominator monic.
+    assert (a + b).num == UnivariatePolynomial("t", [-1, -1])
+    assert (a + b).den == UnivariatePolynomial("t", [-1, 1])
     assert a / b == RationalFunction(UnivariatePolynomial("t", [0, 1]))
     assert (a * b).evaluate(Fraction(1, 2)) == 2

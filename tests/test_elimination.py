@@ -12,6 +12,7 @@ from ovalkit import (
     resultant,
 )
 from ovalkit import curves, elimination
+from ovalkit.algebra import _integer_form
 from ovalkit.curves import Point
 from ovalkit.elimination import (
     _berkowitz,
@@ -488,7 +489,7 @@ def test_g_adic_parts_rebuild_the_scaled_area_parts(cubic_centered, quartic_cent
         P, R = vertical_area_parts(cp)
         gh, ph, rh, K, lam = elimination._integer_inputs(g, P, R)
         assert gh[-1] == 1 and len(gh) == g.degree() + 1
-        a = g.primitive_integer()[0].coeffs[-1]
+        a = _integer_form(g.coeffs)[0][-1]
         for tau in (Fraction(-2), Fraction(1, 3), Fraction(5)):
             value = lambda coeffs: sum(c * tau**i for i, c in enumerate(coeffs))
             assert value(gh) == lam * g.evaluate(tau / a)
