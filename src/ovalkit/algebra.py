@@ -38,12 +38,6 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-# Every exponent tuple a Polynomial stores, shared between polynomials: a
-# held certificate then keeps one tuple per distinct monomial, not one per
-# polynomial that uses it.
-_EXPONENTS: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-
 def _monomial_key(exponents: tuple[int, ...]) -> tuple:
     # Graded order; ties broken on the exponents of later variables first,
     # which reproduces the conventional textbook printing y^4 - 2*x*y^2 - ...
@@ -76,7 +70,6 @@ class Polynomial:
                 raise ValueError("negative exponent")
             c = as_fraction(coeff)
             if c:
-                exps = _EXPONENTS.setdefault(exps, exps)
                 if exps in cleaned:
                     c += cleaned.pop(exps)
                 if c:
@@ -738,8 +731,9 @@ class RationalFunction:
     over their own common denominators are divided by the last element g
     of their primitive remainder sequence (`_remainder_sequence`) with
     `_divide`, exactly, as g is primitive and by Gauss's lemma the
-    quotients are integer lists; the denominator is then made monic. A
-    pair with constant g and a monic denominator is kept as it is.
+    quotients are integer lists; the denominator is then made monic. When
+    a or b is constant, so is g, and no sequence is run. A pair with
+    constant g and a monic denominator is kept as it is.
     """
 
     __slots__ = ("num", "den")
@@ -755,7 +749,7 @@ class RationalFunction:
             den = UnivariatePolynomial.constant(num.var, 1)
         else:
             (a, da), (b, db) = _numerators(num.coeffs), _numerators(den.coeffs)
-            g = _remainder_sequence(a, b)[-1]
+            g = _remainder_sequence(a, b)[-1] if min(len(a), len(b)) > 1 else [1]
             if len(g) > 1:
                 a, b = _divide(a, g)[0], _divide(b, g)[0]
             if len(g) > 1 or den.coeffs[-1] != 1:

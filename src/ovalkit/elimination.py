@@ -2,25 +2,26 @@
 
 Each certificate has one path: pencil certificates take
 `pencil_eliminant`, vertical certificates `vertical_eliminant`, and
-implicitization and singular points `resultant`. Every determinant is a
-characteristic polynomial of an integer matrix taken by `_berkowitz` at
-an integer node. `pencil_eliminant` takes small nodes and `_newton`
-interpolates their values; `resultant` and `vertical_eliminant` take one
-node, a power of two wide enough to hold every coefficient, and read the
-coefficients off its value as balanced base-2^k digits (`_digits`;
-Kronecker substitution, Kronecker 1882, Schoenhage 1982). `resultant`
-and `pencil_eliminant` share one norm, `_norm(G, s)`: the norm of Y - s
-on Q[t]/(G), lc(G)^deg s * prod over the roots r of G of (Y - s(r)).
+implicitization and singular points `resultant`. Every resultant is one
+integer, Res(f, g) of two integer lists, taken by the subresultant
+remainder sequence (`_resultant`); only the vertical certificate takes a
+characteristic polynomial, by `_berkowitz`. `pencil_eliminant` takes
+small nodes and `_newton` interpolates their values. Each value, and
+those of `resultant` and `vertical_eliminant`, is taken at a power of two
+wide enough to hold every coefficient, which are read off it as balanced
+base-2^k digits (`_digits`; Kronecker substitution, Kronecker 1882,
+Schoenhage 1982).
 
 `resultant` works from the two inputs' coefficient lists in the
 eliminated variable; no Sylvester matrix is built. Each input is scaled
 once to integers, every remaining variable i is set to 2^(k*r_i) with
-mixed radices r_i from the degree bounds, and the one value is the
-constant term of the norm on the quotient ring by the input of lower
-degree. k comes from a Hadamard bound on the resultant's coefficients.
+mixed radices r_i from the degree bounds, and the one value is
+`_resultant` of the two integer lists. k comes from a Hadamard bound on
+the resultant's coefficients.
 
-`pencil_eliminant` is the whole norm of s on Q[t]/(m*b - a) at each
-integer node of m, as S enters linearly, interpolated in m.
+`pencil_eliminant` sets S to a power of two at each integer node of m,
+takes `_resultant` there, and interpolates each digit, a coefficient of
+S, in m.
 
 `vertical_eliminant` expands the area parts in powers of the x-component
 (`_g_adic`) and takes the characteristic polynomial of multiplication on
@@ -143,44 +144,42 @@ def _berkowitz(m: list[list[int]]) -> list[int]:
     return poly
 
 
-def _norm(G: list[int], s: list[int]) -> list[int]:
-    """Coefficients of Res_t(G, Y - s) = l^k * prod over the roots r of G
-    of (Y - s(r)), highest degree in Y first, for ascending integer lists
-    G of degree d >= 1 with leading coefficient l != 0 and s of formal
-    degree k: the norm of Y - s on Q[t]/(G).
+def _resultant(f: list[int], g: list[int]) -> int:
+    """Res(f, g) for ascending integer lists f and g with nonzero leading
+    coefficients, not both constant, by the subresultant remainder
+    sequence (Collins 1967; Brown and Traub 1971; Cohen, A Course in
+    Computational Algebraic Number Theory, Algorithm 3.3.7).
 
-    tau = l*t makes G monic with integer coefficients and l^k * s(tau/l)
-    integral. `_berkowitz` takes the characteristic polynomial chi of
-    multiplication by the latter, a d x d integer matrix whose eigenvalues
-    are l^k times the values of s at the roots, so coefficient i is the
-    integer l^k * chi_i / l^(k*i). A remainder there raises ArithmeticError.
+    Each step takes the pseudo-remainder lc(g)^(delta+1) * f mod g,
+    delta = deg f - deg g, and divides it exactly by c * h^delta, c and h
+    carried from the step before. Every remainder kept is then a
+    subresultant, whose coefficients are minors of the Sylvester matrix and
+    so within its Hadamard bound. A remainder that vanishes means that f
+    and g share a factor, and 0 is returned.
     """
-    d, k = len(G) - 1, len(s) - 1
-    lc = G[d]
-    g = [c * lc ** (d - 1 - i) for i, c in enumerate(G[:d])]
-
-    def times_tau(v: list[int]) -> list[int]:
-        # tau^d = -sum_(i < d) g_i tau^i
-        top = v[-1]
-        out = [0] + v[:-1]
-        return [x - top * c for x, c in zip(out, g)] if top else out
-
-    # Column j of the matrix is s_tilde * tau^j, s_tilde by Horner.
-    col = [0] * d
-    for i in range(k, -1, -1):
-        col = times_tau(col)
-        col[0] += s[i] * lc ** (k - i)
-    cols = [col]
-    for _ in range(d - 1):
-        cols.append(times_tau(cols[-1]))
-    scale = lc**k
-    out = []
-    for i, chi in enumerate(_berkowitz(cols)):
-        v, rem = divmod(scale * chi, scale**i)
-        if rem:
-            raise ArithmeticError("a norm coefficient is not divisible by the leading coefficient's power")
-        out.append(v)
-    return out
+    sign = 1
+    if len(f) < len(g):
+        f, g = g, f
+        sign = (-1) ** ((len(f) - 1) * (len(g) - 1))
+    c = h = 1
+    while len(g) > 1:
+        n, lead = len(g) - 1, g[-1]
+        delta = len(f) - len(g)
+        sign *= (-1) ** ((len(f) - 1) * n)
+        r = f
+        for k in range(delta, -1, -1):
+            # r := lead*r - top * t^k * g, whose top coefficient vanishes.
+            top, r = r[-1], [lead * x for x in r[:-1]]
+            r[k : k + n] = [x - top * y for x, y in zip(r[k : k + n], g)]
+        while r and not r[-1]:
+            r.pop()
+        if not r:
+            return 0
+        divisor = c * h**delta
+        f, g, c = g, [x // divisor for x in r], lead
+        h = c**delta // h ** (delta - 1) if delta else h
+    # g is the constant subresultant: lc^deg f / h^(deg f - 1).
+    return sign * g[0] ** (len(f) - 1) // h ** (len(f) - 2)
 
 
 def _sample_values(count: int) -> list[int]:
@@ -243,12 +242,10 @@ def resultant(f: Polynomial, g: Polynomial, var: str) -> Polynomial:
        r_(i+1) = r_i * (D_i + 1), D_i the degree bound in variable i, so a
        compiled term c*x^e is c << w*(e.r) and every monomial of degree at
        most D_i in each variable gets its own digit;
-    4. the value is the constant term of the norm on the quotient ring by
-       the input of lower degree, f on equal degrees (Poisson's product
-       formula: Res(f, g) = (-1)^m * _norm(f, g)[-1] and
-       Res(g, f) = (-1)^(m*n) Res(f, g)). The modulus's leading coefficient
-       is a nonzero polynomial with coefficients below 2^(w-1) and
-       exponents within the radix, so its value is not zero;
+    4. the value is `_resultant` of the two integer lists. Each leading
+       coefficient is a nonzero polynomial with coefficients below
+       2^(w-1) and exponents within the radix, so its value is not zero,
+       and the lists keep the formal degrees m and n;
     5. the balanced base-2^w digits of the value (`_digits`) are the
        coefficients, each exponent recovered by mixed-radix division, and
        the input scales are divided out once.
@@ -292,10 +289,8 @@ def resultant(f: Polynomial, g: Polynomial, var: str) -> Polynomial:
     if len(blocks) == 1:
         # The other input has degree 0: its constant on the diagonal.
         value = values[0] ** blocks[0][1]
-    elif m <= n:
-        value = (-1) ** m * _norm(values[m::-1], values[:m:-1])[-1]
     else:
-        value = (-1) ** (m * n + n) * _norm(values[:m:-1], values[m::-1])[-1]
+        value = _resultant(values[m::-1], values[:m:-1])
     terms = {}
     for pos, c in enumerate(_digits(value, width, radix[-1])):
         if c:
@@ -314,24 +309,23 @@ def pencil_eliminant(
     (("S", "m"), terms, scale), the resultant being scale times the
     polynomial whose coefficients, keyed by exponents, are the ints terms.
 
-    S enters linearly, so with G = m*b - a, d = deg_t G and ds = deg s,
-    Res = (-1)^(ds*d) * lc(G)^ds * prod over the roots r of G of (S - s(r)),
-    and the product is the characteristic polynomial of multiplication by
-    s on the quotient ring Q[t]/(G), a norm. Everything runs on ints:
+    With G = m*b - a, d = deg_t G and ds = deg s, the resultant has
+    degree d in S and at most ds in m. Everything runs on ints:
 
     1. s_hat = Ls*s and G_hat = Lg*G, with Ls, Lg the lcms of the
-       denominators of s and of a, b, have integer coefficients;
+       denominators of s and of a, b, have integer coefficients, and
+       Res_t(Ls*S - s_hat, G_hat) = Ls^d * Lg^ds * Res, so
+       scale = 1/(Lg^ds * Ls^d);
     2. at each integer node m0, G_hat(m0) has leading coefficient l, a
        linear polynomial in m0 that is not zero, so at most one node is
-       skipped. `_norm` gives the coefficients of
-       Res_t(G_hat(m0), Y - s_hat), a d x d characteristic polynomial, and
-       the sign (-1)^(ds*d) turns them into those of
-       Res_t(Y - s_hat, G_hat(m0));
-    3. those coefficients are polynomials in m of degree at most ds, one
+       skipped. S is set to 2^w, with 2^(w-1) above the Hadamard bound
+       (Ls + |s_hat|_1)^d * |G_hat(m0)|_1^ds on the coefficients of
+       Res_t(Ls*S - s_hat, G_hat(m0)) in S over |S| = 1, and `_resultant`
+       takes its value. Its d + 1 balanced base-2^w digits (`_digits`) are
+       the coefficients of S^0, ..., S^d;
+    3. each coefficient is a polynomial in m of degree at most ds, one
        per row of G_hat in the Sylvester matrix, so `_newton` interpolates
-       them on ds + 1 nodes. With Y = Ls*S, the term S^(d-i) * m^e is then
-       divided by Ls^i * Lg^ds: its integer is the interpolated
-       coefficient times Ls^(d-i), and scale is 1/(Lg^ds * Ls^d).
+       it on ds + 1 nodes, and its coefficients are the ints terms.
 
     Raises SylvesterSizeError, as `resultant` does, when ds + d exceeds
     MAX_SYLVESTER_SIZE.
@@ -344,7 +338,7 @@ def pencil_eliminant(
     sh, ls = _numerators(s.coeffs)
     abh, lg = _numerators(a.coeffs + [0] * (d - a.degree()) + b.coeffs + [0] * (d - b.degree()))
     ah, bh = abh[: d + 1], abh[d + 1 :]
-    sign = -1 if ds * d % 2 else 1
+    height = (ls + sum(map(abs, sh))) ** d
     nodes: list[int] = []
     values = []
     for m0 in _sample_values(ds + 2):
@@ -352,16 +346,17 @@ def pencil_eliminant(
         if not G[d]:
             continue
         nodes.append(m0)
-        values.append([sign * c for c in _norm(G, sh)])
+        # S = 2^width, wide enough for Hadamard's bound over |S| = 1.
+        width = _digit_width(height * sum(map(abs, G)) ** ds)
+        digits = _digits(_resultant([(ls << width) - sh[0]] + [-c for c in sh[1:]], G), width, d + 1)
+        values.append(digits + [0] * (d + 1 - len(digits)))
         if len(nodes) == ds + 1:
             break
     terms: dict[tuple[int, int], int] = {}
-    weight = ls**d
-    for i in range(d + 1):
+    for i in range(d, -1, -1):
         for e, c in enumerate(_newton(nodes, [v[i] for v in values])):
             if c:
-                terms[(d - i, e)] = c * weight
-        weight //= ls
+                terms[(i, e)] = c
     return ("S", "m"), terms, Fraction(1, lg**ds * ls**d)
 
 

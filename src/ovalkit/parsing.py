@@ -205,16 +205,12 @@ class _Parser:
                 rhs = self.factor()
                 if (rhs.num if self.rational_var else rhs).is_zero:
                     raise ParseError("division by zero", pos)
-                if self.rational_var is not None:
-                    _check_product(value, rhs, pos, quotient=True)
-                    value = value / rhs
-                elif rhs.total_degree() > 0:
+                if self.rational_var is None and rhs.total_degree() > 0:
                     raise ParseError("a polynomial may only be divided by a constant", pos)
-                else:
-                    # A polynomial over a constant c: its product with 1/c.
-                    c = 1 / rhs.leading()[1]
-                    _check_product(value, self._const(c), pos)
-                    value = value * c
+                # A polynomial over a constant c is its product with 1/c,
+                # whose height is c's.
+                _check_product(value, rhs, pos, quotient=True)
+                value = value / rhs if self.rational_var else value * (1 / rhs.leading()[1])
             else:
                 return value
 

@@ -573,14 +573,6 @@ def test_rational_roots_match_sympy():
     check()
 
 
-def test_equal_polynomials_share_exponent_tuples():
-    a = parse_polynomial("3*x^2*y - y^3 + 7", ["x", "y"])
-    b = Polynomial(("x", "y"), {(2, 1): 1, (0, 3): 5, (0, 0): 2}) * Fraction(1, 2)
-    assert set(a.terms) == set(b.terms)
-    shared = {id(e) for e in a.terms}
-    assert all(id(e) in shared for e in b.terms)
-
-
 def test_squarefree_part():
     t = UnivariatePolynomial.identity("t")
     p = (t - 1) ** 2 * (t + 2)

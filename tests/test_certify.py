@@ -86,7 +86,7 @@ def test_pencil_certificate_refuses_a_curve_of_zero_area(monkeypatch):
         raise AssertionError("elimination started")
 
     with monkeypatch.context() as mp:
-        mp.setattr(elimination, "_norm", refuse)
+        mp.setattr(elimination, "_resultant", refuse)
         mp.setattr(elimination, "_sample_values", refuse)
         for area in ("chord", "free_inlet"):
             with pytest.raises(DegenerateCurveError, match="zero signed area"):

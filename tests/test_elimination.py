@@ -168,35 +168,80 @@ def test_resultant_matches_cofactor_where_leading_coefficients_vanish_at_small_i
             assert resultant(a, b, "y") == det_cofactor(sylvester_matrix(a, b, "y").entries), (a, b)
 
 
-def test_resultant_norms_take_the_lower_degree_modulus(apple_curve, monkeypatch):
-    # Each resultant of implicitize and rational_singular_points takes one
-    # characteristic polynomial at one Kronecker point, on the quotient
-    # ring by the input of lower degree: min(m, n) rows where the Sylvester
-    # matrix has m + n.
+def test_subresultant_matches_bareiss_on_the_sylvester_matrix():
+    # Degrees 0 to 9, not both 0, leading coefficients of either sign and
+    # coefficients up to 10^6, in both argument orders; a planted common
+    # factor of degree 1 to 3 makes the resultant 0.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coeff = st.integers(-(10**6), 10**6)
+
+    def poly(degree):
+        return st.tuples(st.lists(coeff, min_size=degree, max_size=degree), coeff.filter(bool)).map(
+            lambda p: p[0] + [p[1]]
+        )
+
+    def times(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    def sylvester(f, g):
+        # deg g rows of f, then deg f rows of g, highest coefficient first.
+        m, n = len(f) - 1, len(g) - 1
+        rows = [[0] * i + f[::-1] + [0] * (n - 1 - i) for i in range(n)]
+        rows += [[0] * i + g[::-1] + [0] * (m - 1 - i) for i in range(m)]
+        return [[Polynomial.constant(c) for c in row] for row in rows]
+
+    @st.composite
+    def pairs(draw):
+        k = draw(st.integers(0, 3))
+        m = draw(st.integers(0, 9 - k))
+        n = draw(st.integers(0 if m or k else 1, 9 - k))
+        f, g = draw(poly(m)), draw(poly(n))
+        if k:
+            common = draw(poly(k))
+            f, g = times(f, common), times(g, common)
+        return f, g, k
+
+    @hypothesis.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(pairs())
+    def check(pair):
+        f, g, k = pair
+        for a, b in ((f, g), (g, f)):
+            value = elimination._resultant(a, b)
+            assert Polynomial.constant(value) == det_bareiss(sylvester(a, b)), (a, b)
+            assert not k or value == 0
+
+    check()
+
+
+def test_each_resultant_takes_one_subresultant_sequence(apple_curve, monkeypatch):
+    # Each resultant of implicitize and rational_singular_points is one
+    # subresultant sequence at one Kronecker point; no characteristic
+    # polynomial is taken.
     calls = []
-    resultant, norm, berkowitz = curves.resultant, elimination._norm, elimination._berkowitz
+    resultant, subresultant = curves.resultant, elimination._resultant
 
     def recording_resultant(f, g, var):
-        calls.append(((f.degree_in(var), g.degree_in(var)), [], []))
+        calls.append(0)
         return resultant(f, g, var)
 
-    def recording_norm(G, s):
-        calls[-1][1].append((len(G) - 1, len(s) - 1))
-        return norm(G, s)
+    def recording_subresultant(f, g):
+        calls[-1] += 1
+        return subresultant(f, g)
 
-    def recording_berkowitz(matrix):
-        assert all(len(row) == len(matrix) for row in matrix)
-        calls[-1][2].append(len(matrix))
-        return berkowitz(matrix)
+    def refuse(matrix):
+        raise AssertionError("a resultant took a characteristic polynomial")
 
     monkeypatch.setattr(curves, "resultant", recording_resultant)
-    monkeypatch.setattr(elimination, "_norm", recording_norm)
-    monkeypatch.setattr(elimination, "_berkowitz", recording_berkowitz)
+    monkeypatch.setattr(elimination, "_resultant", recording_subresultant)
+    monkeypatch.setattr(elimination, "_berkowitz", refuse)
     F = implicitize(apple_curve)
     assert Point(0, 0) in rational_singular_points(F)
-    assert len(calls) >= 3
-    for (m, n), norms, sizes in calls:
-        assert norms == [(min(m, n), max(m, n))] and sizes == [min(m, n)], (m, n)
+    assert len(calls) >= 3 and calls == [1] * len(calls)
 
 
 def test_resultant_matches_bareiss_on_wide_coefficients():
