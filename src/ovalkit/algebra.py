@@ -142,10 +142,6 @@ class Polynomial:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
-        """Terms in canonical order: graded, descending."""
-        return sorted(self.terms.items(), key=lambda t: _monomial_key(t[0]), reverse=True)
-
     def leading(self) -> tuple[tuple[int, ...], Fraction]:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")

@@ -190,12 +190,15 @@ def vertical_certificate(cp: CenteredParametrization) -> Certificate:
     pair, and Q is the characteristic polynomial in S of multiplication by
     P(t1) + R(t2) on Q(c)[t1, t2]/(D, g(t2) - c), built on integers by
     `vertical_eliminant`, which expands P and R in powers of g so that
-    the multiplier is a polynomial in c with parts built once, and takes
-    one characteristic polynomial at the abscissa node c = 2^k, whose
-    base-2^k digits are Q's coefficients in c. Q equals
-    Res_t2(Res_t1(S - P(t1) - R(t2), D), c - g(t2)) after normalization;
-    the recorded removed factor is the content of the characteristic
-    polynomial. The provenance inputs are these three polynomials
+    the multiplier is a polynomial in c with parts built once. Swapping
+    t1 and t2 maps S to 2A - S, A = P + R the signed total, so
+    Q(S) = q((S - A)^2), and `vertical_eliminant` takes the one
+    characteristic polynomial q on the swap-invariant half of the ring,
+    a C(d, 2)-square matrix for deg g = d, at the abscissa node c = 2^k;
+    the base-2^k digits of Q's coefficients are its coefficients in c.
+    Q equals Res_t2(Res_t1(S - P(t1) - R(t2), D), c - g(t2)) after
+    normalization; the recorded removed factor is the content of the
+    characteristic polynomial. The provenance inputs are these three polynomials
     S - P(t1) - R(t2), D and c - g(t2), rendered from the numerators and
     denominators of the coefficients of P, R and g, as nothing else uses
     them. The names t1, t2 are the curve's parameter t with 1 and 2

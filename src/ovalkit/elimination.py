@@ -26,12 +26,14 @@ S, in m.
 `vertical_eliminant` expands the area parts in powers of the x-component
 (`_g_adic`) and takes the characteristic polynomial of multiplication on
 a two-variable quotient ring at one node of the abscissa, c = 2^k.
-One determinant on wide integers beats many on small ones while the
-interpreter's cost per operation outweighs the arithmetic: for
+Swapping the two intersection parameters maps the area S to 2A - S, A
+the signed total, so Q(S) = q((S - A)^2) with q taken on the
+swap-invariant half of the ring: C(d, 2) rows for deg g = d, not
+d(d - 1). One determinant on wide integers beats many on small ones while
+the interpreter's cost per operation outweighs the arithmetic: for
 resultants at desk scale and for the vertical matrices of the cubic
-(6 x 6) and the quartic (12 x 12), but not at deg g = 6 (30 x 30, see
-README) or for pencils whose slope has a high degree, which keep their
-nodes.
+(3 x 3) and the quartic (6 x 6), but not for pencils whose slope has a
+high degree, which keep their nodes.
 
 `resultant` returns a Polynomial. The two eliminants return theirs in
 integer form, a triple (variables, terms, scale): terms maps exponent
@@ -53,8 +55,9 @@ from .algebra import Polynomial, UnivariatePolynomial, _divide, _integer_form, _
 from .errors import DeskScopeError, SylvesterSizeError
 
 MAX_SYLVESTER_SIZE = 64
-# The vertical eliminant's matrix has d(d - 1) rows for deg g = d, and its
-# cost rises steeply with them: 30 rows at d = 6, 56 at d = 8.
+# The vertical eliminant's matrix has C(d, 2) rows for deg g = d, and its
+# entries widen with the Kronecker node: on one Xeon core a certificate takes
+# about 1.5 s at d = 6 (15 rows) and 15 s at d = 7 (21 rows).
 MAX_VERTICAL_DEGREE = 6
 
 
@@ -131,11 +134,11 @@ def _berkowitz(m: list[list[int]]) -> list[int]:
     -R*A^(k-1)*C (Berkowitz, Inform. Process. Lett. 18, 1984).
     """
     poly = [1]
-    for k in range(len(m)):
-        block = [row[:k] for row in m[:k]]
-        row = m[k][:k]
-        v = [r[k] for r in m[:k]]
-        toeplitz = [1, -m[k][k]]
+    for k, row in enumerate(m):
+        # v has k entries, and map stops there: row and block need no cut.
+        block = m[:k]
+        v = [r[k] for r in block]
+        toeplitz = [1, -row[k]]
         for j in range(k):
             toeplitz.append(-sum(map(mul, row, v)))
             if j < k - 1:
@@ -450,6 +453,63 @@ def _digits(v: int, k: int, count: int) -> list[int]:
     return out
 
 
+def _half_rules(full: list[int], c_hat: int) -> list[list[int]]:
+    """Rewriting rules of the swap-invariant half of `vertical_eliminant`'s
+    quotient ring at c_hat, for the ascending integer list full of the monic
+    g_hat of degree d: rules[b] is e1^(d-1-b) * e2^b, b < d, on the half
+    basis e1^a e2^b, a + b = s <= d - 2, at s(s+1)/2 + b, where
+    e1 = tau1 + tau2 and e2 = tau1 * tau2.
+
+    Each monomial is taken on the full basis tau1^i tau2^j (i < d - 1,
+    j < d, at i*d + j). Only its term tau1^(d-1) tau2^b leaves that basis:
+    D_hat = sum_i tau1^i w_i(tau2), w_i = sum_(j > i) g_hat_j tau2^(j-1-i)
+    and w_(d-1) = 1, reduces tau1^(d-1), and g_hat(tau2) = c_hat reduces
+    tau2^d. The half basis element at (s, b) is tau1^s tau2^b plus terms of
+    lower degree in tau1, so back-substitution on the triangle
+    b <= s <= d - 2 is unitriangular and divides by nothing. A symmetric
+    element leaves nothing over; a nonzero leftover raises ArithmeticError.
+    """
+    d = len(full) - 1
+    n = d * (d - 1)
+    # wrap[b] = tau1^(d-1) * tau2^b on the full basis.
+    wrap = [[0] * n]
+    for i in range(d - 1):
+        for j in range(i + 1, d + 1):
+            wrap[0][i * d + j - 1 - i] -= full[j]
+    for _ in range(d - 1):
+        v, out = wrap[-1], [0] * n
+        for base in range(0, n, d):
+            top = v[base + d - 1]
+            out[base + 1 : base + d] = v[base : base + d - 1]
+            if top:
+                out[base] = top * c_hat
+                for j, c in enumerate(full[:-1]):
+                    out[base + j] -= top * c
+        wrap.append(out)
+    # (position of tau1^s tau2^b, half index, the element's other terms).
+    triangle = [
+        (s * d + b, s * (s + 1) // 2 + b, [((l + b) * d + s - l, math.comb(s - b, l)) for l in range(s - b)])
+        for s in range(d - 2, -1, -1)
+        for b in range(s + 1)
+    ]
+    rules = []
+    for b, v in enumerate(wrap):
+        a = d - 1 - b
+        for l in range(a):
+            v[(l + b) * d + a - l + b] += math.comb(a, l)
+        rule = [0] * (n // 2)
+        for pos, e, tail in triangle:
+            x = v[pos]
+            if x:
+                rule[e], v[pos] = x, 0
+                for p, c in tail:
+                    v[p] -= x * c
+        if any(v):
+            raise ArithmeticError("a symmetric element left the half basis")
+        rules.append(rule)
+    return rules
+
+
 def vertical_eliminant(
     g: UnivariatePolynomial,
     P: UnivariatePolynomial,
@@ -459,7 +519,9 @@ def vertical_eliminant(
     at the common zeros of D(t1, t2) = (g(t1) - g(t2)) / (t1 - t2) and
     g(t2) - c, with multiplicity (raw, unnormalized), in integer form: the
     triple (("S", "c"), terms, scale), Q being scale times the polynomial
-    whose coefficients, keyed by exponents, are the ints terms.
+    whose coefficients, keyed by exponents, are the ints terms. P + R must
+    be a constant, as the two area parts' sum, the signed total, is;
+    otherwise ValueError is raised.
 
     For deg g = d >= 2, {D, g(t2) - c} is a lex Groebner basis: the
     leading terms t1^(d-1) and t2^d are coprime. So Q(c)[t1, t2]/(D, g - c)
@@ -480,17 +542,25 @@ def vertical_eliminant(
        R_hat alike. In the quotient ring g_hat(tau1) - g_hat(tau2) =
        (tau1 - tau2)*D = 0, so g_hat(tau1) = g_hat(tau2) = c_hat and
        h = P_hat(tau1) + R_hat(tau2) = sum_k c_hat^k * h_k with
-       h_k = P_k(tau1) + R_k(tau2). No h_k depends on c_hat, and each
-       needs at most one reduction of tau1^(d-1);
-    3. at the one node c_hat = 2^w, w from `_kronecker_width`, h is summed
-       from the h_k by Horner in c_hat, M is built from h by the
-       multiplications by tau1 and tau2 on the basis, and its
-       characteristic polynomial is taken by `_berkowitz`;
-    4. each coefficient is a polynomial in c_hat evaluated at 2^w
+       h_k = P_k(tau1) + R_k(tau2). No h_k depends on c_hat;
+    3. P_hat + R_hat is the integer kappa, so h - kappa = (tau1 - tau2) *
+       Delta with Delta = sum_k c_hat^k sum_j P_kj h_(j-1)(e1, e2), h_m the
+       complete symmetric polynomials in e1 = tau1 + tau2, e2 = tau1*tau2
+       (h_0 = 1, h_1 = e1, h_m = e1*h_(m-1) - e2*h_(m-2)). Swapping tau1
+       and tau2 keeps the ideal and negates h - kappa, so
+       Q(S) = q((S - kappa)^2), q the characteristic polynomial of
+       multiplication by u = (h - kappa)^2 = (e1^2 - 4*e2) * Delta^2 on the
+       swap-invariant half, whose basis e1^a e2^b, a + b <= d - 2, holds
+       Delta; `_half_rules` rewrites the d monomials of degree d - 1. At
+       the one node c_hat = 2^w, w from `_kronecker_width`, `_berkowitz`
+       takes q from the C(d, 2)-square matrix of u, and q((S - kappa)^2)
+       is expanded on the integers;
+    4. each coefficient of Q is a polynomial in c_hat evaluated at 2^w
        (Kronecker substitution), and 2^(w-1) exceeds all its coefficients,
        so they are the integer's balanced base-2^w digits (`_digits`).
        More than N + 1 digits, N = max over the k with h_k != 0 of
        d(d-1)*k + (d-1)*max(deg P_k, deg R_k), raise ArithmeticError.
+       Only Q's digits are read, so w bounds Q's coefficients, not q's.
 
     Why N bounds Q's degree in c_hat: for large |c_hat| every root tau of
     g_hat(tau) = c_hat has |tau| = O(|c_hat|^(1/d)), so each of the
@@ -518,72 +588,69 @@ def vertical_eliminant(
             f"x-component of degree {d} exceeds the supported {MAX_VERTICAL_DEGREE} for vertical certificates"
         )
     full, ph, rh, K, lam = _integer_inputs(g, P, R)
-    gh = full[:-1]
-    # D_hat = sum_i tau1^i * w_i(tau2) with w_i = sum_{j > i} g_hat_j tau2^(j-1-i)
-    # and w_(d-1) = 1, so tau1^(d-1) = -sum_(i < d-1) tau1^i w_i(tau2).
+    total = [p + r for p, r in zip_longest(ph, rh, fillvalue=0)] or [0]
+    if any(total[1:]):
+        raise ValueError("the vertical eliminant needs P + R constant")
+    kappa = total[0]
     n = d * (d - 1)
-    reduce_t1 = [0] * n
-    for i in range(d - 1):
-        for j in range(i + 1, d + 1):
-            reduce_t1[i * d + j - 1 - i] -= full[j]
-    # h_k = P_k(tau1) + R_k(tau2) on the basis, tau1^(d-1) reduced once.
     adic = list(zip_longest(_g_adic(ph, full), _g_adic(rh, full), fillvalue=[]))
-    parts = []
-    bound = 0
-    for k, (pk, rk) in enumerate(adic):
-        v = [0] * n
-        for i, c in enumerate(pk[: d - 1]):
-            v[i * d] = c
-        if len(pk) == d:
-            v = [x + pk[-1] * y for x, y in zip(v, reduce_t1)]
-        for j, c in enumerate(rk):
-            v[j] += c
-        if any(v):
-            bound = max(bound, n * k + (d - 1) * (max(len(pk), len(rk)) - 1))
-        parts.append(v)
+    # h_k = P_k(tau1) + R_k(tau2) vanishes where P_k is a constant, but
+    # h_0 = kappa does not.
+    live = [k for k, (pk, _) in enumerate(adic) if len(pk) > 1 or not k and kappa]
+    bound = max((n * k + (d - 1) * (max(map(len, adic[k])) - 1) for k in live), default=0)
     width = _kronecker_width(full, adic, n)
     c_hat = 1 << width
+    m = n // 2
+    rules = _half_rules(full, c_hat)
+    top = m - d + 1
+    # e1 (e2) times e1^a e2^b, a + b = s < d - 2, is e1^(a+1) e2^b
+    # (e1^a e2^(b+1)) in block s + 1; the top block goes through the rules.
+    moves = [(p + s + 1, p + s + 2) for s in range(d - 2) for p in range(s * (s + 1) // 2, (s + 1) * (s + 2) // 2)]
 
-    def times_t2(v: list[int]) -> list[int]:
-        # tau2^d = c_hat - sum_(j < d) g_hat_j tau2^j
-        out = [0] * n
-        for base in range(0, n, d):
-            top = v[base + d - 1]
-            out[base + 1 : base + d] = v[base : base + d - 1]
-            if top:
-                out[base] = top * c_hat
-                for j, c in enumerate(gh):
-                    out[base + j] -= top * c
+    def times(v: list[int], e2: int) -> list[int]:
+        out = [0] * m
+        for p, t in enumerate(moves):
+            out[t[e2]] = v[p]
+        for x, rule in zip(v[top:], rules[e2:]):
+            if x:
+                out = [o + x * r for o, r in zip(out, rule)]
         return out
 
-    wrap = [reduce_t1]
-    for _ in range(d - 1):
-        wrap.append(times_t2(wrap[-1]))
+    def columns(v: list[int]) -> list[list[int]]:
+        # v times each basis element, block by block.
+        cols = [v]
+        for s in range(1, d - 1):
+            cols += [times(c, 0) for c in cols[(s - 1) * s // 2 :]] + [times(cols[-1], 1)]
+        return cols
 
-    def times_t1(v: list[int]) -> list[int]:
-        out = [0] * d + v[: n - d]
-        for top, w in zip(v[n - d :], wrap):
-            if top:
-                out = [x + top * y for x, y in zip(out, w)]
-        return out
-
-    h = [0] * n
-    for part in reversed(parts):
-        h = [c_hat * x + y for x, y in zip(h, part)]
-    # Column i*d + j of M is h * tau1^i tau2^j; the characteristic
-    # polynomial of M's transpose is the same.
-    cols = [h]
+    # packed[j] = sum_k c_hat^k P_kj; h_(j-1) has (-1)^i C(j-1-i, i) on
+    # e1^(j-1-2i) e2^i.
+    packed = [0] * d
+    for pk, _ in reversed(adic):
+        packed = [c_hat * x for x in packed]
+        for j, c in enumerate(pk):
+            packed[j] += c
+    delta = [0] * m
     for j in range(1, d):
-        cols.append(times_t2(cols[-1]))
-    for i in range(1, d - 1):
-        cols += [times_t1(col) for col in cols[-d:]]
+        for i in range((j + 1) // 2):
+            s = j - 1 - i
+            delta[s * (s + 1) // 2 + i] += (-1) ** i * math.comb(s, i) * packed[j]
+    square = [sum(map(mul, row, delta)) for row in zip(*columns(delta))]
+    u = [x - 4 * y for x, y in zip(times(times(square, 0), 0), times(square, 1))]
+    value = [0] * (n + 1)
+    value[::2] = _berkowitz(columns(u))
+    # A Taylor shift turns value(S), highest degree first, into value(S - kappa).
+    if kappa:
+        for i in range(n):
+            for j in range(1, n - i + 1):
+                value[j] -= kappa * value[j - 1]
     kn, kd = K.numerator, K.denominator
     ln, ld = lam.numerator, lam.denominator
     c_weights = [ln**e * ld ** (bound - e) for e in range(bound + 1)]
     terms: dict[tuple[int, int], int] = {}
-    for i, value in enumerate(_berkowitz(cols)):
+    for i, v in enumerate(value):
         s_weight = kn ** (n - i) * kd**i
-        for e, c in enumerate(_digits(value, width, bound + 1)):
+        for e, c in enumerate(_digits(v, width, bound + 1)):
             if c:
                 terms[(n - i, e)] = c * s_weight * c_weights[e]
     return ("S", "c"), terms, Fraction(1, kd**n * ld**bound)

@@ -8,12 +8,15 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from itertools import zip_longest
 
 import numpy as np
 
 from ovalkit import Polynomial, RationalFunction, UnivariatePolynomial, resultant, validate_centered
+from ovalkit.algebra import _monomial_key
 from ovalkit.cli import parse_curve_text
 from ovalkit.curves import ParametricCurve, Point
+from ovalkit.elimination import _berkowitz, _digits, _g_adic, _integer_inputs, _kronecker_width
 from ovalkit.quadrature import (
     ORACLE_SAMPLES,
     _clipped_areas,
@@ -224,6 +227,11 @@ def fraction_cleanup(raw: Polynomial) -> tuple[Polynomial, tuple[str, ...]]:
     return q, () if factor == 1 else (str(factor),)
 
 
+def sorted_terms(p: Polynomial) -> list[tuple[tuple[int, ...], Fraction]]:
+    """Terms of p in canonical order: graded, descending."""
+    return sorted(p.terms.items(), key=lambda t: _monomial_key(t[0]), reverse=True)
+
+
 def fraction_render(p) -> str:
     """render_polynomial with each coefficient's magnitude, unit test and
     sign taken on the Fraction."""
@@ -232,7 +240,7 @@ def fraction_render(p) -> str:
     if p.is_zero:
         return "0"
     pieces = []
-    for exps, coeff in p.sorted_terms():
+    for exps, coeff in sorted_terms(p):
         mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(p.vars, exps) if e)
         mag = abs(coeff)
         if not mono:
@@ -293,6 +301,84 @@ def vertical_raw(cp) -> Polynomial:
     i = r.vars.index("S")
     (lead,) = [c for e, c in r.terms.items() if e[i] == n]
     return r * (K**n / lead)
+
+
+def full_ring_vertical_eliminant(g, P, R):
+    """`vertical_eliminant` on the whole quotient ring: the same integer
+    inputs, g-adic parts and Kronecker width, then the d(d - 1)-square
+    matrix of multiplication by h = P_hat(tau1) + R_hat(tau2) on the basis
+    tau1^i tau2^j (i < d - 1, j < d) at c_hat = 2^width, its characteristic
+    polynomial by `_berkowitz`, and the same digits and weights."""
+    d = g.degree()
+    full, ph, rh, K, lam = _integer_inputs(g, P, R)
+    gh = full[:-1]
+    # D_hat = sum_i tau1^i * w_i(tau2) with w_i = sum_{j > i} g_hat_j tau2^(j-1-i)
+    # and w_(d-1) = 1, so tau1^(d-1) = -sum_(i < d-1) tau1^i w_i(tau2).
+    n = d * (d - 1)
+    reduce_t1 = [0] * n
+    for i in range(d - 1):
+        for j in range(i + 1, d + 1):
+            reduce_t1[i * d + j - 1 - i] -= full[j]
+    # h_k = P_k(tau1) + R_k(tau2) on the basis, tau1^(d-1) reduced once.
+    adic = list(zip_longest(_g_adic(ph, full), _g_adic(rh, full), fillvalue=[]))
+    parts = []
+    bound = 0
+    for k, (pk, rk) in enumerate(adic):
+        v = [0] * n
+        for i, c in enumerate(pk[: d - 1]):
+            v[i * d] = c
+        if len(pk) == d:
+            v = [x + pk[-1] * y for x, y in zip(v, reduce_t1)]
+        for j, c in enumerate(rk):
+            v[j] += c
+        if any(v):
+            bound = max(bound, n * k + (d - 1) * (max(len(pk), len(rk)) - 1))
+        parts.append(v)
+    width = _kronecker_width(full, adic, n)
+    c_hat = 1 << width
+
+    def times_t2(v):
+        # tau2^d = c_hat - sum_(j < d) g_hat_j tau2^j
+        out = [0] * n
+        for base in range(0, n, d):
+            top = v[base + d - 1]
+            out[base + 1 : base + d] = v[base : base + d - 1]
+            if top:
+                out[base] = top * c_hat
+                for j, c in enumerate(gh):
+                    out[base + j] -= top * c
+        return out
+
+    wrap = [reduce_t1]
+    for _ in range(d - 1):
+        wrap.append(times_t2(wrap[-1]))
+
+    def times_t1(v):
+        out = [0] * d + v[: n - d]
+        for top, w in zip(v[n - d :], wrap):
+            if top:
+                out = [x + top * y for x, y in zip(out, w)]
+        return out
+
+    h = [0] * n
+    for part in reversed(parts):
+        h = [c_hat * x + y for x, y in zip(h, part)]
+    # Column i*d + j of M is h * tau1^i tau2^j.
+    cols = [h]
+    for j in range(1, d):
+        cols.append(times_t2(cols[-1]))
+    for i in range(1, d - 1):
+        cols += [times_t1(col) for col in cols[-d:]]
+    kn, kd = K.numerator, K.denominator
+    ln, ld = lam.numerator, lam.denominator
+    c_weights = [ln**e * ld ** (bound - e) for e in range(bound + 1)]
+    terms = {}
+    for i, value in enumerate(_berkowitz(cols)):
+        s_weight = kn ** (n - i) * kd**i
+        for e, c in enumerate(_digits(value, width, bound + 1)):
+            if c:
+                terms[(n - i, e)] = c * s_weight * c_weights[e]
+    return ("S", "c"), terms, Fraction(1, kd**n * ld**bound)
 
 
 def vertical_provenance_system(cp) -> tuple[Polynomial, Polynomial, Polynomial]:

@@ -193,9 +193,8 @@ def quartic_vertical_cert(quartic_centered):
     return vertical_certificate(quartic_centered)
 
 
-@pytest.fixture(scope="module")
-def cubic_vertical_build(cubic_centered):
-    """The cubic vertical certificate and the sizes of the multiplication
+def _vertical_build(cp):
+    """The vertical certificate of cp and the sizes of the multiplication
     matrices whose characteristic polynomials it took."""
     import ovalkit.elimination as elimination
 
@@ -208,8 +207,13 @@ def cubic_vertical_build(cubic_centered):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(elimination, "_berkowitz", recording)
-        cert = vertical_certificate(cubic_centered)
+        cert = vertical_certificate(cp)
     return cert, sizes
+
+
+@pytest.fixture(scope="module")
+def cubic_vertical_build(cubic_centered):
+    return _vertical_build(cubic_centered)
 
 
 def test_vertical_certificate_cubic(cubic_centered, cubic_curve):
@@ -236,14 +240,16 @@ def test_vertical_certificate_consistency_with_exact_areas(quartic_vertical_cert
         assert value == 0
 
 
-def test_vertical_certificate_cubic_shape(cubic_vertical_build):
+def test_vertical_certificate_cubic_shape(cubic_vertical_build, quartic_centered):
     # Eliminating against the divided difference (g(t1) - g(t2))/(t1 - t2)
     # drops the whole-oval diagonal t1 = t2 and its spurious factor 20*S - 3.
-    # The quotient Q(c)[t1, t2]/(D, g(t2) - c) of the cubic has dimension
-    # 3 * 2, so the multiplication matrix is 6x6, taken once at the one
-    # Kronecker node c = 2^k.
+    # The quotient Q(c)[t1, t2]/(D, g(t2) - c) has dimension d(d - 1); its
+    # swap-invariant half has dimension C(d, 2), so the multiplication
+    # matrix is 3x3 for the cubic and 6x6 for the quartic, taken once at
+    # the one Kronecker node c = 2^k.
     cert, sizes = cubic_vertical_build
-    assert sizes == [(6, 6)]
+    assert sizes == [(3, 3)]
+    assert _vertical_build(quartic_centered)[1] == [(6, 6)]
     q = cert.q
     assert len(q.terms) == 27
     assert (q.degree_in("S"), q.degree_in("c")) == (6, 10)
@@ -278,6 +284,24 @@ def test_vertical_certificate_matches_sylvester_on_fixtures(
     assert quartic == sylvester_vertical(quartic_centered)
     assert len(quartic.terms) == 112
     assert (quartic.degree_in("S"), quartic.degree_in("c")) == (12, 21)
+
+
+def test_vertical_certificate_is_symmetric_about_the_total_area(cubic_centered, quartic_centered):
+    # Swapping t1 and t2 maps S to 2A - S, A the signed total area (the
+    # vertical segment with t1 = t2 is the whole oval), so Q(2A - S, c) is
+    # Q(S, c) exactly.
+    from ovalkit.curves import Point, validate_centered
+    from ovalkit.quadrature import vertical_segment_area
+
+    ends = "x=(t-1/3)*(2/3-t)*(3+t); y=(t-1/3)^2*(2/3-t); t in [1/3,2/3]"
+    cps = [cubic_centered, quartic_centered, validate_centered(parse_curve_text(ends), Point(0, 0))]
+    cps += seeded_loops(89, 5, 1)
+    for cp in cps:
+        q = vertical_certificate(cp).q
+        lo = cp.curve.interval.lo
+        A = vertical_segment_area(cp, lo, lo).signed_value
+        assert q.subs("S", 2 * A - Polynomial.variable("S")) == q
+    assert cps[-1].curve.g.as_univariate().degree() == 5
 
 
 def test_vertical_certificate_matches_sylvester_on_seeded_loops():

@@ -10,9 +10,11 @@ from ovalkit import (
     parse_polynomial,
     rational_singular_points,
     resultant,
+    validate_centered,
 )
 from ovalkit import curves, elimination
 from ovalkit.algebra import _integer_form
+from ovalkit.cli import parse_curve_text
 from ovalkit.curves import Point
 from ovalkit.elimination import (
     _berkowitz,
@@ -27,7 +29,16 @@ from ovalkit.elimination import (
 from ovalkit.errors import DeskScopeError, SylvesterSizeError
 from ovalkit.quadrature import chord_area_function, free_inlet_function, slope_function, vertical_area_parts
 
-from oracles import det_bareiss, det_cofactor, eliminant_polynomial, pencil_inputs, seeded_loops, sylvester_vertical_inputs, vertical_raw
+from oracles import (
+    det_bareiss,
+    det_cofactor,
+    eliminant_polynomial,
+    full_ring_vertical_eliminant,
+    pencil_inputs,
+    seeded_loops,
+    sylvester_vertical_inputs,
+    vertical_raw,
+)
 
 
 def _poly(text, variables):
@@ -676,3 +687,57 @@ def test_vertical_eliminant_matches_the_sylvester_raw(cubic_centered, quartic_ce
         P, R = vertical_area_parts(cp)
         raw = _raw(vertical_eliminant(cp.curve.g.as_univariate(), P, R), ("S", "c"))
         assert raw == vertical_raw(cp)
+
+
+def test_vertical_eliminant_matches_the_full_ring_oracle(cubic_centered, quartic_centered):
+    # The half ring's C(d, 2)-square matrix against the d(d - 1)-square one
+    # on the whole quotient ring, from d = 2 (a 1 x 1 half matrix) to 5.
+    texts = (
+        "x=(t-1/3)*(2/3-t)*(3+t); y=(t-1/3)^2*(2/3-t); t in [1/3,2/3]",
+        "x=t*(1-t); y=t^2*(1-t); t in [0,1]",
+    )
+    cps = [cubic_centered, quartic_centered] + [validate_centered(parse_curve_text(t), Point(0, 0)) for t in texts]
+    cps += seeded_loops(71, 3, 6) + seeded_loops(73, 4, 3) + seeded_loops(79, 5, 2)
+    for cp in cps:
+        g = cp.curve.g.as_univariate()
+        P, R = vertical_area_parts(cp)
+        assert vertical_eliminant(g, P, R) == full_ring_vertical_eliminant(g, P, R)
+    assert {cp.curve.g.as_univariate().degree() for cp in cps} == {2, 3, 4, 5}
+
+
+def test_vertical_eliminant_refuses_parts_whose_sum_is_not_constant():
+    g = UnivariatePolynomial("t", [0, 1, -1])
+    P = UnivariatePolynomial("t", [0, 0, 1])
+    with pytest.raises(ValueError, match="P \\+ R constant"):
+        vertical_eliminant(g, P, UnivariatePolynomial("t", [1, 1]))
+
+
+def test_half_rules_are_the_reduced_grevlex_basis_of_the_pair_relations():
+    # For unordered pairs of roots of g - c, in e1 = t1 + t2 and e2 = t1*t2:
+    # D = (g(t1) - g(t2))/(t1 - t2) = 0 and g(t1) + g(t2) = 2c. The reduced
+    # grevlex basis (e1 > e2) of the two has one element
+    # e1^(d-1-b) e2^b - rules[b] for each b < d.
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.polyfuncs import symmetrize
+
+    t1, t2, e1, e2 = sympy.symbols("t1 t2 e1 e2")
+    rng = random.Random(83)
+    for d in range(2, 7):
+        basis = [e1 ** (s - b) * e2**b for s in range(d - 1) for b in range(s + 1)]
+        for c in (rng.randint(-50, 50), 1 << rng.randint(8, 70)):
+            full = [rng.randint(-9, 9) for _ in range(d)] + [1]
+
+            def g(t):
+                return sum(x * t**i for i, x in enumerate(full))
+
+            relations = []
+            for f in (sympy.cancel((g(t1) - g(t2)) / (t1 - t2)), g(t1) + g(t2) - 2 * c):
+                sym, rest, defs = symmetrize(sympy.expand(f), t1, t2, formal=True)
+                assert rest == 0
+                relations.append(sym.subs({defs[0][0]: e1, defs[1][0]: e2}))
+            reduced = sympy.groebner(relations, e1, e2, order="grevlex")
+            rules = elimination._half_rules(full, c)
+            expected = [
+                e1 ** (d - 1 - b) * e2**b - sum(x * m for x, m in zip(rule, basis)) for b, rule in enumerate(rules)
+            ]
+            assert {sympy.Poly(x, e1, e2) for x in reduced.exprs} == {sympy.Poly(x, e1, e2) for x in expected}
