@@ -2,20 +2,21 @@
 dense univariate polynomials, rational functions, Sturm counts, root
 isolation and rational root extraction.
 
-Stored coefficients are `fractions.Fraction`, so every value is exact
-and in lowest terms with a positive denominator. The arithmetic behind
-them runs on integers where it can: univariate sums, products and
-values work on integer numerators over one common denominator
-(`_numerators`) and build one Fraction per coefficient of the result
-(`_from_numerators`), and the remainder sequence on integer lists behind
-`gcd_univariate` and `sturm_chain` serves every univariate square-free,
-counting, isolation and rational-root question. `_divide`, on integer
-lists, is the one polynomial long division: rational functions are
-reduced by the last element of the integer remainder sequence of their
-numerator and denominator, and rational roots are divided out of the
-primitive integer list of their polynomial. The exact areas
-(`quadrature._swept`), the vertical eliminant's inputs and the
-certificates' provenance text use the same integer forms.
+Every value is exact. A multivariate Polynomial stores
+`fractions.Fraction` coefficients in lowest terms. A UnivariatePolynomial
+stores one integer form: ascending numerators `nums`, with no trailing
+zero, over one positive denominator `den` with gcd(den, *nums) = 1, built
+by `_canonical`; its Fraction coefficients are a view, `coeffs`, built
+only when read. Univariate sums, products and values run on that form,
+and the remainder sequence on integer lists behind `gcd_univariate` and
+`sturm_chain` serves every univariate square-free, counting, isolation
+and rational-root question. `_divide`, on integer lists, is the one
+polynomial long division: rational functions are reduced by the last
+element of the integer remainder sequence of their numerator and
+denominator, and rational roots are divided out of the primitive integer
+list of their polynomial. The exact areas (`quadrature._swept`), both
+eliminants' inputs and the certificates' provenance text read the same
+stored form.
 """
 
 from __future__ import annotations
@@ -394,38 +395,32 @@ def _power(base, n: int, one):
     return result
 
 
-def _univariate(var: str, coeffs: list[Fraction]) -> "UnivariatePolynomial":
-    """The polynomial with the ascending Fractions coeffs, whose last entry
-    is not zero, built without the constructor's conversion and checks."""
+def _canonical(var: str, nums: list[int], den: int) -> "UnivariatePolynomial":
+    """The polynomial with coefficients nums[i]/den, den nonzero, in its
+    stored form: trailing zeros dropped, and nums and den divided by
+    gcd(den, *nums), signed so that den is positive. nums is consumed: its
+    trailing zeros are popped, and it may become the stored list."""
+    while nums and not nums[-1]:
+        nums.pop()
+    g = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
     out = object.__new__(UnivariatePolynomial)
-    out.var = var
-    out.coeffs = coeffs
+    out.var, out.nums, out.den = var, ([c // g for c in nums] if g != 1 else nums), den // g
     return out
 
 
-def _from_numerators(var: str, nums: list[int], den: int) -> "UnivariatePolynomial":
-    """The polynomial with coefficients nums[i]/den, trailing zeros
-    dropped: one Fraction per coefficient."""
-    while nums and not nums[-1]:
-        nums.pop()
-    return _univariate(var, [Fraction(n, den) for n in nums])
-
-
 class UnivariatePolynomial:
-    """Dense univariate polynomial over Fraction, ascending coefficients.
+    """Dense univariate polynomial over the rationals: the ascending
+    integer numerators nums, with no trailing zero, over one positive
+    denominator den with gcd(den, *nums) = 1. Equal polynomials have equal
+    stored forms, and den is the least common denominator of the
+    coefficients in lowest terms. Sums, products, values and
+    antiderivatives run on this form; `coeffs` builds the Fractions."""
 
-    Sums, products, values and antiderivatives are computed on integer
-    numerators over one common denominator, and each coefficient of the
-    result is reduced once."""
-
-    __slots__ = ("var", "coeffs")
+    __slots__ = ("var", "nums", "den")
 
     def __init__(self, var: str, coeffs: Iterable[Scalar]):
-        cs = [as_fraction(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.var = var
-        self.coeffs = cs
+        stored = _canonical(var, *_numerators([as_fraction(c) for c in coeffs]))
+        self.var, self.nums, self.den = var, stored.nums, stored.den
 
     @classmethod
     def zero(cls, var: str) -> "UnivariatePolynomial":
@@ -440,11 +435,16 @@ class UnivariatePolynomial:
         return cls(var, [0, 1])
 
     @property
+    def coeffs(self) -> list[Fraction]:
+        """The ascending coefficients as Fractions, built on each read."""
+        return [Fraction(c, self.den) for c in self.nums]
+
+    @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def _check(self, other: "UnivariatePolynomial"):
         if self.var != other.var:
@@ -461,30 +461,29 @@ class UnivariatePolynomial:
             other = UnivariatePolynomial.constant(self.var, other)
         if not isinstance(other, UnivariatePolynomial):
             return NotImplemented
-        return self.var == other.var and self.coeffs == other.coeffs
+        return self.var == other.var and self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash((self.var, tuple(self.coeffs)))
+        return hash((self.var, tuple(self.nums), self.den))
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     def __add__(self, other):
         o = self._coerce(other)
-        (a, da), (b, db) = _numerators(self.coeffs), _numerators(o.coeffs)
-        den = math.lcm(da, db)
-        sa, sb = den // da, den // db
-        nums = [0] * max(len(a), len(b))
-        for i, c in enumerate(a):
+        den = math.lcm(self.den, o.den)
+        sa, sb = den // self.den, den // o.den
+        nums = [0] * max(len(self.nums), len(o.nums))
+        for i, c in enumerate(self.nums):
             nums[i] = c * sa
-        for i, c in enumerate(b):
+        for i, c in enumerate(o.nums):
             nums[i] += c * sb
-        return _from_numerators(self.var, nums, den)
+        return _canonical(self.var, nums, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _univariate(self.var, [-c for c in self.coeffs])
+        return _canonical(self.var, [-c for c in self.nums], self.den)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -493,19 +492,19 @@ class UnivariatePolynomial:
         return (-self) + other
 
     def __mul__(self, other):
-        a, da = _numerators(self.coeffs)
+        a = self.nums
         if isinstance(other, (int, Fraction)):
             k = as_fraction(other)
-            return _from_numerators(self.var, [c * k.numerator for c in a], da * k.denominator)
-        b, db = _numerators(self._coerce(other).coeffs)
-        if not (a and b):
+            return _canonical(self.var, [c * k.numerator for c in a], self.den * k.denominator)
+        o = self._coerce(other)
+        if not (a and o.nums):
             return UnivariatePolynomial.zero(self.var)
-        nums = [0] * (len(a) + len(b) - 1)
+        nums = [0] * (len(a) + len(o.nums) - 1)
         for i, x in enumerate(a):
             if x:
-                for j, y in enumerate(b, i):
+                for j, y in enumerate(o.nums, i):
                     nums[j] += x * y
-        return _from_numerators(self.var, nums, da * db)
+        return _canonical(self.var, nums, self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -514,28 +513,32 @@ class UnivariatePolynomial:
 
     def evaluate(self, x) -> Fraction:
         x = as_fraction(x)
-        nums, den = _numerators(self.coeffs)
-        return Fraction(_homogenized(nums, x), den * x.denominator ** (len(nums) - 1)) if nums else Fraction(0)
+        nums = self.nums
+        return Fraction(_homogenized(nums, x), self.den * x.denominator ** (len(nums) - 1)) if nums else Fraction(0)
 
     def evaluate_float(self, x: float) -> float:
+        """Horner's rule on the floats c/den, which equal float(Fraction(c,
+        den)): int true division rounds correctly, and raises OverflowError
+        beyond the float range."""
         acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + float(c)
+        for c in reversed(self.nums):
+            acc = acc * x + c / self.den
         return acc
 
     def derivative(self) -> "UnivariatePolynomial":
-        return _univariate(self.var, [c * i for i, c in enumerate(self.coeffs) if i])
+        return _canonical(self.var, [c * i for i, c in enumerate(self.nums) if i], self.den)
 
     def antiderivative(self) -> "UnivariatePolynomial":
-        """Formal antiderivative with zero constant term."""
-        coeffs = [Fraction(c.numerator, c.denominator * i) for i, c in enumerate(self.coeffs, 1)]
-        return _univariate(self.var, [Fraction(0)] + coeffs if coeffs else [])
+        """Formal antiderivative with zero constant term: the numerators
+        c_i * L/(i + 1) over den * L, L = lcm(1, ..., deg + 1)."""
+        L = math.lcm(*range(1, len(self.nums) + 1))
+        return _canonical(self.var, [0] + [c * (L // i) for i, c in enumerate(self.nums, 1)], self.den * L)
 
     def compose(self, inner: "UnivariatePolynomial") -> "UnivariatePolynomial":
         acc = UnivariatePolynomial.zero(inner.var)
-        for c in reversed(self.coeffs):
+        for c in reversed(self.nums):
             acc = acc * inner + c
-        return acc
+        return acc * Fraction(1, self.den)
 
     def to_polynomial(self) -> Polynomial:
         return Polynomial((self.var,), {(i,): c for i, c in enumerate(self.coeffs) if c})
@@ -590,8 +593,8 @@ def gcd_univariate(p: UnivariatePolynomial, q: UnivariatePolynomial) -> Univaria
     monic."""
     if p.var != q.var:
         raise ValueError("gcd requires a common variable")
-    g = _remainder_sequence(_numerators(p.coeffs)[0], _numerators(q.coeffs)[0])[-1]
-    return _from_numerators(p.var, g, g[-1]) if g else UnivariatePolynomial.zero(p.var)
+    g = _remainder_sequence(p.nums, q.nums)[-1]
+    return _canonical(p.var, g, g[-1]) if g else UnivariatePolynomial.zero(p.var)
 
 
 def sturm_chain(p: UnivariatePolynomial) -> list[list[int]]:
@@ -607,7 +610,7 @@ def sturm_chain(p: UnivariatePolynomial) -> list[list[int]]:
     primitive, so by Gauss's lemma the quotients are primitive integer
     lists.
     """
-    a = _numerators(p.coeffs)[0]
+    a = p.nums
     chain = _remainder_sequence(a, [i * c for i, c in enumerate(a)][1:])
     return [_divide(f, chain[-1])[0] for f in chain]
 
@@ -625,7 +628,7 @@ def squarefree_part(p: UnivariatePolynomial) -> UnivariatePolynomial:
     if p.is_zero:
         raise ValueError("square-free part of the zero polynomial")
     chain = sturm_chain(p)
-    return _from_numerators(p.var, chain[0], chain[0][-1])
+    return _canonical(p.var, chain[0], chain[0][-1])
 
 
 @dataclass(frozen=True)
@@ -702,13 +705,13 @@ def rational_roots(p: UnivariatePolynomial) -> list[Fraction]:
     """
     if p.is_zero:
         raise ValueError("rational roots of the zero polynomial")
-    zeros = next(i for i, c in enumerate(p.coeffs) if c)
+    zeros = next(i for i, c in enumerate(p.nums) if c)
     roots = [Fraction(0)] * zeros
-    work = _integer_form(p.coeffs[zeros:])[0]
+    work = _primitive(p.nums[zeros:])[0]
     if len(work) == 2:
         roots.append(Fraction(-work[0], work[1]))
     elif len(work) > 2:
-        chain = sturm_chain(_univariate(p.var, p.coeffs[zeros:]))
+        chain = sturm_chain(_canonical(p.var, work, 1))
         lc = abs(chain[0][-1])
         bound = 1 + Fraction(max(abs(c) for c in chain[0]), lc)
         for a, b, _ in isolate_roots(chain, -bound, bound, Fraction(1, 2 * lc * lc)):
@@ -744,14 +747,14 @@ class RationalFunction:
         if num.is_zero:
             den = UnivariatePolynomial.constant(num.var, 1)
         else:
-            (a, da), (b, db) = _numerators(num.coeffs), _numerators(den.coeffs)
+            (a, da), (b, db) = (num.nums, num.den), (den.nums, den.den)
             g = _remainder_sequence(a, b)[-1] if min(len(a), len(b)) > 1 else [1]
             if len(g) > 1:
                 a, b = _divide(a, g)[0], _divide(b, g)[0]
-            if len(g) > 1 or den.coeffs[-1] != 1:
+            if len(g) > 1 or b[-1] != db:
                 # num/den = (a/da)/(b/db) = (a*db/(da*lc))/(b/lc), lc = b[-1].
-                num = _from_numerators(num.var, [c * db for c in a], da * b[-1])
-                den = _from_numerators(num.var, b, b[-1])
+                num = _canonical(num.var, [c * db for c in a], da * b[-1])
+                den = _canonical(num.var, b, b[-1])
         self.num = num
         self.den = den
 

@@ -145,6 +145,12 @@ def _shared_parts(variables, exponents, coefficients, systems, eliminated, remov
     return Polynomial(variables, dict(zip(exponents, coefficients))), Provenance(inputs, eliminated, removed)
 
 
+def _triples(p, sign: int = 1) -> list[tuple[int, int, int]]:
+    """(i, sign * n, d) for each nonzero coefficient n/d of the
+    UnivariatePolynomial p in lowest terms, read off its stored numerators."""
+    return [(i, sign * c // (g := math.gcd(c, p.den)), p.den // g) for i, c in enumerate(p.nums) if c]
+
+
 def pencil_certificate(cp: CenteredParametrization, area: str = "chord") -> Certificate:
     """Certificate Q(S, m) for the pencil of lines through the center.
 
@@ -172,9 +178,8 @@ def pencil_certificate(cp: CenteredParametrization, area: str = "chord") -> Cert
     slope = slope_function(cp)
     a, b = slope.num, slope.den
     eliminant = pencil_eliminant(s, a, b)
-    e_S = (((1, 0), 1, 1),) + tuple(((0, i), -c.numerator, c.denominator) for i, c in enumerate(s.coeffs) if c)
-    e_m = tuple(((0, i), -c.numerator, c.denominator) for i, c in enumerate(a.coeffs) if c)
-    e_m += tuple(((1, i), c.numerator, c.denominator) for i, c in enumerate(b.coeffs) if c)
+    e_S = (((1, 0), 1, 1),) + tuple(((0, i), n, d) for i, n, d in _triples(s, -1))
+    e_m = tuple(((0, i), n, d) for i, n, d in _triples(a, -1)) + tuple(((1, i), n, d) for i, n, d in _triples(b))
     q, prov = _cleanup(eliminant, (t,), ((("S", t), e_S), (("m", t), e_m)))
     return Certificate(q, {"S": "area", "m": "slope"}, prov)
 
@@ -213,14 +218,14 @@ def vertical_certificate(cp: CenteredParametrization) -> Certificate:
     # e1 = S - P(t1) - R(t2), whose constant term -(P_0 + R_0) is dropped
     # where it cancels, D, and e_c = c - g(t2).
     e1 = [((1, 0, 0), 1, 1)]
-    e1 += [((0, i, 0), -c.numerator, c.denominator) for i, c in enumerate(P.coeffs) if i and c]
-    e1 += [((0, 0, j), -c.numerator, c.denominator) for j, c in enumerate(R.coeffs) if j and c]
-    c0 = sum(p.coeffs[0] for p in (P, R) if p.coeffs)
+    e1 += [((0, i, 0), n, d) for i, n, d in _triples(P, -1) if i]
+    e1 += [((0, 0, j), n, d) for j, n, d in _triples(R, -1) if j]
+    c0 = P.evaluate(0) + R.evaluate(0)
     if c0:
         e1.append(((0, 0, 0), -c0.numerator, c0.denominator))
     # D = sum_j g_j (t1^j - t2^j)/(t1 - t2) = sum_j g_j sum_(i<j) t1^i t2^(j-1-i)
-    D = tuple(((i, j - 1 - i), c.numerator, c.denominator) for j, c in enumerate(g.coeffs) if c for i in range(j))
-    e_c = (((1, 0), 1, 1),) + tuple(((0, j), -c.numerator, c.denominator) for j, c in enumerate(g.coeffs) if c)
+    D = tuple(((i, j - 1 - i), n, d) for j, n, d in _triples(g) for i in range(j))
+    e_c = (((1, 0), 1, 1),) + tuple(((0, j), n, d) for j, n, d in _triples(g, -1))
     systems = ((("S", t1, t2), tuple(e1)), ((t1, t2), D), (("c", t2), e_c))
     q, prov = _cleanup(eliminant, (t1, t2), systems)
     return Certificate(q, {"S": "area", "c": "abscissa"}, prov)
@@ -412,6 +417,8 @@ def parse_certificate(text: str) -> Certificate:
     roles: dict[str, str] = {}
     for item in lines[-1][len("roles:") :].split():
         var, _, role = item.partition("=")
+        if var in roles:
+            raise ValueError(f"variable {var!r} is given two roles")
         roles[var] = role
     poly = parse_polynomial(" ".join(lines[:-1]), tuple(roles))
     return Certificate(poly, roles)

@@ -372,10 +372,11 @@ def _cmd_verify(args) -> int:
 
 def _input_parser(flag: str, help_text: str, what: str) -> argparse.ArgumentParser:
     """A verb's input: flag, or --in <path> naming a file with the same
-    text; _read_input reads whichever is given."""
+    text, not both; _read_input reads whichever is given."""
     parser = argparse.ArgumentParser(add_help=False)
-    parser.add_argument(flag, dest="text", metavar=flag[2:].upper(), help=help_text)
-    parser.add_argument("--in", dest="infile", metavar="INFILE", help=f"read the {what} from a file")
+    source = parser.add_mutually_exclusive_group()
+    source.add_argument(flag, dest="text", metavar=flag[2:].upper(), help=help_text)
+    source.add_argument("--in", dest="infile", metavar="INFILE", help=f"read the {what} from a file")
     return parser
 
 
@@ -407,8 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_singular)
 
     p = sub.add_parser("area", parents=[curve_text], help="exact total or segment area")
-    p.add_argument("--chord", help="chord parameter t0 (origin-centered curves)")
-    p.add_argument("--vertical", help="parameters t1,t2 of a vertical-line segment (--vertical=t1,t2)")
+    segment = p.add_mutually_exclusive_group()
+    segment.add_argument("--chord", help="chord parameter t0 (origin-centered curves)")
+    segment.add_argument("--vertical", help="parameters t1,t2 of a vertical-line segment (--vertical=t1,t2)")
     p.set_defaults(func=_cmd_area)
 
     p = sub.add_parser("damper-table", parents=[curve_text], help="free-section table S2(t_P) as CSV")
@@ -428,8 +430,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("verify", parents=[curve_text], help="verify a certificate against sampled areas")
-    p.add_argument("--cert", help="certificate text (polynomial + roles line)")
-    p.add_argument("--cert-file", help="read the certificate from a file")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--cert", help="certificate text (polynomial + roles line)")
+    source.add_argument("--cert-file", help="read the certificate from a file")
     p.add_argument("--samples", type=int, default=50, help="number of sampled lines")
     p.add_argument("--tol", type=float, default=1e-6, help="residual tolerance")
     p.set_defaults(func=_cmd_verify)

@@ -51,7 +51,7 @@ from fractions import Fraction
 from itertools import accumulate, zip_longest
 from operator import mul
 
-from .algebra import Polynomial, UnivariatePolynomial, _divide, _integer_form, _numerators, _primitive
+from .algebra import Polynomial, UnivariatePolynomial, _divide, _numerators, _primitive
 from .errors import DeskScopeError, SylvesterSizeError
 
 MAX_SYLVESTER_SIZE = 64
@@ -338,9 +338,9 @@ def pencil_eliminant(
     _check_sylvester_size(ds + d, s.var)
     if ds < 0 or d < 1:
         raise ValueError("the pencil eliminant needs a nonzero s and a nonconstant slope a/b")
-    sh, ls = _numerators(s.coeffs)
-    abh, lg = _numerators(a.coeffs + [0] * (d - a.degree()) + b.coeffs + [0] * (d - b.degree()))
-    ah, bh = abh[: d + 1], abh[d + 1 :]
+    sh, ls = s.nums, s.den
+    lg = math.lcm(a.den, b.den)
+    ah, bh = ([c * (lg // p.den) for c in p.nums] + [0] * (d - p.degree()) for p in (a, b))
     height = (ls + sum(map(abs, sh))) ** d
     nodes: list[int] = []
     values = []
@@ -373,17 +373,17 @@ def _integer_inputs(
     With P and R the numerators p and r over one denominator den, the
     integers p_i*a^(m-i) and r_i*a^(m-i) divided by their gcd f are P_hat
     and R_hat, and K = a^m*den/f."""
-    gi, k = _integer_form(g.coeffs)
+    gi, k = _primitive(g.nums)
     d = len(gi) - 1
     a = gi[-1]
     # g_hat(tau) = a^(d-1) * gi(tau/a).
     gh = [c * a ** (d - 1 - i) for i, c in enumerate(gi[:-1])] + [1]
     m = max(P.degree(), R.degree(), 0)
-    nums, den = _numerators(P.coeffs + R.coeffs)
+    den = math.lcm(P.den, R.den)
     powers = [a ** (m - i) for i in range(m + 1)]
-    split = len(P.coeffs)
-    nums, f = _primitive([c * w for part in (nums[:split], nums[split:]) for c, w in zip(part, powers)])
-    return gh, nums[:split], nums[split:], Fraction(a**m * den, f), Fraction(a ** (d - 1)) / k
+    split = len(P.nums)
+    nums, f = _primitive([c * (den // p.den) * w for p in (P, R) for c, w in zip(p.nums, powers)])
+    return gh, nums[:split], nums[split:], Fraction(a**m * den, f), Fraction(a ** (d - 1) * g.den, k)
 
 
 def _g_adic(p: list[int], g: list[int]) -> list[list[int]]:
@@ -397,15 +397,25 @@ def _g_adic(p: list[int], g: list[int]) -> list[list[int]]:
     return parts
 
 
-def _root_ceil(x: int, m: int) -> int:
-    """The least integer r with r^m >= x, for integers x, m >= 1."""
-    r = 1 << -(-x.bit_length() // m)
-    # Integer Newton steps from above descend to floor(x^(1/m)).
-    while True:
-        s = ((m - 1) * r + x // r ** (m - 1)) // m
-        if s >= r:
-            return r if r**m >= x else r + 1
-        r = s
+def _root_bound(g: list[int]) -> int:
+    """The least integer r >= 1 with r^d >= sum over j < d of a_j * r^j,
+    for the ascending integer list g of a monic polynomial of degree d >= 1,
+    a_0 = |g_0| + 1 and a_j = |g_j| above it.
+
+    r is at least the positive root of Cauchy's polynomial
+    x^d - sum_j a_j * x^j, so every root of g - c with |c| <= 1 has
+    absolute value at most r (Cauchy's bound in its implicit form). As
+    r^d - sum_j a_j * r^j, over r^d, increases with r > 0, r is found by
+    bisection on [1, 1 + max a_j], whose upper end satisfies the
+    inequality. So r is never above Cauchy's 1 + max a_j or Fujiwara's
+    2 * max a_j^(1/(d-j))."""
+    d = len(g) - 1
+    a = [abs(g[0]) + 1] + [abs(c) for c in g[1:d]]
+    lo, hi = 1, 1 + max(a)
+    while lo < hi:
+        r = (lo + hi) // 2
+        lo, hi = (lo, r) if r**d >= sum(x * r**j for j, x in enumerate(a)) else (r + 1, hi)
+    return lo
 
 
 def _kronecker_width(g: list[int], parts: list[tuple[list[int], list[int]]], n: int) -> int:
@@ -415,19 +425,14 @@ def _kronecker_width(g: list[int], parts: list[tuple[list[int], list[int]]], n: 
     and of the g-adic parts (P_k, R_k) of P_hat and R_hat.
 
     For complex |c_hat| <= 1 every root tau of g_hat(tau) - c_hat has
-    |tau| <= rt, the smaller of Cauchy's bound 1 + max |a_j| and
-    Fujiwara's 2 * max |a_j|^(1/(d-j)) on its coefficients a_j below the
-    leading one, with |g_0| + 1 standing in for the constant term. Each
-    eigenvalue sum_k c_hat^k * (P_k(tau1) + R_k(tau2)) is then at most
+    |tau| <= rt = `_root_bound`(g_hat). Each eigenvalue
+    sum_k c_hat^k * (P_k(tau1) + R_k(tau2)) is then at most
     E = sum over k and j of (|P_kj| + |R_kj|) * rt^j, so the coefficient of
     S^(n-i), an elementary symmetric function of the eigenvalues, is at
     most C(n, i) * E^i on the unit circle, and by Cauchy's estimate so is
     each of its coefficients in c_hat.
     """
-    d = len(g) - 1
-    a = [abs(g[0]) + 1] + [abs(c) for c in g[1:d]]
-    fujiwara = 2 * max(_root_ceil(x, d - j) for j, x in enumerate(a) if x)
-    rt = min(1 + max(a), fujiwara)
+    rt = _root_bound(g)
     eig = sum(abs(c) * rt**j for part in parts for p in part for j, c in enumerate(p))
     return _digit_width(max(math.comb(n, i) * eig**i for i in range(n + 1)))
 

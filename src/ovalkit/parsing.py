@@ -55,14 +55,14 @@ def _size(value) -> tuple[int, int, int, set[str], int]:
     """
     if isinstance(value, RationalFunction):
         num, den = max(value.num.degree(), 0), value.den.degree()
-        coeffs = list(value.num.coeffs) + list(value.den.coeffs)
+        lcm = math.lcm(value.num.den, value.den.den)
+        nums = [c * (lcm // p.den) for p in (value.num, value.den) for c in p.nums]
         variables = {value.var}
     else:
         num, den = max(value.total_degree(), 0), 0
-        coeffs = list(value.terms.values())
+        nums, lcm = _numerators(list(value.terms.values()))
         variables = value.used_vars()
-    nums, lcm = _numerators(coeffs)
-    return num, den, len(coeffs), variables, max(sum(map(abs, nums)), lcm)
+    return num, den, len(nums), variables, max(sum(map(abs, nums)), lcm)
 
 
 def _check_budget(what: str, pos: int, degree: int, variables: set[str], terms: int, bits: int) -> None:

@@ -257,7 +257,7 @@ def expand_branch(F: Polynomial, num_terms: int) -> PuiseuxSeries:
     else:
         # Order of F(x, series) is the x-order of the constant-in-y part of G.
         tail_x = univariate_from_polynomial(tail, "x")
-        k = next(i for i, cc in enumerate(tail_x.coeffs) if cc)
+        k = next(i for i, cc in enumerate(tail_x.nums) if cc)
         order = Fraction(k, N)
     series_terms = tuple((Fraction(e, N), c) for e, c in terms)
     return PuiseuxSeries(ramification=N, terms=series_terms, truncation_order=order)
@@ -273,5 +273,5 @@ def residual_order(F: Polynomial, series: PuiseuxSeries):
     if G.is_zero:
         return math.inf
     gu = univariate_from_polynomial(G, "u")
-    k = next(i for i, c in enumerate(gu.coeffs) if c)
+    k = next(i for i, c in enumerate(gu.nums) if c)
     return Fraction(k, N)

@@ -8,9 +8,9 @@ once, and reads the coarse polygon's crossings off every other vertex.
 
 Every exact area reads one swept integral of f*g' dt (`_swept`): the
 total, chords through the center, vertical lines and the free section.
-It is taken on integer numerators over one common denominator, and so
-are the area functions read off it; one Fraction per coefficient is
-built where a public function returns a polynomial. It requires
+It is taken on the integer numerators over one denominator that every
+UnivariatePolynomial stores, and the area functions read off it are
+built in that form. It requires
 polynomial curve components (antiderivatives of general rational
 functions would need logarithms). An AreaResult holds the signed_value,
 the orientation label and whether it is exact; its value is the
@@ -29,9 +29,8 @@ from .algebra import (
     Interval,
     RationalFunction,
     UnivariatePolynomial,
-    _from_numerators,
+    _canonical,
     _homogenized,
-    _numerators,
     as_fraction,
     isolate_roots,
     sturm_chain,
@@ -77,9 +76,9 @@ def _swept(curve: ParametricCurve) -> tuple[list[int], int, int]:
     the integral of (x dy - y dx)/2, which vanishes along a line through
     the origin.
 
-    With f and g taken as numerators over their denominators fd and gd
-    (`_numerators`), f*g' is an integer convolution over fd*gd, and A, of
-    degree n, has integer numerators over fd*gd*L, L = lcm(1, ..., n).
+    With f and g stored as numerators over their denominators fd and gd,
+    f*g' is an integer convolution over fd*gd, and A, of degree n, has
+    integer numerators over fd*gd*L, L = lcm(1, ..., n).
     With lo = p/q, A(lo) = `_homogenized`(A, lo)/(fd*gd*L*q^n), so B's
     numerators over fd*gd*L*q^n are `_homogenized`(A, lo) - A*q^n; with
     hi = u/v, B(hi) is `_homogenized`(B, hi) over that denominator times
@@ -89,8 +88,8 @@ def _swept(curve: ParametricCurve) -> tuple[list[int], int, int]:
         raise ExactIntegrationError(
             "exact areas need polynomial components; use the numeric oracle for rational ones"
         )
-    fn, fd = _numerators(curve.f.as_univariate().coeffs)
-    gn, gd = _numerators(curve.g.as_univariate().coeffs)
+    f, g = curve.f.as_univariate(), curve.g.as_univariate()
+    fn, fd, gn, gd = f.nums, f.den, g.nums, g.den
     if not fn or len(gn) < 2:
         # f = 0 or g constant: nothing is swept.
         return [], fd * gd, 0
@@ -166,7 +165,7 @@ def chord_area_function(cp: CenteredParametrization) -> UnivariatePolynomial:
     orientation so the value is the positive segment area on the valid range.
     """
     nums, den, _ = _chord(cp)
-    return _from_numerators(cp.curve.var, nums, den)
+    return _canonical(cp.curve.var, nums, den)
 
 
 def _chord(cp: CenteredParametrization) -> tuple[list[int], int, int]:
@@ -177,8 +176,8 @@ def _chord(cp: CenteredParametrization) -> tuple[list[int], int, int]:
     curve = cp.curve
     nums, den, top = _swept(curve)
     # B + g*f/2 over 2*den, which is a multiple of 2*fd*gd.
-    fn, fd = _numerators(curve.f.as_univariate().coeffs)
-    gn, gd = _numerators(curve.g.as_univariate().coeffs)
+    f, g = curve.f.as_univariate(), curve.g.as_univariate()
+    fn, fd, gn, gd = f.nums, f.den, g.nums, g.den
     scale = den // (fd * gd)
     body = [2 * x for x in nums] + [0] * (len(fn) + len(gn) - 1 - len(nums))
     for i, x in enumerate(gn):
@@ -199,7 +198,7 @@ def origin_chord_segment_area(cp: CenteredParametrization, t0) -> AreaResult:
     if curve.g.evaluate(t0) == cp.center.x:
         raise ValueError("chord is undefined: the point shares the center abscissa")
     nums, den, top = _chord(cp)
-    return AreaResult(_from_numerators(curve.var, nums, den).evaluate(t0), _nonzero_label(top), True)
+    return AreaResult(_canonical(curve.var, nums, den).evaluate(t0), _nonzero_label(top), True)
 
 
 def vertical_area_parts(cp: CenteredParametrization) -> tuple[UnivariatePolynomial, UnivariatePolynomial]:
@@ -219,7 +218,7 @@ def _vertical_parts(cp: CenteredParametrization) -> tuple[UnivariatePolynomial, 
     sign = 1 if top > 0 else -1
     rest = [-x for x in nums] or [0]
     rest[0] += top
-    P, R = (_from_numerators(cp.curve.var, [sign * x for x in part], den) for part in (nums, rest))
+    P, R = (_canonical(cp.curve.var, [sign * x for x in part], den) for part in (nums, rest))
     return P, R, top
 
 
@@ -244,7 +243,7 @@ def free_inlet_function(cp: CenteredParametrization) -> UnivariatePolynomial:
     exact polynomial in the shutter parameter: twice the chord segment
     minus the whole oval."""
     nums, den, _ = _free_inlet(cp)
-    return _from_numerators(cp.curve.var, nums, den)
+    return _canonical(cp.curve.var, nums, den)
 
 
 def _free_inlet(cp: CenteredParametrization) -> tuple[list[int], int, int]:
@@ -276,7 +275,7 @@ def free_inlet_area(cp: CenteredParametrization, tP, valid_range: Interval) -> A
     if not valid_range.contains(tP):
         raise ValueError(f"tP={tP} outside the valid range [{valid_range.lo}, {valid_range.hi}]")
     nums, den, top = _free_inlet(cp)
-    return AreaResult(_from_numerators(cp.curve.var, nums, den).evaluate(tP), _nonzero_label(top), True)
+    return AreaResult(_canonical(cp.curve.var, nums, den).evaluate(tP), _nonzero_label(top), True)
 
 
 def slope_function(cp: CenteredParametrization) -> RationalFunction:
@@ -604,9 +603,9 @@ def _evaluate(rf: RationalFunction, t: np.ndarray, out: np.ndarray) -> np.ndarra
     beyond the float range raises DeskScopeError."""
     import numpy as np
 
-    def horner(coeffs: Sequence[Fraction], out: np.ndarray) -> np.ndarray:
+    def horner(p: UnivariatePolynomial, out: np.ndarray) -> np.ndarray:
         try:
-            values = [float(c) for c in coeffs]
+            values = [c / p.den for c in p.nums]
         except OverflowError:
             raise DeskScopeError("the curve is beyond the float range of the numeric oracle") from None
         out.fill(values[-1] if values else 0.0)
@@ -615,9 +614,9 @@ def _evaluate(rf: RationalFunction, t: np.ndarray, out: np.ndarray) -> np.ndarra
             np.add(out, c, out=out)
         return out
 
-    horner(rf.num.coeffs, out)
+    horner(rf.num, out)
     if not rf.is_polynomial:
-        np.divide(out, horner(rf.den.coeffs, np.empty(len(t))), out=out)
+        np.divide(out, horner(rf.den, np.empty(len(t))), out=out)
     return out
 
 

@@ -260,28 +260,67 @@ def _mixed_coefficients(st):
     )
 
 
+def _assert_stored_form(p: UnivariatePolynomial):
+    """Integer numerators with no trailing zero over a positive
+    denominator that shares no factor with all of them."""
+    assert all(type(c) is int for c in p.nums) and type(p.den) is int
+    assert p.den > 0 and math.gcd(p.den, *p.nums) == 1
+    assert not p.nums or p.nums[-1]
+
+
 def test_integer_kernels_match_the_fraction_references():
     # Sums, products, values and antiderivatives on integer numerators
-    # equal the term-by-term Fraction loops, empty and zero lists included.
+    # equal the term-by-term Fraction loops, empty and zero lists included,
+    # and every result, the monic gcd, square-free part and reduced
+    # rational function among them, is in the one stored form: equal
+    # polynomials built by different routes are equal and hash alike.
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     coeffs = st.lists(_mixed_coefficients(st), max_size=7)
 
     @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @hypothesis.given(coeffs, coeffs, _mixed_coefficients(st))
-    def check(a, b, x):
-        p, q = UnivariatePolynomial("t", a), UnivariatePolynomial("t", b)
+    @hypothesis.given(coeffs, coeffs, coeffs, _mixed_coefficients(st), st.floats(-4, 4))
+    def check(a, b, c, x, xf):
+        p, q, r = (UnivariatePolynomial("t", cs) for cs in (a, b, c))
         assert (p + q).coeffs == fraction_add(a, b)
         assert (p - q).coeffs == fraction_add(a, [-c for c in b])
         assert (p * q).coeffs == fraction_mul(a, b)
         assert (p * x).coeffs == fraction_mul(a, [x]) and (p * 3).coeffs == fraction_mul(a, [Fraction(3)])
         assert p.evaluate(x) == fraction_evaluate(a, x) and p.evaluate(0) == fraction_evaluate(a, Fraction(0))
         assert p.antiderivative().coeffs == fraction_antiderivative(a)
-        for result in (p + q, p * q, p * x, p.antiderivative()):
+        results = [p, p + q, p - q, -p, p * q, p * x, p.antiderivative(), p.derivative(), p.compose(q)]
+        results.append(gcd_univariate(p, q))
+        if p:
+            results.append(squarefree_part(p))
+        if q:
+            rf = RationalFunction(p, q)
+            results += [rf.num, rf.den]
+        for result in results:
+            _assert_stored_form(result)
             assert all(type(c) is Fraction for c in result.coeffs)
-            assert not result.coeffs or result.coeffs[-1]
+            assert result == UnivariatePolynomial("t", result.coeffs)
+        for left, right in (((p * q) * r, p * (q * r)), (p * Fraction(2, 3) * Fraction(3, 2), p), ((p - q) + q, p)):
+            assert left == right and hash(left) == hash(right)
+        horner = 0.0
+        for c in reversed(p.coeffs):
+            horner = horner * xf + float(c)
+        assert p.evaluate_float(xf) == horner
 
     check()
+
+
+def test_float_values_beyond_the_float_range_raise():
+    # evaluate_float divides each stored numerator by the denominator; like
+    # float() of the coefficient, it raises OverflowError past the float
+    # range, and rounds a huge numerator over a huge denominator correctly.
+    huge = Fraction(10**400, 3)
+    with pytest.raises(OverflowError):
+        float(huge)
+    with pytest.raises(OverflowError):
+        UnivariatePolynomial("t", [1, huge]).evaluate_float(0.5)
+    p = UnivariatePolynomial("t", [Fraction(10**400 + 1, 7 * 10**400), Fraction(1, 3)])
+    assert p.den == 21 * 10**400
+    assert p.evaluate_float(0.25) == float(p.coeffs[0]) + 0.25 * float(p.coeffs[1])
 
 
 def test_integer_gcd_matches_the_euclidean_reference():

@@ -617,6 +617,10 @@ TRIVIAL_CERT = "S - m\nroles: S=area m=slope"
         ),
         (["puiseux", "--curve", QUARTIC_TEXT, "--terms", "0"], "num_terms must be positive"),
         (["puiseux", "--curve", QUARTIC_TEXT, "--terms", "101"], "101 series terms exceed the supported 100"),
+        (
+            ["verify", "--cert", "S - m\nroles: S=area m=slope m=abscissa", "--param", CUBIC_PARAM],
+            "variable 'm' is given two roles",
+        ),
     ],
     ids=[
         "implicitize-no-input",
@@ -628,12 +632,31 @@ TRIVIAL_CERT = "S - m\nroles: S=area m=slope"
         "damper-table-too-many-steps",
         "puiseux-no-terms",
         "puiseux-too-many-terms",
+        "verify-variable-with-two-roles",
     ],
 )
 def test_refusals_are_one_line(capsys, argv, message):
     code, out, err = run(capsys, argv)
     assert (code, out) == (1, "")
     assert err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize(
+    "argv, second",
+    [
+        (["area", "--param", CUBIC_PARAM, "--chord", "1/2", "--vertical=0,1"], "--vertical"),
+        (["verify", "--cert", "S - m\nroles: S=area m=slope", "--cert-file", "{file}", "--param", CUBIC_PARAM], "--cert-file"),
+        (["area", "--param", CUBIC_PARAM, "--in", "{file}"], "--in"),
+    ],
+    ids=["area-chord-and-vertical", "verify-cert-and-cert-file", "area-param-and-in"],
+)
+def test_conflicting_inputs_are_usage_errors(tmp_path, capsys, argv, second):
+    # Each pair used to run on one input and drop the other silently.
+    path = tmp_path / "input.txt"
+    path.write_text(QUARTIC_PARAM)
+    code, out, err = run(capsys, [a.format(file=path) for a in argv])
+    assert (code, out) == (2, "")
+    assert f"error: argument {second}: not allowed with argument" in err
 
 
 @pytest.mark.parametrize(

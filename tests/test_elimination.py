@@ -20,7 +20,7 @@ from ovalkit.elimination import (
     _berkowitz,
     _digits,
     _newton,
-    _root_ceil,
+    _root_bound,
     _sample_values,
     pencil_eliminant,
     sylvester_matrix,
@@ -520,11 +520,39 @@ def test_digits_read_back_integer_polynomials_at_a_power_of_two():
     assert _digits(0, 5, 0) == []
 
 
-def test_root_ceil_is_the_least_integer_root_bound():
-    for m in range(1, 7):
-        for x in list(range(1, 300)) + [10**40 + 1, 2**200, 3**120 - 1]:
-            r = _root_ceil(x, m)
-            assert r**m >= x > (r - 1) ** m, (x, m, r)
+def _least_root(x: int, m: int) -> int:
+    """The least integer r >= 0 with r^m >= x, by bisection on [0, x]."""
+    lo, hi = 0, x
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if mid**m >= x else (mid + 1, hi)
+    return lo
+
+
+def test_root_bound_is_the_least_integer_cauchy_bound():
+    # For a monic g of degree d, with a_0 = |g_0| + 1 and a_j = |g_j|: r^d
+    # covers sum a_j * r^j, r - 1 does not, and r is never above Cauchy's
+    # 1 + max a_j or Fujiwara's 2 * max ceil(a_j^(1/(d - j))).
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    lower = st.lists(st.one_of(st.integers(-9, 9), st.integers(-(10**40), 10**40)), min_size=1, max_size=7)
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(lower)
+    def check(low):
+        g, d = low + [1], len(low)
+        a = [abs(g[0]) + 1] + [abs(c) for c in g[1:d]]
+
+        def covers(r):
+            return r**d >= sum(x * r**j for j, x in enumerate(a))
+
+        r = _root_bound(g)
+        assert r >= 1 and covers(r) and not covers(r - 1)
+        cauchy = 1 + max(a)
+        fujiwara = 2 * max(_least_root(x, d - j) for j, x in enumerate(a) if x)
+        assert r <= min(cauchy, fujiwara)
+
+    check()
 
 
 def _rebuild(parts: list[list[int]], g: list[int]) -> UnivariatePolynomial:
