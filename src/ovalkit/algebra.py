@@ -2,21 +2,22 @@
 dense univariate polynomials, rational functions, Sturm counts, root
 isolation and rational root extraction.
 
-Every value is exact. A multivariate Polynomial stores
-`fractions.Fraction` coefficients in lowest terms. A UnivariatePolynomial
-stores one integer form: ascending numerators `nums`, with no trailing
-zero, over one positive denominator `den` with gcd(den, *nums) = 1, built
-by `_canonical`; its Fraction coefficients are a view, `coeffs`, built
-only when read. Univariate sums, products and values run on that form,
-and the remainder sequence on integer lists behind `gcd_univariate` and
+Every value is exact, and every polynomial stores one integer form:
+integer numerators `nums` over one positive denominator `den` with
+gcd(den, *nums) = 1. A multivariate Polynomial maps exponent tuples to
+nonzero numerators, built by `_stored`; a UnivariatePolynomial keeps
+ascending numerators with no trailing zero, built by `_canonical`. Their
+Fraction coefficients are views, `terms` and `coeffs`, built only when
+read. Sums, products, substitutions and values run on that form, and the
+remainder sequence on integer lists behind `gcd_univariate` and
 `sturm_chain` serves every univariate square-free, counting, isolation
 and rational-root question. `_divide`, on integer lists, is the one
 polynomial long division: rational functions are reduced by the last
 element of the integer remainder sequence of their numerator and
 denominator, and rational roots are divided out of the primitive integer
-list of their polynomial. The exact areas (`quadrature._swept`), both
-eliminants' inputs and the certificates' provenance text read the same
-stored form.
+list of their polynomial. The exact areas (`quadrature._swept`), the
+eliminants' inputs and results, the parser's expansion budget, the
+printer and the certificates' provenance text read the same stored form.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import EvaluationError
@@ -46,17 +48,21 @@ def _monomial_key(exponents: tuple[int, ...]) -> tuple:
 
 
 class Polynomial:
-    """Sparse multivariate polynomial over Fraction.
-
-    Terms are stored as a map from exponent tuples (aligned with the
-    declared variable order) to nonzero coefficients.
+    """Sparse multivariate polynomial over the rationals, stored as the
+    map nums from exponent tuples, aligned with the declared variable
+    order vars, to nonzero integer numerators over one positive
+    denominator den with gcd(den, *nums) = 1, built by `_stored`. Equal
+    polynomials over the same variables have equal stored forms, and den
+    is the least common denominator of the coefficients in lowest terms.
+    Arithmetic, substitution and evaluation run on this form; `terms`
+    builds the Fraction coefficients.
 
     >>> x, y = Polynomial.variable("x"), Polynomial.variable("y")
     >>> ((y**2 - x)**2 - x**3).total_degree()
     4
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "nums", "den")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[tuple[int, ...], Scalar]):
         vs = tuple(variables)
@@ -69,14 +75,10 @@ class Polynomial:
                 raise ValueError("exponent tuple does not match variable count")
             if any(e < 0 for e in exps):
                 raise ValueError("negative exponent")
-            c = as_fraction(coeff)
-            if c:
-                if exps in cleaned:
-                    c += cleaned.pop(exps)
-                if c:
-                    cleaned[exps] = c
-        self.vars = vs
-        self.terms = cleaned
+            cleaned[exps] = cleaned.pop(exps, 0) + as_fraction(coeff)
+        nums, den = _numerators(list(cleaned.values()))
+        stored = _stored(vs, dict(zip(cleaned, nums)), den)
+        self.vars, self.nums, self.den = vs, stored.nums, stored.den
 
     # -- constructors -------------------------------------------------
 
@@ -84,70 +86,70 @@ class Polynomial:
     def constant(cls, value, variables: Sequence[str] = ()) -> "Polynomial":
         value = as_fraction(value)
         vs = tuple(variables)
-        if not value:
-            return cls(vs, {})
-        return cls(vs, {(0,) * len(vs): value})
+        return _stored(vs, {(0,) * len(vs): value.numerator}, value.denominator)
 
     @classmethod
     def variable(cls, name: str) -> "Polynomial":
-        return cls((name,), {(1,): Fraction(1)})
+        return _stored((name,), {(1,): 1}, 1)
 
     @classmethod
     def zero(cls, variables: Sequence[str] = ()) -> "Polynomial":
-        return cls(variables, {})
+        return _stored(tuple(variables), {}, 1)
 
     # -- structure ----------------------------------------------------
 
     @property
+    def terms(self) -> dict[tuple[int, ...], Fraction]:
+        """The coefficients as Fractions, keyed by exponent tuples, built
+        on each read."""
+        return {e: Fraction(c, self.den) for e, c in self.nums.items()}
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def total_degree(self) -> int:
-        if not self.terms:
+        if not self.nums:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(sum(e) for e in self.nums)
 
     def degree_in(self, var: str) -> int:
         if var not in self.vars:
-            return 0 if self.terms else -1
-        if not self.terms:
+            return 0 if self.nums else -1
+        if not self.nums:
             return -1
         i = self.vars.index(var)
-        return max(e[i] for e in self.terms)
+        return max(e[i] for e in self.nums)
 
     def used_vars(self) -> set[str]:
         used = set()
-        for exps in self.terms:
+        for exps in self.nums:
             for v, e in zip(self.vars, exps):
                 if e:
                     used.add(v)
         return used
 
-    def _normal(self) -> dict[frozenset, Fraction]:
-        out: dict[frozenset, Fraction] = {}
-        for exps, c in self.terms.items():
-            key = frozenset((v, e) for v, e in zip(self.vars, exps) if e)
-            out[key] = c
-        return out
+    def _normal(self) -> dict[frozenset, int]:
+        return {frozenset((v, e) for v, e in zip(self.vars, exps) if e): c for exps, c in self.nums.items()}
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(other, self.vars)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self._normal() == other._normal()
+        return self.den == other.den and self._normal() == other._normal()
 
     def __hash__(self):
-        return hash(frozenset(self._normal().items()))
+        return hash((frozenset(self._normal().items()), self.den))
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.nums)
 
     def leading(self) -> tuple[tuple[int, ...], Fraction]:
-        if not self.terms:
+        if not self.nums:
             raise ValueError("zero polynomial has no leading term")
-        exps = max(self.terms, key=_monomial_key)
-        return exps, self.terms[exps]
+        exps = max(self.nums, key=_monomial_key)
+        return exps, Fraction(self.nums[exps], self.den)
 
     # -- variable alignment -------------------------------------------
 
@@ -159,15 +161,14 @@ class Polynomial:
             raise ValueError(f"variables {sorted(missing)} would be dropped")
         index = {v: i for i, v in enumerate(vs)}
         pos = [index.get(v) for v in self.vars]
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for exps, c in self.terms.items():
+        nums: dict[tuple[int, ...], int] = {}
+        for exps, c in self.nums.items():
             new = [0] * len(vs)
             for p, e in zip(pos, exps):
                 if e:
                     new[p] = e
-            key = tuple(new)
-            terms[key] = terms.get(key, Fraction(0)) + c
-        return Polynomial(vs, terms)
+            nums[tuple(new)] = c
+        return _stored(vs, nums, self.den)
 
     @staticmethod
     def _aligned(a: "Polynomial", b: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
@@ -185,19 +186,21 @@ class Polynomial:
 
     def __add__(self, other) -> "Polynomial":
         a, b = Polynomial._aligned(self, self._coerce(other))
-        terms = dict(a.terms)
-        for exps, c in b.terms.items():
-            s = terms.get(exps, Fraction(0)) + c
+        den = math.lcm(a.den, b.den)
+        sa, sb = den // a.den, den // b.den
+        nums = {e: c * sa for e, c in a.nums.items()}
+        for exps, c in b.nums.items():
+            s = nums.get(exps, 0) + c * sb
             if s:
-                terms[exps] = s
+                nums[exps] = s
             else:
-                terms.pop(exps, None)
-        return Polynomial(a.vars, terms)
+                nums.pop(exps, None)
+        return _stored(a.vars, nums, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.vars, {e: -c for e, c in self.terms.items()})
+        return _stored(self.vars, {e: -c for e, c in self.nums.items()}, self.den)
 
     def __sub__(self, other) -> "Polynomial":
         return self + (-self._coerce(other))
@@ -207,21 +210,19 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
-            c = as_fraction(other)
-            if not c:
-                return Polynomial.zero(self.vars)
-            return Polynomial(self.vars, {e: k * c for e, k in self.terms.items()})
+            k = as_fraction(other)
+            return _stored(self.vars, {e: c * k.numerator for e, c in self.nums.items()}, self.den * k.denominator)
         a, b = Polynomial._aligned(self, self._coerce(other))
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in a.terms.items():
-            for e2, c2 in b.terms.items():
-                key = tuple(i + j for i, j in zip(e1, e2))
-                s = terms.get(key, Fraction(0)) + c1 * c2
+        nums: dict[tuple[int, ...], int] = {}
+        for e1, c1 in a.nums.items():
+            for e2, c2 in b.nums.items():
+                key = tuple(map(add, e1, e2))
+                s = nums.get(key, 0) + c1 * c2
                 if s:
-                    terms[key] = s
+                    nums[key] = s
                 else:
-                    del terms[key]
-        return Polynomial(a.vars, terms)
+                    del nums[key]
+        return _stored(a.vars, nums, a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -234,35 +235,31 @@ class Polynomial:
         if var not in self.vars:
             raise ValueError(f"variable {var!r} not declared")
         i = self.vars.index(var)
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for exps, c in self.terms.items():
-            if exps[i] == 0:
-                continue
-            new = list(exps)
-            new[i] -= 1
-            terms[tuple(new)] = c * exps[i]
-        return Polynomial(self.vars, terms)
+        nums: dict[tuple[int, ...], int] = {}
+        for exps, c in self.nums.items():
+            if exps[i]:
+                nums[exps[:i] + (exps[i] - 1,) + exps[i + 1 :]] = c * exps[i]
+        return _stored(self.vars, nums, self.den)
 
     def evaluate(self, assignment: Mapping[str, Scalar]) -> Fraction:
+        """The exact value: the sum of each integer numerator times its
+        monomial's value, over den."""
         missing = self.used_vars() - set(assignment)
         if missing:
             raise EvaluationError(f"assignment missing variables {sorted(missing)}")
         vals = [as_fraction(assignment.get(v, 0)) for v in self.vars]
-        total = Fraction(0)
-        for exps, c in self.terms.items():
-            term = c
-            for v, e in zip(vals, exps):
-                if e:
-                    term *= v**e
-            total += term
-        return total
+        total = sum(c * math.prod(x**e for x, e in zip(vals, exps) if e) for exps, c in self.nums.items())
+        return Fraction(total, self.den)
 
     def evaluate_float(self, assignment: Mapping[str, float]) -> tuple[float, float]:
-        """Float evaluation; returns (value, largest absolute monomial)."""
+        """Float evaluation; returns (value, largest absolute monomial).
+        Each coefficient is c/den, which equals float(Fraction(c, den)):
+        int true division rounds correctly, and raises OverflowError beyond
+        the float range."""
         total = 0.0
         biggest = 0.0
-        for exps, c in self.terms.items():
-            term = float(c)
+        for exps, c in self.nums.items():
+            term = c / self.den
             for v, e in zip(self.vars, exps):
                 if e:
                     term *= float(assignment[v]) ** e
@@ -291,39 +288,54 @@ class Polynomial:
             return [self]
         i = self.vars.index(var)
         rest = tuple(v for j, v in enumerate(self.vars) if j != i)
-        deg = self.degree_in(var)
-        buckets: list[dict[tuple[int, ...], Fraction]] = [dict() for _ in range(deg + 1)]
-        for exps, c in self.terms.items():
-            key = exps[:i] + exps[i + 1 :]
-            buckets[exps[i]][key] = c
-        return [Polynomial(rest, b) for b in buckets]
+        buckets: list[dict[tuple[int, ...], int]] = [dict() for _ in range(self.degree_in(var) + 1)]
+        for exps, c in self.nums.items():
+            buckets[exps[i]][exps[:i] + exps[i + 1 :]] = c
+        return [_stored(rest, b, self.den) for b in buckets]
 
     # -- normalization --------------------------------------------------
 
     def content(self) -> Fraction:
-        """Positive rational content (gcd of coefficients); 0 for the zero poly."""
-        return _integer_form(self.terms.values())[1] if self.terms else Fraction(0)
+        """Positive rational content (gcd of coefficients); 0 for the zero
+        poly. gcd(den, *nums) = 1, so it is gcd(*nums)/den in lowest
+        terms."""
+        return Fraction(math.gcd(*self.nums.values()), self.den)
 
     def primitive_normalized(self) -> tuple["Polynomial", Fraction]:
         """Divide out the content and fix the canonical leading sign positive.
 
         Returns (normalized polynomial, removed factor) with
-        self == normalized * factor.
+        self == normalized * factor. The normalized numerators, the stored
+        ones divided by their gcd g, have gcd 1 over the denominator 1, so
+        they are stored as they are, and the factor is +-g/den.
         """
-        if not self.terms:
+        if not self.nums:
             return self, Fraction(1)
-        nums, factor = _integer_form(self.terms.values())
-        sign = -1 if self.leading()[1] < 0 else 1
-        # The terms are already valid and are not rechecked.
+        g = math.gcd(*self.nums.values())
+        if self.nums[max(self.nums, key=_monomial_key)] < 0:
+            g = -g
         out = object.__new__(Polynomial)
-        out.vars = self.vars
-        out.terms = {e: Fraction(sign * c) for e, c in zip(self.terms, nums)}
-        return out, sign * factor
+        out.vars, out.nums, out.den = self.vars, {e: c // g for e, c in self.nums.items()}, 1
+        return out, Fraction(g, self.den)
 
     def __repr__(self):
         from .parsing import render_polynomial
 
         return f"Polynomial({render_polynomial(self)!r})"
+
+
+def _stored(variables: tuple[str, ...], nums: dict[tuple[int, ...], int], den: int) -> Polynomial:
+    """The polynomial over variables with coefficients nums[e]/den, den
+    nonzero, in its stored form: zero numerators dropped, and nums and den
+    divided by gcd(den, *nums), signed so that den is positive. The
+    multivariate twin of `_canonical`; nums is not kept."""
+    g = math.gcd(den, *nums.values())
+    if den < 0:
+        g = -g
+    out = object.__new__(Polynomial)
+    out.vars, out.den = variables, den // g
+    out.nums = {e: c // g for e, c in nums.items() if c} if g != 1 else {e: c for e, c in nums.items() if c}
+    return out
 
 
 def _numerators(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -338,15 +350,6 @@ def _primitive(nums: list[int]) -> tuple[list[int], int]:
     list)."""
     g = math.gcd(*nums) or 1
     return ([c // g for c in nums] if g > 1 else nums), g
-
-
-def _integer_form(coeffs: Sequence[Fraction]) -> tuple[list[int], Fraction]:
-    """The primitive integer list n and the positive factor f with
-    coeffs = f * n: the numerators over the least common denominator, their
-    gcd divided out (f = 1 for an all-zero list)."""
-    nums, den = _numerators(coeffs)
-    nums, g = _primitive(nums)
-    return nums, Fraction(g, den)
 
 
 def _divide(f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
@@ -541,7 +544,7 @@ class UnivariatePolynomial:
         return acc * Fraction(1, self.den)
 
     def to_polynomial(self) -> Polynomial:
-        return Polynomial((self.var,), {(i,): c for i, c in enumerate(self.coeffs) if c})
+        return _stored((self.var,), {(i,): c for i, c in enumerate(self.nums) if c}, self.den)
 
     def __repr__(self):
         from .parsing import render_polynomial
@@ -552,11 +555,11 @@ class UnivariatePolynomial:
 def univariate_from_polynomial(p: Polynomial, var: str) -> UnivariatePolynomial:
     if p.used_vars() - {var}:
         raise ValueError(f"polynomial involves variables besides {var!r}")
-    coeffs = [Fraction(0)] * (p.degree_in(var) + 1 if p.terms else 0)
+    nums = [0] * (p.degree_in(var) + 1 if p.nums else 0)
     i = p.vars.index(var) if var in p.vars else None
-    for exps, c in p.terms.items():
-        coeffs[exps[i] if i is not None else 0] = c
-    return UnivariatePolynomial(var, coeffs)
+    for exps, c in p.nums.items():
+        nums[exps[i] if i is not None else 0] = c
+    return _canonical(var, nums, p.den)
 
 
 def _remainder_sequence(a: list[int], b: list[int]) -> list[list[int]]:
@@ -856,7 +859,8 @@ def substitute_rational(
     p: Polynomial, assignments: Mapping[str, RationalFunction]
 ) -> RationalFunction:
     """Substitute univariate rational functions (all in one common variable)
-    for every variable of p, clearing denominators exactly.
+    for every variable of p, clearing denominators exactly: p's integer
+    numerators are substituted, and its denominator den joins the result's.
     """
     missing = p.used_vars() - set(assignments)
     if missing:
@@ -866,10 +870,9 @@ def substitute_rational(
     if len(variables) > 1:
         raise ValueError("substitutions must share a single variable")
     var = variables.pop() if variables else "t"
-    one = UnivariatePolynomial.constant(var, 1)
     degs = {v: p.degree_in(v) for v in p.vars}
     num_total = UnivariatePolynomial.zero(var)
-    for exps, c in p.terms.items():
+    for exps, c in p.nums.items():
         term = UnivariatePolynomial.constant(var, c)
         for v, e in zip(p.vars, exps):
             rf = rfs.get(v)
@@ -877,7 +880,7 @@ def substitute_rational(
                 continue
             term = term * rf.num**e * rf.den ** (degs[v] - e)
         num_total = num_total + term
-    den_total = one
+    den_total = UnivariatePolynomial.constant(var, p.den)
     for v, rf in rfs.items():
         den_total = den_total * rf.den ** degs[v]
     return RationalFunction(num_total, den_total)

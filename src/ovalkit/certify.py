@@ -16,16 +16,11 @@ from array import array
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .algebra import (
-    Polynomial,
-    RationalFunction,
-    _monomial_key,
-    substitute_rational,
-)
+from .algebra import Polynomial, RationalFunction, _stored, substitute_rational
 from .curves import CenteredParametrization, ParametricCurve
 from .elimination import pencil_eliminant, vertical_eliminant
 from .errors import DegenerateCurveError, DeskScopeError
-from .parsing import _render_terms, parse_polynomial, render_polynomial
+from .parsing import _lowest_terms, _render_terms, parse_polynomial, render_polynomial
 from .quadrature import (
     ORACLE_SAMPLES,
     _clipped_areas,
@@ -117,38 +112,31 @@ class SampleReport:
         return self.max_relative_residual <= self.tolerance
 
 
-def _cleanup(eliminant, eliminated: Sequence[str], systems: tuple) -> tuple[Polynomial, Provenance]:
-    """Q and its Provenance from an eliminant's integer form (variables,
-    terms, scale), the raw eliminant being scale times the integer
-    polynomial: Q is that polynomial divided by the gcd of its
-    coefficients, signed so that its leading term under the graded order
-    is positive, the rule of Polynomial.primitive_normalized. The removed
-    factor raw/Q is recorded unless it is 1. systems holds the provenance
-    inputs as (variables, terms) pairs of `_render_terms`, terms a tuple."""
-    variables, terms, scale = eliminant
-    g = math.gcd(*terms.values())
-    if terms[max(terms, key=_monomial_key)] < 0:
-        g = -g
-    factor = g * scale
+def _cleanup(raw: Polynomial, eliminated: Sequence[str], systems: tuple) -> tuple[Polynomial, Provenance]:
+    """Q and its Provenance from a raw eliminant: Q is
+    raw.primitive_normalized(), and the removed factor raw/Q is recorded
+    unless it is 1. systems holds the provenance inputs as (variables,
+    terms) pairs of `_render_terms`, terms a tuple."""
+    q, factor = raw.primitive_normalized()
     removed = () if factor == 1 else (str(factor),)
-    coefficients = tuple(c // g for c in terms.values())
-    return _shared_parts(variables, tuple(terms), coefficients, systems, tuple(eliminated), removed)
+    return _shared_parts(q.vars, tuple(q.nums.items()), systems, tuple(eliminated), removed)
 
 
 @functools.lru_cache(maxsize=256)
-def _shared_parts(variables, exponents, coefficients, systems, eliminated, removed) -> tuple[Polynomial, Provenance]:
+def _shared_parts(variables, terms, systems, eliminated, removed) -> tuple[Polynomial, Provenance]:
     """Q and its Provenance are immutable, so certificates with equal ones
     share them: every Q is still computed in full, but a caller holding
-    many certificates of one curve holds one copy of Q's terms, and the
-    provenance inputs are rendered from systems only on a miss."""
-    inputs = tuple(_render_terms(vs, terms) for vs, terms in systems)
-    return Polynomial(variables, dict(zip(exponents, coefficients))), Provenance(inputs, eliminated, removed)
+    many certificates of one curve holds one copy of Q's terms, the
+    integer numerators of Q over the denominator 1, and the provenance
+    inputs are rendered from systems only on a miss."""
+    inputs = tuple(_render_terms(vs, t) for vs, t in systems)
+    return _stored(variables, dict(terms), 1), Provenance(inputs, eliminated, removed)
 
 
 def _triples(p, sign: int = 1) -> list[tuple[int, int, int]]:
     """(i, sign * n, d) for each nonzero coefficient n/d of the
-    UnivariatePolynomial p in lowest terms, read off its stored numerators."""
-    return [(i, sign * c // (g := math.gcd(c, p.den)), p.den // g) for i, c in enumerate(p.nums) if c]
+    UnivariatePolynomial p in lowest terms."""
+    return _lowest_terms(enumerate(p.nums), p.den, sign)
 
 
 def pencil_certificate(cp: CenteredParametrization, area: str = "chord") -> Certificate:
@@ -260,7 +248,8 @@ def _power(value: float, e: int) -> float:
 def _residuals(q: Polynomial, columns: Mapping[str, np.ndarray]) -> np.ndarray:
     """Residual of Q at each row of the value columns, one per variable:
     |Q| over its largest evaluated monomial, at least 1, so the verdict is
-    invariant under scaling Q. Each term is its float coefficient times its
+    invariant under scaling Q. Each term is its float coefficient, its
+    numerator over Q's denominator as float(Fraction) rounds it, times its
     power columns in variable order, and the terms are summed in order, as
     in Polynomial.evaluate_float, so every residual is that function's bit
     for bit wherever no power overflows; a NaN term makes the residual NaN.
@@ -275,8 +264,8 @@ def _residuals(q: Polynomial, columns: Mapping[str, np.ndarray]) -> np.ndarray:
     total, biggest = np.zeros(n), np.zeros(n)
     powers = {(v, 1): column for v, column in columns.items()}
     with np.errstate(over="ignore", invalid="ignore"):
-        for exps, c in q.terms.items():
-            term = float(c)
+        for exps, c in q.nums.items():
+            term = c / q.den
             for v, e in zip(q.vars, exps):
                 if e:
                     if (v, e) not in powers:
@@ -311,7 +300,8 @@ def verify_certificate(
     (at least 1), so the verdict is invariant under scaling Q; a NaN
     residual (an inf - inf in Q, say) fails the report. tol must be finite
     and positive (ValueError otherwise): an infinite one would pass every
-    certificate, a NaN one none.
+    certificate, a NaN one none. A coefficient of Q that a float cannot
+    hold raises DeskScopeError, after the curve's own float check.
 
     One loop serves every family. It runs in rounds of as many candidate
     lines as are still missing: a round takes its random numbers from
@@ -337,6 +327,13 @@ def verify_certificate(
     rng = random.Random(seed)
     role_to_var = {r: v for v, r in cert.roles.items()}
     areas = _clipped_areas(curve, oracle_samples)
+    q = cert.q
+    try:
+        # Each residual term divides a numerator of Q by its denominator
+        # in floats, and the largest numerator overflows first.
+        max(map(abs, q.nums.values())) / q.den
+    except OverflowError:
+        raise DeskScopeError("the certificate is beyond the float range of the numeric oracle") from None
     cut = None
     if role_to_var.keys() == {"area", "slope", "intercept"}:
         windows = windows or {"slope": (0.1, 2.0), "intercept": (0.0, 1.0)}
@@ -400,7 +397,7 @@ def verify_certificate(
     # Each role value is read off the lines a*x + b*y + c = 0.
     a, b, c, area = table[:, :4].T
     read = {"slope": lambda: -a / b, "intercept": lambda: -c / b, "abscissa": lambda: -c / a, "area": lambda: area}
-    table[:, 4] = _residuals(cert.q, {v: read[r]() for v, r in cert.roles.items()})
+    table[:, 4] = _residuals(q, {v: read[r]() for v, r in cert.roles.items()})
     # numpy's max, unlike Python's, keeps a NaN, so a NaN residual fails.
     return SampleReport(values, table[:, 4].max().item(), tol, oracle_error)
 

@@ -35,12 +35,12 @@ resultants at desk scale and for the vertical matrices of the cubic
 (3 x 3) and the quartic (6 x 6), but not for pencils whose slope has a
 high degree, which keep their nodes.
 
-`resultant` returns a Polynomial. The two eliminants return theirs in
-integer form, a triple (variables, terms, scale): terms maps exponent
-tuples to nonzero ints, and the eliminant is scale times that integer
-polynomial. Their certificates divide out the ints' gcd (the content,
-von zur Gathen and Gerhard, Modern Computer Algebra, 6.2), so no
-rational coefficient is built between the digits and the certificate.
+`resultant` and the two eliminants return a Polynomial built straight
+from the integer digits over the inputs' common scale, in the stored form
+of every Polynomial (`algebra._stored`). Certificates divide out the
+numerators' gcd (the content, von zur Gathen and Gerhard, Modern Computer
+Algebra, 6.2) with `Polynomial.primitive_normalized`, so no rational
+coefficient is built between the digits and the certificate.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from fractions import Fraction
 from itertools import accumulate, zip_longest
 from operator import mul
 
-from .algebra import Polynomial, UnivariatePolynomial, _divide, _numerators, _primitive
+from .algebra import Polynomial, UnivariatePolynomial, _divide, _primitive, _stored
 from .errors import DeskScopeError, SylvesterSizeError
 
 MAX_SYLVESTER_SIZE = 64
@@ -232,9 +232,10 @@ def resultant(f: Polynomial, g: Polynomial, var: str) -> Polynomial:
     whole resultant is read off its value at one integer point, as
     `vertical_eliminant` reads Q (Kronecker substitution):
 
-    1. each input is scaled once by the lcm of its denominators, to f_hat
-       and g_hat, whose coefficients in var are compiled into
-       (exponent tuple, int) pairs over the remaining variables;
+    1. each input is scaled once by the lcm of its coefficients'
+       denominators, to f_hat and g_hat, whose coefficients in var are
+       compiled into (exponent tuple, int) pairs over the remaining
+       variables;
     2. every coefficient of Res(f_hat, g_hat) is at most
        H = |f_hat|_1^n * |g_hat|_1^m, |.|_1 the sum of the absolute values
        of all coefficients: on the unit torus each Sylvester row has
@@ -250,8 +251,8 @@ def resultant(f: Polynomial, g: Polynomial, var: str) -> Polynomial:
        2^(w-1) and exponents within the radix, so its value is not zero,
        and the lists keep the formal degrees m and n;
     5. the balanced base-2^w digits of the value (`_digits`) are the
-       coefficients, each exponent recovered by mixed-radix division, and
-       the input scales are divided out once.
+       numerators, each exponent recovered by mixed-radix division, over
+       the product of the input scales.
 
     No Sylvester matrix is built. The zero polynomial is returned exactly
     when f and g share a factor of positive degree in var.
@@ -276,11 +277,10 @@ def resultant(f: Polynomial, g: Polynomial, var: str) -> Polynomial:
     cap = n * f.total_degree() + m * g.total_degree() - m * n
     bounds = [0] * len(variables)
     for coeffs, rows in blocks:
-        aligned = [p.with_vars(variables).terms for p in coeffs]
-        nums, lcm = _numerators([c for terms in aligned for c in terms.values()])
+        aligned = [p.with_vars(variables) for p in coeffs]
+        lcm = math.lcm(*(p.den for p in aligned))
         scale *= lcm**rows
-        numerators = iter(nums)
-        compiled = [[(e, next(numerators)) for e in terms] for terms in aligned]
+        compiled = [[(e, c * (lcm // p.den)) for e, c in p.nums.items()] for p in aligned]
         for i in range(len(variables)):
             bounds[i] += rows * max(e[i] for entry in compiled for e, _ in entry)
         height *= sum(abs(c) for entry in compiled for _, c in entry) ** rows
@@ -294,31 +294,28 @@ def resultant(f: Polynomial, g: Polynomial, var: str) -> Polynomial:
         value = values[0] ** blocks[0][1]
     else:
         value = _resultant(values[m::-1], values[:m:-1])
-    terms = {}
-    for pos, c in enumerate(_digits(value, width, radix[-1])):
-        if c:
-            terms[tuple(pos // r % (d + 1) for r, d in zip(radix, degrees))] = Fraction(c, scale)
-    return Polynomial(variables, terms)
+    digits = _digits(value, width, radix[-1])
+    nums = {tuple(pos // r % (d + 1) for r, d in zip(radix, degrees)): c for pos, c in enumerate(digits) if c}
+    return _stored(variables, nums, scale)
 
 
 def pencil_eliminant(
     s: UnivariatePolynomial,
     a: UnivariatePolynomial,
     b: UnivariatePolynomial,
-) -> tuple[tuple[str, str], dict[tuple[int, int], int], Fraction]:
+) -> Polynomial:
     """Res_t(S - s(t), m*b(t) - a(t)) over the variables (S, m): the
     polynomial `resultant` returns for these two inputs (raw,
-    unnormalized), without a Sylvester matrix, in integer form: the triple
-    (("S", "m"), terms, scale), the resultant being scale times the
-    polynomial whose coefficients, keyed by exponents, are the ints terms.
+    unnormalized), without a Sylvester matrix, built from integer
+    numerators over one denominator.
 
     With G = m*b - a, d = deg_t G and ds = deg s, the resultant has
     degree d in S and at most ds in m. Everything runs on ints:
 
     1. s_hat = Ls*s and G_hat = Lg*G, with Ls, Lg the lcms of the
        denominators of s and of a, b, have integer coefficients, and
-       Res_t(Ls*S - s_hat, G_hat) = Ls^d * Lg^ds * Res, so
-       scale = 1/(Lg^ds * Ls^d);
+       Res_t(Ls*S - s_hat, G_hat) = Ls^d * Lg^ds * Res, whose denominator
+       is Lg^ds * Ls^d;
     2. at each integer node m0, G_hat(m0) has leading coefficient l, a
        linear polynomial in m0 that is not zero, so at most one node is
        skipped. S is set to 2^w, with 2^(w-1) above the Hadamard bound
@@ -328,7 +325,8 @@ def pencil_eliminant(
        the coefficients of S^0, ..., S^d;
     3. each coefficient is a polynomial in m of degree at most ds, one
        per row of G_hat in the Sylvester matrix, so `_newton` interpolates
-       it on ds + 1 nodes, and its coefficients are the ints terms.
+       it on ds + 1 nodes, and its coefficients are the numerators over
+       that denominator.
 
     Raises SylvesterSizeError, as `resultant` does, when ds + d exceeds
     MAX_SYLVESTER_SIZE.
@@ -360,7 +358,7 @@ def pencil_eliminant(
         for e, c in enumerate(_newton(nodes, [v[i] for v in values])):
             if c:
                 terms[(i, e)] = c
-    return ("S", "m"), terms, Fraction(1, lg**ds * ls**d)
+    return _stored(("S", "m"), terms, lg**ds * ls**d)
 
 
 def _integer_inputs(
@@ -519,12 +517,11 @@ def vertical_eliminant(
     g: UnivariatePolynomial,
     P: UnivariatePolynomial,
     R: UnivariatePolynomial,
-) -> tuple[tuple[str, str], dict[tuple[int, int], int], Fraction]:
+) -> Polynomial:
     """Q(S, c) whose roots in S, at each c, are the values P(t1) + R(t2)
     at the common zeros of D(t1, t2) = (g(t1) - g(t2)) / (t1 - t2) and
-    g(t2) - c, with multiplicity (raw, unnormalized), in integer form: the
-    triple (("S", "c"), terms, scale), Q being scale times the polynomial
-    whose coefficients, keyed by exponents, are the ints terms. P + R must
+    g(t2) - c, with multiplicity (raw, unnormalized), over the variables
+    (S, c), built from integer numerators over one denominator. P + R must
     be a constant, as the two area parts' sum, the signed total, is;
     otherwise ValueError is raised.
 
@@ -583,7 +580,7 @@ def vertical_eliminant(
     Then S_hat = K*S and c_hat = lam*c map the result back: with
     K = kn/kd and lam = ln/ld in lowest terms, the digit q of
     S^(n-i) * c^e becomes the integer q * kn^(n-i) * kd^i * ln^e * ld^(N-e)
-    over the common denominator kd^n * ld^N, so scale = 1/(kd^n * ld^N).
+    over the common denominator kd^n * ld^N.
     """
     d = g.degree()
     if d < 2:
@@ -658,4 +655,4 @@ def vertical_eliminant(
         for e, c in enumerate(_digits(v, width, bound + 1)):
             if c:
                 terms[(n - i, e)] = c * s_weight * c_weights[e]
-    return ("S", "c"), terms, Fraction(1, kd**n * ld**bound)
+    return _stored(("S", "c"), terms, kd**n * ld**bound)

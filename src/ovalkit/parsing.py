@@ -21,7 +21,7 @@ import math
 import re
 from fractions import Fraction
 
-from .algebra import Polynomial, RationalFunction, UnivariatePolynomial, _monomial_key, _numerators
+from .algebra import Polynomial, RationalFunction, UnivariatePolynomial, _monomial_key
 from .errors import DeskScopeError, ParseError
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^()]))")
@@ -48,10 +48,10 @@ def _size(value) -> tuple[int, int, int, set[str], int]:
     height of a parsed value.
 
     A polynomial's degree is its total degree and its denominator degree 0.
-    The height, the larger of the lcm L of the denominators and sum |c| * L,
-    bounds that common denominator and every numerator over it; a rational
-    function counts the coefficients of its numerator and denominator
-    together.
+    The height, the larger of the common denominator L and the sum of the
+    numerators' absolute values over it, bounds L and every numerator; a
+    rational function counts the coefficients of its numerator and
+    denominator together, over the lcm of their denominators.
     """
     if isinstance(value, RationalFunction):
         num, den = max(value.num.degree(), 0), value.den.degree()
@@ -60,7 +60,7 @@ def _size(value) -> tuple[int, int, int, set[str], int]:
         variables = {value.var}
     else:
         num, den = max(value.total_degree(), 0), 0
-        nums, lcm = _numerators(list(value.terms.values()))
+        nums, lcm = list(value.nums.values()), value.den
         variables = value.used_vars()
     return num, den, len(nums), variables, max(sum(map(abs, nums)), lcm)
 
@@ -293,11 +293,17 @@ def _monomial_text(variables, exps) -> str:
 
 def render_polynomial(p) -> str:
     """Canonical text for a polynomial: graded order, descending. Each
-    coefficient is written from its numerator and denominator, as
-    str(Fraction) writes it, its sign joining the terms."""
+    coefficient is written from its numerator and denominator in lowest
+    terms, as str(Fraction) writes it, its sign joining the terms."""
     if isinstance(p, UnivariatePolynomial):
         p = p.to_polynomial()
-    return _render_terms(p.vars, [(e, c.numerator, c.denominator) for e, c in p.terms.items()])
+    return _render_terms(p.vars, _lowest_terms(p.nums.items(), p.den))
+
+
+def _lowest_terms(numerators, den: int, sign: int = 1) -> list[tuple]:
+    """(key, sign * n, d) for each pair (key, c) of numerators with c
+    nonzero, n/d being c/den in lowest terms, den positive."""
+    return [(k, sign * c // (g := math.gcd(c, den)), den // g) for k, c in numerators if c]
 
 
 def _render_terms(variables, terms) -> str:

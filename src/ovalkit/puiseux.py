@@ -18,6 +18,7 @@ from fractions import Fraction
 from .algebra import (
     Polynomial,
     UnivariatePolynomial,
+    _canonical,
     rational_roots,
     univariate_from_polynomial,
 )
@@ -59,12 +60,14 @@ def _check_xy(F: Polynomial) -> None:
         raise ValueError(f"polynomial involves unexpected variables {sorted(extra)}")
 
 
-def _support(F: Polynomial) -> dict[tuple[int, int], Fraction]:
+def _support(F: Polynomial) -> dict[tuple[int, int], int]:
+    """F's numerators, over its denominator F.den, keyed by the exponent
+    pairs (i, j) of x^i * y^j."""
     _check_xy(F)
     ix = F.vars.index("x") if "x" in F.vars else None
     iy = F.vars.index("y") if "y" in F.vars else None
-    out: dict[tuple[int, int], Fraction] = {}
-    for exps, c in F.terms.items():
+    out: dict[tuple[int, int], int] = {}
+    for exps, c in F.nums.items():
         i = exps[ix] if ix is not None else 0
         j = exps[iy] if iy is not None else 0
         out[(i, j)] = c
@@ -110,12 +113,10 @@ def newton_polygon(F: Polynomial) -> list[NewtonPolygonEdge]:
             if (j1 - j2) * (i - i1) + (i2 - i1) * (j - j1) == 0
             and min(i1, i2) <= i <= max(i1, i2)
         ]
-        coeffs: dict[int, Fraction] = {}
+        coeffs: dict[int, int] = {}
         for pt in on_edge:
             coeffs[pt.j] = support[(pt.i, pt.j)]
-        edge_poly = UnivariatePolynomial(
-            _COEFF_VAR, [coeffs.get(k, 0) for k in range(max(coeffs) + 1)]
-        )
+        edge_poly = _canonical(_COEFF_VAR, [coeffs.get(k, 0) for k in range(max(coeffs) + 1)], F.den)
         edges.append(
             NewtonPolygonEdge(
                 endpoints=(SupportPoint(i1, j1), SupportPoint(i2, j2)),

@@ -164,13 +164,12 @@ def chord_area_function(cp: CenteredParametrization) -> UnivariatePolynomial:
     correction g*f/2 for the chord; the overall sign follows the curve's
     orientation so the value is the positive segment area on the valid range.
     """
-    nums, den, _ = _chord(cp)
-    return _canonical(cp.curve.var, nums, den)
+    return _chord(cp)[0]
 
 
-def _chord(cp: CenteredParametrization) -> tuple[list[int], int, int]:
-    """The chord area function's ascending numerators over a positive
-    denominator, and the numerator of the signed total that fixed its sign."""
+def _chord(cp: CenteredParametrization) -> tuple[UnivariatePolynomial, int]:
+    """The chord area function and the numerator of the signed total that
+    fixed its sign."""
     if cp.center != ORIGIN:
         raise ValueError("chord construction requires the center at the origin")
     curve = cp.curve
@@ -185,7 +184,7 @@ def _chord(cp: CenteredParametrization) -> tuple[list[int], int, int]:
             for j, y in enumerate(fn, i):
                 body[j] += x * y * scale
     sign = 1 if top > 0 else -1
-    return [sign * x for x in body], 2 * den, top
+    return _canonical(curve.var, [sign * x for x in body], 2 * den), top
 
 
 def origin_chord_segment_area(cp: CenteredParametrization, t0) -> AreaResult:
@@ -197,8 +196,8 @@ def origin_chord_segment_area(cp: CenteredParametrization, t0) -> AreaResult:
         raise ValueError(f"t0={t0} must lie strictly inside the parameter interval")
     if curve.g.evaluate(t0) == cp.center.x:
         raise ValueError("chord is undefined: the point shares the center abscissa")
-    nums, den, top = _chord(cp)
-    return AreaResult(_canonical(curve.var, nums, den).evaluate(t0), _nonzero_label(top), True)
+    s, top = _chord(cp)
+    return AreaResult(s.evaluate(t0), _nonzero_label(top), True)
 
 
 def vertical_area_parts(cp: CenteredParametrization) -> tuple[UnivariatePolynomial, UnivariatePolynomial]:
@@ -242,24 +241,24 @@ def free_inlet_function(cp: CenteredParametrization) -> UnivariatePolynomial:
     """Free-section area of a damper built from two congruent ovals, as an
     exact polynomial in the shutter parameter: twice the chord segment
     minus the whole oval."""
-    nums, den, _ = _free_inlet(cp)
-    return _canonical(cp.curve.var, nums, den)
+    return _free_inlet(cp)[0]
 
 
-def _free_inlet(cp: CenteredParametrization) -> tuple[list[int], int, int]:
-    """The free-section function's ascending numerators over a positive
-    denominator, and the numerator of the signed total that fixed its sign."""
-    nums, den, top = _chord(cp)
-    if not nums:
-        return nums, den, top
+def _free_inlet(cp: CenteredParametrization) -> tuple[UnivariatePolynomial, int]:
+    """The free-section function, built from the chord function's stored
+    numerators and denominator, and the numerator of the signed total that
+    fixed its sign."""
+    s, top = _chord(cp)
+    if s.is_zero:
+        return s, top
     # 2*S1 - S1(hi) over den*v^deg, hi = u/v. The chord ends at the
     # center, where the triangle term vanishes, so S1(hi) is the signed
     # total times its own sign: the whole oval's area.
     hi = cp.curve.interval.hi
-    w = hi.denominator ** (len(nums) - 1)
-    free = [2 * w * x for x in nums]
-    free[0] -= _homogenized(nums, hi)
-    return free, den * w, top
+    w = hi.denominator ** s.degree()
+    free = [2 * w * x for x in s.nums]
+    free[0] -= _homogenized(s.nums, hi)
+    return _canonical(cp.curve.var, free, s.den * w), top
 
 
 def free_inlet_area(cp: CenteredParametrization, tP, valid_range: Interval) -> AreaResult:
@@ -274,8 +273,8 @@ def free_inlet_area(cp: CenteredParametrization, tP, valid_range: Interval) -> A
         raise ValueError(f"the valid range must lie in the parameter interval [{interval.lo}, {interval.hi}]")
     if not valid_range.contains(tP):
         raise ValueError(f"tP={tP} outside the valid range [{valid_range.lo}, {valid_range.hi}]")
-    nums, den, top = _free_inlet(cp)
-    return AreaResult(_canonical(cp.curve.var, nums, den).evaluate(tP), _nonzero_label(top), True)
+    s, top = _free_inlet(cp)
+    return AreaResult(s.evaluate(tP), _nonzero_label(top), True)
 
 
 def slope_function(cp: CenteredParametrization) -> RationalFunction:

@@ -208,22 +208,112 @@ def fraction_sturm_chain(p: UnivariatePolynomial) -> list[list[int]]:
     return out
 
 
+def integer_form(coeffs: list[Fraction]) -> tuple[list[int], Fraction]:
+    """The primitive integer list n and the positive factor f with
+    coeffs = f * n: the numerators over the least common denominator, their
+    gcd divided out (f = 1 for an all-zero list)."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    nums = [c.numerator * (den // c.denominator) for c in coeffs]
+    g = math.gcd(*nums) or 1
+    return [c // g for c in nums], Fraction(g, den)
+
+
+# -- Fraction references for Polynomial's stored form --------------------
+# Terms map frozensets of (variable, exponent) pairs to nonzero Fractions:
+# no variable order and no common denominator.
+
+
+def assert_stored(p: Polynomial):
+    """Nonzero integer numerators, keyed by exponent tuples of p's
+    variables, over a positive denominator that shares no factor with all
+    of them."""
+    assert type(p.vars) is tuple and type(p.den) is int and p.den > 0
+    assert all(type(c) is int and c for c in p.nums.values())
+    assert all(len(e) == len(p.vars) and min(e, default=0) >= 0 for e in p.nums)
+    assert math.gcd(p.den, *p.nums.values()) == 1
+
+
+def fraction_terms(p: Polynomial) -> dict[frozenset, Fraction]:
+    """p's Fraction terms keyed by their (variable, exponent) pairs."""
+    return {frozenset((v, e) for v, e in zip(p.vars, exps) if e): c for exps, c in p.terms.items()}
+
+
+def _nonzero(terms: dict) -> dict:
+    return {k: c for k, c in terms.items() if c}
+
+
+def fraction_poly_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, 0) + c
+    return _nonzero(out)
+
+
+def fraction_poly_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            exps = dict(ka)
+            for v, e in kb:
+                exps[v] = exps.get(v, 0) + e
+            k = frozenset(exps.items())
+            out[k] = out.get(k, 0) + ca * cb
+    return _nonzero(out)
+
+
+def fraction_poly_pow(a: dict, n: int) -> dict:
+    out = {frozenset(): Fraction(1)}
+    for _ in range(n):
+        out = fraction_poly_mul(out, a)
+    return out
+
+
+def fraction_poly_coeffs(a: dict, var: str) -> list[dict]:
+    """The coefficients of a in var, ascending, up to its degree in var."""
+    out: list[dict] = [{} for _ in range(max((dict(k).get(var, 0) for k in a), default=-1) + 1)]
+    for k, c in a.items():
+        exps = dict(k)
+        out[exps.pop(var, 0)][frozenset(exps.items())] = c
+    return out
+
+
+def fraction_poly_subs(a: dict, var: str, b: dict) -> dict:
+    out: dict = {}
+    for e, coeff in enumerate(fraction_poly_coeffs(a, var)):
+        out = fraction_poly_add(out, fraction_poly_mul(coeff, fraction_poly_pow(b, e)))
+    return out
+
+
+def fraction_poly_derivative(a: dict, var: str) -> dict:
+    out = {}
+    for k, c in a.items():
+        exps = dict(k)
+        e = exps.get(var, 0)
+        if e:
+            exps[var] = e - 1
+            out[frozenset((v, x) for v, x in exps.items() if x)] = c * e
+    return out
+
+
+def fraction_poly_evaluate(a: dict, values: dict) -> Fraction:
+    return sum((c * math.prod(values[v] ** e for v, e in k) for k, c in a.items()), Fraction(0))
+
+
 # -- Fraction references for certificate assembly -----------------------
-# The eliminants' integer form, Q's primitive form and the printer as they
-# were written with one Fraction per term.
-
-
-def eliminant_polynomial(eliminant) -> Polynomial:
-    """The raw eliminant an integer form (variables, terms, scale) stands
-    for: scale times the integer polynomial, one Fraction per term."""
-    variables, terms, scale = eliminant
-    return Polynomial(variables, {e: c * scale for e, c in terms.items()})
+# Q's primitive form and the printer as they were written with one
+# Fraction per term.
 
 
 def fraction_cleanup(raw: Polynomial) -> tuple[Polynomial, tuple[str, ...]]:
     """Q and the removed factors a certificate records for the raw
-    eliminant, by Polynomial.primitive_normalized on its Fractions."""
-    q, factor = raw.primitive_normalized()
+    eliminant, on its Fractions: the terms divided by their content,
+    fraction_content, and signed so that the leading term under the
+    graded order is positive."""
+    terms = raw.terms
+    factor = fraction_content(list(terms.values()))
+    if terms[max(terms, key=_monomial_key)] < 0:
+        factor = -factor
+    q = Polynomial(raw.vars, {e: c / factor for e, c in terms.items()})
     return q, () if factor == 1 else (str(factor),)
 
 
@@ -377,8 +467,8 @@ def full_ring_vertical_eliminant(g, P, R):
         s_weight = kn ** (n - i) * kd**i
         for e, c in enumerate(_digits(value, width, bound + 1)):
             if c:
-                terms[(n - i, e)] = c * s_weight * c_weights[e]
-    return ("S", "c"), terms, Fraction(1, kd**n * ld**bound)
+                terms[(n - i, e)] = Fraction(c * s_weight * c_weights[e], kd**n * ld**bound)
+    return Polynomial(("S", "c"), terms)
 
 
 def vertical_provenance_system(cp) -> tuple[Polynomial, Polynomial, Polynomial]:

@@ -16,19 +16,30 @@ from ovalkit import (
     substitute_rational,
     univariate_from_polynomial,
 )
-from ovalkit.algebra import _divide, _homogenized, _integer_form, isolate_roots, squarefree_part, sturm_chain
+from ovalkit.algebra import _divide, _homogenized, isolate_roots, squarefree_part, sturm_chain
 from ovalkit.errors import EvaluationError
 from ovalkit.parsing import parse_rational_function
 
 from oracles import (
+    assert_stored,
     euclid_gcd,
     fraction_add,
     fraction_antiderivative,
+    fraction_cleanup,
     fraction_content,
     fraction_divmod,
     fraction_evaluate,
     fraction_mul,
+    fraction_poly_add,
+    fraction_poly_coeffs,
+    fraction_poly_derivative,
+    fraction_poly_evaluate,
+    fraction_poly_mul,
+    fraction_poly_pow,
+    fraction_poly_subs,
     fraction_sturm_chain,
+    fraction_terms,
+    integer_form,
 )
 
 
@@ -323,6 +334,63 @@ def test_float_values_beyond_the_float_range_raise():
     assert p.evaluate_float(0.25) == float(p.coeffs[0]) + 0.25 * float(p.coeffs[1])
 
 
+def test_polynomial_stored_form_matches_the_fraction_reference():
+    # Every Polynomial operation on the stored form against the same one on
+    # Fraction terms keyed by (variable, exponent) pairs, over variable
+    # orders drawn independently, and every result in the stored form.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    names = ("x", "y", "z")
+
+    @st.composite
+    def polys(draw):
+        order = draw(st.permutations(names))[: draw(st.integers(1, 3))]
+        exps = st.tuples(*[st.integers(0, 3)] * len(order))
+        return Polynomial(order, draw(st.dictionaries(exps, _mixed_coefficients(st), max_size=5)))
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        polys(), polys(), _mixed_coefficients(st), st.integers(0, 3), st.sampled_from(names),
+        st.permutations(names), st.lists(_mixed_coefficients(st), min_size=3, max_size=3),
+    )
+    def check(p, q, k, n, var, order, values):
+        a, b = fraction_terms(p), fraction_terms(q)
+        results = {
+            "+": (p + q, fraction_poly_add(a, b)),
+            "-": (p - q, fraction_poly_add(a, {e: -c for e, c in b.items()})),
+            "*": (p * q, fraction_poly_mul(a, b)),
+            "* k": (p * k, fraction_poly_mul(a, {frozenset(): k})),
+            "**": (p**n, fraction_poly_pow(a, n)),
+            "subs": (p.subs(var, q), fraction_poly_subs(a, var, b) if var in p.vars else a),
+            "with_vars": (p.with_vars(order), a),
+        }
+        if var in p.vars:
+            results["d"] = (p.partial_derivative(var), fraction_poly_derivative(a, var))
+            coeffs = p.coeffs_in(var)
+            assert len(coeffs) == max(p.degree_in(var) + 1, 0)
+            for i, (c, ref) in enumerate(zip(coeffs, fraction_poly_coeffs(a, var))):
+                results[f"coeff {i}"] = (c, ref)
+        for name, (got, ref) in results.items():
+            assert_stored(got)
+            assert fraction_terms(got) == ref, name
+        assert p.with_vars(order).vars == tuple(order)
+        assert p.evaluate(dict(zip(names, values))) == fraction_poly_evaluate(a, dict(zip(names, values)))
+        assert p.content() == fraction_content(list(a.values()))
+        q_p, factor = p.primitive_normalized()
+        assert_stored(q_p)
+        if p:
+            reference, removed = fraction_cleanup(p)
+            assert fraction_terms(q_p) == fraction_terms(reference) and q_p.vars == p.vars
+            assert (str(factor),) == removed or factor == 1 and not removed
+        # Equal polynomials over other variable orders are equal and hash
+        # alike; the order of a sum's operands does not matter.
+        for left, right in ((p.with_vars(order), p), (p + q, q + p), (p * q, q * p)):
+            assert left == right and hash(left) == hash(right)
+        assert (p == q) == (a == b)
+
+    check()
+
+
 def test_integer_gcd_matches_the_euclidean_reference():
     # The primitive remainder sequence returns the monic gcd of Euclid over
     # Fraction, for shared factors, coprime pairs, zeros and constants.
@@ -359,18 +427,24 @@ def test_integer_sturm_chain_matches_the_fraction_reference():
 
 
 def test_integer_form_matches_the_fraction_reference():
-    # content and _integer_form: the numerators over the lcm with their
-    # gcd divided out, and the positive factor taken out.
+    # content and primitive_normalized on the stored form against the
+    # integer form: the numerators over the lcm with their gcd divided out,
+    # and the positive factor taken out.
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
     def check_one(cs):
         content = fraction_content(cs)
-        assert Polynomial(("t",), {(i,): c for i, c in enumerate(cs)}).content() == content
-        nums, factor = _integer_form(cs)
+        p = Polynomial(("t",), {(i,): c for i, c in enumerate(cs)})
+        assert p.content() == content
+        nums, factor = integer_form(cs)
         assert factor == (content or 1) and factor > 0
         assert all(type(n) is int for n in nums) and nums == [c / factor for c in cs]
         assert math.gcd(*nums) == (1 if content else 0)
+        q, removed = p.primitive_normalized()
+        sign = 1 if not p or removed > 0 else -1
+        assert removed == sign * factor
+        assert q.nums == {(i,): sign * n for i, n in enumerate(nums) if n} and q.den == 1
 
     for cs in ([], [Fraction(0)], [Fraction(-6, 35)], [Fraction(4), Fraction(-2, 3)], [Fraction(1, 2), Fraction(-3, 4)]):
         check_one(cs)

@@ -30,7 +30,7 @@ from ovalkit.quadrature import chord_area_function, free_inlet_function, slope_f
 
 from conftest import square_boundary
 from oracles import (
-    eliminant_polynomial,
+    assert_stored,
     fraction_cleanup,
     full_pass,
     pencil_inputs,
@@ -458,15 +458,16 @@ def test_vertical_certificate_records_charpoly_content(cubic_centered):
 
     cert = vertical_certificate(cubic_centered)
     P, R = vertical_area_parts(cubic_centered)
-    raw = eliminant_polynomial(vertical_eliminant(cubic_centered.curve.g.as_univariate(), P, R))
+    raw = vertical_eliminant(cubic_centered.curve.g.as_univariate(), P, R)
     (factor,) = cert.provenance.removed_factors
     assert cert.q * Fraction(factor) == raw
     assert cert.provenance.eliminated == ("t1", "t2")
 
 
 def test_cleanup_matches_primitive_normalized():
-    # Q, the removed factor and so its sign, from the integer form, against
-    # primitive_normalized on the raw eliminant's Fractions.
+    # Q, the removed factor and so its sign, from primitive_normalized on
+    # the raw eliminant's stored form, against fraction_cleanup on its
+    # Fractions.
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     exps = st.tuples(st.integers(0, 6), st.integers(0, 6))
@@ -478,15 +479,14 @@ def test_cleanup_matches_primitive_normalized():
     @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @hypothesis.given(st.dictionaries(exps, coeff, min_size=1, max_size=10), common, scale)
     def check(terms, k, scale):
-        eliminant = (("S", "c"), {e: k * c for e, c in terms.items()}, scale)
-        raw = eliminant_polynomial(eliminant)
-        q, prov = certify._cleanup(eliminant, ("t",), ())
+        raw = Polynomial(("S", "c"), {e: k * c * scale for e, c in terms.items()})
+        q, prov = certify._cleanup(raw, ("t",), ())
         reference, removed = fraction_cleanup(raw)
         assert q == reference and q.vars == reference.vars
         assert prov.removed_factors == removed
         assert q * Fraction(removed[0] if removed else 1) == raw
-        assert all(c.denominator == 1 for c in q.terms.values())
-        assert q.leading()[1] > 0
+        assert_stored(q)
+        assert q.den == 1 and q.leading()[1] > 0
 
     check()
 

@@ -561,6 +561,17 @@ def test_verify_refuses_a_curve_beyond_the_float_range_in_one_line(capsys, tmp_p
     assert err == "error: the curve is beyond the float range of the numeric oracle\n"
 
 
+def test_verify_refuses_a_certificate_beyond_the_float_range_in_one_line(capsys):
+    # A coefficient of 10^400 cannot be a float in the residuals; one of
+    # 10^-400 can, as 0.0, and the certificate fails.
+    param = "x=3*(1-t)^2*t; y=3*(1-t)*t^2; t in [0,1]"
+    code, out, err = run(capsys, ["verify", "--cert", "10^400*S - m\nroles: S=area m=slope", "--param", param])
+    assert code == 1 and out == ""
+    assert err == "error: the certificate is beyond the float range of the numeric oracle\n"
+    code, out, err = run(capsys, ["verify", "--cert", "S/10^400 - m\nroles: S=area m=slope", "--param", param])
+    assert code == 1 and out.splitlines()[-1].endswith("-> FAIL") and err == ""
+
+
 def test_implicitize_refuses_a_parameter_named_x_or_y_in_one_line(capsys):
     for param, name in (("x=x^2; y=x^3-x; x in [-1,1]", "x"), ("x=y^2; y=y^3-y; y in [-1,1]", "y")):
         code, out, err = run(capsys, ["implicitize", "--param", param])

@@ -13,7 +13,6 @@ from ovalkit import (
     validate_centered,
 )
 from ovalkit import curves, elimination
-from ovalkit.algebra import _integer_form
 from ovalkit.cli import parse_curve_text
 from ovalkit.curves import Point
 from ovalkit.elimination import (
@@ -30,10 +29,11 @@ from ovalkit.errors import DeskScopeError, SylvesterSizeError
 from ovalkit.quadrature import chord_area_function, free_inlet_function, slope_function, vertical_area_parts
 
 from oracles import (
+    assert_stored,
     det_bareiss,
     det_cofactor,
-    eliminant_polynomial,
     full_ring_vertical_eliminant,
+    integer_form,
     pencil_inputs,
     seeded_loops,
     sylvester_vertical_inputs,
@@ -573,7 +573,7 @@ def test_g_adic_parts_rebuild_the_scaled_area_parts(cubic_centered, quartic_cent
         P, R = vertical_area_parts(cp)
         gh, ph, rh, K, lam = elimination._integer_inputs(g, P, R)
         assert gh[-1] == 1 and len(gh) == g.degree() + 1
-        a = _integer_form(g.coeffs)[0][-1]
+        a = integer_form(g.coeffs)[0][-1]
         for tau in (Fraction(-2), Fraction(1, 3), Fraction(5)):
             value = lambda coeffs: sum(c * tau**i for i, c in enumerate(coeffs))
             assert value(gh) == lam * g.evaluate(tau / a)
@@ -609,13 +609,11 @@ def test_primitive_normalized_sign():
 
 
 def _raw(eliminant, variables):
-    """The raw polynomial of an eliminant's integer form, whose shape is
-    checked: nonzero ints over the variables and a positive Fraction scale."""
-    names, terms, scale = eliminant
-    assert names == variables
-    assert type(scale) is Fraction and scale > 0
-    assert terms and all(type(c) is int and c for c in terms.values())
-    return eliminant_polynomial(eliminant)
+    """The raw eliminant, a nonzero Polynomial over the variables in the
+    stored form."""
+    assert type(eliminant) is Polynomial and eliminant.vars == variables and eliminant.nums
+    assert_stored(eliminant)
+    return eliminant
 
 
 def _pencil_resultant_pair(cp, area):
@@ -709,8 +707,8 @@ def test_pencil_eliminant_refuses_oversized_pencils(monkeypatch):
 
 
 def test_vertical_eliminant_matches_the_sylvester_raw(cubic_centered, quartic_centered):
-    # The integer form stands for the raw eliminant, K^n times the
-    # characteristic polynomial, rebuilt from two Sylvester resultants.
+    # The raw eliminant, K^n times the characteristic polynomial, rebuilt
+    # from two Sylvester resultants.
     for cp in [cubic_centered, quartic_centered] + seeded_loops(29, 3, 8) + seeded_loops(31, 4, 2):
         P, R = vertical_area_parts(cp)
         raw = _raw(vertical_eliminant(cp.curve.g.as_univariate(), P, R), ("S", "c"))
