@@ -44,7 +44,14 @@ def as_fraction(value) -> Fraction:
 def _monomial_key(exponents: tuple[int, ...]) -> tuple:
     # Graded order; ties broken on the exponents of later variables first,
     # which reproduces the conventional textbook printing y^4 - 2*x*y^2 - ...
-    return (sum(exponents), tuple(reversed(exponents)))
+    return (sum(exponents), exponents[::-1])
+
+
+def _leading(nums: Mapping[tuple[int, ...], int]) -> tuple[int, ...]:
+    """The greatest exponent tuple of nums under _monomial_key, taken
+    among those of the top total degree only."""
+    top = max(map(sum, nums))
+    return max((e for e in nums if sum(e) == top), key=_monomial_key)
 
 
 class Polynomial:
@@ -148,7 +155,7 @@ class Polynomial:
     def leading(self) -> tuple[tuple[int, ...], Fraction]:
         if not self.nums:
             raise ValueError("zero polynomial has no leading term")
-        exps = max(self.nums, key=_monomial_key)
+        exps = _leading(self.nums)
         return exps, Fraction(self.nums[exps], self.den)
 
     # -- variable alignment -------------------------------------------
@@ -268,16 +275,31 @@ class Polynomial:
         return total, biggest
 
     def subs(self, var: str, replacement) -> "Polynomial":
-        """Substitute a polynomial (or scalar) for one variable, exactly."""
+        """Substitute a polynomial (or scalar) for one variable, exactly.
+
+        The result is over the remaining variables, then the replacement's
+        new ones in its order. The replacement and the coefficients in var
+        are put on those variables once, so Horner's rule runs on aligned
+        polynomials."""
         if var not in self.vars:
             return self
         if isinstance(replacement, (int, Fraction)):
             replacement = Polynomial.constant(replacement)
-        coeffs = self.coeffs_in(var)
-        rest_vars = tuple(v for v in self.vars if v != var)
-        result = Polynomial.zero(rest_vars)
-        for c in reversed(coeffs):
-            result = result * replacement + c
+        i = self.vars.index(var)
+        rest = self.vars[:i] + self.vars[i + 1 :]
+        if not self.nums:
+            return Polynomial.zero(rest)
+        merged = rest + tuple(v for v in replacement.vars if v not in rest)
+        if replacement.vars != merged:
+            replacement = replacement.with_vars(merged)
+        # Coefficient k of var, with the replacement's new variables at 0.
+        pad = (0,) * (len(merged) - len(rest))
+        buckets: list[dict[tuple[int, ...], int]] = [dict() for _ in range(self.degree_in(var) + 1)]
+        for exps, c in self.nums.items():
+            buckets[exps[i]][exps[:i] + exps[i + 1 :] + pad] = c
+        result = _stored(merged, buckets[-1], self.den)
+        for b in reversed(buckets[:-1]):
+            result = result * replacement + _stored(merged, b, self.den)
         return result
 
     # -- coefficient views ---------------------------------------------
@@ -312,7 +334,7 @@ class Polynomial:
         if not self.nums:
             return self, Fraction(1)
         g = math.gcd(*self.nums.values())
-        if self.nums[max(self.nums, key=_monomial_key)] < 0:
+        if self.nums[_leading(self.nums)] < 0:
             g = -g
         out = object.__new__(Polynomial)
         out.vars, out.nums, out.den = self.vars, {e: c // g for e, c in self.nums.items()}, 1

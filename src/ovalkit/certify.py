@@ -208,12 +208,12 @@ def vertical_certificate(cp: CenteredParametrization) -> Certificate:
     e1 = [((1, 0, 0), 1, 1)]
     e1 += [((0, i, 0), n, d) for i, n, d in _triples(P, -1) if i]
     e1 += [((0, 0, j), n, d) for j, n, d in _triples(R, -1) if j]
-    c0 = P.evaluate(0) + R.evaluate(0)
-    if c0:
-        e1.append(((0, 0, 0), -c0.numerator, c0.denominator))
+    c0 = (P.nums[0] * R.den if P.nums else 0) + (R.nums[0] * P.den if R.nums else 0)
+    e1 += _lowest_terms([((0, 0, 0), c0)], P.den * R.den, -1)
     # D = sum_j g_j (t1^j - t2^j)/(t1 - t2) = sum_j g_j sum_(i<j) t1^i t2^(j-1-i)
-    D = tuple(((i, j - 1 - i), n, d) for j, n, d in _triples(g) for i in range(j))
-    e_c = (((1, 0), 1, 1),) + tuple(((0, j), n, d) for j, n, d in _triples(g, -1))
+    g_terms = _triples(g)
+    D = tuple(((i, j - 1 - i), n, d) for j, n, d in g_terms for i in range(j))
+    e_c = (((1, 0), 1, 1),) + tuple(((0, j), -n, d) for j, n, d in g_terms)
     systems = ((("S", t1, t2), tuple(e1)), ((t1, t2), D), (("c", t2), e_c))
     q, prov = _cleanup(eliminant, (t1, t2), systems)
     return Certificate(q, {"S": "area", "c": "abscissa"}, prov)

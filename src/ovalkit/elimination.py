@@ -45,11 +45,12 @@ coefficient is built between the digits and the certificate.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import accumulate, zip_longest
+from itertools import accumulate, repeat, zip_longest
 from operator import mul
+from typing import NamedTuple
 
 from .algebra import Polynomial, UnivariatePolynomial, _divide, _primitive, _stored
 from .errors import DeskScopeError, SylvesterSizeError
@@ -363,10 +364,11 @@ def pencil_eliminant(
 
 def _integer_inputs(
     g: UnivariatePolynomial, P: UnivariatePolynomial, R: UnivariatePolynomial
-) -> tuple[list[int], list[int], list[int], Fraction, Fraction]:
+) -> tuple[list[int], list[int], list[int], tuple[int, int], tuple[int, int]]:
     """Step 1 of `vertical_eliminant`: the ascending integer coefficients
     of the monic g_hat, P_hat and R_hat in tau = a*t, and the scales K, lam
-    with P_hat(tau) = K*P(tau/a), R_hat alike, and g_hat = lam*g.
+    with P_hat(tau) = K*P(tau/a), R_hat alike, and g_hat = lam*g, each as
+    its numerator and positive denominator in lowest terms.
 
     With P and R the numerators p and r over one denominator den, the
     integers p_i*a^(m-i) and r_i*a^(m-i) divided by their gcd f are P_hat
@@ -376,12 +378,17 @@ def _integer_inputs(
     a = gi[-1]
     # g_hat(tau) = a^(d-1) * gi(tau/a).
     gh = [c * a ** (d - 1 - i) for i, c in enumerate(gi[:-1])] + [1]
-    m = max(P.degree(), R.degree(), 0)
+    m = max(len(P.nums), len(R.nums), 1) - 1
     den = math.lcm(P.den, R.den)
-    powers = [a ** (m - i) for i in range(m + 1)]
+    nums, f = _primitive([c * a ** (m - i) * (den // p.den) for p in (P, R) for i, c in enumerate(p.nums)])
     split = len(P.nums)
-    nums, f = _primitive([c * (den // p.den) * w for p in (P, R) for c, w in zip(p.nums, powers)])
-    return gh, nums[:split], nums[split:], Fraction(a**m * den, f), Fraction(a ** (d - 1) * g.den, k)
+    return gh, nums[:split], nums[split:], _lowest(a**m * den, f), _lowest(a ** (d - 1) * g.den, k)
+
+
+def _lowest(n: int, d: int) -> tuple[int, int]:
+    """n/d in lowest terms as (numerator, denominator), for d > 0."""
+    g = math.gcd(n, d)
+    return n // g, d // g
 
 
 def _g_adic(p: list[int], g: list[int]) -> list[list[int]]:
@@ -456,6 +463,66 @@ def _digits(v: int, k: int, count: int) -> list[int]:
     return out
 
 
+class _Plan(NamedTuple):
+    """The index tables of `vertical_eliminant` and `_half_rules` that
+    depend on deg g = d alone, built once per degree by `_plan`. The full
+    basis tau1^i tau2^j (i < d - 1, j < d) is indexed i*d + j, and the half
+    basis e1^a e2^b, a + b = s <= d - 2, s(s+1)/2 + b, block by block.
+
+    - reduce: (position, j) of each term -g_hat_j tau1^i tau2^(j-1-i) of
+      tau1^(d-1) = -sum_(i < d-1) tau1^i w_i(tau2) on the full basis;
+    - expand[b]: (position, C(a, l)) of each term tau1^(l+b) tau2^(a-l+b),
+      l < a = d - 1 - b, of e1^a e2^b on the full basis, all but its
+      term tau1^(d-1) tau2^b;
+    - triangle: (position of tau1^s tau2^b, half index, the other terms
+      of e1^(s-b) e2^b as (position, coefficient)), s from d - 2 down;
+    - shifts[e2]: for each half index, the half index of the element that
+      e1 (e2 if e2) maps there from below the top block, or C(d, 2) for
+      none: e1 (e2) times the element lo + b of block s < d - 2, at
+      lo = s(s+1)/2, is the element lo + s + 1 + b (lo + s + 2 + b) of
+      block s + 1;
+    - schedule: (column, e2) for each basis element after the first, in
+      basis order: that column times e2 if e2, else times e1;
+    - delta: (half index, j, coefficient) of each term
+      (-1)^i C(j-1-i, i) e1^(j-1-2i) e2^i of the complete symmetric
+      polynomial h_(j-1), 0 < j < d.
+    """
+
+    reduce: tuple[tuple[int, int], ...]
+    expand: tuple[tuple[tuple[int, int], ...], ...]
+    triangle: tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]
+    shifts: tuple[tuple[int, ...], tuple[int, ...]]
+    schedule: tuple[tuple[int, int], ...]
+    delta: tuple[tuple[int, int, int], ...]
+
+
+@functools.lru_cache(maxsize=MAX_VERTICAL_DEGREE - 1)
+def _plan(d: int) -> _Plan:
+    """`_Plan` of deg g = d, 2 <= d <= MAX_VERTICAL_DEGREE."""
+    m = d * (d - 1) // 2
+    blocks = [(s * (s + 1) // 2, (s + 1) * (s + 2) // 2) for s in range(d - 2)]
+    shifts = []
+    for e2 in (0, 1):
+        source = [m] * m
+        for lo, hi in blocks:
+            source[hi + e2 : 2 * hi - lo + e2] = range(lo, hi)
+        shifts.append(tuple(source))
+    return _Plan(
+        reduce=tuple((i * d + j - 1 - i, j) for i in range(d - 1) for j in range(i + 1, d + 1)),
+        expand=tuple(tuple(((l + b) * d + d - 1 - l, math.comb(d - 1 - b, l)) for l in range(d - 1 - b)) for b in range(d)),
+        triangle=tuple(
+            (s * d + b, s * (s + 1) // 2 + b, tuple(((l + b) * d + s - l, math.comb(s - b, l)) for l in range(s - b)))
+            for s in range(d - 2, -1, -1)
+            for b in range(s + 1)
+        ),
+        shifts=tuple(shifts),
+        schedule=tuple((c, 0) if c < hi else (hi - 1, 1) for lo, hi in blocks for c in range(lo, hi + 1)),
+        delta=tuple(
+            ((j - 1 - i) * (j - i) // 2 + i, j, (-1) ** i * math.comb(j - 1 - i, i)) for j in range(1, d) for i in range((j + 1) // 2)
+        ),
+    )
+
+
 def _half_rules(full: list[int], c_hat: int) -> list[list[int]]:
     """Rewriting rules of the swap-invariant half of `vertical_eliminant`'s
     quotient ring at c_hat, for the ascending integer list full of the monic
@@ -471,37 +538,31 @@ def _half_rules(full: list[int], c_hat: int) -> list[list[int]]:
     lower degree in tau1, so back-substitution on the triangle
     b <= s <= d - 2 is unitriangular and divides by nothing. A symmetric
     element leaves nothing over; a nonzero leftover raises ArithmeticError.
+    The index tables come from `_plan`.
     """
     d = len(full) - 1
     n = d * (d - 1)
+    plan = _plan(d)
     # wrap[b] = tau1^(d-1) * tau2^b on the full basis.
     wrap = [[0] * n]
-    for i in range(d - 1):
-        for j in range(i + 1, d + 1):
-            wrap[0][i * d + j - 1 - i] -= full[j]
+    for pos, j in plan.reduce:
+        wrap[0][pos] -= full[j]
+    low = full[:-1]
     for _ in range(d - 1):
-        v, out = wrap[-1], [0] * n
+        v, out = wrap[-1], []
         for base in range(0, n, d):
-            top = v[base + d - 1]
-            out[base + 1 : base + d] = v[base : base + d - 1]
+            top, shifted = v[base + d - 1], [0] + v[base : base + d - 1]
             if top:
-                out[base] = top * c_hat
-                for j, c in enumerate(full[:-1]):
-                    out[base + j] -= top * c
+                shifted[0] = top * c_hat
+                shifted = [x - top * c for x, c in zip(shifted, low)]
+            out += shifted
         wrap.append(out)
-    # (position of tau1^s tau2^b, half index, the element's other terms).
-    triangle = [
-        (s * d + b, s * (s + 1) // 2 + b, [((l + b) * d + s - l, math.comb(s - b, l)) for l in range(s - b)])
-        for s in range(d - 2, -1, -1)
-        for b in range(s + 1)
-    ]
     rules = []
-    for b, v in enumerate(wrap):
-        a = d - 1 - b
-        for l in range(a):
-            v[(l + b) * d + a - l + b] += math.comb(a, l)
+    for v, expand in zip(wrap, plan.expand):
+        for pos, c in expand:
+            v[pos] += c
         rule = [0] * (n // 2)
-        for pos, e, tail in triangle:
+        for pos, e, tail in plan.triangle:
             x = v[pos]
             if x:
                 rule[e], v[pos] = x, 0
@@ -539,9 +600,10 @@ def vertical_eliminant(
        g_hat(tau2) - c_hat monic integer polynomials, c_hat = lam*c with
        lam = a^(d-1)/k, and P_hat = K*P, R_hat = K*R have integer
        coefficients in tau;
-    2. P_hat and R_hat are expanded in powers of the monic g_hat (exact
-       integer division): P_hat = sum_k P_k * g_hat^k with deg P_k < d, and
-       R_hat alike. In the quotient ring g_hat(tau1) - g_hat(tau2) =
+    2. P_hat is expanded in powers of the monic g_hat (exact integer
+       division): P_hat = sum_k P_k * g_hat^k with deg P_k < d, and R_hat
+       alike; as R_hat = kappa - P_hat (step 3), its parts are kappa - P_0
+       and -P_k. In the quotient ring g_hat(tau1) - g_hat(tau2) =
        (tau1 - tau2)*D = 0, so g_hat(tau1) = g_hat(tau2) = c_hat and
        h = P_hat(tau1) + R_hat(tau2) = sum_k c_hat^k * h_k with
        h_k = P_k(tau1) + R_k(tau2). No h_k depends on c_hat;
@@ -553,7 +615,9 @@ def vertical_eliminant(
        Q(S) = q((S - kappa)^2), q the characteristic polynomial of
        multiplication by u = (h - kappa)^2 = (e1^2 - 4*e2) * Delta^2 on the
        swap-invariant half, whose basis e1^a e2^b, a + b <= d - 2, holds
-       Delta; `_half_rules` rewrites the d monomials of degree d - 1. At
+       Delta; `_half_rules` rewrites the d monomials of degree d - 1. The
+       index tables of this step depend on d alone and come from `_plan`,
+       built once per degree. At
        the one node c_hat = 2^w, w from `_kronecker_width`, `_berkowitz`
        takes q from the C(d, 2)-square matrix of u, and q((S - kappa)^2)
        is expanded on the integers;
@@ -580,7 +644,8 @@ def vertical_eliminant(
     Then S_hat = K*S and c_hat = lam*c map the result back: with
     K = kn/kd and lam = ln/ld in lowest terms, the digit q of
     S^(n-i) * c^e becomes the integer q * kn^(n-i) * kd^i * ln^e * ld^(N-e)
-    over the common denominator kd^n * ld^N.
+    over the common denominator kd^n * ld^N, the powers taken by running
+    products.
     """
     d = g.degree()
     if d < 2:
@@ -589,13 +654,19 @@ def vertical_eliminant(
         raise DeskScopeError(
             f"x-component of degree {d} exceeds the supported {MAX_VERTICAL_DEGREE} for vertical certificates"
         )
-    full, ph, rh, K, lam = _integer_inputs(g, P, R)
+    full, ph, rh, (kn, kd), (ln, ld) = _integer_inputs(g, P, R)
     total = [p + r for p, r in zip_longest(ph, rh, fillvalue=0)] or [0]
     if any(total[1:]):
         raise ValueError("the vertical eliminant needs P + R constant")
     kappa = total[0]
     n = d * (d - 1)
-    adic = list(zip_longest(_g_adic(ph, full), _g_adic(rh, full), fillvalue=[]))
+    # R_hat = kappa - P_hat, so R's g-adic parts are kappa - P_0 and -P_k.
+    parts = _g_adic(ph, full) or [[]]
+    r0 = [-c for c in parts[0]] or [0]
+    r0[0] += kappa
+    while r0 and not r0[-1]:
+        r0.pop()
+    adic = [(parts[0], r0)] + [(pk, [-c for c in pk]) for pk in parts[1:]]
     # h_k = P_k(tau1) + R_k(tau2) vanishes where P_k is a constant, but
     # h_0 = kappa does not.
     live = [k for k, (pk, _) in enumerate(adic) if len(pk) > 1 or not k and kappa]
@@ -604,39 +675,35 @@ def vertical_eliminant(
     c_hat = 1 << width
     m = n // 2
     rules = _half_rules(full, c_hat)
+    plan = _plan(d)
     top = m - d + 1
-    # e1 (e2) times e1^a e2^b, a + b = s < d - 2, is e1^(a+1) e2^b
-    # (e1^a e2^(b+1)) in block s + 1; the top block goes through the rules.
-    moves = [(p + s + 1, p + s + 2) for s in range(d - 2) for p in range(s * (s + 1) // 2, (s + 1) * (s + 2) // 2)]
+    # rows[e2][i]: what each element of the top block, times e1 (e2 if e2),
+    # puts on half index i.
+    rows = (list(zip(*rules[: d - 1])), list(zip(*rules[1:])))
 
     def times(v: list[int], e2: int) -> list[int]:
-        out = [0] * m
-        for p, t in enumerate(moves):
-            out[t[e2]] = v[p]
-        for x, rule in zip(v[top:], rules[e2:]):
-            if x:
-                out = [o + x * r for o, r in zip(out, rule)]
-        return out
+        # e1 (e2) times e1^a e2^b, a + b = s < d - 2, is e1^(a+1) e2^b
+        # (e1^a e2^(b+1)) in block s + 1; the top block goes through the rules.
+        x = v[top:]
+        v = v + [0]
+        return [v[s] + sum(map(mul, x, row)) for s, row in zip(plan.shifts[e2], rows[e2])]
 
     def columns(v: list[int]) -> list[list[int]]:
-        # v times each basis element, block by block.
+        # v times each basis element, in basis order.
         cols = [v]
-        for s in range(1, d - 1):
-            cols += [times(c, 0) for c in cols[(s - 1) * s // 2 :]] + [times(cols[-1], 1)]
+        for c, e2 in plan.schedule:
+            cols.append(times(cols[c], e2))
         return cols
 
-    # packed[j] = sum_k c_hat^k P_kj; h_(j-1) has (-1)^i C(j-1-i, i) on
-    # e1^(j-1-2i) e2^i.
+    # packed[j] = sum_k c_hat^k P_kj.
     packed = [0] * d
     for pk, _ in reversed(adic):
         packed = [c_hat * x for x in packed]
         for j, c in enumerate(pk):
             packed[j] += c
     delta = [0] * m
-    for j in range(1, d):
-        for i in range((j + 1) // 2):
-            s = j - 1 - i
-            delta[s * (s + 1) // 2 + i] += (-1) ** i * math.comb(s, i) * packed[j]
+    for e, j, c in plan.delta:
+        delta[e] += c * packed[j]
     square = [sum(map(mul, row, delta)) for row in zip(*columns(delta))]
     u = [x - 4 * y for x, y in zip(times(times(square, 0), 0), times(square, 1))]
     value = [0] * (n + 1)
@@ -646,13 +713,15 @@ def vertical_eliminant(
         for i in range(n):
             for j in range(1, n - i + 1):
                 value[j] -= kappa * value[j - 1]
-    kn, kd = K.numerator, K.denominator
-    ln, ld = lam.numerator, lam.denominator
-    c_weights = [ln**e * ld ** (bound - e) for e in range(bound + 1)]
+    # The weights kn^(n-i) * kd^i of S^(n-i) and ln^e * ld^(N-e) of c^e,
+    # from running products.
+    kd_powers = list(accumulate(repeat(kd, n), mul, initial=1))
+    ld_powers = list(accumulate(repeat(ld, bound), mul, initial=1))
+    s_weights = list(map(mul, accumulate(repeat(kn, n), mul, initial=1), reversed(kd_powers)))[::-1]
+    c_weights = list(map(mul, accumulate(repeat(ln, bound), mul, initial=1), reversed(ld_powers)))
     terms: dict[tuple[int, int], int] = {}
-    for i, v in enumerate(value):
-        s_weight = kn ** (n - i) * kd**i
+    for i, (v, s_weight) in enumerate(zip(value, s_weights)):
         for e, c in enumerate(_digits(v, width, bound + 1)):
             if c:
                 terms[(n - i, e)] = c * s_weight * c_weights[e]
-    return _stored(("S", "c"), terms, kd**n * ld**bound)
+    return _stored(("S", "c"), terms, kd_powers[-1] * ld_powers[-1])

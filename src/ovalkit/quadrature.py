@@ -351,24 +351,42 @@ class _ClippedAreas:
     kB .. min((k+1)B, n) - 1, so its box covers vertices kB .. min((k+1)B,
     n), vertex n being vertex 0. B is even, so every coarse edge (2i, 2i+2)
     lies in one block too, the closing one (n-1, n+1) in the last, whose
-    padding repeats vertex 0. For a line, the box corners chosen by the
-    signs of a and b give a lower and an upper bound of d = a*x + b*y + c
-    over the block, computed with the vertices' own operations. A block is
-    settled when both bounds lie beyond zero by the margin
-    6u*(|a|*max|x| + |b|*max|y| + |c|), u = 2**-53: the bound and each
-    vertex's d are each within about 3u*(...) of their exact values
-    (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1), so
-    every vertex of a settled block lies on one side in computed d too, and
-    no fine or coarse edge of it crosses the line. (Rounding is also
-    monotone, so the corner bounds hold for the computed d even without the
-    margin.) Only the unsettled blocks are evaluated: a line costs
-    O(n/B + B*k) for k unsettled blocks instead of O(n).
+    padding repeats vertex 0. Each box is kept as its centre
+    (0.5*lo + 0.5*hi per coordinate) and half-widths (0.5*hi - 0.5*lo).
+    For a line, every vertex of a block has d = a*x + b*y + c within
+    r = |a|*hx + |b|*hy of the value m of d at the centre, so the block is
+    settled when |m| - r exceeds the margin 16u*W, W = |a|*X + |b|*Y + |c|,
+    u = 2**-53, with X and Y the largest |x| and |y| of the vertices. m and
+    r of every (line, block) pair come from two matrix products: the lines
+    (a, b, c) times the centres (xc, yc, 1), and (|a|, |b|) times the
+    half-widths; W is (|a|, |b|, |c|) times (X, Y, 1).
+
+    The margin covers the rounding (Higham, Accuracy and Stability of
+    Numerical Algorithms, sec. 3.1, with gamma_k = k*u/(1 - k*u)). Halving
+    is exact, so a computed centre is within u*X (u*Y) of the true one and
+    a computed half-width at least (1 - u) times the true one. An inner
+    product of length 3, in any summation order and with or without fused
+    multiply-adds, errs by at most gamma_3 times the sum of its absolute
+    terms, which is at most (1 + u)*W here; so the computed m is within
+    (gamma_3 + 2u)*W of the exact value at the true centre, the computed r
+    at least r - (gamma_2 + u)*W, and the subtraction |m| - r loses at most
+    one more rounding. So a settled block has every exact vertex value d
+    beyond zero by more than the computed margin less about 7u*W, and the
+    computed margin is at least (1 - gamma_3)*16u*W. Each vertex's computed
+    d is within gamma_3*W of its exact value, so every vertex of a settled
+    block lies strictly on one side in computed d too, and no fine or
+    coarse edge of it crosses the line. A NaN anywhere leaves the pair
+    unsettled, as do an infinite W and an infinite r. Like the vertex
+    values, the argument assumes that no sum or product underflows or
+    overflows. Only the unsettled blocks are evaluated:
+    a line costs O(n/B + B*k) for k unsettled blocks instead of O(n).
 
     `areas` evaluates a batch of lines with a fixed number of numpy calls
     per chunk, not per line. The bounds of every (line, block) pair are
-    one broadcast. Each unsettled pair copies its block's B + 1 vertices
-    as a row, from a strided view of the vertex buffer, and computes d on
-    it once; the fine crossing edges of all rows are found from d, the
+    the two matrix products. Each unsettled pair copies its block's B + 1
+    vertices as a row, from a strided view of the vertex buffer, and
+    computes d on it once; the fine crossing edges of all rows are found
+    from d, the
     coarse ones from every other column of d, and the coarse lines ride
     along as lines L .. 2L - 1 of a batch of L through the crossing points,
     corners and prefix differences. A chunk holds at most _CHUNK // blocks
@@ -386,14 +404,15 @@ class _ClippedAreas:
     for that line alone, which the tests also keep.
     """
 
-    def __init__(self, x_buffer: np.ndarray, y_buffer: np.ndarray, n: int, scratch: np.ndarray, steps: tuple[int, ...]):
-        """x_buffer and y_buffer are _vertex_buffer(n)s holding the n
+    def __init__(self, buffer: np.ndarray, n: int, scratch: np.ndarray, steps: tuple[int, ...]):
+        """buffer is a _vertex_buffer(n) whose rows hold the x and y of the n
         vertices; each resolution is the polygon through every step-th of
         them, steps (1,) for a polygon and (1, 2) for a curve, n odd. The
         build pads the buffers and overwrites scratch, a dead buffer of at
         least n floats."""
         import numpy as np
 
+        x_buffer, y_buffer = buffer
         x, y = self.x, self.y = x_buffer[:n], y_buffer[:n]
         if n:
             # The last block's row runs past vertex n - 1 into vertex 0,
@@ -421,14 +440,26 @@ class _ClippedAreas:
         self._twice_totals = np.array([prefix[-1] for _, _, prefix in self._polygons])
         self.signed_total = self._extrapolate(0.5 * self._twice_totals)[0].item()
         B = self._block = _block_size(n)
-        # Row k: block k's vertices kB .. kB + B, a view into the buffer.
-        shape, strides = (-(-n // B), B + 1), (B * x_buffer.itemsize, x_buffer.itemsize)
-        self._x_rows = np.ndarray(shape, buffer=x_buffer, strides=strides)
-        self._y_rows = np.ndarray(shape, buffer=y_buffer, strides=strides)
-        self._xmin, self._xmax = self._x_rows.min(axis=1), self._x_rows.max(axis=1)
-        self._ymin, self._ymax = self._y_rows.min(axis=1), self._y_rows.max(axis=1)
-        self._x_abs = float(max(-self._xmin.min(initial=0.0), self._xmax.max(initial=0.0)))
-        self._y_abs = float(max(-self._ymin.min(initial=0.0), self._ymax.max(initial=0.0)))
+        # rows[0, k] (rows[1, k]): the x (y) of block k's vertices kB .. kB + B,
+        # a view into the buffer.
+        blocks, item = -(-n // B), buffer.itemsize
+        rows = np.ndarray((2, blocks, B + 1), buffer=buffer, strides=(buffer.strides[0], B * item, item))
+        self._x_rows, self._y_rows = rows
+        # box[0] holds the blocks' lows in x and y, box[1] their highs.
+        box = np.empty((2, 2, blocks))
+        rows.min(axis=2, out=box[0])
+        rows.max(axis=2, out=box[1])
+        # frame rows: the half-widths hx, hy and the centres xc, yc, then 1.
+        frame = np.empty((5, blocks))
+        lo, hi = box * 0.5
+        np.subtract(hi, lo, out=frame[:2])
+        np.add(lo, hi, out=frame[2:4])
+        frame[4] = 1.0
+        self._halves, self._centres = frame[:2], frame[2:]
+        # (X, Y, 1): the largest |x| and |y|.
+        scale = self._scale = np.empty(3)
+        np.abs(box).max(axis=(0, 2), initial=0.0, out=scale[:2])
+        scale[2] = 1.0
 
     @staticmethod
     def _extrapolate(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -478,21 +509,21 @@ class _ClippedAreas:
         out[[len(xr) < 3 for xr, _, _ in self._polygons]] = 0.0
         return out
 
-    def _unsettled(self, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _unsettled(self, lines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(line, block) indices of the blocks that are not settled for the
-        lines given as columns a, b, c, by line and then by block."""
+        rows (a, b, c) of lines, by line and then by block."""
         import numpy as np
 
-        a_pos, b_pos = a >= 0, b >= 0
-        lo = np.where(a_pos, self._xmin, self._xmax) * a
-        lo += np.where(b_pos, self._ymin, self._ymax) * b
-        lo += c
-        hi = np.where(a_pos, self._xmax, self._xmin) * a
-        hi += np.where(b_pos, self._ymax, self._ymin) * b
-        hi += c
-        margin = 6 * 2.0**-53 * (np.abs(a) * self._x_abs + np.abs(b) * self._y_abs + np.abs(c))
-        # Written as "not settled", so that NaN bounds count as unsettled.
-        return np.nonzero(~((hi < -margin) | (lo > margin)))
+        size = np.abs(lines)
+        # einsum's own loops take the products: a BLAS call (matmul) would
+        # allocate its buffers in every process that measures a line.
+        slack = np.einsum("ij,jk->ik", lines, self._centres)
+        np.abs(slack, out=slack)
+        slack -= np.einsum("ij,jk->ik", size[:, :2], self._halves)
+        margin = np.einsum("ij,j->i", size, self._scale)
+        margin *= 16 * 2.0**-53
+        # Written as "not settled", so that NaN counts as unsettled.
+        return np.nonzero(~(slack > margin[:, None]))
 
     def _chunk_areas(self, lines: np.ndarray) -> np.ndarray:
         """`areas` of a chunk of lines whose bounds fit in one temporary."""
@@ -500,7 +531,7 @@ class _ClippedAreas:
 
         B, count, steps = self._block, len(lines), self._steps
         a, b, c = lines[:, 0, None], lines[:, 1, None], lines[:, 2, None]
-        line, block = self._unsettled(a, b, c)
+        line, block = self._unsettled(lines)
         # Per resolution, (line, first vertex, the vertex after it in that
         # polygon, its prefix index, d at both vertices) of each crossing
         # edge, by line and, within a line, by edge. The coarse lines follow
@@ -585,12 +616,12 @@ def _block_size(n: int) -> int:
 
 
 def _vertex_buffer(n: int) -> np.ndarray:
-    """An empty buffer for n vertex coordinates and the padding that
-    completes the last block's row in _ClippedAreas."""
+    """An empty buffer for the x and y of n vertices, one row each, and the
+    padding that completes the last block's row in _ClippedAreas."""
     import numpy as np
 
     B = _block_size(n)
-    return np.empty(max(-(-n // B), 1) * B + 1)
+    return np.empty((2, max(-(-n // B), 1) * B + 1))
 
 
 def _evaluate(rf: RationalFunction, t: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -619,16 +650,16 @@ def _evaluate(rf: RationalFunction, t: np.ndarray, out: np.ndarray) -> np.ndarra
     return out
 
 
-def _sample_components(curve: ParametricCurve, samples: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vertex buffers of x and y, sampled at evenly spaced parameters, and
-    the buffer of those parameters, which the caller may overwrite."""
+def _sample_components(curve: ParametricCurve, samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """The vertex buffer of x and y, sampled at evenly spaced parameters,
+    and the buffer of those parameters, which the caller may overwrite."""
     import numpy as np
 
     t = np.linspace(float(curve.interval.lo), float(curve.interval.hi), samples)
-    x, y = _vertex_buffer(samples), _vertex_buffer(samples)
-    _evaluate(curve.g, t, x[:samples])
-    _evaluate(curve.f, t, y[:samples])
-    return x, y, t
+    buffer = _vertex_buffer(samples)
+    _evaluate(curve.g, t, buffer[0, :samples])
+    _evaluate(curve.f, t, buffer[1, :samples])
+    return buffer, t
 
 
 def _clipped_areas(boundary: Boundary, samples: int) -> _ClippedAreas:
@@ -639,13 +670,13 @@ def _clipped_areas(boundary: Boundary, samples: int) -> _ClippedAreas:
 
     if isinstance(boundary, ParametricCurve):
         n = samples | 1
-        x, y, t = _sample_components(boundary, n)
-        return _ClippedAreas(x, y, n, t, (1, 2))
+        buffer, t = _sample_components(boundary, n)
+        return _ClippedAreas(buffer, n, t, (1, 2))
     points = np.asarray(boundary, dtype=float).reshape(-1, 2)
     n = len(points)
-    x, y = _vertex_buffer(n), _vertex_buffer(n)
-    x[:n], y[:n] = points[:, 0], points[:, 1]
-    return _ClippedAreas(x, y, n, np.empty(n), (1,))
+    buffer = _vertex_buffer(n)
+    buffer[:, :n] = points.T
+    return _ClippedAreas(buffer, n, np.empty(n), (1,))
 
 
 def numeric_segment_area(

@@ -400,7 +400,7 @@ def full_ring_vertical_eliminant(g, P, R):
     tau1^i tau2^j (i < d - 1, j < d) at c_hat = 2^width, its characteristic
     polynomial by `_berkowitz`, and the same digits and weights."""
     d = g.degree()
-    full, ph, rh, K, lam = _integer_inputs(g, P, R)
+    full, ph, rh, (kn, kd), (ln, ld) = _integer_inputs(g, P, R)
     gh = full[:-1]
     # D_hat = sum_i tau1^i * w_i(tau2) with w_i = sum_{j > i} g_hat_j tau2^(j-1-i)
     # and w_(d-1) = 1, so tau1^(d-1) = -sum_(i < d-1) tau1^i w_i(tau2).
@@ -459,8 +459,6 @@ def full_ring_vertical_eliminant(g, P, R):
         cols.append(times_t2(cols[-1]))
     for i in range(1, d - 1):
         cols += [times_t1(col) for col in cols[-d:]]
-    kn, kd = K.numerator, K.denominator
-    ln, ld = lam.numerator, lam.denominator
     c_weights = [ln**e * ld ** (bound - e) for e in range(bound + 1)]
     terms = {}
     for i, value in enumerate(_berkowitz(cols)):

@@ -739,3 +739,67 @@ def test_rational_function_arithmetic():
     assert (a + b).den == UnivariatePolynomial("t", [-1, 1])
     assert a / b == RationalFunction(UnivariatePolynomial("t", [0, 1]))
     assert (a * b).evaluate(Fraction(1, 2)) == 2
+
+
+def test_subs_aligns_variables_once(monkeypatch):
+    # subs puts the replacement and the coefficients on one merged variable
+    # tuple before Horner's rule, so it calls with_vars at most once (for
+    # the replacement); the result is == to the rule that aligns at every
+    # step, over the same variables in the same order.
+    rng = random.Random(29)
+    with_vars = Polynomial.with_vars
+    calls = []
+
+    def counting(self, variables):
+        calls.append(tuple(variables))
+        return with_vars(self, variables)
+
+    def stepwise(p, var, replacement):
+        result = Polynomial.zero(tuple(v for v in p.vars if v != var))
+        for c in reversed(p.coeffs_in(var)):
+            result = result * replacement + c
+        return result
+
+    def poly(variables, terms):
+        exps = [tuple(rng.randint(0, 3) for _ in variables) for _ in range(terms)]
+        return Polynomial(variables, {e: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for e in exps})
+
+    for k in range(80):
+        p = poly(("x", "y", "z"), rng.randint(0, 6))
+        replacement = poly(rng.choice([(), ("x",), ("y", "x"), ("w", "x"), ("z", "w", "y"), ("x", "z")]), rng.randint(0, 4))
+        if k % 7 == 0:
+            replacement = Fraction(rng.randint(-5, 5), 3)
+        want = stepwise(p, "y", replacement if isinstance(replacement, Polynomial) else Polynomial.constant(replacement))
+        calls.clear()
+        monkeypatch.setattr(Polynomial, "with_vars", counting)
+        got = p.subs("y", replacement)
+        monkeypatch.undo()
+        assert len(calls) <= 1
+        assert got == want and got.vars == want.vars
+        assert_stored(got)
+
+
+def test_monomial_key_orders_as_reversed_tuples():
+    # _monomial_key slices the exponents reversed instead of building
+    # tuple(reversed(e)); the order of exponent tuples is unchanged.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    from ovalkit.algebra import _monomial_key
+
+    def old(e):
+        return (sum(e), tuple(reversed(e)))
+
+    tuples = st.integers(0, 4).flatmap(
+        lambda k: st.lists(st.tuples(*[st.integers(0, 7)] * k), min_size=1, max_size=12)
+    )
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(tuples)
+    def check(exps):
+        assert sorted(exps, key=_monomial_key) == sorted(exps, key=old)
+        assert max(exps, key=_monomial_key) == max(exps, key=old)
+        for a in exps:
+            for b in exps:
+                assert (_monomial_key(a) < _monomial_key(b)) == (old(a) < old(b))
+
+    check()

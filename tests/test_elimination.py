@@ -571,7 +571,10 @@ def test_g_adic_parts_rebuild_the_scaled_area_parts(cubic_centered, quartic_cent
     for cp in cases:
         g = cp.curve.g.as_univariate()
         P, R = vertical_area_parts(cp)
-        gh, ph, rh, K, lam = elimination._integer_inputs(g, P, R)
+        gh, ph, rh, k_pair, lam_pair = elimination._integer_inputs(g, P, R)
+        # K and lam come as numerator and positive denominator in lowest terms.
+        K, lam = Fraction(*k_pair), Fraction(*lam_pair)
+        assert k_pair == (K.numerator, K.denominator) and lam_pair == (lam.numerator, lam.denominator)
         assert gh[-1] == 1 and len(gh) == g.degree() + 1
         a = integer_form(g.coeffs)[0][-1]
         for tau in (Fraction(-2), Fraction(1, 3), Fraction(5)):
@@ -767,3 +770,32 @@ def test_half_rules_are_the_reduced_grevlex_basis_of_the_pair_relations():
                 e1 ** (d - 1 - b) * e2**b - sum(x * m for x, m in zip(rule, basis)) for b, rule in enumerate(rules)
             ]
             assert {sympy.Poly(x, e1, e2) for x in reduced.exprs} == {sympy.Poly(x, e1, e2) for x in expected}
+
+
+def test_vertical_plans_equal_fresh_builds():
+    # The per-degree index tables are cached on d alone: each cached plan
+    # equals a fresh build, the cache holds at most one plan per supported
+    # degree, and the tables are those of the loops they replace: the
+    # moves p -> (p + s + 1, p + s + 2) of e1 and e2 on block s < d - 2,
+    # each target reached once, the columns block by block, and the terms
+    # of h_(j-1).
+    import math
+
+    for d in range(2, elimination.MAX_VERTICAL_DEGREE + 1):
+        plan = elimination._plan(d)
+        assert plan == elimination._plan.__wrapped__(d)
+        moves = [(p + s + 1, p + s + 2) for s in range(d - 2) for p in range(s * (s + 1) // 2, (s + 1) * (s + 2) // 2)]
+        m = d * (d - 1) // 2
+        for e2 in (0, 1):
+            assert sorted((t[e2], p) for p, t in enumerate(moves)) == [(i, p) for i, p in enumerate(plan.shifts[e2]) if p < m]
+        cols = [0]
+        for s in range(1, d - 1):
+            cols += [(c, 0) for c in range((s - 1) * s // 2, s * (s + 1) // 2)] + [(s * (s + 1) // 2 - 1, 1)]
+        assert list(plan.schedule) == cols[1:] and len(plan.schedule) == d * (d - 1) // 2 - 1
+        delta = {}
+        for j in range(1, d):
+            for i in range((j + 1) // 2):
+                s = j - 1 - i
+                delta[s * (s + 1) // 2 + i, j] = (-1) ** i * math.comb(s, i)
+        assert {(e, j): c for e, j, c in plan.delta} == delta
+    assert elimination._plan.cache_info().currsize <= elimination.MAX_VERTICAL_DEGREE - 1

@@ -826,7 +826,7 @@ def test_sampling_equals_polyval_bitwise(samples, cubic_curve, quartic_curve, ap
     ]
     for curve in curves:
         polygon = sample_boundary(curve, samples)
-        x, y, _ = quadrature._sample_components(curve, samples)
+        (x, y), _ = quadrature._sample_components(curve, samples)
         assert _bits(x[:samples]) == _bits(polygon[:, 0]) and _bits(y[:samples]) == _bits(polygon[:, 1])
         # The oracle's resolutions: samples | 1 vertices, and every other one.
         fine = sample_boundary(curve, samples | 1)
@@ -1090,8 +1090,8 @@ def test_blocks_within_the_rounding_margin_are_evaluated(cubic_curve):
     lines, blocks = [], []
     for k in range(len(areas._x_rows)):
         for (a, b), low, high in (
-            ((1.0, 0.0), areas._xmin[k], areas._xmax[k]),
-            ((0.0, 1.0), areas._ymin[k], areas._ymax[k]),
+            ((1.0, 0.0), areas._x_rows[k].min(), areas._x_rows[k].max()),
+            ((0.0, 1.0), areas._y_rows[k].min(), areas._y_rows[k].max()),
         ):
             # d = low - nextafter(low, -inf) > 0 at the lowest vertex and
             # d = high - nextafter(high, inf) < 0 at the highest one.
@@ -1099,7 +1099,67 @@ def test_blocks_within_the_rounding_margin_are_evaluated(cubic_curve):
                 lines += _both_signs(a, b, float(c))
                 blocks += [k, k]
     table = np.array(lines)
-    line, block = areas._unsettled(table[:, 0, None], table[:, 1, None], table[:, 2, None])
+    line, block = areas._unsettled(table)
     unsettled = set(zip(line.tolist(), block.tolist()))
     assert all((i, k) in unsettled for i, k in enumerate(blocks))
     assert areas.areas(lines).tolist() == _full_pass_areas(areas, lines)
+
+
+def _crossing_blocks(areas, line) -> set[int]:
+    """Blocks of the area routine that hold a crossing edge of the line at
+    either resolution, by the full pass's arithmetic on every vertex."""
+    a, b, c = line
+    blocks = set()
+    for (x, y, _), step in zip(_resolutions(areas), areas._steps):
+        d = x * a + y * b + c
+        inside = d <= 0.0
+        # Edge i of this resolution starts at fine vertex step*i.
+        edges = np.flatnonzero(inside != np.roll(inside, -1))
+        blocks.update((step * edges // areas._block).tolist())
+    return blocks
+
+
+def test_unsettled_blocks_hold_every_crossing_edge(cubic_curve):
+    # Lines through vertices, axis-parallel lines near a box's bounds,
+    # chords, lines far from the region (|c| >> |a|, |b|), all at scales
+    # 2^k, and NaN lines: every block that a full pass finds crossed is
+    # unsettled, and every area, fine and coarse, equals the full pass.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    areas = quadrature._clipped_areas(cubic_curve, 1001)
+    x, y, n = areas.x, areas.y, len(areas.x)
+    vertex = st.integers(0, n - 1)
+    unit = st.floats(-1.0, 1.0, allow_nan=False)
+    ulps = st.integers(-3, 3)
+
+    def shifted(value, steps):
+        for _ in range(abs(steps)):
+            value = np.nextafter(value, math.copysign(math.inf, steps))
+        return float(value)
+
+    through = st.builds(lambda i, a, b: (a, b, -(a * x.item(i) + b * y.item(i))), vertex, unit, unit)
+    axis = st.builds(
+        lambda i, vertical, k: (1.0, 0.0, -shifted(x.item(i), k)) if vertical else (0.0, 1.0, -shifted(y.item(i), k)),
+        vertex,
+        st.booleans(),
+        ulps,
+    )
+    chord = st.builds(lambda i, j: _chord(x, y, i, j), vertex, vertex)
+    far = st.builds(lambda a, b, c: (a, b, c), unit, unit, st.sampled_from([-1e12, -3.5, 3.5, 1e12]))
+    nan = st.builds(lambda line, k: tuple(math.nan if i == k else v for i, v in enumerate(line)), through, st.integers(0, 2))
+    scaled = st.builds(
+        lambda line, k: tuple(math.ldexp(v, k) for v in line), st.one_of(through, axis, chord, far), st.integers(-600, 600)
+    )
+    lines_of = st.lists(st.one_of(through, axis, chord, far, scaled, nan), min_size=1, max_size=8)
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(lines_of)
+    def check(lines):
+        line, block = areas._unsettled(np.array(lines))
+        unsettled = set(zip(line.tolist(), block.tolist()))
+        for i, one in enumerate(lines):
+            assert all((i, k) in unsettled for k in _crossing_blocks(areas, one)), one
+        got, want = areas.areas(lines), np.array(_full_pass_areas(areas, lines))
+        assert _bits(got) == _bits(want), lines
+
+    check()
