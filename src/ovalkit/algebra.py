@@ -54,6 +54,14 @@ def _leading(nums: Mapping[tuple[int, ...], int]) -> tuple[int, ...]:
     return max((e for e in nums if sum(e) == top), key=_monomial_key)
 
 
+def _signed_content(nums: Mapping[tuple[int, ...], int]) -> int:
+    """The gcd of the nonzero integers nums, signed as the `_leading` term,
+    so that dividing by it leaves them primitive with a positive leading
+    term."""
+    g = math.gcd(*nums.values())
+    return g if nums[_leading(nums)] > 0 else -g
+
+
 class Polynomial:
     """Sparse multivariate polynomial over the rationals, stored as the
     map nums from exponent tuples, aligned with the declared variable
@@ -333,9 +341,7 @@ class Polynomial:
         """
         if not self.nums:
             return self, Fraction(1)
-        g = math.gcd(*self.nums.values())
-        if self.nums[_leading(self.nums)] < 0:
-            g = -g
+        g = _signed_content(self.nums)
         out = object.__new__(Polynomial)
         out.vars, out.nums, out.den = self.vars, {e: c // g for e, c in self.nums.items()}, 1
         return out, Fraction(g, self.den)
@@ -393,15 +399,16 @@ def _divide(f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
     return q, r
 
 
-def _homogenized(nums: list[int], x: Fraction) -> int:
-    """b^deg(f) * f(a/b) for x = a/b and the ascending integer coefficients
-    nums of f, by Horner's rule on the homogenized form (Knuth, TAOCP
-    vol. 2, 4.6.4): an integer with the sign of f(x)."""
-    a, b = x.numerator, x.denominator
-    acc, scale = 0, 1
-    for c in reversed(nums):
-        acc = acc * a + c * scale
+def _homogenized(nums: list[int], a: int, b: int) -> int:
+    """b^deg(f) * f(a/b) for integers a and b != 0 and the ascending
+    integer coefficients nums of f, by Horner's rule on the homogenized
+    form (Knuth, TAOCP vol. 2, 4.6.4): for b > 0 an integer with the sign
+    of f(a/b). The powers of b stop at b^deg(f)."""
+    it = reversed(nums)
+    acc, scale = next(it, 0), 1
+    for c in it:
         scale *= b
+        acc = acc * a + c * scale
     return acc
 
 
@@ -538,8 +545,8 @@ class UnivariatePolynomial:
 
     def evaluate(self, x) -> Fraction:
         x = as_fraction(x)
-        nums = self.nums
-        return Fraction(_homogenized(nums, x), self.den * x.denominator ** (len(nums) - 1)) if nums else Fraction(0)
+        a, b, nums = x.numerator, x.denominator, self.nums
+        return Fraction(_homogenized(nums, a, b), self.den * b ** (len(nums) - 1)) if nums else Fraction(0)
 
     def evaluate_float(self, x: float) -> float:
         """Horner's rule on the floats c/den, which equal float(Fraction(c,
@@ -643,7 +650,7 @@ def sturm_chain(p: UnivariatePolynomial) -> list[list[int]]:
 def _variations(chain: list[list[int]], x: Fraction) -> int:
     """Sign variations of the chain at x = a/b, counted on the integers
     b^deg(f) * f(a/b), which have the signs of the values f(x)."""
-    signs = [v > 0 for v in (_homogenized(f, x) for f in chain) if v]
+    signs = [v > 0 for v in (_homogenized(f, x.numerator, x.denominator) for f in chain) if v]
     return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
@@ -741,7 +748,7 @@ def rational_roots(p: UnivariatePolynomial) -> list[Fraction]:
         bound = 1 + Fraction(max(abs(c) for c in chain[0]), lc)
         for a, b, _ in isolate_roots(chain, -bound, bound, Fraction(1, 2 * lc * lc)):
             r = ((a + b) / 2).limit_denominator(lc)
-            while not _homogenized(work, r):
+            while not _homogenized(work, r.numerator, r.denominator):
                 roots.append(r)
                 work = _divide(work, [-r.numerator, r.denominator])[0]
     return sorted(roots)

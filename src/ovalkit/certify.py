@@ -14,21 +14,22 @@ import math
 import random
 from array import array
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Sequence
+from fractions import Fraction
+from typing import TYPE_CHECKING, Mapping
 
-from .algebra import Polynomial, RationalFunction, _stored, substitute_rational
+from .algebra import Polynomial, RationalFunction, _signed_content, _stored, substitute_rational
 from .curves import CenteredParametrization, ParametricCurve
-from .elimination import pencil_eliminant, vertical_eliminant
+from .elimination import _pencil_terms, _vertical_terms
 from .errors import DegenerateCurveError, DeskScopeError
-from .parsing import _lowest_terms, _render_terms, parse_polynomial, render_polynomial
+from .parsing import parse_polynomial, render_polynomial
 from .quadrature import (
     ORACLE_SAMPLES,
     _clipped_areas,
     _evaluate,
+    _vertical_numerators,
     chord_area_function,
     free_inlet_function,
     slope_function,
-    vertical_area_parts,
 )
 
 if TYPE_CHECKING:
@@ -112,31 +113,57 @@ class SampleReport:
         return self.max_relative_residual <= self.tolerance
 
 
-def _cleanup(raw: Polynomial, eliminated: Sequence[str], systems: tuple) -> tuple[Polynomial, Provenance]:
-    """Q and its Provenance from a raw eliminant: Q is
-    raw.primitive_normalized(), and the removed factor raw/Q is recorded
-    unless it is 1. systems holds the provenance inputs as (variables,
-    terms) pairs of `_render_terms`, terms a tuple."""
-    q, factor = raw.primitive_normalized()
-    removed = () if factor == 1 else (str(factor),)
-    return _shared_parts(q.vars, tuple(q.nums.items()), systems, tuple(eliminated), removed)
+def _assemble(variables, terms: dict, den: int, systems, inputs) -> tuple[Polynomial, Provenance]:
+    """Q and its Provenance from an eliminant's nonzero integer terms over
+    den, in one content step: every numerator is divided once by their
+    signed content g (`_signed_content`), so that Q is primitive with a
+    positive leading term, its terms in the order of terms. The removed
+    factor, the eliminant over Q, is the pair (g, den); `_shared_parts`
+    takes it with Q's terms, systems and the stored inputs."""
+    g = _signed_content(terms)
+    return _shared_parts(variables, tuple(terms), tuple([c // g for c in terms.values()]), (g, den), systems, inputs)
 
 
 @functools.lru_cache(maxsize=256)
-def _shared_parts(variables, terms, systems, eliminated, removed) -> tuple[Polynomial, Provenance]:
-    """Q and its Provenance are immutable, so certificates with equal ones
-    share them: every Q is still computed in full, but a caller holding
-    many certificates of one curve holds one copy of Q's terms, the
-    integer numerators of Q over the denominator 1, and the provenance
-    inputs are rendered from systems only on a miss."""
-    inputs = tuple(_render_terms(vs, t) for vs, t in systems)
-    return _stored(variables, dict(terms), 1), Provenance(inputs, eliminated, removed)
+def _shared_parts(variables, exponents, numerators, factor, systems, inputs) -> tuple[Polynomial, Provenance]:
+    """Q and its Provenance from `_assemble`, shared by the certificates
+    with equal ones, as both are immutable. The key is Q's
+    terms, the removed factor's integer pair and the stored inputs that
+    the eliminant read, so every Q is still computed in full and the cache
+    never answers from the inputs alone; a caller holding many
+    certificates of one curve holds one copy of Q's terms and one
+    Provenance. On a miss Q is stored from its numerators over the
+    denominator 1, the factor's text is rendered unless it is 1, and
+    systems(*inputs) gives the provenance inputs, as polynomials, and the
+    eliminated variables."""
+    polynomials, eliminated = systems(*inputs)
+    removed = () if factor[0] == factor[1] else (str(Fraction(*factor)),)
+    inputs = tuple(map(render_polynomial, polynomials))
+    return _stored(variables, dict(zip(exponents, numerators)), 1), Provenance(inputs, eliminated, removed)
 
 
-def _triples(p, sign: int = 1) -> list[tuple[int, int, int]]:
-    """(i, sign * n, d) for each nonzero coefficient n/d of the
-    UnivariatePolynomial p in lowest terms."""
-    return _lowest_terms(enumerate(p.nums), p.den, sign)
+def _pencil_systems(s, a, b):
+    """The pencil's provenance inputs S - s(t) and m*b(t) - a(t), built
+    from the numerators of s, a and b, and the eliminated (t,)."""
+    lcm = math.lcm(a.den, b.den)
+    e_m = {(0, i): -c * (lcm // a.den) for i, c in enumerate(a.nums)}
+    e_m |= {(1, i): c * (lcm // b.den) for i, c in enumerate(b.nums)}
+    e_S = {(1, 0): s.den} | {(0, i): -c for i, c in enumerate(s.nums)}
+    return (_stored(("S", s.var), e_S, s.den), _stored(("m", s.var), e_m, lcm)), (s.var,)
+
+
+def _vertical_systems(g, p, r, den):
+    """The vertical provenance inputs e1 = S - P(t1) - R(t2), D and
+    e_c = c - g(t2), built from the numerators of g and of P and R (p and
+    r over den), and the eliminated (t1, t2)."""
+    t1, t2 = g.var + "1", g.var + "2"
+    # e1's constant term -(P_0 + R_0) is dropped by _stored where it cancels.
+    e1 = {(1, 0, 0): den, (0, 0, 0): -sum(p[:1]) - sum(r[:1])}
+    e1 |= {(0, i, 0): -c for i, c in enumerate(p) if i} | {(0, 0, j): -c for j, c in enumerate(r) if j}
+    # D = sum_j g_j (t1^j - t2^j)/(t1 - t2) = sum_j g_j sum_(i<j) t1^i t2^(j-1-i)
+    D = {(i, j - 1 - i): c for j, c in enumerate(g.nums) for i in range(j)}
+    e_c = {(1, 0): g.den} | {(0, j): -c for j, c in enumerate(g.nums)}
+    return (_stored(("S", t1, t2), e1, den), _stored((t1, t2), D, g.den), _stored(("c", t2), e_c, g.den)), (t1, t2)
 
 
 def pencil_certificate(cp: CenteredParametrization, area: str = "chord") -> Certificate:
@@ -146,10 +173,12 @@ def pencil_certificate(cp: CenteredParametrization, area: str = "chord") -> Cert
     s(t) (or the free-inlet one with area="free_inlet") and the reduced
     chord slope a(t)/b(t): Q is Res_t(S - s(t), m*b(t) - a(t)) after
     normalization, taken by `pencil_eliminant` as the norm of S - s on
-    Q[t]/(m*b - a). The provenance inputs are these two polynomials
+    Q[t]/(m*b - a), and divided once by its signed content
+    (`_assemble`). The provenance inputs are these two polynomials
     S - s(t) and m*b(t) - a(t), rendered from the numerators and
-    denominators of the coefficients of s, a and b, as nothing else uses
-    them. A curve parameter named S or m is refused.
+    denominators of the coefficients of s, a and b on a miss of
+    `_shared_parts` only, as nothing else uses them. A curve parameter
+    named S or m is refused.
     """
     t = cp.curve.var
     if t in ("S", "m"):
@@ -164,11 +193,7 @@ def pencil_certificate(cp: CenteredParametrization, area: str = "chord") -> Cert
     if not s.evaluate(cp.curve.interval.hi):
         raise DegenerateCurveError("curve encloses zero signed area")
     slope = slope_function(cp)
-    a, b = slope.num, slope.den
-    eliminant = pencil_eliminant(s, a, b)
-    e_S = (((1, 0), 1, 1),) + tuple(((0, i), n, d) for i, n, d in _triples(s, -1))
-    e_m = tuple(((0, i), n, d) for i, n, d in _triples(a, -1)) + tuple(((1, i), n, d) for i, n, d in _triples(b))
-    q, prov = _cleanup(eliminant, (t,), ((("S", t), e_S), (("m", t), e_m)))
+    q, prov = _assemble(("S", "m"), *_pencil_terms(s, slope.num, slope.den), _pencil_systems, (s, slope.num, slope.den))
     return Certificate(q, {"S": "area", "m": "slope"}, prov)
 
 
@@ -190,32 +215,21 @@ def vertical_certificate(cp: CenteredParametrization) -> Certificate:
     a C(d, 2)-square matrix for deg g = d, at the abscissa node c = 2^k;
     the base-2^k digits of Q's coefficients are its coefficients in c.
     Q equals Res_t2(Res_t1(S - P(t1) - R(t2), D), c - g(t2)) after
-    normalization; the recorded removed factor is the content of the
-    characteristic polynomial. The provenance inputs are these three polynomials
-    S - P(t1) - R(t2), D and c - g(t2), rendered from the numerators and
-    denominators of the coefficients of P, R and g, as nothing else uses
-    them. The names t1, t2 are the curve's parameter t with 1 and 2
-    appended, so neither is S or c.
+    normalization. The eliminant reads P and R as the swept integral's
+    numerators over its one denominator (`quadrature._vertical_numerators`),
+    and its integer terms are divided once by their signed content
+    (`_assemble`); the recorded removed factor is the content of
+    the characteristic polynomial. The provenance inputs are these three
+    polynomials S - P(t1) - R(t2), D and c - g(t2), rendered from the
+    numerators and denominators of the coefficients of P, R and g on a
+    miss of `_shared_parts` only, as nothing else uses them. The names
+    t1, t2 are the curve's parameter t with 1 and 2 appended, so neither
+    is S or c.
     """
-    t = cp.curve.var
-    t1, t2 = t + "1", t + "2"
-    P, R = vertical_area_parts(cp)  # ExactIntegrationError unless g, f are polynomials
+    # ExactIntegrationError unless g and f are polynomials.
+    p, r, den, _ = _vertical_numerators(cp.curve)
     g = cp.curve.g.as_univariate()
-    eliminant = vertical_eliminant(g, P, R)
-    # The inputs as (exponents, numerator, denominator) terms:
-    # e1 = S - P(t1) - R(t2), whose constant term -(P_0 + R_0) is dropped
-    # where it cancels, D, and e_c = c - g(t2).
-    e1 = [((1, 0, 0), 1, 1)]
-    e1 += [((0, i, 0), n, d) for i, n, d in _triples(P, -1) if i]
-    e1 += [((0, 0, j), n, d) for j, n, d in _triples(R, -1) if j]
-    c0 = (P.nums[0] * R.den if P.nums else 0) + (R.nums[0] * P.den if R.nums else 0)
-    e1 += _lowest_terms([((0, 0, 0), c0)], P.den * R.den, -1)
-    # D = sum_j g_j (t1^j - t2^j)/(t1 - t2) = sum_j g_j sum_(i<j) t1^i t2^(j-1-i)
-    g_terms = _triples(g)
-    D = tuple(((i, j - 1 - i), n, d) for j, n, d in g_terms for i in range(j))
-    e_c = (((1, 0), 1, 1),) + tuple(((0, j), -n, d) for j, n, d in g_terms)
-    systems = ((("S", t1, t2), tuple(e1)), ((t1, t2), D), (("c", t2), e_c))
-    q, prov = _cleanup(eliminant, (t1, t2), systems)
+    q, prov = _assemble(("S", "c"), *_vertical_terms(g, p, r, den), _vertical_systems, (g, tuple(p), tuple(r), den))
     return Certificate(q, {"S": "area", "c": "abscissa"}, prov)
 
 

@@ -12,6 +12,7 @@ import decimal
 import math
 import re
 import sys
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -447,7 +448,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            # A warning is one line on stderr, as every other message is.
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+            return args.func(args)
     except (OvalkitError, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

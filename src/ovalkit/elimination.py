@@ -37,10 +37,11 @@ high degree, which keep their nodes.
 
 `resultant` and the two eliminants return a Polynomial built straight
 from the integer digits over the inputs' common scale, in the stored form
-of every Polynomial (`algebra._stored`). Certificates divide out the
-numerators' gcd (the content, von zur Gathen and Gerhard, Modern Computer
-Algebra, 6.2) with `Polynomial.primitive_normalized`, so no rational
-coefficient is built between the digits and the certificate.
+of every Polynomial (`algebra._stored`). Certificates read the integer
+terms and their denominator from the eliminants' cores, `_pencil_terms`
+and `_vertical_terms`, and divide the terms once by their signed content
+(von zur Gathen and Gerhard, Modern Computer Algebra, 6.2), so no
+rational coefficient is built between the digits and the certificate.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from itertools import accumulate, repeat, zip_longest
 from operator import mul
 from typing import NamedTuple
 
-from .algebra import Polynomial, UnivariatePolynomial, _divide, _primitive, _stored
+from .algebra import Polynomial, UnivariatePolynomial, _divide, _homogenized, _primitive, _stored
 from .errors import DeskScopeError, SylvesterSizeError
 
 MAX_SYLVESTER_SIZE = 64
@@ -170,11 +171,16 @@ def _resultant(f: list[int], g: list[int]) -> int:
         n, lead = len(g) - 1, g[-1]
         delta = len(f) - len(g)
         sign *= (-1) ** ((len(f) - 1) * n)
-        r = f
-        for k in range(delta, -1, -1):
-            # r := lead*r - top * t^k * g, whose top coefficient vanishes.
-            top, r = r[-1], [lead * x for x in r[:-1]]
-            r[k : k + n] = [x - top * y for x, y in zip(r[k : k + n], g)]
+        if n == 1:
+            # By a linear g the pseudo-remainder is the constant
+            # lead^(delta+1) * f(-g_0/lead), taken by Horner's rule.
+            r = [_homogenized(f, -g[0], lead)]
+        else:
+            r = f
+            for k in range(delta, -1, -1):
+                # r := lead*r - top * t^k * g, whose top coefficient vanishes.
+                top, r = r[-1], [lead * x for x in r[:-1]]
+                r[k : k + n] = [x - top * y for x, y in zip(r[k : k + n], g)]
         while r and not r[-1]:
             r.pop()
         if not r:
@@ -332,6 +338,13 @@ def pencil_eliminant(
     Raises SylvesterSizeError, as `resultant` does, when ds + d exceeds
     MAX_SYLVESTER_SIZE.
     """
+    return _stored(("S", "m"), *_pencil_terms(s, a, b))
+
+
+def _pencil_terms(s: UnivariatePolynomial, a: UnivariatePolynomial, b: UnivariatePolynomial) -> tuple[dict, int]:
+    """The integer core of `pencil_eliminant`: the nonzero numerators of
+    its terms, keyed by exponents (i, e) of S^i * m^e, and their
+    denominator, neither reduced."""
     ds = s.degree()
     d = max(a.degree(), b.degree())
     _check_sylvester_size(ds + d, s.var)
@@ -359,30 +372,30 @@ def pencil_eliminant(
         for e, c in enumerate(_newton(nodes, [v[i] for v in values])):
             if c:
                 terms[(i, e)] = c
-    return _stored(("S", "m"), terms, lg**ds * ls**d)
+    return terms, lg**ds * ls**d
 
 
 def _integer_inputs(
-    g: UnivariatePolynomial, P: UnivariatePolynomial, R: UnivariatePolynomial
+    g: UnivariatePolynomial, p: list[int], r: list[int], den: int
 ) -> tuple[list[int], list[int], list[int], tuple[int, int], tuple[int, int]]:
     """Step 1 of `vertical_eliminant`: the ascending integer coefficients
     of the monic g_hat, P_hat and R_hat in tau = a*t, and the scales K, lam
     with P_hat(tau) = K*P(tau/a), R_hat alike, and g_hat = lam*g, each as
     its numerator and positive denominator in lowest terms.
 
-    With P and R the numerators p and r over one denominator den, the
+    P and R are the ascending numerator lists p and r, with no trailing
+    zero, over one positive denominator den, not necessarily reduced: the
     integers p_i*a^(m-i) and r_i*a^(m-i) divided by their gcd f are P_hat
-    and R_hat, and K = a^m*den/f."""
+    and R_hat, and K = a^m*den/f, so a common factor of p, r and den
+    changes neither."""
     gi, k = _primitive(g.nums)
     d = len(gi) - 1
     a = gi[-1]
     # g_hat(tau) = a^(d-1) * gi(tau/a).
     gh = [c * a ** (d - 1 - i) for i, c in enumerate(gi[:-1])] + [1]
-    m = max(len(P.nums), len(R.nums), 1) - 1
-    den = math.lcm(P.den, R.den)
-    nums, f = _primitive([c * a ** (m - i) * (den // p.den) for p in (P, R) for i, c in enumerate(p.nums)])
-    split = len(P.nums)
-    return gh, nums[:split], nums[split:], _lowest(a**m * den, f), _lowest(a ** (d - 1) * g.den, k)
+    m = max(len(p), len(r), 1) - 1
+    nums, f = _primitive([c * a ** (m - i) for part in (p, r) for i, c in enumerate(part)])
+    return gh, nums[: len(p)], nums[len(p) :], _lowest(a**m * den, f), _lowest(a ** (d - 1) * g.den, k)
 
 
 def _lowest(n: int, d: int) -> tuple[int, int]:
@@ -647,6 +660,16 @@ def vertical_eliminant(
     over the common denominator kd^n * ld^N, the powers taken by running
     products.
     """
+    den = math.lcm(P.den, R.den)
+    p, r = ([c * (den // part.den) for c in part.nums] for part in (P, R))
+    return _stored(("S", "c"), *_vertical_terms(g, p, r, den))
+
+
+def _vertical_terms(g: UnivariatePolynomial, p: list[int], r: list[int], den: int) -> tuple[dict, int]:
+    """The integer core of `vertical_eliminant`, with P and R given as the
+    numerator lists p and r over den that `_integer_inputs` takes: the
+    nonzero numerators of the terms, keyed by exponents (i, e) of
+    S^i * c^e, and their denominator, neither reduced."""
     d = g.degree()
     if d < 2:
         raise ValueError("the vertical eliminant needs deg g >= 2")
@@ -654,11 +677,10 @@ def vertical_eliminant(
         raise DeskScopeError(
             f"x-component of degree {d} exceeds the supported {MAX_VERTICAL_DEGREE} for vertical certificates"
         )
-    full, ph, rh, (kn, kd), (ln, ld) = _integer_inputs(g, P, R)
-    total = [p + r for p, r in zip_longest(ph, rh, fillvalue=0)] or [0]
-    if any(total[1:]):
+    if any(x + y for x, y in zip_longest(p[1:], r[1:], fillvalue=0)):
         raise ValueError("the vertical eliminant needs P + R constant")
-    kappa = total[0]
+    full, ph, rh, (kn, kd), (ln, ld) = _integer_inputs(g, p, r, den)
+    kappa = sum(ph[:1]) + sum(rh[:1])
     n = d * (d - 1)
     # R_hat = kappa - P_hat, so R's g-adic parts are kappa - P_0 and -P_k.
     parts = _g_adic(ph, full) or [[]]
@@ -724,4 +746,4 @@ def vertical_eliminant(
         for e, c in enumerate(_digits(v, width, bound + 1)):
             if c:
                 terms[(n - i, e)] = c * s_weight * c_weights[e]
-    return _stored(("S", "c"), terms, kd_powers[-1] * ld_powers[-1])
+    return terms, kd_powers[-1] * ld_powers[-1]

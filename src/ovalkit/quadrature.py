@@ -105,9 +105,9 @@ def _swept(curve: ParametricCurve) -> tuple[list[int], int, int]:
         A[k] *= L // k
     q = curve.interval.lo.denominator ** n
     nums = [-x * q for x in A]
-    nums[0] = _homogenized(A, curve.interval.lo)
+    nums[0] = _homogenized(A, curve.interval.lo.numerator, curve.interval.lo.denominator)
     den = fd * gd * L * q
-    top = _homogenized(nums, curve.interval.hi)
+    top = _homogenized(nums, curve.interval.hi.numerator, curve.interval.hi.denominator)
     v = curve.interval.hi.denominator ** n
     if v > 1:
         nums = [x * v for x in nums]
@@ -206,19 +206,18 @@ def vertical_area_parts(cp: CenteredParametrization) -> tuple[UnivariatePolynomi
     P integrates the boundary from the interval start to t1, R from t2 to
     the end; both carry the orientation sign.
     """
-    return _vertical_parts(cp)[:2]
+    p, r, den, _ = _vertical_numerators(cp.curve)
+    return _canonical(cp.curve.var, p, den), _canonical(cp.curve.var, r, den)
 
 
-def _vertical_parts(cp: CenteredParametrization) -> tuple[UnivariatePolynomial, UnivariatePolynomial, int]:
-    """P = B and R = total - B, signed, each coefficient built once from
-    B's numerators, and the numerator of the signed total that fixed their
-    sign."""
-    nums, den, top = _swept(cp.curve)
-    sign = 1 if top > 0 else -1
-    rest = [-x for x in nums] or [0]
-    rest[0] += top
-    P, R = (_canonical(cp.curve.var, [sign * x for x in part], den) for part in (nums, rest))
-    return P, R, top
+def _vertical_numerators(curve: ParametricCurve) -> tuple[list[int], list[int], int, int]:
+    """The ascending numerators of P = B and R = total - B, signed by the
+    total, over the swept integral's one denominator den, not reduced and
+    with no trailing zero, and the numerator of the signed total."""
+    nums, den, top = _swept(curve)
+    p = [x if top > 0 else -x for x in nums]
+    # The total's numerator, signed by itself, joins R's constant term.
+    return p, [abs(top) - x for x in p[:1]] + [-x for x in p[1:]], den, top
 
 
 def vertical_segment_area(cp: CenteredParametrization, t1, t2) -> AreaResult:
@@ -233,8 +232,9 @@ def vertical_segment_area(cp: CenteredParametrization, t1, t2) -> AreaResult:
         raise ValueError("require t1 <= t2")
     if curve.g.evaluate(t1) != curve.g.evaluate(t2):
         raise ValueError("g(t1) must equal g(t2): the two points share the vertical line")
-    P, R, top = _vertical_parts(cp)
-    return AreaResult(P.evaluate(t1) + R.evaluate(t2), _nonzero_label(top), True)
+    p, r, den, top = _vertical_numerators(curve)
+    area = _canonical(curve.var, p, den).evaluate(t1) + _canonical(curve.var, r, den).evaluate(t2)
+    return AreaResult(area, _nonzero_label(top), True)
 
 
 def free_inlet_function(cp: CenteredParametrization) -> UnivariatePolynomial:
@@ -257,7 +257,7 @@ def _free_inlet(cp: CenteredParametrization) -> tuple[UnivariatePolynomial, int]
     hi = cp.curve.interval.hi
     w = hi.denominator ** s.degree()
     free = [2 * w * x for x in s.nums]
-    free[0] -= _homogenized(s.nums, hi)
+    free[0] -= _homogenized(s.nums, hi.numerator, hi.denominator)
     return _canonical(cp.curve.var, free, s.den * w), top
 
 

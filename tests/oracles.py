@@ -14,9 +14,19 @@ import numpy as np
 
 from ovalkit import Polynomial, RationalFunction, UnivariatePolynomial, resultant, validate_centered
 from ovalkit.algebra import _monomial_key
+from ovalkit.certify import Provenance
 from ovalkit.cli import parse_curve_text
 from ovalkit.curves import ParametricCurve, Point
-from ovalkit.elimination import _berkowitz, _digits, _g_adic, _integer_inputs, _kronecker_width
+from ovalkit.elimination import (
+    _berkowitz,
+    _digits,
+    _g_adic,
+    _integer_inputs,
+    _kronecker_width,
+    pencil_eliminant,
+    vertical_eliminant,
+)
+from ovalkit.parsing import _lowest_terms, _render_terms
 from ovalkit.quadrature import (
     ORACLE_SAMPLES,
     _clipped_areas,
@@ -93,6 +103,19 @@ def det_bareiss(rows) -> Polynomial:
         prev = m[k][k]
     result = m[n - 1][n - 1]
     return result if sign > 0 else -result
+
+
+def sylvester_resultant(f: list[int], g: list[int]) -> int:
+    """Res(f, g) of the ascending integer lists f and g, with nonzero
+    leading coefficients and not both constant, as `det_bareiss` of their
+    Sylvester matrix: deg g rows of f, then deg f rows of g, highest
+    coefficient first."""
+    m, n = len(f) - 1, len(g) - 1
+    rows = [[0] * i + f[::-1] + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + g[::-1] + [0] * (m - 1 - i) for i in range(m)]
+    value = det_bareiss([[Polynomial.constant(c) for c in row] for row in rows]).evaluate({})
+    assert value.denominator == 1
+    return value.numerator
 
 
 # -- Fraction references for UnivariatePolynomial's integer kernels -----
@@ -317,6 +340,46 @@ def fraction_cleanup(raw: Polynomial) -> tuple[Polynomial, tuple[str, ...]]:
     return q, () if factor == 1 else (str(factor),)
 
 
+def reference_certificate(cp, family: str) -> tuple[Polynomial, Provenance]:
+    """Q and Provenance of a certificate, assembled the earlier way: Q
+    is `primitive_normalized` of the public eliminant, the removed factor
+    its str unless 1, and the provenance inputs `_render_terms` of
+    triples of each stored coefficient in lowest terms. family is
+    "vertical", "chord" or "free_inlet" (the pencil's area)."""
+
+    def triples(p, sign=1):
+        return _lowest_terms(enumerate(p.nums), p.den, sign)
+
+    t = cp.curve.var
+    if family == "vertical":
+        t1, t2 = t + "1", t + "2"
+        P, R = vertical_area_parts(cp)
+        g = cp.curve.g.as_univariate()
+        raw = vertical_eliminant(g, P, R)
+        e1 = [((1, 0, 0), 1, 1)]
+        e1 += [((0, i, 0), n, d) for i, n, d in triples(P, -1) if i]
+        e1 += [((0, 0, j), n, d) for j, n, d in triples(R, -1) if j]
+        c0 = (P.nums[0] * R.den if P.nums else 0) + (R.nums[0] * P.den if R.nums else 0)
+        e1 += _lowest_terms([((0, 0, 0), c0)], P.den * R.den, -1)
+        g_terms = triples(g)
+        D = [((i, j - 1 - i), n, d) for j, n, d in g_terms for i in range(j)]
+        e_c = [((1, 0), 1, 1)] + [((0, j), -n, d) for j, n, d in g_terms]
+        systems = ((("S", t1, t2), e1), ((t1, t2), D), (("c", t2), e_c))
+        eliminated = (t1, t2)
+    else:
+        s = chord_area_function(cp) if family == "chord" else free_inlet_function(cp)
+        slope = slope_function(cp)
+        a, b = slope.num, slope.den
+        raw = pencil_eliminant(s, a, b)
+        e_S = [((1, 0), 1, 1)] + [((0, i), n, d) for i, n, d in triples(s, -1)]
+        e_m = [((0, i), n, d) for i, n, d in triples(a, -1)] + [((1, i), n, d) for i, n, d in triples(b)]
+        systems = ((("S", t), e_S), (("m", t), e_m))
+        eliminated = (t,)
+    q, factor = raw.primitive_normalized()
+    removed = () if factor == 1 else (str(factor),)
+    return q, Provenance(tuple(_render_terms(vs, terms) for vs, terms in systems), eliminated, removed)
+
+
 def sorted_terms(p: Polynomial) -> list[tuple[tuple[int, ...], Fraction]]:
     """Terms of p in canonical order: graded, descending."""
     return sorted(p.terms.items(), key=lambda t: _monomial_key(t[0]), reverse=True)
@@ -400,7 +463,9 @@ def full_ring_vertical_eliminant(g, P, R):
     tau1^i tau2^j (i < d - 1, j < d) at c_hat = 2^width, its characteristic
     polynomial by `_berkowitz`, and the same digits and weights."""
     d = g.degree()
-    full, ph, rh, (kn, kd), (ln, ld) = _integer_inputs(g, P, R)
+    den = math.lcm(P.den, R.den)
+    p, r = ([c * (den // part.den) for c in part.nums] for part in (P, R))
+    full, ph, rh, (kn, kd), (ln, ld) = _integer_inputs(g, p, r, den)
     gh = full[:-1]
     # D_hat = sum_i tau1^i * w_i(tau2) with w_i = sum_{j > i} g_hat_j tau2^(j-1-i)
     # and w_(d-1) = 1, so tau1^(d-1) = -sum_(i < d-1) tau1^i w_i(tau2).

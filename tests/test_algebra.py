@@ -489,7 +489,7 @@ def test_homogenized_value_has_the_sign_of_the_value():
     @hypothesis.given(st.lists(st.integers(-(10**12), 10**12), max_size=7), _mixed_coefficients(st))
     def check(nums, x):
         value = fraction_evaluate(nums, x)
-        h = _homogenized(nums, x)
+        h = _homogenized(nums, x.numerator, x.denominator)
         assert type(h) is int
         assert h == value * x.denominator ** max(len(nums) - 1, 0)
         assert (h > 0) == (value > 0) and (h < 0) == (value < 0)

@@ -25,6 +25,7 @@ from ovalkit import (
 )
 from ovalkit.certify import MAX_VERIFY_LINES, LineSample
 from ovalkit.cli import parse_curve_text
+from ovalkit.curves import Point, validate_centered
 from ovalkit.errors import DeskScopeError
 from ovalkit.quadrature import chord_area_function, free_inlet_function, slope_function
 
@@ -35,6 +36,7 @@ from oracles import (
     full_pass,
     pencil_inputs,
     pencil_provenance_system,
+    reference_certificate,
     scalar_residual,
     seeded_loops,
     serial_verify,
@@ -465,9 +467,10 @@ def test_vertical_certificate_records_charpoly_content(cubic_centered):
 
 
 def test_cleanup_matches_primitive_normalized():
-    # Q, the removed factor and so its sign, from primitive_normalized on
-    # the raw eliminant's stored form, against fraction_cleanup on its
-    # Fractions.
+    # Q, the removed factor and so its sign, from the one content step
+    # on an eliminant's integer terms over a denominator (_assemble),
+    # against fraction_cleanup on the Fractions; Q keeps the terms'
+    # order, that of primitive_normalized on the stored form.
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     exps = st.tuples(st.integers(0, 6), st.integers(0, 6))
@@ -476,19 +479,50 @@ def test_cleanup_matches_primitive_normalized():
     common = st.sampled_from((1, 2, 6, 7**9, 2**64 * 3))
     scale = st.builds(Fraction, st.integers(-(10**9), 10**9).filter(bool), st.integers(1, 10**9))
 
+    def no_inputs():
+        return (), ("t",)
+
     @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @hypothesis.given(st.dictionaries(exps, coeff, min_size=1, max_size=10), common, scale)
     def check(terms, k, scale):
         raw = Polynomial(("S", "c"), {e: k * c * scale for e, c in terms.items()})
-        q, prov = certify._cleanup(raw, ("t",), ())
+        nums = {e: k * c * scale.numerator for e, c in terms.items()}
+        q, prov = certify._assemble(("S", "c"), nums, scale.denominator, no_inputs, ())
         reference, removed = fraction_cleanup(raw)
         assert q == reference and q.vars == reference.vars
-        assert prov.removed_factors == removed
+        assert list(q.nums.items()) == list(raw.primitive_normalized()[0].nums.items())
+        assert prov.removed_factors == removed and prov.eliminated == ("t",)
         assert q * Fraction(removed[0] if removed else 1) == raw
         assert_stored(q)
         assert q.den == 1 and q.leading()[1] > 0
 
     check()
+
+
+def test_certificates_match_the_reference_assembly():
+    # The one integer pass against the earlier assembly kept in oracles:
+    # Q's terms in order, its denominator, the provenance and the removed
+    # factors, on a cache miss and then on a hit, for both families.
+    curves = [
+        "x=(t-1/3)*(2/3-t)*(3+t); y=(t-1/3)^2*(2/3-t); t in [1/3,2/3]",
+        "x=10^400*t*(1-t)^2; y=t^2*(1-t); t in [0,1]",
+    ]
+    cases = [validate_centered(parse_curve_text(text), Point(0, 0)) for text in curves]
+    cases += seeded_loops(71, 3, 4) + seeded_loops(73, 4, 2) + seeded_loops(79, 5, 1) + seeded_loops(97, 6, 1)
+    builders = {
+        "vertical": vertical_certificate,
+        "chord": pencil_certificate,
+        "free_inlet": lambda cp: pencil_certificate(cp, area="free_inlet"),
+    }
+    for cp in cases:
+        for family, build in builders.items():
+            q, provenance = reference_certificate(cp, family)
+            certify._shared_parts.cache_clear()
+            for cert in (build(cp), build(cp)):
+                assert list(cert.q.nums.items()) == list(q.nums.items()), family
+                assert cert.q.vars == q.vars and cert.q.den == q.den == 1
+                assert cert.provenance == provenance, family
+            assert certify._shared_parts.cache_info()[:2] == (1, 1)
 
 
 def test_vertical_certificate_graph_like_collapse():

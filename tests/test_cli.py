@@ -113,6 +113,23 @@ def test_implicitize_verb_warns_on_a_boundary_that_is_not_convex(capsys):
     assert err == "warning: boundary fails a numeric convexity probe\n"
 
 
+def test_area_of_a_rational_curve_warns_in_one_line():
+    # Run as its own process, where Python's default warning display would
+    # print the warning and the source line that raised it.
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    param = "x=t*(1-t)/(1+t^2); y=t^2*(1-t); t in [0,1]"
+    proc = subprocess.run(
+        [sys.executable, "-m", "ovalkit.cli", "area", "--param", param],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == "warning: rational curve components: total area measured with the numeric oracle\n"
+    assert proc.stdout.startswith("0.01826611")
+
+
 def test_singular_verb(capsys):
     code, out, _ = run(capsys, ["singular", "--curve", "y^4-2*x*y^2-x^3+x^2"])
     assert code == 0

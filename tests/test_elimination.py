@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -36,6 +37,7 @@ from oracles import (
     integer_form,
     pencil_inputs,
     seeded_loops,
+    sylvester_resultant,
     sylvester_vertical_inputs,
     vertical_raw,
 )
@@ -199,13 +201,6 @@ def test_subresultant_matches_bareiss_on_the_sylvester_matrix():
                 out[i + j] += x * y
         return out
 
-    def sylvester(f, g):
-        # deg g rows of f, then deg f rows of g, highest coefficient first.
-        m, n = len(f) - 1, len(g) - 1
-        rows = [[0] * i + f[::-1] + [0] * (n - 1 - i) for i in range(n)]
-        rows += [[0] * i + g[::-1] + [0] * (m - 1 - i) for i in range(m)]
-        return [[Polynomial.constant(c) for c in row] for row in rows]
-
     @st.composite
     def pairs(draw):
         k = draw(st.integers(0, 3))
@@ -223,8 +218,32 @@ def test_subresultant_matches_bareiss_on_the_sylvester_matrix():
         f, g, k = pair
         for a, b in ((f, g), (g, f)):
             value = elimination._resultant(a, b)
-            assert Polynomial.constant(value) == det_bareiss(sylvester(a, b)), (a, b)
+            assert value == sylvester_resultant(a, b), (a, b)
             assert not k or value == 0
+
+    check()
+
+
+def test_subresultant_by_a_linear_divisor_matches_the_sylvester_determinant():
+    # A linear g takes the one remainder step lc(g)^deg f * f(-g_0/lc(g))
+    # by Horner's rule. f of degree 0 to 9 with coefficients up to 2^200,
+    # as at a Kronecker point, g = g_1*t + g_0 with g_0 often 0, both
+    # argument orders; f with a planted factor g gives 0.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coeff = st.one_of(st.integers(-3, 3), st.integers(-(2**200), 2**200))
+    lead = coeff.filter(bool)
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.lists(coeff, max_size=9), lead, coeff, lead, st.booleans())
+    def check(low, top, g0, g1, planted):
+        f, g = low + [top], [g0, g1]
+        if planted:
+            f = [x * g0 + y * g1 for x, y in zip(f + [0], [0] + f)]
+        for a, b in ((f, g), (g, f)):
+            value = elimination._resultant(a, b)
+            assert value == sylvester_resultant(a, b), (a, b)
+            assert not planted or value == 0
 
     check()
 
@@ -564,14 +583,21 @@ def _rebuild(parts: list[list[int]], g: list[int]) -> UnivariatePolynomial:
 def test_g_adic_parts_rebuild_the_scaled_area_parts(cubic_centered, quartic_centered):
     # P_hat = sum_k P_k * g_hat^k with deg P_k < deg g_hat, exactly, for
     # the scaled integer parts of every curve; g_hat = lam*g(tau/a) and
-    # P_hat = K*P(tau/a), R_hat = K*R(tau/a).
-    from ovalkit.quadrature import vertical_area_parts
+    # P_hat = K*P(tau/a), R_hat = K*R(tau/a). The swept integral's
+    # numerators over its one denominator and the stored P and R over
+    # their lcm give the same integer inputs.
+    from ovalkit.quadrature import _vertical_numerators, vertical_area_parts
 
     cases = [cubic_centered, quartic_centered] + seeded_loops(61, 3, 6) + seeded_loops(67, 4, 2)
     for cp in cases:
         g = cp.curve.g.as_univariate()
         P, R = vertical_area_parts(cp)
-        gh, ph, rh, k_pair, lam_pair = elimination._integer_inputs(g, P, R)
+        p, r, den, _ = _vertical_numerators(cp.curve)
+        lcm = math.lcm(P.den, R.den)
+        stored = ([c * (lcm // part.den) for c in part.nums] for part in (P, R))
+        inputs = elimination._integer_inputs(g, p, r, den)
+        assert inputs == elimination._integer_inputs(g, *stored, lcm)
+        gh, ph, rh, k_pair, lam_pair = inputs
         # K and lam come as numerator and positive denominator in lowest terms.
         K, lam = Fraction(*k_pair), Fraction(*lam_pair)
         assert k_pair == (K.numerator, K.denominator) and lam_pair == (lam.numerator, lam.denominator)
