@@ -210,9 +210,9 @@ def vertical_certificate(cp: CenteredParametrization) -> Certificate:
     `vertical_eliminant`, which expands P and R in powers of g so that
     the multiplier is a polynomial in c with parts built once. Swapping
     t1 and t2 maps S to 2A - S, A = P + R the signed total, so
-    Q(S) = q((S - A)^2), and `vertical_eliminant` takes the one
-    characteristic polynomial q on the swap-invariant half of the ring,
-    a C(d, 2)-square matrix for deg g = d, at the abscissa node c = 2^k;
+    Q(S) = q((S - A)^2), and `vertical_eliminant` takes q, whose roots are
+    the squared differences of the values of P at the roots of g - c,
+    from power sums (Newton's identities) at the abscissa node c = 2^k;
     the base-2^k digits of Q's coefficients are its coefficients in c.
     Q equals Res_t2(Res_t1(S - P(t1) - R(t2), D), c - g(t2)) after
     normalization. The eliminant reads P and R as the swept integral's

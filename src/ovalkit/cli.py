@@ -452,7 +452,8 @@ def main(argv: list[str] | None = None) -> int:
             # A warning is one line on stderr, as every other message is.
             warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
             return args.func(args)
-    except (OvalkitError, ValueError, ArithmeticError, OSError) as exc:
+    # A Warning is caught where warnings are raised as errors (-W error).
+    except (OvalkitError, ValueError, ArithmeticError, OSError, Warning) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

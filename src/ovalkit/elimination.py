@@ -4,11 +4,10 @@ Each certificate has one path: pencil certificates take
 `pencil_eliminant`, vertical certificates `vertical_eliminant`, and
 implicitization and singular points `resultant`. Every resultant is one
 integer, Res(f, g) of two integer lists, taken by the subresultant
-remainder sequence (`_resultant`); only the vertical certificate takes a
-characteristic polynomial, by `_berkowitz`. `pencil_eliminant` takes
-small nodes and `_newton` interpolates their values. Each value, and
-those of `resultant` and `vertical_eliminant`, is taken at a power of two
-wide enough to hold every coefficient, which are read off it as balanced
+remainder sequence (`_resultant`). `pencil_eliminant` takes small nodes
+and `_newton` interpolates their values. Each value, and those of
+`resultant` and `vertical_eliminant`, is taken at a power of two wide
+enough to hold every coefficient, which are read off it as balanced
 base-2^k digits (`_digits`; Kronecker substitution, Kronecker 1882,
 Schoenhage 1982).
 
@@ -24,16 +23,15 @@ takes `_resultant` there, and interpolates each digit, a coefficient of
 S, in m.
 
 `vertical_eliminant` expands the area parts in powers of the x-component
-(`_g_adic`) and takes the characteristic polynomial of multiplication on
-a two-variable quotient ring at one node of the abscissa, c = 2^k.
-Swapping the two intersection parameters maps the area S to 2A - S, A
-the signed total, so Q(S) = q((S - A)^2) with q taken on the
-swap-invariant half of the ring: C(d, 2) rows for deg g = d, not
-d(d - 1). One determinant on wide integers beats many on small ones while
-the interpreter's cost per operation outweighs the arithmetic: for
-resultants at desk scale and for the vertical matrices of the cubic
-(3 x 3) and the quartic (6 x 6), but not for pencils whose slope has a
-high degree, which keep their nodes.
+(`_g_adic`) and sets the abscissa to one node, c = 2^k. There the area of
+the segment between the i-th and j-th roots of g - c is
+A + y_i - y_j, A the signed total and y the area part reduced modulo
+g - c, so Q(S) = q((S - A)^2) with q(U) the product of U - (y_i - y_j)^2
+over i < j. q comes from power sums alone (`_power_sums`,
+`_from_power_sums`; Newton's identities, composed sums as in Bostan,
+Flajolet, Salvy and Schost, J. Symbolic Comput. 41, 2006): d products in
+the univariate quotient ring give the traces of y, ..., y^d, and no
+matrix is built.
 
 `resultant` and the two eliminants return a Polynomial built straight
 from the integer digits over the inputs' common scale, in the stored form
@@ -46,20 +44,18 @@ rational coefficient is built between the digits and the certificate.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from itertools import accumulate, repeat, zip_longest
 from operator import mul
-from typing import NamedTuple
 
 from .algebra import Polynomial, UnivariatePolynomial, _divide, _homogenized, _primitive, _stored
 from .errors import DeskScopeError, SylvesterSizeError
 
 MAX_SYLVESTER_SIZE = 64
-# The vertical eliminant's matrix has C(d, 2) rows for deg g = d, and its
-# entries widen with the Kronecker node: on one Xeon core a certificate takes
-# about 1.5 s at d = 6 (15 rows) and 15 s at d = 7 (21 rows).
+# The vertical eliminant's power sums widen with the Kronecker node, whose
+# width grows with deg g = d: on one Xeon core a certificate takes 0.08 to
+# 0.31 s at d = 6 (20 seeded Bezier loops) and about 0.5 s at d = 7.
 MAX_VERTICAL_DEGREE = 6
 
 
@@ -124,29 +120,6 @@ def sylvester_matrix(f: Polynomial, g: Polynomial, var: str) -> SylvesterMatrix:
 
 
 # -- determinants ------------------------------------------------------
-
-
-def _berkowitz(m: list[list[int]]) -> list[int]:
-    """Coefficients of det(x*I - m), highest degree first, for a square
-    integer matrix m, by Berkowitz's division-free algorithm.
-
-    Bordering the leading k x k block A with column C, row R and corner a
-    multiplies its characteristic polynomial by the lower-triangular
-    Toeplitz matrix whose first column is 1, -a, -R*C, -R*A*C, ...,
-    -R*A^(k-1)*C (Berkowitz, Inform. Process. Lett. 18, 1984).
-    """
-    poly = [1]
-    for k, row in enumerate(m):
-        # v has k entries, and map stops there: row and block need no cut.
-        block = m[:k]
-        v = [r[k] for r in block]
-        toeplitz = [1, -row[k]]
-        for j in range(k):
-            toeplitz.append(-sum(map(mul, row, v)))
-            if j < k - 1:
-                v = [sum(map(mul, r, v)) for r in block]
-        poly = [sum(map(mul, toeplitz[i::-1], poly)) for i in range(k + 2)]
-    return poly
 
 
 def _resultant(f: list[int], g: list[int]) -> int:
@@ -438,9 +411,9 @@ def _root_bound(g: list[int]) -> int:
 
 def _kronecker_width(g: list[int], parts: list[tuple[list[int], list[int]]], n: int) -> int:
     """Bits k such that 2^(k-1) exceeds every coefficient in c_hat of the
-    n x n characteristic polynomial det(S*I - M(c_hat)) of
-    `vertical_eliminant`, for the ascending integer lists of g_hat (monic)
-    and of the g-adic parts (P_k, R_k) of P_hat and R_hat.
+    degree-n polynomial Q(S), the product of S - h over the n eigenvalues h
+    of `vertical_eliminant`, for the ascending integer lists of g_hat
+    (monic) and of the g-adic parts (P_k, R_k) of P_hat and R_hat.
 
     For complex |c_hat| <= 1 every root tau of g_hat(tau) - c_hat has
     |tau| <= rt = `_root_bound`(g_hat). Each eigenvalue
@@ -476,115 +449,34 @@ def _digits(v: int, k: int, count: int) -> list[int]:
     return out
 
 
-class _Plan(NamedTuple):
-    """The index tables of `vertical_eliminant` and `_half_rules` that
-    depend on deg g = d alone, built once per degree by `_plan`. The full
-    basis tau1^i tau2^j (i < d - 1, j < d) is indexed i*d + j, and the half
-    basis e1^a e2^b, a + b = s <= d - 2, s(s+1)/2 + b, block by block.
-
-    - reduce: (position, j) of each term -g_hat_j tau1^i tau2^(j-1-i) of
-      tau1^(d-1) = -sum_(i < d-1) tau1^i w_i(tau2) on the full basis;
-    - expand[b]: (position, C(a, l)) of each term tau1^(l+b) tau2^(a-l+b),
-      l < a = d - 1 - b, of e1^a e2^b on the full basis, all but its
-      term tau1^(d-1) tau2^b;
-    - triangle: (position of tau1^s tau2^b, half index, the other terms
-      of e1^(s-b) e2^b as (position, coefficient)), s from d - 2 down;
-    - shifts[e2]: for each half index, the half index of the element that
-      e1 (e2 if e2) maps there from below the top block, or C(d, 2) for
-      none: e1 (e2) times the element lo + b of block s < d - 2, at
-      lo = s(s+1)/2, is the element lo + s + 1 + b (lo + s + 2 + b) of
-      block s + 1;
-    - schedule: (column, e2) for each basis element after the first, in
-      basis order: that column times e2 if e2, else times e1;
-    - delta: (half index, j, coefficient) of each term
-      (-1)^i C(j-1-i, i) e1^(j-1-2i) e2^i of the complete symmetric
-      polynomial h_(j-1), 0 < j < d.
-    """
-
-    reduce: tuple[tuple[int, int], ...]
-    expand: tuple[tuple[tuple[int, int], ...], ...]
-    triangle: tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]
-    shifts: tuple[tuple[int, ...], tuple[int, ...]]
-    schedule: tuple[tuple[int, int], ...]
-    delta: tuple[tuple[int, int, int], ...]
+def _power_sums(f: list[int], count: int) -> list[int]:
+    """The power sums p_0, ..., p_count of the roots of a monic polynomial,
+    given by its ascending integer coefficients f, by Newton's identities:
+    with f = x^d + c_1 x^(d-1) + ... + c_d, and c_l = 0 for l > d,
+    p_l = -(l*c_l + sum over 0 < i < l of c_i * p_(l-i)). Nothing is
+    divided, so every p_l is an integer."""
+    c = f[-2::-1]
+    d = len(c)
+    p = [d]
+    for l in range(1, count + 1):
+        s = sum(map(mul, c, reversed(p[max(l - d, 1) :])))
+        p.append(-(s + l * c[l - 1] if l <= d else s))
+    return p
 
 
-@functools.lru_cache(maxsize=MAX_VERTICAL_DEGREE - 1)
-def _plan(d: int) -> _Plan:
-    """`_Plan` of deg g = d, 2 <= d <= MAX_VERTICAL_DEGREE."""
-    m = d * (d - 1) // 2
-    blocks = [(s * (s + 1) // 2, (s + 1) * (s + 2) // 2) for s in range(d - 2)]
-    shifts = []
-    for e2 in (0, 1):
-        source = [m] * m
-        for lo, hi in blocks:
-            source[hi + e2 : 2 * hi - lo + e2] = range(lo, hi)
-        shifts.append(tuple(source))
-    return _Plan(
-        reduce=tuple((i * d + j - 1 - i, j) for i in range(d - 1) for j in range(i + 1, d + 1)),
-        expand=tuple(tuple(((l + b) * d + d - 1 - l, math.comb(d - 1 - b, l)) for l in range(d - 1 - b)) for b in range(d)),
-        triangle=tuple(
-            (s * d + b, s * (s + 1) // 2 + b, tuple(((l + b) * d + s - l, math.comb(s - b, l)) for l in range(s - b)))
-            for s in range(d - 2, -1, -1)
-            for b in range(s + 1)
-        ),
-        shifts=tuple(shifts),
-        schedule=tuple((c, 0) if c < hi else (hi - 1, 1) for lo, hi in blocks for c in range(lo, hi + 1)),
-        delta=tuple(
-            ((j - 1 - i) * (j - i) // 2 + i, j, (-1) ** i * math.comb(j - 1 - i, i)) for j in range(1, d) for i in range((j + 1) // 2)
-        ),
-    )
-
-
-def _half_rules(full: list[int], c_hat: int) -> list[list[int]]:
-    """Rewriting rules of the swap-invariant half of `vertical_eliminant`'s
-    quotient ring at c_hat, for the ascending integer list full of the monic
-    g_hat of degree d: rules[b] is e1^(d-1-b) * e2^b, b < d, on the half
-    basis e1^a e2^b, a + b = s <= d - 2, at s(s+1)/2 + b, where
-    e1 = tau1 + tau2 and e2 = tau1 * tau2.
-
-    Each monomial is taken on the full basis tau1^i tau2^j (i < d - 1,
-    j < d, at i*d + j). Only its term tau1^(d-1) tau2^b leaves that basis:
-    D_hat = sum_i tau1^i w_i(tau2), w_i = sum_(j > i) g_hat_j tau2^(j-1-i)
-    and w_(d-1) = 1, reduces tau1^(d-1), and g_hat(tau2) = c_hat reduces
-    tau2^d. The half basis element at (s, b) is tau1^s tau2^b plus terms of
-    lower degree in tau1, so back-substitution on the triangle
-    b <= s <= d - 2 is unitriangular and divides by nothing. A symmetric
-    element leaves nothing over; a nonzero leftover raises ArithmeticError.
-    The index tables come from `_plan`.
-    """
-    d = len(full) - 1
-    n = d * (d - 1)
-    plan = _plan(d)
-    # wrap[b] = tau1^(d-1) * tau2^b on the full basis.
-    wrap = [[0] * n]
-    for pos, j in plan.reduce:
-        wrap[0][pos] -= full[j]
-    low = full[:-1]
-    for _ in range(d - 1):
-        v, out = wrap[-1], []
-        for base in range(0, n, d):
-            top, shifted = v[base + d - 1], [0] + v[base : base + d - 1]
-            if top:
-                shifted[0] = top * c_hat
-                shifted = [x - top * c for x, c in zip(shifted, low)]
-            out += shifted
-        wrap.append(out)
-    rules = []
-    for v, expand in zip(wrap, plan.expand):
-        for pos, c in expand:
-            v[pos] += c
-        rule = [0] * (n // 2)
-        for pos, e, tail in plan.triangle:
-            x = v[pos]
-            if x:
-                rule[e], v[pos] = x, 0
-                for p, c in tail:
-                    v[p] -= x * c
-        if any(v):
-            raise ArithmeticError("a symmetric element left the half basis")
-        rules.append(rule)
-    return rules
+def _from_power_sums(p: list[int], n: int) -> list[int]:
+    """Coefficients, highest degree first, of the monic polynomial of degree
+    n whose roots have the power sums p_1, ..., p_n (p[0] is not read), by
+    Newton's identities: k*c_k = -(p_k + sum over 0 < i < k of c_i * p_(k-i)).
+    A division by k that leaves a remainder means the roots are not those of
+    an integer polynomial and raises ArithmeticError."""
+    c = [1]
+    for k in range(1, n + 1):
+        ck, rem = divmod(-sum(map(mul, c, p[k:0:-1])), k)
+        if rem:
+            raise ArithmeticError("the power sums are not those of an integer polynomial")
+        c.append(ck)
+    return c
 
 
 def vertical_eliminant(
@@ -620,20 +512,26 @@ def vertical_eliminant(
        (tau1 - tau2)*D = 0, so g_hat(tau1) = g_hat(tau2) = c_hat and
        h = P_hat(tau1) + R_hat(tau2) = sum_k c_hat^k * h_k with
        h_k = P_k(tau1) + R_k(tau2). No h_k depends on c_hat;
-    3. P_hat + R_hat is the integer kappa, so h - kappa = (tau1 - tau2) *
-       Delta with Delta = sum_k c_hat^k sum_j P_kj h_(j-1)(e1, e2), h_m the
-       complete symmetric polynomials in e1 = tau1 + tau2, e2 = tau1*tau2
-       (h_0 = 1, h_1 = e1, h_m = e1*h_(m-1) - e2*h_(m-2)). Swapping tau1
-       and tau2 keeps the ideal and negates h - kappa, so
-       Q(S) = q((S - kappa)^2), q the characteristic polynomial of
-       multiplication by u = (h - kappa)^2 = (e1^2 - 4*e2) * Delta^2 on the
-       swap-invariant half, whose basis e1^a e2^b, a + b <= d - 2, holds
-       Delta; `_half_rules` rewrites the d monomials of degree d - 1. The
-       index tables of this step depend on d alone and come from `_plan`,
-       built once per degree. At
-       the one node c_hat = 2^w, w from `_kronecker_width`, `_berkowitz`
-       takes q from the C(d, 2)-square matrix of u, and q((S - kappa)^2)
-       is expanded on the integers;
+    3. P_hat + R_hat is the integer kappa. At the one node c_hat = 2^w, w
+       from `_kronecker_width`, let y = P_hat mod (g_hat - c_hat), which
+       is sum_k c_hat^k * P_k, and tau_1, ..., tau_d the roots of
+       f = g_hat - c_hat. The common zeros of D and g_hat(tau2) - c_hat are
+       the pairs (tau_i, tau_j), i != j, where h = kappa + y_i - y_j with
+       y_i = y(tau_i). Pairing (i, j) with (j, i) gives
+       Q(S) = q((S - kappa)^2), q(U) the product of U - (y_i - y_j)^2 over
+       i < j, which comes from power sums alone:
+       - the traces of 1, tau, ..., tau^(d-1) on Z[tau]/(f) are the power
+         sums of f's roots (`_power_sums`), so d products y^l mod f, each
+         reduced by `_divide`, give the traces p_1, ..., p_d of y;
+       - `_from_power_sums` turns them into the characteristic polynomial
+         of y, and `_power_sums` of it extends them to every p_l, l <= n;
+       - the k-th power sum of the C(d, 2) squares (y_i - y_j)^2 is half
+         the sum of (y_i - y_j)^(2k) over all i and j, that is
+         sum over l < k of (-1)^l * C(2k, l) * p_l * p_(2k-l), plus
+         (-1)^k * (C(2k, k)/2) * p_k^2;
+       - `_from_power_sums` takes q from them. q has integer coefficients,
+         so each division by k in Newton's identities is exact, and
+         q((S - kappa)^2) is expanded on the integers;
     4. each coefficient of Q is a polynomial in c_hat evaluated at 2^w
        (Kronecker substitution), and 2^(w-1) exceeds all its coefficients,
        so they are the integer's balanced base-2^w digits (`_digits`).
@@ -696,40 +594,34 @@ def _vertical_terms(g: UnivariatePolynomial, p: list[int], r: list[int], den: in
     width = _kronecker_width(full, adic, n)
     c_hat = 1 << width
     m = n // 2
-    rules = _half_rules(full, c_hat)
-    plan = _plan(d)
-    top = m - d + 1
-    # rows[e2][i]: what each element of the top block, times e1 (e2 if e2),
-    # puts on half index i.
-    rows = (list(zip(*rules[: d - 1])), list(zip(*rules[1:])))
-
-    def times(v: list[int], e2: int) -> list[int]:
-        # e1 (e2) times e1^a e2^b, a + b = s < d - 2, is e1^(a+1) e2^b
-        # (e1^a e2^(b+1)) in block s + 1; the top block goes through the rules.
-        x = v[top:]
-        v = v + [0]
-        return [v[s] + sum(map(mul, x, row)) for s, row in zip(plan.shifts[e2], rows[e2])]
-
-    def columns(v: list[int]) -> list[list[int]]:
-        # v times each basis element, in basis order.
-        cols = [v]
-        for c, e2 in plan.schedule:
-            cols.append(times(cols[c], e2))
-        return cols
-
-    # packed[j] = sum_k c_hat^k P_kj.
-    packed = [0] * d
+    # y = P_hat mod (g_hat - c_hat) = sum_k c_hat^k P_k.
+    y = [0] * d
     for pk, _ in reversed(adic):
-        packed = [c_hat * x for x in packed]
+        y = [c_hat * x for x in y]
         for j, c in enumerate(pk):
-            packed[j] += c
-    delta = [0] * m
-    for e, j, c in plan.delta:
-        delta[e] += c * packed[j]
-    square = [sum(map(mul, row, delta)) for row in zip(*columns(delta))]
-    u = [x - 4 * y for x, y in zip(times(times(square, 0), 0), times(square, 1))]
+            y[j] += c
+    f = [full[0] - c_hat] + full[1:]
+    # The traces of y, ..., y^d on Z[tau]/(f), from those of 1, ..., tau^(d-1).
+    basis = _power_sums(f, d - 1)
+    traces = [d]
+    power = [1]
+    for _ in range(d):
+        product = [0] * (len(power) + d - 1)
+        for i, x in enumerate(power):
+            for j, z in enumerate(y, i):
+                product[j] += x * z
+        power = _divide(product, f)[1]
+        traces.append(sum(map(mul, power, basis)))
+    # Every trace up to y^n from the characteristic polynomial of y, then
+    # the power sums of the C(d, 2) squares (y_i - y_j)^2, i < j.
+    traces = _power_sums(_from_power_sums(traces, d)[::-1], n)
+    sums = [m] + [
+        sum((-1) ** l * math.comb(2 * k, l) * traces[l] * traces[2 * k - l] for l in range(k))
+        + (-1) ** k * (math.comb(2 * k, k) // 2) * traces[k] ** 2
+        for k in range(1, m + 1)
+    ]
     value = [0] * (n + 1)
-    value[::2] = _berkowitz(columns(u))
+    value[::2] = _from_power_sums(sums, m)
     # A Taylor shift turns value(S), highest degree first, into value(S - kappa).
     if kappa:
         for i in range(n):

@@ -9,6 +9,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import zip_longest
+from operator import mul
 
 import numpy as np
 
@@ -18,7 +19,6 @@ from ovalkit.certify import Provenance
 from ovalkit.cli import parse_curve_text
 from ovalkit.curves import ParametricCurve, Point
 from ovalkit.elimination import (
-    _berkowitz,
     _digits,
     _g_adic,
     _integer_inputs,
@@ -454,6 +454,29 @@ def vertical_raw(cp) -> Polynomial:
     i = r.vars.index("S")
     (lead,) = [c for e, c in r.terms.items() if e[i] == n]
     return r * (K**n / lead)
+
+
+def _berkowitz(m: list[list[int]]) -> list[int]:
+    """Coefficients of det(x*I - m), highest degree first, for a square
+    integer matrix m, by Berkowitz's division-free algorithm.
+
+    Bordering the leading k x k block A with column C, row R and corner a
+    multiplies its characteristic polynomial by the lower-triangular
+    Toeplitz matrix whose first column is 1, -a, -R*C, -R*A*C, ...,
+    -R*A^(k-1)*C (Berkowitz, Inform. Process. Lett. 18, 1984).
+    """
+    poly = [1]
+    for k, row in enumerate(m):
+        # v has k entries, and map stops there: row and block need no cut.
+        block = m[:k]
+        v = [r[k] for r in block]
+        toeplitz = [1, -row[k]]
+        for j in range(k):
+            toeplitz.append(-sum(map(mul, row, v)))
+            if j < k - 1:
+                v = [sum(map(mul, r, v)) for r in block]
+        poly = [sum(map(mul, toeplitz[i::-1], poly)) for i in range(k + 2)]
+    return poly
 
 
 def full_ring_vertical_eliminant(g, P, R):

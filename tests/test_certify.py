@@ -195,27 +195,9 @@ def quartic_vertical_cert(quartic_centered):
     return vertical_certificate(quartic_centered)
 
 
-def _vertical_build(cp):
-    """The vertical certificate of cp and the sizes of the multiplication
-    matrices whose characteristic polynomials it took."""
-    import ovalkit.elimination as elimination
-
-    sizes = []
-    charpoly = elimination._berkowitz
-
-    def recording(m):
-        sizes.append((len(m), len(m[0])))
-        return charpoly(m)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(elimination, "_berkowitz", recording)
-        cert = vertical_certificate(cp)
-    return cert, sizes
-
-
 @pytest.fixture(scope="module")
-def cubic_vertical_build(cubic_centered):
-    return _vertical_build(cubic_centered)
+def cubic_vertical_cert(cubic_centered):
+    return vertical_certificate(cubic_centered)
 
 
 def test_vertical_certificate_cubic(cubic_centered, cubic_curve):
@@ -242,25 +224,20 @@ def test_vertical_certificate_consistency_with_exact_areas(quartic_vertical_cert
         assert value == 0
 
 
-def test_vertical_certificate_cubic_shape(cubic_vertical_build, quartic_centered):
+def test_vertical_certificate_cubic_shape(cubic_vertical_cert):
     # Eliminating against the divided difference (g(t1) - g(t2))/(t1 - t2)
-    # drops the whole-oval diagonal t1 = t2 and its spurious factor 20*S - 3.
-    # The quotient Q(c)[t1, t2]/(D, g(t2) - c) has dimension d(d - 1); its
-    # swap-invariant half has dimension C(d, 2), so the multiplication
-    # matrix is 3x3 for the cubic and 6x6 for the quartic, taken once at
-    # the one Kronecker node c = 2^k.
-    cert, sizes = cubic_vertical_build
-    assert sizes == [(3, 3)]
-    assert _vertical_build(quartic_centered)[1] == [(6, 6)]
-    q = cert.q
+    # drops the whole-oval diagonal t1 = t2 and its spurious factor 20*S - 3:
+    # Q has degree d(d - 1) = 6 in S, the dimension of
+    # Q(c)[t1, t2]/(D, g(t2) - c).
+    q = cubic_vertical_cert.q
     assert len(q.terms) == 27
     assert (q.degree_in("S"), q.degree_in("c")) == (6, 10)
     assert not q.subs("S", Fraction(3, 20)).is_zero  # total area 3/20
 
 
-def test_vertical_certificate_cubic_is_irreducible(cubic_vertical_build):
+def test_vertical_certificate_cubic_is_irreducible(cubic_vertical_cert):
     sympy = pytest.importorskip("sympy")
-    q = cubic_vertical_build[0].q
+    q = cubic_vertical_cert.q
     symbols = sympy.symbols(q.vars)
     expr = sympy.Add(
         *(
@@ -278,9 +255,9 @@ def test_vertical_certificate_quartic_drops_whole_oval(quartic_vertical_cert):
 
 
 def test_vertical_certificate_matches_sylvester_on_fixtures(
-    cubic_vertical_build, cubic_centered, quartic_vertical_cert, quartic_centered
+    cubic_vertical_cert, cubic_centered, quartic_vertical_cert, quartic_centered
 ):
-    cubic = cubic_vertical_build[0].q
+    cubic = cubic_vertical_cert.q
     assert cubic == sylvester_vertical(cubic_centered)
     quartic = quartic_vertical_cert.q
     assert quartic == sylvester_vertical(quartic_centered)

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import time
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -128,6 +129,17 @@ def test_area_of_a_rational_curve_warns_in_one_line():
     assert proc.returncode == 0
     assert proc.stderr == "warning: rational curve components: total area measured with the numeric oracle\n"
     assert proc.stdout.startswith("0.01826611")
+
+
+def test_a_warning_raised_as_an_error_is_refused_in_one_line(capsys):
+    # Under -W error the numeric-oracle fallback's warning is an exception,
+    # refused like any other domain error.
+    param = "x=t*(1-t)/(1+t^2); y=t^2*(1-t); t in [0,1]"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["area", "--param", param])
+    assert (code, out) == (1, "")
+    assert err == "error: rational curve components: total area measured with the numeric oracle\n"
 
 
 def test_singular_verb(capsys):

@@ -17,9 +17,10 @@ from ovalkit import curves, elimination
 from ovalkit.cli import parse_curve_text
 from ovalkit.curves import Point
 from ovalkit.elimination import (
-    _berkowitz,
     _digits,
+    _from_power_sums,
     _newton,
+    _power_sums,
     _root_bound,
     _sample_values,
     pencil_eliminant,
@@ -30,6 +31,7 @@ from ovalkit.errors import DeskScopeError, SylvesterSizeError
 from ovalkit.quadrature import chord_area_function, free_inlet_function, slope_function, vertical_area_parts
 
 from oracles import (
+    _berkowitz,
     assert_stored,
     det_bareiss,
     det_cofactor,
@@ -250,8 +252,7 @@ def test_subresultant_by_a_linear_divisor_matches_the_sylvester_determinant():
 
 def test_each_resultant_takes_one_subresultant_sequence(apple_curve, monkeypatch):
     # Each resultant of implicitize and rational_singular_points is one
-    # subresultant sequence at one Kronecker point; no characteristic
-    # polynomial is taken.
+    # subresultant sequence at one Kronecker point.
     calls = []
     resultant, subresultant = curves.resultant, elimination._resultant
 
@@ -263,12 +264,8 @@ def test_each_resultant_takes_one_subresultant_sequence(apple_curve, monkeypatch
         calls[-1] += 1
         return subresultant(f, g)
 
-    def refuse(matrix):
-        raise AssertionError("a resultant took a characteristic polynomial")
-
     monkeypatch.setattr(curves, "resultant", recording_resultant)
     monkeypatch.setattr(elimination, "_resultant", recording_subresultant)
-    monkeypatch.setattr(elimination, "_berkowitz", refuse)
     F = implicitize(apple_curve)
     assert Point(0, 0) in rational_singular_points(F)
     assert len(calls) >= 3 and calls == [1] * len(calls)
@@ -495,6 +492,35 @@ def test_berkowitz_zero_and_nilpotent_matrices():
     assert _berkowitz(shift) == [1, 0, 0, 0, 0, 0]
     # The companion matrix of x^3 - 2x^2 + 3x - 4 has zero leading entries.
     assert _berkowitz([[0, 0, 4], [1, 0, -3], [0, 1, 2]]) == [1, -2, 3, -4]
+
+
+def test_power_sums_round_trip_and_match_companion_traces():
+    # For monic integer f of degree 1 to 8, the power sums of its roots are
+    # the traces of the powers of its companion matrix, and Newton's
+    # identities give f back from them, highest degree first.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.lists(st.integers(-(10**6), 10**6), min_size=1, max_size=8))
+    def check(low):
+        f = low + [1]
+        d = len(low)
+        sums = _power_sums(f, 2 * d)
+        assert _from_power_sums(sums, d) == f[::-1]
+        companion = [[(1 if i == j + 1 else 0) if j < d - 1 else -f[i] for j in range(d)] for i in range(d)]
+        power = [[int(i == j) for j in range(d)] for i in range(d)]
+        for l in range(2 * d + 1):
+            assert sums[l] == sum(power[i][i] for i in range(d))
+            power = [[sum(a * b for a, b in zip(row, col)) for col in zip(*companion)] for row in power]
+
+    check()
+
+
+def test_from_power_sums_refuses_sums_of_no_integer_polynomial():
+    # p_1 = 1, p_2 = 2 would need 2*c_2 = -1.
+    with pytest.raises(ArithmeticError):
+        _from_power_sums([2, 1, 2], 2)
 
 
 def test_newton_interpolates_integer_polynomials_exactly():
@@ -728,7 +754,6 @@ def test_pencil_eliminant_refuses_oversized_pencils(monkeypatch):
         raise AssertionError("node work started")
 
     monkeypatch.setattr(elimination, "_sample_values", refuse)
-    monkeypatch.setattr(elimination, "_berkowitz", refuse)
     with pytest.raises(SylvesterSizeError):
         pencil_eliminant(UnivariatePolynomial("t", [1] * 63), a, b)
     with pytest.raises(DeskScopeError):
@@ -745,11 +770,12 @@ def test_vertical_eliminant_matches_the_sylvester_raw(cubic_centered, quartic_ce
 
 
 def test_vertical_eliminant_matches_the_full_ring_oracle(cubic_centered, quartic_centered):
-    # The half ring's C(d, 2)-square matrix against the d(d - 1)-square one
-    # on the whole quotient ring, from d = 2 (a 1 x 1 half matrix) to 5.
+    # The eliminant from power sums against the characteristic polynomial
+    # of the d(d - 1)-square matrix on the whole quotient ring, d = 2 to 6.
     texts = (
         "x=(t-1/3)*(2/3-t)*(3+t); y=(t-1/3)^2*(2/3-t); t in [1/3,2/3]",
         "x=t*(1-t); y=t^2*(1-t); t in [0,1]",
+        "x=t*(1-t)*(1+t+t^2+2*t^3+t^4); y=t^2*(1-t)*(2+t^3); t in [0,1]",
     )
     cps = [cubic_centered, quartic_centered] + [validate_centered(parse_curve_text(t), Point(0, 0)) for t in texts]
     cps += seeded_loops(71, 3, 6) + seeded_loops(73, 4, 3) + seeded_loops(79, 5, 2)
@@ -757,7 +783,7 @@ def test_vertical_eliminant_matches_the_full_ring_oracle(cubic_centered, quartic
         g = cp.curve.g.as_univariate()
         P, R = vertical_area_parts(cp)
         assert vertical_eliminant(g, P, R) == full_ring_vertical_eliminant(g, P, R)
-    assert {cp.curve.g.as_univariate().degree() for cp in cps} == {2, 3, 4, 5}
+    assert {cp.curve.g.as_univariate().degree() for cp in cps} == {2, 3, 4, 5, 6}
 
 
 def test_vertical_eliminant_refuses_parts_whose_sum_is_not_constant():
@@ -765,63 +791,3 @@ def test_vertical_eliminant_refuses_parts_whose_sum_is_not_constant():
     P = UnivariatePolynomial("t", [0, 0, 1])
     with pytest.raises(ValueError, match="P \\+ R constant"):
         vertical_eliminant(g, P, UnivariatePolynomial("t", [1, 1]))
-
-
-def test_half_rules_are_the_reduced_grevlex_basis_of_the_pair_relations():
-    # For unordered pairs of roots of g - c, in e1 = t1 + t2 and e2 = t1*t2:
-    # D = (g(t1) - g(t2))/(t1 - t2) = 0 and g(t1) + g(t2) = 2c. The reduced
-    # grevlex basis (e1 > e2) of the two has one element
-    # e1^(d-1-b) e2^b - rules[b] for each b < d.
-    sympy = pytest.importorskip("sympy")
-    from sympy.polys.polyfuncs import symmetrize
-
-    t1, t2, e1, e2 = sympy.symbols("t1 t2 e1 e2")
-    rng = random.Random(83)
-    for d in range(2, 7):
-        basis = [e1 ** (s - b) * e2**b for s in range(d - 1) for b in range(s + 1)]
-        for c in (rng.randint(-50, 50), 1 << rng.randint(8, 70)):
-            full = [rng.randint(-9, 9) for _ in range(d)] + [1]
-
-            def g(t):
-                return sum(x * t**i for i, x in enumerate(full))
-
-            relations = []
-            for f in (sympy.cancel((g(t1) - g(t2)) / (t1 - t2)), g(t1) + g(t2) - 2 * c):
-                sym, rest, defs = symmetrize(sympy.expand(f), t1, t2, formal=True)
-                assert rest == 0
-                relations.append(sym.subs({defs[0][0]: e1, defs[1][0]: e2}))
-            reduced = sympy.groebner(relations, e1, e2, order="grevlex")
-            rules = elimination._half_rules(full, c)
-            expected = [
-                e1 ** (d - 1 - b) * e2**b - sum(x * m for x, m in zip(rule, basis)) for b, rule in enumerate(rules)
-            ]
-            assert {sympy.Poly(x, e1, e2) for x in reduced.exprs} == {sympy.Poly(x, e1, e2) for x in expected}
-
-
-def test_vertical_plans_equal_fresh_builds():
-    # The per-degree index tables are cached on d alone: each cached plan
-    # equals a fresh build, the cache holds at most one plan per supported
-    # degree, and the tables are those of the loops they replace: the
-    # moves p -> (p + s + 1, p + s + 2) of e1 and e2 on block s < d - 2,
-    # each target reached once, the columns block by block, and the terms
-    # of h_(j-1).
-    import math
-
-    for d in range(2, elimination.MAX_VERTICAL_DEGREE + 1):
-        plan = elimination._plan(d)
-        assert plan == elimination._plan.__wrapped__(d)
-        moves = [(p + s + 1, p + s + 2) for s in range(d - 2) for p in range(s * (s + 1) // 2, (s + 1) * (s + 2) // 2)]
-        m = d * (d - 1) // 2
-        for e2 in (0, 1):
-            assert sorted((t[e2], p) for p, t in enumerate(moves)) == [(i, p) for i, p in enumerate(plan.shifts[e2]) if p < m]
-        cols = [0]
-        for s in range(1, d - 1):
-            cols += [(c, 0) for c in range((s - 1) * s // 2, s * (s + 1) // 2)] + [(s * (s + 1) // 2 - 1, 1)]
-        assert list(plan.schedule) == cols[1:] and len(plan.schedule) == d * (d - 1) // 2 - 1
-        delta = {}
-        for j in range(1, d):
-            for i in range((j + 1) // 2):
-                s = j - 1 - i
-                delta[s * (s + 1) // 2 + i, j] = (-1) ** i * math.comb(s, i)
-        assert {(e, j): c for e, j, c in plan.delta} == delta
-    assert elimination._plan.cache_info().currsize <= elimination.MAX_VERTICAL_DEGREE - 1
