@@ -48,10 +48,12 @@ def _monomial_key(exponents: tuple[int, ...]) -> tuple:
 
 
 def _leading(nums: Mapping[tuple[int, ...], int]) -> tuple[int, ...]:
-    """The greatest exponent tuple of nums under _monomial_key, taken
-    among those of the top total degree only."""
-    top = max(map(sum, nums))
-    return max((e for e in nums if sum(e) == top), key=_monomial_key)
+    """The greatest exponent tuple of nums under _monomial_key: among those
+    of the top total degree, the greatest reversed. Each total is taken
+    once."""
+    sums = list(map(sum, nums))
+    top = max(sums)
+    return max(e[::-1] for e, s in zip(nums, sums) if s == top)[::-1]
 
 
 def _signed_content(nums: Mapping[tuple[int, ...], int]) -> int:

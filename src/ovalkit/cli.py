@@ -415,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_area)
 
     p = sub.add_parser("damper-table", parents=[curve_text], help="free-section table S2(t_P) as CSV")
-    p.add_argument("--range", required=True, help="t_P range as 'a,b' (rationals)")
+    p.add_argument("--range", required=True, help="t_P range as 'a,b' (rationals; --range=a,b when a is negative)")
     p.add_argument("--steps", type=int, required=True, help="number of rows")
     p.add_argument("--out", help="write the CSV here instead of stdout")
     p.add_argument("--svg", help="also write an SVG plot of S2 vs t_P")

@@ -513,13 +513,13 @@ def vertical_eliminant(
        h = P_hat(tau1) + R_hat(tau2) = sum_k c_hat^k * h_k with
        h_k = P_k(tau1) + R_k(tau2). No h_k depends on c_hat;
     3. P_hat + R_hat is the integer kappa. At the one node c_hat = 2^w, w
-       from `_kronecker_width`, let y = P_hat mod (g_hat - c_hat), which
-       is sum_k c_hat^k * P_k, and tau_1, ..., tau_d the roots of
-       f = g_hat - c_hat. The common zeros of D and g_hat(tau2) - c_hat are
-       the pairs (tau_i, tau_j), i != j, where h = kappa + y_i - y_j with
-       y_i = y(tau_i). Pairing (i, j) with (j, i) gives
-       Q(S) = q((S - kappa)^2), q(U) the product of U - (y_i - y_j)^2 over
-       i < j, which comes from power sums alone:
+       from `_kronecker_width`, let y = P_hat mod (g_hat - c_hat), taken
+       by `_divide` and equal to sum_k c_hat^k * P_k, and tau_1, ...,
+       tau_d the roots of f = g_hat - c_hat. The common zeros of D and
+       g_hat(tau2) - c_hat are the pairs (tau_i, tau_j), i != j, where
+       h = kappa + y_i - y_j with y_i = y(tau_i). Pairing (i, j) with
+       (j, i) gives Q(S) = q((S - kappa)^2), q(U) the product of
+       U - (y_i - y_j)^2 over i < j, which comes from power sums alone:
        - the traces of 1, tau, ..., tau^(d-1) on Z[tau]/(f) are the power
          sums of f's roots (`_power_sums`), so d products y^l mod f, each
          reduced by `_divide`, give the traces p_1, ..., p_d of y;
@@ -595,12 +595,8 @@ def _vertical_terms(g: UnivariatePolynomial, p: list[int], r: list[int], den: in
     c_hat = 1 << width
     m = n // 2
     # y = P_hat mod (g_hat - c_hat) = sum_k c_hat^k P_k.
-    y = [0] * d
-    for pk, _ in reversed(adic):
-        y = [c_hat * x for x in y]
-        for j, c in enumerate(pk):
-            y[j] += c
     f = [full[0] - c_hat] + full[1:]
+    y = _divide(ph, f)[1]
     # The traces of y, ..., y^d on Z[tau]/(f), from those of 1, ..., tau^(d-1).
     basis = _power_sums(f, d - 1)
     traces = [d]

@@ -7,6 +7,12 @@ y -> y + c*x^gamma, and build a fresh polygon for the remainder. All
 arithmetic happens on G(x, y) = F(x^N, y), whose x is the ramified
 variable x^(1/N), with N fixed by the first selected edge; a branch that
 would need a finer ramification is rejected rather than guessed.
+
+G is read off F's stored numerators, each x-exponent multiplied by N
+(`_ramified`), so each round makes one substitution, the step itself.
+The exact-root test and the truncation order are the least x-exponent
+among G's y-free terms (`_order`), as is `residual_order`'s order of
+F(u^N, series).
 """
 
 from __future__ import annotations
@@ -15,13 +21,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import (
-    Polynomial,
-    UnivariatePolynomial,
-    _canonical,
-    rational_roots,
-    univariate_from_polynomial,
-)
+from .algebra import Polynomial, UnivariatePolynomial, _canonical, _stored, rational_roots
 from .errors import BranchExpansionError, DeskScopeError, RamificationError
 
 _COEFF_VAR = "c"
@@ -72,6 +72,20 @@ def _support(F: Polynomial) -> dict[tuple[int, int], int]:
         j = exps[iy] if iy is not None else 0
         out[(i, j)] = c
     return out
+
+
+def _ramified(F: Polynomial, N: int, name: str) -> Polynomial:
+    """F(v^N, y) over (v, y), v named name: F's stored numerators with each
+    x-exponent multiplied by N."""
+    return _stored((name, "y"), {(i * N, j): c for (i, j), c in _support(F).items()}, F.den)
+
+
+def _order(G: Polynomial, name: str, N: int) -> Fraction | float:
+    """The least exponent of name among G's terms in name alone, over N;
+    math.inf when there is none. G is over name and, at most, y."""
+    i = G.vars.index(name)
+    k = min((e[i] for e in G.nums if sum(e) == e[i]), default=None)
+    return math.inf if k is None else Fraction(k, N)
 
 
 def _lower_hull(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -232,11 +246,11 @@ def expand_branch(F: Polynomial, num_terms: int) -> PuiseuxSeries:
     N = leading[0].denominator
     x, y = Polynomial.variable("x"), Polynomial.variable("y")
     # G(x, y) = F(x^N, y): the x of G is x^(1/N) on the curve.
-    G = F.subs("x", x**N)
+    G = _ramified(F, N, "x")
     terms: list[tuple[int, Fraction]] = []  # (exponent in G's x, coefficient)
     prev_exp = 0
     for round_no in range(num_terms):
-        if G.subs("y", 0).is_zero:
+        if _order(G, "x", N) == math.inf:
             break  # the accumulated sum is an exact root
         # G(0, 0) = 0 holds on every round: F(0, 0) = 0 and every
         # substitution adds a term of positive x-degree.
@@ -252,14 +266,8 @@ def expand_branch(F: Polynomial, num_terms: int) -> PuiseuxSeries:
         prev_exp = int(g)
         terms.append((prev_exp, coeff))
         G = G.subs("y", y + x**prev_exp * coeff)
-    tail = G.subs("y", 0)
-    if tail.is_zero:
-        order: Fraction | float = math.inf
-    else:
-        # Order of F(x, series) is the x-order of the constant-in-y part of G.
-        tail_x = univariate_from_polynomial(tail, "x")
-        k = next(i for i, cc in enumerate(tail_x.nums) if cc)
-        order = Fraction(k, N)
+    # The order of F(x, series) is the x-order of the y-free part of G.
+    order = _order(G, "x", N)
     series_terms = tuple((Fraction(e, N), c) for e, c in terms)
     return PuiseuxSeries(ramification=N, terms=series_terms, truncation_order=order)
 
@@ -267,12 +275,6 @@ def expand_branch(F: Polynomial, num_terms: int) -> PuiseuxSeries:
 def residual_order(F: Polynomial, series: PuiseuxSeries):
     """Exact x-order of F(x, series(x)); math.inf when it vanishes identically.
     F may involve only x and y."""
-    _check_xy(F)
     N = series.ramification
-    u = Polynomial.variable("u")
-    G = F.subs("x", u**N).subs("y", series.as_ramified_polynomial().to_polynomial())
-    if G.is_zero:
-        return math.inf
-    gu = univariate_from_polynomial(G, "u")
-    k = next(i for i, c in enumerate(gu.nums) if c)
-    return Fraction(k, N)
+    G = _ramified(F, N, "u").subs("y", series.as_ramified_polynomial().to_polynomial())
+    return _order(G, "u", N)

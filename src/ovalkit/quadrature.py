@@ -586,17 +586,12 @@ class _ClippedAreas:
         runs = prefix[edge[leave]] - prefix[edge[enter] + 1]
         corners = (xi * piy - pix * yi) + (pix * pjy - pjx * piy) + (pjx * yk - xk * pjy)
         # The run of kept vertices through vertex 0 wraps around. Each
-        # line's pairs are added in edge order, as a pass for that line
-        # alone adds them: the k-th pairs of all lines at step k.
+        # line's pairs are added in edge order, run then corner, as a pass
+        # for that line alone adds them: ufunc.at is unbuffered and applies
+        # its operands in index order.
         inside0 = self.x.item(0) * a[:, 0] + self.y.item(0) * b[:, 0] + c[:, 0] <= 0.0
         twice = np.where(inside0, self._twice_totals[:, None], 0.0).ravel()
-        owner = line[leave]
-        rank = np.arange(len(owner)) - owner.searchsorted(owner)
-        for k in range(rank.max(initial=-1) + 1):
-            turn = rank == k
-            at = owner[turn]
-            twice[at] += runs[turn]
-            twice[at] += corners[turn]
+        np.add.at(twice, line[leave].repeat(2), np.column_stack((runs, corners)).ravel())
         return np.abs(0.5 * twice).reshape(len(steps), count)
 
 

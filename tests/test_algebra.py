@@ -803,3 +803,23 @@ def test_monomial_key_orders_as_reversed_tuples():
                 assert (_monomial_key(a) < _monomial_key(b)) == (old(a) < old(b))
 
     check()
+
+
+def test_leading_is_the_greatest_monomial_key():
+    # _leading takes each total degree once and compares reversed tuples
+    # among the top-degree terms; the reference is the one-line max.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    from ovalkit.algebra import _leading, _monomial_key
+
+    tuples = st.integers(0, 4).flatmap(
+        lambda k: st.lists(st.tuples(*[st.integers(0, 7)] * k), min_size=1, max_size=30, unique=True)
+    )
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(tuples)
+    def check(exps):
+        nums = dict.fromkeys(exps, 1)
+        assert _leading(nums) == max(nums, key=_monomial_key)
+
+    check()

@@ -4,14 +4,18 @@ from fractions import Fraction
 import pytest
 
 from ovalkit import (
+    Polynomial,
     expand_branch,
+    implicitize,
     newton_polygon,
     parse_polynomial,
     render_series,
     residual_order,
 )
 from ovalkit.errors import BranchExpansionError, RamificationError
-from ovalkit.puiseux import PuiseuxSeries, SupportPoint
+from ovalkit.puiseux import PuiseuxSeries, SupportPoint, _ramified
+
+from oracles import assert_stored, seeded_loops
 
 
 def F(text):
@@ -198,6 +202,42 @@ def test_residual_order_refuses_variables_other_than_x_and_y():
 def test_residual_order_empty_series():
     empty = PuiseuxSeries(ramification=1, terms=(), truncation_order=Fraction(0))
     assert residual_order(F("y^2 - x"), empty) == 1
+
+
+def test_ramified_equals_the_substitution():
+    # F(v^N, y) from the stored numerators against the substitution it
+    # replaces, for F over (x, y) in either order and v in {x, u}.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    exps = st.tuples(st.integers(0, 6), st.integers(0, 6))
+    coeffs = st.one_of(
+        st.integers(-(10**20), 10**20).map(Fraction),
+        st.builds(Fraction, st.integers(-99, 99), st.integers(1, 60)),
+    )
+    polys = st.dictionaries(exps, coeffs, max_size=10)
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(polys, st.sampled_from([("x", "y"), ("y", "x")]), st.integers(1, 4), st.sampled_from("xu"))
+    def check(terms, order, N, name):
+        ix, iy = order.index("x"), order.index("y")
+        F = Polynomial(order, {tuple(e[k] for k in (ix, iy)): c for e, c in terms.items()})
+        got = _ramified(F, N, name)
+        assert got == F.subs("x", Polynomial.variable(name) ** N)
+        assert got.vars == (name, "y")
+        assert_stored(got)
+
+    check()
+
+
+def test_residual_order_equals_the_truncation_order(quartic_poly, apple_curve):
+    # The quartic at 40 terms and the apple at 20 are checked above; the
+    # node loops of seeded_loops(seed, 4, 1), seeds 1-4, all expand.
+    cases = [(quartic_poly, (5, 20)), (implicitize(apple_curve), (5,))]
+    cases += [(implicitize(seeded_loops(seed, 4, 1)[0].curve), (5, 20)) for seed in range(1, 5)]
+    for F_, counts in cases:
+        for n in counts:
+            s = expand_branch(F_, n)
+            assert residual_order(F_, s) == s.truncation_order
 
 
 def test_monotone_refinement(quartic_poly):
