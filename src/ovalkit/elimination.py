@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from itertools import accumulate, repeat, zip_longest
 from operator import mul
 
-from .algebra import Polynomial, UnivariatePolynomial, _divide, _homogenized, _primitive, _stored
+from .algebra import Polynomial, UnivariatePolynomial, _divide, _homogenized, _primitive, _product, _stored
 from .errors import DeskScopeError, SylvesterSizeError
 
 MAX_SYLVESTER_SIZE = 64
@@ -602,11 +602,7 @@ def _vertical_terms(g: UnivariatePolynomial, p: list[int], r: list[int], den: in
     traces = [d]
     power = [1]
     for _ in range(d):
-        product = [0] * (len(power) + d - 1)
-        for i, x in enumerate(power):
-            for j, z in enumerate(y, i):
-                product[j] += x * z
-        power = _divide(product, f)[1]
+        power = _divide(_product(power, y), f)[1]
         traces.append(sum(map(mul, power, basis)))
     # Every trace up to y^n from the characteristic polynomial of y, then
     # the power sums of the C(d, 2) squares (y_i - y_j)^2, i < j.

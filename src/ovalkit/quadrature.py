@@ -23,6 +23,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import TYPE_CHECKING, Literal, Sequence, Union
 
 from .algebra import (
@@ -31,6 +32,7 @@ from .algebra import (
     UnivariatePolynomial,
     _canonical,
     _homogenized,
+    _product,
     as_fraction,
     isolate_roots,
     sturm_chain,
@@ -77,8 +79,8 @@ def _swept(curve: ParametricCurve) -> tuple[list[int], int, int]:
     the origin.
 
     With f and g stored as numerators over their denominators fd and gd,
-    f*g' is an integer convolution over fd*gd, and A, of degree n, has
-    integer numerators over fd*gd*L, L = lcm(1, ..., n).
+    f*g' is an integer convolution (`_product`) over fd*gd, and A, of
+    degree n, has integer numerators over fd*gd*L, L = lcm(1, ..., n).
     With lo = p/q, A(lo) = `_homogenized`(A, lo)/(fd*gd*L*q^n), so B's
     numerators over fd*gd*L*q^n are `_homogenized`(A, lo) - A*q^n; with
     hi = u/v, B(hi) is `_homogenized`(B, hi) over that denominator times
@@ -93,13 +95,9 @@ def _swept(curve: ParametricCurve) -> tuple[list[int], int, int]:
     if not fn or len(gn) < 2:
         # f = 0 or g constant: nothing is swept.
         return [], fd * gd, 0
-    n = len(fn) + len(gn) - 2
     # A_k = (sum over i + j = k of f_i * j*g_j) / k, over L.
-    A = [0] * (n + 1)
-    for i, x in enumerate(fn):
-        if x:
-            for j in range(1, len(gn)):
-                A[i + j] += x * j * gn[j]
+    A = [0] + _product(fn, [j * c for j, c in enumerate(gn) if j])
+    n = len(A) - 1
     L = math.lcm(*range(1, n + 1))
     for k in range(1, n + 1):
         A[k] *= L // k
@@ -178,13 +176,9 @@ def _chord(cp: CenteredParametrization) -> tuple[UnivariatePolynomial, int]:
     f, g = curve.f.as_univariate(), curve.g.as_univariate()
     fn, fd, gn, gd = f.nums, f.den, g.nums, g.den
     scale = den // (fd * gd)
-    body = [2 * x for x in nums] + [0] * (len(fn) + len(gn) - 1 - len(nums))
-    for i, x in enumerate(gn):
-        if x:
-            for j, y in enumerate(fn, i):
-                body[j] += x * y * scale
     sign = 1 if top > 0 else -1
-    return _canonical(curve.var, [sign * x for x in body], 2 * den), top
+    body = [sign * (z * scale + 2 * x) for z, x in zip_longest(_product(gn, fn), nums, fillvalue=0)]
+    return _canonical(curve.var, body, 2 * den), top
 
 
 def origin_chord_segment_area(cp: CenteredParametrization, t0) -> AreaResult:
@@ -404,12 +398,13 @@ class _ClippedAreas:
     for that line alone, which the tests also keep.
     """
 
-    def __init__(self, buffer: np.ndarray, n: int, scratch: np.ndarray, steps: tuple[int, ...]):
+    def __init__(self, buffer: np.ndarray, n: int, steps: tuple[int, ...]):
         """buffer is a _vertex_buffer(n) whose rows hold the x and y of the n
         vertices; each resolution is the polygon through every step-th of
         them, steps (1,) for a polygon and (1, 2) for a curve, n odd. The
-        build pads the buffers and overwrites scratch, a dead buffer of at
-        least n floats."""
+        build pads the buffer. Each edge's cross product is two products
+        and one difference, taken for all edges of a resolution in one
+        array expression."""
         import numpy as np
 
         x_buffer, y_buffer = buffer
@@ -431,9 +426,7 @@ class _ClippedAreas:
             xr, yr, prefix = x[::step], y[::step], self._prefix[offset : offset + m + 1]
             prefix[0] = 0.0
             if m:
-                cross = prefix[1:m]
-                np.multiply(xr[:-1], yr[1:], out=cross)
-                np.subtract(cross, np.multiply(xr[1:], yr[:-1], out=scratch[: m - 1]), out=cross)
+                prefix[1:m] = xr[:-1] * yr[1:] - xr[1:] * yr[:-1]
                 prefix[m] = xr[-1] * yr[0] - xr[0] * yr[-1]
                 np.add.accumulate(prefix[1:], out=prefix[1:])
             self._polygons.append((xr, yr, prefix))
@@ -619,42 +612,43 @@ def _vertex_buffer(n: int) -> np.ndarray:
     return np.empty((2, max(-(-n // B), 1) * B + 1))
 
 
-def _evaluate(rf: RationalFunction, t: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """rf at each parameter of t, written into out, bit for bit
-    rf.evaluate_float: np.polyval's y = y*t + c in place on the numerator
-    and the denominator, then their quotient. evaluate_float starts from
-    y = 0, which its first step turns into the leading coefficient for
-    finite t, so here y starts from that coefficient. A coefficient
-    beyond the float range raises DeskScopeError."""
+def _evaluate(rf: RationalFunction, t: np.ndarray) -> np.ndarray:
+    """rf at each parameter of t, bit for bit rf.evaluate_float: np.polyval's
+    y = y*t + c, in place on a new array for the numerator and one for the
+    denominator, then their quotient in place on the first, which is
+    returned. evaluate_float starts from y = 0, which its first step turns
+    into the leading coefficient for finite t, so here y starts from that
+    coefficient. A coefficient beyond the float range raises
+    DeskScopeError."""
     import numpy as np
 
-    def horner(p: UnivariatePolynomial, out: np.ndarray) -> np.ndarray:
+    def horner(p: UnivariatePolynomial) -> np.ndarray:
         try:
             values = [c / p.den for c in p.nums]
         except OverflowError:
             raise DeskScopeError("the curve is beyond the float range of the numeric oracle") from None
-        out.fill(values[-1] if values else 0.0)
+        y = np.full(len(t), values[-1] if values else 0.0)
         for c in reversed(values[:-1]):
-            np.multiply(out, t, out=out)
-            np.add(out, c, out=out)
-        return out
+            y *= t
+            y += c
+        return y
 
-    horner(rf.num, out)
+    y = horner(rf.num)
     if not rf.is_polynomial:
-        np.divide(out, horner(rf.den, np.empty(len(t))), out=out)
-    return out
+        y /= horner(rf.den)
+    return y
 
 
-def _sample_components(curve: ParametricCurve, samples: int) -> tuple[np.ndarray, np.ndarray]:
-    """The vertex buffer of x and y, sampled at evenly spaced parameters,
-    and the buffer of those parameters, which the caller may overwrite."""
+def _sample_components(curve: ParametricCurve, samples: int) -> np.ndarray:
+    """The vertex buffer of x and y, sampled at evenly spaced parameters:
+    each component's `_evaluate` values copied into its row."""
     import numpy as np
 
     t = np.linspace(float(curve.interval.lo), float(curve.interval.hi), samples)
     buffer = _vertex_buffer(samples)
-    _evaluate(curve.g, t, buffer[0, :samples])
-    _evaluate(curve.f, t, buffer[1, :samples])
-    return buffer, t
+    buffer[0, :samples] = _evaluate(curve.g, t)
+    buffer[1, :samples] = _evaluate(curve.f, t)
+    return buffer
 
 
 def _clipped_areas(boundary: Boundary, samples: int) -> _ClippedAreas:
@@ -665,13 +659,12 @@ def _clipped_areas(boundary: Boundary, samples: int) -> _ClippedAreas:
 
     if isinstance(boundary, ParametricCurve):
         n = samples | 1
-        buffer, t = _sample_components(boundary, n)
-        return _ClippedAreas(buffer, n, t, (1, 2))
+        return _ClippedAreas(_sample_components(boundary, n), n, (1, 2))
     points = np.asarray(boundary, dtype=float).reshape(-1, 2)
     n = len(points)
     buffer = _vertex_buffer(n)
     buffer[:, :n] = points.T
-    return _ClippedAreas(buffer, n, np.empty(n), (1,))
+    return _ClippedAreas(buffer, n, (1,))
 
 
 def numeric_segment_area(

@@ -16,7 +16,7 @@ from ovalkit import (
     substitute_rational,
     univariate_from_polynomial,
 )
-from ovalkit.algebra import _divide, _homogenized, isolate_roots, squarefree_part, sturm_chain
+from ovalkit.algebra import _divide, _homogenized, _product, isolate_roots, squarefree_part, sturm_chain
 from ovalkit.errors import EvaluationError
 from ovalkit.parsing import parse_rational_function
 
@@ -479,6 +479,26 @@ def test_integer_division_matches_the_fraction_reference():
     check()
 
 
+def test_integer_product_matches_the_fraction_reference():
+    # The one convolution behind every integer product; zeros inside the
+    # lists are skipped or multiplied through, and change nothing.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    ints = st.integers(-(10**20), 10**20) | st.just(0)
+    nonzero = st.integers(-(10**20), 10**20).filter(bool)
+    lists = st.tuples(st.lists(ints, max_size=6), nonzero).map(lambda p: p[0] + [p[1]])
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(lists, lists)
+    def check(a, b):
+        product = _product(a, b)
+        assert all(type(c) is int for c in product)
+        assert product == fraction_mul(a, b)
+        assert not any(_product([], b)) and not any(_product(a, []))
+
+    check()
+
+
 def test_homogenized_value_has_the_sign_of_the_value():
     # b^deg(f) * f(a/b) on integers equals the Fraction value scaled by
     # b^deg(f) > 0, so it has its sign.
@@ -630,6 +650,32 @@ def test_rational_roots_examples():
     assert rational_roots(2 * t - 1) == [Fraction(1, 2)]
     # multiplicity is preserved
     assert rational_roots((t - 1) ** 2) == [Fraction(1), Fraction(1)]
+
+
+def test_rational_roots_one_grid_step_apart():
+    # Every rational root of the primitive square-free part is a multiple
+    # of 1/lc, and two of them are at least that far apart: these are.
+    t = UnivariatePolynomial.identity("t")
+    assert rational_roots((2 * t - 1) * (t - 1)) == [Fraction(1, 2), Fraction(1)]
+    p = (6 * t - 5) ** 2 * (t - 1) * (t**2 - 2)
+    assert rational_roots(p) == [Fraction(5, 6), Fraction(5, 6), Fraction(1)]
+    p = (t - Fraction(1, 1000003)) * (t - Fraction(2, 1000003)) * (t + 5)
+    assert rational_roots(p) == [Fraction(-5), Fraction(1, 1000003), Fraction(2, 1000003)]
+    # Farey neighbours a/b < c/d, b*c - a*d = 1, are 1/(b*d) = 1/lc apart.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.integers(1, 10**6), st.integers(1, 10**6), st.integers(-5, 5), st.integers(1, 2), st.sampled_from([0, 2, 3]))
+    def check(b, d, k, power, quadratic):
+        hypothesis.assume(math.gcd(b, d) == 1)
+        c = pow(b, -1, d) if d > 1 else 1
+        roots = sorted([Fraction((b * c - 1) // d + k * b, b), Fraction(c + k * d, d)])
+        assert roots[1] - roots[0] == Fraction(1, b * d)
+        p = (t - roots[0]) ** power * (t - roots[1]) * (t**2 - quadratic if quadratic else 1)
+        assert rational_roots(p) == sorted(roots[:1] * power + roots[1:])
+
+    check()
 
 
 def test_rational_roots_linear_remainder():

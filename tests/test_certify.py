@@ -776,11 +776,16 @@ def test_verify_general_lines_equal_a_serial_reference_loop(monkeypatch):
 def test_residual_columns_equal_the_scalar_residual():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    exps = st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 3))
+    # Exponents up to 40 in S check np.float_power's bits at high powers:
+    # 50^40 is finite, and (+-1e100)^4 and up overflow.
+    exps = st.tuples(st.integers(0, 40), st.integers(0, 6), st.integers(0, 3))
     # Coefficients of 10^300 make inf - inf, so NaN residuals are drawn too,
     # and values of +-10^100 make powers of degree 4 and up overflow.
     coeffs = st.fractions(-10**6, 10**6, max_denominator=50) | st.sampled_from([10**300, -(10**300)])
-    values = st.floats(-50.0, 50.0) | st.sampled_from([1e100, -1e100])
+    # Floats with full 53-bit mantissas, whose powers are rarely exact, tell
+    # one rounding of a power from another.
+    full = st.integers(-(2**52), 2**52).map(lambda k: k * 2.0**-46)
+    values = st.floats(-50.0, 50.0) | full | st.sampled_from([1e100, -1e100, 0.0, -0.0, 5e-324])
 
     @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @hypothesis.given(st.dictionaries(exps, coeffs, min_size=1, max_size=12), st.lists(st.tuples(values, values, values), min_size=1, max_size=40))
@@ -793,6 +798,14 @@ def test_residual_columns_equal_the_scalar_residual():
         assert got.tobytes() == np.array([residual(m, q0, S) for S, m, q0 in points]).tobytes()
 
     check()
+    # Q = S^e at values below 1 in magnitude: each residual is |v^e|, the
+    # bits of the power itself, at every exponent up to 40.
+    rng = random.Random(0)
+    column = np.array([rng.uniform(-1.0, 1.0) for _ in range(500)])
+    for e in range(1, 41):
+        q = Polynomial(("S",), {(e,): 1})
+        residual = scalar_residual(q, ["S"])
+        assert certify._residuals(q, {"S": column}).tobytes() == np.array([residual(v) for v in column]).tobytes()
 
 
 def test_a_nan_residual_fails_the_report(cubic_centered, cubic_curve):

@@ -568,6 +568,15 @@ def test_verify_refuses_a_repeated_role_in_one_line(capsys):
     assert err == "error: role 'slope' is given to both 'm' and 'k'\n"
 
 
+def test_verify_refuses_a_roles_item_without_equals_in_one_line(capsys):
+    # An item with no '=' was read as a variable with the empty role and
+    # refused as "unknown role '' for 'x'"; it is refused by name.
+    cert = "S - c\nroles: S=area c=abscissa x"
+    code, out, err = run(capsys, ["verify", "--cert", cert, "--param", CUBIC_PARAM])
+    assert code == 1 and out == ""
+    assert err == "error: roles item 'x' is not var=role\n"
+
+
 def test_verify_fails_a_certificate_whose_power_overflows(capsys):
     # m^480 overflows a float at the steeper sampled chords; it is inf
     # there, as an overflowing product is, and the report fails instead of

@@ -8,6 +8,8 @@ import pytest
 
 from ovalkit import (
     Interval,
+    RationalFunction,
+    UnivariatePolynomial,
     pencil_certificate,
     verify_certificate,
     angle_to_parameter,
@@ -25,7 +27,7 @@ from ovalkit import (
 from ovalkit.algebra import univariate_from_polynomial
 from ovalkit.cli import parse_curve_text
 from ovalkit.curves import Point
-from ovalkit.errors import DegenerateCurveError, ExactIntegrationError
+from ovalkit.errors import DegenerateCurveError, DeskScopeError, ExactIntegrationError
 from ovalkit.quadrature import (
     AreaResult,
     chord_area_function,
@@ -826,12 +828,36 @@ def test_sampling_equals_polyval_bitwise(samples, cubic_curve, quartic_curve, ap
     ]
     for curve in curves:
         polygon = sample_boundary(curve, samples)
-        (x, y), _ = quadrature._sample_components(curve, samples)
+        x, y = quadrature._sample_components(curve, samples)
         assert _bits(x[:samples]) == _bits(polygon[:, 0]) and _bits(y[:samples]) == _bits(polygon[:, 1])
         # The oracle's resolutions: samples | 1 vertices, and every other one.
         fine = sample_boundary(curve, samples | 1)
         for (x, y, _), polygon in zip(_resolutions(quadrature._clipped_areas(curve, samples)), (fine, fine[::2])):
             assert _bits(x) == _bits(polygon[:, 0]) and _bits(y) == _bits(polygon[:, 1])
+
+
+def test_evaluate_equals_evaluate_float_bitwise():
+    # The oracle's sampling and verify's chords and vertical lines read
+    # `_evaluate`: each value is RationalFunction.evaluate_float's, bit for
+    # bit, on polynomial and rational components.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coeffs = st.lists(st.fractions(-(10**6), 10**6, max_denominator=10**4), max_size=7)
+    points = st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=30)
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(coeffs, coeffs | st.just([1]), points)
+    def check(num, den, ts):
+        hypothesis.assume(any(den))
+        rf = RationalFunction(UnivariatePolynomial("t", num), UnivariatePolynomial("t", den))
+        hypothesis.assume(all(rf.den.evaluate_float(x) for x in ts))
+        assert _bits(quadrature._evaluate(rf, np.array(ts))) == _bits([rf.evaluate_float(x) for x in ts])
+
+    check()
+    t = UnivariatePolynomial.identity("t")
+    for rf in (RationalFunction(10**400 * t), RationalFunction(t, t**2 + 10**400)):
+        with pytest.raises(DeskScopeError, match="^the curve is beyond the float range of the numeric oracle$"):
+            quadrature._evaluate(rf, np.linspace(0.0, 1.0, 5))
 
 
 def _full_pass_areas(areas, lines):
